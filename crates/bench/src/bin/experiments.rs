@@ -20,7 +20,7 @@
 //! rule firings, paged fetch + availability counters, thread-scaling
 //! speedups and stats-parity flags, mesh-cluster convergence latency +
 //! bytes shipped, and a peak-RSS proxy); `--smoke` shrinks the workloads
-//! for CI, `--variant <tag>` labels the run (e.g. `baseline` vs
+//! for CI, `--variant <tag>` labels the run (e.g. `paged` vs
 //! `interned`). E12 spawns child OS processes of this same binary (a
 //! hidden `--e12-child` mode) to run the gossiping mesh across real
 //! process boundaries.
@@ -47,7 +47,7 @@ pub struct Opts {
     pub smoke: bool,
     /// Where to write `BENCH_*.json` (omitted → tables only).
     pub json_dir: Option<PathBuf>,
-    /// Run tag recorded in the JSON (`baseline`, `interned`, …).
+    /// Run tag recorded in the JSON (`interned`, `paged`, …).
     pub variant: String,
     /// Serve an archive over TCP at this address instead of running
     /// experiments (the server half of a two-process E10).

@@ -7,7 +7,7 @@
 //! ```text
 //! {
 //!   "experiment": "e1" | "e4" | "e7",
-//!   "variant":    free-form tag ("baseline", "interned", ...),
+//!   "variant":    free-form tag ("interned", "paged", ...),
 //!   "smoke":      bool,
 //!   "peak_rss_kb": u64          // VmHWM proxy, 0 where unsupported
 //!   "rows":    [ { per-experiment columns, each numeric or string } ],
@@ -364,7 +364,7 @@ pub fn peak_rss_kb() -> u64 {
 pub struct BenchReport {
     /// Experiment name ("e1", "e4", "e7").
     pub experiment: String,
-    /// Build/config tag distinguishing runs ("baseline", "interned", …).
+    /// Build/config tag distinguishing runs ("interned", "paged", …).
     pub variant: String,
     /// True when produced by a reduced smoke workload.
     pub smoke: bool,
@@ -425,17 +425,10 @@ impl BenchReport {
         ])
     }
 
-    /// Write the report into `dir`: `BENCH_<experiment>.json`, or
-    /// `BENCH_<experiment>_baseline.json` for the `baseline` variant so
-    /// A/B runs into the same directory never clobber each other.
+    /// Write the report into `dir` as `BENCH_<experiment>.json`.
     pub fn write_to(&self, dir: &std::path::Path) -> std::io::Result<std::path::PathBuf> {
         std::fs::create_dir_all(dir)?;
-        let name = if self.variant == "baseline" {
-            format!("BENCH_{}_baseline.json", self.experiment)
-        } else {
-            format!("BENCH_{}.json", self.experiment)
-        };
-        let path = dir.join(name);
+        let path = dir.join(format!("BENCH_{}.json", self.experiment));
         std::fs::write(&path, format!("{}\n", self.to_json()))?;
         Ok(path)
     }

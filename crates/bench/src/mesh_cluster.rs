@@ -696,7 +696,7 @@ pub fn e12_mesh_cluster(smoke: bool, variant: &str) -> BenchReport {
         }
     }
     // Wire-level cluster introspection: pull one registry snapshot per
-    // child process through the v2 METRICS opcode (every node of a
+    // child process through the METRICS opcode (every node of a
     // process shares its process-global registry, so one poll per
     // process avoids double counting). The polling itself exercises the
     // parent-side net client, so the block's own `net_events` moves too.

@@ -390,38 +390,32 @@ impl Cdss {
         }
     }
 
-    /// Publish a peer's pending local edits (diff against the last
-    /// published snapshot) as **one** transaction. Returns `None` when
-    /// there is nothing to publish. Use [`publish_transaction`] for
-    /// explicit transaction boundaries.
+    /// Publish a peer's pending local edits (its instance's pending-edit
+    /// log) as **one** transaction. Returns `None` when there is nothing
+    /// to publish. Use [`publish_transaction`] for explicit transaction
+    /// boundaries.
     ///
     /// [`publish_transaction`]: Cdss::publish_transaction
     pub fn publish(&mut self, peer_id: &PeerId) -> Result<Option<TxnId>> {
         let peer = self.peer(peer_id)?;
-        let delta = peer.published_snapshot.diff(&peer.instance)?;
-        if delta.is_empty() {
-            return Ok(None);
-        }
-        // Pair deletions and insertions on the same key into modifies.
+        // Per relation in schema (name) order: inserts and modifies in key
+        // order, then deletes in key order.
         let mut updates: Vec<Update> = Vec::new();
-        for rel_schema in peer.schema.relations().cloned().collect::<Vec<_>>() {
-            let name = rel_schema.name();
-            let dels = delta.deletions.get(name).cloned().unwrap_or_default();
-            let inss = delta.insertions.get(name).cloned().unwrap_or_default();
-            let mut dels_by_key: BTreeMap<Tuple, Tuple> = dels
-                .into_iter()
-                .map(|t| (rel_schema.key_of(&t), t))
-                .collect();
-            for ins in inss {
-                let key = rel_schema.key_of(&ins);
-                match dels_by_key.remove(&key) {
-                    Some(old) => updates.push(Update::modify(name, old, ins)),
-                    None => updates.push(Update::insert(name, ins)),
+        for rel in peer.instance.relations() {
+            let name = rel.schema().name_arc();
+            let mut deletes: Vec<Update> = Vec::new();
+            for (published, current) in rel.pending() {
+                match (published.cloned(), current.cloned()) {
+                    (None, Some(new)) => updates.push(Update::insert(name.clone(), new)),
+                    (Some(old), Some(new)) => updates.push(Update::modify(name.clone(), old, new)),
+                    (Some(old), None) => deletes.push(Update::delete(name.clone(), old)),
+                    (None, None) => {} // Not an edit; the log never holds one.
                 }
             }
-            for (_, old) in dels_by_key {
-                updates.push(Update::delete(name, old));
-            }
+            updates.append(&mut deletes);
+        }
+        if updates.is_empty() {
+            return Ok(None);
         }
         let ids = self.publish_batch(peer_id, vec![updates])?;
         Ok(ids.into_iter().next())
@@ -456,8 +450,10 @@ impl Cdss {
     }
 
     /// Core publication path: stamp ids and provenance-derived
-    /// antecedents, archive in the store, ingest into the peer's own
-    /// engine, refresh the published snapshot.
+    /// antecedents, ingest into the peer's own engine, archive in the
+    /// store and — only once the store accepted the batch — mark the
+    /// peer's instance published. A store failure leaves every edit
+    /// pending, so the next [`publish`](Cdss::publish) announces it.
     fn publish_batch(
         &mut self,
         peer_id: &PeerId,
@@ -469,6 +465,7 @@ impl Cdss {
             .get_mut(peer_id)
             .ok_or_else(|| CoreError::UnknownPeer(peer_id.to_string()))?;
         let mut built: Vec<Transaction> = Vec::new();
+        let mut ids: Vec<TxnId> = Vec::new();
         for updates in txn_updates {
             if updates.is_empty() {
                 continue;
@@ -485,19 +482,16 @@ impl Cdss {
             // The peer's own transaction counts as accepted history so
             // foreign dependents can resolve their antecedents against it.
             peer.reconciler.note_local(&txn)?;
+            ids.push(txn.id.clone());
             built.push(txn);
         }
         if built.is_empty() {
-            return Ok(vec![]);
+            return Ok(ids);
         }
-        self.store.publish(epoch, built.clone())?;
-        self.published_txns += built.len() as u64;
-        let peer = self
-            .peers
-            .get_mut(peer_id)
-            .ok_or_else(|| CoreError::UnknownPeer(peer_id.to_string()))?;
-        peer.published_snapshot = peer.instance.clone();
-        Ok(built.into_iter().map(|t| t.id).collect())
+        self.store.publish(epoch, built)?;
+        self.published_txns += ids.len() as u64;
+        peer.instance.mark_published();
+        Ok(ids)
     }
 
     /// Perform update exchange for one peer: page through newly published
@@ -859,8 +853,7 @@ impl Cdss {
         let mut applied = 0usize;
         for txn in &outcome.accepted {
             for u in &txn.updates {
-                u.apply(&mut peer.instance).map_err(CoreError::from)?;
-                u.apply(&mut peer.published_snapshot)
+                u.apply_published(&mut peer.instance)
                     .map_err(CoreError::from)?;
                 applied += 1;
             }
@@ -992,8 +985,7 @@ fn process_page(
     let mut applied = 0usize;
     let mut apply = |peer: &mut Peer, txn: &Transaction| -> Result<()> {
         for u in &txn.updates {
-            u.apply(&mut peer.instance).map_err(CoreError::from)?;
-            u.apply(&mut peer.published_snapshot)
+            u.apply_published(&mut peer.instance)
                 .map_err(CoreError::from)?;
             applied += 1;
         }

@@ -11,8 +11,8 @@
 //! request, the CDSS performs an update exchange" (§2). Update exchange is
 //! `publish → translate → reconcile`:
 //!
-//! * **Publish** ([`Cdss::publish`]): a peer's local edits are diffed
-//!   against its last published snapshot, grouped into a transaction whose
+//! * **Publish** ([`Cdss::publish`]): a peer's pending local edits (its
+//!   instance's pending-edit log) are grouped into a transaction whose
 //!   antecedents are derived from the *provenance* of the tuples it
 //!   modifies, and archived in the shared [update store].
 //! * **Translate** (internal, [`translate`]): newly published transactions

@@ -12,12 +12,22 @@ use std::sync::Arc;
 
 /// One CDSS participant.
 ///
-/// A peer owns four kinds of state, mirroring §2 of the paper:
+/// A peer owns three kinds of state, mirroring §2 of the paper:
 ///
 /// * the **local instance** — fully autonomous and editable; queries run
-///   here ([`Peer::query`]);
-/// * the **published snapshot** — the last state made visible to others;
-///   `publish` diffs the live instance against it;
+///   here ([`Peer::query`]). It is the only copy of the peer's data. Its
+///   relations keep a **pending-edit log**: a key is pending while its
+///   tuple differs from the one the rest of the system last saw there,
+///   and [`Cdss::publish`](crate::Cdss::publish) announces exactly the
+///   pending keys. Edits through [`Peer::instance_mut`] are logged;
+///   updates the system applies — accepted transactions during an
+///   exchange or a [`resolve`](crate::Cdss::resolve), the peer's own
+///   transactions restored from the archive — are public already, so
+///   they change both sides and leave their keys not pending (a pending
+///   local edit on a key an accepted update overwrites is superseded,
+///   never published). A publish marks the whole instance published only
+///   after the archive accepted the batch: if the store fails, every edit
+///   stays pending and the next publish announces it;
 /// * the **reconciler** — persistent decisions (accepted / rejected /
 ///   deferred) over other peers' transactions, plus open conflicts;
 /// * the **translation engine** — the peer's materialized view of every
@@ -30,7 +40,6 @@ pub struct Peer {
     pub(crate) id: PeerId,
     pub(crate) schema: DatabaseSchema,
     pub(crate) instance: Instance,
-    pub(crate) published_snapshot: Instance,
     pub(crate) policy: TrustPolicy,
     pub(crate) reconciler: Reconciler,
     pub(crate) engine: Engine,
@@ -69,7 +78,6 @@ impl Peer {
         policy: TrustPolicy,
         engine: Engine,
     ) -> Peer {
-        let instance = Instance::new(schema.clone());
         let local_names: HashMap<Arc<str>, Arc<str>> = schema
             .relations()
             .map(|r| {
@@ -81,8 +89,7 @@ impl Peer {
             .collect();
         Peer {
             reconciler: Reconciler::new(schema.clone()),
-            published_snapshot: instance.clone(),
-            instance,
+            instance: Instance::new(schema.clone()),
             id,
             schema,
             policy,
@@ -114,14 +121,10 @@ impl Peer {
     }
 
     /// Mutable access to the local instance — local autonomy: users edit
-    /// freely between update exchanges.
+    /// freely between update exchanges, and the next
+    /// [`Cdss::publish`](crate::Cdss::publish) announces the net effect.
     pub fn instance_mut(&mut self) -> &mut Instance {
         &mut self.instance
-    }
-
-    /// The last published snapshot.
-    pub fn published_snapshot(&self) -> &Instance {
-        &self.published_snapshot
     }
 
     /// The peer's trust policy.

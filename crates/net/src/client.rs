@@ -19,7 +19,6 @@ use orchestra_updates::{Epoch, Transaction, TxnId};
 use parking_lot::Mutex;
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Tunables for a [`RemoteStore`].
@@ -186,18 +185,12 @@ pub struct RemoteStore {
     /// store, so a dropped store's contribution vanishes with it (its
     /// breaker no longer exists, open or not).
     breaker_open: orchestra_obs::GaugeHandle,
-    /// The protocol version the server answered at the last completed
-    /// handshake (0 until a dial succeeds). Talking to a v1 server, the
-    /// v2-only calls fail fast client-side instead of burning a round
-    /// trip on a guaranteed `ERR`.
-    negotiated: AtomicU64,
 }
 
 impl RemoteStore {
     /// Attach to a server, completing one eager version handshake (fails
-    /// fast on a wrong address or incompatible peer). Servers answering
-    /// any version from 1 through [`PROTOCOL_VERSION`] are accepted; the
-    /// negotiated version gates the v2-only calls.
+    /// fast on a wrong address or a peer that does not speak
+    /// [`PROTOCOL_VERSION`]).
     pub fn connect(addr: impl std::net::ToSocketAddrs + std::fmt::Display) -> crate::Result<Self> {
         RemoteStore::connect_with(addr, RemoteOptions::default())
     }
@@ -243,7 +236,6 @@ impl RemoteStore {
             net: AtomicNetStats::default(),
             breaker: Mutex::new(BreakerInner::default()),
             breaker_open: orchestra_obs::gauge("net.breaker.open"),
-            negotiated: AtomicU64::new(0),
         })
     }
 
@@ -264,14 +256,8 @@ impl RemoteStore {
     /// address.
     fn dial(&self) -> Result<TcpStream, StoreError> {
         let _span = orchestra_obs::span!("net.dial", addr = &self.addr_label);
-        // Propagate the active trace with the handshake — but only when a
-        // prior handshake proved the server speaks v2; a v1 decoder
-        // rejects the trailing bytes, and a first-ever dial cannot know.
-        let trace = if self.negotiated_version() >= 2 {
-            orchestra_obs::trace_current()
-        } else {
-            0
-        };
+        // Propagate the active trace with the handshake.
+        let trace = orchestra_obs::trace_current();
         let mut last: Option<StoreError> = None;
         for addr in &self.addrs {
             let stream = match TcpStream::connect_timeout(addr, self.opts.connect_timeout) {
@@ -293,13 +279,12 @@ impl RemoteStore {
                     trace,
                 },
             ) {
-                Ok(Response::HelloOk { version }) if (1..=PROTOCOL_VERSION).contains(&version) => {
-                    self.negotiated.store(version, Ordering::Relaxed);
+                Ok(Response::HelloOk { version }) if version == PROTOCOL_VERSION => {
                     return Ok(stream);
                 }
                 Ok(Response::HelloOk { version }) => {
                     return Err(StoreError::InvalidConfig(format!(
-                        "server `{}` negotiated unsupported protocol version {version}",
+                        "server `{}` speaks unsupported protocol version {version}",
                         self.addr_label
                     )))
                 }
@@ -528,9 +513,8 @@ impl RemoteStore {
     /// Archive metadata in one round trip: `(len, latest_epoch, stats,
     /// server)` — what [`UpdateStore::len`], [`UpdateStore::latest_epoch`],
     /// and [`UpdateStore::stats`] each report, without paying three RPCs.
-    /// The last element carries the server's per-message-type counters on
-    /// v2 connections and is `None` against a v1 server.
-    pub fn probe(&self) -> crate::Result<(u64, Option<Epoch>, StoreStats, Option<ServerCounters>)> {
+    /// The last element carries the server's per-message-type counters.
+    pub fn probe(&self) -> crate::Result<(u64, Option<Epoch>, StoreStats, ServerCounters)> {
         let request = Request::Probe;
         match self.call(&request)? {
             Response::ProbeOk {
@@ -544,32 +528,10 @@ impl RemoteStore {
         }
     }
 
-    /// The version the server answered at the last completed handshake
-    /// (0 until any operation has dialed successfully).
-    pub fn negotiated_version(&self) -> u64 {
-        self.negotiated.load(Ordering::Relaxed)
-    }
-
-    /// Fail fast client-side when a v2-only call targets a v1 server —
-    /// the server would answer the same `InvalidConfig`, one round trip
-    /// later. A cold store (version 0, nothing dialed yet) passes: the
-    /// call's own dial performs the handshake first.
-    fn need_v2(&self, what: &str) -> crate::Result<()> {
-        match self.negotiated_version() {
-            0 | 2.. => Ok(()),
-            v => Err(StoreError::InvalidConfig(format!(
-                "request `{what}` needs protocol version 2 but server `{}` \
-                 negotiated {v}",
-                self.addr_label
-            ))),
-        }
-    }
-
     /// The server archive's anti-entropy digest — epoch high-water,
     /// per-source sequence high-waters, per-relation transaction counts —
-    /// in one round trip. Protocol v2.
+    /// in one round trip.
     pub fn digest(&self) -> crate::Result<StoreDigest> {
-        self.need_v2("digest")?;
         let request = Request::Digest;
         match self.call(&request)? {
             Response::DigestOk(digest) => Ok(digest),
@@ -580,9 +542,8 @@ impl RemoteStore {
 
     /// Register `peer`'s interest set (owner-qualified `Peer.Relation`
     /// names) with the server, so its operator can see who replicates
-    /// what. Re-subscribing replaces the previous set. Protocol v2.
+    /// what. Re-subscribing replaces the previous set.
     pub fn subscribe(&self, peer: &str, interest: Vec<String>) -> crate::Result<()> {
-        self.need_v2("subscribe")?;
         let request = Request::Subscribe {
             peer: peer.to_string(),
             interest,
@@ -598,7 +559,7 @@ impl RemoteStore {
     /// `cursor` and ships only transactions matching `interest` (empty =
     /// everything) whose sequence exceeds the puller's `have` floor for
     /// that source; every other scanned position comes back as a skipped
-    /// id so per-source prefix bookkeeping stays exact. Protocol v2.
+    /// id so per-source prefix bookkeeping stays exact.
     pub fn pull_pages(
         &self,
         cursor: &FetchCursor,
@@ -606,13 +567,11 @@ impl RemoteStore {
         interest: &[String],
         have: &[(String, u64)],
     ) -> crate::Result<PullPage> {
-        self.need_v2("pull_pages")?;
         let request = Request::PullPages {
             cursor: cursor.clone(),
             limit,
             interest: interest.to_vec(),
             have: have.to_vec(),
-            // v2-only request, so the active trace may always ride along.
             trace: orchestra_obs::trace_current(),
         };
         match self.call(&request)? {
@@ -624,9 +583,8 @@ impl RemoteStore {
 
     /// The server process's full observability snapshot — counters,
     /// gauges, latency histograms, recent spans — in one round trip.
-    /// This is what `orchestra-top` polls per node. Protocol v2.
+    /// This is what `orchestra-top` polls per node.
     pub fn metrics(&self) -> crate::Result<orchestra_obs::ObsSnapshot> {
-        self.need_v2("metrics")?;
         let request = Request::Metrics;
         match self.call(&request)? {
             Response::MetricsOk(snap) => Ok(snap),

@@ -47,9 +47,7 @@ pub mod proto;
 pub mod server;
 
 pub use client::{BreakerState, NetStats, RemoteOptions, RemoteStore};
-pub use proto::{
-    required_version, PullPage, Request, Response, ServerCounters, MAGIC, PROTOCOL_VERSION,
-};
+pub use proto::{PullPage, Request, Response, ServerCounters, MAGIC, PROTOCOL_VERSION};
 pub use server::{PeerServer, ServerOptions, ServerStats};
 
 /// Crate-wide result alias (network operations surface store errors).

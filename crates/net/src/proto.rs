@@ -1,5 +1,6 @@
-//! The `orchestra-net` wire protocol: versioned, length-prefixed,
-//! CRC32-checksummed messages carrying the [`UpdateStore`] surface.
+//! The `orchestra-net` wire protocol: length-prefixed, CRC32-checksummed
+//! messages carrying the [`UpdateStore`] surface and the mesh
+//! anti-entropy surface. There is one protocol version; `HELLO` checks it.
 //!
 //! Every message travels inside one frame from [`orchestra_store::frame`]
 //! (`len:u32le crc:u32le payload[len]`) — the same framing the durable
@@ -14,33 +15,31 @@
 //!           | FETCH_PAGE  cursor limit:uvarint
 //!           | FETCH       txn_id
 //!           | PROBE
-//!           | DIGEST                                                (v2)
-//!           | SUBSCRIBE   peer:str n:uvarint str*                   (v2)
-//!           | PULL_PAGES  cursor limit:uvarint                      (v2)
+//!           | DIGEST
+//!           | SUBSCRIBE   peer:str n:uvarint str*
+//!           | PULL_PAGES  cursor limit:uvarint
 //!                         ni:uvarint str* nh:uvarint (peer:str hw:uvarint)*
 //!                         [trace:uvarint]
-//!           | METRICS                                               (v2)
+//!           | METRICS
 //! response := HELLO_OK    version:uvarint
 //!           | PUBLISH_OK
 //!           | PAGE        n:uvarint txn* u:uvarint (epoch:uvarint txn_id)*
 //!                         has_next:u8 [cursor]
 //!           | TXN         present:u8 [txn]
 //!           | PROBE_OK    len:uvarint has_latest:u8 [epoch:uvarint]
-//!                         stats:7×uvarint [server:5×uvarint]        (v2)
-//!           | DIGEST_OK   digest                                    (v2)
-//!           | SUBSCRIBE_OK                                          (v2)
-//!           | PAGES       n:uvarint txn* k:uvarint txn_id*          (v2)
+//!                         stats:7×uvarint server:5×uvarint
+//!           | DIGEST_OK   digest
+//!           | SUBSCRIBE_OK
+//!           | PAGES       n:uvarint txn* k:uvarint txn_id*
 //!                         u:uvarint (epoch:uvarint txn_id)* has_next:u8 [cursor]
-//!           | METRICS_OK  obs-snapshot                              (v2)
+//!           | METRICS_OK  obs-snapshot
 //!           | ERR         code:u8 fields…        (see `StoreError` table)
 //! ```
 //!
 //! `HELLO` and `PULL_PAGES` optionally carry a nonzero **trace id** as a
 //! trailing uvarint, so one cross-peer anti-entropy exchange stitches
 //! into a single trace (`docs/observability.md`). The tail is appended
-//! only when a trace is active *and* the connection is known to speak
-//! v2 — v1 decoders reject trailing bytes, exactly like the `PROBE_OK`
-//! server-counter tail.
+//! whenever a trace is active.
 //!
 //! [`UpdateStore`]: orchestra_store::UpdateStore
 
@@ -53,15 +52,9 @@ use orchestra_store::{
 };
 use orchestra_updates::{Epoch, Transaction, TxnId};
 
-/// Protocol version spoken by this build.
-///
-/// * **v1** — the `UpdateStore` surface: `PUBLISH`/`FETCH_PAGE`/`FETCH`/
-///   `PROBE`.
-/// * **v2** — adds the mesh anti-entropy surface: `DIGEST`, `SUBSCRIBE`,
-///   `PULL_PAGES`, and server per-message-type counters appended to
-///   `PROBE_OK`. A v2 server still serves v1 clients byte-identically (the
-///   negotiated version is tracked per connection); a connection that
-///   negotiated v1 and then sends a v2 opcode gets a clean `ERR`.
+/// The one protocol version. Both ends of a connection must speak it: a
+/// server answers a `HELLO` carrying any other number with `ERR` and
+/// closes, and a client rejects any other number in `HELLO_OK`.
 pub const PROTOCOL_VERSION: u64 = 2;
 
 /// Magic prefix of a HELLO payload: `"ORCN"` little-endian. A server
@@ -91,30 +84,17 @@ const OP_PAGES: u8 = 0x88;
 const OP_METRICS_OK: u8 = 0x89;
 const OP_ERR: u8 = 0xee;
 
-/// The protocol version a request needs: v2 opcodes on a v1-negotiated
-/// connection are rejected by the server with a clean `ERR`.
-pub fn required_version(req: &Request) -> u64 {
-    match req {
-        Request::Digest
-        | Request::Subscribe { .. }
-        | Request::PullPages { .. }
-        | Request::Metrics => 2,
-        _ => 1,
-    }
-}
-
 type Result<T> = std::result::Result<T, CodecError>;
 
 /// A client → server message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Version negotiation; must be the first frame on a connection.
+    /// Version check; must be the first frame on a connection.
     Hello {
-        /// The newest protocol version the client speaks.
+        /// The protocol version the client speaks.
         version: u64,
         /// Active trace id, or 0 for none. Encoded as an optional tail
-        /// (only when nonzero), so a traceless HELLO stays byte-identical
-        /// to v1 — attach only when the server is known to speak v2.
+        /// (only when nonzero).
         trace: u64,
     },
     /// Archive a batch of transactions (mirrors `UpdateStore::publish`).
@@ -140,10 +120,10 @@ pub enum Request {
     /// `latest_epoch`, and `stats` in one round trip.
     Probe,
     /// The archive's [`StoreDigest`] — the anti-entropy advertisement
-    /// (v2, mirrors `UpdateStore::digest`).
+    /// (mirrors `UpdateStore::digest`).
     Digest,
     /// Register this connection's peer as a mesh subscriber with its
-    /// interest set (v2). Owner-qualified relation names; an empty
+    /// interest set. Owner-qualified relation names; an empty
     /// interest means full replication.
     Subscribe {
         /// The subscribing mesh peer's name.
@@ -151,7 +131,7 @@ pub enum Request {
         /// Owner-qualified relations the peer maps from.
         interest: Vec<String>,
     },
-    /// One *filtered* page of the archive (v2): scan like `FETCH_PAGE`
+    /// One *filtered* page of the archive: scan like `FETCH_PAGE`
     /// but ship only transactions matching `interest` whose sequence is
     /// beyond the puller's `have` floor — everything else comes back as
     /// skipped ids so the puller can advance its prefix bookkeeping
@@ -166,18 +146,17 @@ pub enum Request {
         /// Per-source prefix floors: transactions with `seq <= hw` for
         /// their publisher are skipped, not shipped.
         have: Vec<(String, u64)>,
-        /// Active trace id, or 0 for none (optional tail like HELLO's —
-        /// `PULL_PAGES` is v2-only, so a traced puller may always attach).
+        /// Active trace id, or 0 for none (optional tail like HELLO's).
         trace: u64,
     },
     /// The server process's observability snapshot — every registered
     /// counter, gauge, and latency histogram plus recent spans — so an
     /// operator (or `orchestra-top`) can poll a whole cluster without
-    /// touching each box (v2).
+    /// touching each box.
     Metrics,
 }
 
-/// The body of a v2 `PAGES` response: one interest/have-filtered page.
+/// The body of a `PAGES` response: one interest/have-filtered page.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PullPage {
     /// Shipped transactions (matched interest, beyond the have floor).
@@ -200,7 +179,7 @@ impl PullPage {
     }
 }
 
-/// Per-message-type counters a v2 server appends to `PROBE_OK`.
+/// Per-message-type counters a server appends to `PROBE_OK`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerCounters {
     /// `DIGEST` requests served.
@@ -221,9 +200,9 @@ pub struct ServerCounters {
 /// A server → client message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
-    /// HELLO accepted; the version both sides will speak.
+    /// HELLO accepted.
     HelloOk {
-        /// The negotiated protocol version.
+        /// The server's protocol version ([`PROTOCOL_VERSION`]).
         version: u64,
     },
     /// Publish succeeded.
@@ -240,18 +219,16 @@ pub enum Response {
         latest_epoch: Option<Epoch>,
         /// The remote store's counters.
         stats: StoreStats,
-        /// The server's per-message-type counters — appended on v2
-        /// connections only, so a v1 `PROBE_OK` stays byte-identical to
-        /// what v1 servers produced.
-        server: Option<ServerCounters>,
+        /// The server's per-message-type counters.
+        server: ServerCounters,
     },
-    /// The archive's digest (v2).
+    /// The archive's digest.
     DigestOk(StoreDigest),
-    /// Subscription registered (v2).
+    /// Subscription registered.
     SubscribeOk,
-    /// One filtered anti-entropy page (v2).
+    /// One filtered anti-entropy page.
     Pages(PullPage),
-    /// The server process's observability snapshot (v2).
+    /// The server process's observability snapshot.
     MetricsOk(orchestra_obs::ObsSnapshot),
     /// The operation failed on the server; carries the full
     /// [`StoreError`] so the client surfaces exactly what a local
@@ -479,19 +456,14 @@ impl Response {
                 ] {
                     put_uvarint(&mut out, n);
                 }
-                // v2 appends the server counters; a v1 response body ends
-                // here, byte-identical to what v1 servers produced (v1
-                // decoders reject trailing bytes).
-                if let Some(sc) = server {
-                    for n in [
-                        sc.digests_served,
-                        sc.pull_pages,
-                        sc.subscriptions,
-                        sc.corrupt_frames,
-                        sc.timed_out_conns,
-                    ] {
-                        put_uvarint(&mut out, n);
-                    }
+                for n in [
+                    server.digests_served,
+                    server.pull_pages,
+                    server.subscriptions,
+                    server.corrupt_frames,
+                    server.timed_out_conns,
+                ] {
+                    put_uvarint(&mut out, n);
                 }
             }
             Response::DigestOk(d) => {
@@ -587,24 +559,12 @@ impl Response {
                     unavailable: c.uvarint()?,
                     degraded: c.uvarint()?,
                 };
-                // A v1 body ends at the store stats; a v2 body appends the
-                // server's per-message-type counters.
-                let server = if c.is_empty() {
-                    None
-                } else {
-                    let mut sc = ServerCounters {
-                        digests_served: c.uvarint()?,
-                        pull_pages: c.uvarint()?,
-                        subscriptions: c.uvarint()?,
-                        ..ServerCounters::default()
-                    };
-                    // Early v2 servers appended only the three counters
-                    // above; the breaker-visible pair is optional.
-                    if !c.is_empty() {
-                        sc.corrupt_frames = c.uvarint()?;
-                        sc.timed_out_conns = c.uvarint()?;
-                    }
-                    Some(sc)
+                let server = ServerCounters {
+                    digests_served: c.uvarint()?,
+                    pull_pages: c.uvarint()?,
+                    subscriptions: c.uvarint()?,
+                    corrupt_frames: c.uvarint()?,
+                    timed_out_conns: c.uvarint()?,
                 };
                 Response::ProbeOk {
                     len,
@@ -791,7 +751,7 @@ fn get_opt_epoch(c: &mut Cursor<'_>) -> Result<Option<Epoch>> {
 }
 
 /// The optional trailing trace id on `HELLO` / `PULL_PAGES`: present iff
-/// bytes remain (mirrors the `PROBE_OK` server-counter tail).
+/// bytes remain.
 fn get_opt_trace(c: &mut Cursor<'_>) -> Result<u64> {
     if c.is_empty() {
         Ok(0)
@@ -1017,58 +977,6 @@ mod tests {
     }
 
     #[test]
-    fn required_versions() {
-        assert_eq!(required_version(&Request::Probe), 1);
-        assert_eq!(
-            required_version(&Request::Hello {
-                version: 2,
-                trace: 0
-            }),
-            1
-        );
-        assert_eq!(required_version(&Request::Digest), 2);
-        assert_eq!(required_version(&Request::Metrics), 2);
-        assert_eq!(
-            required_version(&Request::Subscribe {
-                peer: "p".into(),
-                interest: vec![]
-            }),
-            2
-        );
-        assert_eq!(
-            required_version(&Request::PullPages {
-                cursor: FetchCursor::at_epoch(Epoch::zero()),
-                limit: 1,
-                interest: vec![],
-                have: vec![],
-                trace: 0,
-            }),
-            2
-        );
-    }
-
-    #[test]
-    fn traceless_requests_stay_v1_byte_identical() {
-        // HELLO without a trace must encode to the exact v1 body —
-        // opcode, magic, one version uvarint — so old decoders (which
-        // reject trailing bytes) still accept it.
-        let hello = Request::Hello {
-            version: 1,
-            trace: 0,
-        }
-        .encode();
-        assert_eq!(hello.len(), 1 + 4 + 1);
-        // And a v1-era body (no tail) decodes with trace = 0.
-        assert_eq!(
-            Request::decode(&hello).unwrap(),
-            Request::Hello {
-                version: 1,
-                trace: 0
-            }
-        );
-    }
-
-    #[test]
     fn responses_roundtrip() {
         let resps = [
             Response::HelloOk {
@@ -1098,19 +1006,19 @@ mod tests {
                     unavailable: 6,
                     degraded: 7,
                 },
-                server: None,
-            },
-            Response::ProbeOk {
-                len: 0,
-                latest_epoch: None,
-                stats: StoreStats::default(),
-                server: Some(ServerCounters {
+                server: ServerCounters {
                     digests_served: 11,
                     pull_pages: 22,
                     subscriptions: 33,
                     corrupt_frames: 44,
                     timed_out_conns: 55,
-                }),
+                },
+            },
+            Response::ProbeOk {
+                len: 0,
+                latest_epoch: None,
+                stats: StoreStats::default(),
+                server: ServerCounters::default(),
             },
             Response::DigestOk(sample_digest()),
             Response::DigestOk(StoreDigest::default()),
@@ -1178,51 +1086,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_probe_ok_layout_is_unchanged() {
-        // A ProbeOk without server counters must encode to the exact v1
-        // body: opcode, len, epoch flag, 7 stat uvarints — nothing else.
-        let bytes = Response::ProbeOk {
-            len: 1,
-            latest_epoch: None,
-            stats: StoreStats::default(),
-            server: None,
-        }
-        .encode();
-        assert_eq!(bytes.len(), 1 + 1 + 1 + 7);
-    }
-
-    #[test]
-    fn legacy_three_counter_probe_ok_decodes() {
-        // A v2 server predating the breaker-visible counters appended
-        // only three uvarints; the pair added later must decode as zero.
-        let mut bytes = Response::ProbeOk {
-            len: 1,
-            latest_epoch: None,
-            stats: StoreStats::default(),
-            server: None,
-        }
-        .encode();
-        bytes.extend_from_slice(&[11, 22, 33]);
-        match Response::decode(&bytes).unwrap() {
-            Response::ProbeOk {
-                server: Some(sc), ..
-            } => {
-                assert_eq!(
-                    sc,
-                    ServerCounters {
-                        digests_served: 11,
-                        pull_pages: 22,
-                        subscriptions: 33,
-                        corrupt_frames: 0,
-                        timed_out_conns: 0,
-                    }
-                );
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
     fn every_store_error_roundtrips() {
         let errs = [
             StoreError::DuplicateTxn("A#1".into()),
@@ -1269,12 +1132,22 @@ mod tests {
         assert!(Response::decode(&[0x01]).is_err(), "request op as response");
         // Wrong magic.
         let mut hello = Request::Hello {
-            version: 1,
+            version: PROTOCOL_VERSION,
             trace: 0,
         }
         .encode();
         hello[1] ^= 0xff;
         assert!(Request::decode(&hello).is_err());
+        // A PROBE_OK cut short of its server counters.
+        let mut probe_ok = Response::ProbeOk {
+            len: 1,
+            latest_epoch: None,
+            stats: StoreStats::default(),
+            server: ServerCounters::default(),
+        }
+        .encode();
+        probe_ok.truncate(probe_ok.len() - 2);
+        assert!(Response::decode(&probe_ok).is_err());
         // Trailing bytes.
         let mut probe = Request::Probe.encode();
         probe.push(0);

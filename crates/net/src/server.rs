@@ -10,9 +10,7 @@
 //! started arriving must complete within `read_timeout`, and quiet
 //! connections are reaped after `idle_timeout`.
 
-use crate::proto::{
-    required_version, PullPage, Request, Response, ServerCounters, PROTOCOL_VERSION,
-};
+use crate::proto::{PullPage, Request, Response, ServerCounters, PROTOCOL_VERSION};
 use orchestra_store::frame::{crc32, frame, FRAME_HEADER, MAX_FRAME_LEN};
 use orchestra_store::{StoreError, UpdateStore};
 use parking_lot::Mutex;
@@ -63,11 +61,11 @@ pub struct ServerStats {
     /// Connections dropped for protocol violations (bad magic, corrupt
     /// frames, mid-frame stalls).
     pub protocol_errors: u64,
-    /// `DIGEST` requests served (v2).
+    /// `DIGEST` requests served.
     pub digests_served: u64,
-    /// `PULL_PAGES` requests served (v2).
+    /// `PULL_PAGES` requests served.
     pub pull_pages: u64,
-    /// `SUBSCRIBE` registrations accepted (v2).
+    /// `SUBSCRIBE` registrations accepted.
     pub subscriptions: u64,
     /// Inbound frames dropped for a checksum mismatch or an oversized
     /// length prefix — a flipped bit on the wire, not a stall. A subset
@@ -79,7 +77,7 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
-    /// The v2 per-message-type counters appended to `PROBE_OK`.
+    /// The per-message-type counters appended to `PROBE_OK`.
     pub fn counters(&self) -> ServerCounters {
         ServerCounters {
             digests_served: self.digests_served,
@@ -247,7 +245,6 @@ impl PeerServer {
                             .send(Conn {
                                 stream,
                                 greeted: false,
-                                version: 0,
                                 idle_since: Instant::now(),
                             })
                             .is_err()
@@ -334,9 +331,6 @@ struct Conn {
     stream: TcpStream,
     /// HELLO completed — until then only a handshake is accepted.
     greeted: bool,
-    /// The version negotiated at HELLO (0 before the handshake): v2
-    /// opcodes on a v1 connection are answered with a clean `ERR`.
-    version: u64,
     /// When this connection last did useful work (for idle reaping).
     idle_since: Instant,
 }
@@ -404,22 +398,13 @@ fn serve_turn(
         conn.idle_since = Instant::now();
 
         if !conn.greeted {
-            // The first frame must be a version handshake.
+            // The first frame must be a HELLO carrying our version.
             match Request::decode(&payload) {
-                Ok(Request::Hello { version, .. }) if version >= 1 => {
-                    let negotiated = version.min(PROTOCOL_VERSION);
-                    if send(
-                        &mut conn.stream,
-                        &Response::HelloOk {
-                            version: negotiated,
-                        },
-                    )
-                    .is_err()
-                    {
+                Ok(Request::Hello { version, .. }) if version == PROTOCOL_VERSION => {
+                    if send(&mut conn.stream, &Response::HelloOk { version }).is_err() {
                         return Turn::Close;
                     }
                     conn.greeted = true;
-                    conn.version = negotiated;
                 }
                 Ok(Request::Hello { version, .. }) => {
                     stats.protocol_errors.inc();
@@ -447,23 +432,12 @@ fn serve_turn(
             }
         } else {
             let response = match Request::decode(&payload) {
-                Ok(req) if required_version(&req) > conn.version => {
-                    // A v2 opcode on a connection that negotiated v1: the
-                    // request decoded fine, the *negotiation* forbids it.
-                    Response::Err(StoreError::InvalidConfig(format!(
-                        "request `{}` needs protocol version {} but this \
-                         connection negotiated {}",
-                        req.label(),
-                        required_version(&req),
-                        conn.version
-                    )))
-                }
                 Ok(req) => {
                     // A request carrying a trace id stitches this server's
                     // work — spans recorded down in the store while it
                     // executes — into the caller's cross-peer trace.
                     let _trace = orchestra_obs::trace_adopt(req.trace());
-                    execute(store, req, conn.version, stats, subscriptions)
+                    execute(store, req, stats, subscriptions)
                 }
                 Err(e) => Response::Err(StoreError::Corrupt {
                     path: "<wire>".into(),
@@ -549,14 +523,14 @@ fn recv_started_frame(stream: &mut TcpStream, first_byte: u8, opts: &ServerOptio
 fn execute(
     store: &dyn UpdateStore,
     req: Request,
-    version: u64,
     stats: &AtomicServerStats,
     subscriptions: &Mutex<BTreeMap<String, Vec<String>>>,
 ) -> Response {
     match req {
-        // A second hello on an established connection is harmless; the
-        // version negotiated at the first one stays in force.
-        Request::Hello { .. } => Response::HelloOk { version },
+        // A second hello on an established connection is harmless.
+        Request::Hello { .. } => Response::HelloOk {
+            version: PROTOCOL_VERSION,
+        },
         Request::Publish { epoch, txns } => match store.publish(epoch, txns) {
             Ok(()) => Response::PublishOk,
             Err(e) => Response::Err(e),
@@ -575,15 +549,13 @@ fn execute(
             len: store.len() as u64,
             latest_epoch: store.latest_epoch(),
             stats: store.stats(),
-            // v1 clients reject trailing bytes, so the counters are
-            // appended only on connections that negotiated v2.
-            server: (version >= 2).then(|| ServerCounters {
+            server: ServerCounters {
                 digests_served: stats.digests_served.get(),
                 pull_pages: stats.pull_pages.get(),
                 subscriptions: stats.subscriptions.get(),
                 corrupt_frames: stats.corrupt_frames.get(),
                 timed_out_conns: stats.timed_out_conns.get(),
-            }),
+            },
         },
         Request::Digest => {
             stats.digests_served.inc();

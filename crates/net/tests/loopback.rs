@@ -276,12 +276,11 @@ fn graceful_shutdown_finishes_in_flight_requests() {
 }
 
 #[test]
-fn v2_anti_entropy_exchange_over_loopback() {
+fn anti_entropy_exchange_over_loopback() {
     use orchestra_net::PullPage;
     let backend = Arc::new(InMemoryStore::new());
     let server = PeerServer::bind("127.0.0.1:0", backend).unwrap();
     let remote = RemoteStore::connect_with(server.local_addr(), fast_opts()).unwrap();
-    assert_eq!(remote.negotiated_version(), 2);
 
     remote
         .publish(Epoch::new(1), vec![txn("A", 1), txn("B", 1)])
@@ -342,10 +341,9 @@ fn v2_anti_entropy_exchange_over_loopback() {
         .unwrap();
     assert_eq!(empty, PullPage::default());
 
-    // The per-message-type counters ride back on the v2 probe.
-    let (len, _, _, counters) = remote.probe().unwrap();
+    // The per-message-type counters ride back on the probe.
+    let (len, _, _, c) = remote.probe().unwrap();
     assert_eq!(len, 3);
-    let c = counters.expect("v2 probe carries server counters");
     assert_eq!(c.digests_served, 1);
     assert_eq!(c.pull_pages, 3);
     assert_eq!(c.subscriptions, 1);
@@ -446,8 +444,7 @@ fn injected_corrupt_frames_are_counted_and_retried_through() {
         assert_eq!(orchestra_fault::injected_total(), 2);
     }
 
-    let (_, _, _, counters) = remote.probe().unwrap();
-    let c = counters.expect("v2 probe carries server counters");
+    let (_, _, _, c) = remote.probe().unwrap();
     assert_eq!(c.corrupt_frames, 2, "{c:?}");
     let stats = server.stats();
     assert_eq!(stats.corrupt_frames, 2, "{stats:?}");
@@ -490,74 +487,65 @@ fn stalled_mid_frame_connection_counts_as_timed_out() {
     server.shutdown();
 }
 
-/// An old (v1) client must never see undecodable bytes from a v2 server:
-/// v2 opcodes on a v1-negotiated connection answer a clean `ERR`, the
-/// connection keeps serving v1 traffic, and `PROBE_OK` keeps its exact
-/// v1 byte layout (no trailing counters).
+/// There is one protocol version: a `HELLO` carrying any other number —
+/// older or newer — is answered with `ERR` and the connection is closed.
 #[test]
-fn v1_negotiated_connection_gets_clean_err_for_v2_opcodes() {
-    use orchestra_net::{Request, Response};
+fn hello_with_another_version_gets_err_and_a_close() {
+    use orchestra_net::{Request, Response, PROTOCOL_VERSION};
     use orchestra_store::frame::{frame, FrameRead, FrameReader};
-    use std::io::Write;
+    use std::io::{Read, Write};
 
-    fn raw_call(stream: &mut std::net::TcpStream, req: &Request) -> Response {
-        stream.write_all(&frame(&req.encode())).unwrap();
-        match FrameReader::new(&mut *stream, 0).next_frame().unwrap() {
-            (_, FrameRead::Ok { payload, .. }) => Response::decode(&payload).unwrap(),
+    assert_eq!(PROTOCOL_VERSION, 2);
+    let server = PeerServer::bind("127.0.0.1:0", Arc::new(InMemoryStore::new())).unwrap();
+    for version in [0, 1, PROTOCOL_VERSION + 1] {
+        let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let hello = Request::Hello { version, trace: 0 };
+        raw.write_all(&frame(&hello.encode())).unwrap();
+        match FrameReader::new(&mut raw, 0).next_frame().unwrap() {
+            (_, FrameRead::Ok { payload, .. }) => match Response::decode(&payload).unwrap() {
+                Response::Err(StoreError::InvalidConfig(msg)) => {
+                    assert!(msg.contains(&format!("version {version}")), "{msg}");
+                }
+                other => panic!("expected ERR for version {version}, got {other:?}"),
+            },
             (_, other) => panic!("no response frame: {other:?}"),
         }
+        // Nothing further is served on this connection.
+        raw.write_all(&frame(&Request::Probe.encode())).ok();
+        let mut rest = Vec::new();
+        let _ = raw.read_to_end(&mut rest);
+        assert!(rest.is_empty(), "version {version} was served after ERR");
     }
-
-    let backend = Arc::new(InMemoryStore::new());
-    backend.publish(Epoch::new(1), vec![txn("A", 1)]).unwrap();
-    let server = PeerServer::bind("127.0.0.1:0", backend).unwrap();
-    let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
-    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-
-    match raw_call(
-        &mut raw,
-        &Request::Hello {
-            version: 1,
-            trace: 0,
-        },
-    ) {
-        Response::HelloOk { version } => assert_eq!(version, 1, "server downgrades to v1"),
-        other => panic!("unexpected hello response: {other:?}"),
-    }
-
-    for req in [
-        Request::Digest,
-        Request::Subscribe {
-            peer: "old".to_string(),
-            interest: Vec::new(),
-        },
-        Request::PullPages {
-            cursor: FetchCursor::at_epoch(Epoch::zero()),
-            limit: 8,
-            interest: Vec::new(),
-            have: Vec::new(),
-            trace: 0,
-        },
-    ] {
-        match raw_call(&mut raw, &req) {
-            Response::Err(StoreError::InvalidConfig(msg)) => {
-                assert!(msg.contains("version 2"), "{msg}");
-            }
-            other => panic!("expected a clean ERR, got {other:?}"),
-        }
-    }
-
-    // The connection was not poisoned, and the v1 probe body carries no
-    // trailing counters a v1 decoder would reject.
-    match raw_call(&mut raw, &Request::Probe) {
-        Response::ProbeOk { len, server: c, .. } => {
-            assert_eq!(len, 1);
-            assert!(c.is_none(), "v1 connection got v2 probe bytes");
-        }
-        other => panic!("unexpected probe response: {other:?}"),
-    }
-    assert_eq!(server.stats().protocol_errors, 0, "no frame-level errors");
+    assert_eq!(server.stats().protocol_errors, 3);
+    assert_eq!(server.stats().requests, 0);
     server.shutdown();
+}
+
+/// The client's half of the version check: a server answering `HELLO`
+/// with another version is an incompatible peer, reported as such (not
+/// as an unreachable one, which would be retried and absorbed).
+#[test]
+fn client_rejects_a_server_speaking_another_version() {
+    use orchestra_net::{Response, PROTOCOL_VERSION};
+    use orchestra_store::frame::{frame, FrameReader};
+    use std::io::Write;
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let old_server = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        FrameReader::new(&mut conn, 0).next_frame().unwrap();
+        let hello_ok = Response::HelloOk {
+            version: PROTOCOL_VERSION - 1,
+        };
+        conn.write_all(&frame(&hello_ok.encode())).unwrap();
+    });
+    match RemoteStore::connect_with(addr, fast_opts()) {
+        Err(StoreError::InvalidConfig(msg)) => assert!(msg.contains("version 1"), "{msg}"),
+        other => panic!("expected a version error, got {other:?}"),
+    }
+    old_server.join().unwrap();
 }
 
 #[test]
@@ -683,7 +671,7 @@ fn breaker_registry_counters_survive_reconnect_and_rearm() {
     assert_eq!(registry_counter("net.breaker.opened"), opened_before + 2);
 }
 
-/// A v2 request carrying the caller's trace id stitches the server's
+/// A request carrying the caller's trace id stitches the server's
 /// spans into the caller's trace — across a real socket, onto a
 /// different thread.
 #[test]

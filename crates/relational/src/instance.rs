@@ -1,9 +1,9 @@
-//! Database instances and snapshot diffing.
+//! Database instances.
 //!
-//! Each CDSS peer owns an [`Instance`] over its local schema. Publication
-//! works by diffing the live instance against the last published snapshot
-//! ([`Instance::diff`]), yielding the tuple-level insertions and deletions
-//! that become the peer's published transactions.
+//! Each CDSS peer owns one [`Instance`] over its local schema and edits it
+//! freely. What it has to announce at its next publish is whatever its
+//! relations' pending-edit logs hold (see [`Relation`]); there is no second
+//! copy of the data to diff against.
 
 use crate::error::RelationalError;
 use crate::relation::Relation;
@@ -13,28 +13,6 @@ use crate::Result;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
-
-/// A tuple-level difference between two instances of the same schema.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InstanceDelta {
-    /// Tuples present in `new` but not `old`, per relation (name order).
-    pub insertions: BTreeMap<Arc<str>, Vec<Tuple>>,
-    /// Tuples present in `old` but not `new`, per relation (name order).
-    pub deletions: BTreeMap<Arc<str>, Vec<Tuple>>,
-}
-
-impl InstanceDelta {
-    /// True iff the delta contains no changes.
-    pub fn is_empty(&self) -> bool {
-        self.insertions.values().all(Vec::is_empty) && self.deletions.values().all(Vec::is_empty)
-    }
-
-    /// Total number of changed tuples.
-    pub fn len(&self) -> usize {
-        self.insertions.values().map(Vec::len).sum::<usize>()
-            + self.deletions.values().map(Vec::len).sum::<usize>()
-    }
-}
 
 /// A database instance: one [`Relation`] per relation in a [`DatabaseSchema`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,44 +82,12 @@ impl Instance {
         }
     }
 
-    /// Compute the tuple-level delta taking `self` (old) to `new`.
-    ///
-    /// Both instances must share a schema; modified tuples (same key,
-    /// different non-key values) appear as a deletion plus an insertion —
-    /// the update layer re-pairs them into `modify` operations by key.
-    pub fn diff(&self, new: &Instance) -> Result<InstanceDelta> {
-        if self.schema != new.schema {
-            return Err(RelationalError::InvalidSchema(format!(
-                "diff requires identical schemas (`{}` vs `{}`)",
-                self.schema.name(),
-                new.schema.name()
-            )));
+    /// Declare every relation's current contents published
+    /// ([`Relation::mark_published`]).
+    pub fn mark_published(&mut self) {
+        for r in self.relations.values_mut() {
+            r.mark_published();
         }
-        let mut insertions: BTreeMap<Arc<str>, Vec<Tuple>> = BTreeMap::new();
-        let mut deletions: BTreeMap<Arc<str>, Vec<Tuple>> = BTreeMap::new();
-        for (name, old_rel) in &self.relations {
-            let new_rel = &new.relations[name];
-            let ins: Vec<Tuple> = new_rel
-                .iter()
-                .filter(|t| !old_rel.contains(t))
-                .cloned()
-                .collect();
-            let del: Vec<Tuple> = old_rel
-                .iter()
-                .filter(|t| !new_rel.contains(t))
-                .cloned()
-                .collect();
-            if !ins.is_empty() {
-                insertions.insert(Arc::clone(name), ins);
-            }
-            if !del.is_empty() {
-                deletions.insert(Arc::clone(name), del);
-            }
-        }
-        Ok(InstanceDelta {
-            insertions,
-            deletions,
-        })
     }
 }
 
@@ -214,49 +160,13 @@ mod tests {
     }
 
     #[test]
-    fn diff_detects_insertions_and_deletions() {
-        let mut old = Instance::new(schema());
-        old.insert("R", tuple![1, 1]).unwrap();
-        old.insert("R", tuple![2, 2]).unwrap();
-        let mut new = old.clone();
-        new.delete("R", &tuple![1, 1]).unwrap();
-        new.insert("R", tuple![3, 3]).unwrap();
-        new.insert("S", tuple![1, "x"]).unwrap();
-
-        let delta = old.diff(&new).unwrap();
-        assert_eq!(delta.insertions["R"], vec![tuple![3, 3]]);
-        assert_eq!(delta.insertions["S"], vec![tuple![1, "x"]]);
-        assert_eq!(delta.deletions["R"], vec![tuple![1, 1]]);
-        assert!(!delta.deletions.contains_key("S"));
-        assert_eq!(delta.len(), 3);
-        assert!(!delta.is_empty());
-    }
-
-    #[test]
-    fn diff_of_identical_instances_is_empty() {
-        let mut a = Instance::new(schema());
-        a.insert("R", tuple![1, 1]).unwrap();
-        let delta = a.diff(&a.clone()).unwrap();
-        assert!(delta.is_empty());
-        assert_eq!(delta.len(), 0);
-    }
-
-    #[test]
-    fn diff_sees_modify_as_delete_plus_insert() {
-        let mut old = Instance::new(schema());
-        old.insert("S", tuple![1, "a"]).unwrap();
-        let mut new = Instance::new(schema());
-        new.insert("S", tuple![1, "b"]).unwrap();
-        let delta = old.diff(&new).unwrap();
-        assert_eq!(delta.deletions["S"], vec![tuple![1, "a"]]);
-        assert_eq!(delta.insertions["S"], vec![tuple![1, "b"]]);
-    }
-
-    #[test]
-    fn diff_requires_same_schema() {
-        let a = Instance::new(schema());
-        let b = Instance::new(DatabaseSchema::new("Other"));
-        assert!(a.diff(&b).is_err());
+    fn mark_published_empties_every_log() {
+        let mut inst = Instance::new(schema());
+        inst.insert("R", tuple![1, 1]).unwrap();
+        inst.insert("S", tuple![1, "x"]).unwrap();
+        inst.mark_published();
+        assert!(inst.relations().all(|r| r.pending().next().is_none()));
+        assert_eq!(inst.total_tuples(), 2);
     }
 
     #[test]

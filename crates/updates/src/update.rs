@@ -161,7 +161,8 @@ impl Update {
         }
     }
 
-    /// Apply this update to an instance.
+    /// Apply this update to an instance as a **local edit**: it stays in
+    /// the instance's pending-edit log until the next publish.
     ///
     /// Application is *lenient about versions* but strict about presence:
     /// inserting over an existing different version upserts (last-writer
@@ -170,16 +171,30 @@ impl Update {
     /// the new version (the antecedent insert may have been translated into
     /// this same reconciliation batch).
     pub fn apply(&self, instance: &mut Instance) -> Result<()> {
+        let rel = instance.relation_mut(self.relation())?;
         match self {
-            Update::Insert { relation, tuple } => {
-                instance.upsert(relation, tuple.clone())?;
+            Update::Insert { tuple, .. } | Update::Modify { new: tuple, .. } => {
+                rel.upsert(tuple.clone())?;
             }
-            Update::Delete { relation, tuple } => {
-                instance.delete(relation, tuple)?;
+            Update::Delete { tuple, .. } => {
+                rel.delete(tuple);
             }
-            Update::Modify { relation, new, .. } => {
-                instance.upsert(relation, new.clone())?;
+        }
+        Ok(())
+    }
+
+    /// Apply this update, with [`apply`](Update::apply)'s leniency, as one
+    /// that is **already public** — an accepted transaction from the
+    /// archive. It changes the instance's current and published state
+    /// alike, so it never shows up in the pending-edit log, and a pending
+    /// local edit on a key it overwrites is superseded.
+    pub fn apply_published(&self, instance: &mut Instance) -> Result<()> {
+        let rel = instance.relation_mut(self.relation())?;
+        match self {
+            Update::Insert { tuple, .. } | Update::Modify { new: tuple, .. } => {
+                rel.upsert_published(tuple.clone())?;
             }
+            Update::Delete { tuple, .. } => rel.delete_published(tuple),
         }
         Ok(())
     }
@@ -306,6 +321,33 @@ mod tests {
             .apply(&mut inst)
             .unwrap();
         assert!(inst.relation("S").unwrap().contains(&tuple![2, "c"]));
+    }
+
+    #[test]
+    fn apply_logs_a_pending_edit_and_apply_published_does_not() {
+        let pending = |inst: &Instance| inst.relation("S").unwrap().pending().count();
+        let mut inst = Instance::new(db());
+        Update::insert("S", tuple![1, "a"])
+            .apply(&mut inst)
+            .unwrap();
+        assert_eq!(pending(&inst), 1);
+        // The public version of the same key supersedes the local edit.
+        Update::insert("S", tuple![1, "b"])
+            .apply_published(&mut inst)
+            .unwrap();
+        assert!(inst.relation("S").unwrap().contains(&tuple![1, "b"]));
+        assert_eq!(pending(&inst), 0);
+        Update::modify("S", tuple![1, "b"], tuple![1, "c"])
+            .apply_published(&mut inst)
+            .unwrap();
+        Update::delete("S", tuple![1, "c"])
+            .apply_published(&mut inst)
+            .unwrap();
+        assert!(inst.relation("S").unwrap().is_empty());
+        assert_eq!(pending(&inst), 0);
+        assert!(Update::insert("X", tuple![1])
+            .apply_published(&mut inst)
+            .is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `orchestra-top` — poll every node of a cluster over the wire and
 //! watch its metrics move.
 //!
-//! Each argument is a peer address; the tool polls the v2 `METRICS`
+//! Each argument is a peer address; the tool polls the `METRICS`
 //! opcode on every one of them each interval and prints the counters
 //! that moved since the previous poll (a remote answers with its whole
 //! process registry — store, mesh, engine, fault — not just the

@@ -51,7 +51,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .upsert("gene", tuple!["TP53", "tumor suppressor p53 (reviewed)"])?;
     }
     let txn = cdss.publish(&lab_b)?.expect("pending local edits");
-    println!("LabB published {txn} (diff-based, with provenance-derived dependency)");
+    println!(
+        "LabB published {txn} (from its pending-edit log, with provenance-derived dependency)"
+    );
     let stored = cdss.store().fetch(&txn)?.unwrap();
     println!(
         "  antecedents: {:?}",
