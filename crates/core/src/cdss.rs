@@ -1,10 +1,10 @@
 //! The CDSS system object: peers + mappings + store + logical clock.
 
 use crate::error::CoreError;
-use crate::mapping::qualified_schema;
+use crate::mapping::{backward_closure, qualified_schema, qualify, slice_program};
 use crate::peer::Peer;
 use crate::Result;
-use orchestra_datalog::{Engine, EvalOptions, Rule, Tgd};
+use orchestra_datalog::{DatalogError, Engine, EvalOptions, Rule, Tgd};
 use orchestra_reconcile::{ReconcileOutcome, ResolveOutcome, TrustPolicy};
 use orchestra_relational::{DatabaseSchema, Tuple, WorkerPool};
 use orchestra_store::{
@@ -213,29 +213,39 @@ impl CdssBuilder {
                     .map_err(|_| CoreError::DuplicatePeer(id.name().to_string()))?;
             }
         }
-        // Compile the mapping program once.
+        // Compile the mapping program once. A head must name a declared
+        // relation — then its owner's slice holds the rule, and that
+        // engine checks the rest of it (body relations, arities).
         let mut rules: Vec<Rule> = Vec::new();
         for tgd in &self.mappings {
             rules.extend(tgd.compile()?);
         }
+        if let Some(r) = rules.iter().find(|r| !combined.contains(&r.head.relation)) {
+            return Err(DatalogError::UnknownRelation(r.head.relation.to_string()).into());
+        }
         // One incremental engine per peer (peers see different prefixes of
-        // the published history), all sharing one **lazy** worker-pool
-        // slot — a CDSS exchanges for one peer at a time, so per-peer
-        // pools would only park threads, and workloads that never cross
-        // the parallel threshold spawn none at all.
+        // the published history), each compiled from that peer's slice of
+        // the program — the relations that can reach its own and the
+        // rules deriving into them — so no peer derives, or tracks the
+        // provenance of, tuples it can never read. All share one **lazy**
+        // worker-pool slot — a CDSS exchanges for one peer at a time, so
+        // per-peer pools would only park threads, and workloads that never
+        // cross the parallel threshold spawn none at all.
         let pool_slot = (self.eval.threads > 1)
             .then(|| std::sync::Arc::new(std::sync::OnceLock::<std::sync::Arc<WorkerPool>>::new()));
         let mut peers = BTreeMap::new();
         for (id, schema, policy) in self.peers {
-            let mut engine =
-                Engine::with_options(combined.clone(), rules.clone(), true, self.eval)?;
+            let (slice_schema, slice_rules) =
+                slice_program(&id, &schema, &combined, &self.mappings, &rules)?;
+            let rule_ids = slice_rules.iter().map(|r| r.id.clone()).collect();
+            let mut engine = Engine::with_options(slice_schema, slice_rules, true, self.eval)?;
             if let Some(slot) = &pool_slot {
                 engine.set_shared_pool_slot(std::sync::Arc::clone(slot));
             }
             if peers.contains_key(&id) {
                 return Err(CoreError::DuplicatePeer(id.name().to_string()));
             }
-            peers.insert(id.clone(), Peer::new(id, schema, policy, engine));
+            peers.insert(id.clone(), Peer::new(id, schema, policy, engine, rule_ids));
         }
         // Start the clock at or past everything already archived: a CDSS
         // attached to a populated (e.g. durable) store must not publish
@@ -336,11 +346,11 @@ impl Cdss {
 
     /// The relations this CDSS's peers need history for, as
     /// owner-qualified `"Peer.Relation"` names: every local relation of
-    /// every peer, closed backwards over the mapping program — if a
-    /// mapping derives into a relation we need, everything its body reads
-    /// is needed too, transitively. A mesh node uses this as its interest
-    /// set: updates to any other relation can never reach any local
-    /// instance here, so there is no reason to store or ship them.
+    /// every peer, closed backwards over the mapping program
+    /// ([`backward_closure`] — the same closure each peer's translation
+    /// engine is sliced by). A mesh node uses this as its interest set:
+    /// updates to any other relation can never reach any local instance
+    /// here, so there is no reason to store or ship them.
     pub fn interest_set(&self) -> Vec<String> {
         self.interest_set_for(&self.peer_ids())
             // analyze: allow(panic) -- peer_ids() enumerates self.peers, so every id resolves
@@ -350,30 +360,22 @@ impl Cdss {
     /// [`interest_set`](Cdss::interest_set) restricted to a subset of
     /// peers — what a mesh node *hosting* only some of the declared
     /// peers needs: the schema and mapping program are global knowledge,
-    /// but only the hosted peers' instances live here.
+    /// but only the hosted peers' instances live here. It is the union
+    /// of those peers' program slices
+    /// ([`Peer::program_slice`](crate::Peer::program_slice)): both are
+    /// [`backward_closure`] over the same mappings.
     pub fn interest_set_for(&self, peers: &[PeerId]) -> Result<Vec<String>> {
-        let mut need: BTreeSet<String> = BTreeSet::new();
+        let mut seeds: Vec<Arc<str>> = Vec::new();
         for id in peers {
             let peer = self.peer(id)?;
-            need.extend(
+            seeds.extend(
                 peer.schema()
                     .relations()
-                    .map(|r| crate::mapping::qualify(id, r.name())),
+                    .map(|r| Arc::from(qualify(id, r.name()).as_str())),
             );
         }
-        loop {
-            let mut grew = false;
-            for tgd in &self.mappings {
-                if tgd.head.iter().any(|h| need.contains(h.relation.as_ref())) {
-                    for atom in &tgd.body {
-                        grew |= need.insert(atom.relation.to_string());
-                    }
-                }
-            }
-            if !grew {
-                return Ok(need.into_iter().collect());
-            }
-        }
+        let need = backward_closure(seeds, &self.mappings);
+        Ok(need.iter().map(|r| r.to_string()).collect())
     }
 
     /// The current logical epoch.
@@ -437,13 +439,12 @@ impl Cdss {
         txns: Vec<Vec<Update>>,
     ) -> Result<Vec<TxnId>> {
         {
+            // The whole batch is checked before any of it is applied: a
+            // malformed transaction leaves the instance as it was.
             let peer = self.peer_mut(peer_id)?;
-            for updates in &txns {
-                for u in updates {
-                    let rel = peer.schema.relation(u.relation())?;
-                    u.validate(rel).map_err(CoreError::from)?;
-                    u.apply(&mut peer.instance).map_err(CoreError::from)?;
-                }
+            validate_batch(&peer.schema, &txns)?;
+            for u in txns.iter().flatten() {
+                u.apply(&mut peer.instance).map_err(CoreError::from)?;
             }
         }
         self.publish_batch(peer_id, txns)
@@ -454,22 +455,32 @@ impl Cdss {
     /// store and — only once the store accepted the batch — mark the
     /// peer's instance published. A store failure leaves every edit
     /// pending, so the next [`publish`](Cdss::publish) announces it.
+    ///
+    /// Whether there is anything to publish, and whether all of it is
+    /// well-formed, is settled before anything changes: a batch of
+    /// nothing but empty transactions leaves the clock alone (like an
+    /// idle reconcile), and a malformed transaction anywhere in the batch
+    /// fails it before the engine, the sequence counter or the reconciler
+    /// have seen the transactions ahead of it — those would otherwise be
+    /// accepted history the archive never received.
     fn publish_batch(
         &mut self,
         peer_id: &PeerId,
-        txn_updates: Vec<Vec<Update>>,
+        mut txn_updates: Vec<Vec<Update>>,
     ) -> Result<Vec<TxnId>> {
-        let epoch = self.clock.advance();
         let peer = self
             .peers
             .get_mut(peer_id)
             .ok_or_else(|| CoreError::UnknownPeer(peer_id.to_string()))?;
+        txn_updates.retain(|updates| !updates.is_empty());
+        if txn_updates.is_empty() {
+            return Ok(Vec::new());
+        }
+        validate_batch(&peer.schema, &txn_updates)?;
+        let epoch = self.clock.advance();
         let mut built: Vec<Transaction> = Vec::new();
         let mut ids: Vec<TxnId> = Vec::new();
         for updates in txn_updates {
-            if updates.is_empty() {
-                continue;
-            }
             // Antecedents from provenance of the versions being read;
             // sequential ingestion lets later transactions in the batch
             // depend on earlier ones.
@@ -477,16 +488,12 @@ impl Cdss {
             peer.next_seq += 1;
             let id = TxnId::new(peer.id.clone(), peer.next_seq);
             let txn = Transaction::new(id, epoch, updates).with_antecedents(ants);
-            txn.validate(&peer.schema).map_err(CoreError::from)?;
             peer.ingest_and_translate(&txn)?;
             // The peer's own transaction counts as accepted history so
             // foreign dependents can resolve their antecedents against it.
             peer.reconciler.note_local(&txn)?;
             ids.push(txn.id.clone());
             built.push(txn);
-        }
-        if built.is_empty() {
-            return Ok(ids);
         }
         self.store.publish(epoch, built)?;
         self.published_txns += ids.len() as u64;
@@ -879,6 +886,17 @@ impl Cdss {
     }
 }
 
+/// Check every update of every transaction in a batch against the
+/// publishing peer's schema (known relation, arity, types, key-preserving
+/// modifies).
+fn validate_batch(schema: &DatabaseSchema, txns: &[Vec<Update>]) -> Result<()> {
+    for u in txns.iter().flatten() {
+        let rel = schema.relation(u.relation())?;
+        u.validate(rel).map_err(CoreError::from)?;
+    }
+    Ok(())
+}
+
 /// What [`process_page`] did with one page of archive transactions.
 struct PageResult {
     candidates: usize,
@@ -1222,6 +1240,90 @@ mod tests {
                 .len(),
             16
         );
+    }
+
+    fn kv() -> DatabaseSchema {
+        let rel = RelationSchema::from_parts_keyed(
+            "R",
+            &[("k", ValueType::Int), ("v", ValueType::Int)],
+            &["k"],
+        );
+        DatabaseSchema::new("kv")
+            .with_relation(rel.unwrap())
+            .unwrap()
+    }
+
+    #[test]
+    fn publishing_nothing_leaves_the_clock_alone() {
+        let open = orchestra_reconcile::TrustPolicy::open(1);
+        let mut cdss = Cdss::builder().peer("A", kv(), open).build().unwrap();
+        let a = PeerId::new("A");
+        let first = vec![Update::insert("R", tuple![1, 10])];
+        cdss.publish_transaction(&a, first).unwrap();
+        let epoch = cdss.current_epoch();
+        assert_eq!(cdss.publish_transactions(&a, vec![]).unwrap(), vec![]);
+        let empties = vec![vec![], vec![]];
+        assert_eq!(cdss.publish_transactions(&a, empties).unwrap(), vec![]);
+        assert_eq!(cdss.current_epoch(), epoch);
+        assert_eq!(cdss.stats().published_txns, 1);
+        // Empty transactions inside a real batch are still dropped, and
+        // the batch takes the very next epoch and id.
+        let mixed = vec![vec![], vec![Update::insert("R", tuple![2, 20])], vec![]];
+        let ids = cdss.publish_transactions(&a, mixed).unwrap();
+        assert_eq!(ids, vec![TxnId::new(a.clone(), 2)]);
+        let stored = cdss.store().fetch(&ids[0]).unwrap().unwrap();
+        assert_eq!(stored.epoch.value(), epoch.value() + 1);
+    }
+
+    #[test]
+    fn a_malformed_transaction_fails_its_batch_before_anything_changes() {
+        let open = orchestra_reconcile::TrustPolicy::open(1);
+        let mut cdss = Cdss::builder()
+            .peer("A", kv(), open.clone())
+            .peer("B", kv(), open)
+            .identity("A", "B")
+            .unwrap()
+            .build()
+            .unwrap();
+        let a = PeerId::new("A");
+        let first = vec![Update::insert("R", tuple![1, 10])];
+        let t1 = cdss.publish_transaction(&a, first).unwrap();
+
+        // What a failed publish must leave exactly as it was.
+        let state = |cdss: &Cdss| {
+            let peer = cdss.peer(&a).unwrap();
+            (
+                peer.engine_stats(),
+                peer.next_seq,
+                peer.decision(&TxnId::new(a.clone(), 2)),
+                peer.instance().clone(),
+                cdss.current_epoch(),
+                cdss.store().len(),
+            )
+        };
+        let before = state(&cdss);
+        assert_eq!((before.1, before.2), (1, None));
+        // The second transaction has the wrong arity; the first is fine.
+        let batch = || {
+            vec![
+                vec![Update::modify("R", tuple![1, 10], tuple![1, 11])],
+                vec![Update::insert("R", tuple![3])],
+            ]
+        };
+        assert!(cdss.publish_transactions(&a, batch()).is_err());
+        assert_eq!(state(&cdss), before);
+        // `publish_batch` on its own — the path `publish` takes, where
+        // nothing was applied to the instance first — checks it too.
+        assert!(cdss.publish_batch(&a, batch()).is_err());
+        assert_eq!(state(&cdss), before);
+
+        // The next publish takes the id the failed batch did not burn and
+        // cites only history the archive holds.
+        let next = vec![Update::modify("R", tuple![1, 10], tuple![1, 12])];
+        let t2 = cdss.publish_transaction(&a, next).unwrap();
+        assert_eq!(t2, TxnId::new(a.clone(), 2));
+        let stored = cdss.store().fetch(&t2).unwrap().unwrap();
+        assert_eq!(stored.antecedents.into_iter().collect::<Vec<_>>(), vec![t1]);
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub use cdss::{
 pub use error::CoreError;
 pub use mapping::{identity_mappings, qualified_schema, qualify};
 pub use orchestra_datalog::EvalOptions;
-pub use peer::Peer;
+pub use peer::{Peer, ProgramSlice};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, CoreError>;

@@ -5,11 +5,17 @@
 //! every relation is qualified as `"<Peer>.<Relation>"`. Mappings are
 //! authored directly over qualified names (see [`crate::demo::figure2`]
 //! for the paper's program).
+//!
+//! No peer evaluates that whole program: [`backward_closure`] says which
+//! relations can reach a peer's own, and `slice_program` cuts the
+//! combined schema and the compiled rules down to them.
 
 use crate::Result;
-use orchestra_datalog::Tgd;
+use orchestra_datalog::{Rule, Tgd};
 use orchestra_relational::{ColumnDef, DatabaseSchema, RelationSchema};
 use orchestra_updates::PeerId;
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// The qualified name of a peer's relation in the combined namespace.
 pub fn qualify(peer: &PeerId, relation: &str) -> String {
@@ -51,6 +57,70 @@ pub fn identity_mappings(a: &PeerId, b: &PeerId, shared: &DatabaseSchema) -> Res
         )?);
     }
     Ok(out)
+}
+
+/// The backward closure of `seeds` over the mapping program: the seeds
+/// plus, transitively, every relation read by the body of a mapping that
+/// derives into a relation already in the set. A tuple of any other
+/// relation can never contribute to a tuple of a seed relation, so this
+/// is everything a holder of the seeds needs — both what a mesh node
+/// replicates ([`Cdss::interest_set_for`](crate::Cdss::interest_set_for))
+/// and what a peer's translation engine materialises (the builder
+/// slices each peer's program by it).
+///
+/// Computed over the tgds; the closure over the compiled rules is the
+/// same set, because every rule compiled from a tgd keeps the tgd's body.
+pub fn backward_closure(
+    seeds: impl IntoIterator<Item = Arc<str>>,
+    mappings: &[Tgd],
+) -> BTreeSet<Arc<str>> {
+    let mut need: BTreeSet<Arc<str>> = seeds.into_iter().collect();
+    loop {
+        let mut grew = false;
+        for tgd in mappings {
+            if tgd.head.iter().any(|h| need.contains(&h.relation)) {
+                for atom in &tgd.body {
+                    grew |= need.insert(Arc::clone(&atom.relation));
+                }
+            }
+        }
+        if !grew {
+            return need;
+        }
+    }
+}
+
+/// One peer's slice of the mapping program, ready to compile into its
+/// engine: of the `combined` schema only the relations in the backward
+/// closure of the peer's own, and of the compiled `rules` only those
+/// whose head relation lies in that closure, both in their original
+/// order. A multi-head tgd contributes just the heads that are needed;
+/// a peer nothing maps into gets no rule at all. Where the mappings run
+/// both ways every peer's closure is the whole program, and the slice is
+/// exactly `(combined, rules)`.
+pub(crate) fn slice_program(
+    peer: &PeerId,
+    local: &DatabaseSchema,
+    combined: &DatabaseSchema,
+    mappings: &[Tgd],
+    rules: &[Rule],
+) -> Result<(DatabaseSchema, Vec<Rule>)> {
+    let own = local
+        .relations()
+        .map(|r| Arc::from(qualify(peer, r.name()).as_str()));
+    let closure = backward_closure(own, mappings);
+    let mut schema = DatabaseSchema::new(combined.name());
+    for rel in combined.relations() {
+        if closure.contains(rel.name()) {
+            schema.add_relation(rel.clone())?;
+        }
+    }
+    let rules = rules
+        .iter()
+        .filter(|r| closure.contains(&r.head.relation))
+        .cloned()
+        .collect();
+    Ok((schema, rules))
 }
 
 /// Split a qualified name back into `(peer, relation)`.

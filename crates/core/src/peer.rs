@@ -1,8 +1,9 @@
 //! Per-peer state: local instance, policy, reconciler, and the peer's own
-//! incremental view of the mapping program.
+//! incremental view of its slice of the mapping program.
 
 use crate::Result;
-use orchestra_datalog::{Engine, NodeId, Query};
+use orchestra_datalog::{Engine, NodeId, Query, RuleId};
+use orchestra_obs::GaugeHandle;
 use orchestra_reconcile::{Decision, Reconciler, TrustPolicy};
 use orchestra_relational::{DatabaseSchema, Instance, Tuple};
 use orchestra_store::FetchCursor;
@@ -30,11 +31,24 @@ use std::sync::Arc;
 ///   stays pending and the next publish announces it;
 /// * the **reconciler** — persistent decisions (accepted / rejected /
 ///   deferred) over other peers' transactions, plus open conflicts;
-/// * the **translation engine** — the peer's materialized view of every
-///   published transaction pushed through the mapping program, with
-///   provenance. This is per-peer (not global) because peers are
-///   intermittently connected and each may have seen a different prefix
-///   of the published history.
+/// * the **translation engine** — the peer's materialized view of the
+///   published transactions it has seen, pushed through **its slice** of
+///   the mapping program, with provenance. This is per-peer (not global)
+///   because peers are intermittently connected and each may have seen a
+///   different prefix of the published history. The slice
+///   ([`Peer::program_slice`]) is the backward closure of the peer's own
+///   relations over the mappings — the relations a tuple of which can
+///   reach this peer's instance — and the compiled rules deriving into
+///   them; an update to any other relation is never fed to the engine,
+///   and a transaction with no update inside the slice does not touch it
+///   at all (it is still recorded as ingested and reconciled as the
+///   empty candidate it always translated to). The closure is
+///   transitive, so whatever an in-slice tuple was derived from is
+///   in-slice too: provenance, origins, and the antecedents of every
+///   in-slice transaction are what the whole program would give. In a
+///   network whose mappings run both ways (identity pairs, Figure 2's
+///   `MA→C` + `MC→A`) every relation reaches every other and the slice
+///   is the whole program; in a one-way chain it is everything upstream.
 #[derive(Debug)]
 pub struct Peer {
     pub(crate) id: PeerId,
@@ -43,6 +57,11 @@ pub struct Peer {
     pub(crate) policy: TrustPolicy,
     pub(crate) reconciler: Reconciler,
     pub(crate) engine: Engine,
+    /// What `engine` was compiled from.
+    slice: ProgramSlice,
+    /// `core.peer.slice_relations` / `core.peer.slice_rules`: this peer's
+    /// share of the two gauges, held so it lasts as long as the peer.
+    _slice_gauges: [GaugeHandle; 2],
     /// Base node → the transaction that published it (provenance →
     /// transaction lineage).
     pub(crate) node_txn: HashMap<NodeId, TxnId>,
@@ -71,13 +90,35 @@ pub struct Peer {
     pub(crate) scanned_hw: Option<(Epoch, TxnId)>,
 }
 
+/// The part of the mapping program one peer's translation engine was
+/// compiled from (see [`Peer::program_slice`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ProgramSlice {
+    /// Qualified `"Peer.Relation"` names the engine materialises, in
+    /// name order: the peer's own relations and everything upstream.
+    pub relations: Vec<Arc<str>>,
+    /// Ids of the compiled rules the engine evaluates, in program order.
+    pub rules: Vec<RuleId>,
+}
+
 impl Peer {
+    /// `engine` must have been compiled from `rules` (the ids of its
+    /// rule list) over the slice schema it reports.
     pub(crate) fn new(
         id: PeerId,
         schema: DatabaseSchema,
         policy: TrustPolicy,
         engine: Engine,
+        rules: Vec<RuleId>,
     ) -> Peer {
+        let slice = ProgramSlice {
+            relations: engine.schema().relations().map(|r| r.name_arc()).collect(),
+            rules,
+        };
+        let relations_gauge = orchestra_obs::gauge("core.peer.slice_relations");
+        relations_gauge.set(slice.relations.len() as i64);
+        let rules_gauge = orchestra_obs::gauge("core.peer.slice_rules");
+        rules_gauge.set(slice.rules.len() as i64);
         let local_names: HashMap<Arc<str>, Arc<str>> = schema
             .relations()
             .map(|r| {
@@ -94,6 +135,8 @@ impl Peer {
             schema,
             policy,
             engine,
+            slice,
+            _slice_gauges: [relations_gauge, rules_gauge],
             local_names,
             node_txn: HashMap::new(),
             ingested: BTreeSet::new(),
@@ -180,9 +223,25 @@ impl Peer {
         self.engine.provenance(&qualified, tuple)
     }
 
+    /// The fact behind a provenance node: its qualified relation and
+    /// tuple. Node ids are local to this peer's engine — two peers (or one
+    /// peer rebuilt) number the same facts differently — so this is what
+    /// makes a [`Peer::provenance`] polynomial comparable or printable.
+    pub fn resolve_node(&self, node: NodeId) -> Option<(&Arc<str>, Tuple)> {
+        self.engine.resolve_node(node)
+    }
+
     /// Map a base provenance node to the transaction that published it.
     pub fn node_transaction(&self, node: NodeId) -> Option<&TxnId> {
         self.node_txn.get(&node)
+    }
+
+    /// The slice of the mapping program this peer's translation engine
+    /// was compiled from: fixed at build time by the mappings alone, and
+    /// the whole program wherever the mappings run both ways. Read-only —
+    /// it reports what the engine holds, it does not configure it.
+    pub fn program_slice(&self) -> &ProgramSlice {
+        &self.slice
     }
 
     /// The peer's translation-engine statistics.

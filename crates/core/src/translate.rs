@@ -9,13 +9,15 @@
 //! preferences, and (2) efficient incremental recomputation of the target
 //! data instance and provenance is possible." (§3)
 //!
-//! Implementation: each transaction's tuple-level updates are applied as
-//! base-fact operations on the origin peer's qualified relations in the
-//! reconciling peer's incremental engine; the engine's change log —
-//! restricted to the reconciling peer's namespace — *is* the translated
-//! transaction. Deletions propagate with the provenance-based algorithm
-//! (the whole point of storing provenance); per-update origins come from
-//! the provenance graph's lineage.
+//! Implementation: each transaction's tuple-level updates — those on
+//! relations inside the reconciling peer's program slice, the only ones
+//! that can reach it — are applied as base-fact operations on the origin
+//! peer's qualified relations in the reconciling peer's incremental
+//! engine; the engine's change log — restricted to the reconciling
+//! peer's namespace — *is* the translated transaction. Deletions
+//! propagate with the provenance-based algorithm (the whole point of
+//! storing provenance); per-update origins come from the provenance
+//! graph's lineage.
 
 use crate::mapping::qualify;
 use crate::peer::Peer;
@@ -31,13 +33,20 @@ impl Peer {
     /// Ingest one published transaction into this peer's translation
     /// engine and return the candidate it translates to — `None` when the
     /// transaction was published by this peer itself (its effects are
-    /// already local).
+    /// already local). Only updates on relations in the peer's program
+    /// slice reach the engine; a transaction with none translates to the
+    /// empty candidate without an engine call.
     pub(crate) fn ingest_and_translate(&mut self, txn: &Transaction) -> Result<Option<Candidate>> {
         self.ingested.insert(txn.id.clone());
         // Apply the transaction's updates as base-fact operations in the
         // origin peer's namespace.
+        let mut fed = false;
         for u in &txn.updates {
             let qrel = qualify(&txn.id.peer, u.relation());
+            if self.engine.rel_id(&qrel).is_none() {
+                continue; // Outside the slice: it can derive nothing here.
+            }
+            fed = true;
             match u {
                 Update::Insert { tuple, .. } => {
                     let node = self.engine.insert_base(&qrel, tuple.clone())?;
@@ -55,8 +64,12 @@ impl Peer {
                 }
             }
         }
-        self.engine.propagate()?;
-        let changes = self.engine.drain_changes();
+        let changes = if fed {
+            self.engine.propagate()?;
+            self.engine.drain_changes()
+        } else {
+            Vec::new()
+        };
 
         if txn.id.peer == self.id {
             return Ok(None);

@@ -13,6 +13,15 @@ use orchestra_updates::{Epoch, PeerId, Transaction, TxnId, Update};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
+
+/// Failpoint configurations are process-wide: while one test's scope is
+/// armed, the other's unscoped `publish`/`compact` calls would hit it
+/// (and use up its one firing). One test at a time.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 fn fresh_dir(tag: &str) -> PathBuf {
     static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -51,6 +60,7 @@ fn assert_injected(err: StoreError) {
 
 #[test]
 fn rotate_failure_keeps_active_segment_appendable() {
+    let _serial = serial();
     let dir = fresh_dir("rotate");
     let store = DurableStore::open_with(&dir, opts()).unwrap();
     for seq in 1..=3u64 {
@@ -79,6 +89,7 @@ fn rotate_failure_keeps_active_segment_appendable() {
 
 #[test]
 fn snapshot_finish_failure_never_publishes_a_partial_snapshot() {
+    let _serial = serial();
     let dir = fresh_dir("finish");
     let store = DurableStore::open_with(&dir, opts()).unwrap();
     for seq in 1..=3u64 {

@@ -18,6 +18,11 @@
 //! * `--full` — dump the whole snapshot (text form) instead of movers
 //! * `--json` — dump the whole snapshot as JSON instead of movers
 //!
+//! The `core.peer.slice_*` gauges — how many relations and compiled
+//! rules the node's translation engines hold — are printed directly
+//! above the `engine.*` counters whenever those moved, so work done can
+//! be read against program held.
+//!
 //! See `docs/observability.md` for the metric catalog.
 
 use orchestra_net::{RemoteOptions, RemoteStore};
@@ -87,16 +92,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 continue;
             }
             let mut moved = 0usize;
+            let is_slice = |name: &str| name.starts_with("core.peer.slice_");
+            let mut engine_moved = false;
             for (name, v) in &snap.counters {
                 let prev = last[i].get(name).copied().unwrap_or(0);
                 if tick == 0 || *v != prev {
+                    if name.starts_with("engine.") && !engine_moved {
+                        // Heading the engine block: the program those engines hold.
+                        engine_moved = true;
+                        for (name, v) in snap.gauges.iter().filter(|(n, _)| is_slice(n)) {
+                            println!("  {name:<40} ={v}");
+                        }
+                    }
                     println!("  {name:<40} +{:<8} (total {v})", v - prev.min(*v));
                     moved += 1;
                 }
                 last[i].insert(name.clone(), *v);
             }
             for (name, v) in &snap.gauges {
-                if *v != 0 {
+                if *v != 0 && !(engine_moved && is_slice(name)) {
                     println!("  {name:<40} ={v}");
                     moved += 1;
                 }
