@@ -497,6 +497,9 @@ impl UpdateStore for FailOnce {
     fn stats(&self) -> StoreStats {
         self.inner.stats()
     }
+    fn digest(&self) -> orchestra_store::Result<orchestra_store::StoreDigest> {
+        self.inner.digest()
+    }
 }
 
 #[test]

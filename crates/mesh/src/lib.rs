@@ -18,8 +18,10 @@
 //!    — per-source sequence high-waters and per-relation transaction
 //!    counts, no payloads,
 //! 3. decide from the digest whether the neighbor holds anything new,
-//! 4. pull missing history page by page (`PullPages`), resuming frozen
-//!    cursors across node failures exactly like the PR 3 reconcile loop,
+//! 4. pull missing history page by page (`PullPages`), starting at the
+//!    node's floor rather than at the top of the archive and resuming
+//!    frozen cursors across node failures exactly like the paged
+//!    reconcile loop,
 //! 5. merge the pages into the local archive
 //!    ([`UpdateStore::absorb`](orchestra_store::UpdateStore::absorb) —
 //!    idempotent, out-of-epoch-order safe) and tell the local CDSS the
@@ -52,6 +54,22 @@
 //! local absorb. Per-neighbor *drained digests* (the digest recorded
 //! when a scan ran to the end) keep rounds terminating even against
 //! neighbors whose extra history the node can never absorb.
+//!
+//! The same invariant lets a fresh scan skip settled history. It starts
+//! at the lowest epoch of position `f` over every source `P` whose
+//! high-water in the neighbor's digest is above our considered floor `f`
+//! for `P` — at epoch zero when `f` is zero or position `f` is not held
+//! locally (outside the interest set, or quarantined), since its epoch is
+//! then unknown. Positions of `P` above `f` lie at or after that epoch,
+//! and sources whose high-water is not above our floor hold nothing we
+//! miss, so nothing we lack lies before the start. History a neighbor
+//! absorbs *behind* a scan that already ran to the end is covered too:
+//! it is history we lack, hence above a floor, hence at or after the
+//! next scan's start. Positions at or below the node-wide floor (the
+//! `have` vector) count as witnessed, so a scan that starts mid-archive
+//! advances a neighbor's floor from there instead of breaking on the
+//! prefix it skipped — sound, because the node-wide floor already
+//! vouches for that prefix.
 
 pub mod node;
 

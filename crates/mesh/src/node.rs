@@ -95,7 +95,7 @@ pub struct RoundReport {
 
 /// A neighbor scan in progress: where to resume, and which sources this
 /// scan has already seen a hole for (their floors freeze until the next
-/// from-the-top rescan).
+/// fresh scan).
 #[derive(Debug)]
 struct Scan {
     cursor: FetchCursor,
@@ -111,8 +111,9 @@ struct Neighbor {
     subscribed: bool,
     /// `Some` while a scan is mid-drain; frozen in place on a failure so
     /// the next round resumes at the gap, exactly like a reconcile
-    /// cursor. `None` means the next pull starts from the top — which is
-    /// also how backfill absorbed *behind* a finished scan gets seen.
+    /// cursor. `None` means the next pull starts a fresh scan at the
+    /// floor — which is also how backfill absorbed *behind* a finished
+    /// scan gets seen.
     scan: Option<Scan>,
     /// Per-source contiguous prefix of positions witnessed on this
     /// neighbor (shipped or skipped). Monotone; feeds the node-wide
@@ -492,15 +493,15 @@ impl MeshNode {
         }
 
         loop {
+            let have = self.considered();
             let cursor = match &self.neighbors[i].scan {
                 Some(s) => s.cursor.clone(),
                 None => {
-                    // Fresh scan from the top: absorb may have
-                    // backfilled behind any previous scan's end, and a
-                    // rescan is the only sound way to see it. The have
-                    // floors keep it cheap: considered prefixes come
-                    // back as ids, not payloads.
-                    let start = FetchCursor::at_epoch(Epoch::zero());
+                    // Fresh scan from the floor, not from the top: the
+                    // neighbor may have backfilled behind any previous
+                    // scan's end, but only above our floors (see the
+                    // crate doc, "Why the bookkeeping is sound").
+                    let start = FetchCursor::at_epoch(self.scan_start(&digest, &have));
                     self.neighbors[i].scan = Some(Scan {
                         cursor: start.clone(),
                         broken: BTreeSet::new(),
@@ -508,7 +509,6 @@ impl MeshNode {
                     start
                 }
             };
-            let have = self.considered();
             let mut page = {
                 let _span = orchestra_obs::span!("mesh.pull", neighbor = i);
                 self.neighbors[i]
@@ -558,7 +558,7 @@ impl MeshNode {
             // would — on a failed append/fsync — tell every neighbor we
             // hold positions we never stored, and the `have`-floor
             // handshake would then skip them forever.
-            self.witness(i, &shipped, &page);
+            self.witness(i, &shipped, &page, &have);
             match page.next_cursor {
                 Some(next) => {
                     if let Some(scan) = &mut self.neighbors[i].scan {
@@ -606,13 +606,42 @@ impl MeshNode {
         }
     }
 
+    /// The epoch a fresh scan of a neighbor advertising `digest` starts
+    /// at: the lowest epoch of position `f` over every source the
+    /// neighbor holds past our considered floor `f` — every position
+    /// above a floor lies at or after the floor position's epoch.
+    /// Zero when some such floor is zero or its position's epoch is not
+    /// known locally (held elsewhere, outside our interest, or
+    /// quarantined).
+    fn scan_start(&self, digest: &StoreDigest, have: &[(String, u64)]) -> Epoch {
+        let mut start: Option<Epoch> = None;
+        for (source, hw) in &digest.sources {
+            let f = floor_of(have, source);
+            if *hw <= f {
+                continue;
+            }
+            let id = TxnId::new(PeerId::new(source.as_str()), f);
+            let at = match f {
+                0 => None,
+                _ => self.archive.fetch(&id).ok().flatten().map(|t| t.epoch),
+            };
+            let Some(at) = at else {
+                return Epoch::zero();
+            };
+            start = Some(start.map_or(at, |s| s.min(at)));
+        }
+        start.unwrap_or_else(Epoch::zero)
+    }
+
     /// Advance neighbor `i`'s per-source floors over one scanned page.
     /// Within a scan each source's positions arrive in increasing
     /// sequence order (dense publisher sequences aligned with epoch
     /// order), so a floor advances exactly while `floor + 1` keeps
     /// getting witnessed; a hole or an unavailable position breaks that
-    /// source for the rest of the scan.
-    fn witness(&mut self, i: usize, shipped: &[TxnId], page: &PullPage) {
+    /// source for the rest of the scan. Positions at or below the
+    /// node-wide floor in `have` count as witnessed, so a scan that
+    /// starts mid-archive does not break on the prefix it skipped.
+    fn witness(&mut self, i: usize, shipped: &[TxnId], page: &PullPage, have: &[(String, u64)]) {
         let n = &mut self.neighbors[i];
         let Some(scan) = &mut n.scan else { return };
         let mut events: BTreeMap<String, Vec<(u64, bool)>> = BTreeMap::new();
@@ -640,6 +669,7 @@ impl MeshNode {
             }
             seqs.sort_unstable();
             let floor = n.floors.entry(source.clone()).or_insert(0);
+            *floor = (*floor).max(floor_of(have, &source));
             for (seq, witnessed) in seqs {
                 if seq <= *floor {
                     continue;
@@ -667,6 +697,13 @@ impl std::fmt::Debug for MeshNode {
             .field("neighbors", &self.neighbors.len())
             .finish()
     }
+}
+
+/// The floor `have` records for `source` (0 when absent).
+fn floor_of(have: &[(String, u64)], source: &str) -> u64 {
+    have.iter()
+        .find(|(s, _)| s == source)
+        .map_or(0, |(_, f)| *f)
 }
 
 /// Why an exchange stopped: the neighbor's fault (degrade and continue)

@@ -11,10 +11,14 @@
 //!   round still completes against the remaining neighbors, and the
 //!   rejoined neighbor is drained from the frozen cursor with zero
 //!   duplicate applies.
+//! * Work proportional to new history: fresh scans start at the node's
+//!   floor — backfill absorbed behind a drained scan is still pulled, a
+//!   mid-archive start still advances floors, and a round fetches the new
+//!   transactions plus a constant from the served archive.
 
 use orchestra_core::{Cdss, CoreError};
 use orchestra_datalog::{Atom, Tgd};
-use orchestra_mesh::{InterestMode, MeshNode, MeshOptions};
+use orchestra_mesh::{InterestMode, MeshNode, MeshOptions, RoundReport};
 use orchestra_net::RemoteOptions;
 use orchestra_reconcile::TrustPolicy;
 use orchestra_relational::{tuple, DatabaseSchema, RelationSchema, ValueType};
@@ -302,6 +306,157 @@ fn interest_filtering_keeps_unmapped_history_off_the_node() {
         .map(|r| r.len())
         .unwrap_or(0);
     assert_eq!(c_rows, 6, "mapped history reached the tail instance");
+}
+
+/// One round, re-run while an exchange failed: the fault-matrix CI cell
+/// injects `mesh.exchange` errors, which abandon an exchange before it
+/// does anything, so a retry is all they cost. Absorb counts are summed.
+fn clean_round(n: &mut MeshNode) -> RoundReport {
+    let mut total = RoundReport::default();
+    for _ in 0..20 {
+        let r = n.run_round().unwrap();
+        total.absorbed += r.absorbed;
+        total.duplicates += r.duplicates;
+        if r.failures == 0 {
+            return total;
+        }
+    }
+    panic!("{}: no round without an exchange failure in 20", n.name());
+}
+
+/// Backfill behind a drained scan: C drains B, then B absorbs history
+/// from A at epochs older than the end of C's scan. C's next scan starts
+/// at its floor for A, not past where the last scan ended, so one round
+/// pulls the backfill.
+#[test]
+fn backfill_behind_a_drained_scan_is_pulled_next_round() {
+    let mut a = node("A", 1, 41, InterestMode::Everything);
+    let mut b = node("B", 1, 42, InterestMode::Everything);
+    let mut c = node("C", 1, 43, InterestMode::Everything);
+    b.join(a.addr().to_string()).unwrap();
+    c.join(b.addr().to_string()).unwrap();
+    let (pa, pb) = (PeerId::new("A"), PeerId::new("B"));
+
+    a.cdss_mut()
+        .publish_transaction(&pa, vec![Update::insert("R", tuple![0, 0])])
+        .unwrap();
+    clean_round(&mut b);
+    for k in 1..6i64 {
+        b.cdss_mut()
+            .publish_transaction(&pb, vec![Update::insert("S", tuple![k, k])])
+            .unwrap();
+    }
+    clean_round(&mut c);
+    assert_eq!(archive_ids(c.cdss().store()), archive_ids(b.cdss().store()));
+    assert_eq!(c.neighbor_cursor(&b.addr().to_string()), None, "drained");
+    let drained_end = b.cdss().store().latest_epoch().unwrap();
+
+    // A publishes more; B absorbs it behind the end of C's drained scan.
+    for k in 1..3i64 {
+        a.cdss_mut()
+            .publish_transaction(&pa, vec![Update::insert("R", tuple![k, k])])
+            .unwrap();
+    }
+    assert_eq!(clean_round(&mut b).absorbed, 2);
+    let backfill: Vec<Transaction> = b
+        .cdss()
+        .store()
+        .fetch_since(Epoch::zero())
+        .unwrap()
+        .into_iter()
+        .filter(|t| t.id.peer == pa && t.id.seq > 1)
+        .collect();
+    assert_eq!(backfill.len(), 2);
+    assert!(
+        backfill.iter().all(|t| t.epoch < drained_end),
+        "the backfill lands behind the drained scan's end"
+    );
+
+    let report = clean_round(&mut c);
+    assert_eq!(report.absorbed, 2, "{report:?}");
+    assert_eq!(report.duplicates, 0);
+    assert_eq!(archive_ids(c.cdss().store()), archive_ids(b.cdss().store()));
+}
+
+/// A fresh scan of a newly joined neighbor starts mid-archive, at the
+/// floor learned from another neighbor. The positions it skipped count
+/// as witnessed, so the scan still advances the node's floor past what
+/// it pulled instead of breaking on the skipped prefix.
+#[test]
+fn a_scan_starting_mid_archive_advances_the_floor() {
+    let mut a = node("A", 1, 61, InterestMode::Everything);
+    let mut y = node("B", 1, 62, InterestMode::Everything);
+    let mut z = node("C", 1, 63, InterestMode::Everything);
+    // Only A publishes; which peer the other nodes host does not matter.
+    let mut x = node("C", 1, 64, InterestMode::Everything);
+    y.join(a.addr().to_string()).unwrap();
+    z.join(a.addr().to_string()).unwrap();
+    x.join(y.addr().to_string()).unwrap();
+    let pa = PeerId::new("A");
+    let publish = |a: &mut MeshNode, k: i64| {
+        a.cdss_mut()
+            .publish_transaction(&pa, vec![Update::insert("R", tuple![k, k])])
+            .unwrap();
+    };
+    for k in 0..3 {
+        publish(&mut a, k);
+    }
+    clean_round(&mut y);
+    clean_round(&mut z);
+    clean_round(&mut x);
+    assert_eq!(x.considered(), vec![("A".to_string(), 3)]);
+
+    for k in 3..5 {
+        publish(&mut a, k);
+    }
+    clean_round(&mut z);
+    x.join(z.addr().to_string()).unwrap();
+    let served = z.cdss().store().stats().fetched;
+    let report = clean_round(&mut x);
+    assert_eq!(report.absorbed, 2, "{report:?}");
+    assert!(
+        z.cdss().store().stats().fetched - served <= 3,
+        "the scan of Z started at A#3's epoch, not at zero"
+    );
+    assert_eq!(x.considered(), vec![("A".to_string(), 5)]);
+}
+
+/// A gossip round pays for the new history, not all of it: in a line
+/// `A – B – C`, after each single-transaction publish at A, the archive
+/// a neighbor serves is fetched from at most once per new transaction
+/// plus a constant (the floor position's epoch is rescanned), however
+/// long the archive has grown.
+#[test]
+fn a_round_fetches_the_new_history_plus_a_constant() {
+    let mut a = node("A", 1, 51, InterestMode::Everything);
+    let mut b = node("B", 1, 52, InterestMode::Everything);
+    let mut c = node("C", 1, 53, InterestMode::Everything);
+    a.join(b.addr().to_string()).unwrap();
+    b.join(a.addr().to_string()).unwrap();
+    b.join(c.addr().to_string()).unwrap();
+    c.join(b.addr().to_string()).unwrap();
+    let pa = PeerId::new("A");
+    for k in 0..40i64 {
+        a.cdss_mut()
+            .publish_transaction(&pa, vec![Update::insert("R", tuple![k, k])])
+            .unwrap();
+        let served = a.cdss().store().stats().fetched;
+        assert_eq!(clean_round(&mut b).absorbed, 1);
+        let fetched = a.cdss().store().stats().fetched - served;
+        assert!(
+            fetched <= 1 + 2,
+            "publish {k}: B's round fetched {fetched} from A"
+        );
+
+        let served = b.cdss().store().stats().fetched;
+        assert_eq!(clean_round(&mut c).absorbed, 1);
+        let fetched = b.cdss().store().stats().fetched - served;
+        assert!(
+            fetched <= 1 + 2,
+            "publish {k}: C's round fetched {fetched} from B"
+        );
+    }
+    assert_eq!(c.cdss().store().len(), 40);
 }
 
 /// An archive wrapper that plays dead on command: after `arm()`, every

@@ -7,7 +7,7 @@ use crate::trust::TrustPolicy;
 use crate::{Priority, Result, DISTRUSTED};
 use orchestra_relational::{DatabaseSchema, Tuple};
 use orchestra_updates::{DepGraph, Transaction, TxnId, WriteOutcome};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// One transaction's write set: (relation, key) → final outcome.
@@ -52,26 +52,13 @@ pub struct Reconciler {
     /// transaction and schema never change). Saves recomputing key
     /// projections in every phase that looks at the same candidate.
     write_sets: HashMap<TxnId, Arc<WriteSet>>,
-}
-
-/// Per-pass memo of antecedent closures. Sound for the duration of any
-/// region where no new transactions enter the dependency graph (closures
-/// depend only on graph edges, never on decisions): one reconciliation
-/// level, or one manual resolution. Without it, conflict detection on a
-/// hot key recomputes the same closure for every one of O(writers²)
-/// candidate pairs.
-#[derive(Default)]
-struct ClosureCache(HashMap<TxnId, Arc<BTreeSet<TxnId>>>);
-
-impl ClosureCache {
-    fn get(&mut self, graph: &DepGraph, id: &TxnId) -> Result<Arc<BTreeSet<TxnId>>> {
-        if let Some(c) = self.0.get(id) {
-            return Ok(Arc::clone(c));
-        }
-        let c = Arc::new(graph.antecedent_closure(id).map_err(ReconcileError::from)?);
-        self.0.insert(id.clone(), Arc::clone(&c));
-        Ok(c)
-    }
+    /// *Settled* transactions: accepted, with every antecedent settled
+    /// when they were — so their whole antecedent closure is accepted,
+    /// and since acceptance is final it stays so. Antecedent walks stop
+    /// here, which bounds them by open work instead of by history. Plain
+    /// "accepted" would not do: a local transaction may cite a deferred
+    /// one ([`Reconciler::note_local`]).
+    settled: HashSet<TxnId>,
 }
 
 impl Reconciler {
@@ -85,6 +72,7 @@ impl Reconciler {
             accepted_writes: BTreeMap::new(),
             conflicts: Vec::new(),
             write_sets: HashMap::new(),
+            settled: HashSet::new(),
         }
     }
 
@@ -139,7 +127,7 @@ impl Reconciler {
         self.graph
             .insert(txn.id.clone(), txn.antecedents.clone())
             .map_err(ReconcileError::from)?;
-        self.record(txn.id.clone(), Decision::Accepted);
+        self.record_accepted(txn.id.clone())?;
         let ws = txn.write_set(&self.schema).map_err(ReconcileError::from)?;
         for (key, outcome) in ws {
             self.accepted_writes.insert(key, (txn.id.clone(), outcome));
@@ -180,9 +168,6 @@ impl Reconciler {
     }
 
     fn process_level(&mut self, ids: &[TxnId], outcome: &mut ReconcileOutcome) -> Result<()> {
-        // No transaction enters the graph during a level, so antecedent
-        // closures can be computed once and shared by every phase.
-        let mut closures = ClosureCache::default();
         // Phase a: classify candidates by antecedent state; build groups
         // (with their net write maps, computed once) for the eligible ones.
         let mut eligible: Vec<(TxnId, BTreeSet<TxnId>, GroupWrites)> = Vec::new();
@@ -224,20 +209,16 @@ impl Reconciler {
                         .push((idx, writer, w_outcome));
                 }
             }
-            // Hot keys make this loop quadratic in their writer count, so
-            // keep the per-pair work integer-cheap: fetch each writer's
-            // antecedent closure once per key (not once per pair), collect
-            // conflicting index pairs into a Vec, and sort+dedup at the
-            // end (same set and order a BTreeSet would have produced).
+            // Hot keys make this loop quadratic in their writer count:
+            // collect conflicting index pairs into a Vec and sort+dedup at
+            // the end (same set and order a BTreeSet would have produced).
+            // Every writer is an undecided candidate, so each relatedness
+            // walk skips settled history.
             let mut conflicting_pairs: Vec<(usize, usize)> = Vec::new();
             for writers in by_key.values() {
                 if writers.len() < 2 {
                     continue;
                 }
-                let writer_closures: Vec<Arc<BTreeSet<TxnId>>> = writers
-                    .iter()
-                    .map(|(_, w, _)| closures.get(&self.graph, w))
-                    .collect::<Result<_>>()?;
                 for a in 0..writers.len() {
                     for b in (a + 1)..writers.len() {
                         let (ia, wa, oa) = writers[a];
@@ -245,10 +226,7 @@ impl Reconciler {
                         if ia == ib || oa == ob {
                             continue;
                         }
-                        let related = wa == wb
-                            || writer_closures[a].contains(wb)
-                            || writer_closures[b].contains(wa);
-                        if !related {
+                        if !self.causally_related(wa, wb)? {
                             conflicting_pairs.push((ia.min(ib), ia.max(ib)));
                         }
                     }
@@ -278,7 +256,7 @@ impl Reconciler {
             if self.decisions.contains_key(&id) {
                 continue; // Became accepted as part of an earlier group.
             }
-            if self.writes_conflict_with_history(&mut closures, &writes)? {
+            if self.writes_conflict_with_history(&writes)? {
                 self.record(id.clone(), Decision::Rejected);
                 outcome.rejected.push(id);
                 continue;
@@ -290,16 +268,12 @@ impl Reconciler {
 
     /// Classify a candidate by the decisions on its antecedent closure.
     ///
-    /// Computes the closure directly rather than through a [`ClosureCache`]:
-    /// classification touches each candidate exactly once per level, so
-    /// caching here would only add insert overhead on conflict-free
-    /// workloads (the cache pays off in the conflict phases, where hot
-    /// keys revisit the same writers quadratically).
+    /// Walks only the *open* part of the closure: settled transactions
+    /// are not expanded, because everything behind them is accepted —
+    /// it can neither block the candidate nor join its group. The first
+    /// blocker in id order decides, exactly as over the whole closure.
     fn classify_antecedents(&self, id: &TxnId) -> Result<AntecedentState> {
-        let closure = self
-            .graph
-            .antecedent_closure(id)
-            .map_err(ReconcileError::from)?;
+        let closure = self.open_antecedents(id)?;
         let mut group: BTreeSet<TxnId> = BTreeSet::from([id.clone()]);
         for ant in closure {
             match self.decisions.get(&ant) {
@@ -344,37 +318,66 @@ impl Reconciler {
         Ok(out)
     }
 
-    fn causally_related(&self, closures: &mut ClosureCache, a: &TxnId, b: &TxnId) -> Result<bool> {
-        if a == b {
-            return Ok(true);
+    /// `id`'s antecedent closure (excluding `id`) minus everything behind
+    /// a settled transaction, settled ones included.
+    fn open_antecedents(&self, id: &TxnId) -> Result<BTreeSet<TxnId>> {
+        let mut seen: BTreeSet<TxnId> = BTreeSet::new();
+        let mut queue: VecDeque<&TxnId> = VecDeque::from([id]);
+        while let Some(cur) = queue.pop_front() {
+            for a in self
+                .graph
+                .antecedents_of(cur)
+                .map_err(ReconcileError::from)?
+            {
+                if !self.settled.contains(a) && seen.insert(a.clone()) {
+                    queue.push_back(a);
+                }
+            }
         }
-        if closures.get(&self.graph, a)?.contains(b) {
-            return Ok(true);
+        seen.remove(id);
+        Ok(seen)
+    }
+
+    /// Is `target` in `from`'s antecedent closure? A depth-first walk
+    /// that stops at the first sighting. An unsettled target cannot lie
+    /// behind settled history, so then settled transactions are not
+    /// expanded either.
+    fn reaches(&self, from: &TxnId, target: &TxnId) -> Result<bool> {
+        let prune = !self.settled.contains(target);
+        let mut seen: HashSet<&TxnId> = HashSet::new();
+        let mut stack: Vec<&TxnId> = vec![from];
+        while let Some(cur) = stack.pop() {
+            for a in self
+                .graph
+                .antecedents_of(cur)
+                .map_err(ReconcileError::from)?
+            {
+                if a == target {
+                    return Ok(true);
+                }
+                if !(prune && self.settled.contains(a)) && seen.insert(a) {
+                    stack.push(a);
+                }
+            }
         }
-        Ok(closures.get(&self.graph, b)?.contains(a))
+        Ok(false)
+    }
+
+    fn causally_related(&self, a: &TxnId, b: &TxnId) -> Result<bool> {
+        Ok(a == b || self.reaches(a, b)? || self.reaches(b, a)?)
     }
 
     /// Does the group clash with the already-accepted write history?
     /// A dependent overwriting its accepted antecedent's data is fine.
-    fn group_conflicts_with_history(
-        &mut self,
-        closures: &mut ClosureCache,
-        group: &BTreeSet<TxnId>,
-    ) -> Result<bool> {
+    fn group_conflicts_with_history(&mut self, group: &BTreeSet<TxnId>) -> Result<bool> {
         let writes = self.group_writes(group)?;
-        self.writes_conflict_with_history(closures, &writes)
+        self.writes_conflict_with_history(&writes)
     }
 
-    fn writes_conflict_with_history(
-        &self,
-        closures: &mut ClosureCache,
-        writes: &GroupWrites,
-    ) -> Result<bool> {
+    fn writes_conflict_with_history(&self, writes: &GroupWrites) -> Result<bool> {
         for (key, (writer, outcome)) in writes {
             if let Some((accepted_writer, accepted_outcome)) = self.accepted_writes.get(key) {
-                if outcome != accepted_outcome
-                    && !self.causally_related(closures, writer, accepted_writer)?
-                {
+                if outcome != accepted_outcome && !self.causally_related(writer, accepted_writer)? {
                     return Ok(true);
                 }
             }
@@ -393,7 +396,7 @@ impl Reconciler {
             if self.decisions.get(&id) == Some(&Decision::Accepted) {
                 continue;
             }
-            self.record(id.clone(), Decision::Accepted);
+            self.record_accepted(id.clone())?;
             let ws = self.write_set_of(&id)?;
             for (key, w_outcome) in ws.iter() {
                 self.accepted_writes
@@ -408,6 +411,21 @@ impl Reconciler {
         self.decisions.insert(id, d);
     }
 
+    /// Record an acceptance, settling the transaction when all its
+    /// antecedents are settled (members of a group are accepted in
+    /// dependency order, so in-group antecedents come first).
+    fn record_accepted(&mut self, id: TxnId) -> Result<()> {
+        let ants = self
+            .graph
+            .antecedents_of(&id)
+            .map_err(ReconcileError::from)?;
+        if ants.iter().all(|a| self.settled.contains(a)) {
+            self.settled.insert(id.clone());
+        }
+        self.record(id, Decision::Accepted);
+        Ok(())
+    }
+
     /// Manually resolve deferred conflicts in favor of `winner`.
     ///
     /// Per the paper: the winner is applied; deferred transactions that
@@ -419,8 +437,6 @@ impl Reconciler {
             return Err(ReconcileError::NotDeferred(winner.to_string()));
         }
         let mut out = ResolveOutcome::default();
-        // The graph gains no transactions during a resolution.
-        let mut closures = ClosureCache::default();
 
         // Losers: deferred counterparts in open conflicts with the winner.
         let mut losers: BTreeSet<TxnId> = BTreeSet::new();
@@ -492,7 +508,7 @@ impl Reconciler {
             self.decisions.remove(&dep);
             match self.classify_antecedents(&dep)? {
                 AntecedentState::Ready(group) => {
-                    if self.group_conflicts_with_history(&mut closures, &group)? {
+                    if self.group_conflicts_with_history(&group)? {
                         self.record(dep.clone(), Decision::Rejected);
                         out.rejected.push(dep);
                     } else {

@@ -216,13 +216,27 @@ impl StoreDigest {
     /// many of its updates land there — `txns` counts transactions.
     pub fn observe(&mut self, txn: &Transaction) {
         self.observe_position(txn.epoch, &txn.id);
-        let touched: std::collections::BTreeSet<String> = txn
-            .updates
-            .iter()
-            .map(|u| format!("{}.{}", txn.id.peer.name(), u.relation()))
-            .collect();
-        for key in touched {
-            let r = self.relations.entry(key).or_default();
+        self.observe_relations(txn);
+    }
+
+    /// Credit the relations of a transaction whose position is already
+    /// counted — a quarantined payload restored by a heal.
+    pub(crate) fn observe_relations(&mut self, txn: &Transaction) {
+        // Transactions touch few relations: dedupe by name first and
+        // format one owner-qualified key per distinct relation.
+        let mut touched: Vec<&str> = Vec::new();
+        for u in &txn.updates {
+            let rel: &str = u.relation();
+            if !touched.contains(&rel) {
+                touched.push(rel);
+            }
+        }
+        let publisher = txn.id.peer.name();
+        for rel in touched {
+            let r = self
+                .relations
+                .entry(format!("{publisher}.{rel}"))
+                .or_default();
             r.latest_epoch = Some(r.latest_epoch.map_or(txn.epoch, |e| e.max(txn.epoch)));
             r.txns += 1;
         }
@@ -493,26 +507,14 @@ pub trait UpdateStore: Send + Sync {
     /// Summarize the whole archive as a [`StoreDigest`] — the
     /// advertisement a mesh peer gossips to its neighbors.
     ///
-    /// The default implementation pages the archive front to back (and
-    /// therefore counts toward the fetch/page counters); backends with an
-    /// epoch index override it with a scan that never clones payloads.
-    fn digest(&self) -> crate::Result<StoreDigest> {
-        let mut d = StoreDigest::default();
-        for page in pages(
-            self,
-            FetchCursor::at_epoch(Epoch::zero()),
-            DEFAULT_PAGE_LIMIT,
-        ) {
-            let page = page?;
-            for t in &page.txns {
-                d.observe(t);
-            }
-            for (e, id) in &page.unavailable {
-                d.observe_position(*e, id);
-            }
-        }
-        Ok(d)
-    }
+    /// The value is maintained, not recomputed: a backend builds it with
+    /// one walk of its epoch index on the first call, then folds every
+    /// later publish, absorb and heal into it, so a call costs
+    /// O(sources + relations) — a clone — however long the archive.
+    /// Stores nobody asks for a digest pay nothing. Quarantined positions
+    /// count toward `len`, `latest_epoch` and the source marks but credit
+    /// no relation; a digest never touches the fetch/page counters.
+    fn digest(&self) -> crate::Result<StoreDigest>;
 
     /// Merge anti-entropy transactions into the archive, keeping the
     /// epochs their publishers stamped. Unlike [`publish`], `absorb` is
@@ -605,6 +607,12 @@ pub(crate) fn index_epoch_ids(
     epoch: Epoch,
     ids: impl IntoIterator<Item = TxnId>,
 ) {
+    // Nothing new (recovery replaying a batch a failed fsync left in two
+    // frames): no empty epoch entry, and no merge of an empty tail.
+    let mut ids = ids.into_iter().peekable();
+    if ids.peek().is_none() {
+        return;
+    }
     let list = by_epoch.entry(epoch).or_default();
     let mid = list.len();
     list.extend(ids);
@@ -790,6 +798,58 @@ mod tests {
             check_batch_ids(&[t(1)], |_| true),
             Err(StoreError::DuplicateTxn(_))
         ));
+    }
+
+    #[test]
+    fn observe_credits_each_touched_relation_once() {
+        use orchestra_relational::tuple;
+        use orchestra_updates::Update;
+        // The fold as it was: one formatted key per update, deduplicated
+        // through a set.
+        fn per_update(d: &mut StoreDigest, txn: &Transaction) {
+            d.observe_position(txn.epoch, &txn.id);
+            let touched: std::collections::BTreeSet<String> = txn
+                .updates
+                .iter()
+                .map(|u| format!("{}.{}", txn.id.peer.name(), u.relation()))
+                .collect();
+            for key in touched {
+                let r = d.relations.entry(key).or_default();
+                r.latest_epoch = Some(r.latest_epoch.map_or(txn.epoch, |e| e.max(txn.epoch)));
+                r.txns += 1;
+            }
+        }
+        let rels = ["R", "S", "R", "T", "R", "S"];
+        let txns: Vec<Transaction> = (1..=6u64)
+            .map(|seq| {
+                let updates = rels[..seq as usize]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, r)| Update::insert(*r, tuple![i as i64]))
+                    .collect();
+                Transaction::new(
+                    id(["A", "B"][seq as usize % 2], seq),
+                    Epoch::new(seq),
+                    updates,
+                )
+            })
+            .collect();
+        let (mut new, mut old) = (StoreDigest::default(), StoreDigest::default());
+        for t in &txns {
+            new.observe(t);
+            per_update(&mut old, t);
+        }
+        assert_eq!(new, old);
+        assert_eq!(new.relation_txns("A.R"), 3);
+        assert_eq!(new.relation_txns("B.T"), 1);
+    }
+
+    #[test]
+    fn index_epoch_ids_ignores_an_empty_batch() {
+        let mut m = sample_index();
+        index_epoch_ids(&mut m, Epoch::new(3), []);
+        index_epoch_ids(&mut m, Epoch::new(9), []);
+        assert_eq!(m, sample_index(), "no merge, no empty epoch entry");
     }
 
     #[test]

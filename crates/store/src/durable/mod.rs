@@ -38,7 +38,10 @@ pub use wal::SyncPolicy;
 use crate::api::{
     check_batch_ids, check_epoch_monotone, collect_page, index_epoch_ids, AtomicStats,
 };
-use crate::api::{AbsorbReport, FetchCursor, FetchPage, StoreError, StoreStats, UpdateStore};
+use crate::api::{
+    AbsorbReport, FetchCursor, FetchPage, StoreDigest, StoreError, StoreStats, UpdateStore,
+    DEFAULT_PAGE_LIMIT,
+};
 use orchestra_updates::{Epoch, Transaction, TxnId};
 use parking_lot::RwLock;
 use snapshot::{list_snapshots, snapshot_file_name};
@@ -153,6 +156,10 @@ struct Inner {
     /// no `index` location and no cache entry until `absorb` re-delivers
     /// a healthy copy from a neighbor.
     quarantined: HashMap<TxnId, Epoch>,
+    /// The maintained digest: built by the first `digest()` call, folded
+    /// forward by `publish`, `absorb` and heals, dropped by a scrub that
+    /// quarantines (the next call rebuilds it). Never built at open.
+    digest: Option<StoreDigest>,
     snapshot_watermark: Option<u64>,
     batches_since_compact: u64,
     last_compact_error: Option<StoreError>,
@@ -257,6 +264,7 @@ impl DurableStore {
                 by_epoch,
                 cache,
                 quarantined: HashMap::new(),
+                digest: None,
                 snapshot_watermark: watermark,
                 batches_since_compact: 0,
                 last_compact_error: None,
@@ -373,6 +381,10 @@ impl DurableStore {
             inner.cache.remove(&id);
             inner.quarantined.insert(id, epoch);
             report.quarantined += 1;
+        }
+        if report.quarantined > 0 {
+            // Quarantined positions stop crediting their relations.
+            inner.digest = None;
         }
         orchestra_obs::counter!("store.scrub.quarantined", report.quarantined as u64);
         Ok(report)
@@ -519,6 +531,47 @@ impl DurableStore {
         Ok(Some(covered))
     }
 
+    /// Resolve archived positions to their payloads in order — cache
+    /// first, then one decode per batch frame — calling `f` with `None`
+    /// for a quarantined position.
+    fn for_each_payload(
+        &self,
+        inner: &Inner,
+        positions: &[(Epoch, TxnId)],
+        mut f: impl FnMut(Epoch, &TxnId, Option<&Transaction>),
+    ) -> crate::Result<()> {
+        // Group disk reads per batch frame so a cold page decodes each
+        // frame once, not once per transaction.
+        let mut frame_cache: HashMap<(FileRef, u64), Vec<Transaction>> = HashMap::new();
+        for (epoch, id) in positions {
+            if let Some(t) = inner.cache.get(id) {
+                f(*epoch, id, Some(t));
+                continue;
+            }
+            if inner.quarantined.contains_key(id) {
+                f(*epoch, id, None);
+                continue;
+            }
+            // analyze: allow(panic) -- index and by_epoch are updated in lockstep
+            let loc = *inner.index.get(id).expect("by_epoch ids are indexed");
+            let key = (loc.file, loc.offset);
+            if let std::collections::hash_map::Entry::Vacant(e) = frame_cache.entry(key) {
+                let (_, batch) = read_batch_from(&self.file_path(loc.file), loc.offset)?;
+                e.insert(batch);
+            }
+            let batch = &frame_cache[&key]; // analyze: allow(panic) -- entry for key inserted just above when vacant
+            let t = batch
+                .get(loc.index as usize)
+                .ok_or_else(|| StoreError::Corrupt {
+                    path: self.file_path(loc.file).display().to_string(),
+                    offset: loc.offset,
+                    reason: format!("batch shorter than indexed position {}", loc.index),
+                })?;
+            f(*epoch, id, Some(t));
+        }
+        Ok(())
+    }
+
     fn load_txn(&self, inner: &Inner, id: &TxnId) -> crate::Result<Option<Transaction>> {
         if let Some(t) = inner.cache.get(id) {
             return Ok(Some(t.clone()));
@@ -610,8 +663,12 @@ impl UpdateStore for DurableStore {
             index,
             by_epoch,
             cache,
+            digest,
             ..
         } = &mut *inner;
+        if let Some(d) = digest {
+            stamped.iter().for_each(|t| d.observe(t));
+        }
         let n = stamped.len() as u64;
         index_batch(
             index,
@@ -682,8 +739,12 @@ impl UpdateStore for DurableStore {
                 index,
                 by_epoch,
                 cache,
+                digest,
                 ..
             } = &mut *inner;
+            if let Some(d) = digest {
+                batch.iter().for_each(|t| d.observe(t));
+            }
             index_batch(
                 index,
                 by_epoch,
@@ -706,6 +767,9 @@ impl UpdateStore for DurableStore {
             // ids by id.
             let (seg, offset) = inner.wal.append_batch(epoch, &batch)?;
             for (i, t) in batch.into_iter().enumerate() {
+                if let Some(d) = &mut inner.digest {
+                    d.observe_relations(&t);
+                }
                 inner.quarantined.remove(&t.id);
                 inner.index.insert(
                     t.id.clone(),
@@ -743,41 +807,16 @@ impl UpdateStore for DurableStore {
         // decoding anything outside this page.
         let inner = self.inner.read();
         let (positions, next_cursor) = collect_page(&inner.by_epoch, cursor, limit);
-        // Group disk reads per batch frame so a cold page decodes each
-        // frame once, not once per transaction.
-        let mut frame_cache: HashMap<(FileRef, u64), Vec<Transaction>> = HashMap::new();
         let mut txns = Vec::with_capacity(positions.len());
         let mut unavailable = Vec::new();
-        for (epoch, id) in &positions {
-            if let Some(t) = inner.cache.get(id) {
-                txns.push(t.clone());
-                continue;
-            }
-            if inner.quarantined.contains_key(id) {
-                // The position is archived but its frame was scrubbed out
-                // as corrupt: report it like a dead replica so partial
-                // progress (frozen cursors) degrades gracefully instead
-                // of the page erroring.
-                unavailable.push((*epoch, id.clone()));
-                continue;
-            }
-            // analyze: allow(panic) -- index and by_epoch are updated in lockstep
-            let loc = *inner.index.get(id).expect("by_epoch ids are indexed");
-            let key = (loc.file, loc.offset);
-            if let std::collections::hash_map::Entry::Vacant(e) = frame_cache.entry(key) {
-                let (_, batch) = read_batch_from(&self.file_path(loc.file), loc.offset)?;
-                e.insert(batch);
-            }
-            let batch = &frame_cache[&key]; // analyze: allow(panic) -- entry for key inserted just above when vacant
-            let t = batch
-                .get(loc.index as usize)
-                .ok_or_else(|| StoreError::Corrupt {
-                    path: self.file_path(loc.file).display().to_string(),
-                    offset: loc.offset,
-                    reason: format!("batch shorter than indexed position {}", loc.index),
-                })?;
-            txns.push(t.clone());
-        }
+        self.for_each_payload(&inner, &positions, |epoch, id, payload| match payload {
+            Some(t) => txns.push(t.clone()),
+            // The position is archived but its frame was scrubbed out as
+            // corrupt: report it like a dead replica so partial progress
+            // (frozen cursors) degrades gracefully instead of the page
+            // erroring.
+            None => unavailable.push((epoch, id.clone())),
+        })?;
         self.stats.add_fetched(txns.len() as u64);
         self.stats.add_unavailable(unavailable.len() as u64);
         self.stats.add_pages(1);
@@ -816,6 +855,30 @@ impl UpdateStore for DurableStore {
 
     fn stats(&self) -> StoreStats {
         self.stats.snapshot()
+    }
+
+    fn digest(&self) -> crate::Result<StoreDigest> {
+        if let Some(d) = &self.inner.read().digest {
+            return Ok(d.clone());
+        }
+        let mut inner = self.inner.write();
+        if let Some(d) = &inner.digest {
+            return Ok(d.clone());
+        }
+        // One walk of the epoch index, a page of positions at a time so a
+        // disk-only archive decodes a bounded set of frames.
+        let mut d = StoreDigest::default();
+        let mut cursor = Some(FetchCursor::at_epoch(Epoch::zero()));
+        while let Some(at) = cursor {
+            let (positions, next) = collect_page(&inner.by_epoch, &at, DEFAULT_PAGE_LIMIT);
+            self.for_each_payload(&inner, &positions, |epoch, id, payload| match payload {
+                Some(t) => d.observe(t),
+                None => d.observe_position(epoch, id),
+            })?;
+            cursor = next;
+        }
+        inner.digest = Some(d.clone());
+        Ok(d)
     }
 }
 

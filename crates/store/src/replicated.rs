@@ -12,7 +12,7 @@
 use crate::api::{
     check_batch_ids, check_epoch_monotone, collect_page, index_epoch_ids, AtomicStats,
 };
-use crate::api::{FetchCursor, FetchPage, StoreError, StoreStats, UpdateStore};
+use crate::api::{FetchCursor, FetchPage, StoreDigest, StoreError, StoreStats, UpdateStore};
 use orchestra_updates::{Epoch, Transaction, TxnId};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
@@ -41,6 +41,10 @@ struct Inner {
     /// order is `(epoch, id)`).
     by_epoch: BTreeMap<Epoch, Vec<TxnId>>,
     by_id: HashMap<TxnId, StoredTxn>,
+    /// The maintained digest: built by the first `digest()` call, then
+    /// folded forward by `publish`. It summarizes the metadata index, so
+    /// holder liveness never changes it.
+    digest: Option<StoreDigest>,
 }
 
 /// The simulated DHT store.
@@ -73,6 +77,7 @@ impl ReplicatedStore {
                 nodes_alive: vec![true; num_nodes],
                 by_epoch: BTreeMap::new(),
                 by_id: HashMap::new(),
+                digest: None,
             }),
             stats: AtomicStats::default(),
         })
@@ -192,6 +197,9 @@ impl UpdateStore for ReplicatedStore {
         for (mut t, holders) in txns.into_iter().zip(placements) {
             t.epoch = epoch;
             probes += holders.len() as u64;
+            if let Some(d) = &mut inner.digest {
+                d.observe(&t);
+            }
             ids.push(t.id.clone());
             inner
                 .by_id
@@ -262,6 +270,22 @@ impl UpdateStore for ReplicatedStore {
 
     fn stats(&self) -> StoreStats {
         self.stats.snapshot()
+    }
+
+    fn digest(&self) -> crate::Result<StoreDigest> {
+        if let Some(d) = &self.inner.read().digest {
+            return Ok(d.clone());
+        }
+        let mut inner = self.inner.write();
+        let Inner { by_id, digest, .. } = &mut *inner;
+        let d = digest.get_or_insert_with(|| {
+            let mut d = StoreDigest::default();
+            for st in by_id.values() {
+                d.observe(&st.txn);
+            }
+            d
+        });
+        Ok(d.clone())
     }
 }
 

@@ -41,6 +41,9 @@ impl UpdateStore for Shared {
     fn stats(&self) -> orchestra_store::StoreStats {
         self.0.stats()
     }
+    fn digest(&self) -> orchestra_store::Result<orchestra_store::StoreDigest> {
+        self.0.digest()
+    }
 }
 
 /// When the archive loses all replicas of a payload, reconciliation no

@@ -209,6 +209,9 @@ impl UpdateStore for SharedKill {
     fn stats(&self) -> orchestra_store::StoreStats {
         self.0.inner.stats()
     }
+    fn digest(&self) -> orchestra_store::Result<orchestra_store::StoreDigest> {
+        self.0.inner.digest()
+    }
 }
 
 /// Fault injection (the network analogue of the PR 3 churn test): the

@@ -40,6 +40,9 @@ impl UpdateStore for Shared {
     fn stats(&self) -> orchestra_store::StoreStats {
         self.0.stats()
     }
+    fn digest(&self) -> orchestra_store::Result<orchestra_store::StoreDigest> {
+        self.0.digest()
+    }
 }
 
 /// Two peers sharing a keyed schema through identity mappings: whatever A
