@@ -22,21 +22,12 @@ pub struct ExchangeOptions {
     /// loops page by page, so its peak memory is bounded by this limit
     /// regardless of how much history the peer has missed.
     pub page_limit: usize,
-    /// Override the peer's translation-engine evaluation thread count
-    /// before this exchange runs (`None` = leave it as built). The
-    /// override sticks on the peer — set it once per peer, or on every
-    /// exchange, interchangeably. Results are identical at any thread
-    /// count (the engine's 1-vs-N parity guarantee); only wall-clock
-    /// changes. System-wide defaults belong on
-    /// [`CdssBuilder::eval_threads`] or `ORCHESTRA_EVAL_THREADS`.
-    pub eval_threads: Option<usize>,
 }
 
 impl Default for ExchangeOptions {
     fn default() -> Self {
         ExchangeOptions {
             page_limit: DEFAULT_PAGE_LIMIT,
-            eval_threads: None,
         }
     }
 }
@@ -549,12 +540,6 @@ impl Cdss {
         // RemoteStore backend, the serving peer's spans) share this id.
         let _trace = orchestra_obs::trace_mint();
         let page_limit = opts.page_limit.max(1);
-        if let Some(threads) = opts.eval_threads {
-            // Thread the option through to the peer's translation engine
-            // (sticky; results are thread-count-invariant by the engine's
-            // parity guarantee).
-            self.peer_mut(peer_id)?.engine.set_threads(threads);
-        }
         let (prev_last_epoch, prev_resume, mut cursor) = {
             let peer = self.peer(peer_id)?;
             let cursor = peer
@@ -1218,19 +1203,9 @@ mod tests {
             }
         }
         cdss.publish(&a).unwrap().unwrap();
-        // Per-exchange override: sticky on the peer's engine.
-        let report = cdss
-            .reconcile_with(
-                &b,
-                ExchangeOptions {
-                    eval_threads: Some(1),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+        let report = cdss.reconcile(&b).unwrap();
         assert_eq!(report.outcome.accepted.len(), 1);
-        assert_eq!(cdss.peer(&b).unwrap().engine_threads(), 1);
-        assert_eq!(cdss.peer(&a).unwrap().engine_threads(), 2, "A untouched");
+        assert_eq!(cdss.peer(&b).unwrap().engine_threads(), 2);
         assert_eq!(
             cdss.peer(&b)
                 .unwrap()

@@ -208,9 +208,8 @@ impl Default for EvalOptions {
     /// available parallelism), **clamped to the host's parallelism** —
     /// oversubscribing cores never helps the deterministic pipeline and
     /// measurably regresses merge-heavy workloads (the 4/8-thread E11
-    /// rows on a 2-core host). Explicit `EvalOptions { threads, .. }` and
-    /// [`Engine::set_threads`] values are honored unclamped. Shards
-    /// default to [`DEFAULT_SHARDS`].
+    /// rows on a 2-core host). An explicit `EvalOptions { threads, .. }`
+    /// is honored unclamped. Shards default to [`DEFAULT_SHARDS`].
     fn default() -> Self {
         EvalOptions {
             threads: default_threads().min(host_parallelism()).max(1),
@@ -842,15 +841,11 @@ pub struct Engine {
     /// experiment E5). Provenance-based deletion then falls back to DRed.
     track_provenance: bool,
     opts: EvalOptions,
-    /// Lazily created; shared between cloned engines (and across a CDSS's
-    /// peer engines) via `Arc`.
-    pool: Option<Arc<WorkerPool>>,
-    /// A lazily-initialized pool slot shared with sibling engines (a CDSS
-    /// hands every peer engine the same slot): the first engine to
-    /// actually dispatch a parallel round creates the pool, siblings
-    /// reuse it, and nothing spawns threads for workloads that never
-    /// cross the parallel threshold.
-    shared_pool: Option<Arc<std::sync::OnceLock<Arc<WorkerPool>>>>,
+    /// The worker pool, created by the first round that dispatches in
+    /// parallel — so nothing spawns threads for workloads that never cross
+    /// the parallel threshold. The slot is shared with cloned engines, and
+    /// a CDSS hands every peer engine the same one.
+    pool: Arc<std::sync::OnceLock<Arc<WorkerPool>>>,
 }
 
 impl Engine {
@@ -939,8 +934,7 @@ impl Engine {
             mirrored: EngineStats::default(),
             track_provenance,
             opts,
-            pool: None,
-            shared_pool: None,
+            pool: Arc::default(),
         })
     }
 
@@ -1205,54 +1199,24 @@ impl Engine {
         self.opts.threads
     }
 
-    /// Change the evaluation thread count. Results are identical at any
-    /// value (see module docs); only wall-clock changes. A mismatched
-    /// lazily created pool is dropped and rebuilt on next use.
-    pub fn set_threads(&mut self, threads: usize) {
-        let t = threads.max(1);
-        if t != self.opts.threads {
-            self.opts.threads = t;
-            self.pool = None;
-        }
-    }
-
     /// The per-relation shard count.
     pub fn shards(&self) -> usize {
         self.opts.shards
     }
 
-    /// Share a worker pool with this engine (e.g. one pool across all of
-    /// a CDSS's peer engines). Sets the thread count to the pool's size.
-    pub fn set_worker_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.opts.threads = pool.size();
-        self.pool = Some(pool);
-    }
-
     /// Share a **lazy** pool slot with this engine: the pool is spawned
-    /// only when some sharing engine first dispatches a parallel round.
-    /// An engine whose thread count no longer matches the slot's pool
-    /// falls back to a private pool; setting it back re-attaches.
+    /// only when some sharing engine first dispatches a parallel round,
+    /// sized by that engine's thread count — so every engine sharing a
+    /// slot must be built with the same count.
     pub fn set_shared_pool_slot(&mut self, slot: Arc<std::sync::OnceLock<Arc<WorkerPool>>>) {
-        self.shared_pool = Some(slot);
+        self.pool = slot;
     }
 
-    fn ensure_pool(&mut self) -> Arc<WorkerPool> {
-        if let Some(p) = &self.pool {
-            if p.size() == self.opts.threads {
-                return Arc::clone(p);
-            }
-        }
-        if let Some(slot) = &self.shared_pool {
-            let p = slot.get_or_init(|| Arc::new(WorkerPool::new(self.opts.threads)));
-            if p.size() == self.opts.threads {
-                let p = Arc::clone(p);
-                self.pool = Some(Arc::clone(&p));
-                return p;
-            }
-        }
-        let p = Arc::new(WorkerPool::new(self.opts.threads));
-        self.pool = Some(Arc::clone(&p));
-        p
+    fn ensure_pool(&self) -> Arc<WorkerPool> {
+        Arc::clone(
+            self.pool
+                .get_or_init(|| Arc::new(WorkerPool::new(self.opts.threads))),
+        )
     }
 
     /// The dense id of a relation, if known.
@@ -2689,23 +2653,5 @@ mod tests {
         let edge = e.rel_id("edge").unwrap();
         assert_eq!(e.data[path.index()].part_cols(), &[0]);
         assert_eq!(e.data[edge.index()].part_cols(), &[1]);
-    }
-
-    #[test]
-    fn thread_count_is_tunable_at_runtime() {
-        let mut e = tc_engine_with(1);
-        assert_eq!(e.threads(), 1);
-        e.set_threads(3);
-        assert_eq!(e.threads(), 3);
-        e.propagate().unwrap();
-        e.set_threads(0); // clamped
-        assert_eq!(e.threads(), 1);
-        assert_eq!(e.shards(), 8);
-        // A shared pool pins the thread count to the pool size.
-        e.set_worker_pool(Arc::new(WorkerPool::new(2)));
-        assert_eq!(e.threads(), 2);
-        e.insert_base("edge", tuple!["x", "y"]).unwrap();
-        e.propagate().unwrap();
-        assert!(e.contains("path", &tuple!["x", "y"]));
     }
 }

@@ -15,9 +15,9 @@
 //!   [`orchestra_store::frame`]) carrying `Hello`/`Publish`/`FetchPage`/
 //!   `Fetch`/`Probe`, with transactions and cursors encoded by the same
 //!   codec that writes them to disk. See `docs/wire-protocol.md`.
-//! * **[`PeerServer`]** — a thread-pooled TCP listener serving a shared
-//!   `Arc<dyn UpdateStore>` with per-connection timeouts and graceful
-//!   shutdown.
+//! * **[`PeerServer`]** — a TCP listener serving a shared
+//!   `Arc<dyn UpdateStore>`, one blocking thread per connection, with
+//!   per-connection timeouts and graceful shutdown.
 //! * **[`RemoteStore`]** — the client half: every transport failure
 //!   (refused, timeout, cut, checksum) maps to
 //!   [`StoreError::Unavailable`](orchestra_store::StoreError::Unavailable),

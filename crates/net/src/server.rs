@@ -1,14 +1,13 @@
 //! [`PeerServer`]: expose any [`UpdateStore`] backend over TCP.
 //!
-//! One listener, a small fixed worker pool. Connections are *not* pinned
-//! to workers: a worker takes a connection off the shared queue, serves
-//! requests while data keeps arriving (bounded per turn for fairness),
-//! and the moment the connection goes quiet for one poll tick it is
-//! requeued and the worker moves on — so a handful of idle keep-alive
-//! clients can never starve new connections. Reads poll in short ticks
-//! (graceful shutdown never waits on an idle socket), a frame that
-//! started arriving must complete within `read_timeout`, and quiet
-//! connections are reaped after `idle_timeout`.
+//! One blocking thread per connection. The acceptor blocks in `accept`
+//! and hands each connection a thread that loops — read a frame, decode,
+//! execute, send — until the peer closes, breaks the protocol, a send
+//! fails, or the connection sits idle past `idle_timeout`. A frame that
+//! started arriving must complete within `read_timeout`. Shutdown wakes
+//! the acceptor with one connect to its own address, then closes the read
+//! half of every live connection: a blocked read returns EOF at once,
+//! while a request already executing still writes its response.
 
 use crate::proto::{PullPage, Request, Response, ServerCounters, PROTOCOL_VERSION};
 use orchestra_store::frame::{crc32, frame, FRAME_HEADER, MAX_FRAME_LEN};
@@ -16,23 +15,20 @@ use orchestra_store::{StoreError, UpdateStore};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How often a blocked read wakes up to check the shutdown flag.
-const POLL_TICK: Duration = Duration::from_millis(50);
 
 /// Tunables for a [`PeerServer`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServerOptions {
-    /// Worker threads — the number of connections served concurrently.
-    pub workers: usize,
     /// An idle connection (no request in progress) is closed after this
     /// long; the client pool reconnects transparently.
     pub idle_timeout: Duration,
-    /// A connection that stalls *mid-frame* for this long is closed.
+    /// A frame that started arriving must complete within this long, or
+    /// the connection is closed.
     pub read_timeout: Duration,
     /// A response write that blocks for this long closes the connection.
     pub write_timeout: Duration,
@@ -41,7 +37,6 @@ pub struct ServerOptions {
 impl Default for ServerOptions {
     fn default() -> Self {
         ServerOptions {
-            workers: 4,
             idle_timeout: Duration::from_secs(60),
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
@@ -140,17 +135,31 @@ impl AtomicServerStats {
     }
 }
 
+/// What the acceptor and every connection thread share.
+struct Shared {
+    store: Arc<dyn UpdateStore>,
+    opts: ServerOptions,
+    shutdown: AtomicBool,
+    stats: AtomicServerStats,
+    subscriptions: Mutex<BTreeMap<String, Vec<String>>>,
+}
+
+/// A connection being served: a second handle onto its socket, so
+/// shutdown can close the read half under a blocked read, and its thread.
+struct Live {
+    stream: TcpStream,
+    thread: JoinHandle<()>,
+}
+
 /// A TCP endpoint serving the [`UpdateStore`] surface of any backend —
 /// in-memory, replicated, or durable. Peers on other machines attach a
 /// [`RemoteStore`](crate::RemoteStore) to it and reconcile as if the
 /// archive were local.
 pub struct PeerServer {
     local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    stats: Arc<AtomicServerStats>,
-    subscriptions: Arc<Mutex<BTreeMap<String, Vec<String>>>>,
+    shared: Arc<Shared>,
+    /// Returns the live connections when it exits.
+    acceptor: Option<JoinHandle<Vec<Live>>>,
 }
 
 impl PeerServer {
@@ -168,107 +177,23 @@ impl PeerServer {
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(AtomicServerStats::default());
-        let subscriptions = Arc::new(Mutex::new(BTreeMap::new()));
-        let (tx, rx) = mpsc::channel::<Conn>();
-        let rx = Arc::new(Mutex::new(rx));
-
-        let mut workers = Vec::with_capacity(opts.workers.max(1));
-        for _ in 0..opts.workers.max(1) {
-            let rx = Arc::clone(&rx);
-            let tx = tx.clone();
-            let store = Arc::clone(&store);
-            let shutdown = Arc::clone(&shutdown);
-            let stats = Arc::clone(&stats);
-            let subscriptions = Arc::clone(&subscriptions);
-            workers.push(std::thread::spawn(move || loop {
-                // Hold the receiver lock only while waiting for the next
-                // connection; serve it with the lock released. The wait
-                // is a short tick so shutdown is always observed even
-                // though this worker's own `tx` clone keeps the channel
-                // open.
-                let conn = {
-                    let guard = rx.lock();
-                    guard.recv_timeout(POLL_TICK)
-                };
-                match conn {
-                    Ok(mut conn) => {
-                        match serve_turn(
-                            &mut conn,
-                            &*store,
-                            &shutdown,
-                            opts,
-                            &stats,
-                            &subscriptions,
-                        ) {
-                            // Quiet but healthy: hand the connection back
-                            // to the queue so this worker can serve
-                            // someone else.
-                            Turn::Keep if !shutdown.load(Ordering::SeqCst) => {
-                                let _ = tx.send(conn);
-                            }
-                            _ => {} // Closed, or shutting down: drop it.
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            }));
-        }
-
-        // Non-blocking accept loop: polls the shutdown flag every tick,
-        // so shutdown never depends on being able to connect to our own
-        // listening address.
-        listener.set_nonblocking(true)?;
+        let shared = Arc::new(Shared {
+            store,
+            opts,
+            shutdown: AtomicBool::new(false),
+            stats: AtomicServerStats::default(),
+            subscriptions: Mutex::new(BTreeMap::new()),
+        });
         let acceptor = {
-            let shutdown = Arc::clone(&shutdown);
-            let stats = Arc::clone(&stats);
-            std::thread::spawn(move || loop {
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if stream.set_nonblocking(false).is_err() {
-                            continue;
-                        }
-                        let _ = stream.set_nodelay(true);
-                        let _ = stream.set_read_timeout(Some(POLL_TICK));
-                        let _ = stream.set_write_timeout(Some(opts.write_timeout));
-                        stats.connections.inc();
-                        if tx
-                            .send(Conn {
-                                stream,
-                                greeted: false,
-                                idle_since: Instant::now(),
-                            })
-                            .is_err()
-                        {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(POLL_TICK);
-                    }
-                    Err(_) => std::thread::sleep(POLL_TICK),
-                }
-                // `tx` drops when this thread exits; the workers each
-                // hold a clone, and exit on the shutdown flag instead.
-            })
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name("orchestra-accept".into())
+                .spawn(move || accept_loop(&listener, &shared))?
         };
-
         Ok(PeerServer {
             local_addr,
-            shutdown,
+            shared,
             acceptor: Some(acceptor),
-            workers,
-            stats,
-            subscriptions,
         })
     }
 
@@ -279,14 +204,14 @@ impl PeerServer {
 
     /// Counters snapshot.
     pub fn stats(&self) -> ServerStats {
-        self.stats.snapshot()
+        self.shared.stats.snapshot()
     }
 
     /// The mesh subscribers registered on this server (peer name →
     /// interest set; an empty interest means full replication). Last
     /// registration per peer wins.
     pub fn subscribers(&self) -> BTreeMap<String, Vec<String>> {
-        self.subscriptions.lock().clone()
+        self.shared.subscriptions.lock().clone()
     }
 
     /// Graceful shutdown: stop accepting, let in-flight requests finish,
@@ -296,16 +221,34 @@ impl PeerServer {
     }
 
     fn shutdown_inner(&mut self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
+        let Some(acceptor) = self.acceptor.take() else {
             return;
+        };
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        // Wake the acceptor out of `accept`. This cannot hang: while the
+        // listener is open, the connect either lands in its backlog —
+        // `accept` returns it and sees the flag — or the backlog is full,
+        // and then `accept` returns a queued connection anyway, sees the
+        // flag and drops the listener, which refuses the connect's next
+        // SYN retransmission.
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
         }
-        // Acceptor and workers poll the flag every tick; nothing blocks
-        // indefinitely, so plain joins suffice.
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
+        let _ = TcpStream::connect(wake);
+        // The acceptor owns the listener, so joining it frees the port
+        // for a restart.
+        let live = acceptor.join().unwrap_or_default();
+        // A blocked read returns EOF at once; a request already executing
+        // still writes its response, because the write half stays open.
+        for conn in &live {
+            let _ = conn.stream.shutdown(Shutdown::Read);
         }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
+        for conn in live {
+            let _ = conn.thread.join();
         }
     }
 }
@@ -320,114 +263,111 @@ impl std::fmt::Debug for PeerServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PeerServer")
             .field("local_addr", &self.local_addr)
-            .field("workers", &self.workers.len())
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
-/// A connection and its protocol state, travelling between workers via
-/// the shared queue.
-struct Conn {
-    stream: TcpStream,
-    /// HELLO completed — until then only a handshake is accepted.
-    greeted: bool,
-    /// When this connection last did useful work (for idle reaping).
-    idle_since: Instant,
-}
-
-/// What a worker should do with a connection after one serving turn.
-enum Turn {
-    /// Healthy but currently quiet: requeue it.
-    Keep,
-    /// Closed, violated the protocol, idled out, or shutting down.
-    Close,
-}
-
-/// Requests served back-to-back before a busy connection is requeued —
-/// keeps one chatty peer from pinning a worker forever.
-const REQUESTS_PER_TURN: usize = 128;
-
-/// Serve one turn on a connection: handle requests while data keeps
-/// arriving, yield the worker as soon as the connection goes quiet for
-/// one poll tick.
-fn serve_turn(
-    conn: &mut Conn,
-    store: &dyn UpdateStore,
-    shutdown: &AtomicBool,
-    opts: ServerOptions,
-    stats: &AtomicServerStats,
-    subscriptions: &Mutex<BTreeMap<String, Vec<String>>>,
-) -> Turn {
-    for _ in 0..REQUESTS_PER_TURN {
-        // Phase 1: wait one tick for the first byte of the next frame.
-        let mut first = [0u8; 1];
-        match read_exact_polled(&mut conn.stream, &mut first, shutdown, POLL_TICK, true) {
-            PolledRead::Done => {}
-            PolledRead::Eof => return Turn::Close, // Clean close.
-            PolledRead::Shutdown => return Turn::Close,
-            PolledRead::TimedOut => {
-                // Quiet this tick: reap if it has been quiet too long,
-                // otherwise give the worker back.
-                if conn.idle_since.elapsed() >= opts.idle_timeout {
-                    return Turn::Close;
-                }
-                return Turn::Keep;
-            }
-            PolledRead::Failed => return Turn::Close,
+/// Accept connections until shutdown, giving each its own thread; return
+/// the connections still registered.
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) -> Vec<Live> {
+    let mut live: Vec<Live> = Vec::new();
+    loop {
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return live;
         }
-        // Phase 2: the frame started — it must now complete within
-        // `read_timeout`, or the peer is stalling mid-frame.
-        // analyze: allow(panic) -- `first` is a fixed [u8; 1] buffer; index 0 is always in bounds
-        let payload = match recv_started_frame(&mut conn.stream, first[0], &opts) {
-            FrameRecv::Ok(p) => p,
-            FrameRecv::Corrupt => {
+        // Release the finished connections' socket handles — before
+        // looking at `accepted`, so a failed accept at the descriptor
+        // limit frees what it can for the next one.
+        live.retain(|conn| !conn.thread.is_finished());
+        let Ok((stream, _)) = accepted else {
+            continue;
+        };
+        let _ = stream.set_nodelay(true);
+        let _ = stream.set_write_timeout(Some(shared.opts.write_timeout));
+        let Ok(handle) = stream.try_clone() else {
+            continue;
+        };
+        shared.stats.connections.inc();
+        let conn_shared = Arc::clone(shared);
+        // A connection that gets no thread is dropped, i.e. closed.
+        if let Ok(thread) = std::thread::Builder::new()
+            .name("orchestra-conn".into())
+            .spawn(move || {
+                let mut stream = stream;
+                serve(&mut stream, &conn_shared);
+                // The registry's handle keeps the socket open until the
+                // next accept prunes it; close it for the peer now.
+                let _ = stream.shutdown(Shutdown::Both);
+            })
+        {
+            live.push(Live {
+                stream: handle,
+                thread,
+            });
+        }
+    }
+}
+
+/// Serve one connection until it closes.
+fn serve(stream: &mut TcpStream, shared: &Shared) {
+    let stats = &shared.stats;
+    let mut greeted = false;
+    loop {
+        let payload = match recv_frame(stream, &shared.opts) {
+            Ok(p) => p,
+            Err(Close::Quiet) => return,
+            Err(Close::Corrupt) => {
                 stats.protocol_errors.inc();
                 stats.corrupt_frames.inc();
-                return Turn::Close;
+                return;
             }
-            FrameRecv::TimedOut => {
+            Err(Close::Stalled) => {
                 stats.protocol_errors.inc();
                 stats.timed_out_conns.inc();
-                return Turn::Close;
+                return;
             }
-            FrameRecv::Cut => {
-                stats.protocol_errors.inc();
-                return Turn::Close;
+            Err(Close::Cut) => {
+                // Shutdown closes read halves under frames still
+                // arriving; that cut is ours, not the peer's violation.
+                if !shared.shutdown.load(Ordering::SeqCst) {
+                    stats.protocol_errors.inc();
+                }
+                return;
             }
         };
-        conn.idle_since = Instant::now();
 
-        if !conn.greeted {
+        if !greeted {
             // The first frame must be a HELLO carrying our version.
             match Request::decode(&payload) {
                 Ok(Request::Hello { version, .. }) if version == PROTOCOL_VERSION => {
-                    if send(&mut conn.stream, &Response::HelloOk { version }).is_err() {
-                        return Turn::Close;
+                    if send(stream, &Response::HelloOk { version }).is_err() {
+                        return;
                     }
-                    conn.greeted = true;
+                    greeted = true;
                 }
                 Ok(Request::Hello { version, .. }) => {
                     stats.protocol_errors.inc();
                     let _ = send(
-                        &mut conn.stream,
+                        stream,
                         &Response::Err(StoreError::InvalidConfig(format!(
                             "unsupported protocol version {version} \
                              (server speaks {PROTOCOL_VERSION})"
                         ))),
                     );
-                    return Turn::Close;
+                    return;
                 }
                 _ => {
                     // Not a hello (or undecodable): whatever is on the
                     // other end is not an orchestra peer.
                     stats.protocol_errors.inc();
                     let _ = send(
-                        &mut conn.stream,
+                        stream,
                         &Response::Err(StoreError::InvalidConfig(
                             "expected HELLO as the first frame".into(),
                         )),
                     );
-                    return Turn::Close;
+                    return;
                 }
             }
         } else {
@@ -437,7 +377,7 @@ fn serve_turn(
                     // work — spans recorded down in the store while it
                     // executes — into the caller's cross-peer trace.
                     let _trace = orchestra_obs::trace_adopt(req.trace());
-                    execute(store, req, stats, subscriptions)
+                    execute(&*shared.store, req, stats, &shared.subscriptions)
                 }
                 Err(e) => Response::Err(StoreError::Corrupt {
                     path: "<wire>".into(),
@@ -449,74 +389,85 @@ fn serve_turn(
             if matches!(response, Response::Err(_)) {
                 stats.errors.inc();
             }
-            if send(&mut conn.stream, &response).is_err() {
-                return Turn::Close;
+            if send(stream, &response).is_err() {
+                return;
             }
         }
-        // Finish the in-flight request before honoring shutdown — that
-        // is what makes the shutdown graceful.
-        if shutdown.load(Ordering::SeqCst) {
-            return Turn::Close;
-        }
     }
-    Turn::Keep // Busy connection: requeue for fairness.
 }
 
-/// How reading a started frame ended — the distinction feeds the
-/// breaker-visible counters on `PROBE_OK` (all non-`Ok` outcomes also
-/// count as protocol errors and close the connection).
-enum FrameRecv {
-    /// Checksum-verified payload.
-    Ok(Vec<u8>),
+/// Why a connection stopped yielding frames — the distinction feeds the
+/// breaker-visible counters on `PROBE_OK`.
+enum Close {
+    /// Nothing started arriving: the peer closed, the connection idled
+    /// past `idle_timeout`, or shutdown closed it between frames.
+    Quiet,
     /// The bytes arrived but were wrong: checksum mismatch or an
     /// implausible length prefix — bit rot, not a stall.
     Corrupt,
-    /// The frame stalled mid-transfer past `read_timeout`.
-    TimedOut,
+    /// A started frame stalled past `read_timeout`.
+    Stalled,
     /// The connection was cut (EOF or hard I/O error) mid-frame.
     Cut,
 }
 
-/// Finish reading a frame whose first byte already arrived: the rest of
-/// the header and the payload must complete within `read_timeout`.
-fn recv_started_frame(stream: &mut TcpStream, first_byte: u8, opts: &ServerOptions) -> FrameRecv {
-    let mut header = [0u8; FRAME_HEADER];
-    header[0] = first_byte; // analyze: allow(panic) -- header is [u8; FRAME_HEADER], FRAME_HEADER >= 8
-    match read_exact_polled(
-        stream,
-        // analyze: allow(panic) -- range 1.. of a FRAME_HEADER-sized array is always in bounds
-        &mut header[1..],
-        &AtomicBool::new(false),
-        opts.read_timeout,
-        false,
-    ) {
-        PolledRead::Done => {}
-        PolledRead::TimedOut => return FrameRecv::TimedOut,
-        _ => return FrameRecv::Cut, // Cut mid-header.
+/// Read the next frame: wait up to `idle_timeout` for its first byte,
+/// then up to `read_timeout` for the rest.
+fn recv_frame(stream: &mut TcpStream, opts: &ServerOptions) -> Result<Vec<u8>, Close> {
+    let mut first = [0u8; 1];
+    // `set_read_timeout` rejects a zero duration.
+    let _ = stream.set_read_timeout(Some(opts.idle_timeout.max(Duration::from_millis(1))));
+    loop {
+        match stream.read(&mut first) {
+            Ok(0) => return Err(Close::Quiet),
+            Ok(_) => break,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => return Err(Close::Quiet), // Idled out, or reset.
+        }
     }
-    // analyze: allow(panic) -- constant 4-byte slices of the 8-byte header; try_into is infallible here
-    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-    // analyze: allow(panic) -- constant 4-byte slices of the 8-byte header; try_into is infallible here
-    let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+    let deadline = Instant::now() + opts.read_timeout;
+    let mut rest = [0u8; FRAME_HEADER - 1];
+    read_by(stream, &mut rest, deadline)?;
+    let [l0] = first;
+    let [l1, l2, l3, c0, c1, c2, c3] = rest;
+    let len = u32::from_le_bytes([l0, l1, l2, l3]);
+    let crc = u32::from_le_bytes([c0, c1, c2, c3]);
     if len > MAX_FRAME_LEN {
-        return FrameRecv::Corrupt;
+        return Err(Close::Corrupt);
     }
     let mut payload = vec![0u8; len as usize];
-    match read_exact_polled(
-        stream,
-        &mut payload,
-        &AtomicBool::new(false),
-        opts.read_timeout,
-        false,
-    ) {
-        PolledRead::Done => {}
-        PolledRead::TimedOut => return FrameRecv::TimedOut,
-        _ => return FrameRecv::Cut, // Cut mid-payload.
-    }
+    read_by(stream, &mut payload, deadline)?;
     if crc32(&payload) != crc {
-        return FrameRecv::Corrupt;
+        return Err(Close::Corrupt);
     }
-    FrameRecv::Ok(payload)
+    Ok(payload)
+}
+
+/// Fill `buf` before `deadline`. Each read waits only for the time left,
+/// so a client trickling bytes cannot extend the deadline.
+fn read_by(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant) -> Result<(), Close> {
+    let mut filled = 0usize;
+    while filled < buf.len() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(Close::Stalled);
+        }
+        let _ = stream.set_read_timeout(Some(left));
+        // analyze: allow(panic) -- the loop guard keeps filled <= buf.len()
+        match stream.read(&mut buf[filled..]) {
+            Ok(0) => return Err(Close::Cut),
+            Ok(n) => filled += n,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock
+                        | std::io::ErrorKind::TimedOut
+                        | std::io::ErrorKind::Interrupted
+                ) => {} // The deadline check above decides.
+            Err(_) => return Err(Close::Cut),
+        }
+    }
+    Ok(())
 }
 
 /// Run one request against the backing store.
@@ -549,13 +500,7 @@ fn execute(
             len: store.len() as u64,
             latest_epoch: store.latest_epoch(),
             stats: store.stats(),
-            server: ServerCounters {
-                digests_served: stats.digests_served.get(),
-                pull_pages: stats.pull_pages.get(),
-                subscriptions: stats.subscriptions.get(),
-                corrupt_frames: stats.corrupt_frames.get(),
-                timed_out_conns: stats.timed_out_conns.get(),
-            },
+            server: stats.snapshot().counters(),
         },
         Request::Digest => {
             stats.digests_served.inc();
@@ -665,51 +610,4 @@ fn send(stream: &mut TcpStream, response: &Response) -> std::io::Result<()> {
     }
     stream.write_all(&framed)?;
     stream.flush()
-}
-
-enum PolledRead {
-    /// Buffer filled.
-    Done,
-    /// Stream ended before the buffer filled.
-    Eof,
-    /// Shutdown observed before any byte arrived.
-    Shutdown,
-    /// Deadline passed before the buffer filled.
-    TimedOut,
-    /// Hard I/O error.
-    Failed,
-}
-
-fn read_exact_polled(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    shutdown: &AtomicBool,
-    deadline: Duration,
-    honor_shutdown_while_empty: bool,
-) -> PolledRead {
-    let start = Instant::now();
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        // analyze: allow(panic) -- the loop guard keeps filled <= buf.len()
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return PolledRead::Eof,
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if honor_shutdown_while_empty && filled == 0 && shutdown.load(Ordering::SeqCst) {
-                    return PolledRead::Shutdown;
-                }
-                if start.elapsed() >= deadline {
-                    return PolledRead::TimedOut;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return PolledRead::Failed,
-        }
-    }
-    PolledRead::Done
 }

@@ -217,7 +217,6 @@ fn concurrent_clients_share_one_archive() {
         "127.0.0.1:0",
         backend,
         ServerOptions {
-            workers: 4,
             ..ServerOptions::default()
         },
     )
@@ -257,7 +256,6 @@ fn graceful_shutdown_finishes_in_flight_requests() {
             "127.0.0.1:0",
             backend.clone(),
             ServerOptions {
-                workers: 2,
                 ..ServerOptions::default()
             },
         )
@@ -273,6 +271,59 @@ fn graceful_shutdown_finishes_in_flight_requests() {
             "graceful shutdown stalled"
         );
     }
+}
+
+/// Idle keep-alive clients never delay a newcomer: with more pooled idle
+/// connections open than a fixed worker pool would have threads, a fresh
+/// connect + probe still round-trips in a few milliseconds.
+#[test]
+fn idle_pooled_connections_do_not_starve_new_ones() {
+    let backend = Arc::new(InMemoryStore::new());
+    let server = PeerServer::bind("127.0.0.1:0", backend).unwrap();
+    let addr = server.local_addr();
+    let idle: Vec<RemoteStore> = (0..8)
+        .map(|_| RemoteStore::connect_with(addr, fast_opts()).unwrap())
+        .collect();
+
+    let mut times: Vec<Duration> = (0..10)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            let remote = RemoteStore::connect_with(addr, fast_opts()).unwrap();
+            remote.probe().unwrap();
+            start.elapsed()
+        })
+        .collect();
+    times.sort();
+    let median = times[times.len() / 2];
+    assert!(
+        median < Duration::from_millis(40),
+        "fresh connect + probe median {median:?} behind {} idle clients: {times:?}",
+        idle.len()
+    );
+    server.shutdown();
+}
+
+/// Shutdown does not wait out `read_timeout` behind a client that stalled
+/// mid-frame: closing the read half ends the blocked read at once.
+#[test]
+fn shutdown_is_prompt_with_a_client_stalled_mid_frame() {
+    use std::io::Write;
+    let backend = Arc::new(InMemoryStore::new());
+    let server = PeerServer::bind("127.0.0.1:0", backend).unwrap();
+    assert_eq!(
+        ServerOptions::default().read_timeout,
+        Duration::from_secs(10)
+    );
+    let _idle = RemoteStore::connect_with(server.local_addr(), fast_opts()).unwrap();
+    // One byte of a frame header, then silence.
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    raw.write_all(&[0x07]).unwrap();
+    std::thread::sleep(Duration::from_millis(200));
+
+    let start = std::time::Instant::now();
+    server.shutdown();
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
 }
 
 #[test]

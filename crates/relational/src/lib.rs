@@ -20,9 +20,9 @@
 //!   since it was last published.
 //! * [`Instance`] — a database instance (one per peer); `publish` reads
 //!   its relations' pending-edit logs.
-//! * [`Predicate`] / [`Expr`] — scalar expressions and predicates evaluated
-//!   over tuples; trust conditions in the reconciliation layer are built from
-//!   these.
+//! * [`Predicate`] — column-versus-literal comparisons and their boolean
+//!   combinations over tuples; trust conditions in the reconciliation layer
+//!   are built from these.
 //! * [`ValueInterner`] / [`Sym`] / [`SymTuple`] — dense `u32` symbols for
 //!   values, the representation the datalog engine's join pipeline runs on
 //!   (integer equality/hashing, fixed-width index keys).
@@ -34,7 +34,6 @@
 
 pub mod error;
 pub mod exec;
-pub mod expr;
 pub mod instance;
 pub mod intern;
 pub mod io;
@@ -47,7 +46,6 @@ pub mod value;
 
 pub use error::RelationalError;
 pub use exec::{default_threads, host_parallelism, Job, WorkerPool};
-pub use expr::Expr;
 pub use instance::Instance;
 pub use intern::{InternerStats, Sym, SymTuple, ValueInterner};
 pub use predicate::{CmpOp, Predicate};

@@ -3,9 +3,9 @@
 //! The reconciliation layer's *trust conditions* ("Crete trusts updates
 //! where the data concerns organisms it studies") are predicates over update
 //! contents; mapping bodies may also carry comparison filters. Predicates
-//! compose over [`Expr`]s.
+//! compare a column against a literal and compose with and/or/not.
 
-use crate::expr::Expr;
+use crate::error::RelationalError;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::Result;
@@ -67,14 +67,14 @@ pub enum Predicate {
     True,
     /// Always false.
     False,
-    /// Compare two expressions.
+    /// Compare the value in column `col` against a literal.
     Compare {
-        /// Left operand.
-        left: Expr,
+        /// Column of the input tuple.
+        col: usize,
         /// Operator.
         op: CmpOp,
-        /// Right operand.
-        right: Expr,
+        /// The literal right-hand side.
+        value: Value,
     },
     /// Conjunction (empty = true).
     And(Vec<Predicate>),
@@ -87,19 +87,15 @@ pub enum Predicate {
 impl Predicate {
     /// `column = literal`, the workhorse trust-condition form.
     pub fn col_eq(col: usize, v: impl Into<Value>) -> Predicate {
-        Predicate::Compare {
-            left: Expr::Column(col),
-            op: CmpOp::Eq,
-            right: Expr::Const(v.into()),
-        }
+        Predicate::col_cmp(col, CmpOp::Eq, v)
     }
 
     /// `column <op> literal`.
     pub fn col_cmp(col: usize, op: CmpOp, v: impl Into<Value>) -> Predicate {
         Predicate::Compare {
-            left: Expr::Column(col),
+            col,
             op,
-            right: Expr::Const(v.into()),
+            value: v.into(),
         }
     }
 
@@ -108,8 +104,14 @@ impl Predicate {
         match self {
             Predicate::True => Ok(true),
             Predicate::False => Ok(false),
-            Predicate::Compare { left, op, right } => {
-                Ok(op.apply(&left.eval(tuple)?, &right.eval(tuple)?))
+            Predicate::Compare { col, op, value } => {
+                let v = tuple.get(*col).ok_or_else(|| {
+                    RelationalError::ExprError(format!(
+                        "column {col} out of range for tuple of arity {}",
+                        tuple.arity()
+                    ))
+                })?;
+                Ok(op.apply(v, value))
             }
             Predicate::And(ps) => {
                 for p in ps {
@@ -135,12 +137,7 @@ impl Predicate {
     pub fn max_column(&self) -> Option<usize> {
         match self {
             Predicate::True | Predicate::False => None,
-            Predicate::Compare { left, right, .. } => {
-                match (left.max_column(), right.max_column()) {
-                    (Some(a), Some(b)) => Some(a.max(b)),
-                    (a, b) => a.or(b),
-                }
-            }
+            Predicate::Compare { col, .. } => Some(*col),
             Predicate::And(ps) | Predicate::Or(ps) => {
                 ps.iter().filter_map(Predicate::max_column).max()
             }
@@ -154,7 +151,7 @@ impl fmt::Display for Predicate {
         match self {
             Predicate::True => write!(f, "true"),
             Predicate::False => write!(f, "false"),
-            Predicate::Compare { left, op, right } => write!(f, "{left} {op} {right}"),
+            Predicate::Compare { col, op, value } => write!(f, "${col} {op} {value}"),
             Predicate::And(ps) => {
                 if ps.is_empty() {
                     return write!(f, "true");
@@ -236,13 +233,8 @@ mod tests {
     #[test]
     fn cross_variant_comparison_uses_total_order() {
         // Int < Str in the total order; never panics.
-        let t = tuple![1, "a"];
-        let p = Predicate::Compare {
-            left: Expr::Column(0),
-            op: CmpOp::Lt,
-            right: Expr::Column(1),
-        };
-        assert!(p.eval(&t).unwrap());
+        let t = tuple![1];
+        assert!(Predicate::col_cmp(0, CmpOp::Lt, "a").eval(&t).unwrap());
     }
 
     #[test]

@@ -20,8 +20,6 @@
 //!   relation's declared key,
 //! * [`Transaction`] / [`TxnId`] — grouped updates with explicit antecedent
 //!   sets and origin peer,
-//! * [`WriterIndex`] — derives antecedents ("who last wrote this key?")
-//!   when transactions are recorded against a history,
 //! * [`DepGraph`] — the transaction dependency graph with transitive
 //!   dependent/antecedent closure used for cascading accept/reject/defer,
 //! * [`Epoch`] / [`LogicalClock`] — the logical clock advanced by each
@@ -32,14 +30,12 @@ pub mod depgraph;
 pub mod error;
 pub mod txn;
 pub mod update;
-pub mod writer_index;
 
 pub use clock::{Epoch, LogicalClock};
 pub use depgraph::DepGraph;
 pub use error::UpdateError;
 pub use txn::{PeerId, Transaction, TxnId};
 pub use update::{Update, WriteOutcome};
-pub use writer_index::WriterIndex;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, UpdateError>;

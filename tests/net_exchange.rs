@@ -256,13 +256,7 @@ fn server_killed_mid_exchange_restart_resumes_at_gap_without_duplicates() {
     let b = PeerId::new("B");
 
     let first: ReconcileReport = site_b
-        .reconcile_with(
-            &b,
-            ExchangeOptions {
-                page_limit: 2,
-                ..Default::default()
-            },
-        )
+        .reconcile_with(&b, ExchangeOptions { page_limit: 2 })
         .unwrap();
     assert!(first.unreachable, "outage reported, not errored");
     assert_eq!(first.pages, 3, "three pages landed before the cut");
@@ -277,13 +271,7 @@ fn server_killed_mid_exchange_restart_resumes_at_gap_without_duplicates() {
 
     // While down: polls degrade gracefully, state stays frozen.
     let down = site_b
-        .reconcile_with(
-            &b,
-            ExchangeOptions {
-                page_limit: 2,
-                ..Default::default()
-            },
-        )
+        .reconcile_with(&b, ExchangeOptions { page_limit: 2 })
         .unwrap();
     assert!(down.unreachable);
     assert_eq!(down.fetched, 0);
@@ -295,13 +283,7 @@ fn server_killed_mid_exchange_restart_resumes_at_gap_without_duplicates() {
     // transaction exactly once.
     let server = PeerServer::bind(addr, backend).unwrap();
     let second = site_b
-        .reconcile_with(
-            &b,
-            ExchangeOptions {
-                page_limit: 2,
-                ..Default::default()
-            },
-        )
+        .reconcile_with(&b, ExchangeOptions { page_limit: 2 })
         .unwrap();
     assert!(!second.unreachable);
     assert_eq!(second.blocked_on, None);

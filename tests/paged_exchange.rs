@@ -272,13 +272,7 @@ fn conflict_window_is_the_page() {
     // deterministically.
     let (mut cdss, ta, tc) = make();
     let r = cdss
-        .reconcile_with(
-            &b,
-            ExchangeOptions {
-                page_limit: 1,
-                ..Default::default()
-            },
-        )
+        .reconcile_with(&b, ExchangeOptions { page_limit: 1 })
         .unwrap();
     assert_eq!(r.outcome.accepted, vec![ta]);
     assert_eq!(r.outcome.rejected, vec![tc]);
@@ -305,13 +299,7 @@ fn exchange_is_paged_and_page_size_invariant() {
 
     let mut paged = make();
     let report = paged
-        .reconcile_with(
-            &b,
-            ExchangeOptions {
-                page_limit: 3,
-                ..Default::default()
-            },
-        )
+        .reconcile_with(&b, ExchangeOptions { page_limit: 3 })
         .unwrap();
     assert_eq!(report.pages, 4, "10 txns / limit 3 → 4 pages");
     assert_eq!(report.fetched, 10);
@@ -327,13 +315,7 @@ fn exchange_is_paged_and_page_size_invariant() {
 
     // Caught up: the next paged exchange scans a single empty page.
     let idle = paged
-        .reconcile_with(
-            &b,
-            ExchangeOptions {
-                page_limit: 3,
-                ..Default::default()
-            },
-        )
+        .reconcile_with(&b, ExchangeOptions { page_limit: 3 })
         .unwrap();
     assert_eq!(idle.pages, 1);
     assert_eq!(idle.fetched, 0);
@@ -452,13 +434,7 @@ fn forward_reference_across_page_boundary_is_not_lost() {
     // page_limit 1 puts A#1 (the dependent) on its own page before C#1.
     let b = PeerId::new("B");
     let report = cdss
-        .reconcile_with(
-            &b,
-            ExchangeOptions {
-                page_limit: 1,
-                ..Default::default()
-            },
-        )
+        .reconcile_with(&b, ExchangeOptions { page_limit: 1 })
         .unwrap();
     assert!(
         report.outcome.accepted.contains(&ta.id) && report.outcome.accepted.contains(&tc.id),
