@@ -32,7 +32,7 @@ use orchestra_datalog::{DeletionAlgorithm, Engine, EngineStats, EvalOptions};
 use orchestra_net::{PeerServer, RemoteOptions, RemoteStore};
 use orchestra_provenance::{Boolean, Counting, Semiring, Tropical};
 use orchestra_reconcile::{Reconciler, TrustPolicy};
-use orchestra_relational::tuple;
+use orchestra_relational::{tuple, Tuple};
 use orchestra_store::{
     CacheMode, DurableOptions, DurableStore, FetchCursor, ReplicatedStore, SyncPolicy, UpdateStore,
 };
@@ -629,12 +629,15 @@ fn e5_prov_overhead() {
     println!();
 }
 
-/// E6 — deletion propagation: provenance-based vs DRed.
+/// E6 — deletion propagation: provenance-based vs DRed, each timed as
+/// one `remove_bases` call over the whole deletion set beside the
+/// one-`remove_base`-at-a-time loop. All four engines must end with the
+/// same relation contents.
 fn e6_deletion() {
     println!("── E6: deletion propagation, provenance vs DRed (companion [5]) ──");
     println!(
-        "{:>8} {:>10} {:>14} {:>12} {:>10}",
-        "seqs", "deleted", "dred ms", "prov ms", "speedup"
+        "{:>8} {:>10} {:>11} {:>11} {:>11} {:>11} {:>9} {:>9}",
+        "seqs", "deleted", "dred1 ms", "dredset ms", "prov1 ms", "provset ms", "dred x", "prov x"
     );
     let (schema, rules) = bio_engine_parts();
     for &n in &[256usize, 1024] {
@@ -647,27 +650,50 @@ fn e6_deletion() {
                 .take(((n as f64) * frac) as usize)
                 .cloned()
                 .collect();
-            let mut dred = warm_engine(schema.clone(), rules.clone(), &facts, true);
-            let (_, t_dred) = timed(|| {
-                for (rel, t) in &victims {
-                    dred.remove_base(rel, t, DeletionAlgorithm::DRed).unwrap();
+            let victim_refs: Vec<(&str, &Tuple)> = victims.iter().map(|(r, t)| (*r, t)).collect();
+            let one_at_a_time = |algo: DeletionAlgorithm| {
+                let mut e = warm_engine(schema.clone(), rules.clone(), &facts, true);
+                let (_, t) = timed(|| {
+                    for (rel, tuple) in &victims {
+                        e.remove_base(rel, tuple, algo).unwrap();
+                    }
+                });
+                (e, t)
+            };
+            let as_set = |algo: DeletionAlgorithm| {
+                let mut e = warm_engine(schema.clone(), rules.clone(), &facts, true);
+                let (_, t) = timed(|| e.remove_bases(&victim_refs, algo).unwrap());
+                (e, t)
+            };
+            let (dred1, t_dred1) = one_at_a_time(DeletionAlgorithm::DRed);
+            let (dred_set, t_dred_set) = as_set(DeletionAlgorithm::DRed);
+            let (prov1, t_prov1) = one_at_a_time(DeletionAlgorithm::ProvenanceBased);
+            let (prov_set, t_prov_set) = as_set(DeletionAlgorithm::ProvenanceBased);
+            for rel in schema.relations() {
+                let expect = dred1.relation_tuples(rel.name());
+                for (label, e) in [
+                    ("dred set", &dred_set),
+                    ("prov", &prov1),
+                    ("prov set", &prov_set),
+                ] {
+                    assert_eq!(
+                        e.relation_tuples(rel.name()),
+                        expect,
+                        "{label} deletion diverges on {}",
+                        rel.name()
+                    );
                 }
-            });
-            let mut prov = warm_engine(schema.clone(), rules.clone(), &facts, true);
-            let (_, t_prov) = timed(|| {
-                for (rel, t) in &victims {
-                    prov.remove_base(rel, t, DeletionAlgorithm::ProvenanceBased)
-                        .unwrap();
-                }
-            });
-            assert_eq!(dred.total_tuples(), prov.total_tuples());
+            }
             println!(
-                "{:>8} {:>10} {:>14} {:>12} {:>10}",
+                "{:>8} {:>10} {:>11} {:>11} {:>11} {:>11} {:>9} {:>9}",
                 n,
                 victims.len(),
-                ms(t_dred),
-                ms(t_prov),
-                ratio(t_dred, t_prov)
+                ms(t_dred1),
+                ms(t_dred_set),
+                ms(t_prov1),
+                ms(t_prov_set),
+                ratio(t_dred1, t_dred_set),
+                ratio(t_prov1, t_prov_set)
             );
         }
     }

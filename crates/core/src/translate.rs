@@ -11,13 +11,14 @@
 //!
 //! Implementation: each transaction's tuple-level updates — those on
 //! relations inside the reconciling peer's program slice, the only ones
-//! that can reach it — are applied as base-fact operations on the origin
-//! peer's qualified relations in the reconciling peer's incremental
-//! engine; the engine's change log — restricted to the reconciling
-//! peer's namespace — *is* the translated transaction. Deletions
-//! propagate with the provenance-based algorithm (the whole point of
-//! storing provenance); per-update origins come from the provenance
-//! graph's lineage.
+//! that can reach it — are validated against the engine's schema as a
+//! whole, then applied as base-fact operations on the origin peer's
+//! qualified relations in the reconciling peer's incremental engine; the
+//! engine's change log — restricted to the reconciling peer's namespace —
+//! *is* the translated transaction. Deletions propagate with the
+//! provenance-based algorithm (the whole point of storing provenance),
+//! one set per run of consecutive removals; per-update origins come from
+//! the provenance graph's lineage.
 
 use crate::mapping::qualify;
 use crate::peer::Peer;
@@ -36,35 +37,47 @@ impl Peer {
     /// already local). Only updates on relations in the peer's program
     /// slice reach the engine; a transaction with none translates to the
     /// empty candidate without an engine call.
+    ///
+    /// Every in-slice tuple is validated before the first engine call, so
+    /// a malformed transaction errors without touching the engine (it is
+    /// still recorded as ingested: a retry could only fail again).
     pub(crate) fn ingest_and_translate(&mut self, txn: &Transaction) -> Result<Option<Candidate>> {
         self.ingested.insert(txn.id.clone());
-        // Apply the transaction's updates as base-fact operations in the
-        // origin peer's namespace.
-        let mut fed = false;
+        let mut fed: Vec<(String, &Update)> = Vec::new();
         for u in &txn.updates {
             let qrel = qualify(&txn.id.peer, u.relation());
-            if self.engine.rel_id(&qrel).is_none() {
+            let Ok(schema) = self.engine.schema().relation(&qrel) else {
                 continue; // Outside the slice: it can derive nothing here.
+            };
+            for t in u.read_version().into_iter().chain(u.written_version()) {
+                schema.validate(t)?;
             }
-            fed = true;
-            match u {
-                Update::Insert { tuple, .. } => {
-                    let node = self.engine.insert_base(&qrel, tuple.clone())?;
-                    self.node_txn.insert(node, txn.id.clone());
-                }
-                Update::Delete { tuple, .. } => {
+            fed.push((qrel, u));
+        }
+        // Apply the updates as base-fact operations in the origin peer's
+        // namespace. Each maximal run of removals (a `Delete` or the old
+        // half of a `Modify`) is removed as one set; an insert ends the
+        // run, so the updates still take effect in their order.
+        let mut removals: Vec<(&str, &Tuple)> = Vec::new();
+        for (qrel, u) in &fed {
+            if let Some(old) = u.read_version() {
+                removals.push((qrel, old));
+            }
+            if let Some(new) = u.written_version() {
+                if !removals.is_empty() {
                     self.engine
-                        .remove_base(&qrel, tuple, DeletionAlgorithm::ProvenanceBased)?;
+                        .remove_bases(&removals, DeletionAlgorithm::ProvenanceBased)?;
+                    removals.clear();
                 }
-                Update::Modify { old, new, .. } => {
-                    self.engine
-                        .remove_base(&qrel, old, DeletionAlgorithm::ProvenanceBased)?;
-                    let node = self.engine.insert_base(&qrel, new.clone())?;
-                    self.node_txn.insert(node, txn.id.clone());
-                }
+                let node = self.engine.insert_base(qrel, new.clone())?;
+                self.node_txn.insert(node, txn.id.clone());
             }
         }
-        let changes = if fed {
+        if !removals.is_empty() {
+            self.engine
+                .remove_bases(&removals, DeletionAlgorithm::ProvenanceBased)?;
+        }
+        let changes = if !fed.is_empty() {
             self.engine.propagate()?;
             self.engine.drain_changes()
         } else {

@@ -72,13 +72,13 @@
 //! 3. **Merge (partitioned).** Workers route every staged firing to its
 //!    head tuple's shard (the same content-based routing the relations
 //!    use), so the node table, provenance graph, and relation storage —
-//!    all partitioned by that routing — drain through one per-shard sink
-//!    each, concurrently (see [`crate::merge`]). A short sequential
-//!    pre-pass folds per-task counters and interns first-occurrence
-//!    labeled nulls (the only interner mutation); cross-shard provenance
-//!    edges are spliced from per-target outboxes afterwards; and the
+//!    all partitioned by that routing — drain through one sink per
+//!    shard the round touches, concurrently (see [`crate::merge`]). A
+//!    short sequential pre-pass folds per-task counters and interns
+//!    first-occurrence labeled nulls (the only interner mutation); the
 //!    sinks' counters, change-log entries, and next-round deltas fold
-//!    back in shard order. Every mutation therefore happens in an order
+//!    back in shard order, and one pass then splices their staged
+//!    cross-shard provenance edges. Every mutation therefore happens in an order
 //!    that is a pure function of the input — task order within a shard,
 //!    shard order across shards — which makes the provenance graph,
 //!    `NodeId` assignment (shard in the id's high bits, per-shard
@@ -835,7 +835,7 @@ pub struct Engine {
     /// The slice of `stats` already exported to the `orchestra-obs`
     /// registry: the hot loops keep their plain `&mut` increments (no
     /// atomics per tuple), and [`obs_flush_stats`](Self::obs_flush_stats)
-    /// publishes the diff once per propagate/remove entry point.
+    /// publishes the diff once per `propagate` / `remove_bases` call.
     mirrored: EngineStats,
     /// When false, derivations are not recorded (ablation baseline for
     /// experiment E5). Provenance-based deletion then falls back to DRed.
@@ -857,7 +857,7 @@ impl Engine {
     /// Build an engine, optionally **without** provenance tracking — the
     /// ablation baseline of experiment E5. Without provenance, trust
     /// evaluation and provenance-based deletion are unavailable
-    /// ([`remove_base`](Engine::remove_base) silently uses DRed), but
+    /// ([`remove_bases`](Engine::remove_bases) silently uses DRed), but
     /// insert propagation is cheaper.
     pub fn with_provenance(
         schema: DatabaseSchema,
@@ -1338,6 +1338,9 @@ impl Engine {
     /// count.
     pub fn propagate(&mut self) -> Result<usize> {
         let mut delta = std::mem::take(&mut self.pending);
+        // A pending insert that a deletion removed before this call
+        // derives nothing.
+        delta.retain(|(rel, t)| self.data[rel.index()].contains(t));
         let mut new_tuples = 0usize;
         let n_rels = self.rel_names.len();
         let shards = self.opts.shards;
@@ -1467,14 +1470,15 @@ impl Engine {
                     }
                 }
             });
-            // Merge phase, partitioned by the same routing as the data.
-            // Workers already routed each firing to its head's shard, so
-            // the drains below are disjoint per shard and run on the
-            // pool; every processing order is fixed (task order within a
-            // shard, shard order across shards) and routing is a pure
-            // function of tuple content, so NodeId assignment, provenance
-            // recording, inserts, the change log, and the stats replay
-            // identically at any thread count.
+            // Merge phase, partitioned by the same routing as the data
+            // and sized to the round: only the shards some firing lands
+            // in get a sink. Workers already routed each firing to its
+            // head's shard, so the drains below are disjoint per shard
+            // and run on the pool; every processing order is fixed (task
+            // order within a shard, shard order across shards) and
+            // routing is a pure function of tuple content, so NodeId
+            // assignment, provenance recording, inserts, the change log,
+            // and the stats replay identically at any thread count.
             delta = orchestra_obs::time_histogram!("engine.round.merge_micros", {
                 let track = self.track_provenance;
                 let Engine {
@@ -1489,55 +1493,46 @@ impl Engine {
                     ..
                 } = self;
                 // M0 — sequential pre-pass, in task order: fold the join
-                // phase's private counters and intern first-occurrence
+                // phase's private counters, intern first-occurrence
                 // labeled nulls (the merge's exclusive right to mutate
-                // the interner), routing the now fully-resolved firings
-                // into their task's shard buckets.
-                let mut outs: Vec<TaskOut> = outs
-                    .into_iter()
+                // the interner), and queue every task's non-empty shard
+                // buckets on their shard: `queues[s]` holds `(task,
+                // firings)` in task order, so an untouched shard's queue
+                // stays empty and unallocated.
+                let mut queues: Vec<Vec<(usize, Vec<Firing>)>> = Vec::new();
+                queues.resize_with(shards, Vec::new);
+                for (k, (spec, out)) in tasks.iter().zip(outs).enumerate() {
                     // analyze: allow(panic) -- the pool barrier completes every task before results are read
-                    .map(|o| o.expect("join task executed"))
-                    .collect();
-                for (spec, out) in tasks.iter().zip(outs.iter_mut()) {
+                    let mut out = out.expect("join task executed");
                     stats.index_probes += out.probes;
                     interner.note_skolem_hits(out.skolem_hits);
-                    if out.unrouted.is_empty() {
-                        continue;
-                    }
-                    if out.routed.is_empty() {
-                        out.routed.resize_with(shards, Vec::new);
-                    }
-                    let rule = &rules[spec.ri as usize];
-                    let head_rel = rule.head.rel;
-                    for mut firing in out.unrouted.drain(..) {
-                        firing.head = resolve_head(interner, rule, &firing);
-                        firing.skolems.clear();
-                        let rd = &data[head_rel.index()];
-                        let shard = rd.shard_of(&firing.head);
-                        firing.head_node = rd.get_in(shard, &firing.head);
-                        out.routed[shard].push(firing);
-                    }
-                }
-                // Transpose the per-task buckets into per-shard drain
-                // queues (pointer moves only): `queues[s][k]` holds task
-                // `k`'s firings for shard `s`.
-                let mut queues: Vec<Vec<Vec<Firing>>> = Vec::new();
-                queues.resize_with(shards, || Vec::with_capacity(tasks.len()));
-                for out in outs.iter_mut() {
-                    if out.routed.is_empty() {
-                        for q in queues.iter_mut() {
-                            q.push(Vec::new());
+                    if !out.unrouted.is_empty() {
+                        if out.routed.is_empty() {
+                            out.routed.resize_with(shards, Vec::new);
                         }
-                    } else {
-                        for (s, fs) in out.routed.drain(..).enumerate() {
-                            queues[s].push(fs);
+                        let rule = &rules[spec.ri as usize];
+                        let head_rel = rule.head.rel;
+                        for mut firing in out.unrouted.drain(..) {
+                            firing.head = resolve_head(interner, rule, &firing);
+                            firing.skolems.clear();
+                            let rd = &data[head_rel.index()];
+                            let shard = rd.shard_of(&firing.head);
+                            firing.head_node = rd.get_in(shard, &firing.head);
+                            out.routed[shard].push(firing);
+                        }
+                    }
+                    for (s, firings) in out.routed.into_iter().enumerate() {
+                        if !firings.is_empty() {
+                            queues[s].push((k, firings));
                         }
                     }
                 }
-                // M1 — per-shard sinks drain the queues concurrently.
-                // Each sink owns shard `s` of the node table, the
-                // provenance graph, and every relation, so the drains
-                // never touch shared state.
+                // M1 — one sink per touched shard drains its queue; sinks
+                // run concurrently on the pool. Each sink owns shard `s`
+                // of the node table, the provenance graph, and every
+                // relation, so the drains never touch shared state.
+                let touched: Vec<bool> = queues.iter().map(|q| !q.is_empty()).collect();
+                queues.retain(|q| !q.is_empty());
                 let rule_heads: Vec<(&RuleId, RelId)> = tasks
                     .iter()
                     .map(|spec| {
@@ -1545,19 +1540,22 @@ impl Engine {
                         (&rule.id, rule.head.rel)
                     })
                     .collect();
-                let mut sinks = merge::shard_sinks(nodes, graph, data);
+                let mut sinks = merge::shard_sinks(nodes, graph, data, &touched);
                 {
                     let interner = &*interner;
                     let rel_names: &[Arc<str>] = rel_names;
                     let rule_heads = &rule_heads;
-                    let run_sink = |sink: &mut merge::ShardSink<'_>, queue: Vec<Vec<Firing>>| {
-                        for (k, firings) in queue.into_iter().enumerate() {
-                            let (rule_id, head_rel) = rule_heads[k];
-                            sink.drain_task(rule_id, head_rel, firings, track, interner, rel_names);
-                        }
-                    };
+                    let run_sink =
+                        |sink: &mut merge::ShardSink<'_>, queue: Vec<(usize, Vec<Firing>)>| {
+                            for (k, firings) in queue {
+                                let (rule_id, head_rel) = rule_heads[k];
+                                sink.drain_task(
+                                    rule_id, head_rel, firings, track, interner, rel_names,
+                                );
+                            }
+                        };
                     match pool.as_deref() {
-                        Some(pool) => {
+                        Some(pool) if sinks.len() > 1 => {
                             let run_sink = &run_sink;
                             let jobs: Vec<Job<'_>> = sinks
                                 .iter_mut()
@@ -1568,39 +1566,19 @@ impl Engine {
                                 .collect();
                             pool.run(jobs);
                         }
-                        None => {
+                        _ => {
                             for (sink, queue) in sinks.iter_mut().zip(queues) {
                                 run_sink(sink, queue);
                             }
                         }
                     }
                 }
-                // M2 — splice cross-shard body edges: collect each source
-                // shard's outbox, transpose to per-target inboxes, and
-                // let every target shard apply its inbox in the fixed
-                // (target, source, recording) order.
-                let outboxes: Vec<_> = sinks.iter_mut().map(|s| s.prov.take_outbox()).collect();
-                let inboxes = ProvGraph::transpose_outboxes(outboxes);
-                match pool.as_deref() {
-                    Some(pool) => {
-                        let jobs: Vec<Job<'_>> = sinks
-                            .iter_mut()
-                            .zip(inboxes)
-                            .map(|(sink, inbox)| {
-                                Box::new(move || sink.prov.splice_inbox(inbox)) as Job<'_>
-                            })
-                            .collect();
-                        pool.run(jobs);
-                    }
-                    None => {
-                        for (sink, inbox) in sinks.iter_mut().zip(inboxes) {
-                            sink.prov.splice_inbox(inbox);
-                        }
-                    }
-                }
-                // M3 — sequential fold in shard order: counters, the
-                // change log, and the next round's delta.
+                // M2 — sequential fold in shard order: counters, the
+                // change log, the next round's delta, and the staged
+                // cross-shard body edges, which one pass then splices in
+                // (source shard, recording) order.
                 let mut next_delta: Vec<(RelId, SymTuple)> = Vec::new();
+                let mut outboxes = Vec::with_capacity(sinks.len());
                 for sink in sinks {
                     stats.firings += sink.firings;
                     stats.derivations += sink.derivations;
@@ -1608,7 +1586,9 @@ impl Engine {
                     new_tuples += sink.tuples_added as usize;
                     changes.extend(sink.changes);
                     next_delta.extend(sink.next_delta);
+                    outboxes.push(sink.prov.into_outbox());
                 }
+                graph.splice_cross_edges(outboxes.into_iter().flatten());
                 next_delta
             });
         }
@@ -1675,7 +1655,8 @@ impl Engine {
     }
 
     /// Remove a base tuple and propagate the deletion with the chosen
-    /// algorithm. Returns `true` if the tuple was a base fact.
+    /// algorithm — a one-element [`remove_bases`](Engine::remove_bases).
+    /// Returns `true` if the tuple was a base fact.
     ///
     /// The tuple may remain alive if it is still derivable through the
     /// mapping program (or was independently published elsewhere).
@@ -1685,41 +1666,60 @@ impl Engine {
         tuple: &Tuple,
         algorithm: DeletionAlgorithm,
     ) -> Result<bool> {
-        let Some(node) = self.node_id(relation, tuple) else {
-            return Ok(false);
-        };
-        if !self.graph.remove_base(node) {
-            return Ok(false);
-        }
-        // Without a provenance graph only rule re-evaluation can decide
-        // what else must go.
-        let algorithm = if self.track_provenance {
-            algorithm
-        } else {
-            DeletionAlgorithm::DRed
-        };
-        match algorithm {
-            DeletionAlgorithm::ProvenanceBased => self.delete_provenance_based(node),
-            DeletionAlgorithm::DRed => self.delete_dred(node),
-        }
-        self.obs_flush_stats();
-        Ok(true)
+        Ok(self.remove_bases(&[(relation, tuple)], algorithm)? == 1)
+    }
+
+    /// Remove a set of base tuples and propagate the deletion with the
+    /// chosen algorithm, as one set: every base mark is cleared first,
+    /// then one affected closure (or one DRed over-deletion) seeded with
+    /// all of them decides what dies. The database, the removed tuples
+    /// and the counters equal removing the tuples one at a time; the
+    /// change log lists the set's removals once, in one order. Returns
+    /// how many of the tuples were base facts (the rest — unknown,
+    /// derived-only or repeated — are skipped).
+    pub fn remove_bases(
+        &mut self,
+        tuples: &[(&str, &Tuple)],
+        algorithm: DeletionAlgorithm,
+    ) -> Result<usize> {
+        orchestra_obs::time_histogram!("engine.delete_micros", {
+            let mut deleted: Vec<NodeId> = Vec::with_capacity(tuples.len());
+            for &(relation, tuple) in tuples {
+                if let Some(node) = self.node_id(relation, tuple) {
+                    if self.graph.remove_base(node) {
+                        deleted.push(node);
+                    }
+                }
+            }
+            if !deleted.is_empty() {
+                // Without a provenance graph only rule re-evaluation can
+                // decide what else must go.
+                let algorithm = if self.track_provenance {
+                    algorithm
+                } else {
+                    DeletionAlgorithm::DRed
+                };
+                match algorithm {
+                    DeletionAlgorithm::ProvenanceBased => self.delete_provenance_based(&deleted),
+                    DeletionAlgorithm::DRed => self.delete_dred(&deleted),
+                }
+                self.obs_flush_stats();
+            }
+            Ok(deleted.len())
+        })
     }
 
     /// Provenance-based deletion: restrict attention to the subgraph
-    /// forward-reachable from the deleted node and recompute well-founded
+    /// forward-reachable from the deleted nodes and recompute well-founded
     /// derivability there, treating unaffected alive nodes as given.
-    fn delete_provenance_based(&mut self, deleted: NodeId) {
+    fn delete_provenance_based(&mut self, deleted: &[NodeId]) {
         // Affected = forward closure through derivation uses.
-        let mut affected: HashSet<NodeId> = HashSet::new();
-        let mut queue: VecDeque<NodeId> = VecDeque::new();
-        affected.insert(deleted);
-        queue.push_back(deleted);
+        let mut affected: HashSet<NodeId> = deleted.iter().copied().collect();
+        let mut queue: VecDeque<NodeId> = deleted.iter().copied().collect();
         while let Some(nd) = queue.pop_front() {
-            let heads: Vec<NodeId> = self.graph.uses_of(nd).map(|d| d.head).collect();
-            for h in heads {
-                if affected.insert(h) {
-                    queue.push_back(h);
+            for d in self.graph.uses_of(nd) {
+                if affected.insert(d.head) {
+                    queue.push_back(d.head);
                 }
             }
         }
@@ -1742,20 +1742,15 @@ impl Engine {
             }
         }
         while let Some(nd) = wl.pop_front() {
-            let heads: Vec<NodeId> = self
-                .graph
-                .uses_of(nd)
-                .filter(|d| affected.contains(&d.head) && !derivable.contains(&d.head))
-                .filter(|d| {
-                    d.body.iter().all(|b| {
+            for d in self.graph.uses_of(nd) {
+                let fires = affected.contains(&d.head)
+                    && !derivable.contains(&d.head)
+                    && d.body.iter().all(|b| {
                         derivable.contains(b) || (!affected.contains(b) && self.is_alive(*b))
-                    })
-                })
-                .map(|d| d.head)
-                .collect();
-            for h in heads {
-                if derivable.insert(h) {
-                    wl.push_back(h);
+                    });
+                if fires {
+                    derivable.insert(d.head);
+                    wl.push_back(d.head);
                 }
             }
         }
@@ -1797,14 +1792,10 @@ impl Engine {
         }
     }
 
-    /// DRed: over-delete by re-evaluating rules against deltas of deleted
-    /// tuples, then re-derive survivors from the remaining database.
-    fn delete_dred(&mut self, deleted: NodeId) {
-        let Some((rel0, t0)) = self.nodes.resolve(deleted) else {
-            return;
-        };
-        let t0 = t0.clone();
-
+    /// DRed: over-delete by re-evaluating rules against deltas of the
+    /// deleted tuples, then re-derive survivors from the remaining
+    /// database.
+    fn delete_dred(&mut self, deleted: &[NodeId]) {
         // Phase 1: over-delete. Worklist of deleted tuples; consequences
         // computed by joining each rule with the deleted tuple as delta
         // **against the pre-deletion database** (tuples are only removed
@@ -1816,10 +1807,15 @@ impl Engine {
         let mut overdeleted: Vec<(RelId, SymTuple, NodeId)> = Vec::new();
         let mut over_set: HashSet<NodeId> = HashSet::new();
         let mut wl: VecDeque<(RelId, SymTuple)> = VecDeque::new();
-        if self.is_alive(deleted) {
-            overdeleted.push((rel0, t0.clone(), deleted));
-            over_set.insert(deleted);
-            wl.push_back((rel0, t0));
+        for &node in deleted {
+            if !self.is_alive(node) || !over_set.insert(node) {
+                continue;
+            }
+            let Some((rel, t)) = self.nodes.resolve(node) else {
+                continue;
+            };
+            overdeleted.push((rel, t.clone(), node));
+            wl.push_back((rel, t.clone()));
         }
         while let Some((rel, t)) = wl.pop_front() {
             let delta = [t];

@@ -1,29 +1,30 @@
 //! The partitioned merge phase: per-shard sinks for the engine's rounds.
 //!
-//! PR 5's evaluation pipeline parallelized the join phase but merged its
-//! results behind a single sequential drain — ProvGraph inserts, NodeId
-//! assignment, and tuple inserts all serialized on one thread, the Amdahl
-//! wall the `tc` E11 rows exposed. This module removes it.
-//!
-//! The key observation: every mutation the merge performs is keyed by the
-//! head tuple, and head tuples already have a deterministic home — the
-//! content-based shard [`ShardedRel::shard_of`] assigns them. So the node
-//! table, the provenance graph, and the relation storage are all
-//! partitioned by that same routing, and one [`ShardSink`] per shard
-//! drains its slice of every task's firings with **no** shared mutable
-//! state:
+//! Every mutation the merge performs is keyed by the head tuple, and head
+//! tuples already have a deterministic home — the content-based shard
+//! [`ShardedRel::shard_of`] assigns them. So the node table, the
+//! provenance graph, and the relation storage are all partitioned by that
+//! same routing, and one [`ShardSink`] per shard drains its slice of every
+//! task's firings with **no** shared mutable state:
 //!
 //! * [`NodeShard`] — shard `s` of the node table; node ids pack
 //!   `(shard, local)` so per-shard assignment needs no coordination.
 //! * [`ProvShardWriter`] — shard `s` of the provenance graph; derivations
-//!   live with their head, cross-shard body edges go to a per-target
-//!   outbox spliced after the sinks finish.
+//!   live with their head, cross-shard body edges are staged in the
+//!   writer's outbox in recording order.
 //! * [`RelShardWriter`] — shard `s` of every relation.
+//!
+//! The merge is sized to the round, not to the shard count: sinks are
+//! built only for the shards some firing of the round lands in (a round
+//! of a handful of firings touches a handful of shards), and the staged
+//! cross-shard edges are spliced by one sequential pass over the sinks'
+//! outboxes ([`ProvGraph::splice_cross_edges`]) once the sinks are folded.
 //!
 //! Determinism: routing is a pure function of tuple content, each sink
 //! drains its buckets in the round's fixed task order, and the engine
-//! folds the sinks' private counters/changes/deltas back in shard order —
-//! so the result is byte-identical at any thread count, inline or pooled.
+//! folds the sinks' private counters/changes/deltas/outboxes back in
+//! shard order — so the result is byte-identical at any thread count,
+//! inline or pooled.
 
 use crate::ast::RuleId;
 use crate::engine::{Change, ChangeKind};
@@ -94,8 +95,8 @@ impl TaskOut {
 /// shard order after every sink has drained.
 pub(crate) struct ShardSink<'a> {
     nodes: &'a mut NodeShard,
-    /// Public to let the engine run the cross-shard splice (M2) on the
-    /// same writers after the drain.
+    /// Public to let the engine collect the staged cross-shard edges
+    /// when it folds the sink.
     pub prov: ProvShardWriter<'a>,
     rels: Vec<RelShardWriter<'a, NodeId>>,
     /// Change-log entries staged by this sink, in drain order.
@@ -109,38 +110,50 @@ pub(crate) struct ShardSink<'a> {
 }
 
 /// Split the node table, provenance graph, and relation storage into one
-/// [`ShardSink`] per shard. All three must already agree on the shard
-/// count (the engine fixes it at construction).
+/// [`ShardSink`] per shard `s` with `touched[s]`, in shard order. Shards
+/// the round does not touch get no sink. All three structures must
+/// already agree on the shard count (the engine fixes it at
+/// construction).
 pub(crate) fn shard_sinks<'a>(
     nodes: &'a mut NodeTable,
     graph: &'a mut ProvGraph,
     data: &'a mut [ShardedRel<NodeId>],
+    touched: &[bool],
 ) -> Vec<ShardSink<'a>> {
-    let node_shards = nodes.shards_mut();
-    let prov_writers = graph.shard_writers();
-    let shards = node_shards.len();
-    debug_assert_eq!(prov_writers.len(), shards, "node/prov shard mismatch");
-    let mut rels: Vec<Vec<RelShardWriter<'a, NodeId>>> = Vec::new();
-    rels.resize_with(shards, Vec::new);
-    for rel in data.iter_mut() {
-        debug_assert_eq!(rel.shard_count(), shards, "relation shard mismatch");
-        for (s, w) in rel.shard_writers().into_iter().enumerate() {
-            rels[s].push(w);
-        }
-    }
-    node_shards
-        .into_iter()
-        .zip(prov_writers)
-        .zip(rels)
-        .map(|((nodes, prov), rels)| ShardSink {
-            nodes,
-            prov,
-            rels,
-            changes: Vec::new(),
-            next_delta: Vec::new(),
-            firings: 0,
-            derivations: 0,
-            tuples_added: 0,
+    debug_assert_eq!(
+        nodes.shard_count(),
+        graph.shard_count(),
+        "node/prov shard mismatch"
+    );
+    // One lazy writer iterator per relation, advanced in lockstep with
+    // the shards below: untouched shards cost one skipped step each.
+    let mut rel_writers: Vec<_> = data
+        .iter_mut()
+        .map(|rel| {
+            debug_assert_eq!(rel.shard_count(), touched.len(), "relation shard mismatch");
+            rel.shard_writers()
+        })
+        .collect();
+    nodes
+        .shards_mut()
+        .zip(graph.shard_writers())
+        .zip(touched)
+        .filter_map(|((nodes, prov), &touched)| {
+            let rels = rel_writers.iter_mut().filter_map(Iterator::next);
+            if !touched {
+                rels.for_each(drop);
+                return None;
+            }
+            Some(ShardSink {
+                nodes,
+                prov,
+                rels: rels.collect(),
+                changes: Vec::new(),
+                next_delta: Vec::new(),
+                firings: 0,
+                derivations: 0,
+                tuples_added: 0,
+            })
         })
         .collect()
 }

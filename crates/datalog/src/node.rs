@@ -32,6 +32,7 @@
 //! [`ShardedRel`]: orchestra_relational::ShardedRel
 
 use orchestra_relational::SymTuple;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -134,17 +135,18 @@ impl NodeShard {
         if self.by_rel.len() <= ri {
             self.by_rel.resize_with(ri + 1, HashMap::new);
         }
-        if let Some(&id) = self.by_rel[ri].get(tuple) {
-            return id;
+        match self.by_rel[ri].entry(tuple.clone()) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let local = self.by_id.len();
+                // 2^24 nodes per shard (~16.7M, ~4B per engine across 256
+                // shards) is an accepted engine limit.
+                assert!(local <= NodeId::LOCAL_MASK as usize, "node shard overflow");
+                let id = NodeId::new(self.shard as usize, local as u32);
+                self.by_id.push((rel, tuple.clone()));
+                *e.insert(id)
+            }
         }
-        let local = self.by_id.len();
-        // 2^24 nodes per shard (~16.7M, ~4B per engine across 256
-        // shards) is an accepted engine limit.
-        assert!(local <= NodeId::LOCAL_MASK as usize, "node shard overflow");
-        let id = NodeId::new(self.shard as usize, local as u32);
-        self.by_id.push((rel, tuple.clone()));
-        self.by_rel[ri].insert(tuple.clone(), id);
-        id
     }
 
     /// Look up an existing id without interning.
@@ -247,8 +249,8 @@ impl NodeTable {
     /// One disjoint mutable sub-table per shard, in shard order — the
     /// merge phase hands sink `s` the writer for shard `s` so every sink
     /// interns nodes without coordination.
-    pub fn shards_mut(&mut self) -> Vec<&mut NodeShard> {
-        self.shards.iter_mut().collect()
+    pub fn shards_mut(&mut self) -> impl Iterator<Item = &mut NodeShard> {
+        self.shards.iter_mut()
     }
 }
 
@@ -346,7 +348,7 @@ mod tests {
         assert_eq!(t.get(1, RelId(0), &x), Some(a));
         assert_eq!(t.get(0, RelId(0), &x), None, "wrong shard misses");
         // Disjoint writers per shard.
-        let mut ws = t.shards_mut();
+        let mut ws: Vec<_> = t.shards_mut().collect();
         assert_eq!(ws.len(), 4);
         let z = ws[2].intern(RelId(1), &x);
         assert_eq!(z, NodeId::new(2, 0));

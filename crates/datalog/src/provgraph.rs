@@ -11,15 +11,17 @@
 //! Since the partitioned-merge refactor the graph is split into one
 //! [`ProvShard`] per engine shard, and a derivation lives in the shard of
 //! its **head** node ([`NodeId::shard`] — a pure function of tuple
-//! content). Each shard owns its derivation store, its head adjacency,
-//! its body adjacency, and its fingerprint dedup filter, so the engine's
-//! merge phase hands one [`ProvShardWriter`] to each concurrent sink and
-//! records rule firings with **no** cross-shard coordination. The only
-//! cross-shard state a firing produces — "body node *b* (shard *t*) is
-//! used by derivation *d* (shard *s ≠ t*)" — is staged in the writer's
-//! per-target outbox and spliced into shard *t* afterwards in fixed
-//! `(target, source, recording)` order, so `by_body` lists are identical
-//! at any thread count.
+//! content). Each shard owns its derivation store, its head adjacency
+//! (which carries the dedup fingerprints) and its body adjacency, so the
+//! engine's merge phase hands one [`ProvShardWriter`] to each concurrent
+//! sink and records rule firings with **no** cross-shard coordination.
+//! The only cross-shard state a firing produces — "body node *b* (shard
+//! *t*) is used by derivation *d* (shard *s ≠ t*)" — is staged in the
+//! writer's outbox in recording order and spliced afterwards by one
+//! sequential pass over the writers in shard order
+//! ([`splice_cross_edges`](ProvGraph::splice_cross_edges)), so each
+//! target's `by_body` list grows in fixed `(source, recording)` order and
+//! is identical at any thread count.
 //!
 //! **Recording order** is shard-major: [`derivations`](ProvGraph::derivations)
 //! yields shard 0's records in local recording order, then shard 1's, and
@@ -74,12 +76,12 @@ impl DerivRef {
     }
 }
 
-/// A staged cross-shard body edge: "local node `body_local` of the target
-/// shard is used by derivation `dref`". Opaque to the engine — it only
-/// moves outboxes between writers.
+/// A staged cross-shard body edge: "body node `body` (in a shard other
+/// than the derivation's) is used by derivation `dref`". Opaque to the
+/// engine — it only hands outboxes back to the graph.
 #[derive(Debug, Clone, Copy)]
 pub struct CrossEdge {
-    body_local: u32,
+    body: NodeId,
     dref: DerivRef,
 }
 
@@ -89,55 +91,48 @@ pub struct CrossEdge {
 #[derive(Debug, Clone, Default)]
 pub struct ProvShard {
     derivations: Vec<Derivation>,
-    /// local head node index → local indexes of its derivations. A
-    /// derivation always lives in its head's shard, so these entries are
-    /// plain local indexes.
-    by_head: Vec<Vec<u32>>,
+    /// local head node index → `(local index, fingerprint(rule, body))`
+    /// of each of its derivations. A derivation always lives in its
+    /// head's shard, so these entries are plain local indexes. The
+    /// fingerprints are the dedup filter: a head's list is short (one
+    /// entry per distinct rule body deriving it) and contiguous, so a
+    /// scan of it beats a probe into a graph-wide hash set.
+    by_head: Vec<Vec<(u32, u64)>>,
     /// local body node index → derivations (any shard) using it.
     by_body: Vec<Vec<DerivRef>>,
-    /// Dedup filter: `(local head, fingerprint(rule, body))` of every
-    /// recorded derivation. A miss proves the derivation is new without
-    /// scanning; a hit falls back to structurally comparing the head's
-    /// (usually tiny) derivation list, so hash collisions cannot drop
-    /// records.
-    seen: HashSet<(u32, u64)>,
 }
 
 impl ProvShard {
     /// Record a derivation owned by this shard (`d.head.shard()` is this
     /// shard). Own-shard body edges are applied directly; cross-shard
-    /// edges are pushed onto `outbox[target]`. Returns `true` if new.
+    /// edges are pushed onto `outbox` in body order. Returns `true` if new.
     fn record(
         &mut self,
         shard: usize,
         d: Derivation,
         fp: u64,
-        outbox: &mut [Vec<CrossEdge>],
+        outbox: &mut Vec<CrossEdge>,
     ) -> bool {
         debug_assert_eq!(d.head.shard(), shard, "derivation routed to wrong shard");
-        let local_head = d.head.local() as u32;
-        let key = (local_head, fp);
-        if self.seen.contains(&key) {
-            // Possible duplicate — confirm structurally (collisions on the
-            // fingerprint must not drop genuine derivations).
-            if let Some(idxs) = self.by_head.get(local_head as usize) {
-                if idxs.iter().any(|&i| self.derivations[i as usize] == d) {
-                    return false;
-                }
+        let local_head = d.head.local();
+        if let Some(recorded) = self.by_head.get(local_head) {
+            // A fingerprint match is confirmed structurally: collisions
+            // must not drop genuine derivations.
+            if recorded
+                .iter()
+                .any(|&(i, f)| f == fp && self.derivations[i as usize] == d)
+            {
+                return false;
             }
         }
-        self.seen.insert(key);
         let local = self.derivations.len();
         let dref = DerivRef::new(shard, local);
-        push_adj(&mut self.by_head, local_head as usize, local as u32);
+        push_adj(&mut self.by_head, local_head, (local as u32, fp));
         for b in &d.body {
             if b.shard() == shard {
                 push_adj(&mut self.by_body, b.local(), dref);
             } else {
-                outbox[b.shard()].push(CrossEdge {
-                    body_local: b.local() as u32,
-                    dref,
-                });
+                outbox.push(CrossEdge { body: *b, dref });
             }
         }
         self.derivations.push(d);
@@ -182,15 +177,15 @@ fn push_adj<T>(adj: &mut Vec<Vec<T>>, i: usize, entry: T) {
 /// A disjoint mutable view of one provenance shard, for the engine's
 /// partitioned merge: sink `s` records every firing whose head routes to
 /// shard `s` without touching any other shard. Cross-shard body edges
-/// accumulate in the writer's outbox; the engine transposes outboxes
-/// after the record pass and each writer splices its inbox (see
-/// [`ProvGraph::transpose_outboxes`]).
+/// accumulate in the writer's outbox in recording order; once the writers
+/// are done the engine hands every outbox back to
+/// [`ProvGraph::splice_cross_edges`].
 #[derive(Debug)]
 pub struct ProvShardWriter<'a> {
     shard: usize,
     inner: &'a mut ProvShard,
-    /// Staged cross-shard body edges, by target shard.
-    outbox: Vec<Vec<CrossEdge>>,
+    /// Staged cross-shard body edges, in recording order.
+    outbox: Vec<CrossEdge>,
 }
 
 impl ProvShardWriter<'_> {
@@ -202,21 +197,9 @@ impl ProvShardWriter<'_> {
         self.inner.record(self.shard, d, fp, &mut self.outbox)
     }
 
-    /// Take the staged cross-shard edges (by target shard), leaving the
-    /// outbox empty.
-    pub fn take_outbox(&mut self) -> Vec<Vec<CrossEdge>> {
-        std::mem::take(&mut self.outbox)
-    }
-
-    /// Splice edges targeted at this shard, one `Vec` per **source**
-    /// shard in shard order — the fixed `(target, source, recording)`
-    /// order that keeps `by_body` lists thread-count-independent.
-    pub fn splice_inbox(&mut self, inbox_by_source: Vec<Vec<CrossEdge>>) {
-        for edges in inbox_by_source {
-            for e in edges {
-                push_adj(&mut self.inner.by_body, e.body_local as usize, e.dref);
-            }
-        }
+    /// The staged cross-shard edges, in recording order.
+    pub fn into_outbox(self) -> Vec<CrossEdge> {
+        self.outbox
     }
 }
 
@@ -228,7 +211,7 @@ impl ProvGraph {
 
     /// Grow to at least `n` shards (never shrinks). The engine calls this
     /// once with its configured shard count so [`shard_writers`](Self::shard_writers)
-    /// returns one writer per sink.
+    /// yields one writer per sink.
     pub fn ensure_shards(&mut self, n: usize) {
         if self.shards.len() < n {
             self.shards.resize_with(n, ProvShard::default);
@@ -241,33 +224,30 @@ impl ProvGraph {
     }
 
     /// One disjoint mutable writer per materialized shard, in shard
-    /// order.
-    pub fn shard_writers(&mut self) -> Vec<ProvShardWriter<'_>> {
-        let n = self.shards.len();
+    /// order. Writers are built lazily, so skipping one costs nothing.
+    pub fn shard_writers(&mut self) -> impl Iterator<Item = ProvShardWriter<'_>> {
         self.shards
             .iter_mut()
             .enumerate()
             .map(|(shard, inner)| ProvShardWriter {
                 shard,
                 inner,
-                outbox: (0..n).map(|_| Vec::new()).collect(),
+                outbox: Vec::new(),
             })
-            .collect()
     }
 
-    /// Transpose per-writer outboxes (`[source][target]`) into per-writer
-    /// inboxes (`[target][source]`) for [`ProvShardWriter::splice_inbox`].
-    pub fn transpose_outboxes(outboxes: Vec<Vec<Vec<CrossEdge>>>) -> Vec<Vec<Vec<CrossEdge>>> {
-        let n = outboxes.len();
-        let mut inboxes: Vec<Vec<Vec<CrossEdge>>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
-        for per_target in outboxes {
-            // Source shards arrive in shard order; each target collects
-            // its slice, preserving that order.
-            for (t, edges) in per_target.into_iter().enumerate() {
-                inboxes[t].push(edges);
-            }
+    /// Apply staged cross-shard body edges in one sequential pass, in the
+    /// order given. Passing the writers' outboxes in shard order makes
+    /// every target's `by_body` list grow in `(source shard, recording)`
+    /// order — the same at any thread count.
+    pub fn splice_cross_edges(&mut self, edges: impl IntoIterator<Item = CrossEdge>) {
+        for e in edges {
+            push_adj(
+                &mut self.shards[e.body.shard()].by_body,
+                e.body.local(),
+                e.dref,
+            );
         }
-        inboxes
     }
 
     /// Mark a node as a base fact.
@@ -312,14 +292,9 @@ impl ProvGraph {
             .unwrap_or(0);
         self.ensure_shards(max_shard + 1);
         let s = d.head.shard();
-        let n = self.shards.len();
-        let mut outbox: Vec<Vec<CrossEdge>> = (0..n).map(|_| Vec::new()).collect();
+        let mut outbox = Vec::new();
         let added = self.shards[s].record(s, d, fp, &mut outbox);
-        for (t, edges) in outbox.into_iter().enumerate() {
-            for e in edges {
-                push_adj(&mut self.shards[t].by_body, e.body_local as usize, e.dref);
-            }
-        }
+        self.splice_cross_edges(outbox);
         added
     }
 
@@ -335,7 +310,7 @@ impl ProvGraph {
             .and_then(|s| s.by_head.get(node.local()))
             .into_iter()
             .flatten()
-            .map(move |&i| {
+            .map(move |&(i, _)| {
                 // analyze: allow(panic) -- `shard` is Some whenever the adjacency entry exists
                 &shard.unwrap().derivations[i as usize]
             })
@@ -842,17 +817,16 @@ mod tests {
         let mut par = ProvGraph::new();
         par.ensure_shards(3);
         let mut added_par = Vec::new();
-        let mut writers = par.shard_writers();
+        let mut writers: Vec<_> = par.shard_writers().collect();
         for d in &ds {
             let fp = derivation_fingerprint(&d.rule, &d.body);
             added_par.push(writers[d.head.shard()].add_derivation_fp(d.clone(), fp));
         }
-        let outboxes: Vec<_> = writers.iter_mut().map(|w| w.take_outbox()).collect();
-        let inboxes = ProvGraph::transpose_outboxes(outboxes);
-        for (w, inbox) in writers.iter_mut().zip(inboxes) {
-            w.splice_inbox(inbox);
-        }
-        drop(writers);
+        let outboxes: Vec<_> = writers
+            .into_iter()
+            .map(ProvShardWriter::into_outbox)
+            .collect();
+        par.splice_cross_edges(outboxes.into_iter().flatten());
 
         assert_eq!(added_seq, added_par);
         assert_eq!(added_seq, vec![true, true, false]);

@@ -657,3 +657,184 @@ fn hunt_deletion_mismatch() {
     }
     println!("no mismatch found");
 }
+
+/// One deletion scenario: a random recursive program (or, with `skolem`,
+/// a Skolem-inventing one) over random base facts, plus a deletion set
+/// drawn from those facts with repeats, and a few tuples that were never
+/// base facts.
+struct DeletionCase {
+    rules: Vec<Rule>,
+    facts: Vec<(&'static str, Tuple)>,
+    victims: Vec<(&'static str, Tuple)>,
+}
+
+fn deletion_case(seed: u64, skolem: bool, n_rules: usize, n_facts: usize) -> DeletionCase {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (rules, facts) = if skolem {
+        let rules = random_skolem_program(&mut rng, n_rules);
+        (rules, random_source_facts(&mut rng, n_facts))
+    } else {
+        let rules = random_program(&mut rng, n_rules);
+        (rules, random_facts(&mut rng, n_facts))
+    };
+    let mut victims: Vec<(&'static str, Tuple)> = facts
+        .iter()
+        .filter(|_| rng.random_range(0..100u32) < 60)
+        .cloned()
+        .collect();
+    if let Some(first) = victims.first().cloned() {
+        victims.push(first); // A repeat is a no-op on both paths.
+    }
+    victims.extend(random_facts(&mut rng, 2)); // Mostly never base.
+    DeletionCase {
+        rules,
+        facts,
+        victims,
+    }
+}
+
+/// Build the case's engine to fixpoint and drain its change log.
+fn built_engine(case: &DeletionCase, opts: EvalOptions) -> Engine {
+    let mut e = Engine::with_options(schema(), case.rules.clone(), true, opts).unwrap();
+    for (rel, t) in &case.facts {
+        e.insert_base(rel, t.clone()).unwrap();
+    }
+    e.propagate().unwrap();
+    e.drain_changes();
+    e
+}
+
+fn victim_refs(case: &DeletionCase) -> Vec<(&str, &Tuple)> {
+    case.victims.iter().map(|(r, t)| (*r, t)).collect()
+}
+
+/// The drained change log as a sorted multiset of removals (and a count
+/// of anything else, which a deletion must never log).
+fn removed_multiset(e: &mut Engine) -> (Vec<(String, Tuple, orchestra_datalog::NodeId)>, usize) {
+    let mut removed = Vec::new();
+    let mut other = 0usize;
+    for ch in e.drain_changes() {
+        if ch.kind == orchestra_datalog::ChangeKind::Removed {
+            removed.push((ch.relation.to_string(), ch.tuple, ch.node));
+        } else {
+            other += 1;
+        }
+    }
+    removed.sort();
+    (removed, other)
+}
+
+/// The provenance polynomial of every alive tuple.
+fn survivor_polynomials(
+    e: &Engine,
+) -> BTreeMap<(String, Tuple), orchestra_provenance::Polynomial<orchestra_datalog::NodeId>> {
+    let mut out = BTreeMap::new();
+    for (rel, _) in RELS {
+        for t in e.scan_resolved(rel) {
+            let poly = e.provenance(rel, &t).expect("alive tuple has a node");
+            out.insert((rel.to_string(), t), poly);
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Removing a set of base tuples in one `remove_bases` call equals
+    /// removing them one `remove_base` at a time, for both algorithms,
+    /// over random recursive and Skolem programs: same database, same
+    /// multiset of `Removed` changes, same `tuples_removed`, same count
+    /// of base facts removed, and the same provenance polynomial for
+    /// every survivor. Both equal recomputing from the surviving facts.
+    #[test]
+    fn set_deletion_equals_one_at_a_time(
+        seed in 0u64..1_000_000,
+        skolem in any::<bool>(),
+        n_rules in 1usize..5,
+        n_facts in 1usize..16,
+    ) {
+        let case = deletion_case(seed, skolem, n_rules, n_facts);
+        let survivors = DeletionCase {
+            rules: case.rules.clone(),
+            facts: case
+                .facts
+                .iter()
+                .filter(|f| !case.victims.contains(f))
+                .cloned()
+                .collect(),
+            victims: Vec::new(),
+        };
+        let recomputed = engine_database(&built_engine(&survivors, EvalOptions::default()));
+        for algo in [DeletionAlgorithm::ProvenanceBased, DeletionAlgorithm::DRed] {
+            let mut one = built_engine(&case, EvalOptions::default());
+            let mut one_count = 0usize;
+            for (rel, t) in &case.victims {
+                one_count += usize::from(one.remove_base(rel, t, algo).unwrap());
+            }
+            let mut set = built_engine(&case, EvalOptions::default());
+            let set_count = set.remove_bases(&victim_refs(&case), algo).unwrap();
+
+            prop_assert_eq!(set_count, one_count, "base facts removed ({:?})", algo);
+            prop_assert_eq!(engine_database(&set), engine_database(&one), "database ({:?})", algo);
+            prop_assert_eq!(engine_database(&set), recomputed.clone(), "recomputation ({:?})", algo);
+            prop_assert_eq!(
+                removed_multiset(&mut set),
+                removed_multiset(&mut one),
+                "removed changes ({:?})",
+                algo
+            );
+            prop_assert_eq!(
+                set.stats().tuples_removed,
+                one.stats().tuples_removed,
+                "tuples_removed ({:?})",
+                algo
+            );
+            prop_assert_eq!(
+                survivor_polynomials(&set),
+                survivor_polynomials(&one),
+                "survivor provenance ({:?})",
+                algo
+            );
+        }
+    }
+
+    /// The set path replays byte-identically at 1, 2 and 8 threads:
+    /// change-log order, derivations, node ids, stats and fixpoint.
+    #[test]
+    fn set_deletion_replays_identically_across_threads(
+        seed in 0u64..1_000_000,
+        skolem in any::<bool>(),
+        n_rules in 1usize..5,
+        n_facts in 1usize..24,
+    ) {
+        let case = deletion_case(seed, skolem, n_rules, n_facts);
+        for algo in [DeletionAlgorithm::ProvenanceBased, DeletionAlgorithm::DRed] {
+            let run = |threads: usize| {
+                let opts = EvalOptions {
+                    threads,
+                    shards: 8,
+                    parallel_threshold: 0,
+                };
+                let mut e = built_engine(&case, opts);
+                e.remove_bases(&victim_refs(&case), algo).unwrap();
+                // Re-insert one victim so a round runs over the graph the
+                // set deletion left behind.
+                if let Some((rel, t)) = case.victims.first() {
+                    e.insert_base(rel, t.clone()).unwrap();
+                    e.propagate().unwrap();
+                }
+                observables(&mut e)
+            };
+            let base = run(1);
+            for threads in [2usize, 8] {
+                let got = run(threads);
+                prop_assert_eq!(&got.0, &base.0, "change order @ {} threads", threads);
+                prop_assert_eq!(&got.1, &base.1, "derivations @ {} threads", threads);
+                prop_assert_eq!(&got.2, &base.2, "node ids @ {} threads", threads);
+                prop_assert_eq!(&got.3, &base.3, "stats @ {} threads", threads);
+                prop_assert_eq!(&got.4, &base.4, "fixpoint @ {} threads", threads);
+            }
+        }
+    }
+}

@@ -320,13 +320,13 @@ impl<P: Copy> ShardedRel<P> {
 
     /// One disjoint mutable writer per shard, in shard order. Each writer
     /// can absorb routed inserts independently of every other shard, which
-    /// is what the engine's partitioned merge fans out over.
-    pub fn shard_writers(&mut self) -> Vec<RelShardWriter<'_, P>> {
+    /// is what the engine's partitioned merge fans out over. Writers are
+    /// built lazily, so skipping one costs nothing.
+    pub fn shard_writers(&mut self) -> impl Iterator<Item = RelShardWriter<'_, P>> {
         let index_cols = &self.index_cols;
         self.shards
             .iter_mut()
-            .map(|shard| RelShardWriter { index_cols, shard })
-            .collect()
+            .map(move |shard| RelShardWriter { index_cols, shard })
     }
 
     /// Iterate all live tuples in shard-major sequence order (**not**
@@ -533,7 +533,7 @@ mod tests {
         for (k, t) in tuples.iter().enumerate() {
             buckets[written.shard_of(t)].push((t.clone(), k as u32));
         }
-        let mut writers = written.shard_writers();
+        let mut writers: Vec<_> = written.shard_writers().collect();
         for (s, bucket) in buckets.into_iter().enumerate() {
             for (t, p) in bucket {
                 assert!(writers[s].insert_if_absent(t.clone(), p));

@@ -8,7 +8,8 @@ use orchestra_datalog::{Atom, Tgd};
 use orchestra_provenance::Semiring as _;
 use orchestra_reconcile::{TrustCondition, TrustPolicy};
 use orchestra_relational::{tuple, DatabaseSchema, RelationSchema, Value, ValueType};
-use orchestra_updates::{PeerId, Update};
+use orchestra_updates::{PeerId, Transaction, TxnId, Update};
+use std::collections::BTreeSet;
 
 fn p(name: &str) -> PeerId {
     PeerId::new(name)
@@ -423,4 +424,154 @@ fn empty_reconcile_is_noop() {
     cdss.reconcile(&p("Alaska")).unwrap();
     let report = cdss.reconcile(&p("Alaska")).unwrap();
     assert_eq!(report.candidates, 0);
+}
+
+/// The key/value schema `R(k, v)` keyed on `k`.
+fn kv() -> DatabaseSchema {
+    DatabaseSchema::new("kv")
+        .with_relation(
+            RelationSchema::from_parts_keyed(
+                "R",
+                &[("k", ValueType::Int), ("v", ValueType::Int)],
+                &["k"],
+            )
+            .unwrap(),
+        )
+        .unwrap()
+}
+
+/// Two peers over the kv schema, A's `R` copied into B's.
+fn kv_pair() -> Cdss {
+    Cdss::builder()
+        .peer("A", kv(), TrustPolicy::open(1))
+        .peer("B", kv(), TrustPolicy::open(1))
+        .mapping(Tgd::identity("A->B", "A.R", "B.R", 2).unwrap())
+        .build()
+        .unwrap()
+}
+
+fn rows(cdss: &Cdss, peer: &str) -> BTreeSet<orchestra_relational::Tuple> {
+    cdss.peer(&p(peer))
+        .unwrap()
+        .instance()
+        .relation("R")
+        .unwrap()
+        .iter()
+        .cloned()
+        .collect()
+}
+
+/// A transaction with one malformed tuple is rejected whole: none of its
+/// well-formed updates reaches the engine, so nothing leaks into the
+/// candidates of later transactions and the peers stay converged.
+#[test]
+fn malformed_transaction_leaves_no_trace_in_the_engine() {
+    let mut cdss = kv_pair();
+    cdss.publish_transaction(
+        &p("A"),
+        vec![
+            Update::insert("R", tuple![1, 10]),
+            Update::insert("R", tuple![2, 20]),
+        ],
+    )
+    .unwrap();
+    cdss.reconcile(&p("B")).unwrap();
+
+    // Written to the archive directly: a well-formed delete followed by
+    // an insert of the wrong arity.
+    let epoch = cdss.current_epoch();
+    let raw = Transaction::new(
+        TxnId::new(p("A"), 100),
+        epoch,
+        vec![
+            Update::delete("R", tuple![1, 10]),
+            Update::insert("R", tuple![9, 9, 9]),
+        ],
+    );
+    cdss.store().publish(epoch, vec![raw]).unwrap();
+    assert!(
+        cdss.reconcile(&p("B")).is_err(),
+        "the malformed insert fails"
+    );
+    cdss.reconcile(&p("B")).unwrap();
+
+    let good = cdss
+        .publish_transaction(&p("A"), vec![Update::insert("R", tuple![3, 30])])
+        .unwrap();
+    let report = cdss.reconcile(&p("B")).unwrap();
+    assert!(
+        report.outcome.accepted.contains(&good),
+        "{:?}",
+        report.outcome
+    );
+    assert_eq!(rows(&cdss, "B"), rows(&cdss, "A"));
+    assert_eq!(rows(&cdss, "B").len(), 3);
+}
+
+/// Inserting and then deleting a tuple in one transaction leaves it
+/// absent downstream: the delete ends up after the insert it follows.
+#[test]
+fn insert_then_delete_in_one_transaction_leaves_tuple_absent() {
+    let mut cdss = kv_pair();
+    cdss.publish_transaction(
+        &p("A"),
+        vec![
+            Update::insert("R", tuple![1, 10]),
+            Update::insert("R", tuple![5, 50]),
+            Update::delete("R", tuple![5, 50]),
+        ],
+    )
+    .unwrap();
+    cdss.reconcile(&p("B")).unwrap();
+    assert_eq!(rows(&cdss, "B"), BTreeSet::from([tuple![1, 10]]));
+    assert_eq!(rows(&cdss, "B"), rows(&cdss, "A"));
+}
+
+/// Deleting and then re-inserting a tuple in one transaction leaves it
+/// present downstream: the insert ends the run of removals.
+#[test]
+fn delete_then_insert_in_one_transaction_leaves_tuple_present() {
+    let mut cdss = kv_pair();
+    cdss.publish_transaction(
+        &p("A"),
+        vec![
+            Update::insert("R", tuple![1, 10]),
+            Update::insert("R", tuple![2, 20]),
+        ],
+    )
+    .unwrap();
+    cdss.reconcile(&p("B")).unwrap();
+    cdss.publish_transaction(
+        &p("A"),
+        vec![
+            Update::delete("R", tuple![2, 20]),
+            Update::delete("R", tuple![1, 10]),
+            Update::insert("R", tuple![1, 10]),
+        ],
+    )
+    .unwrap();
+    cdss.reconcile(&p("B")).unwrap();
+    assert_eq!(rows(&cdss, "B"), BTreeSet::from([tuple![1, 10]]));
+    assert_eq!(rows(&cdss, "B"), rows(&cdss, "A"));
+}
+
+/// A chain of modifies on one key within one transaction ends at its
+/// last version downstream; the intermediate version never surfaces.
+#[test]
+fn modify_chain_in_one_transaction_ends_at_last_version() {
+    let mut cdss = kv_pair();
+    cdss.publish_transaction(&p("A"), vec![Update::insert("R", tuple![1, 10])])
+        .unwrap();
+    cdss.reconcile(&p("B")).unwrap();
+    cdss.publish_transaction(
+        &p("A"),
+        vec![
+            Update::modify("R", tuple![1, 10], tuple![1, 20]),
+            Update::modify("R", tuple![1, 20], tuple![1, 30]),
+        ],
+    )
+    .unwrap();
+    cdss.reconcile(&p("B")).unwrap();
+    assert_eq!(rows(&cdss, "B"), BTreeSet::from([tuple![1, 30]]));
+    assert_eq!(rows(&cdss, "B"), rows(&cdss, "A"));
 }
