@@ -1,44 +1,47 @@
-//! The experiment harness: regenerates every table/figure of the
-//! reproduction (DESIGN.md §3, results recorded in EXPERIMENTS.md).
+//! The experiment harness: prints the tables for the experiments the
+//! repo benchmark (`loopbench`, see `BENCHMARK.json`) does not run.
+//!
+//! | name | what it times |
+//! |---|---|
+//! | e4 | incremental propagation vs full recomputation |
+//! | e5 | the engine with provenance off vs on |
+//! | e6 | DRed vs provenance-based deletion, one tuple vs one set |
+//! | e8 | replicated-store availability under churn; durable sync/cache tiers |
+//! | e9 | provenance-polynomial (semiring) operations |
+//! | e11 | shard-parallel propagate, thread scaling |
+//! | e12 | the gossiping mesh across OS processes |
+//! | e13 | the fault matrix: injected faults at every layer, healed |
 //!
 //! Usage:
 //! ```text
 //! cargo run --release -p orchestra-bench --bin experiments              # all
 //! cargo run --release -p orchestra-bench --bin experiments -- e4 e6    # some
 //! cargo run --release -p orchestra-bench --bin experiments -- \
-//!     e1 e4 e7 --json-dir . --variant interned                          # emit BENCH_*.json
+//!     e4 e8 --json-dir . --variant paged                                # emit BENCH_*.json
 //! cargo run --release -p orchestra-bench --bin experiments -- \
-//!     e1 --smoke --json-dir target/bench                                # CI smoke
-//! cargo run --release -p orchestra-bench --bin experiments -- \
-//!     --bind 0.0.0.0:7654                                               # serve an archive
-//! cargo run --release -p orchestra-bench --bin experiments -- \
-//!     e10 --connect peer-a:7654                                         # E10 vs a real peer
+//!     e8 --smoke --json-dir target/bench                                # CI smoke
 //! ```
 //!
-//! With `--json-dir`, experiments E1/E4/E7/E8/E10/E11/E12/E13 additionally
-//! write machine-readable `BENCH_*.json` (tuples/sec, semi-naive rounds,
-//! rule firings, paged fetch + availability counters, thread-scaling
-//! speedups and stats-parity flags, mesh-cluster convergence latency +
-//! bytes shipped, and a peak-RSS proxy); `--smoke` shrinks the workloads
-//! for CI, `--variant <tag>` labels the run (e.g. `paged` vs
-//! `interned`). E12 spawns child OS processes of this same binary (a
-//! hidden `--e12-child` mode) to run the gossiping mesh across real
-//! process boundaries.
+//! With `--json-dir`, experiments E4/E8/E11/E12/E13 additionally write
+//! machine-readable `BENCH_*.json` (tuples/sec, semi-naive rounds, rule
+//! firings, paged fetch + availability counters, thread-scaling speedups
+//! and stats-parity flags, mesh-cluster convergence latency + bytes
+//! shipped, and a peak-RSS proxy); `--smoke` shrinks the workloads for
+//! CI, `--variant <tag>` labels the run. E12 spawns child OS processes of
+//! this same binary (a hidden `--e12-child` mode) to run the gossiping
+//! mesh across real process boundaries.
 
 use orchestra_bench::json::{BenchReport, Json};
 use orchestra_bench::*;
-use orchestra_core::demo;
 use orchestra_datalog::{DeletionAlgorithm, Engine, EngineStats, EvalOptions};
-use orchestra_net::{PeerServer, RemoteOptions, RemoteStore};
 use orchestra_provenance::{Boolean, Counting, Semiring, Tropical};
-use orchestra_reconcile::{Reconciler, TrustPolicy};
 use orchestra_relational::{tuple, Tuple};
 use orchestra_store::{
     CacheMode, DurableOptions, DurableStore, FetchCursor, ReplicatedStore, SyncPolicy, UpdateStore,
 };
 use orchestra_updates::{Epoch, PeerId, Transaction, TxnId, Update};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 /// Harness configuration parsed from the command line.
 pub struct Opts {
@@ -49,12 +52,6 @@ pub struct Opts {
     pub json_dir: Option<PathBuf>,
     /// Run tag recorded in the JSON (`interned`, `paged`, …).
     pub variant: String,
-    /// Serve an archive over TCP at this address instead of running
-    /// experiments (the server half of a two-process E10).
-    pub bind: Option<String>,
-    /// Run E10 against an already-running peer server at this address
-    /// instead of spawning loopback threads.
-    pub connect: Option<String>,
 }
 
 impl Opts {
@@ -64,8 +61,6 @@ impl Opts {
             smoke: false,
             json_dir: None,
             variant: "dev".to_string(),
-            bind: None,
-            connect: None,
         };
         let mut it = args.iter();
         while let Some(a) = it.next() {
@@ -78,12 +73,6 @@ impl Opts {
                 }
                 "--variant" => {
                     opts.variant = it.next().expect("--variant needs a tag").clone();
-                }
-                "--bind" => {
-                    opts.bind = Some(it.next().expect("--bind needs an address").clone());
-                }
-                "--connect" => {
-                    opts.connect = Some(it.next().expect("--connect needs an address").clone());
                 }
                 name => opts.names.push(name.to_string()),
             }
@@ -116,23 +105,9 @@ fn main() {
 
     let opts = Opts::parse(&args);
 
-    if let Some(addr) = &opts.bind {
-        serve_archive(addr);
-        return;
-    }
-
     println!("Orchestra CDSS reproduction — experiment harness");
-    println!("(shapes, not absolute numbers, are the reproduction target; see EXPERIMENTS.md)\n");
+    println!("(shapes, not absolute numbers, are the reproduction target)\n");
 
-    if opts.want("e1") {
-        e1_end_to_end(&opts);
-    }
-    if opts.want("e2") {
-        e2_bionetwork();
-    }
-    if opts.want("e3") {
-        e3_scenarios();
-    }
     if opts.want("e4") {
         e4_incremental(&opts);
     }
@@ -142,17 +117,11 @@ fn main() {
     if opts.want("e6") {
         e6_deletion();
     }
-    if opts.want("e7") {
-        e7_reconcile(&opts);
-    }
     if opts.want("e8") {
         e8_store(&opts);
     }
     if opts.want("e9") {
         e9_semiring();
-    }
-    if opts.want("e10") {
-        e10_network(&opts);
     }
     if opts.want("e11") {
         e11_threads(&opts);
@@ -165,341 +134,6 @@ fn main() {
         let report = orchestra_bench::fault_cluster::e13_fault_cluster(opts.smoke, &opts.variant);
         opts.emit(&report);
     }
-}
-
-/// `--bind`: run the server half of a two-process E10 — an empty
-/// in-memory archive served over TCP until the process is killed. The
-/// client half runs `experiments e10 --connect <this address>` on any
-/// machine that can reach it.
-fn serve_archive(addr: &str) {
-    let server = PeerServer::bind(addr, Arc::new(orchestra_store::InMemoryStore::new()))
-        .unwrap_or_else(|e| panic!("cannot bind {addr}: {e}"));
-    println!(
-        "serving an in-memory archive at {} (protocol v{}) — ctrl-c to stop",
-        server.local_addr(),
-        orchestra_net::PROTOCOL_VERSION
-    );
-    loop {
-        std::thread::sleep(std::time::Duration::from_secs(3600));
-    }
-}
-
-/// Sum the translation-engine stats over all peers of a CDSS.
-fn cdss_engine_stats(cdss: &orchestra_core::Cdss) -> EngineStats {
-    let mut total = EngineStats::default();
-    for id in cdss.peer_ids() {
-        total += cdss.peer(&id).unwrap().engine_stats();
-    }
-    total
-}
-
-/// E1 — Figure 1 architecture: end-to-end publish→translate→reconcile
-/// epochs over chain and star topologies.
-pub fn e1_end_to_end(opts: &Opts) -> BenchReport {
-    println!("── E1: end-to-end update exchange (Fig. 1 architecture) ──");
-    println!(
-        "{:<10} {:>6} {:>9} {:>12} {:>14} {:>12}",
-        "topology", "peers", "updates", "publish ms", "reconcile ms", "tuples/s"
-    );
-    let mut report = BenchReport::new("e1", &opts.variant, opts.smoke);
-    let (chain_peers, chain_updates): (&[usize], &[usize]) = if opts.smoke {
-        (&[2], &[32])
-    } else {
-        (&[2, 4, 8], &[64, 256])
-    };
-    let (mut total_tuples, mut total_secs) = (0f64, 0f64);
-    let (mut store_pages, mut store_unavailable) = (0u64, 0u64);
-    let mut agg = EngineStats::default();
-    for &peers in chain_peers {
-        for &updates in chain_updates {
-            // Chain: publish at head, reconcile down the chain.
-            let mut cdss = chain_cdss(peers);
-            let head = PeerId::new("P0");
-            let (_, t_pub) = timed(|| publish_inserts(&mut cdss, &head, 0, updates, 8));
-            let (_, t_rec) = timed(|| {
-                for i in 1..peers {
-                    cdss.reconcile(&PeerId::new(format!("P{i}"))).unwrap();
-                }
-            });
-            let tail_tuples = peer_total(&cdss, &format!("P{}", peers - 1));
-            assert_eq!(tail_tuples, updates, "all updates reach the chain tail");
-            let sst = cdss.stats().store;
-            store_pages += sst.pages;
-            store_unavailable += sst.unavailable;
-            let stats = cdss_engine_stats(&cdss);
-            agg.index_probes += stats.index_probes;
-            // Symbol count is a gauge of one CDSS, not a flow: take the
-            // largest configuration rather than summing across runs.
-            agg.interner_symbols = agg.interner_symbols.max(stats.interner_symbols);
-            agg.interner_hits += stats.interner_hits;
-            let delivered = (updates * peers) as f64;
-            let secs = (t_pub + t_rec).as_secs_f64();
-            let tps = delivered / secs.max(1e-9);
-            total_tuples += delivered;
-            total_secs += secs;
-            report.rounds += stats.rounds;
-            report.firings += stats.firings;
-            report.row([
-                ("topology", Json::from("chain")),
-                ("peers", Json::from(peers)),
-                ("updates", Json::from(updates)),
-                ("publish_ms", Json::Num(t_pub.as_secs_f64() * 1e3)),
-                ("reconcile_ms", Json::Num(t_rec.as_secs_f64() * 1e3)),
-                ("tuples_per_sec", Json::Num(tps)),
-                ("rounds", Json::from(stats.rounds)),
-                ("firings", Json::from(stats.firings)),
-            ]);
-            println!(
-                "{:<10} {:>6} {:>9} {:>12} {:>14} {:>12.0}",
-                "chain",
-                peers,
-                updates,
-                ms(t_pub),
-                ms(t_rec),
-                tps
-            );
-        }
-    }
-    let star_peers: &[usize] = if opts.smoke { &[4] } else { &[4, 8] };
-    let star_updates = if opts.smoke { 32usize } else { 128 };
-    for &peers in star_peers {
-        let updates = star_updates;
-        let mut cdss = star_cdss(peers);
-        let (_, t_pub) = timed(|| {
-            for i in 1..peers {
-                publish_inserts(
-                    &mut cdss,
-                    &PeerId::new(format!("P{i}")),
-                    (i as i64) * 10_000,
-                    updates / (peers - 1),
-                    8,
-                );
-            }
-        });
-        let (_, t_rec) = timed(|| {
-            cdss.reconcile(&PeerId::new("Hub")).unwrap();
-            for i in 1..peers {
-                cdss.reconcile(&PeerId::new(format!("P{i}"))).unwrap();
-            }
-        });
-        let sst = cdss.stats().store;
-        store_pages += sst.pages;
-        store_unavailable += sst.unavailable;
-        let stats = cdss_engine_stats(&cdss);
-        agg.index_probes += stats.index_probes;
-        agg.interner_symbols = agg.interner_symbols.max(stats.interner_symbols);
-        agg.interner_hits += stats.interner_hits;
-        let delivered: f64 = cdss
-            .peer_ids()
-            .iter()
-            .map(|id| peer_total(&cdss, id.name()) as f64)
-            .sum();
-        let secs = (t_pub + t_rec).as_secs_f64();
-        let tps = delivered / secs.max(1e-9);
-        total_tuples += delivered;
-        total_secs += secs;
-        report.rounds += stats.rounds;
-        report.firings += stats.firings;
-        report.row([
-            ("topology", Json::from("star")),
-            ("peers", Json::from(peers)),
-            ("updates", Json::from(updates)),
-            ("publish_ms", Json::Num(t_pub.as_secs_f64() * 1e3)),
-            ("reconcile_ms", Json::Num(t_rec.as_secs_f64() * 1e3)),
-            ("tuples_per_sec", Json::Num(tps)),
-            ("rounds", Json::from(stats.rounds)),
-            ("firings", Json::from(stats.firings)),
-        ]);
-        println!(
-            "{:<10} {:>6} {:>9} {:>12} {:>14} {:>12.0}",
-            "star",
-            peers,
-            updates,
-            ms(t_pub),
-            ms(t_rec),
-            tps
-        );
-    }
-    println!();
-    report.tuples_per_sec = total_tuples / total_secs.max(1e-9);
-    report.summary_extra("index_probes", agg.index_probes);
-    report.summary_extra("interner_symbols", agg.interner_symbols);
-    report.summary_extra("interner_hits", agg.interner_hits);
-    report.summary_extra("store_pages", store_pages);
-    report.summary_extra("store_unavailable", store_unavailable);
-    opts.emit(&report);
-    report
-}
-
-/// E2 — Figure 2 network: the bioinformatics CDSS under growing load.
-fn e2_bionetwork() {
-    println!("── E2: Figure 2 bioinformatics network ──");
-    println!(
-        "{:>8} {:>12} {:>14} {:>14} {:>12}",
-        "seqs", "publish ms", "dresden ms", "crete ms", "ops rows"
-    );
-    for &n in &[16usize, 64, 256, 1024] {
-        let (mut cdss, t_pub) = timed(|| bio_cdss_seeded(n));
-        let dresden = PeerId::new("Dresden");
-        let crete = PeerId::new("Crete");
-        let (_, t_d) = timed(|| cdss.reconcile(&dresden).unwrap());
-        let (_, t_c) = timed(|| cdss.reconcile(&crete).unwrap());
-        let ops = cdss
-            .peer(&dresden)
-            .unwrap()
-            .instance()
-            .relation("OPS")
-            .unwrap()
-            .len();
-        assert_eq!(ops, n, "every sequence joins into one OPS row");
-        println!(
-            "{:>8} {:>12} {:>14} {:>14} {:>12}",
-            n,
-            ms(t_pub),
-            ms(t_d),
-            ms(t_c),
-            ops
-        );
-    }
-    println!();
-}
-
-/// E3 — §4 scenarios: a pass/fail table (the full assertions live in
-/// tests/demo_scenarios.rs; this reruns the library-level checks).
-fn e3_scenarios() {
-    println!("── E3: demonstration scenarios (§4) ──");
-    type Check = (&'static str, fn() -> bool);
-    let checks: [Check; 5] = [
-        ("1: Alaska↔Dresden translation", scenario1_ok),
-        ("2: priority rejection + cascade", scenario2_ok),
-        ("3: distrusted antecedent pulled in", scenario3_ok),
-        ("4: deferral + manual resolution", scenario4_ok),
-        ("5: offline publisher, archived updates", scenario5_ok),
-    ];
-    for (name, f) in checks {
-        println!(
-            "  scenario {name:<42} {}",
-            if f() { "PASS" } else { "FAIL" }
-        );
-    }
-    println!();
-}
-
-fn scenario1_ok() -> bool {
-    let mut cdss = demo::figure2().unwrap();
-    cdss.publish_transaction(
-        &PeerId::new("Alaska"),
-        vec![
-            Update::insert("O", tuple!["HIV", 1]),
-            Update::insert("P", tuple!["gp120", 2]),
-            Update::insert("S", tuple![1, 2, "MRV"]),
-        ],
-    )
-    .unwrap();
-    cdss.reconcile(&PeerId::new("Dresden")).unwrap();
-    cdss.peer(&PeerId::new("Dresden"))
-        .unwrap()
-        .instance()
-        .relation("OPS")
-        .unwrap()
-        .contains(&tuple!["HIV", "gp120", "MRV"])
-}
-
-fn scenario2_ok() -> bool {
-    let mut cdss = demo::figure2().unwrap();
-    cdss.publish_transaction(
-        &PeerId::new("Beijing"),
-        vec![
-            Update::insert("O", tuple!["HIV", 1]),
-            Update::insert("P", tuple!["gp120", 2]),
-            Update::insert("S", tuple![1, 2, "B"]),
-        ],
-    )
-    .unwrap();
-    let d1 = cdss
-        .publish_transaction(
-            &PeerId::new("Dresden"),
-            vec![Update::insert("OPS", tuple!["HIV", "gp120", "D"])],
-        )
-        .unwrap();
-    let r = cdss.reconcile(&PeerId::new("Crete")).unwrap();
-    let first = r.outcome.rejected.contains(&d1);
-    let d2 = cdss
-        .publish_transaction(
-            &PeerId::new("Dresden"),
-            vec![Update::modify(
-                "OPS",
-                tuple!["HIV", "gp120", "D"],
-                tuple!["HIV", "gp120", "D2"],
-            )],
-        )
-        .unwrap();
-    let r = cdss.reconcile(&PeerId::new("Crete")).unwrap();
-    first && r.outcome.rejected.contains(&d2)
-}
-
-fn scenario3_ok() -> bool {
-    let mut cdss = demo::figure2().unwrap();
-    let a = cdss
-        .publish_transaction(
-            &PeerId::new("Alaska"),
-            vec![
-                Update::insert("O", tuple!["HIV", 1]),
-                Update::insert("P", tuple!["gp120", 2]),
-                Update::insert("S", tuple![1, 2, "V1"]),
-            ],
-        )
-        .unwrap();
-    cdss.reconcile(&PeerId::new("Beijing")).unwrap();
-    let b = cdss
-        .publish_transaction(
-            &PeerId::new("Beijing"),
-            vec![Update::modify("S", tuple![1, 2, "V1"], tuple![1, 2, "V2"])],
-        )
-        .unwrap();
-    let r = cdss.reconcile(&PeerId::new("Crete")).unwrap();
-    r.outcome.accepted.contains(&a) && r.outcome.accepted.contains(&b)
-}
-
-fn scenario4_ok() -> bool {
-    let mut cdss = demo::figure2().unwrap();
-    cdss.publish_transaction(
-        &PeerId::new("Alaska"),
-        vec![
-            Update::insert("O", tuple!["HIV", 1]),
-            Update::insert("P", tuple!["gp120", 2]),
-        ],
-    )
-    .unwrap();
-    cdss.reconcile(&PeerId::new("Beijing")).unwrap();
-    let a = cdss
-        .publish_transaction(
-            &PeerId::new("Alaska"),
-            vec![Update::insert("S", tuple![1, 2, "A"])],
-        )
-        .unwrap();
-    let b = cdss
-        .publish_transaction(
-            &PeerId::new("Beijing"),
-            vec![Update::insert("S", tuple![1, 2, "B"])],
-        )
-        .unwrap();
-    let r = cdss.reconcile(&PeerId::new("Dresden")).unwrap();
-    let deferred = r.outcome.deferred.contains(&a) && r.outcome.deferred.contains(&b);
-    let res = cdss.resolve(&PeerId::new("Dresden"), &b).unwrap();
-    deferred && res.outcome.accepted.iter().any(|t| t.id == b) && res.outcome.rejected.contains(&a)
-}
-
-fn scenario5_ok() -> bool {
-    let store = ReplicatedStore::new(8, 3).unwrap();
-    let mut cdss = demo::figure2_with_store(Box::new(store)).unwrap();
-    cdss.publish_transaction(
-        &PeerId::new("Beijing"),
-        vec![Update::insert("O", tuple!["Mouse", 1])],
-    )
-    .unwrap();
-    let r = cdss.reconcile(&PeerId::new("Alaska")).unwrap();
-    r.outcome.accepted.len() == 1
 }
 
 /// E4 — incremental vs full recomputation of update exchange.
@@ -669,15 +303,18 @@ fn e6_deletion() {
             let (dred_set, t_dred_set) = as_set(DeletionAlgorithm::DRed);
             let (prov1, t_prov1) = one_at_a_time(DeletionAlgorithm::ProvenanceBased);
             let (prov_set, t_prov_set) = as_set(DeletionAlgorithm::ProvenanceBased);
+            // Scan order follows each engine's mutation history; compare
+            // the relations as sets.
+            let rows = |e: &Engine, rel: &str| e.scan_resolved(rel).collect::<BTreeSet<Tuple>>();
             for rel in schema.relations() {
-                let expect = dred1.relation_tuples(rel.name());
+                let expect = rows(&dred1, rel.name());
                 for (label, e) in [
                     ("dred set", &dred_set),
                     ("prov", &prov1),
                     ("prov set", &prov_set),
                 ] {
                     assert_eq!(
-                        e.relation_tuples(rel.name()),
+                        rows(e, rel.name()),
                         expect,
                         "{label} deletion diverges on {}",
                         rel.name()
@@ -698,86 +335,6 @@ fn e6_deletion() {
         }
     }
     println!();
-}
-
-/// E7 — reconciliation scaling (companion \[11\]).
-pub fn e7_reconcile(opts: &Opts) -> BenchReport {
-    println!("── E7: reconciliation scaling (companion [11]) ──");
-    println!(
-        "{:>8} {:>9} {:>8} {:>12} {:>12} {:>9} {:>9} {:>9} {:>10}",
-        "txns",
-        "conflict%",
-        "depth",
-        "greedy ms",
-        "naive ms",
-        "accept",
-        "defer",
-        "reject",
-        "txns/s"
-    );
-    let mut report = BenchReport::new("e7", &opts.variant, opts.smoke);
-    let (sizes, pcts): (&[usize], &[u32]) = if opts.smoke {
-        (&[256], &[0, 20])
-    } else {
-        (&[256, 1024, 4096], &[0, 5, 20, 50])
-    };
-    let (mut total_txns, mut total_secs) = (0f64, 0f64);
-    for &n in sizes {
-        for &pct in pcts {
-            let depth = 3usize;
-            let cands = reconcile_candidates(n, pct, depth, 42);
-            let schema = kv_schema();
-            let (_, t_naive) = timed(|| naive_reconcile(&cands, &schema));
-            let mut r = Reconciler::new(schema);
-            let (_, t_greedy) =
-                timed(|| r.reconcile(cands.clone(), &TrustPolicy::open(1)).unwrap());
-            let accepted = cands
-                .iter()
-                .filter(|c| r.decision(c.id()) == Some(orchestra_reconcile::Decision::Accepted))
-                .count();
-            let deferred = r.deferred().len();
-            let rejected = cands
-                .iter()
-                .filter(|c| r.decision(c.id()) == Some(orchestra_reconcile::Decision::Rejected))
-                .count();
-            let secs = t_greedy.as_secs_f64();
-            let tps = n as f64 / secs.max(1e-9);
-            total_txns += n as f64;
-            total_secs += secs;
-            report.row([
-                ("txns", Json::from(n)),
-                ("conflict_pct", Json::from(pct as u64)),
-                ("depth", Json::from(depth)),
-                ("greedy_ms", Json::Num(secs * 1e3)),
-                ("naive_ms", Json::Num(t_naive.as_secs_f64() * 1e3)),
-                ("accepted", Json::from(accepted)),
-                ("deferred", Json::from(deferred)),
-                ("rejected", Json::from(rejected)),
-                // Single-update transactions: txns/sec is tuples/sec.
-                ("tuples_per_sec", Json::Num(tps)),
-            ]);
-            println!(
-                "{:>8} {:>9} {:>8} {:>12} {:>12} {:>9} {:>9} {:>9} {:>10.0}",
-                n,
-                pct,
-                depth,
-                ms(t_greedy),
-                ms(t_naive),
-                accepted,
-                deferred,
-                rejected,
-                tps
-            );
-        }
-    }
-    println!();
-    report.tuples_per_sec = total_txns / total_secs.max(1e-9);
-    // E7 drives the reconciler directly (no archive): counters present
-    // for uniform tooling, always zero here.
-    report.summary_extra("store_pages", 0u64);
-    report.summary_extra("store_unavailable", 0u64);
-    opts.emit(&report);
-    report
 }
 
 /// E8 — archived availability under churn × replication factor, measured
@@ -1010,234 +567,6 @@ fn e9_semiring() {
     println!();
 }
 
-/// E10 — networked peers: the E8 paged-availability workload with the
-/// archive on the other side of real TCP sockets. Loopback by default
-/// (server threads in this process); `--connect <addr>` points the
-/// client half at a real peer started with `--bind <addr>` on another
-/// machine. Reports publish/scan throughput over the wire, round trips,
-/// and the transport→`Unavailable` mapping a dead endpoint produces.
-pub fn e10_network(opts: &Opts) -> BenchReport {
-    println!("── E10: networked peers (UpdateStore over TCP) ──");
-    println!(
-        "{:>10} {:>7} {:>6} {:>12} {:>10} {:>7} {:>11} {:>12}",
-        "mode", "txns", "limit", "publish ms", "scan ms", "pages", "roundtrips", "tuples/s"
-    );
-    let mut report = BenchReport::new("e10", &opts.variant, opts.smoke);
-    let n_txns: u64 = if opts.smoke { 200 } else { 2000 };
-    let limits: &[usize] = if opts.smoke { &[64] } else { &[64, 256, 1024] };
-    let client_opts = RemoteOptions::default();
-
-    // Unique publisher name so repeated runs against one long-lived
-    // `--bind` server never collide on transaction ids.
-    let publisher = format!("pub-{}", std::process::id());
-    let make_txns = |epoch_base: u64| -> Vec<Vec<Transaction>> {
-        (0..n_txns)
-            .map(|i| {
-                Transaction::new(
-                    TxnId::new(PeerId::new(&publisher), epoch_base * 1_000_000 + i),
-                    Epoch::new(1),
-                    vec![Update::insert("R", tuple![i as i64, 0])],
-                )
-            })
-            .collect::<Vec<_>>()
-            .chunks(100)
-            .map(|c| c.to_vec())
-            .collect()
-    };
-
-    let (mut total_tuples, mut total_secs) = (0f64, 0f64);
-    let (mut total_pages, mut total_unavail, mut total_round_trips) = (0u64, 0u64, 0u64);
-    for (li, &limit) in limits.iter().enumerate() {
-        // Loopback mode spins a fresh server per row; connect mode
-        // reuses the external peer (epochs advance past its history).
-        let local = if opts.connect.is_none() {
-            Some(
-                PeerServer::bind(
-                    "127.0.0.1:0",
-                    Arc::new(orchestra_store::InMemoryStore::new()),
-                )
-                .expect("bind loopback"),
-            )
-        } else {
-            None
-        };
-        let addr = match (&opts.connect, &local) {
-            (Some(addr), _) => addr.clone(),
-            (None, Some(server)) => server.local_addr().to_string(),
-            _ => unreachable!(),
-        };
-        let remote =
-            RemoteStore::connect_with(addr.as_str(), client_opts).expect("connect to archive");
-        // One probe serves both the epoch base and the scan start.
-        let (_, latest, _, _) = remote.probe().expect("probe archive");
-        let epoch_base = latest.map_or(0, |e| e.value());
-        let batches = make_txns(epoch_base + li as u64);
-        let scan_from = latest.unwrap_or_else(Epoch::zero);
-        let (_, t_pub) = timed(|| {
-            for (i, batch) in batches.into_iter().enumerate() {
-                remote
-                    .publish(Epoch::new(epoch_base + i as u64 + 1), batch)
-                    .expect("publish over tcp");
-            }
-        });
-        let before_rt = remote.net_stats().round_trips;
-        let ((reachable, pages), t_scan) = timed(|| {
-            let (mut ok, mut pages) = (0u64, 0u64);
-            for page in orchestra_store::pages(&remote, FetchCursor::after_epoch(scan_from), limit)
-            {
-                let page = page.expect("paged scan over tcp");
-                ok += page.txns.len() as u64;
-                pages += 1;
-            }
-            (ok, pages)
-        });
-        assert_eq!(reachable, n_txns, "every published txn scanned back");
-        let round_trips = remote.net_stats().round_trips - before_rt;
-        let secs = t_scan.as_secs_f64();
-        let tps = reachable as f64 / secs.max(1e-9);
-        total_tuples += reachable as f64;
-        total_secs += secs;
-        total_pages += pages;
-        total_round_trips += remote.net_stats().round_trips;
-        let mode = if opts.connect.is_some() {
-            "remote"
-        } else {
-            "loopback"
-        };
-        report.row([
-            ("mode", Json::from(mode)),
-            ("txns", Json::from(n_txns)),
-            ("page_limit", Json::from(limit)),
-            ("publish_ms", Json::Num(t_pub.as_secs_f64() * 1e3)),
-            ("scan_ms", Json::Num(secs * 1e3)),
-            ("pages", Json::from(pages)),
-            ("round_trips", Json::from(round_trips)),
-            ("tuples_per_sec", Json::Num(tps)),
-        ]);
-        println!(
-            "{:>10} {:>7} {:>6} {:>12} {:>10} {:>7} {:>11} {:>12.0}",
-            mode,
-            n_txns,
-            limit,
-            ms(t_pub),
-            ms(t_scan),
-            pages,
-            round_trips,
-            tps
-        );
-        if let Some(server) = local {
-            server.shutdown();
-        }
-    }
-
-    // Churn over the wire (loopback only: it needs the server-side churn
-    // handle): a replicated backend with a third of its nodes down still
-    // serves pages, reporting the unreachable positions remotely.
-    if opts.connect.is_none() {
-        let dht = Arc::new(ReplicatedStore::new(64, 1).expect("ring"));
-        dht.publish(
-            Epoch::new(1),
-            (0..n_txns)
-                .map(|i| {
-                    Transaction::new(
-                        TxnId::new(PeerId::new("churn"), i),
-                        Epoch::new(1),
-                        vec![Update::insert("R", tuple![i as i64, 0])],
-                    )
-                })
-                .collect(),
-        )
-        .expect("seed churn archive");
-        for node in 0..(64 / 3) {
-            dht.take_node_down((node * 7) % 64);
-        }
-        let server = PeerServer::bind("127.0.0.1:0", dht).expect("bind churn server");
-        let remote = RemoteStore::connect_with(server.local_addr(), client_opts).expect("connect");
-        let ((reachable, unavailable, pages), t_scan) = timed(|| {
-            let (mut ok, mut lost, mut pages) = (0u64, 0u64, 0u64);
-            for page in
-                orchestra_store::pages(&remote, FetchCursor::after_epoch(Epoch::zero()), 256)
-            {
-                let page = page.expect("churn scan over tcp");
-                ok += page.txns.len() as u64;
-                lost += page.unavailable.len() as u64;
-                pages += 1;
-            }
-            (ok, lost, pages)
-        });
-        assert_eq!(reachable + unavailable, n_txns);
-        assert!(unavailable > 0, "churn must produce wire-visible gaps");
-        let secs = t_scan.as_secs_f64();
-        total_pages += pages;
-        total_unavail += unavailable;
-        total_round_trips += remote.net_stats().round_trips;
-        report.row([
-            ("mode", Json::from("loopback-churn")),
-            ("txns", Json::from(n_txns)),
-            ("page_limit", Json::from(256u64)),
-            ("reachable", Json::from(reachable)),
-            ("unavailable", Json::from(unavailable)),
-            ("pages", Json::from(pages)),
-            (
-                "tuples_per_sec",
-                Json::Num(reachable as f64 / secs.max(1e-9)),
-            ),
-        ]);
-        println!(
-            "{:>10} {:>7} {:>6} {:>12} {:>10} {:>7} {:>11} {:>12.0}  ({} unavailable over the wire)",
-            "churn",
-            n_txns,
-            256,
-            "-",
-            ms(t_scan),
-            pages,
-            remote.net_stats().round_trips,
-            reachable as f64 / secs.max(1e-9),
-            unavailable
-        );
-        server.shutdown();
-
-        // Dead endpoint: every transport failure maps to the
-        // `Unavailable` error the reconcile loop absorbs.
-        let dead = PeerServer::bind(
-            "127.0.0.1:0",
-            Arc::new(orchestra_store::InMemoryStore::new()),
-        )
-        .expect("bind");
-        let dead_addr = dead.local_addr();
-        dead.shutdown();
-        let fast = RemoteOptions {
-            connect_timeout: std::time::Duration::from_millis(200),
-            retries: 1,
-            ..RemoteOptions::default()
-        };
-        let remote = RemoteStore::lazy_with(dead_addr, fast).expect("lazy attach");
-        let mut unavailable_mapped = 0u64;
-        for _ in 0..3 {
-            match remote.fetch_page(&FetchCursor::after_epoch(Epoch::zero()), 8) {
-                Err(orchestra_store::StoreError::Unavailable { .. }) => unavailable_mapped += 1,
-                other => panic!("dead endpoint must map to Unavailable, got {other:?}"),
-            }
-        }
-        assert_eq!(remote.net_stats().unavailable_mapped, unavailable_mapped);
-        report.summary_extra("unavailable_mapped", unavailable_mapped);
-        println!(
-            "  dead endpoint: {unavailable_mapped}/3 calls mapped to StoreError::Unavailable\n"
-        );
-    } else {
-        report.summary_extra("unavailable_mapped", 0u64);
-        println!();
-    }
-
-    report.tuples_per_sec = total_tuples / total_secs.max(1e-9);
-    report.summary_extra("store_pages", total_pages);
-    report.summary_extra("store_unavailable", total_unavail);
-    report.summary_extra("round_trips", total_round_trips);
-    report.summary_extra("obs", orchestra_bench::json::obs_block());
-    opts.emit(&report);
-    report
-}
-
 /// Cumulative `engine.round.{plan,join,merge}_micros` histogram sums
 /// from the process-global obs registry (zeros when obs is compiled
 /// off). Callers diff two readings to attribute wall-clock to phases.
@@ -1254,6 +583,25 @@ fn round_phase_micros() -> [u64; 3] {
         out[slot] = h.sum;
     }
     out
+}
+
+/// The E11 sweep's thread counts: a comma-separated list (e.g. `2,8`)
+/// when it names any, else 1/2/4/8. The sweep always starts at 1 thread
+/// — moved first, or added when the list lacks it — because every row's
+/// speedup and stats parity are measured against the first run.
+fn sweep_threads(list: Option<&str>) -> Vec<usize> {
+    let mut counts: Vec<usize> = list
+        .map(|v| {
+            v.split(',')
+                .filter_map(|s| s.trim().parse::<usize>().ok())
+                .filter(|&t| t > 0)
+                .collect::<Vec<_>>()
+        })
+        .filter(|v| !v.is_empty())
+        .unwrap_or_else(|| vec![1, 2, 4, 8]);
+    counts.retain(|&t| t != 1);
+    counts.insert(0, 1);
+    counts
 }
 
 /// E11 — shard-parallel thread scaling: propagate two workloads at
@@ -1280,9 +628,8 @@ fn round_phase_micros() -> [u64; 3] {
 /// the partitioned merge this fraction was the Amdahl ceiling on `tc`;
 /// now it should shrink as threads go up.
 ///
-/// `ORCHESTRA_EVAL_THREADS` is honored as an explicit override: set it
-/// to a comma-separated list (e.g. `1,2,8`) to pick the exact thread
-/// counts the sweep runs — CI uses this to smoke-test stats parity.
+/// `ORCHESTRA_EVAL_THREADS` picks the thread counts the sweep runs (see
+/// [`sweep_threads`]) — CI uses this to smoke-test stats parity.
 pub fn e11_threads(opts: &Opts) -> BenchReport {
     println!("── E11: shard-parallel propagate, thread scaling ──");
     println!(
@@ -1303,17 +650,7 @@ pub fn e11_threads(opts: &Opts) -> BenchReport {
     } else {
         (16, 5)
     };
-    let thread_counts: Vec<usize> = std::env::var("ORCHESTRA_EVAL_THREADS")
-        .ok()
-        .map(|v| {
-            v.split(',')
-                .filter_map(|s| s.trim().parse::<usize>().ok())
-                .filter(|&t| t > 0)
-                .collect::<Vec<_>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4, 8]);
-    let thread_counts: &[usize] = &thread_counts;
+    let thread_counts = sweep_threads(std::env::var("ORCHESTRA_EVAL_THREADS").ok().as_deref());
     let workloads: Vec<(&'static str, _, _, Vec<_>)> = {
         let (tc_db, tc_rules, tc_edges) = if opts.smoke {
             tc_parts(64, 320, 11)
@@ -1336,7 +673,7 @@ pub fn e11_threads(opts: &Opts) -> BenchReport {
     let mut speedups: std::collections::BTreeMap<usize, f64> = Default::default();
     for (name, db, rules, edges) in &workloads {
         let mut baseline: Option<(f64, EngineStats, usize)> = None;
-        for &threads in thread_counts {
+        for &threads in &thread_counts {
             let eval = EvalOptions {
                 threads,
                 shards,
@@ -1448,4 +785,18 @@ pub fn e11_threads(opts: &Opts) -> BenchReport {
     opts.emit(&report);
     println!();
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::sweep_threads;
+
+    #[test]
+    fn the_thread_sweep_always_starts_at_one_thread() {
+        assert_eq!(sweep_threads(None), [1, 2, 4, 8]);
+        assert_eq!(sweep_threads(Some("2,8")), [1, 2, 8]);
+        assert_eq!(sweep_threads(Some("1,2,8")), [1, 2, 8]);
+        assert_eq!(sweep_threads(Some("8, 1, 2")), [1, 8, 2]);
+        assert_eq!(sweep_threads(Some("0,x")), [1, 2, 4, 8]);
+    }
 }

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! {
-//!   "experiment": "e1" | "e4" | "e7",
+//!   "experiment": "e4" | "e8" | "e11" | "e12" | "e13",
 //!   "variant":    free-form tag ("interned", "paged", ...),
 //!   "smoke":      bool,
 //!   "peak_rss_kb": u64          // VmHWM proxy, 0 where unsupported
@@ -362,7 +362,7 @@ pub fn peak_rss_kb() -> u64 {
 /// One experiment's machine-readable result file.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
-    /// Experiment name ("e1", "e4", "e7").
+    /// Experiment name ("e4", "e8", …).
     pub experiment: String,
     /// Build/config tag distinguishing runs ("interned", "paged", …).
     pub variant: String,
@@ -435,7 +435,7 @@ impl BenchReport {
 }
 
 /// The `obs` summary block for experiments that report instrumentation
-/// overhead (E10/E12): whether the metrics layer is compiled in, the
+/// overhead (E12): whether the metrics layer is compiled in, the
 /// registry's entry counts, and per-subsystem event totals. An A/B pair
 /// of runs (default build vs `--features orchestra-obs/off`) is compared
 /// by diffing this block next to `tuples_per_sec`.
@@ -501,7 +501,7 @@ pub fn validate_report_shape(doc: &Json) -> Vec<String> {
         }
         _ => errs.push("missing object field `summary`".into()),
     }
-    // The `obs` block is optional (only E10/E12 emit it), but when
+    // The `obs` block is optional (only E12 emits it), but when
     // present it must carry the A/B-comparison fields.
     if let Some(obs) = doc.get("summary").and_then(|s| s.get("obs")) {
         if !matches!(obs.get("enabled"), Some(Json::Bool(_))) {
@@ -522,7 +522,7 @@ mod tests {
 
     #[test]
     fn roundtrip_report() {
-        let mut r = BenchReport::new("e1", "baseline", true);
+        let mut r = BenchReport::new("e4", "baseline", true);
         r.row([
             ("topology", Json::from("chain")),
             ("tuples_per_sec", Json::Num(123.5)),
@@ -557,7 +557,7 @@ mod tests {
 
     #[test]
     fn shape_validator_flags_problems() {
-        let bad = Json::parse(r#"{"experiment":"e1","rows":[]}"#).unwrap();
+        let bad = Json::parse(r#"{"experiment":"e4","rows":[]}"#).unwrap();
         let errs = validate_report_shape(&bad);
         assert!(errs.iter().any(|e| e.contains("variant")));
         assert!(errs.iter().any(|e| e.contains("non-empty")));

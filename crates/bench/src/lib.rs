@@ -1,8 +1,8 @@
-//! Workload generators and measurement helpers shared by the Criterion
-//! benches and the `experiments` table printer.
+//! Workload generators and measurement helpers for the `experiments`
+//! table printer (its module doc lists the experiments).
 //!
-//! One module per experiment family (see DESIGN.md §3 for the experiment
-//! index). Everything is deterministic given a seed.
+//! One module per experiment family. Everything is deterministic given a
+//! seed.
 
 pub mod fault_cluster;
 pub mod json;

@@ -1,112 +1,12 @@
-//! Deterministic workload generators for experiments E1–E11.
+//! Deterministic workload generators for the engine-level experiments
+//! (E4–E6, E9, E11).
 
-use orchestra_core::{demo, Cdss};
-use orchestra_datalog::{Atom, Engine, Rule, Tgd};
-use orchestra_reconcile::{Candidate, TrustPolicy};
-use orchestra_relational::{tuple, DatabaseSchema, RelationSchema, Tuple, Value, ValueType};
-use orchestra_updates::{Epoch, PeerId, Transaction, TxnId, Update};
+use orchestra_core::demo;
+use orchestra_datalog::{Atom, Engine, Rule};
+use orchestra_relational::{tuple, DatabaseSchema, RelationSchema, Tuple, ValueType};
+use orchestra_updates::PeerId;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-
-/// The shared key/value schema used by the synthetic topologies.
-pub fn kv_schema() -> DatabaseSchema {
-    DatabaseSchema::new("kv")
-        .with_relation(
-            RelationSchema::from_parts_keyed(
-                "R",
-                &[("k", ValueType::Int), ("v", ValueType::Int)],
-                &["k"],
-            )
-            .unwrap(),
-        )
-        .unwrap()
-}
-
-/// E1: a chain CDSS `P0 → P1 → … → P(n-1)` over the kv schema, connected
-/// by one-directional copy mappings.
-pub fn chain_cdss(n_peers: usize) -> Cdss {
-    assert!(n_peers >= 2);
-    let mut b = Cdss::builder();
-    for i in 0..n_peers {
-        b = b.peer(format!("P{i}"), kv_schema(), TrustPolicy::open(1));
-    }
-    for i in 0..n_peers - 1 {
-        b = b.mapping(
-            Tgd::identity(
-                format!("M{i}->{}", i + 1),
-                format!("P{i}.R"),
-                format!("P{}.R", i + 1),
-                2,
-            )
-            .unwrap(),
-        );
-    }
-    b.build().unwrap()
-}
-
-/// E1: a star CDSS with one hub and `n - 1` spokes, bidirectional copy
-/// mappings hub ↔ spoke.
-pub fn star_cdss(n_peers: usize) -> Cdss {
-    assert!(n_peers >= 2);
-    let mut b = Cdss::builder().peer("Hub", kv_schema(), TrustPolicy::open(1));
-    for i in 1..n_peers {
-        b = b.peer(format!("P{i}"), kv_schema(), TrustPolicy::open(1));
-    }
-    for i in 1..n_peers {
-        b = b.identity("Hub", format!("P{i}")).expect("shared schema");
-    }
-    b.build().unwrap()
-}
-
-/// Publish `n_updates` fresh-key inserts at `peer`, in transactions of
-/// `txn_size`, keys offset by `key_base`.
-pub fn publish_inserts(
-    cdss: &mut Cdss,
-    peer: &PeerId,
-    key_base: i64,
-    n_updates: usize,
-    txn_size: usize,
-) -> Vec<TxnId> {
-    let mut txns: Vec<Vec<Update>> = Vec::new();
-    let mut current: Vec<Update> = Vec::new();
-    for i in 0..n_updates {
-        let k = key_base + i as i64;
-        current.push(Update::insert("R", tuple![k, k * 7 % 1001]));
-        if current.len() == txn_size {
-            txns.push(std::mem::take(&mut current));
-        }
-    }
-    if !current.is_empty() {
-        txns.push(current);
-    }
-    cdss.publish_transactions(peer, txns).unwrap()
-}
-
-/// E2: the Figure 2 bioinformatics network seeded with `n_seqs` sequences
-/// at Alaska (one organism per 8 sequences, one transaction per organism).
-pub fn bio_cdss_seeded(n_seqs: usize) -> Cdss {
-    let mut cdss = demo::figure2().unwrap();
-    let alaska = PeerId::new("Alaska");
-    let mut txns: Vec<Vec<Update>> = Vec::new();
-    let mut oid = 0i64;
-    let mut i = 0usize;
-    while i < n_seqs {
-        oid += 1;
-        let mut txn = vec![Update::insert("O", tuple![format!("org{oid}"), oid])];
-        for j in 0..8.min(n_seqs - i) {
-            let pid = (oid * 1000) + j as i64;
-            txn.push(Update::insert("P", tuple![format!("prot{pid}"), pid]));
-            txn.push(Update::insert(
-                "S",
-                tuple![oid, pid, format!("SEQ-{oid}-{j}")],
-            ));
-        }
-        i += 8.min(n_seqs - i);
-        txns.push(txn);
-    }
-    cdss.publish_transactions(&alaska, txns).unwrap();
-    cdss
-}
 
 /// The Figure 2 mapping program compiled against the combined qualified
 /// schema — for engine-level experiments (E4–E6) that bypass the CDSS.
@@ -278,81 +178,6 @@ pub fn triangle_parts(
     (db, rules, edges)
 }
 
-/// E7: a reconciliation workload: `n_txns` single-update transactions over
-/// a keyspace sized so that ~`conflict_pct`% of transactions collide on a
-/// hot key with a distinct value; `dep_depth` chains each group of
-/// transactions into antecedent chains of that length.
-pub fn reconcile_candidates(
-    n_txns: usize,
-    conflict_pct: u32,
-    dep_depth: usize,
-    seed: u64,
-) -> Vec<Candidate> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = Vec::with_capacity(n_txns);
-    let mut chain_prev: Option<(TxnId, i64)> = None;
-    let mut chain_left = 0usize;
-    for i in 0..n_txns {
-        let peer = PeerId::new(format!("peer{}", i % 16));
-        let id = TxnId::new(peer, (i / 16) as u64 + 1);
-        let conflicting = rng.random_range(0..100u32) < conflict_pct;
-        let (update, antecedents) = if let Some((prev_id, prev_key)) = chain_prev.clone() {
-            // Continue a dependency chain: modify the previous write.
-            let u = Update::modify("R", tuple![prev_key, 0], tuple![prev_key, i as i64]);
-            (u, std::collections::BTreeSet::from([prev_id]))
-        } else if conflicting {
-            // Write a hot key with a per-txn value: guaranteed conflicts.
-            let hot = rng.random_range(0..4i64);
-            (
-                Update::insert("R", tuple![hot, i as i64]),
-                Default::default(),
-            )
-        } else {
-            // Fresh key, no conflict.
-            (
-                Update::insert("R", tuple![1000 + i as i64, i as i64]),
-                Default::default(),
-            )
-        };
-        // Chain bookkeeping.
-        if chain_left > 0 {
-            chain_left -= 1;
-            if chain_left == 0 {
-                chain_prev = None;
-            } else if let Update::Modify { new, .. } = &update {
-                chain_prev = Some((id.clone(), new[0].as_int().unwrap()));
-            }
-        } else if dep_depth > 1 && !conflicting && rng.random_bool(0.3) {
-            if let Update::Insert { tuple: t, .. } = &update {
-                chain_prev = Some((id.clone(), t[0].as_int().unwrap()));
-                chain_left = dep_depth - 1;
-            }
-        }
-        out.push(Candidate::from_txn(
-            Transaction::new(id, Epoch::new(1), vec![update]).with_antecedents(antecedents),
-        ));
-    }
-    out
-}
-
-/// E7 baseline: a naive reconciler that pairwise-compares **all**
-/// transactions (no priority levels, no groups) and accepts greedily —
-/// the O(n²)-oblivious strawman the paper's engineered algorithm replaces.
-pub fn naive_reconcile(candidates: &[Candidate], schema: &DatabaseSchema) -> (usize, usize) {
-    let mut accepted: Vec<&Candidate> = Vec::new();
-    let mut rejected = 0usize;
-    'outer: for c in candidates {
-        for a in &accepted {
-            if c.txn.conflicts_with(&a.txn, schema).unwrap() {
-                rejected += 1;
-                continue 'outer;
-            }
-        }
-        accepted.push(c);
-    }
-    (accepted.len(), rejected)
-}
-
 /// E9: a random provenance polynomial with `terms` monomials over
 /// `vars` variables with exponents ≤ 2.
 pub fn random_polynomial(
@@ -374,30 +199,4 @@ pub fn random_polynomial(
         ));
     }
     p
-}
-
-/// Sorted values of a kv relation at a peer (for correctness checks in
-/// benches/experiments).
-pub fn kv_state(cdss: &Cdss, peer: &str) -> Vec<(i64, i64)> {
-    cdss.peer(&PeerId::new(peer))
-        .unwrap()
-        .instance()
-        .relation("R")
-        .unwrap()
-        .iter()
-        .map(|t| (t[0].as_int().unwrap(), t[1].as_int().unwrap()))
-        .collect()
-}
-
-/// Helper: total tuples at a peer.
-pub fn peer_total(cdss: &Cdss, peer: &str) -> usize {
-    cdss.peer(&PeerId::new(peer))
-        .unwrap()
-        .instance()
-        .total_tuples()
-}
-
-/// Helper: turn a `Value` column into i64 (panics on mismatch).
-pub fn as_i64(v: &Value) -> i64 {
-    v.as_int().expect("int column")
 }

@@ -87,7 +87,7 @@
 //!    suite).
 //!
 //! Symbols are process-local (insertion-ordered); everything that leaves
-//! the engine — the change log, [`Engine::relation_tuples`], provenance
+//! the engine — the change log, [`Engine::scan_resolved`], provenance
 //! resolution — is translated back to `Value` tuples, and durable layers
 //! serialize those structurally, so persisted state never depends on
 //! interner ordering.
@@ -1277,15 +1277,6 @@ impl Engine {
             .map(move |(st, _)| self.interner.resolve_tuple(st))
     }
 
-    /// Alive tuples of a relation, sorted (deterministic). Thin compat
-    /// wrapper over [`scan_resolved`](Engine::scan_resolved) — prefer the
-    /// iterators where a full sorted clone is not needed.
-    pub fn relation_tuples(&self, relation: &str) -> Vec<Tuple> {
-        let mut out: Vec<Tuple> = self.scan_resolved(relation).collect();
-        out.sort();
-        out
-    }
-
     /// Total alive tuples across relations.
     pub fn total_tuples(&self) -> usize {
         self.data.iter().map(ShardedRel::len).sum()
@@ -1996,6 +1987,14 @@ mod tests {
         vec![r1, r2]
     }
 
+    /// A relation's alive tuples, sorted: scan order follows the
+    /// engine's mutation history, so comparisons across engines sort.
+    fn rows(e: &Engine, relation: &str) -> Vec<Tuple> {
+        let mut out: Vec<Tuple> = e.scan_resolved(relation).collect();
+        out.sort();
+        out
+    }
+
     fn edge_path_engine() -> Engine {
         let db = schema(&[("edge", 2), ("path", 2)]);
         Engine::new(db, edge_path_rules()).unwrap()
@@ -2029,7 +2028,7 @@ mod tests {
             full.insert_base("edge", t).unwrap();
         }
         full.propagate().unwrap();
-        assert_eq!(inc.relation_tuples("path"), full.relation_tuples("path"));
+        assert_eq!(rows(&inc, "path"), rows(&full, "path"));
     }
 
     #[test]
@@ -2053,7 +2052,7 @@ mod tests {
         e.insert_base("r", tuple!["bad", "keep"]).unwrap();
         e.insert_base("r", tuple!["good2", "drop"]).unwrap();
         e.propagate().unwrap();
-        assert_eq!(e.relation_tuples("out"), vec![tuple!["good"]]);
+        assert_eq!(rows(&e, "out"), vec![tuple!["good"]]);
     }
 
     #[test]
@@ -2078,7 +2077,7 @@ mod tests {
         e.insert_base("r", tuple!["zz", "aa"]).unwrap(); // zz > aa: dropped
         e.insert_base("r", tuple!["aa", "zz"]).unwrap(); // aa < zz: kept
         e.propagate().unwrap();
-        assert_eq!(e.relation_tuples("out"), vec![tuple!["aa"]]);
+        assert_eq!(rows(&e, "out"), vec![tuple!["aa"]]);
     }
 
     #[test]
@@ -2098,7 +2097,7 @@ mod tests {
         e.insert_base("edge", tuple!["b", "b"]).unwrap();
         e.propagate().unwrap();
         assert_eq!(
-            e.relation_tuples("loop"),
+            rows(&e, "loop"),
             vec![tuple!["a"], tuple!["b"]],
             "only reflexive edges fire"
         );
@@ -2126,7 +2125,7 @@ mod tests {
         e.propagate().unwrap();
         // Same org twice → same labeled null → one O tuple.
         assert_eq!(e.relation_len("O"), 1);
-        let o = &e.relation_tuples("O")[0];
+        let o = &rows(&e, "O")[0];
         assert!(o[1].is_labeled_null());
     }
 
@@ -2380,10 +2379,7 @@ mod tests {
         }
         with.propagate().unwrap();
         without.propagate().unwrap();
-        assert_eq!(
-            with.relation_tuples("path"),
-            without.relation_tuples("path")
-        );
+        assert_eq!(rows(&with, "path"), rows(&without, "path"));
         assert!(with.stats().derivations > 0);
         assert_eq!(without.stats().derivations, 0, "graph not recorded");
         // Derived tuples have empty provenance without tracking.
@@ -2405,10 +2401,7 @@ mod tests {
                 DeletionAlgorithm::ProvenanceBased,
             )
             .unwrap();
-        assert_eq!(
-            with.relation_tuples("path"),
-            without.relation_tuples("path")
-        );
+        assert_eq!(rows(&with, "path"), rows(&without, "path"));
     }
 
     #[test]
@@ -2433,7 +2426,7 @@ mod tests {
         // Delta at r2.
         e.insert_base("r2", tuple!["y7", "z7"]).unwrap();
         e.propagate().unwrap();
-        assert_eq!(e.relation_tuples("r3"), vec![tuple!["x7", "z7"]]);
+        assert_eq!(rows(&e, "r3"), vec![tuple!["x7", "z7"]]);
         // The planner probes: firings stay near the delta size, far below
         // the 50 × 1 cross product.
         assert!(e.stats().firings <= 3, "firings = {}", e.stats().firings);
@@ -2499,7 +2492,7 @@ mod tests {
                 .unwrap();
         }
         batch.propagate().unwrap();
-        assert_eq!(inc.relation_tuples("path"), batch.relation_tuples("path"));
+        assert_eq!(rows(&inc, "path"), rows(&batch, "path"));
         assert_eq!(inc.total_tuples(), batch.total_tuples());
     }
 
@@ -2530,8 +2523,8 @@ mod tests {
     /// derivation list in recording order.
     fn observables(e: &mut Engine) -> (Vec<Change>, Vec<Tuple>, EngineStats, Vec<Derivation>) {
         let changes = e.drain_changes();
-        let mut tuples = e.relation_tuples("path");
-        tuples.extend(e.relation_tuples("edge"));
+        let mut tuples = rows(e, "path");
+        tuples.extend(rows(e, "edge"));
         let derivs: Vec<Derivation> = e.graph().derivations().cloned().collect();
         (changes, tuples, e.stats(), derivs)
     }
@@ -2609,18 +2602,13 @@ mod tests {
                 .unwrap();
             }
             e.propagate().unwrap();
-            (
-                e.drain_changes(),
-                e.relation_tuples("O"),
-                e.relation_tuples("S"),
-                e.stats(),
-            )
+            (e.drain_changes(), rows(&e, "O"), rows(&e, "S"), e.stats())
         };
         assert_eq!(run(1), run(8));
     }
 
     #[test]
-    fn scan_is_a_borrowing_view_of_relation_tuples() {
+    fn scan_is_a_borrowing_view_of_the_relation() {
         let mut e = edge_path_engine();
         for i in 0..12 {
             e.insert_base("edge", tuple![format!("n{i}"), format!("n{}", i + 1)])
@@ -2628,9 +2616,13 @@ mod tests {
         }
         e.propagate().unwrap();
         assert_eq!(e.scan("path").count(), e.relation_len("path"));
-        let mut via_scan: Vec<Tuple> = e.scan_resolved("path").collect();
-        via_scan.sort();
-        assert_eq!(via_scan, e.relation_tuples("path"));
+        // The resolved scan is the borrowing scan, resolved in place.
+        let via_scan: Vec<Tuple> = e
+            .scan("path")
+            .map(|(st, _)| e.interner().resolve_tuple(st))
+            .collect();
+        assert_eq!(e.scan_resolved("path").collect::<Vec<_>>(), via_scan);
+        assert!(via_scan.iter().all(|t| e.contains("path", t)));
         // Node ids surfaced by scan match the node table.
         for (st, node) in e.scan("edge") {
             let t = e.interner().resolve_tuple(st);

@@ -1,6 +1,6 @@
-//! Networked update exchange: two CDSS sites in separate OS threads (and,
-//! via the bench `--bind`/`--connect` flags, separate processes) sharing
-//! one archive over TCP loopback through `PeerServer`/`RemoteStore`.
+//! Networked update exchange: two CDSS sites in separate OS threads
+//! sharing one archive over TCP loopback through
+//! `PeerServer`/`RemoteStore`.
 //!
 //! The scenarios mirror `tests/paged_exchange.rs`: the same churn/resume
 //! semantics — partial progress past a dead payload, frozen resume

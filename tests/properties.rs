@@ -26,6 +26,14 @@ fn tc_schema() -> DatabaseSchema {
         .unwrap()
 }
 
+/// A relation's alive tuples, sorted (engines with different histories
+/// scan in different orders).
+fn rows(e: &Engine, relation: &str) -> Vec<Tuple> {
+    let mut out: Vec<Tuple> = e.scan_resolved(relation).collect();
+    out.sort();
+    out
+}
+
 fn tc_rules() -> Vec<Rule> {
     vec![
         Rule::new(
@@ -69,8 +77,8 @@ proptest! {
             full.insert_base("edge", tuple![*a, *b]).unwrap();
         }
         full.propagate().unwrap();
-        prop_assert_eq!(inc.relation_tuples("path"), full.relation_tuples("path"));
-        prop_assert_eq!(inc.relation_tuples("edge"), full.relation_tuples("edge"));
+        prop_assert_eq!(rows(&inc, "path"), rows(&full, "path"));
+        prop_assert_eq!(rows(&inc, "edge"), rows(&full, "edge"));
     }
 
     /// DRed and provenance-based deletion agree with each other *and* with
@@ -104,8 +112,8 @@ proptest! {
             prov.remove_base("edge", t, DeletionAlgorithm::ProvenanceBased).unwrap();
             dred.remove_base("edge", t, DeletionAlgorithm::DRed).unwrap();
         }
-        prop_assert_eq!(prov.relation_tuples("path"), dred.relation_tuples("path"));
-        prop_assert_eq!(prov.relation_tuples("edge"), dred.relation_tuples("edge"));
+        prop_assert_eq!(rows(&prov, "path"), rows(&dred, "path"));
+        prop_assert_eq!(rows(&prov, "edge"), rows(&dred, "edge"));
 
         // Ground truth: recompute from surviving edges.
         let mut fresh = Engine::new(tc_schema(), tc_rules()).unwrap();
@@ -116,7 +124,7 @@ proptest! {
             }
         }
         fresh.propagate().unwrap();
-        prop_assert_eq!(prov.relation_tuples("path"), fresh.relation_tuples("path"));
+        prop_assert_eq!(rows(&prov, "path"), rows(&fresh, "path"));
     }
 }
 

@@ -575,3 +575,80 @@ fn modify_chain_in_one_transaction_ends_at_last_version() {
     assert_eq!(rows(&cdss, "B"), BTreeSet::from([tuple![1, 30]]));
     assert_eq!(rows(&cdss, "B"), rows(&cdss, "A"));
 }
+
+/// An 8-peer one-way copy chain `P0 → … → P7`: 256 inserts published at
+/// the head in transactions of 8 reach every peer, the tail included,
+/// once `P1..P7` reconcile in chain order.
+#[test]
+fn eight_peer_copy_chain_delivers_every_insert_to_the_tail() {
+    let n = 8;
+    let mut b = Cdss::builder();
+    for i in 0..n {
+        b = b.peer(format!("P{i}"), kv(), TrustPolicy::open(1));
+    }
+    for i in 0..n - 1 {
+        let m = Tgd::identity(
+            format!("M{i}->{}", i + 1),
+            format!("P{i}.R"),
+            format!("P{}.R", i + 1),
+            2,
+        );
+        b = b.mapping(m.unwrap());
+    }
+    let mut cdss = b.build().unwrap();
+
+    let published: Vec<_> = (0..256i64).map(|k| tuple![k, k * 7 % 1001]).collect();
+    let txns: Vec<Vec<Update>> = published
+        .chunks(8)
+        .map(|c| c.iter().map(|t| Update::insert("R", t.clone())).collect())
+        .collect();
+    assert_eq!(cdss.publish_transactions(&p("P0"), txns).unwrap().len(), 32);
+    for i in 1..n {
+        cdss.reconcile(&p(&format!("P{i}"))).unwrap();
+    }
+
+    let expected: BTreeSet<_> = published.into_iter().collect();
+    for i in 1..n {
+        assert_eq!(rows(&cdss, &format!("P{i}")), expected, "P{i}");
+    }
+}
+
+/// Figure 2 under a batch: 64 sequences published at Alaska as 8
+/// transactions (one organism and its 8 proteins and sequences each) in
+/// one `publish_transactions` call join into 64 `OPS` rows at Dresden.
+#[test]
+fn a_batch_of_sequences_joins_into_one_ops_row_each() {
+    let mut cdss = demo::figure2().unwrap();
+    let txns: Vec<Vec<Update>> = (1..=8i64)
+        .map(|oid| {
+            let mut txn = vec![Update::insert("O", tuple![format!("org{oid}"), oid])];
+            for j in 0..8i64 {
+                let pid = oid * 1000 + j;
+                txn.push(Update::insert("P", tuple![format!("prot{pid}"), pid]));
+                txn.push(Update::insert(
+                    "S",
+                    tuple![oid, pid, format!("SEQ-{oid}-{j}")],
+                ));
+            }
+            txn
+        })
+        .collect();
+    cdss.publish_transactions(&p("Alaska"), txns).unwrap();
+    cdss.reconcile(&p("Dresden")).unwrap();
+
+    let ops = cdss
+        .peer(&p("Dresden"))
+        .unwrap()
+        .instance()
+        .relation("OPS")
+        .unwrap();
+    assert_eq!(ops.len(), 64);
+    for (oid, j) in [(1i64, 0i64), (4, 5), (8, 7)] {
+        let pid = oid * 1000 + j;
+        assert!(ops.contains(&tuple![
+            format!("org{oid}"),
+            format!("prot{pid}"),
+            format!("SEQ-{oid}-{j}")
+        ]));
+    }
+}
