@@ -10,7 +10,9 @@
 //!
 //! * hash-container names are collected from field/param/local
 //!   declarations and `HashMap::new()`-style initializers in the same
-//!   file;
+//!   file — std's `HashMap`/`HashSet` and the word-hashed
+//!   `FxHashMap`/`FxHashSet` aliases alike (a seedless hash still has
+//!   no order worth relying on);
 //! * an iteration is exempt when its own statement chain sorts
 //!   (`.sort*`), reduces order-insensitively (`.sum`/`.count`/`.min`/
 //!   `.max`/`.all`/`.any`/`.fold` into a commutative op is on the
@@ -33,6 +35,10 @@ const CRITICAL: &[&str] = &[
     "crates/provenance/src/",
     "crates/store/src/durable/",
 ];
+
+/// Hash-container type names: std's and `orchestra_relational`'s
+/// word-hashed aliases.
+const HASH_TYPES: &[&str] = &["HashMap", "HashSet", "FxHashMap", "FxHashSet"];
 
 /// Function-name fragments that mark order-sensitive work.
 const FN_MARKERS: &[&str] = &[
@@ -160,14 +166,14 @@ fn statement_is_order_safe(pf: &ParsedFile<'_>, start: usize) -> bool {
     false
 }
 
-/// Names declared or initialized as `HashMap`/`HashSet` anywhere in the
-/// file (fields, params, locals). One namespace per file is coarse but
+/// Names declared or initialized as one of [`HASH_TYPES`] anywhere in
+/// the file (fields, params, locals). One namespace per file is coarse but
 /// errs toward flagging.
 fn collect_hash_names<'t>(pf: &'t ParsedFile<'_>) -> BTreeSet<&'t str> {
     let toks = &pf.lexed.tokens;
     let mut names = BTreeSet::new();
     for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokenKind::Ident || (t.text != "HashMap" && t.text != "HashSet") {
+        if t.kind != TokenKind::Ident || !HASH_TYPES.contains(&t.text) {
             continue;
         }
         // Walk back over a path prefix (`std :: collections ::`).

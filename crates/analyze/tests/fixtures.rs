@@ -218,6 +218,28 @@ fn determinism_node_table_module_is_critical() {
 }
 
 #[test]
+fn determinism_sees_word_hashed_aliases() {
+    // `FxHashMap` / `FxHashSet` are hash containers too: iterating one
+    // in a marker function of a critical module is flagged; the sorted
+    // twin is not.
+    let w = ws(
+        vec![entry(
+            "crates/datalog/src/provgraph.rs",
+            include_str!("fixtures/det_fx_alias.rs"),
+        )],
+        vec![],
+    );
+    let r = run(&w, &[LintId::Determinism]);
+    let (hits, text) = (of(&r, LintId::Determinism), r.render_text());
+    assert_eq!(hits.len(), 2, "{text}");
+    for (hit, what) in hits.iter().zip(["`base`", "`heads`"]) {
+        assert!(hit.message.contains(what), "{text}");
+    }
+    assert!(hits[0].message.contains("write_base"), "{text}");
+    assert!(hits[1].message.contains("merge_heads"), "{text}");
+}
+
+#[test]
 fn determinism_negative_sorted_sinks_are_clean() {
     let w = ws(
         vec![entry(

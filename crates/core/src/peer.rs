@@ -5,10 +5,10 @@ use crate::Result;
 use orchestra_datalog::{Engine, NodeId, Query, RuleId};
 use orchestra_obs::GaugeHandle;
 use orchestra_reconcile::{Decision, Reconciler, TrustPolicy};
-use orchestra_relational::{DatabaseSchema, Instance, Tuple};
+use orchestra_relational::{DatabaseSchema, FxHashMap, Instance, Tuple};
 use orchestra_store::FetchCursor;
 use orchestra_updates::{Epoch, PeerId, TxnId};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// One CDSS participant.
@@ -63,15 +63,18 @@ pub struct Peer {
     /// share of the two gauges, held so it lasts as long as the peer.
     _slice_gauges: [GaugeHandle; 2],
     /// Base node → the transaction that published it (provenance →
-    /// transaction lineage).
-    pub(crate) node_txn: HashMap<NodeId, TxnId>,
+    /// transaction lineage). Keyed by engine-assigned ids, so it hashes
+    /// with the word hasher.
+    pub(crate) node_txn: FxHashMap<NodeId, TxnId>,
     /// Qualified relation name (`"Peer.R"`) → local name (`"R"`), for this
     /// peer's own namespace only. Precomputed so translating an engine
     /// change into a local update is one hash lookup, not a per-change
     /// prefix strip and string allocation.
     pub(crate) local_names: HashMap<Arc<str>, Arc<str>>,
-    /// Transactions already ingested into this peer's engine.
-    pub(crate) ingested: BTreeSet<TxnId>,
+    /// Transactions already ingested into this peer's engine. Only
+    /// probed, never walked; the ids come from other peers, so std's
+    /// keyed hasher.
+    pub(crate) ingested: HashSet<TxnId>,
     /// Next local transaction sequence number.
     pub(crate) next_seq: u64,
     /// Epoch up to which this peer has fully reconciled.
@@ -138,8 +141,8 @@ impl Peer {
             slice,
             _slice_gauges: [relations_gauge, rules_gauge],
             local_names,
-            node_txn: HashMap::new(),
-            ingested: BTreeSet::new(),
+            node_txn: FxHashMap::default(),
+            ingested: HashSet::new(),
             next_seq: 0,
             last_epoch: Epoch::zero(),
             resume: None,

@@ -24,7 +24,7 @@
 //! ## The interned join pipeline
 //!
 //! Internally the engine never touches a
-//! [`Value`](orchestra_relational::Value): at the API boundary every tuple
+//! [`Value`]: at the API boundary every tuple
 //! is interned through a [`ValueInterner`] into a [`SymTuple`] of dense
 //! `u32` [`Sym`]s, and the whole evaluation pipeline — storage, secondary
 //! indexes, join probes, provenance-node interning — runs on integers:
@@ -35,7 +35,7 @@
 //!   clones).
 //! * **Cached join plans.** The greedy join order (delta atom first, then
 //!   most-bound-first) depends only on `(rule, delta position)` — it is
-//!   compiled **once** per rule into a [`JoinPlan`] whose steps record
+//!   compiled **once** per rule into a `JoinPlan` whose steps record
 //!   statically which columns to probe, which to bind, and which filters
 //!   become ready; execution is a plan interpreter with zero planning or
 //!   `CompiledRule` cloning per delta batch.
@@ -100,10 +100,10 @@ use crate::provgraph::ProvGraph;
 use crate::Result;
 use orchestra_provenance::Polynomial;
 use orchestra_relational::{
-    default_threads, host_parallelism, CmpOp, DatabaseSchema, Job, ShardedRel, Sym, SymTuple,
-    Tuple, Value, ValueInterner, WorkerPool, DEFAULT_SHARDS,
+    default_threads, host_parallelism, CmpOp, DatabaseSchema, FxHashSet, Job, ShardedRel, Sym,
+    SymTuple, Tuple, Value, ValueInterner, WorkerPool, DEFAULT_SHARDS,
 };
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Which deletion-propagation algorithm to use.
@@ -1705,7 +1705,7 @@ impl Engine {
     /// derivability there, treating unaffected alive nodes as given.
     fn delete_provenance_based(&mut self, deleted: &[NodeId]) {
         // Affected = forward closure through derivation uses.
-        let mut affected: HashSet<NodeId> = deleted.iter().copied().collect();
+        let mut affected: FxHashSet<NodeId> = deleted.iter().copied().collect();
         let mut queue: VecDeque<NodeId> = deleted.iter().copied().collect();
         while let Some(nd) = queue.pop_front() {
             for d in self.graph.uses_of(nd) {
@@ -1716,7 +1716,7 @@ impl Engine {
         }
         // Worklist: start from support outside the affected region and from
         // base facts inside it.
-        let mut derivable: HashSet<NodeId> = HashSet::new();
+        let mut derivable: FxHashSet<NodeId> = FxHashSet::default();
         let mut wl: VecDeque<NodeId> = VecDeque::new();
         for &a in &affected {
             if self.graph.is_base(a) && derivable.insert(a) {
@@ -1796,7 +1796,7 @@ impl Engine {
         // `h(x) :- r(c), r(x)` with `r(c)` deleted: the delta at the
         // second atom needs the first atom to still see `r(c)`.
         let mut overdeleted: Vec<(RelId, SymTuple, NodeId)> = Vec::new();
-        let mut over_set: HashSet<NodeId> = HashSet::new();
+        let mut over_set: FxHashSet<NodeId> = FxHashSet::default();
         let mut wl: VecDeque<(RelId, SymTuple)> = VecDeque::new();
         for &node in deleted {
             if !self.is_alive(node) || !over_set.insert(node) {
@@ -1833,7 +1833,7 @@ impl Engine {
         // Phase 2: re-derive. A removed tuple comes back if it is still
         // base, or some rule derives it from the remaining database.
         // Iterate to fixpoint (re-derived tuples can support others).
-        let mut revived: HashSet<NodeId> = HashSet::new();
+        let mut revived: FxHashSet<NodeId> = FxHashSet::default();
         loop {
             let mut changed = false;
             for (rel, t, node) in &overdeleted {

@@ -4,7 +4,7 @@
 //! tuples already have a deterministic home — the content-based shard
 //! [`ShardedRel::shard_of`] assigns them. So the node table, the
 //! provenance graph, and the relation storage are all partitioned by that
-//! same routing, and one [`ShardSink`] per shard drains its slice of every
+//! same routing, and one `ShardSink` per shard drains its slice of every
 //! task's firings with **no** shared mutable state:
 //!
 //! * [`NodeShard`] — shard `s` of the node table; node ids pack

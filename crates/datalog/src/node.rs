@@ -31,9 +31,8 @@
 //!
 //! [`ShardedRel`]: orchestra_relational::ShardedRel
 
-use orchestra_relational::SymTuple;
+use orchestra_relational::{FxHashMap, SymTuple};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Dense identifier of a relation within one engine (index into the
@@ -116,7 +115,7 @@ pub struct NodeShard {
     /// Local index → pair, in assignment order.
     by_id: Vec<(RelId, SymTuple)>,
     /// Indexed by `RelId`; grown on demand.
-    by_rel: Vec<HashMap<SymTuple, NodeId>>,
+    by_rel: Vec<FxHashMap<SymTuple, NodeId>>,
 }
 
 impl NodeShard {
@@ -133,7 +132,7 @@ impl NodeShard {
     pub fn intern(&mut self, rel: RelId, tuple: &SymTuple) -> NodeId {
         let ri = rel.index();
         if self.by_rel.len() <= ri {
-            self.by_rel.resize_with(ri + 1, HashMap::new);
+            self.by_rel.resize_with(ri + 1, FxHashMap::default);
         }
         match self.by_rel[ri].entry(tuple.clone()) {
             Entry::Occupied(e) => *e.get(),

@@ -33,7 +33,8 @@
 use crate::ast::RuleId;
 use crate::node::NodeId;
 use orchestra_provenance::{Monomial, Polynomial, Semiring};
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use orchestra_relational::{FxHashSet, FxHasher};
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 
 /// One rule firing: `head` was derived by `rule` from the `body` nodes.
@@ -149,14 +150,22 @@ pub struct ProvGraph {
     /// configured shard count via [`ensure_shards`](Self::ensure_shards).
     shards: Vec<ProvShard>,
     /// Nodes asserted as base facts (EDB / peer-published inserts).
-    base: BTreeSet<NodeId>,
+    /// Probed on every deletion and lineage step; the readers that walk
+    /// it sort it first, so node-id order is all they ever see.
+    base: FxHashSet<NodeId>,
 }
 
 /// The dedup fingerprint of a derivation's `(rule, body)` — pure, so the
 /// engine's parallel join phase can precompute it off the merge thread.
+///
+/// Hashed with the seedless word hasher ([`FxHasher`]): the body is
+/// engine-assigned node ids and the rule id comes from the mapping
+/// program, and a fingerprint match is always confirmed by comparing the
+/// derivations themselves, so a collision costs one comparison and never
+/// drops a derivation.
 pub fn derivation_fingerprint(rule: &RuleId, body: &[NodeId]) -> u64 {
     use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut h = FxHasher::default();
     rule.hash(&mut h);
     // Matches `Vec<NodeId>`'s Hash (length prefix + elements).
     body.hash(&mut h);
@@ -265,9 +274,11 @@ impl ProvGraph {
         self.base.contains(&node)
     }
 
-    /// The current base set.
-    pub fn base_nodes(&self) -> &BTreeSet<NodeId> {
-        &self.base
+    /// The current base set, in node-id order.
+    pub fn base_nodes(&self) -> Vec<NodeId> {
+        let mut nodes: Vec<NodeId> = self.base.iter().copied().collect();
+        nodes.sort_unstable();
+        nodes
     }
 
     /// Record a derivation (deduplicated). Returns `true` if new.
@@ -355,7 +366,7 @@ impl ProvGraph {
             .collect();
         let mut derivable: BTreeSet<NodeId> = BTreeSet::new();
         let mut queue: VecDeque<NodeId> = VecDeque::new();
-        for &b in &self.base {
+        for b in self.base_nodes() {
             if !dead.contains(&b) && derivable.insert(b) {
                 queue.push_back(b);
             }
@@ -406,11 +417,11 @@ impl ProvGraph {
     /// programs; for non-recursive programs this is exactly the standard
     /// polynomial).
     pub fn polynomial(&self, node: NodeId) -> Polynomial<NodeId> {
-        let mut path: HashSet<NodeId> = HashSet::new();
+        let mut path: FxHashSet<NodeId> = FxHashSet::default();
         self.poly_rec(node, &mut path)
     }
 
-    fn poly_rec(&self, node: NodeId, path: &mut HashSet<NodeId>) -> Polynomial<NodeId> {
+    fn poly_rec(&self, node: NodeId, path: &mut FxHashSet<NodeId>) -> Polynomial<NodeId> {
         let mut acc = if self.base.contains(&node) {
             Polynomial::var(node)
         } else {
@@ -458,7 +469,7 @@ impl ProvGraph {
     /// recursive mapping programs would pollute.
     pub fn first_proof_lineage(&self, node: NodeId) -> BTreeSet<NodeId> {
         let mut out = BTreeSet::new();
-        let mut visited: HashSet<NodeId> = HashSet::new();
+        let mut visited: FxHashSet<NodeId> = FxHashSet::default();
         let mut stack = vec![node];
         while let Some(n) = stack.pop() {
             if !visited.insert(n) {
@@ -478,7 +489,7 @@ impl ProvGraph {
     /// The set of base nodes a node's provenance mentions (its lineage).
     pub fn lineage(&self, node: NodeId) -> BTreeSet<NodeId> {
         // Reachability to base nodes through derivations.
-        let mut seen: HashSet<NodeId> = HashSet::new();
+        let mut seen: FxHashSet<NodeId> = FxHashSet::default();
         let mut out: BTreeSet<NodeId> = BTreeSet::new();
         let mut queue: VecDeque<NodeId> = VecDeque::new();
         queue.push_back(node);
@@ -780,6 +791,44 @@ mod tests {
         assert_eq!(g.first_proof_lineage(h2), BTreeSet::from([b0, b1]));
         // Dedup is per (head shard, fingerprint).
         assert!(!g.add_derivation(sderiv("m1", h1, &[b0, b1])));
+    }
+
+    #[test]
+    fn hashed_base_set_reads_in_node_id_order() {
+        // 5 shards × 40 locals, marked in a scattered (multiplicative
+        // permutation) order, plus one derived head per shard.
+        let all: Vec<NodeId> = (0..5)
+            .flat_map(|s| (0..40).map(move |l| NodeId::new(s, l)))
+            .collect();
+        let mut g = ProvGraph::new();
+        for i in 0..all.len() {
+            g.add_base(all[(i * 77) % all.len()]);
+        }
+        let heads: Vec<NodeId> = (0..5).map(|s| NodeId::new(s, 100)).collect();
+        for (s, &h) in heads.iter().enumerate().rev() {
+            g.add_derivation(sderiv("m", h, &[all[(s * 41) % all.len()]]));
+        }
+        assert_eq!(g.base_nodes(), all, "base_nodes() is in node-id order");
+
+        let mut expect: Vec<NodeId> = all.iter().chain(&heads).copied().collect();
+        expect.sort_unstable();
+        let got: Vec<NodeId> = g.derivable_set(&BTreeSet::new()).into_iter().collect();
+        assert_eq!(got, expect, "derivable_set walks in node-id order");
+
+        // is_base / remove_base round-trip for every third node.
+        let gone: Vec<NodeId> = all.iter().copied().step_by(3).collect();
+        for &n in gone.iter().rev() {
+            assert!(g.is_base(n));
+            assert!(g.remove_base(n));
+            assert!(!g.is_base(n));
+            assert!(!g.remove_base(n));
+        }
+        let kept: Vec<NodeId> = all.iter().copied().filter(|n| !gone.contains(n)).collect();
+        assert_eq!(g.base_nodes(), kept);
+        for &n in &gone {
+            g.add_base(n);
+        }
+        assert_eq!(g.base_nodes(), all);
     }
 
     #[test]

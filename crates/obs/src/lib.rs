@@ -11,7 +11,7 @@
 //! * **Compile time** — the `off` cargo feature sets [`ENABLED`] to
 //!   `false`. The macros below check that `const` first, so with `off`
 //!   every metric/span expansion folds to nothing (the A/B overhead
-//!   benches build this way). Handles returned by [`counter`] etc.
+//!   benches build this way). Handles returned by [`counter()`] etc.
 //!   still count into their private cell, so product stat structs that
 //!   migrated onto handles keep answering their getters.
 //! * **Run time** — `ORCHESTRA_OBS=off` (or `0`) disables span and

@@ -44,8 +44,9 @@ pub struct Reconciler {
     decisions: BTreeMap<TxnId, Decision>,
     graph: DepGraph,
     pool: BTreeMap<TxnId, Candidate>,
-    /// (relation, key) → (last accepted writer, outcome).
-    accepted_writes: BTreeMap<(Arc<str>, Tuple), (TxnId, WriteOutcome)>,
+    /// (relation, key) → (last accepted writer, outcome). Only probed,
+    /// never walked; the keys are peer data, so std's keyed hasher.
+    accepted_writes: HashMap<(Arc<str>, Tuple), (TxnId, WriteOutcome)>,
     /// Open same-priority conflicts awaiting the administrator.
     conflicts: Vec<(TxnId, TxnId)>,
     /// Memoized per-transaction write sets (immutable once computed: the
@@ -69,7 +70,7 @@ impl Reconciler {
             decisions: BTreeMap::new(),
             graph: DepGraph::new(),
             pool: BTreeMap::new(),
-            accepted_writes: BTreeMap::new(),
+            accepted_writes: HashMap::new(),
             conflicts: Vec::new(),
             write_sets: HashMap::new(),
             settled: HashSet::new(),

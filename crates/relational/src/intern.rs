@@ -21,6 +21,7 @@
 //! assign completely different symbols and the engine state is still
 //! identical (see `crates/core/tests/durable_intern_roundtrip.rs`).
 
+use crate::fxhash::FxHashMap;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::collections::HashMap;
@@ -130,7 +131,10 @@ pub struct ValueInterner {
     /// symbol → (arg symbols → labeled-null symbol). Two levels so a hit
     /// probes with borrowed `&str` / `&[Sym]` keys — no allocation in the
     /// hot loop, and no `SkolemValue` tree rebuilt just to look it up.
-    skolems: HashMap<Arc<str>, HashMap<Box<[Sym]>, Sym>>,
+    /// The inner keys are symbols this interner assigned, so they hash
+    /// with the word hasher; `by_value` holds peer-supplied values and
+    /// keeps std's keyed hasher.
+    skolems: HashMap<Arc<str>, FxHashMap<Box<[Sym]>, Sym>>,
     hits: u64,
     skolem_fast_path: u64,
 }

@@ -29,14 +29,14 @@
 //! out one disjoint `&mut` view per shard, so the engine's merge phase
 //! can drain per-shard sinks concurrently without a lock.
 
+use crate::fxhash::FxHashMap;
 use crate::intern::{Sym, SymTuple};
-use std::collections::HashMap;
 
 /// Default shard count for partitioned relations.
 pub const DEFAULT_SHARDS: usize = 16;
 
 /// One secondary index: fixed-width symbol key → posting list.
-type SymIndex = HashMap<Box<[Sym]>, Vec<SymTuple>>;
+type SymIndex = FxHashMap<Box<[Sym]>, Vec<SymTuple>>;
 
 /// Deterministic, seedless FNV-1a over symbol words.
 #[inline]
@@ -51,7 +51,7 @@ fn fnv1a(syms: impl Iterator<Item = Sym>) -> u64 {
 #[derive(Debug, Clone)]
 struct Shard<P> {
     /// Tuple → index into `order`.
-    pos: HashMap<SymTuple, u32>,
+    pos: FxHashMap<SymTuple, u32>,
     /// Live tuples with their payloads, in sequence order: appends at
     /// the back, removals swap the last tuple into the hole — the order
     /// is a pure function of the mutation sequence.
@@ -66,7 +66,7 @@ struct Shard<P> {
 impl<P: Copy> Shard<P> {
     fn empty() -> Shard<P> {
         Shard {
-            pos: HashMap::new(),
+            pos: FxHashMap::default(),
             order: Vec::new(),
             indexes: Vec::new(),
         }
@@ -132,7 +132,7 @@ pub struct ShardedRel<P> {
     /// shard's `indexes` vector is parallel to this. A fan-out probe
     /// hashes `cols` once against `index_of`, not once per shard.
     index_cols: Vec<Box<[usize]>>,
-    index_of: HashMap<Box<[usize]>, usize>,
+    index_of: FxHashMap<Box<[usize]>, usize>,
     shards: Vec<Shard<P>>,
 }
 
@@ -172,7 +172,7 @@ impl<P: Copy> ShardedRel<P> {
         ShardedRel {
             part_cols: part_cols.into(),
             index_cols: Vec::new(),
-            index_of: HashMap::new(),
+            index_of: FxHashMap::default(),
             shards: (0..shards).map(|_| Shard::empty()).collect(),
         }
     }
@@ -274,7 +274,7 @@ impl<P: Copy> ShardedRel<P> {
         self.index_cols.push(Box::from(cols));
         self.index_of.insert(Box::from(cols), slot);
         for s in &mut self.shards {
-            let mut idx = SymIndex::new();
+            let mut idx = SymIndex::default();
             for (t, _) in &s.order {
                 idx.entry(key_of(t, cols)).or_default().push(t.clone());
             }
@@ -360,7 +360,7 @@ impl<P: Copy> ShardedRel<P> {
         self.shards
             .iter()
             .flat_map(|s| s.indexes.iter())
-            .map(HashMap::len)
+            .map(FxHashMap::len)
             .sum()
     }
 }

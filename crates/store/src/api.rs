@@ -517,8 +517,9 @@ pub trait UpdateStore: Send + Sync {
     fn digest(&self) -> crate::Result<StoreDigest>;
 
     /// Merge anti-entropy transactions into the archive, keeping the
-    /// epochs their publishers stamped. Unlike [`publish`], `absorb` is
-    /// **idempotent** (already-archived ids are silently skipped, so
+    /// epochs their publishers stamped. Unlike
+    /// [`publish`](Self::publish), `absorb` is **idempotent**
+    /// (already-archived ids are silently skipped, so
     /// re-pulling an overlapping page is harmless) and **not epoch
     /// monotone** (a gossip pull from a second neighbor can legitimately
     /// carry history older than the newest local epoch — it lands behind
@@ -526,7 +527,7 @@ pub trait UpdateStore: Send + Sync {
     /// backfill; see `orchestra-mesh`).
     ///
     /// Not every backend supports it: the default returns
-    /// [`StoreError::InvalidConfig`]. [`publish`]: UpdateStore::publish
+    /// [`StoreError::InvalidConfig`].
     fn absorb(&self, txns: Vec<Transaction>) -> crate::Result<AbsorbReport> {
         let _ = txns;
         Err(StoreError::InvalidConfig(
