@@ -4,8 +4,6 @@
 //! | name | what it times |
 //! |---|---|
 //! | e4 | incremental propagation vs full recomputation |
-//! | e5 | the engine with provenance off vs on |
-//! | e6 | DRed vs provenance-based deletion, one tuple vs one set |
 //! | e8 | replicated-store availability under churn; durable sync/cache tiers |
 //! | e9 | provenance-polynomial (semiring) operations |
 //! | e11 | shard-parallel propagate, thread scaling |
@@ -15,7 +13,7 @@
 //! Usage:
 //! ```text
 //! cargo run --release -p orchestra-bench --bin experiments              # all
-//! cargo run --release -p orchestra-bench --bin experiments -- e4 e6    # some
+//! cargo run --release -p orchestra-bench --bin experiments -- e4 e9    # some
 //! cargo run --release -p orchestra-bench --bin experiments -- \
 //!     e4 e8 --json-dir . --variant paged                                # emit BENCH_*.json
 //! cargo run --release -p orchestra-bench --bin experiments -- \
@@ -29,19 +27,22 @@
 //! shipped, and a peak-RSS proxy); `--smoke` shrinks the workloads for
 //! CI, `--variant <tag>` labels the run. E12 spawns child OS processes of
 //! this same binary (a hidden `--e12-child` mode) to run the gossiping
-//! mesh across real process boundaries.
+//! mesh across real process boundaries. Any other experiment name is an
+//! error: the harness lists the valid ones and exits non-zero.
 
 use orchestra_bench::json::{BenchReport, Json};
 use orchestra_bench::*;
-use orchestra_datalog::{DeletionAlgorithm, Engine, EngineStats, EvalOptions};
+use orchestra_datalog::{Engine, EngineStats, EvalOptions};
 use orchestra_provenance::{Boolean, Counting, Semiring, Tropical};
-use orchestra_relational::{tuple, Tuple};
+use orchestra_relational::tuple;
 use orchestra_store::{
     CacheMode, DurableOptions, DurableStore, FetchCursor, ReplicatedStore, SyncPolicy, UpdateStore,
 };
 use orchestra_updates::{Epoch, PeerId, Transaction, TxnId, Update};
-use std::collections::BTreeSet;
 use std::path::PathBuf;
+
+/// The experiments this harness runs, in run order.
+const EXPERIMENTS: [&str; 6] = ["e4", "e8", "e9", "e11", "e12", "e13"];
 
 /// Harness configuration parsed from the command line.
 pub struct Opts {
@@ -55,7 +56,9 @@ pub struct Opts {
 }
 
 impl Opts {
-    fn parse(args: &[String]) -> Opts {
+    /// Parse the command line; an unknown experiment name or a flag
+    /// missing its value is an error naming what is valid.
+    fn parse(args: &[String]) -> Result<Opts, String> {
         let mut opts = Opts {
             names: Vec::new(),
             smoke: false,
@@ -67,17 +70,23 @@ impl Opts {
             match a.as_str() {
                 "--smoke" => opts.smoke = true,
                 "--json-dir" => {
-                    opts.json_dir = Some(PathBuf::from(
-                        it.next().expect("--json-dir needs a path").clone(),
-                    ))
+                    opts.json_dir = Some(PathBuf::from(it.next().ok_or("--json-dir needs a path")?))
                 }
                 "--variant" => {
-                    opts.variant = it.next().expect("--variant needs a tag").clone();
+                    opts.variant = it.next().ok_or("--variant needs a tag")?.clone();
                 }
-                name => opts.names.push(name.to_string()),
+                name if EXPERIMENTS.iter().any(|e| e.eq_ignore_ascii_case(name)) => {
+                    opts.names.push(name.to_string())
+                }
+                name => {
+                    return Err(format!(
+                        "unknown experiment `{name}`; valid: {}",
+                        EXPERIMENTS.join(" ")
+                    ))
+                }
             }
         }
-        opts
+        Ok(opts)
     }
 
     fn want(&self, name: &str) -> bool {
@@ -103,19 +112,19 @@ fn main() {
         return;
     }
 
-    let opts = Opts::parse(&args);
+    let opts = match Opts::parse(&args) {
+        Ok(opts) => opts,
+        Err(msg) => {
+            eprintln!("experiments: {msg}");
+            std::process::exit(2);
+        }
+    };
 
     println!("Orchestra CDSS reproduction — experiment harness");
     println!("(shapes, not absolute numbers, are the reproduction target)\n");
 
     if opts.want("e4") {
         e4_incremental(&opts);
-    }
-    if opts.want("e5") {
-        e5_prov_overhead();
-    }
-    if opts.want("e6") {
-        e6_deletion();
     }
     if opts.want("e8") {
         e8_store(&opts);
@@ -160,7 +169,7 @@ pub fn e4_incremental(opts: &Opts) -> BenchReport {
                 .skip(base_facts.len())
                 .collect();
             // Warm engine, then incremental delta.
-            let mut warm = warm_engine(schema.clone(), rules.clone(), &base_facts, true);
+            let mut warm = warm_engine(schema.clone(), rules.clone(), &base_facts);
             let before = warm.stats();
             let tuples_before = warm.total_tuples();
             let (_, t_incr) = timed(|| {
@@ -180,7 +189,7 @@ pub fn e4_incremental(opts: &Opts) -> BenchReport {
             let (full, t_full) = timed(|| {
                 let mut all = base_facts.clone();
                 all.extend(delta_facts.iter().cloned());
-                warm_engine(schema.clone(), rules.clone(), &all, true)
+                warm_engine(schema.clone(), rules.clone(), &all)
             });
             assert_eq!(full.total_tuples(), warm.total_tuples());
             let incr_secs = t_incr.as_secs_f64();
@@ -237,104 +246,6 @@ pub fn e4_incremental(opts: &Opts) -> BenchReport {
     report.summary_extra("store_unavailable", 0u64);
     opts.emit(&report);
     report
-}
-
-/// E5 — provenance overhead: full N\[X\] graph vs no provenance.
-fn e5_prov_overhead() {
-    println!("── E5: provenance tracking overhead (companion [5]) ──");
-    println!(
-        "{:>8} {:>14} {:>14} {:>10} {:>12}",
-        "seqs", "no-prov ms", "with-prov ms", "overhead", "derivations"
-    );
-    let (schema, rules) = bio_engine_parts();
-    for &n in &[128usize, 512, 2048] {
-        let facts = bio_base_facts(n);
-        let (_e0, t0) = timed(|| warm_engine(schema.clone(), rules.clone(), &facts, false));
-        let (e1, t1) = timed(|| warm_engine(schema.clone(), rules.clone(), &facts, true));
-        println!(
-            "{:>8} {:>14} {:>14} {:>10} {:>12}",
-            n,
-            ms(t0),
-            ms(t1),
-            ratio(t1, t0),
-            e1.stats().derivations
-        );
-    }
-    println!();
-}
-
-/// E6 — deletion propagation: provenance-based vs DRed, each timed as
-/// one `remove_bases` call over the whole deletion set beside the
-/// one-`remove_base`-at-a-time loop. All four engines must end with the
-/// same relation contents.
-fn e6_deletion() {
-    println!("── E6: deletion propagation, provenance vs DRed (companion [5]) ──");
-    println!(
-        "{:>8} {:>10} {:>11} {:>11} {:>11} {:>11} {:>9} {:>9}",
-        "seqs", "deleted", "dred1 ms", "dredset ms", "prov1 ms", "provset ms", "dred x", "prov x"
-    );
-    let (schema, rules) = bio_engine_parts();
-    for &n in &[256usize, 1024] {
-        for &frac in &[0.05f64, 0.25] {
-            let facts = bio_base_facts(n);
-            // Delete S rows (the join collapses).
-            let victims: Vec<_> = facts
-                .iter()
-                .filter(|(rel, _)| *rel == "Alaska.S")
-                .take(((n as f64) * frac) as usize)
-                .cloned()
-                .collect();
-            let victim_refs: Vec<(&str, &Tuple)> = victims.iter().map(|(r, t)| (*r, t)).collect();
-            let one_at_a_time = |algo: DeletionAlgorithm| {
-                let mut e = warm_engine(schema.clone(), rules.clone(), &facts, true);
-                let (_, t) = timed(|| {
-                    for (rel, tuple) in &victims {
-                        e.remove_base(rel, tuple, algo).unwrap();
-                    }
-                });
-                (e, t)
-            };
-            let as_set = |algo: DeletionAlgorithm| {
-                let mut e = warm_engine(schema.clone(), rules.clone(), &facts, true);
-                let (_, t) = timed(|| e.remove_bases(&victim_refs, algo).unwrap());
-                (e, t)
-            };
-            let (dred1, t_dred1) = one_at_a_time(DeletionAlgorithm::DRed);
-            let (dred_set, t_dred_set) = as_set(DeletionAlgorithm::DRed);
-            let (prov1, t_prov1) = one_at_a_time(DeletionAlgorithm::ProvenanceBased);
-            let (prov_set, t_prov_set) = as_set(DeletionAlgorithm::ProvenanceBased);
-            // Scan order follows each engine's mutation history; compare
-            // the relations as sets.
-            let rows = |e: &Engine, rel: &str| e.scan_resolved(rel).collect::<BTreeSet<Tuple>>();
-            for rel in schema.relations() {
-                let expect = rows(&dred1, rel.name());
-                for (label, e) in [
-                    ("dred set", &dred_set),
-                    ("prov", &prov1),
-                    ("prov set", &prov_set),
-                ] {
-                    assert_eq!(
-                        rows(e, rel.name()),
-                        expect,
-                        "{label} deletion diverges on {}",
-                        rel.name()
-                    );
-                }
-            }
-            println!(
-                "{:>8} {:>10} {:>11} {:>11} {:>11} {:>11} {:>9} {:>9}",
-                n,
-                victims.len(),
-                ms(t_dred1),
-                ms(t_dred_set),
-                ms(t_prov1),
-                ms(t_prov_set),
-                ratio(t_dred1, t_dred_set),
-                ratio(t_prov1, t_prov_set)
-            );
-        }
-    }
-    println!();
 }
 
 /// E8 — archived availability under churn × replication factor, measured
@@ -789,7 +700,24 @@ pub fn e11_threads(opts: &Opts) -> BenchReport {
 
 #[cfg(test)]
 mod tests {
-    use super::sweep_threads;
+    use super::{sweep_threads, Opts};
+
+    fn parse(args: &[&str]) -> Result<Opts, String> {
+        Opts::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn only_the_harness_experiments_parse() {
+        let opts = parse(&["e4", "E13", "--smoke", "--json-dir", "out", "e11"]).unwrap();
+        assert_eq!(opts.names, ["e4", "E13", "e11"]);
+        assert!(opts.smoke && opts.want("e13") && !opts.want("e8"));
+        for stale in ["e5", "e6", "e7", "e99"] {
+            let err = parse(&["e4", stale]).err().expect("stale name rejected");
+            assert!(err.contains(stale), "{err}");
+            assert!(err.contains("e4 e8 e9 e11 e12 e13"), "{err}");
+        }
+        assert!(parse(&["--json-dir"]).is_err());
+    }
 
     #[test]
     fn the_thread_sweep_always_starts_at_one_thread() {

@@ -1,5 +1,5 @@
 //! Deterministic workload generators for the engine-level experiments
-//! (E4–E6, E9, E11).
+//! (E4, E9, E11).
 
 use orchestra_core::demo;
 use orchestra_datalog::{Atom, Engine, Rule};
@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 /// The Figure 2 mapping program compiled against the combined qualified
-/// schema — for engine-level experiments (E4–E6) that bypass the CDSS.
+/// schema — for the engine-level experiment (E4) that bypasses the CDSS.
 pub fn bio_engine_parts() -> (DatabaseSchema, Vec<Rule>) {
     let s1 = demo::sigma1().unwrap();
     let s2 = demo::sigma2().unwrap();
@@ -58,14 +58,13 @@ pub fn bio_base_facts(n_seqs: usize) -> Vec<(&'static str, Tuple)> {
     out
 }
 
-/// Build a warm engine loaded with `facts`, optionally without provenance.
+/// Build a warm engine loaded with `facts`.
 pub fn warm_engine(
     schema: DatabaseSchema,
     rules: Vec<Rule>,
     facts: &[(&'static str, Tuple)],
-    provenance: bool,
 ) -> Engine {
-    let mut e = Engine::with_provenance(schema, rules, provenance).unwrap();
+    let mut e = Engine::new(schema, rules).unwrap();
     for (rel, t) in facts {
         e.insert_base(rel, t.clone()).unwrap();
     }

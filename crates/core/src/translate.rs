@@ -23,7 +23,7 @@
 use crate::mapping::qualify;
 use crate::peer::Peer;
 use crate::Result;
-use orchestra_datalog::{ChangeKind, DeletionAlgorithm, NodeId};
+use orchestra_datalog::{ChangeKind, NodeId};
 use orchestra_reconcile::{Candidate, CandidateUpdate};
 use orchestra_relational::Tuple;
 use orchestra_updates::{PeerId, Transaction, Update};
@@ -65,8 +65,7 @@ impl Peer {
             }
             if let Some(new) = u.written_version() {
                 if !removals.is_empty() {
-                    self.engine
-                        .remove_bases(&removals, DeletionAlgorithm::ProvenanceBased)?;
+                    self.engine.remove_bases(&removals)?;
                     removals.clear();
                 }
                 let node = self.engine.insert_base(qrel, new.clone())?;
@@ -74,8 +73,7 @@ impl Peer {
             }
         }
         if !removals.is_empty() {
-            self.engine
-                .remove_bases(&removals, DeletionAlgorithm::ProvenanceBased)?;
+            self.engine.remove_bases(&removals)?;
         }
         let changes = if !fed.is_empty() {
             self.engine.propagate()?;

@@ -10,12 +10,11 @@
 //! * **Insertions** enter a pending delta; [`Engine::propagate`] runs
 //!   semi-naive evaluation from the delta only, touching work proportional
 //!   to the new derivations rather than the whole database.
-//! * **Deletions** are propagated by either of two algorithms
-//!   ([`DeletionAlgorithm`]): the provenance-based test (restrict
-//!   derivability to the affected subgraph — Orchestra's approach) or
-//!   classic **DRed** (over-delete then re-derive by rule re-evaluation —
-//!   the baseline), selected per call so benches can compare them
-//!   (experiment E6).
+//! * **Deletions** are decided by a well-founded derivability test over
+//!   the stored provenance graph, restricted to the subgraph the deleted
+//!   base tuples reach ([`Engine::remove_bases`]) — Orchestra's approach.
+//!   No rule is re-evaluated to delete; recomputation from the surviving
+//!   base facts is the referee the parity suites hold it to.
 //!
 //! Every externally visible change to the materialized state is appended to
 //! a change log ([`Engine::drain_changes`]) — update translation packages
@@ -106,16 +105,15 @@ use orchestra_relational::{
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-/// Which deletion-propagation algorithm to use.
+/// The deletion-propagation algorithm: there is one. The type survives
+/// only as the third parameter of [`Engine::remove_base`], which the
+/// repo benchmark's replay module (`loopbench/src/replay.rs`) still
+/// passes; it goes when that module does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeletionAlgorithm {
     /// Orchestra's approach: test well-founded derivability over the
     /// affected region of the stored provenance graph.
     ProvenanceBased,
-    /// The classic delete-and-rederive baseline: over-delete everything
-    /// transitively derived through the deleted tuples by re-evaluating
-    /// rules, then re-derive survivors from the remaining database.
-    DRed,
 }
 
 /// Did a change add or remove a tuple?
@@ -265,7 +263,7 @@ enum KeySrc {
 /// How a step obtains its candidate tuples.
 #[derive(Debug, Clone)]
 enum Source {
-    /// The caller-supplied delta slice (first step of a delta plan).
+    /// The round's delta slice (every plan's first step).
     Delta,
     /// Full iteration of the relation's live tuples (nothing bound).
     Scan,
@@ -320,30 +318,21 @@ struct JoinPlan {
     impossible: bool,
 }
 
-/// All plans for one rule: one per delta position, plus the head-seeded
-/// plan used by DRed re-derivation.
-#[derive(Debug, Clone)]
-struct RulePlans {
-    delta: Vec<JoinPlan>,
-    seeded: JoinPlan,
-}
-
 impl JoinPlan {
-    /// Greedy join order — the delta atom (if any) first, then repeatedly
-    /// the atom with the most statically bound positions (constants +
-    /// bound variables) — with every step's access path decided at compile
-    /// time. `pre_bound` marks variables seeded before the join (head
-    /// bindings during DRed re-derivation).
-    fn build(rule: &CompiledRule, delta_pos: Option<usize>, pre_bound: &[bool]) -> JoinPlan {
+    /// Greedy join order — the delta atom first, then repeatedly the atom
+    /// with the most statically bound positions (constants + bound
+    /// variables) — with every step's access path decided at compile
+    /// time.
+    fn build(rule: &CompiledRule, delta_pos: usize) -> JoinPlan {
         let n = rule.body.len();
-        let mut bound = pre_bound.to_vec();
+        let mut bound = vec![false; rule.num_vars];
         let mut used = vec![false; n];
         let mut filter_done = vec![false; rule.filters.len()];
         let mut steps = Vec::with_capacity(n);
         let mut impossible = false;
         for step_i in 0..n {
-            let ai = match (step_i, delta_pos) {
-                (0, Some(dp)) => dp,
+            let ai = match step_i {
+                0 => delta_pos,
                 _ => {
                     let mut best = usize::MAX;
                     let mut best_score = -1i64;
@@ -370,7 +359,7 @@ impl JoinPlan {
             };
             used[ai] = true;
             let atom = &rule.body[ai];
-            let is_delta = step_i == 0 && delta_pos.is_some();
+            let is_delta = step_i == 0;
             let bound_before = bound.clone();
             let mut probe_cols: Vec<usize> = Vec::new();
             let mut key: Vec<KeySrc> = Vec::new();
@@ -463,9 +452,8 @@ struct Exec<'a> {
     rule: &'a CompiledRule,
     plan: &'a JoinPlan,
     data: &'a [ShardedRel<NodeId>],
-    delta: Option<&'a [SymTuple]>,
+    delta: &'a [SymTuple],
     interner: &'a ValueInterner,
-    nodes: &'a NodeTable,
     /// Shard count shared by every partitioned structure (head routing).
     shards: usize,
     bindings: Vec<Sym>,
@@ -480,18 +468,16 @@ struct Exec<'a> {
 }
 
 impl<'a> Exec<'a> {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         rule: &'a CompiledRule,
         plan: &'a JoinPlan,
         data: &'a [ShardedRel<NodeId>],
-        delta: Option<&'a [SymTuple]>,
+        delta: &'a [SymTuple],
         interner: &'a ValueInterner,
-        nodes: &'a NodeTable,
         shards: usize,
-        bindings: Vec<Sym>,
     ) -> Self {
         Exec {
+            bindings: vec![Sym::NONE; rule.num_vars],
             body_tuples: vec![None; rule.body.len()],
             key_bufs: vec![Vec::new(); plan.steps.len()],
             slice_bufs: vec![Vec::new(); plan.steps.len()],
@@ -501,9 +487,7 @@ impl<'a> Exec<'a> {
             data,
             delta,
             interner,
-            nodes,
             shards,
-            bindings,
         }
     }
 
@@ -523,11 +507,7 @@ impl<'a> Exec<'a> {
         let sp = &plan.steps[si];
         let data = self.data;
         match &sp.source {
-            Source::Delta => {
-                // analyze: allow(panic) -- plan selection sets Source::Delta only when run_delta supplied one
-                let cands = self.delta.expect("delta plan executed without a delta");
-                self.scan_candidates(si, sp, cands.iter());
-            }
+            Source::Delta => self.scan_candidates(si, sp, self.delta.iter()),
             Source::Scan => {
                 let rd = &data[self.rule.body[sp.atom].rel.index()];
                 self.scan_candidates(si, sp, rd.iter_tuples());
@@ -717,19 +697,13 @@ impl<'a> Exec<'a> {
                 // analyze: allow(panic) -- a firing is only staged after every body atom matched, binding all slots
                 let t = self.body_tuples[i].expect("bound");
                 let rel = rule.body[i].rel;
-                // Every candidate is either alive — its node rides along
-                // as the relation payload — or a delta tuple interned at
-                // `insert_base` / the merge that produced it; DRed's
-                // over-deletion additionally joins deltas already removed
-                // from `data`, whose nodes remain in the table.
+                // Every candidate is alive — `propagate` drops delta
+                // tuples a deletion removed — so its node rides along as
+                // the relation payload.
                 self.data[rel.index()]
                     .get(t)
-                    .or_else(|| {
-                        let shard = self.data[rel.index()].shard_of(t);
-                        self.nodes.get(shard, rel, t)
-                    })
-                    // analyze: allow(panic) -- see comment above: candidates are interned on insert or merge
-                    .expect("body tuple interned")
+                    // analyze: allow(panic) -- see comment above: every candidate is alive in the round snapshot
+                    .expect("body tuple alive")
             })
             .collect();
         let fp = crate::provgraph::derivation_fingerprint(&rule.id, &body_nodes);
@@ -765,21 +739,18 @@ impl<'a> Exec<'a> {
 
 /// Run one join task: evaluate `plan` for `rule` over `delta` against an
 /// immutable database snapshot. Pure — safe to run on any thread.
-#[allow(clippy::too_many_arguments)]
 fn run_task(
     rule: &CompiledRule,
     plan: &JoinPlan,
     data: &[ShardedRel<NodeId>],
     interner: &ValueInterner,
-    nodes: &NodeTable,
     shards: usize,
-    delta: Option<&[SymTuple]>,
-    bindings: Vec<Sym>,
+    delta: &[SymTuple],
 ) -> TaskOut {
     if plan.impossible {
         return TaskOut::default();
     }
-    let mut exec = Exec::new(rule, plan, data, delta, interner, nodes, shards, bindings);
+    let mut exec = Exec::new(rule, plan, data, delta, interner, shards);
     exec.run();
     exec.out
 }
@@ -816,7 +787,8 @@ struct TaskSpec {
 pub struct Engine {
     schema: DatabaseSchema,
     rules: Vec<CompiledRule>,
-    plans: Vec<RulePlans>,
+    /// One join plan per rule and delta position.
+    plans: Vec<Vec<JoinPlan>>,
     /// body relation → (rule index, body atom position), indexed by RelId.
     rules_by_body: Vec<Vec<(u32, u32)>>,
     interner: ValueInterner,
@@ -837,9 +809,6 @@ pub struct Engine {
     /// atomics per tuple), and [`obs_flush_stats`](Self::obs_flush_stats)
     /// publishes the diff once per `propagate` / `remove_bases` call.
     mirrored: EngineStats,
-    /// When false, derivations are not recorded (ablation baseline for
-    /// experiment E5). Provenance-based deletion then falls back to DRed.
-    track_provenance: bool,
     opts: EvalOptions,
     /// The worker pool, created by the first round that dispatches in
     /// parallel — so nothing spawns threads for workloads that never cross
@@ -851,30 +820,27 @@ pub struct Engine {
 impl Engine {
     /// Build an engine for a schema and a mapping program.
     pub fn new(schema: DatabaseSchema, rules: Vec<Rule>) -> Result<Engine> {
-        Self::with_provenance(schema, rules, true)
-    }
-
-    /// Build an engine, optionally **without** provenance tracking — the
-    /// ablation baseline of experiment E5. Without provenance, trust
-    /// evaluation and provenance-based deletion are unavailable
-    /// ([`remove_bases`](Engine::remove_bases) silently uses DRed), but
-    /// insert propagation is cheaper.
-    pub fn with_provenance(
-        schema: DatabaseSchema,
-        rules: Vec<Rule>,
-        track_provenance: bool,
-    ) -> Result<Engine> {
-        Self::with_options(schema, rules, track_provenance, EvalOptions::default())
+        Self::with_options(schema, rules, true, EvalOptions::default())
     }
 
     /// Build an engine with explicit evaluation tunables (thread count,
     /// shard count, parallel threshold).
+    ///
+    /// The engine always records provenance: deletion and trust read the
+    /// graph. `provenance` must be `true`; `false` is refused with
+    /// [`DatalogError::ProvenanceRequired`]. The parameter stays only
+    /// because the repo benchmark's replay module
+    /// (`loopbench/src/replay.rs`) passes it, and goes when that module
+    /// does.
     pub fn with_options(
         schema: DatabaseSchema,
         rules: Vec<Rule>,
-        track_provenance: bool,
+        provenance: bool,
         opts: EvalOptions,
     ) -> Result<Engine> {
+        if !provenance {
+            return Err(DatalogError::ProvenanceRequired);
+        }
         let opts = EvalOptions {
             threads: opts.threads.max(1),
             // NodeIds pack the shard into their high bits, so the shard
@@ -900,7 +866,11 @@ impl Engine {
             for (ai, atom) in c.body.iter().enumerate() {
                 rules_by_body[atom.rel.index()].push((ri as u32, ai as u32));
             }
-            plans.push(Self::build_plans(&c));
+            plans.push(
+                (0..c.body.len())
+                    .map(|ai| JoinPlan::build(&c, ai))
+                    .collect(),
+            );
             compiled.push(c);
         }
         // Pick each relation's partition columns from the compiled plans
@@ -932,49 +902,63 @@ impl Engine {
             changes: Vec::new(),
             stats: EngineStats::default(),
             mirrored: EngineStats::default(),
-            track_provenance,
             opts,
             pool: Arc::default(),
         })
     }
 
     /// Choose each relation's partition columns: the probe column set the
-    /// compiled **delta** plans use most often (those run every round;
-    /// head-seeded plans only serve DRed re-derivation and count as a
-    /// fallback). Ties break on the lexicographically smallest set —
-    /// deterministic. Relations never probed partition on the whole tuple.
+    /// compiled plans use most often. A relation no plan probes — the lone
+    /// body atom of a copy or projection rule — partitions on the columns
+    /// its body atoms carry into the rule: those holding a constant or a
+    /// variable the head copies, counted the same way. Ties break on the
+    /// lexicographically smallest set — deterministic. A relation with
+    /// neither partitions on the whole tuple.
     fn choose_partitions(
         arities: &[usize],
         rules: &[CompiledRule],
-        plans: &[RulePlans],
+        plans: &[Vec<JoinPlan>],
     ) -> Vec<Vec<usize>> {
-        let mut delta_counts: Vec<HashMap<Box<[usize]>, usize>> =
-            vec![HashMap::new(); arities.len()];
-        let mut seeded_counts: Vec<HashMap<Box<[usize]>, usize>> =
-            vec![HashMap::new(); arities.len()];
-        for (ri, rp) in plans.iter().enumerate() {
-            let tally = |plan: &JoinPlan, counts: &mut Vec<HashMap<Box<[usize]>, usize>>| {
-                for sp in &plan.steps {
-                    if let Source::Probe { cols, .. } = &sp.source {
-                        let rel = rules[ri].body[sp.atom].rel.index();
-                        *counts[rel].entry(cols.clone()).or_insert(0) += 1;
-                    }
+        let mut probed: Vec<HashMap<Vec<usize>, usize>> = vec![HashMap::new(); arities.len()];
+        let mut carried: Vec<HashMap<Vec<usize>, usize>> = vec![HashMap::new(); arities.len()];
+        for (rule, rule_plans) in rules.iter().zip(plans) {
+            for sp in rule_plans.iter().flat_map(|plan| &plan.steps) {
+                if let Source::Probe { cols, .. } = &sp.source {
+                    let rel = rule.body[sp.atom].rel.index();
+                    *probed[rel].entry(cols.to_vec()).or_insert(0) += 1;
                 }
-            };
-            for plan in &rp.delta {
-                tally(plan, &mut delta_counts);
             }
-            tally(&rp.seeded, &mut seeded_counts);
+            let head_vars: Vec<usize> = rule
+                .head
+                .slots
+                .iter()
+                .filter_map(|slot| match slot {
+                    Slot::Var(v) => Some(*v),
+                    _ => None,
+                })
+                .collect();
+            for atom in &rule.body {
+                let cols: Vec<usize> = (0..atom.slots.len())
+                    .filter(|&ci| match &atom.slots[ci] {
+                        Slot::Const(_) => true,
+                        Slot::Var(v) => head_vars.contains(v),
+                        Slot::Skolem { .. } => false,
+                    })
+                    .collect();
+                if !cols.is_empty() {
+                    *carried[atom.rel.index()].entry(cols).or_insert(0) += 1;
+                }
+            }
         }
-        let pick = |m: &HashMap<Box<[usize]>, usize>| -> Option<Vec<usize>> {
-            let mut entries: Vec<(&Box<[usize]>, &usize)> = m.iter().collect();
-            entries.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
-            entries.first().map(|(cols, _)| cols.to_vec())
+        let pick = |m: &HashMap<Vec<usize>, usize>| -> Option<Vec<usize>> {
+            m.iter()
+                .min_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)))
+                .map(|(cols, _)| cols.clone())
         };
         (0..arities.len())
             .map(|rel| {
-                pick(&delta_counts[rel])
-                    .or_else(|| pick(&seeded_counts[rel]))
+                pick(&probed[rel])
+                    .or_else(|| pick(&carried[rel]))
                     .unwrap_or_else(|| (0..arities[rel]).collect())
             })
             .collect()
@@ -983,40 +967,21 @@ impl Engine {
     /// Mark every probe step whose column set covers the target
     /// relation's partition columns with the key positions of those
     /// columns, so execution routes it to a single shard.
-    fn annotate_plans(rules: &[CompiledRule], plans: &mut [RulePlans], partitions: &[Vec<usize>]) {
-        for (ri, rp) in plans.iter_mut().enumerate() {
-            for plan in rp.delta.iter_mut().chain(std::iter::once(&mut rp.seeded)) {
-                for sp in &mut plan.steps {
-                    if let Source::Probe { cols, part, .. } = &mut sp.source {
-                        let rel = rules[ri].body[sp.atom].rel.index();
-                        *part = partitions[rel]
-                            .iter()
-                            .map(|pc| cols.iter().position(|c| c == pc))
-                            .collect();
-                    }
+    fn annotate_plans(
+        rules: &[CompiledRule],
+        plans: &mut [Vec<JoinPlan>],
+        partitions: &[Vec<usize>],
+    ) {
+        for (rule, rule_plans) in rules.iter().zip(plans) {
+            for sp in rule_plans.iter_mut().flat_map(|plan| &mut plan.steps) {
+                if let Source::Probe { cols, part, .. } = &mut sp.source {
+                    *part = partitions[rule.body[sp.atom].rel.index()]
+                        .iter()
+                        .map(|pc| cols.iter().position(|c| c == pc))
+                        .collect();
                 }
             }
         }
-    }
-
-    /// Compile every join plan a rule can need: one per delta position
-    /// plus the head-seeded plan for DRed re-derivation. Planning happens
-    /// exactly once per rule — delta batches reuse these verbatim.
-    fn build_plans(rule: &CompiledRule) -> RulePlans {
-        let no_seed = vec![false; rule.num_vars];
-        let delta = (0..rule.body.len())
-            .map(|ai| JoinPlan::build(rule, Some(ai), &no_seed))
-            .collect();
-        // Head-seeded: exactly the variables occurring as head Var slots
-        // are bound before the join (Skolem-argument variables are not).
-        let mut seed = vec![false; rule.num_vars];
-        for slot in &rule.head.slots {
-            if let Slot::Var(v) = slot {
-                seed[*v] = true;
-            }
-        }
-        let seeded = JoinPlan::build(rule, None, &seed);
-        RulePlans { delta, seeded }
     }
 
     fn compile_rule(
@@ -1387,7 +1352,7 @@ impl Engine {
                         continue;
                     }
                     for &(ri, ai) in &rules_by_body[rel] {
-                        let plan = &plans[ri as usize].delta[ai as usize];
+                        let plan = &plans[ri as usize][ai as usize];
                         for sp in &plan.steps {
                             if let Source::Probe { cols, .. } = &sp.source {
                                 let target = rules[ri as usize].body[sp.atom].rel.index();
@@ -1425,20 +1390,17 @@ impl Engine {
                     plans,
                     data,
                     interner,
-                    nodes,
                     ..
                 } = &*self;
                 let run_one = |spec: &TaskSpec| -> TaskOut {
                     let rule = &rules[spec.ri as usize];
                     run_task(
                         rule,
-                        &plans[spec.ri as usize].delta[spec.ai as usize],
+                        &plans[spec.ri as usize][spec.ai as usize],
                         data,
                         interner,
-                        nodes,
                         shards,
-                        Some(&frontiers[spec.rel as usize][spec.shard as usize]),
-                        vec![Sym::NONE; rule.num_vars],
+                        &frontiers[spec.rel as usize][spec.shard as usize],
                     )
                 };
                 match pool.as_deref() {
@@ -1471,7 +1433,6 @@ impl Engine {
             // assignment, provenance recording, inserts, the change log,
             // and the stats replay identically at any thread count.
             delta = orchestra_obs::time_histogram!("engine.round.merge_micros", {
-                let track = self.track_provenance;
                 let Engine {
                     rules,
                     interner,
@@ -1540,9 +1501,7 @@ impl Engine {
                         |sink: &mut merge::ShardSink<'_>, queue: Vec<(usize, Vec<Firing>)>| {
                             for (k, firings) in queue {
                                 let (rule_id, head_rel) = rule_heads[k];
-                                sink.drain_task(
-                                    rule_id, head_rel, firings, track, interner, rel_names,
-                                );
+                                sink.drain_task(rule_id, head_rel, firings, interner, rel_names);
                             }
                         };
                     match pool.as_deref() {
@@ -1587,67 +1546,10 @@ impl Engine {
         Ok(new_tuples)
     }
 
-    /// Join one rule's body with a delta restriction at one atom position,
-    /// using the plan cached at compile time. Returns
-    /// `(head tuple, body node ids)` per firing — the sequential wrapper
-    /// around the same plan interpreter the parallel rounds use (DRed's
-    /// over-deletion closure runs through here).
-    ///
-    /// Delta tuples need not be present in `data` (DRed's over-deletion
-    /// joins deltas that have already been removed).
-    fn join_rule(
-        &mut self,
-        rule_idx: usize,
-        delta_pos: usize,
-        delta: &[SymTuple],
-    ) -> Vec<(SymTuple, Vec<NodeId>)> {
-        let shards = self.opts.shards;
-        let Engine {
-            rules,
-            plans,
-            data,
-            nodes,
-            interner,
-            stats,
-            ..
-        } = self;
-        let rule = &rules[rule_idx];
-        let plan = &plans[rule_idx].delta[delta_pos];
-        if plan.impossible {
-            return Vec::new();
-        }
-        // Build any missing indexes up front so execution probes borrowed
-        // slices with no further mutation of `data`.
-        for sp in &plan.steps {
-            if let Source::Probe { cols, .. } = &sp.source {
-                if data[rule.body[sp.atom].rel.index()].ensure_index(cols) {
-                    stats.index_builds += 1;
-                }
-            }
-        }
-        let out = run_task(
-            rule,
-            plan,
-            data,
-            interner,
-            nodes,
-            shards,
-            Some(delta),
-            vec![Sym::NONE; rule.num_vars],
-        );
-        stats.index_probes += out.probes;
-        interner.note_skolem_hits(out.skolem_hits);
-        out.into_firings()
-            .map(|f| {
-                let head = resolve_head(interner, rule, &f);
-                (head, f.body_nodes)
-            })
-            .collect()
-    }
-
-    /// Remove a base tuple and propagate the deletion with the chosen
-    /// algorithm — a one-element [`remove_bases`](Engine::remove_bases).
-    /// Returns `true` if the tuple was a base fact.
+    /// Remove a base tuple and propagate the deletion — a one-element
+    /// [`remove_bases`](Engine::remove_bases). Returns `true` if the tuple
+    /// was a base fact. The [`DeletionAlgorithm`] parameter has one value
+    /// and goes with the last caller that passes it.
     ///
     /// The tuple may remain alive if it is still derivable through the
     /// mapping program (or was independently published elsewhere).
@@ -1655,24 +1557,19 @@ impl Engine {
         &mut self,
         relation: &str,
         tuple: &Tuple,
-        algorithm: DeletionAlgorithm,
+        _algorithm: DeletionAlgorithm,
     ) -> Result<bool> {
-        Ok(self.remove_bases(&[(relation, tuple)], algorithm)? == 1)
+        Ok(self.remove_bases(&[(relation, tuple)])? == 1)
     }
 
-    /// Remove a set of base tuples and propagate the deletion with the
-    /// chosen algorithm, as one set: every base mark is cleared first,
-    /// then one affected closure (or one DRed over-deletion) seeded with
-    /// all of them decides what dies. The database, the removed tuples
-    /// and the counters equal removing the tuples one at a time; the
-    /// change log lists the set's removals once, in one order. Returns
-    /// how many of the tuples were base facts (the rest — unknown,
-    /// derived-only or repeated — are skipped).
-    pub fn remove_bases(
-        &mut self,
-        tuples: &[(&str, &Tuple)],
-        algorithm: DeletionAlgorithm,
-    ) -> Result<usize> {
+    /// Remove a set of base tuples and propagate the deletion as one set:
+    /// every base mark is cleared first, then one affected closure seeded
+    /// with all of them decides what dies. The database, the removed
+    /// tuples and the counters equal removing the tuples one at a time;
+    /// the change log lists the set's removals once, in one order.
+    /// Returns how many of the tuples were base facts (the rest —
+    /// unknown, derived-only or repeated — are skipped).
+    pub fn remove_bases(&mut self, tuples: &[(&str, &Tuple)]) -> Result<usize> {
         orchestra_obs::time_histogram!("engine.delete_micros", {
             let mut deleted: Vec<NodeId> = Vec::with_capacity(tuples.len());
             for &(relation, tuple) in tuples {
@@ -1683,17 +1580,7 @@ impl Engine {
                 }
             }
             if !deleted.is_empty() {
-                // Without a provenance graph only rule re-evaluation can
-                // decide what else must go.
-                let algorithm = if self.track_provenance {
-                    algorithm
-                } else {
-                    DeletionAlgorithm::DRed
-                };
-                match algorithm {
-                    DeletionAlgorithm::ProvenanceBased => self.delete_provenance_based(&deleted),
-                    DeletionAlgorithm::DRed => self.delete_dred(&deleted),
-                }
+                self.delete_provenance_based(&deleted);
                 self.obs_flush_stats();
             }
             Ok(deleted.len())
@@ -1781,158 +1668,6 @@ impl Engine {
                 });
             }
         }
-    }
-
-    /// DRed: over-delete by re-evaluating rules against deltas of the
-    /// deleted tuples, then re-derive survivors from the remaining
-    /// database.
-    fn delete_dred(&mut self, deleted: &[NodeId]) {
-        // Phase 1: over-delete. Worklist of deleted tuples; consequences
-        // computed by joining each rule with the deleted tuple as delta
-        // **against the pre-deletion database** (tuples are only removed
-        // after the closure is complete). Joining against a database with
-        // deletions already applied would miss firings in which the
-        // deleted tuple occurs at *several* body positions — e.g.
-        // `h(x) :- r(c), r(x)` with `r(c)` deleted: the delta at the
-        // second atom needs the first atom to still see `r(c)`.
-        let mut overdeleted: Vec<(RelId, SymTuple, NodeId)> = Vec::new();
-        let mut over_set: FxHashSet<NodeId> = FxHashSet::default();
-        let mut wl: VecDeque<(RelId, SymTuple)> = VecDeque::new();
-        for &node in deleted {
-            if !self.is_alive(node) || !over_set.insert(node) {
-                continue;
-            }
-            let Some((rel, t)) = self.nodes.resolve(node) else {
-                continue;
-            };
-            overdeleted.push((rel, t.clone(), node));
-            wl.push_back((rel, t.clone()));
-        }
-        while let Some((rel, t)) = wl.pop_front() {
-            let delta = [t];
-            for k in 0..self.rules_by_body[rel.index()].len() {
-                let (ri, ai) = self.rules_by_body[rel.index()][k];
-                let firings = self.join_rule(ri as usize, ai as usize, &delta);
-                for (head_tuple, _) in firings {
-                    let head_rel = self.rules[ri as usize].head.rel;
-                    let Some(node) = self.data[head_rel.index()].get(&head_tuple) else {
-                        continue;
-                    };
-                    if over_set.insert(node) {
-                        overdeleted.push((head_rel, head_tuple.clone(), node));
-                        wl.push_back((head_rel, head_tuple));
-                    }
-                }
-            }
-        }
-        // Apply the over-deletion.
-        for (rel, t, _) in &overdeleted {
-            self.data[rel.index()].remove(t);
-        }
-
-        // Phase 2: re-derive. A removed tuple comes back if it is still
-        // base, or some rule derives it from the remaining database.
-        // Iterate to fixpoint (re-derived tuples can support others).
-        let mut revived: FxHashSet<NodeId> = FxHashSet::default();
-        loop {
-            let mut changed = false;
-            for (rel, t, node) in &overdeleted {
-                if revived.contains(node) {
-                    continue;
-                }
-                let back = self.graph.is_base(*node) || self.rederivable(*rel, t);
-                if back {
-                    self.data[rel.index()].insert(t.clone(), *node);
-                    revived.insert(*node);
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        // Log removals for tuples that stayed dead.
-        for (rel, t, node) in &overdeleted {
-            if !revived.contains(node) {
-                self.stats.tuples_removed += 1;
-                self.changes.push(Change {
-                    relation: Arc::clone(&self.rel_names[rel.index()]),
-                    tuple: self.interner.resolve_tuple(t),
-                    kind: ChangeKind::Removed,
-                    node: *node,
-                });
-            }
-        }
-    }
-
-    /// Can any rule derive `(relation, tuple)` from the current database?
-    fn rederivable(&mut self, rel: RelId, tuple: &SymTuple) -> bool {
-        for ri in 0..self.rules.len() {
-            if self.rules[ri].head.rel != rel {
-                continue;
-            }
-            if self.join_rule_with_head_filter(ri, tuple) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Evaluate rule `ri` (head-seeded plan) and return whether some
-    /// firing instantiates the head to exactly `target`. Head variable
-    /// slots pre-seed the bindings so the join is index-driven.
-    fn join_rule_with_head_filter(&mut self, ri: usize, target: &SymTuple) -> bool {
-        let shards = self.opts.shards;
-        let Engine {
-            rules,
-            plans,
-            data,
-            nodes,
-            interner,
-            stats,
-            ..
-        } = self;
-        let rule = &rules[ri];
-        let plan = &plans[ri].seeded;
-        if plan.impossible || target.arity() != rule.head.slots.len() {
-            return false;
-        }
-        let mut bindings = vec![Sym::NONE; rule.num_vars];
-        // Seed bindings from head slots where possible; constants must match.
-        for (i, slot) in rule.head.slots.iter().enumerate() {
-            match slot {
-                Slot::Const(c) => {
-                    if target[i] != *c {
-                        return false;
-                    }
-                }
-                Slot::Var(v) => {
-                    if bindings[*v].is_none() {
-                        bindings[*v] = target[i];
-                    } else if bindings[*v] != target[i] {
-                        return false;
-                    }
-                }
-                Slot::Skolem { .. } => {
-                    // Skolem head slot: we don't invert it here; the join
-                    // produces and the final comparison decides.
-                }
-            }
-        }
-        for sp in &plan.steps {
-            if let Source::Probe { cols, .. } = &sp.source {
-                if data[rule.body[sp.atom].rel.index()].ensure_index(cols) {
-                    stats.index_builds += 1;
-                }
-            }
-        }
-        let out = run_task(rule, plan, data, interner, nodes, shards, None, bindings);
-        stats.index_probes += out.probes;
-        interner.note_skolem_hits(out.skolem_hits);
-        let hit = out
-            .firings()
-            .any(|f| resolve_head(interner, rule, f) == *target);
-        hit
     }
 
     /// The provenance polynomial of an alive tuple (over simple proofs).
@@ -2204,20 +1939,25 @@ mod tests {
         assert!(!e.contains("t", &tuple!["a"]));
     }
 
+    /// Deletion ends where recomputing from the surviving edges does.
     #[test]
     fn deletion_dred_matches_provenance_based() {
-        for algo in [DeletionAlgorithm::ProvenanceBased, DeletionAlgorithm::DRed] {
-            let mut e = edge_path_engine();
-            e.insert_base("edge", tuple!["a", "b"]).unwrap();
-            e.insert_base("edge", tuple!["b", "c"]).unwrap();
-            e.insert_base("edge", tuple!["a", "c"]).unwrap();
-            e.propagate().unwrap();
-            // Deleting a→b kills path a→b but not a→c (direct edge remains).
-            e.remove_base("edge", &tuple!["a", "b"], algo).unwrap();
-            assert!(!e.contains("path", &tuple!["a", "b"]), "{algo:?}");
-            assert!(e.contains("path", &tuple!["a", "c"]), "{algo:?}");
-            assert!(e.contains("path", &tuple!["b", "c"]), "{algo:?}");
-        }
+        let mut e = edge_path_engine();
+        e.insert_base("edge", tuple!["a", "b"]).unwrap();
+        e.insert_base("edge", tuple!["b", "c"]).unwrap();
+        e.insert_base("edge", tuple!["a", "c"]).unwrap();
+        e.propagate().unwrap();
+        // Deleting a→b kills path a→b but not a→c (direct edge remains).
+        e.remove_bases(&[("edge", &tuple!["a", "b"])]).unwrap();
+        assert!(!e.contains("path", &tuple!["a", "b"]));
+        assert!(e.contains("path", &tuple!["a", "c"]));
+        assert!(e.contains("path", &tuple!["b", "c"]));
+        let mut fresh = edge_path_engine();
+        fresh.insert_base("edge", tuple!["b", "c"]).unwrap();
+        fresh.insert_base("edge", tuple!["a", "c"]).unwrap();
+        fresh.propagate().unwrap();
+        assert_eq!(rows(&e, "path"), rows(&fresh, "path"));
+        assert_eq!(rows(&e, "edge"), rows(&fresh, "edge"));
     }
 
     #[test]
@@ -2238,16 +1978,14 @@ mod tests {
             vec![],
         )
         .unwrap();
-        for algo in [DeletionAlgorithm::ProvenanceBased, DeletionAlgorithm::DRed] {
-            let mut e = Engine::new(db.clone(), vec![r1.clone(), r2.clone()]).unwrap();
-            e.insert_base("A", tuple!["t"]).unwrap();
-            e.propagate().unwrap();
-            assert!(e.contains("B", &tuple!["t"]));
-            // Removing the only base support kills both, despite the cycle.
-            e.remove_base("A", &tuple!["t"], algo).unwrap();
-            assert!(!e.contains("A", &tuple!["t"]), "{algo:?}");
-            assert!(!e.contains("B", &tuple!["t"]), "{algo:?}");
-        }
+        let mut e = Engine::new(db, vec![r1, r2]).unwrap();
+        e.insert_base("A", tuple!["t"]).unwrap();
+        e.propagate().unwrap();
+        assert!(e.contains("B", &tuple!["t"]));
+        // Removing the only base support kills both, despite the cycle.
+        e.remove_bases(&[("A", &tuple!["t"])]).unwrap();
+        assert!(!e.contains("A", &tuple!["t"]));
+        assert!(!e.contains("B", &tuple!["t"]));
     }
 
     #[test]
@@ -2261,18 +1999,16 @@ mod tests {
             vec![],
         )
         .unwrap();
-        for algo in [DeletionAlgorithm::ProvenanceBased, DeletionAlgorithm::DRed] {
-            let mut e = Engine::new(db.clone(), vec![rule.clone()]).unwrap();
-            e.insert_base("r", tuple!["a"]).unwrap();
-            e.insert_base("t", tuple!["a"]).unwrap();
-            e.propagate().unwrap();
-            // Remove the derived support; the base t('a') remains.
-            e.remove_base("r", &tuple!["a"], algo).unwrap();
-            assert!(e.contains("t", &tuple!["a"]), "{algo:?}");
-            // Remove base support too: now it dies.
-            e.remove_base("t", &tuple!["a"], algo).unwrap();
-            assert!(!e.contains("t", &tuple!["a"]), "{algo:?}");
-        }
+        let mut e = Engine::new(db, vec![rule]).unwrap();
+        e.insert_base("r", tuple!["a"]).unwrap();
+        e.insert_base("t", tuple!["a"]).unwrap();
+        e.propagate().unwrap();
+        // Remove the derived support; the base t('a') remains.
+        e.remove_bases(&[("r", &tuple!["a"])]).unwrap();
+        assert!(e.contains("t", &tuple!["a"]));
+        // Remove base support too: now it dies.
+        e.remove_bases(&[("t", &tuple!["a"])]).unwrap();
+        assert!(!e.contains("t", &tuple!["a"]));
     }
 
     #[test]
@@ -2356,52 +2092,32 @@ mod tests {
     fn remove_nonexistent_base_is_noop() {
         let mut e = edge_path_engine();
         assert!(!e
-            .remove_base("edge", &tuple!["x", "y"], DeletionAlgorithm::DRed)
+            .remove_base(
+                "edge",
+                &tuple!["x", "y"],
+                DeletionAlgorithm::ProvenanceBased
+            )
             .unwrap());
         // Derived tuples are not base: removing them is a no-op too.
         e.insert_base("edge", tuple!["a", "b"]).unwrap();
         e.propagate().unwrap();
         assert!(!e
-            .remove_base("path", &tuple!["a", "b"], DeletionAlgorithm::DRed)
+            .remove_base(
+                "path",
+                &tuple!["a", "b"],
+                DeletionAlgorithm::ProvenanceBased
+            )
             .unwrap());
         assert!(e.contains("path", &tuple!["a", "b"]));
     }
 
     #[test]
-    fn no_provenance_mode_matches_data_but_skips_graph() {
+    fn turning_provenance_off_is_refused() {
         let db = schema(&[("edge", 2), ("path", 2)]);
-        let rules = edge_path_rules();
-        let mut with = Engine::with_provenance(db.clone(), rules.clone(), true).unwrap();
-        let mut without = Engine::with_provenance(db, rules, false).unwrap();
-        for e in [tuple!["a", "b"], tuple!["b", "c"], tuple!["c", "d"]] {
-            with.insert_base("edge", e.clone()).unwrap();
-            without.insert_base("edge", e).unwrap();
-        }
-        with.propagate().unwrap();
-        without.propagate().unwrap();
-        assert_eq!(rows(&with, "path"), rows(&without, "path"));
-        assert!(with.stats().derivations > 0);
-        assert_eq!(without.stats().derivations, 0, "graph not recorded");
-        // Derived tuples have empty provenance without tracking.
-        let p = without.provenance("path", &tuple!["a", "b"]).unwrap();
-        assert!(p.is_zero());
-
-        // Deletion still works (falls back to DRed) and agrees with the
-        // provenance-tracking engine.
-        with.remove_base(
-            "edge",
-            &tuple!["a", "b"],
-            DeletionAlgorithm::ProvenanceBased,
-        )
-        .unwrap();
-        without
-            .remove_base(
-                "edge",
-                &tuple!["a", "b"],
-                DeletionAlgorithm::ProvenanceBased,
-            )
-            .unwrap();
-        assert_eq!(rows(&with, "path"), rows(&without, "path"));
+        assert_eq!(
+            Engine::with_options(db, edge_path_rules(), false, EvalOptions::default()).err(),
+            Some(DatalogError::ProvenanceRequired)
+        );
     }
 
     #[test]
@@ -2641,5 +2357,22 @@ mod tests {
         let edge = e.rel_id("edge").unwrap();
         assert_eq!(e.data[path.index()].part_cols(), &[0]);
         assert_eq!(e.data[edge.index()].part_cols(), &[1]);
+
+        // t(y) :- r(x, y): no plan probes r, so it partitions on the
+        // column the head copies, not on the whole tuple; t, in no body,
+        // does.
+        let db = schema(&[("r", 2), ("t", 1)]);
+        let rule = Rule::new(
+            "proj",
+            Atom::vars("t", &["y"]),
+            vec![Atom::vars("r", &["x", "y"])],
+            vec![],
+        )
+        .unwrap();
+        let e = Engine::new(db, vec![rule]).unwrap();
+        let r = e.rel_id("r").unwrap();
+        let t = e.rel_id("t").unwrap();
+        assert_eq!(e.data[r.index()].part_cols(), &[1]);
+        assert_eq!(e.data[t.index()].part_cols(), &[0]);
     }
 }

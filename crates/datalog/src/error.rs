@@ -20,6 +20,9 @@ pub enum DatalogError {
     InvalidTgd(String),
     /// An error bubbled up from the relational layer.
     Relational(String),
+    /// An engine was asked to run without provenance tracking, which it
+    /// cannot: deletion and trust read the provenance graph.
+    ProvenanceRequired,
 }
 
 impl fmt::Display for DatalogError {
@@ -42,6 +45,10 @@ impl fmt::Display for DatalogError {
             DatalogError::UnknownRelation(r) => write!(f, "unknown relation `{r}`"),
             DatalogError::InvalidTgd(msg) => write!(f, "invalid tgd: {msg}"),
             DatalogError::Relational(msg) => write!(f, "relational error: {msg}"),
+            DatalogError::ProvenanceRequired => write!(
+                f,
+                "provenance tracking cannot be turned off: deletion and trust read the provenance graph"
+            ),
         }
     }
 }
@@ -71,6 +78,9 @@ mod tests {
         assert!(DatalogError::InvalidTgd("no head".into())
             .to_string()
             .contains("no head"));
+        assert!(DatalogError::ProvenanceRequired
+            .to_string()
+            .contains("provenance"));
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //! * [`provgraph`] — the derivation graph, well-founded derivability, and
 //!   polynomial extraction.
 //! * [`engine`] — the semi-naive fixpoint engine with incremental insert
-//!   propagation and two deletion-propagation algorithms (provenance-based
-//!   and DRed), plus a change log for update translation.
+//!   propagation and provenance-based deletion propagation, plus a change
+//!   log for update translation.
 //! * [`merge`] — the partitioned merge phase: per-shard sinks that drain
 //!   the join phase's routed firings concurrently.
 //! * [`query`] — conjunctive queries over peer-local instances.

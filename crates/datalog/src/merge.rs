@@ -74,21 +74,6 @@ pub(crate) struct TaskOut {
     pub skolem_hits: u64,
 }
 
-impl TaskOut {
-    /// Drain every staged firing in the fixed (shard, discovery) order.
-    /// The sequential consumers (DRed over-deletion / re-derivation) use
-    /// this; the round merge drains the buckets per shard instead.
-    pub fn into_firings(self) -> impl Iterator<Item = Firing> {
-        self.routed.into_iter().flatten().chain(self.unrouted)
-    }
-
-    /// Borrowing variant of [`into_firings`](TaskOut::into_firings),
-    /// same order.
-    pub fn firings(&self) -> impl Iterator<Item = &Firing> {
-        self.routed.iter().flatten().chain(self.unrouted.iter())
-    }
-}
-
 /// A disjoint mutable view of shard `s` across every partitioned
 /// structure the merge writes: the node table, the provenance graph, and
 /// each relation — plus private output buffers the engine folds back in
@@ -166,13 +151,11 @@ impl ShardSink<'_> {
     /// Every firing handed here has a fully resolved head (the engine's
     /// sequential Skolem pass ran first) routed to this shard, so the
     /// writes below touch this shard only.
-    #[allow(clippy::too_many_arguments)]
     pub fn drain_task(
         &mut self,
         rule_id: &RuleId,
         head_rel: RelId,
         firings: Vec<Firing>,
-        track_provenance: bool,
         interner: &ValueInterner,
         rel_names: &[Arc<str>],
     ) {
@@ -185,18 +168,16 @@ impl ShardSink<'_> {
                 Some(n) => n,
                 None => self.nodes.intern(head_rel, &firing.head),
             };
-            if track_provenance {
-                let fresh_deriv = self.prov.add_derivation_fp(
-                    Derivation {
-                        rule: Arc::clone(rule_id),
-                        head: head_node,
-                        body: firing.body_nodes,
-                    },
-                    firing.fp,
-                );
-                if fresh_deriv {
-                    self.derivations += 1;
-                }
+            let fresh_deriv = self.prov.add_derivation_fp(
+                Derivation {
+                    rule: Arc::clone(rule_id),
+                    head: head_node,
+                    body: firing.body_nodes,
+                },
+                firing.fp,
+            );
+            if fresh_deriv {
+                self.derivations += 1;
             }
             if firing.head_node.is_some() {
                 continue; // Was alive at snapshot: nothing to add.

@@ -8,15 +8,15 @@
 //!   tuples (no interning, no indexes, no plans) — the "seed semantics";
 //! * itself under different insertion orders (incremental vs batch),
 //!   which also exercises plan-cache reuse across delta positions;
-//! * both deletion algorithms (provenance-based and DRed) against full
-//!   recomputation from the surviving base facts;
+//! * provenance-based deletion against full recomputation from the
+//!   surviving base facts;
 //! * itself under different **thread counts** (1 vs 2 vs 8) — the
 //!   shard-parallel evaluation must replay byte-identically: same
 //!   provenance-graph edges and recording order, same `NodeId`
 //!   assignment, same change-log order, same stats — including
 //!   Skolem-heavy programs (labeled-null invention splits between the
 //!   workers' read-only fast path and the merge's sequential pass) and
-//!   DRed deletion replay over the partitioned provenance graph.
+//!   deletion replay over the partitioned provenance graph.
 
 use orchestra_datalog::{Atom, Term};
 use orchestra_datalog::{DeletionAlgorithm, Engine, EvalOptions, Rule};
@@ -456,7 +456,7 @@ proptest! {
     /// labeled-null invention (first occurrence on the merge's sequential
     /// pass, repeats on the workers' read-only fast path), the null-typed
     /// node ids, the derivation lineages through null tuples, and a final
-    /// DRed deletion wave all replay **byte-identically** at 1, 2, and 8
+    /// deletion wave all replay **byte-identically** at 1, 2, and 8
     /// threads.
     #[test]
     fn skolem_heavy_replay_is_thread_invariant(
@@ -489,7 +489,8 @@ proptest! {
                 e.propagate().unwrap();
             }
             for (rel, t) in &victims {
-                e.remove_base(rel, t, DeletionAlgorithm::DRed).unwrap();
+                e.remove_base(rel, t, DeletionAlgorithm::ProvenanceBased)
+                    .unwrap();
             }
             observables(&mut e)
         };
@@ -505,60 +506,9 @@ proptest! {
         }
     }
 
-    /// DRed deletion replay parity: over random recursive programs, the
-    /// over-delete / re-derive sequence — including its `Removed`
-    /// change-log order against the partitioned provgraph — replays
-    /// byte-identically at 1, 2, and 8 threads.
-    #[test]
-    fn dred_deletion_replays_identically_across_threads(
-        seed in 0u64..1_000_000,
-        n_rules in 1usize..5,
-        n_facts in 1usize..24,
-        del_pct in 0u32..101,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let rules = random_program(&mut rng, n_rules);
-        let facts = random_facts(&mut rng, n_facts);
-        let victims: Vec<(&'static str, Tuple)> = {
-            let uniq: BTreeSet<(&'static str, Tuple)> = facts
-                .iter()
-                .filter(|_| rng.random_range(0..100u32) < del_pct)
-                .cloned()
-                .collect();
-            uniq.into_iter().collect()
-        };
-
-        let run = |threads: usize| {
-            let opts = EvalOptions {
-                threads,
-                shards: 8,
-                parallel_threshold: 0,
-            };
-            let mut e = Engine::with_options(schema(), rules.clone(), true, opts).unwrap();
-            for (rel, t) in &facts {
-                e.insert_base(rel, t.clone()).unwrap();
-            }
-            e.propagate().unwrap();
-            for (rel, t) in &victims {
-                e.remove_base(rel, t, DeletionAlgorithm::DRed).unwrap();
-            }
-            observables(&mut e)
-        };
-
-        let base = run(1);
-        for threads in [2usize, 8] {
-            let got = run(threads);
-            prop_assert_eq!(&got.0, &base.0, "change order @ {} threads", threads);
-            prop_assert_eq!(&got.1, &base.1, "derivations @ {} threads", threads);
-            prop_assert_eq!(&got.2, &base.2, "node ids @ {} threads", threads);
-            prop_assert_eq!(&got.3, &base.3, "stats @ {} threads", threads);
-            prop_assert_eq!(&got.4, &base.4, "fixpoint @ {} threads", threads);
-        }
-    }
-
-    /// Both deletion-propagation algorithms agree with each other and
-    /// with full recomputation from the surviving base facts — including
-    /// well-founded handling of derivation cycles.
+    /// Deletion agrees with full recomputation (the naive evaluator over
+    /// the surviving base facts) — including well-founded handling of
+    /// derivation cycles.
     #[test]
     fn deletion_algorithms_match_recomputation(
         seed in 0u64..1_000_000,
@@ -585,22 +535,17 @@ proptest! {
             .cloned()
             .collect();
 
-        let run = |algo: DeletionAlgorithm| {
-            let mut e = Engine::new(schema(), rules.clone()).unwrap();
-            for (rel, t) in &facts {
-                e.insert_base(rel, t.clone()).unwrap();
-            }
-            e.propagate().unwrap();
-            for (rel, t) in &victims {
-                e.remove_base(rel, t, algo).unwrap();
-            }
-            engine_database(&e)
-        };
-        let dred = run(DeletionAlgorithm::DRed);
-        let prov = run(DeletionAlgorithm::ProvenanceBased);
+        let mut e = Engine::new(schema(), rules.clone()).unwrap();
+        for (rel, t) in &facts {
+            e.insert_base(rel, t.clone()).unwrap();
+        }
+        e.propagate().unwrap();
+        for (rel, t) in &victims {
+            e.remove_base(rel, t, DeletionAlgorithm::ProvenanceBased)
+                .unwrap();
+        }
         let reference = naive_fixpoint(&rules, &survivors);
-        prop_assert_eq!(&dred, &reference, "DRed vs recomputation");
-        prop_assert_eq!(&prov, &reference, "provenance-based vs recomputation");
+        prop_assert_eq!(&engine_database(&e), &reference, "deletion vs recomputation");
     }
 }
 
@@ -626,28 +571,22 @@ fn hunt_deletion_mismatch() {
                     .filter(|f| !victims.contains(f))
                     .cloned()
                     .collect();
-                let run = |algo: DeletionAlgorithm| {
-                    let mut e = Engine::new(schema(), rules.clone()).unwrap();
-                    for (rel, t) in &facts {
-                        e.insert_base(rel, t.clone()).unwrap();
-                    }
-                    e.propagate().unwrap();
-                    for (rel, t) in &victims {
-                        e.remove_base(rel, t, algo).unwrap();
-                    }
-                    engine_database(&e)
-                };
-                let dred = run(DeletionAlgorithm::DRed);
-                let prov = run(DeletionAlgorithm::ProvenanceBased);
+                let mut e = Engine::new(schema(), rules.clone()).unwrap();
+                for (rel, t) in &facts {
+                    e.insert_base(rel, t.clone()).unwrap();
+                }
+                e.propagate().unwrap();
+                let refs: Vec<(&str, &Tuple)> = victims.iter().map(|(r, t)| (*r, t)).collect();
+                e.remove_bases(&refs).unwrap();
+                let prov = engine_database(&e);
                 let reference = naive_fixpoint(&rules, &survivors);
-                if dred != reference || prov != reference {
+                if prov != reference {
                     println!("MISMATCH seed={seed} n_rules={n_rules} n_facts={n_facts}");
                     for r in &rules {
                         println!("  rule: {r}");
                     }
                     println!("  facts: {facts:?}");
                     println!("  victims: {victims:?}");
-                    println!("  dred:      {dred:?}");
                     println!("  prov:      {prov:?}");
                     println!("  reference: {reference:?}");
                     panic!("found");
@@ -742,8 +681,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Removing a set of base tuples in one `remove_bases` call equals
-    /// removing them one `remove_base` at a time, for both algorithms,
-    /// over random recursive and Skolem programs: same database, same
+    /// removing them one `remove_base` at a time, over random recursive
+    /// and Skolem programs: same database, same
     /// multiset of `Removed` changes, same `tuples_removed`, same count
     /// of base facts removed, and the same provenance polynomial for
     /// every survivor. Both equal recomputing from the surviving facts.
@@ -766,37 +705,35 @@ proptest! {
             victims: Vec::new(),
         };
         let recomputed = engine_database(&built_engine(&survivors, EvalOptions::default()));
-        for algo in [DeletionAlgorithm::ProvenanceBased, DeletionAlgorithm::DRed] {
-            let mut one = built_engine(&case, EvalOptions::default());
-            let mut one_count = 0usize;
-            for (rel, t) in &case.victims {
-                one_count += usize::from(one.remove_base(rel, t, algo).unwrap());
-            }
-            let mut set = built_engine(&case, EvalOptions::default());
-            let set_count = set.remove_bases(&victim_refs(&case), algo).unwrap();
-
-            prop_assert_eq!(set_count, one_count, "base facts removed ({:?})", algo);
-            prop_assert_eq!(engine_database(&set), engine_database(&one), "database ({:?})", algo);
-            prop_assert_eq!(engine_database(&set), recomputed.clone(), "recomputation ({:?})", algo);
-            prop_assert_eq!(
-                removed_multiset(&mut set),
-                removed_multiset(&mut one),
-                "removed changes ({:?})",
-                algo
-            );
-            prop_assert_eq!(
-                set.stats().tuples_removed,
-                one.stats().tuples_removed,
-                "tuples_removed ({:?})",
-                algo
-            );
-            prop_assert_eq!(
-                survivor_polynomials(&set),
-                survivor_polynomials(&one),
-                "survivor provenance ({:?})",
-                algo
-            );
+        let mut one = built_engine(&case, EvalOptions::default());
+        let mut one_count = 0usize;
+        for (rel, t) in &case.victims {
+            let removed = one
+                .remove_base(rel, t, DeletionAlgorithm::ProvenanceBased)
+                .unwrap();
+            one_count += usize::from(removed);
         }
+        let mut set = built_engine(&case, EvalOptions::default());
+        let set_count = set.remove_bases(&victim_refs(&case)).unwrap();
+
+        prop_assert_eq!(set_count, one_count, "base facts removed");
+        prop_assert_eq!(engine_database(&set), engine_database(&one), "database");
+        prop_assert_eq!(engine_database(&set), recomputed, "recomputation");
+        prop_assert_eq!(
+            removed_multiset(&mut set),
+            removed_multiset(&mut one),
+            "removed changes"
+        );
+        prop_assert_eq!(
+            set.stats().tuples_removed,
+            one.stats().tuples_removed,
+            "tuples_removed"
+        );
+        prop_assert_eq!(
+            survivor_polynomials(&set),
+            survivor_polynomials(&one),
+            "survivor provenance"
+        );
     }
 
     /// The set path replays byte-identically at 1, 2 and 8 threads:
@@ -809,32 +746,30 @@ proptest! {
         n_facts in 1usize..24,
     ) {
         let case = deletion_case(seed, skolem, n_rules, n_facts);
-        for algo in [DeletionAlgorithm::ProvenanceBased, DeletionAlgorithm::DRed] {
-            let run = |threads: usize| {
-                let opts = EvalOptions {
-                    threads,
-                    shards: 8,
-                    parallel_threshold: 0,
-                };
-                let mut e = built_engine(&case, opts);
-                e.remove_bases(&victim_refs(&case), algo).unwrap();
-                // Re-insert one victim so a round runs over the graph the
-                // set deletion left behind.
-                if let Some((rel, t)) = case.victims.first() {
-                    e.insert_base(rel, t.clone()).unwrap();
-                    e.propagate().unwrap();
-                }
-                observables(&mut e)
+        let run = |threads: usize| {
+            let opts = EvalOptions {
+                threads,
+                shards: 8,
+                parallel_threshold: 0,
             };
-            let base = run(1);
-            for threads in [2usize, 8] {
-                let got = run(threads);
-                prop_assert_eq!(&got.0, &base.0, "change order @ {} threads", threads);
-                prop_assert_eq!(&got.1, &base.1, "derivations @ {} threads", threads);
-                prop_assert_eq!(&got.2, &base.2, "node ids @ {} threads", threads);
-                prop_assert_eq!(&got.3, &base.3, "stats @ {} threads", threads);
-                prop_assert_eq!(&got.4, &base.4, "fixpoint @ {} threads", threads);
+            let mut e = built_engine(&case, opts);
+            e.remove_bases(&victim_refs(&case)).unwrap();
+            // Re-insert one victim so a round runs over the graph the
+            // set deletion left behind.
+            if let Some((rel, t)) = case.victims.first() {
+                e.insert_base(rel, t.clone()).unwrap();
+                e.propagate().unwrap();
             }
+            observables(&mut e)
+        };
+        let base = run(1);
+        for threads in [2usize, 8] {
+            let got = run(threads);
+            prop_assert_eq!(&got.0, &base.0, "change order @ {} threads", threads);
+            prop_assert_eq!(&got.1, &base.1, "derivations @ {} threads", threads);
+            prop_assert_eq!(&got.2, &base.2, "node ids @ {} threads", threads);
+            prop_assert_eq!(&got.3, &base.3, "stats @ {} threads", threads);
+            prop_assert_eq!(&got.4, &base.4, "fixpoint @ {} threads", threads);
         }
     }
 }

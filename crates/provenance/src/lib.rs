@@ -21,8 +21,8 @@
 //!    re-running the mappings.
 //! 2. **Incremental maintenance**: when base tuples are deleted, evaluating
 //!    each derived tuple's polynomial with the deleted tokens set to 0
-//!    decides derivability — the provenance-based deletion propagation that
-//!    `orchestra-datalog` benchmarks against DRed.
+//!    decides derivability — the provenance-based deletion propagation
+//!    `orchestra-datalog` runs.
 //!
 //! Besides N\[X\] ([`Polynomial`]) the crate ships the coarser models of the
 //! provenance hierarchy — `B[X]` (drop coefficients), `Trio(X)` (drop
