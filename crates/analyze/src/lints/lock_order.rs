@@ -2,7 +2,7 @@
 //! acquisition order.
 //!
 //! The workspace nests locks across many layers — `ReplicatedStore`'s
-//! holder registry, the `WorkerPool` queue, `MeshNode` neighbor lists,
+//! holder registry, `MeshNode` neighbor lists,
 //! `PeerServer` connection tables — and nothing but discipline keeps
 //! thread A from taking `X` then `Y` while thread B takes `Y` then
 //! `X`. This lint recovers that discipline mechanically:

@@ -1,8 +1,9 @@
 //! `unsafe` lint: every `unsafe` occurrence in library code must be
 //! within reach of a `// SAFETY:` comment (or, for `unsafe fn`, a
 //! `# Safety` doc section) stating the obligation being discharged.
-//! The lifetime-erased jobs in `relational/src/exec.rs` are exactly the
-//! kind of transmute whose justification must live next to the code.
+//! The one such block in the workspace today is `DurableStore`'s `flock`
+//! call (`store/src/durable/mod.rs`), whose justification lives next to
+//! the FFI call it guards.
 
 use crate::context::ParsedFile;
 use crate::findings::{Finding, LintId};

@@ -6,7 +6,6 @@
 //! | e4 | incremental propagation vs full recomputation |
 //! | e8 | replicated-store availability under churn; durable sync/cache tiers |
 //! | e9 | provenance-polynomial (semiring) operations |
-//! | e11 | shard-parallel propagate, thread scaling |
 //! | e12 | the gossiping mesh across OS processes |
 //! | e13 | the fault matrix: injected faults at every layer, healed |
 //!
@@ -20,19 +19,18 @@
 //!     e8 --smoke --json-dir target/bench                                # CI smoke
 //! ```
 //!
-//! With `--json-dir`, experiments E4/E8/E11/E12/E13 additionally write
+//! With `--json-dir`, experiments E4/E8/E12/E13 additionally write
 //! machine-readable `BENCH_*.json` (tuples/sec, semi-naive rounds, rule
-//! firings, paged fetch + availability counters, thread-scaling speedups
-//! and stats-parity flags, mesh-cluster convergence latency + bytes
-//! shipped, and a peak-RSS proxy); `--smoke` shrinks the workloads for
-//! CI, `--variant <tag>` labels the run. E12 spawns child OS processes of
+//! firings, paged fetch + availability counters, mesh-cluster convergence
+//! latency + bytes shipped, and a peak-RSS proxy); `--smoke` shrinks the
+//! workloads for CI, `--variant <tag>` labels the run. E12 spawns child OS processes of
 //! this same binary (a hidden `--e12-child` mode) to run the gossiping
 //! mesh across real process boundaries. Any other experiment name is an
 //! error: the harness lists the valid ones and exits non-zero.
 
 use orchestra_bench::json::{BenchReport, Json};
 use orchestra_bench::*;
-use orchestra_datalog::{Engine, EngineStats, EvalOptions};
+use orchestra_datalog::EngineStats;
 use orchestra_provenance::{Boolean, Counting, Semiring, Tropical};
 use orchestra_relational::tuple;
 use orchestra_store::{
@@ -42,7 +40,7 @@ use orchestra_updates::{Epoch, PeerId, Transaction, TxnId, Update};
 use std::path::PathBuf;
 
 /// The experiments this harness runs, in run order.
-const EXPERIMENTS: [&str; 6] = ["e4", "e8", "e9", "e11", "e12", "e13"];
+const EXPERIMENTS: [&str; 5] = ["e4", "e8", "e9", "e12", "e13"];
 
 /// Harness configuration parsed from the command line.
 pub struct Opts {
@@ -131,9 +129,6 @@ fn main() {
     }
     if opts.want("e9") {
         e9_semiring();
-    }
-    if opts.want("e11") {
-        e11_threads(&opts);
     }
     if opts.want("e12") {
         let report = orchestra_bench::mesh_cluster::e12_mesh_cluster(opts.smoke, &opts.variant);
@@ -478,229 +473,9 @@ fn e9_semiring() {
     println!();
 }
 
-/// Cumulative `engine.round.{plan,join,merge}_micros` histogram sums
-/// from the process-global obs registry (zeros when obs is compiled
-/// off). Callers diff two readings to attribute wall-clock to phases.
-fn round_phase_micros() -> [u64; 3] {
-    let snap = orchestra_obs::snapshot_filtered("engine.round.");
-    let mut out = [0u64; 3];
-    for h in &snap.histograms {
-        let slot = match h.name.as_str() {
-            "engine.round.plan_micros" => 0,
-            "engine.round.join_micros" => 1,
-            "engine.round.merge_micros" => 2,
-            _ => continue,
-        };
-        out[slot] = h.sum;
-    }
-    out
-}
-
-/// The E11 sweep's thread counts: a comma-separated list (e.g. `2,8`)
-/// when it names any, else 1/2/4/8. The sweep always starts at 1 thread
-/// — moved first, or added when the list lacks it — because every row's
-/// speedup and stats parity are measured against the first run.
-fn sweep_threads(list: Option<&str>) -> Vec<usize> {
-    let mut counts: Vec<usize> = list
-        .map(|v| {
-            v.split(',')
-                .filter_map(|s| s.trim().parse::<usize>().ok())
-                .filter(|&t| t > 0)
-                .collect::<Vec<_>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4, 8]);
-    counts.retain(|&t| t != 1);
-    counts.insert(0, 1);
-    counts
-}
-
-/// E11 — shard-parallel thread scaling: propagate two workloads at
-/// 1/2/4/8 evaluation threads over hash-partitioned relations:
-///
-/// * `tc` — transitive closure of a dense random graph. Recursion- and
-///   provenance-heavy: every firing is a distinct derivation record, so
-///   the deterministic sequential merge is a large fraction of the round
-///   and scaling is modest by design (the price of byte-identical
-///   provenance at any thread count).
-/// * `tri` — the triangle query over a denser graph. Probe-bound: the
-///   join phase scans two-hop candidates in parallel while firings stay
-///   rare, so scaling tracks the host's cores.
-///
-/// The same code path runs at every thread count — `threads = 1` is the
-/// inline arm, not a second engine — so the experiment also pins **stats
-/// parity**: firings, derivations, rounds, probes, and the fixpoint are
-/// identical at any thread count; only wall-clock differs. Speedups are
-/// naturally ceilinged by `host_parallelism` (recorded in the summary).
-///
-/// Each row also carries the per-phase wall-clock split from the obs
-/// round histograms (`engine.round.{plan,join,merge}_micros`) — in
-/// particular `merge_frac`, the merge phase's share of the round. Before
-/// the partitioned merge this fraction was the Amdahl ceiling on `tc`;
-/// now it should shrink as threads go up.
-///
-/// `ORCHESTRA_EVAL_THREADS` picks the thread counts the sweep runs (see
-/// [`sweep_threads`]) — CI uses this to smoke-test stats parity.
-pub fn e11_threads(opts: &Opts) -> BenchReport {
-    println!("── E11: shard-parallel propagate, thread scaling ──");
-    println!(
-        "{:<9} {:<8} {:>7} {:>9} {:>13} {:>12} {:>9} {:>7} {:>9}",
-        "workload",
-        "threads",
-        "shards",
-        "tuples",
-        "propagate ms",
-        "tuples/s",
-        "speedup",
-        "merge%",
-        "stats=1t"
-    );
-    let mut report = BenchReport::new("e11", &opts.variant, opts.smoke);
-    let (shards, iters) = if opts.smoke {
-        (8usize, 1usize)
-    } else {
-        (16, 5)
-    };
-    let thread_counts = sweep_threads(std::env::var("ORCHESTRA_EVAL_THREADS").ok().as_deref());
-    let workloads: Vec<(&'static str, _, _, Vec<_>)> = {
-        let (tc_db, tc_rules, tc_edges) = if opts.smoke {
-            tc_parts(64, 320, 11)
-        } else {
-            tc_parts(240, 1500, 11)
-        };
-        let (tri_db, tri_rules, tri_edges) = if opts.smoke {
-            triangle_parts(120, 1800, 13)
-        } else {
-            triangle_parts(640, 14000, 13)
-        };
-        vec![
-            ("tc", tc_db, tc_rules, tc_edges),
-            ("tri", tri_db, tri_rules, tri_edges),
-        ]
-    };
-    let mut best_tps = 0f64;
-    let mut parity = true;
-    // threads → best speedup across workloads.
-    let mut speedups: std::collections::BTreeMap<usize, f64> = Default::default();
-    for (name, db, rules, edges) in &workloads {
-        let mut baseline: Option<(f64, EngineStats, usize)> = None;
-        for &threads in &thread_counts {
-            let eval = EvalOptions {
-                threads,
-                shards,
-                ..EvalOptions::default()
-            };
-            // Best of `iters` fresh runs (results are deterministic; only
-            // wall-clock is noisy).
-            let mut best = std::time::Duration::MAX;
-            let mut total = 0usize;
-            let mut stats = EngineStats::default();
-            let phases_before = round_phase_micros();
-            for _ in 0..iters {
-                let mut engine =
-                    Engine::with_options(db.clone(), rules.clone(), true, eval).unwrap();
-                for t in edges {
-                    engine.insert_base("edge", t.clone()).unwrap();
-                }
-                let (_, dt) = timed(|| engine.propagate().unwrap());
-                best = best.min(dt);
-                total = engine.total_tuples();
-                // Count alive tuples through the borrowing per-shard
-                // scan — the read path reconcile/bench consumers use.
-                let scanned: usize = ["edge", "path", "tri"]
-                    .iter()
-                    .map(|r| engine.scan(r).count())
-                    .sum();
-                assert_eq!(scanned, total);
-                stats = engine.stats();
-            }
-            let phases_after = round_phase_micros();
-            // The obs registry is process-global and cumulative, so the
-            // phase split is the delta across this cell's `iters` runs
-            // (averaged back to one propagate).
-            let [plan_ms, join_ms, merge_ms] = std::array::from_fn(|i| {
-                phases_after[i].saturating_sub(phases_before[i]) as f64 / 1e3 / iters as f64
-            });
-            let phase_total = plan_ms + join_ms + merge_ms;
-            let merge_frac = if phase_total > 0.0 {
-                merge_ms / phase_total
-            } else {
-                0.0
-            };
-            let secs = best.as_secs_f64().max(1e-9);
-            let tps = total as f64 / secs;
-            let (t1_tps, stats_match) = match &baseline {
-                None => {
-                    baseline = Some((tps, stats, total));
-                    (tps, true)
-                }
-                Some((t1, s1, tot1)) => {
-                    assert_eq!(total, *tot1, "fixpoint differs across thread counts");
-                    (*t1, stats == *s1)
-                }
-            };
-            parity &= stats_match;
-            let speedup = tps / t1_tps.max(1e-9);
-            let entry = speedups.entry(threads).or_insert(0.0);
-            *entry = entry.max(speedup);
-            best_tps = best_tps.max(tps);
-            println!(
-                "{:<9} {:<8} {:>7} {:>9} {:>13} {:>12.0} {:>9.2} {:>6.0}% {:>9}",
-                name,
-                threads,
-                shards,
-                total,
-                ms(best),
-                tps,
-                speedup,
-                merge_frac * 100.0,
-                stats_match
-            );
-            report.row([
-                ("workload", Json::from(*name)),
-                ("threads", Json::from(threads)),
-                ("shards", Json::from(shards)),
-                ("tuples", Json::from(total)),
-                ("propagate_ms", Json::from(best.as_secs_f64() * 1e3)),
-                ("tuples_per_sec", Json::from(tps)),
-                ("speedup_vs_1t", Json::from(speedup)),
-                ("stats_match_1t", Json::from(stats_match)),
-                ("plan_ms", Json::from(plan_ms)),
-                ("join_ms", Json::from(join_ms)),
-                ("merge_ms", Json::from(merge_ms)),
-                ("merge_frac", Json::from(merge_frac)),
-                ("firings", Json::from(stats.firings)),
-                ("rounds", Json::from(stats.rounds)),
-            ]);
-            report.rounds = report.rounds.max(stats.rounds);
-            report.firings = report.firings.max(stats.firings);
-        }
-    }
-    report.tuples_per_sec = best_tps;
-    report.summary_extra("shards", shards);
-    report.summary_extra("stats_parity", parity);
-    for (t, s) in &speedups {
-        match t {
-            2 => report.summary_extra("speedup_2t", *s),
-            4 => report.summary_extra("speedup_4t", *s),
-            8 => report.summary_extra("speedup_8t", *s),
-            _ => {}
-        }
-    }
-    report.summary_extra(
-        "host_parallelism",
-        std::thread::available_parallelism().map_or(1usize, |n| n.get()),
-    );
-    report.summary_extra("store_pages", 0u64);
-    report.summary_extra("store_unavailable", 0u64);
-    opts.emit(&report);
-    println!();
-    report
-}
-
 #[cfg(test)]
 mod tests {
-    use super::{sweep_threads, Opts};
+    use super::Opts;
 
     fn parse(args: &[&str]) -> Result<Opts, String> {
         Opts::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
@@ -708,23 +483,14 @@ mod tests {
 
     #[test]
     fn only_the_harness_experiments_parse() {
-        let opts = parse(&["e4", "E13", "--smoke", "--json-dir", "out", "e11"]).unwrap();
-        assert_eq!(opts.names, ["e4", "E13", "e11"]);
+        let opts = parse(&["e4", "E13", "--smoke", "--json-dir", "out", "e12"]).unwrap();
+        assert_eq!(opts.names, ["e4", "E13", "e12"]);
         assert!(opts.smoke && opts.want("e13") && !opts.want("e8"));
-        for stale in ["e5", "e6", "e7", "e99"] {
+        for stale in ["e5", "e6", "e7", "e11", "e99"] {
             let err = parse(&["e4", stale]).err().expect("stale name rejected");
             assert!(err.contains(stale), "{err}");
-            assert!(err.contains("e4 e8 e9 e11 e12 e13"), "{err}");
+            assert!(err.contains("e4 e8 e9 e12 e13"), "{err}");
         }
         assert!(parse(&["--json-dir"]).is_err());
-    }
-
-    #[test]
-    fn the_thread_sweep_always_starts_at_one_thread() {
-        assert_eq!(sweep_threads(None), [1, 2, 4, 8]);
-        assert_eq!(sweep_threads(Some("2,8")), [1, 2, 8]);
-        assert_eq!(sweep_threads(Some("1,2,8")), [1, 2, 8]);
-        assert_eq!(sweep_threads(Some("8, 1, 2")), [1, 8, 2]);
-        assert_eq!(sweep_threads(Some("0,x")), [1, 2, 4, 8]);
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! {
-//!   "experiment": "e4" | "e8" | "e11" | "e12" | "e13",
+//!   "experiment": "e4" | "e8" | "e12" | "e13",
 //!   "variant":    free-form tag ("interned", "paged", ...),
 //!   "smoke":      bool,
 //!   "peak_rss_kb": u64          // VmHWM proxy, 0 where unsupported

@@ -1,9 +1,9 @@
 //! Deterministic workload generators for the engine-level experiments
-//! (E4, E9, E11).
+//! (E4, E9).
 
 use orchestra_core::demo;
-use orchestra_datalog::{Atom, Engine, Rule};
-use orchestra_relational::{tuple, DatabaseSchema, RelationSchema, Tuple, ValueType};
+use orchestra_datalog::{Engine, Rule};
+use orchestra_relational::{tuple, DatabaseSchema, Tuple};
 use orchestra_updates::PeerId;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -70,111 +70,6 @@ pub fn warm_engine(
     }
     e.propagate().unwrap();
     e
-}
-
-/// E11: a random directed graph plus the transitive-closure program — the
-/// join-heavy, recursion-heavy workload the thread-scaling experiment
-/// propagates. Nodes are ints; edges are distinct, seeded, and dense
-/// enough that semi-naive rounds carry thousands of delta tuples (the
-/// regime where shard-parallel evaluation pays).
-pub fn tc_parts(
-    n_nodes: usize,
-    n_edges: usize,
-    seed: u64,
-) -> (DatabaseSchema, Vec<Rule>, Vec<Tuple>) {
-    let db = DatabaseSchema::new("tc")
-        .with_relation(
-            RelationSchema::from_parts("edge", &[("src", ValueType::Int), ("dst", ValueType::Int)])
-                .unwrap(),
-        )
-        .unwrap()
-        .with_relation(
-            RelationSchema::from_parts("path", &[("src", ValueType::Int), ("dst", ValueType::Int)])
-                .unwrap(),
-        )
-        .unwrap();
-    let rules = vec![
-        Rule::new(
-            "base",
-            Atom::vars("path", &["x", "y"]),
-            vec![Atom::vars("edge", &["x", "y"])],
-            vec![],
-        )
-        .unwrap(),
-        Rule::new(
-            "step",
-            Atom::vars("path", &["x", "z"]),
-            vec![
-                Atom::vars("edge", &["x", "y"]),
-                Atom::vars("path", &["y", "z"]),
-            ],
-            vec![],
-        )
-        .unwrap(),
-    ];
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut seen = std::collections::BTreeSet::new();
-    let mut edges = Vec::with_capacity(n_edges);
-    while edges.len() < n_edges {
-        let a = rng.random_range(0..n_nodes as i64);
-        let b = rng.random_range(0..n_nodes as i64);
-        if a != b && seen.insert((a, b)) {
-            edges.push(tuple![a, b]);
-        }
-    }
-    (db, rules, edges)
-}
-
-/// E11: a random directed graph plus the triangle query
-/// `tri(x,y,z) :- edge(x,y), edge(y,z), edge(z,x)` — the probe-bound
-/// workload: the join phase scans two-hop candidates (quadratic in
-/// degree, all parallel) while firings stay rare, so thread scaling is
-/// limited only by cores, not by the sequential provenance merge.
-pub fn triangle_parts(
-    n_nodes: usize,
-    n_edges: usize,
-    seed: u64,
-) -> (DatabaseSchema, Vec<Rule>, Vec<Tuple>) {
-    let db = DatabaseSchema::new("tri")
-        .with_relation(
-            RelationSchema::from_parts("edge", &[("src", ValueType::Int), ("dst", ValueType::Int)])
-                .unwrap(),
-        )
-        .unwrap()
-        .with_relation(
-            RelationSchema::from_parts(
-                "tri",
-                &[
-                    ("a", ValueType::Int),
-                    ("b", ValueType::Int),
-                    ("c", ValueType::Int),
-                ],
-            )
-            .unwrap(),
-        )
-        .unwrap();
-    let rules = vec![Rule::new(
-        "tri",
-        Atom::vars("tri", &["x", "y", "z"]),
-        vec![
-            Atom::vars("edge", &["x", "y"]),
-            Atom::vars("edge", &["y", "z"]),
-            Atom::vars("edge", &["z", "x"]),
-        ],
-        vec![],
-    )
-    .unwrap()];
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut seen = std::collections::BTreeSet::new();
-    let mut edges = Vec::with_capacity(n_edges);
-    while edges.len() < n_edges {
-        let a = rng.random_range(0..n_nodes as i64);
-        let b = rng.random_range(0..n_nodes as i64);
-        if a != b && seen.insert((a, b)) {
-            edges.push(tuple![a, b]);
-        }
-    }
-    (db, rules, edges)
 }
 
 /// E9: a random provenance polynomial with `terms` monomials over

@@ -6,7 +6,7 @@ use crate::peer::Peer;
 use crate::Result;
 use orchestra_datalog::{DatalogError, Engine, EvalOptions, Rule, Tgd};
 use orchestra_reconcile::{ReconcileOutcome, ResolveOutcome, TrustPolicy};
-use orchestra_relational::{DatabaseSchema, Tuple, WorkerPool};
+use orchestra_relational::{DatabaseSchema, Tuple};
 use orchestra_store::{
     CursorBound, FetchCursor, InMemoryStore, StoreError, StoreStats, UpdateStore,
     DEFAULT_PAGE_LIMIT,
@@ -133,19 +133,14 @@ impl CdssBuilder {
     }
 
     /// Set the evaluation thread count for every peer's translation
-    /// engine (default: `ORCHESTRA_EVAL_THREADS`, falling back to the
-    /// machine's available parallelism). With more than one thread, all
-    /// peer engines share **one** worker pool — exchanges run one peer
-    /// at a time, so a per-peer pool would only multiply idle threads.
+    /// engine. Engines evaluate on the calling thread: 1 (or 0, read as 1)
+    /// is accepted, and [`build`](Self::build) refuses anything larger
+    /// with [`DatalogError::SingleThreaded`]. The method stays only because
+    /// the repo benchmark's workloads (`loopbench/src/workloads/`
+    /// `chain.rs`, `bio.rs`, `star.rs`) call it, and goes with the next
+    /// harness change to those files.
     pub fn eval_threads(mut self, threads: usize) -> Self {
         self.eval.threads = threads.max(1);
-        self
-    }
-
-    /// Set all evaluation tunables (threads, shards, parallel threshold)
-    /// for every peer's translation engine.
-    pub fn eval_options(mut self, eval: EvalOptions) -> Self {
-        self.eval = eval;
         self
     }
 
@@ -218,21 +213,13 @@ impl CdssBuilder {
         // the published history), each compiled from that peer's slice of
         // the program — the relations that can reach its own and the
         // rules deriving into them — so no peer derives, or tracks the
-        // provenance of, tuples it can never read. All share one **lazy**
-        // worker-pool slot — a CDSS exchanges for one peer at a time, so
-        // per-peer pools would only park threads, and workloads that never
-        // cross the parallel threshold spawn none at all.
-        let pool_slot = (self.eval.threads > 1)
-            .then(|| std::sync::Arc::new(std::sync::OnceLock::<std::sync::Arc<WorkerPool>>::new()));
+        // provenance of, tuples it can never read.
         let mut peers = BTreeMap::new();
         for (id, schema, policy) in self.peers {
             let (slice_schema, slice_rules) =
                 slice_program(&id, &schema, &combined, &self.mappings, &rules)?;
             let rule_ids = slice_rules.iter().map(|r| r.id.clone()).collect();
-            let mut engine = Engine::with_options(slice_schema, slice_rules, true, self.eval)?;
-            if let Some(slot) = &pool_slot {
-                engine.set_shared_pool_slot(std::sync::Arc::clone(slot));
-            }
+            let engine = Engine::with_options(slice_schema, slice_rules, true, self.eval)?;
             if peers.contains_key(&id) {
                 return Err(CoreError::DuplicatePeer(id.name().to_string()));
             }
@@ -1170,32 +1157,28 @@ mod tests {
     }
 
     #[test]
-    fn eval_threads_plumb_through_builder_and_exchange() {
-        let schema = DatabaseSchema::new("kv")
-            .with_relation(
-                RelationSchema::from_parts_keyed(
-                    "R",
-                    &[("k", ValueType::Int), ("v", ValueType::Int)],
-                    &["k"],
+    fn eval_threads_accepts_one_and_refuses_more() {
+        let builder = |threads: usize| {
+            Cdss::builder()
+                .peer("A", kv(), orchestra_reconcile::TrustPolicy::open(1))
+                .peer("B", kv(), orchestra_reconcile::TrustPolicy::open(1))
+                .identity("A", "B")
+                .unwrap()
+                .eval_threads(threads)
+        };
+        match builder(2).build() {
+            Err(CoreError::Datalog(msg)) => {
+                assert_eq!(
+                    msg,
+                    DatalogError::SingleThreaded { requested: 2 }.to_string()
                 )
-                .unwrap(),
-            )
-            .unwrap();
-        let mut cdss = Cdss::builder()
-            .peer(
-                "A",
-                schema.clone(),
-                orchestra_reconcile::TrustPolicy::open(1),
-            )
-            .peer("B", schema, orchestra_reconcile::TrustPolicy::open(1))
-            .identity("A", "B")
-            .unwrap()
-            .eval_threads(2)
-            .build()
-            .unwrap();
+            }
+            Err(other) => panic!("wrong error: {other}"),
+            Ok(_) => panic!("two evaluation threads were accepted"),
+        }
+        let mut cdss = builder(1).build().unwrap();
         let a = PeerId::new("A");
         let b = PeerId::new("B");
-        assert_eq!(cdss.peer(&a).unwrap().engine_threads(), 2);
         {
             let inst = cdss.peer_mut(&a).unwrap().instance_mut();
             for k in 0..16i64 {
@@ -1205,7 +1188,6 @@ mod tests {
         cdss.publish(&a).unwrap().unwrap();
         let report = cdss.reconcile(&b).unwrap();
         assert_eq!(report.outcome.accepted.len(), 1);
-        assert_eq!(cdss.peer(&b).unwrap().engine_threads(), 2);
         assert_eq!(
             cdss.peer(&b)
                 .unwrap()

@@ -251,9 +251,4 @@ impl Peer {
     pub fn engine_stats(&self) -> orchestra_datalog::EngineStats {
         self.engine.stats()
     }
-
-    /// The peer's translation-engine evaluation thread count.
-    pub fn engine_threads(&self) -> usize {
-        self.engine.threads()
-    }
 }

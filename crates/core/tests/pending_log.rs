@@ -42,7 +42,7 @@ fn schema() -> DatabaseSchema {
 /// `A` is the peer under test; `B` and `C` feed it through copy mappings
 /// at equal trust, so their conflicting writes defer until resolved.
 fn network(store: Arc<dyn UpdateStore>) -> Cdss {
-    let mut b = Cdss::builder().eval_threads(1);
+    let mut b = Cdss::builder();
     for peer in ["A", "B", "C"] {
         b = b.peer(peer, schema(), TrustPolicy::open(1));
     }

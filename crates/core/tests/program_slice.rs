@@ -138,7 +138,7 @@ impl Net {
     }
 
     fn build(&self, store: Arc<dyn UpdateStore>) -> Cdss {
-        let mut b = Cdss::builder().eval_threads(1);
+        let mut b = Cdss::builder();
         for (id, schema, policy) in &self.peers {
             b = b.peer(id.name(), schema.clone(), policy.clone());
         }

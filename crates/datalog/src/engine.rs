@@ -46,7 +46,7 @@
 //!   through [`ValueInterner::intern_skolem`], one hash probe over
 //!   `(function, arg syms)` once a null has been invented before.
 //!
-//! ## Sharded, shard-parallel evaluation
+//! ## Sharded storage, one evaluation thread
 //!
 //! Relations are stored as [`ShardedRel`]s: hash-partitioned into a fixed
 //! number of shards on the relation's **partition columns** (the probe
@@ -55,35 +55,30 @@
 //! probe tables. A probe that covers the partition columns touches one
 //! shard; others fan out in shard order.
 //!
-//! Each semi-naive round proceeds in three phases:
+//! Each semi-naive round runs on the calling thread in three phases:
 //!
-//! 1. **Plan (sequential).** The pending delta is split into per-shard
-//!    frontiers; any missing indexes are built.
-//! 2. **Join (parallel).** One task per `(relation, rule, delta position,
-//!    shard)` runs the plan interpreter over that shard's frontier against
-//!    an immutable snapshot of the round's database. Tasks are pure reads
-//!    — the interner, node table, and provenance graph are untouched —
-//!    and stage their rule firings (with Skolem heads unresolved) plus
-//!    per-task counters in private buffers. With `threads > 1` and a
-//!    large enough frontier, tasks run on a reusable [`WorkerPool`];
-//!    otherwise they run inline on the calling thread — **the single-thread
-//!    path is `threads = 1` of the same code**, not a second engine.
-//! 3. **Merge (partitioned).** Workers route every staged firing to its
-//!    head tuple's shard (the same content-based routing the relations
-//!    use), so the node table, provenance graph, and relation storage —
-//!    all partitioned by that routing — drain through one sink per
-//!    shard the round touches, concurrently (see [`crate::merge`]). A
-//!    short sequential pre-pass folds per-task counters and interns
-//!    first-occurrence labeled nulls (the only interner mutation); the
-//!    sinks' counters, change-log entries, and next-round deltas fold
-//!    back in shard order, and one pass then splices their staged
-//!    cross-shard provenance edges. Every mutation therefore happens in an order
-//!    that is a pure function of the input — task order within a shard,
-//!    shard order across shards — which makes the provenance graph,
-//!    `NodeId` assignment (shard in the id's high bits, per-shard
-//!    assignment order below), and [`Engine::drain_changes`] order
-//!    identical at any thread count (pinned by the `engine_parity_props`
-//!    suite).
+//! 1. **Plan.** The pending delta is grouped into one frontier per
+//!    relation; any missing indexes are built.
+//! 2. **Join.** One task per `(relation, rule, delta position)` runs the
+//!    plan interpreter over that relation's frontier against an immutable
+//!    snapshot of the round's database. Tasks are pure reads — the
+//!    interner, node table, and provenance graph are untouched — and
+//!    stage their rule firings (with Skolem heads unresolved) plus
+//!    per-task counters in private buffers.
+//! 3. **Merge (partitioned).** Every staged firing is routed to its head
+//!    tuple's shard (the same content-based routing the relations use),
+//!    so the node table, provenance graph, and relation storage — all
+//!    partitioned by that routing — drain through one sink per shard the
+//!    round touches (see [`crate::merge`]). A short pre-pass folds
+//!    per-task counters and interns first-occurrence labeled nulls (the
+//!    only interner mutation); the sinks' counters, change-log entries,
+//!    and next-round deltas fold back in shard order, and one pass then
+//!    splices their staged cross-shard provenance edges. Every mutation
+//!    therefore happens in an order that is a pure function of the input
+//!    — task order within a shard, shard order across shards — which
+//!    fixes the provenance graph, `NodeId` assignment (shard in the id's
+//!    high bits, per-shard assignment order below), and
+//!    [`Engine::drain_changes`] order.
 //!
 //! Symbols are process-local (insertion-ordered); everything that leaves
 //! the engine — the change log, [`Engine::scan_resolved`], provenance
@@ -99,8 +94,8 @@ use crate::provgraph::ProvGraph;
 use crate::Result;
 use orchestra_provenance::Polynomial;
 use orchestra_relational::{
-    default_threads, host_parallelism, CmpOp, DatabaseSchema, FxHashSet, Job, ShardedRel, Sym,
-    SymTuple, Tuple, Value, ValueInterner, WorkerPool, DEFAULT_SHARDS,
+    CmpOp, DatabaseSchema, FxHashSet, ShardedRel, Sym, SymTuple, Tuple, Value, ValueInterner,
+    DEFAULT_SHARDS,
 };
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -140,10 +135,8 @@ pub struct Change {
 
 /// Aggregate counters, for the experiment harness.
 ///
-/// Under parallel evaluation every counter stays **lost-update-safe**:
-/// workers count into private per-task buffers that the merge phase folds
-/// in at each round's barrier, so counts are identical at any thread
-/// count (no racing increments, no atomics on the hot path).
+/// Join tasks count into private per-task buffers that the merge phase
+/// folds in once per round, so the hot loops never touch `self.stats`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
     /// Semi-naive rounds executed.
@@ -183,36 +176,26 @@ impl std::ops::AddAssign for EngineStats {
     }
 }
 
-/// Default minimum round size (delta tuples) before a round's join phase
-/// is dispatched to the worker pool: smaller rounds run inline — identical
-/// results, none of the wakeup overhead.
-pub const DEFAULT_PARALLEL_THRESHOLD: usize = 1024;
-
-/// Evaluation tunables: worker threads, shard count, and the parallel
-/// dispatch threshold.
+/// Evaluation tunables: the thread count and the shard count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalOptions {
-    /// Concurrent evaluation lanes (helper threads + the calling thread).
-    /// `1` disables the pool entirely; results are identical either way.
+    /// Evaluation threads. The engine evaluates on the calling thread
+    /// only: `1` (or `0`, read as `1`) is accepted, and
+    /// [`Engine::with_options`] refuses anything larger with
+    /// [`DatalogError::SingleThreaded`]. The field stays only because the
+    /// repo benchmark's replay module (`loopbench/src/replay.rs`) sets it,
+    /// and goes with the next harness change to that module.
     pub threads: usize,
     /// Fixed shard count for every relation's [`ShardedRel`].
     pub shards: usize,
-    /// Minimum delta tuples in a round before going parallel.
-    pub parallel_threshold: usize,
 }
 
 impl Default for EvalOptions {
-    /// Threads default to `ORCHESTRA_EVAL_THREADS` (or the machine's
-    /// available parallelism), **clamped to the host's parallelism** —
-    /// oversubscribing cores never helps the deterministic pipeline and
-    /// measurably regresses merge-heavy workloads (the 4/8-thread E11
-    /// rows on a 2-core host). An explicit `EvalOptions { threads, .. }`
-    /// is honored unclamped. Shards default to [`DEFAULT_SHARDS`].
+    /// One thread and [`DEFAULT_SHARDS`] shards.
     fn default() -> Self {
         EvalOptions {
-            threads: default_threads().min(host_parallelism()).max(1),
+            threads: 1,
             shards: DEFAULT_SHARDS,
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
         }
     }
 }
@@ -437,17 +420,16 @@ impl JoinPlan {
 // ---------------------------------------------------------- plan executor
 
 /// The plan interpreter. **Read-only** over the engine: it borrows the
-/// sharded data, the rule/plan storage, and the interner immutably, so
-/// any number of `Exec`s can run concurrently over disjoint delta shards.
-/// All effects are staged into the [`TaskOut`] buffers.
+/// sharded data, the rule/plan storage, and the interner immutably; all
+/// effects are staged into the [`TaskOut`] buffers.
 ///
 /// Everything resolvable against the round's immutable snapshot is
-/// resolved **in the worker**: body node ids (every body tuple is alive
+/// resolved **in the join**: body node ids (every body tuple is alive
 /// or a delta tuple, so it was interned when it first appeared), the
 /// derivation's dedup fingerprint, the head's snapshot node/liveness,
 /// already-interned Skolem nulls, and the head's **target shard** — so
-/// the merge phase fans out over per-shard sinks with only the
-/// first-occurrence nulls left on the sequential path.
+/// the merge phase drains per-shard sinks with only the first-occurrence
+/// nulls left for its pre-pass.
 struct Exec<'a> {
     rule: &'a CompiledRule,
     plan: &'a JoinPlan,
@@ -738,7 +720,7 @@ impl<'a> Exec<'a> {
 }
 
 /// Run one join task: evaluate `plan` for `rule` over `delta` against an
-/// immutable database snapshot. Pure — safe to run on any thread.
+/// immutable database snapshot. Pure: it reads and stages, nothing more.
 fn run_task(
     rule: &CompiledRule,
     plan: &JoinPlan,
@@ -772,12 +754,12 @@ fn resolve_head(interner: &mut ValueInterner, rule: &CompiledRule, firing: &Firi
     SymTuple::new(syms)
 }
 
-/// One join task of a round: rule × delta position × delta shard.
+/// One join task of a round: rule × delta position, over the frontier of
+/// the relation at that position.
 struct TaskSpec {
     ri: u32,
     ai: u32,
     rel: u32,
-    shard: u32,
 }
 
 // ----------------------------------------------------------------- engine
@@ -809,12 +791,8 @@ pub struct Engine {
     /// atomics per tuple), and [`obs_flush_stats`](Self::obs_flush_stats)
     /// publishes the diff once per `propagate` / `remove_bases` call.
     mirrored: EngineStats,
-    opts: EvalOptions,
-    /// The worker pool, created by the first round that dispatches in
-    /// parallel — so nothing spawns threads for workloads that never cross
-    /// the parallel threshold. The slot is shared with cloned engines, and
-    /// a CDSS hands every peer engine the same one.
-    pool: Arc<std::sync::OnceLock<Arc<WorkerPool>>>,
+    /// The per-relation shard count, fixed at construction.
+    shards: usize,
 }
 
 impl Engine {
@@ -824,7 +802,7 @@ impl Engine {
     }
 
     /// Build an engine with explicit evaluation tunables (thread count,
-    /// shard count, parallel threshold).
+    /// shard count).
     ///
     /// The engine always records provenance: deletion and trust read the
     /// graph. `provenance` must be `true`; `false` is refused with
@@ -832,6 +810,9 @@ impl Engine {
     /// because the repo benchmark's replay module
     /// (`loopbench/src/replay.rs`) passes it, and goes when that module
     /// does.
+    ///
+    /// The engine evaluates on the calling thread: `opts.threads` above 1
+    /// is refused with [`DatalogError::SingleThreaded`] (`0` reads as 1).
     pub fn with_options(
         schema: DatabaseSchema,
         rules: Vec<Rule>,
@@ -841,13 +822,14 @@ impl Engine {
         if !provenance {
             return Err(DatalogError::ProvenanceRequired);
         }
-        let opts = EvalOptions {
-            threads: opts.threads.max(1),
-            // NodeIds pack the shard into their high bits, so the shard
-            // count is bounded by the id space.
-            shards: opts.shards.clamp(1, NodeId::MAX_SHARDS),
-            parallel_threshold: opts.parallel_threshold,
-        };
+        if opts.threads > 1 {
+            return Err(DatalogError::SingleThreaded {
+                requested: opts.threads,
+            });
+        }
+        // NodeIds pack the shard into their high bits, so the shard count
+        // is bounded by the id space.
+        let shards = opts.shards.clamp(1, NodeId::MAX_SHARDS);
         let mut rel_names: Vec<Arc<str>> = Vec::new();
         let mut rel_ids: HashMap<Arc<str>, RelId> = HashMap::new();
         let mut arities: Vec<usize> = Vec::new();
@@ -880,13 +862,13 @@ impl Engine {
         Self::annotate_plans(&compiled, &mut plans, &partitions);
         let data = partitions
             .iter()
-            .map(|cols| ShardedRel::new(opts.shards, cols.clone()))
+            .map(|cols| ShardedRel::new(shards, cols.clone()))
             .collect();
         // The node table and provenance graph partition by the same shard
         // routing as the relations, so the merge phase's per-shard sinks
         // line up across all three.
         let mut graph = ProvGraph::new();
-        graph.ensure_shards(opts.shards);
+        graph.ensure_shards(shards);
         Ok(Engine {
             schema,
             rules: compiled,
@@ -895,15 +877,14 @@ impl Engine {
             interner,
             rel_names,
             rel_ids,
-            nodes: NodeTable::with_shards(opts.shards),
+            nodes: NodeTable::with_shards(shards),
             graph,
             data,
             pending: Vec::new(),
             changes: Vec::new(),
             stats: EngineStats::default(),
             mirrored: EngineStats::default(),
-            opts,
-            pool: Arc::default(),
+            shards,
         })
     }
 
@@ -1122,7 +1103,7 @@ impl Engine {
     /// Publish the counters accumulated since the last flush to the
     /// `orchestra-obs` registry as `engine.*` deltas. Called once per
     /// propagate/deletion entry point — the hot loops never touch an
-    /// atomic, so counts stay identical at any thread count.
+    /// atomic.
     fn obs_flush_stats(&mut self) {
         if !orchestra_obs::ENABLED {
             return;
@@ -1154,34 +1135,9 @@ impl Engine {
         self.mirrored = d;
     }
 
-    /// The engine's evaluation tunables.
-    pub fn eval_options(&self) -> EvalOptions {
-        self.opts
-    }
-
-    /// The evaluation thread count.
-    pub fn threads(&self) -> usize {
-        self.opts.threads
-    }
-
     /// The per-relation shard count.
     pub fn shards(&self) -> usize {
-        self.opts.shards
-    }
-
-    /// Share a **lazy** pool slot with this engine: the pool is spawned
-    /// only when some sharing engine first dispatches a parallel round,
-    /// sized by that engine's thread count — so every engine sharing a
-    /// slot must be built with the same count.
-    pub fn set_shared_pool_slot(&mut self, slot: Arc<std::sync::OnceLock<Arc<WorkerPool>>>) {
-        self.pool = slot;
-    }
-
-    fn ensure_pool(&self) -> Arc<WorkerPool> {
-        Arc::clone(
-            self.pool
-                .get_or_init(|| Arc::new(WorkerPool::new(self.opts.threads))),
-        )
+        self.shards
     }
 
     /// The dense id of a relation, if known.
@@ -1287,11 +1243,8 @@ impl Engine {
     /// Returns the number of newly derived tuples.
     ///
     /// Each round joins the delta against an immutable snapshot of the
-    /// round's database — shard-parallel when `threads > 1` and the
-    /// round is big enough — then merges the staged firings in a fixed
-    /// order (see the module docs): the fixpoint, provenance graph,
-    /// node ids, change order, and stats are identical at any thread
-    /// count.
+    /// round's database, then merges the staged firings in a fixed order
+    /// (see the module docs).
     pub fn propagate(&mut self) -> Result<usize> {
         let mut delta = std::mem::take(&mut self.pending);
         // A pending insert that a deletion removed before this call
@@ -1299,44 +1252,18 @@ impl Engine {
         delta.retain(|(rel, t)| self.data[rel.index()].contains(t));
         let mut new_tuples = 0usize;
         let n_rels = self.rel_names.len();
-        let shards = self.opts.shards;
+        let shards = self.shards;
         while !delta.is_empty() {
             self.stats.rounds += 1;
-            // Group the delta by dense rel id, in arrival order.
-            let mut by_rel: Vec<Vec<SymTuple>> = vec![Vec::new(); n_rels];
-            let mut total = 0usize;
+            // One frontier per relation: the delta grouped by dense rel
+            // id, in arrival order.
+            let mut frontiers: Vec<Vec<SymTuple>> = vec![Vec::new(); n_rels];
             for (r, t) in delta.drain(..) {
-                by_rel[r.index()].push(t);
-                total += 1;
+                frontiers[r.index()].push(t);
             }
-            // Per-(relation, shard) delta frontiers — but only when the
-            // round is big enough that splitting can pay: below the
-            // threshold each relation keeps one frontier (and one task
-            // per using rule), so tiny per-transaction rounds carry no
-            // per-shard task overhead. The decision depends only on the
-            // round's size — never on the thread count — so grouping,
-            // task order, and therefore every downstream mutation stay
-            // identical at any `threads` setting.
-            let sharded = shards > 1 && total >= self.opts.parallel_threshold;
-            let mut frontiers: Vec<Vec<Vec<SymTuple>>> = vec![Vec::new(); n_rels];
-            for (rel, tuples) in by_rel.into_iter().enumerate() {
-                if tuples.is_empty() {
-                    continue;
-                }
-                if sharded {
-                    let fr = &mut frontiers[rel];
-                    fr.resize(shards, Vec::new());
-                    for t in tuples {
-                        let s = self.data[rel].shard_of(&t);
-                        fr[s].push(t);
-                    }
-                } else {
-                    frontiers[rel] = vec![tuples];
-                }
-            }
-            // Sequential pre-phase: build any missing indexes so the join
-            // phase only reads, and lay out the round's task list in its
-            // fixed (relation, rule, shard) merge order.
+            // Plan: build any missing indexes so the join phase only
+            // reads, and lay out the round's task list in its fixed
+            // (relation, rule) merge order.
             let mut tasks: Vec<TaskSpec> = Vec::new();
             orchestra_obs::time_histogram!("engine.round.plan_micros", {
                 let Engine {
@@ -1361,30 +1288,16 @@ impl Engine {
                                 }
                             }
                         }
-                        for (s, tuples) in fr.iter().enumerate() {
-                            if !tuples.is_empty() {
-                                tasks.push(TaskSpec {
-                                    ri,
-                                    ai,
-                                    rel: rel as u32,
-                                    shard: s as u32,
-                                });
-                            }
-                        }
+                        tasks.push(TaskSpec {
+                            ri,
+                            ai,
+                            rel: rel as u32,
+                        });
                     }
                 }
             });
             // Join phase: run every task against the round snapshot.
-            let parallel =
-                self.opts.threads > 1 && tasks.len() > 1 && total >= self.opts.parallel_threshold;
-            let pool = if parallel {
-                Some(self.ensure_pool())
-            } else {
-                None
-            };
-            let mut outs: Vec<Option<TaskOut>> = Vec::new();
-            outs.resize_with(tasks.len(), || None);
-            orchestra_obs::time_histogram!("engine.round.join_micros", {
+            let outs: Vec<TaskOut> = orchestra_obs::time_histogram!("engine.round.join_micros", {
                 let Engine {
                     rules,
                     plans,
@@ -1392,46 +1305,28 @@ impl Engine {
                     interner,
                     ..
                 } = &*self;
-                let run_one = |spec: &TaskSpec| -> TaskOut {
-                    let rule = &rules[spec.ri as usize];
-                    run_task(
-                        rule,
-                        &plans[spec.ri as usize][spec.ai as usize],
-                        data,
-                        interner,
-                        shards,
-                        &frontiers[spec.rel as usize][spec.shard as usize],
-                    )
-                };
-                match pool.as_deref() {
-                    Some(pool) => {
-                        let jobs: Vec<Job<'_>> = outs
-                            .iter_mut()
-                            .zip(&tasks)
-                            .map(|(slot, spec)| {
-                                Box::new(move || {
-                                    *slot = Some(run_one(spec));
-                                }) as Job<'_>
-                            })
-                            .collect();
-                        pool.run(jobs);
-                    }
-                    None => {
-                        for (slot, spec) in outs.iter_mut().zip(&tasks) {
-                            *slot = Some(run_one(spec));
-                        }
-                    }
-                }
+                tasks
+                    .iter()
+                    .map(|spec| {
+                        run_task(
+                            &rules[spec.ri as usize],
+                            &plans[spec.ri as usize][spec.ai as usize],
+                            data,
+                            interner,
+                            shards,
+                            &frontiers[spec.rel as usize],
+                        )
+                    })
+                    .collect()
             });
             // Merge phase, partitioned by the same routing as the data
             // and sized to the round: only the shards some firing lands
-            // in get a sink. Workers already routed each firing to its
-            // head's shard, so the drains below are disjoint per shard
-            // and run on the pool; every processing order is fixed (task
-            // order within a shard, shard order across shards) and
-            // routing is a pure function of tuple content, so NodeId
-            // assignment, provenance recording, inserts, the change log,
-            // and the stats replay identically at any thread count.
+            // in get a sink. The join already routed each firing to its
+            // head's shard, so each sink writes its own shard only; every
+            // processing order is fixed (task order within a shard, shard
+            // order across shards) and routing is a pure function of
+            // tuple content, so NodeId assignment, provenance recording,
+            // inserts, the change log, and the stats are deterministic.
             delta = orchestra_obs::time_histogram!("engine.round.merge_micros", {
                 let Engine {
                     rules,
@@ -1444,18 +1339,16 @@ impl Engine {
                     rel_names,
                     ..
                 } = self;
-                // M0 — sequential pre-pass, in task order: fold the join
-                // phase's private counters, intern first-occurrence
-                // labeled nulls (the merge's exclusive right to mutate
-                // the interner), and queue every task's non-empty shard
-                // buckets on their shard: `queues[s]` holds `(task,
-                // firings)` in task order, so an untouched shard's queue
-                // stays empty and unallocated.
+                // M0 — pre-pass, in task order: fold the join phase's
+                // private counters, intern first-occurrence labeled nulls
+                // (the merge's exclusive right to mutate the interner),
+                // and queue every task's non-empty shard buckets on their
+                // shard: `queues[s]` holds `(task, firings)` in task
+                // order, so an untouched shard's queue stays empty and
+                // unallocated.
                 let mut queues: Vec<Vec<(usize, Vec<Firing>)>> = Vec::new();
                 queues.resize_with(shards, Vec::new);
-                for (k, (spec, out)) in tasks.iter().zip(outs).enumerate() {
-                    // analyze: allow(panic) -- the pool barrier completes every task before results are read
-                    let mut out = out.expect("join task executed");
+                for (k, (spec, mut out)) in tasks.iter().zip(outs).enumerate() {
                     stats.index_probes += out.probes;
                     interner.note_skolem_hits(out.skolem_hits);
                     if !out.unrouted.is_empty() {
@@ -1479,54 +1372,22 @@ impl Engine {
                         }
                     }
                 }
-                // M1 — one sink per touched shard drains its queue; sinks
-                // run concurrently on the pool. Each sink owns shard `s`
-                // of the node table, the provenance graph, and every
-                // relation, so the drains never touch shared state.
+                // M1 — one sink per touched shard drains its queue. Each
+                // sink owns shard `s` of the node table, the provenance
+                // graph, and every relation.
                 let touched: Vec<bool> = queues.iter().map(|q| !q.is_empty()).collect();
                 queues.retain(|q| !q.is_empty());
-                let rule_heads: Vec<(&RuleId, RelId)> = tasks
-                    .iter()
-                    .map(|spec| {
-                        let rule = &rules[spec.ri as usize];
-                        (&rule.id, rule.head.rel)
-                    })
-                    .collect();
                 let mut sinks = merge::shard_sinks(nodes, graph, data, &touched);
-                {
-                    let interner = &*interner;
-                    let rel_names: &[Arc<str>] = rel_names;
-                    let rule_heads = &rule_heads;
-                    let run_sink =
-                        |sink: &mut merge::ShardSink<'_>, queue: Vec<(usize, Vec<Firing>)>| {
-                            for (k, firings) in queue {
-                                let (rule_id, head_rel) = rule_heads[k];
-                                sink.drain_task(rule_id, head_rel, firings, interner, rel_names);
-                            }
-                        };
-                    match pool.as_deref() {
-                        Some(pool) if sinks.len() > 1 => {
-                            let run_sink = &run_sink;
-                            let jobs: Vec<Job<'_>> = sinks
-                                .iter_mut()
-                                .zip(queues)
-                                .map(|(sink, queue)| {
-                                    Box::new(move || run_sink(sink, queue)) as Job<'_>
-                                })
-                                .collect();
-                            pool.run(jobs);
-                        }
-                        _ => {
-                            for (sink, queue) in sinks.iter_mut().zip(queues) {
-                                run_sink(sink, queue);
-                            }
-                        }
+                for (sink, queue) in sinks.iter_mut().zip(queues) {
+                    for (k, firings) in queue {
+                        let rule = &rules[tasks[k].ri as usize];
+                        sink.drain_task(&rule.id, rule.head.rel, firings, interner, rel_names);
                     }
                 }
-                // M2 — sequential fold in shard order: counters, the
-                // change log, the next round's delta, and the staged
-                // cross-shard body edges, which one pass then splices in
-                // (source shard, recording) order.
+                // M2 — fold in shard order: counters, the change log, the
+                // next round's delta, and the staged cross-shard body
+                // edges, which one pass then splices in (source shard,
+                // recording) order.
                 let mut next_delta: Vec<(RelId, SymTuple)> = Vec::new();
                 let mut outboxes = Vec::with_capacity(sinks.len());
                 for sink in sinks {
@@ -1634,8 +1495,7 @@ impl Engine {
         }
         // Kill affected-but-underivable nodes, in node-id order: the
         // affected set iterates in per-instance hash order, but the change
-        // log must replay identically across engines (the thread-count
-        // parity property compares it verbatim).
+        // log must replay identically across engines fed the same input.
         let mut dead: Vec<NodeId> = affected
             .iter()
             .copied()
@@ -1681,10 +1541,10 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::ast::{Atom, Rule};
-    use crate::provgraph::Derivation;
     use crate::tgd::Tgd;
     use orchestra_provenance::Semiring;
     use orchestra_relational::{tuple, RelationSchema, ValueType};
+    use std::collections::BTreeSet;
 
     fn schema(rels: &[(&str, usize)]) -> DatabaseSchema {
         let mut db = DatabaseSchema::new("test");
@@ -2212,115 +2072,133 @@ mod tests {
         assert_eq!(inc.total_tuples(), batch.total_tuples());
     }
 
-    // ------------------------------------------------ sharded / parallel
-
-    /// Build the transitive-closure engine with explicit eval options and
-    /// load a dense-ish random graph.
-    fn tc_engine_with(threads: usize) -> Engine {
+    #[test]
+    fn more_than_one_thread_is_refused() {
         let db = schema(&[("edge", 2), ("path", 2)]);
-        let opts = EvalOptions {
+        let opts = |threads| EvalOptions {
             threads,
-            shards: 8,
-            // Force the parallel dispatch path even for tiny rounds so
-            // the test exercises pool scheduling, not just the inline arm.
-            parallel_threshold: 0,
+            ..EvalOptions::default()
         };
-        let mut e = Engine::with_options(db, edge_path_rules(), true, opts).unwrap();
-        for i in 0..48i64 {
-            let a = format!("n{}", i % 13);
-            let b = format!("n{}", (i * 5 + 1) % 13);
-            e.insert_base("edge", tuple![a, b]).unwrap();
-        }
-        e
-    }
-
-    /// Everything observable about an engine after a run, in comparable
-    /// form: change log (with node ids), sorted data, stats, and the full
-    /// derivation list in recording order.
-    fn observables(e: &mut Engine) -> (Vec<Change>, Vec<Tuple>, EngineStats, Vec<Derivation>) {
-        let changes = e.drain_changes();
-        let mut tuples = rows(e, "path");
-        tuples.extend(rows(e, "edge"));
-        let derivs: Vec<Derivation> = e.graph().derivations().cloned().collect();
-        (changes, tuples, e.stats(), derivs)
-    }
-
-    #[test]
-    fn parallel_evaluation_is_byte_identical_to_single_thread() {
-        let mut one = tc_engine_with(1);
-        one.propagate().unwrap();
-        let base = observables(&mut one);
-        for threads in [2usize, 4, 8] {
-            let mut n = tc_engine_with(threads);
-            n.propagate().unwrap();
-            let got = observables(&mut n);
-            assert_eq!(got.0, base.0, "change log differs at {threads} threads");
-            assert_eq!(got.1, base.1, "fixpoint differs at {threads} threads");
-            assert_eq!(got.2, base.2, "stats differ at {threads} threads");
-            assert_eq!(got.3, base.3, "derivations differ at {threads} threads");
-        }
-    }
-
-    #[test]
-    fn parallel_deletions_replay_identically() {
-        let run = |threads: usize| {
-            let mut e = tc_engine_with(threads);
+        assert_eq!(
+            Engine::with_options(db.clone(), edge_path_rules(), true, opts(2)).err(),
+            Some(DatalogError::SingleThreaded { requested: 2 })
+        );
+        for threads in [0, 1] {
+            let mut e =
+                Engine::with_options(db.clone(), edge_path_rules(), true, opts(threads)).unwrap();
+            e.insert_base("edge", tuple!["a", "b"]).unwrap();
             e.propagate().unwrap();
-            e.drain_changes();
-            for i in [0i64, 3, 7] {
-                let a = format!("n{}", i % 13);
-                let b = format!("n{}", (i * 5 + 1) % 13);
-                e.remove_base("edge", &tuple![a, b], DeletionAlgorithm::ProvenanceBased)
-                    .unwrap();
-            }
-            observables(&mut e)
-        };
-        assert_eq!(run(1), run(4));
+            assert!(e.contains("path", &tuple!["a", "b"]));
+        }
     }
 
-    #[test]
-    fn skolem_heads_resolve_identically_across_threads() {
-        let run = |threads: usize| {
-            let db = schema(&[("OPS", 3), ("O", 2), ("S", 3)]);
-            let m = Tgd::new(
-                "MC->A",
-                vec![Atom::vars("OPS", &["org", "prot", "seq"])],
-                vec![
-                    Atom::new(
-                        "O",
-                        vec![
-                            Term::var("org"),
-                            Term::skolem("oid", vec![Term::var("org")]),
-                        ],
-                    ),
-                    Atom::new(
-                        "S",
-                        vec![
-                            Term::skolem("oid", vec![Term::var("org")]),
-                            Term::var("prot"),
-                            Term::var("seq"),
-                        ],
-                    ),
-                ],
-            )
-            .unwrap();
-            let opts = EvalOptions {
-                threads,
-                shards: 4,
-                parallel_threshold: 0,
-            };
-            let mut e = Engine::with_options(db, m.compile().unwrap(), true, opts).unwrap();
-            for i in 0..24i64 {
-                e.insert_base(
-                    "OPS",
-                    tuple![format!("org{}", i % 5), format!("p{i}"), format!("s{i}")],
+    /// Every derivation record, resolved to `(rule, head, body)` values
+    /// so engines with different node ids compare.
+    fn resolved_derivations(e: &Engine) -> BTreeSet<(String, Tuple, Vec<Tuple>)> {
+        let tuple_of = |n: NodeId| e.resolve_node(n).unwrap().1;
+        e.graph()
+            .derivations()
+            .map(|d| {
+                (
+                    d.rule.to_string(),
+                    tuple_of(d.head),
+                    d.body.iter().map(|&b| tuple_of(b)).collect(),
                 )
-                .unwrap();
+            })
+            .collect()
+    }
+
+    /// Rounds of more than a thousand delta tuples: 300 disjoint 4-cycles
+    /// loaded in one `propagate` carry 1 200 tuples in every round (the
+    /// edges, then the 1-, 2-, 3- and 4-hop paths). They reach the same
+    /// fixpoint and record the same derivations as the same edges fed one
+    /// `propagate` at a time.
+    #[test]
+    fn large_rounds_match_one_edge_at_a_time() {
+        let edges: Vec<Tuple> = (0..300)
+            .flat_map(|c| {
+                (0..4).map(move |i| tuple![format!("c{c}n{i}"), format!("c{c}n{}", (i + 1) % 4)])
+            })
+            .collect();
+        let mut batch = edge_path_engine();
+        for t in &edges {
+            batch.insert_base("edge", t.clone()).unwrap();
+        }
+        batch.propagate().unwrap();
+        let mut single = edge_path_engine();
+        for t in &edges {
+            single.insert_base("edge", t.clone()).unwrap();
+            single.propagate().unwrap();
+        }
+        assert_eq!(batch.relation_len("path"), 300 * 16);
+        assert_eq!(batch.stats().rounds, 5);
+        assert_eq!(batch.stats().tuples_added, 5 * 1200);
+        assert_eq!(rows(&batch, "path"), rows(&single, "path"));
+        assert_eq!(batch.stats().derivations, single.stats().derivations);
+        assert_eq!(resolved_derivations(&batch), resolved_derivations(&single));
+    }
+
+    /// A Skolem program's labeled nulls resolve to the same values whether
+    /// the facts arrive in one round or one at a time, and a deletion wave
+    /// leaves exactly what recomputing from the surviving facts derives.
+    #[test]
+    fn skolem_heads_resolve_identically_in_batch_and_one_at_a_time() {
+        let db = schema(&[("OPS", 3), ("O", 2), ("S", 3)]);
+        let m = Tgd::new(
+            "MC->A",
+            vec![Atom::vars("OPS", &["org", "prot", "seq"])],
+            vec![
+                Atom::new(
+                    "O",
+                    vec![
+                        Term::var("org"),
+                        Term::skolem("oid", vec![Term::var("org")]),
+                    ],
+                ),
+                Atom::new(
+                    "S",
+                    vec![
+                        Term::skolem("oid", vec![Term::var("org")]),
+                        Term::var("prot"),
+                        Term::var("seq"),
+                    ],
+                ),
+            ],
+        )
+        .unwrap();
+        let rules = m.compile().unwrap();
+        let facts: Vec<Tuple> = (0..24i64)
+            .map(|i| tuple![format!("org{}", i % 5), format!("p{i}"), format!("s{i}")])
+            .collect();
+        let load = |facts: &[Tuple], batched: bool| {
+            let mut e = Engine::new(db.clone(), rules.clone()).unwrap();
+            for t in facts {
+                e.insert_base("OPS", t.clone()).unwrap();
+                if !batched {
+                    e.propagate().unwrap();
+                }
             }
             e.propagate().unwrap();
-            (e.drain_changes(), rows(&e, "O"), rows(&e, "S"), e.stats())
+            e
         };
-        assert_eq!(run(1), run(8));
+        let mut batch = load(&facts, true);
+        let single = load(&facts, false);
+        for rel in ["O", "S"] {
+            assert_eq!(rows(&batch, rel), rows(&single, rel), "{rel}");
+        }
+        assert_eq!(batch.relation_len("O"), 5, "one null per org");
+        assert_eq!(resolved_derivations(&batch), resolved_derivations(&single));
+        // Delete every fact of org0 and org3 as one wave.
+        let (victims, survivors): (Vec<Tuple>, Vec<Tuple>) = facts
+            .iter()
+            .cloned()
+            .partition(|t| t[0] == Value::str("org0") || t[0] == Value::str("org3"));
+        let refs: Vec<(&str, &Tuple)> = victims.iter().map(|t| ("OPS", t)).collect();
+        assert_eq!(batch.remove_bases(&refs).unwrap(), victims.len());
+        let fresh = load(&survivors, true);
+        for rel in ["OPS", "O", "S"] {
+            assert_eq!(rows(&batch, rel), rows(&fresh, rel), "{rel}");
+        }
     }
 
     #[test]

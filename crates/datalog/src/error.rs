@@ -23,6 +23,9 @@ pub enum DatalogError {
     /// An engine was asked to run without provenance tracking, which it
     /// cannot: deletion and trust read the provenance graph.
     ProvenanceRequired,
+    /// An engine was asked to evaluate on more than one thread, which it
+    /// cannot: every round runs on the calling thread.
+    SingleThreaded { requested: usize },
 }
 
 impl fmt::Display for DatalogError {
@@ -48,6 +51,10 @@ impl fmt::Display for DatalogError {
             DatalogError::ProvenanceRequired => write!(
                 f,
                 "provenance tracking cannot be turned off: deletion and trust read the provenance graph"
+            ),
+            DatalogError::SingleThreaded { requested } => write!(
+                f,
+                "evaluation runs on one thread: {requested} threads requested"
             ),
         }
     }
@@ -81,6 +88,9 @@ mod tests {
         assert!(DatalogError::ProvenanceRequired
             .to_string()
             .contains("provenance"));
+        assert!(DatalogError::SingleThreaded { requested: 2 }
+            .to_string()
+            .contains("2 threads"));
     }
 
     #[test]

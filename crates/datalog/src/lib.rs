@@ -30,7 +30,7 @@
 //!   propagation and provenance-based deletion propagation, plus a change
 //!   log for update translation.
 //! * [`merge`] — the partitioned merge phase: per-shard sinks that drain
-//!   the join phase's routed firings concurrently.
+//!   the join phase's routed firings.
 //! * [`query`] — conjunctive queries over peer-local instances.
 
 pub mod ast;
@@ -43,10 +43,7 @@ pub mod query;
 pub mod tgd;
 
 pub use ast::{Atom, Filter, Rule, RuleId, Term};
-pub use engine::{
-    Change, ChangeKind, DeletionAlgorithm, Engine, EngineStats, EvalOptions,
-    DEFAULT_PARALLEL_THRESHOLD,
-};
+pub use engine::{Change, ChangeKind, DeletionAlgorithm, Engine, EngineStats, EvalOptions};
 pub use error::DatalogError;
 pub use node::{NodeId, NodeTable, RelId};
 pub use provgraph::{Derivation, ProvGraph};

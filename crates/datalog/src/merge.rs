@@ -5,7 +5,7 @@
 //! [`ShardedRel::shard_of`] assigns them. So the node table, the
 //! provenance graph, and the relation storage are all partitioned by that
 //! same routing, and one `ShardSink` per shard drains its slice of every
-//! task's firings with **no** shared mutable state:
+//! task's firings, writing that shard and nothing else:
 //!
 //! * [`NodeShard`] — shard `s` of the node table; node ids pack
 //!   `(shard, local)` so per-shard assignment needs no coordination.
@@ -23,8 +23,8 @@
 //! Determinism: routing is a pure function of tuple content, each sink
 //! drains its buckets in the round's fixed task order, and the engine
 //! folds the sinks' private counters/changes/deltas/outboxes back in
-//! shard order — so the result is byte-identical at any thread count,
-//! inline or pooled.
+//! shard order — so every mutation's order is a pure function of the
+//! input.
 
 use crate::ast::RuleId;
 use crate::engine::{Change, ChangeKind};
@@ -33,8 +33,8 @@ use crate::provgraph::{Derivation, ProvGraph, ProvShardWriter};
 use orchestra_relational::{RelShardWriter, ShardedRel, Sym, SymTuple, ValueInterner};
 use std::sync::Arc;
 
-/// One staged rule firing, produced by the (possibly parallel) join phase
-/// and drained by its head shard's sink. Skolem head positions are left as
+/// One staged rule firing, produced by the join phase and drained by its
+/// head shard's sink. Skolem head positions are left as
 /// [`Sym::NONE`] with their argument symbols staged alongside when the
 /// null was not in the round's snapshot interner, so the join phase never
 /// mutates the interner.
@@ -42,7 +42,7 @@ pub(crate) struct Firing {
     /// The head tuple; `Sym::NONE` at unresolved Skolem positions.
     pub head: SymTuple,
     /// `(head column, argument symbols)` for each Skolem head slot whose
-    /// null the worker could not resolve read-only.
+    /// null the join could not resolve read-only.
     pub skolems: Vec<(u32, Vec<Sym>)>,
     /// The head's node id as of the round snapshot (`None` when the head
     /// was not alive then — it may still get interned by an earlier task
@@ -56,8 +56,8 @@ pub(crate) struct Firing {
 }
 
 /// Everything one join task hands back to the merge phase: staged firings
-/// routed to their head's shard, plus the task's private counters (merged
-/// at the round barrier).
+/// routed to their head's shard, plus the task's private counters (folded
+/// in by the merge).
 #[derive(Default)]
 pub(crate) struct TaskOut {
     /// `routed[s]` holds this task's firings whose head lives in shard
@@ -69,8 +69,8 @@ pub(crate) struct TaskOut {
     pub unrouted: Vec<Firing>,
     /// Index probes issued by the task.
     pub probes: u64,
-    /// Labeled nulls the worker resolved read-only against the snapshot
-    /// interner (folded into the fast-path counter at the barrier).
+    /// Labeled nulls the task resolved read-only against the snapshot
+    /// interner (folded into the fast-path counter by the merge).
     pub skolem_hits: u64,
 }
 
@@ -162,7 +162,7 @@ impl ShardSink<'_> {
         for firing in firings {
             self.firings += 1;
             // A head alive at the round snapshot needs no insert
-            // (propagation is insert-only) and no interning — the worker
+            // (propagation is insert-only) and no interning — the join
             // already resolved its node.
             let head_node = match firing.head_node {
                 Some(n) => n,

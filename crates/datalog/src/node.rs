@@ -11,10 +11,10 @@
 //! the shard that owns the node (the same content-based shard the tuple
 //! routes to in its relation's [`ShardedRel`]), the low bits carry a dense
 //! per-shard sequence number. Each shard assigns local ids independently,
-//! which is what lets the engine's merge phase intern nodes on every
-//! worker concurrently with **no** cross-shard coordination — and because
+//! which is what lets the engine's merge phase intern nodes through one
+//! sink per shard with **no** cross-shard coordination — and because
 //! shard routing is a pure function of tuple content, the id every node
-//! ends up with is independent of thread count.
+//! ends up with depends only on the input.
 //!
 //! The **global ordering rule** is the derived `Ord` on the packed word:
 //! shard-major, then per-shard assignment order. Everything downstream

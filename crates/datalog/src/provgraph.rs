@@ -13,22 +13,20 @@
 //! its **head** node ([`NodeId::shard`] — a pure function of tuple
 //! content). Each shard owns its derivation store, its head adjacency
 //! (which carries the dedup fingerprints) and its body adjacency, so the
-//! engine's merge phase hands one [`ProvShardWriter`] to each concurrent
+//! engine's merge phase hands one [`ProvShardWriter`] to each per-shard
 //! sink and records rule firings with **no** cross-shard coordination.
 //! The only cross-shard state a firing produces — "body node *b* (shard
 //! *t*) is used by derivation *d* (shard *s ≠ t*)" — is staged in the
 //! writer's outbox in recording order and spliced afterwards by one
 //! sequential pass over the writers in shard order
 //! ([`splice_cross_edges`](ProvGraph::splice_cross_edges)), so each
-//! target's `by_body` list grows in fixed `(source, recording)` order and
-//! is identical at any thread count.
+//! target's `by_body` list grows in fixed `(source, recording)` order.
 //!
 //! **Recording order** is shard-major: [`derivations`](ProvGraph::derivations)
 //! yields shard 0's records in local recording order, then shard 1's, and
 //! so on. Each shard's local sequence is deterministic (sinks drain their
 //! routed firings in fixed task order), so the flattened sequence is
-//! byte-comparable across thread counts — the parity suite diffs it
-//! verbatim.
+//! byte-comparable across engines fed the same input.
 
 use crate::ast::RuleId;
 use crate::node::NodeId;
@@ -156,7 +154,7 @@ pub struct ProvGraph {
 }
 
 /// The dedup fingerprint of a derivation's `(rule, body)` — pure, so the
-/// engine's parallel join phase can precompute it off the merge thread.
+/// engine's join phase can precompute it before the merge.
 ///
 /// Hashed with the seedless word hasher ([`FxHasher`]): the body is
 /// engine-assigned node ids and the rule id comes from the mapping
@@ -248,7 +246,7 @@ impl ProvGraph {
     /// Apply staged cross-shard body edges in one sequential pass, in the
     /// order given. Passing the writers' outboxes in shard order makes
     /// every target's `by_body` list grow in `(source shard, recording)`
-    /// order — the same at any thread count.
+    /// order.
     pub fn splice_cross_edges(&mut self, edges: impl IntoIterator<Item = CrossEdge>) {
         for e in edges {
             push_adj(
@@ -345,8 +343,7 @@ impl ProvGraph {
     /// All derivation records, in **shard-major recording order** (shard
     /// 0's records in local order, then shard 1's, …). Each shard's local
     /// sequence is deterministic under the engine's merge, so this
-    /// sequence is comparable across engines at any thread count (the
-    /// parity suite diffs it verbatim).
+    /// sequence is comparable across engines fed the same input.
     pub fn derivations(&self) -> impl Iterator<Item = &Derivation> {
         self.shards.iter().flat_map(|s| s.derivations.iter())
     }

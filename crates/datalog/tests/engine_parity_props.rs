@@ -9,17 +9,13 @@
 //! * itself under different insertion orders (incremental vs batch),
 //!   which also exercises plan-cache reuse across delta positions;
 //! * provenance-based deletion against full recomputation from the
-//!   surviving base facts;
-//! * itself under different **thread counts** (1 vs 2 vs 8) — the
-//!   shard-parallel evaluation must replay byte-identically: same
-//!   provenance-graph edges and recording order, same `NodeId`
-//!   assignment, same change-log order, same stats — including
-//!   Skolem-heavy programs (labeled-null invention splits between the
-//!   workers' read-only fast path and the merge's sequential pass) and
-//!   deletion replay over the partitioned provenance graph.
+//!   surviving base facts — including Skolem-heavy programs (labeled-null
+//!   invention splits between the join's read-only fast path and the
+//!   merge's pre-pass) fed in batches, and a round run over the graph a
+//!   set deletion left behind.
 
 use orchestra_datalog::{Atom, Term};
-use orchestra_datalog::{DeletionAlgorithm, Engine, EvalOptions, Rule};
+use orchestra_datalog::{DeletionAlgorithm, Engine, Rule};
 use orchestra_relational::{CmpOp, DatabaseSchema, RelationSchema, Tuple, Value, ValueType};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -123,6 +119,8 @@ type Database = BTreeMap<&'static str, BTreeSet<Tuple>>;
 
 /// The reference evaluator: naive bottom-up fixpoint directly on `Value`
 /// tuples. No interning, no indexes, no plans — just the definition.
+/// Skolem head terms build their labeled nulls structurally; it
+/// terminates on the skolem-free and the acyclic Skolem programs below.
 fn naive_fixpoint(rules: &[Rule], base: &[(&'static str, Tuple)]) -> Database {
     let mut db: Database = RELS.iter().map(|(r, _)| (*r, BTreeSet::new())).collect();
     for (rel, t) in base {
@@ -155,7 +153,10 @@ fn term_value(t: &Term, bindings: &HashMap<Arc<str>, Value>) -> Value {
     match t {
         Term::Var(v) => bindings[v].clone(),
         Term::Const(c) => c.clone(),
-        Term::Skolem { .. } => unreachable!("skolem-free programs"),
+        Term::Skolem { function, args } => Value::skolem(
+            Arc::clone(function),
+            args.iter().map(|a| term_value(a, bindings)).collect(),
+        ),
     }
 }
 
@@ -214,7 +215,7 @@ fn naive_join(
                         bound_here.push(Arc::clone(v));
                     }
                 },
-                Term::Skolem { .. } => unreachable!("skolem-free programs"),
+                Term::Skolem { .. } => unreachable!("body atoms carry no skolems"),
             }
         }
         naive_join(rule, depth + 1, db, bindings, out);
@@ -232,40 +233,12 @@ fn engine_database(e: &Engine) -> Database {
         .collect()
 }
 
-type Observables = (
-    Vec<orchestra_datalog::Change>,
-    Vec<orchestra_datalog::Derivation>,
-    Vec<(orchestra_datalog::NodeId, String, Tuple)>,
-    orchestra_datalog::EngineStats,
-    Database,
-);
-
-/// Everything the thread-count parity properties compare byte-for-byte:
-/// the drained change log (with node ids), the full derivation list in
-/// recording order, every interned node in the deterministic global id
-/// order (shard-major, then per-shard assignment order), the stats, and
-/// the fixpoint.
-fn observables(e: &mut Engine) -> Observables {
-    let changes = e.drain_changes();
-    let derivs: Vec<_> = e.graph().derivations().cloned().collect();
-    let nodes: Vec<_> = e
-        .nodes()
-        .ids()
-        .map(|id| {
-            let (rel, t) = e.resolve_node(id).unwrap();
-            (id, rel.to_string(), t)
-        })
-        .collect();
-    (changes, derivs, nodes, e.stats(), engine_database(e))
-}
-
 /// A random **Skolem-heavy** two-tier program, acyclic by construction so
 /// labeled-null invention terminates: tier A maps `r0`/`r1` into `r2`
 /// heads, tier B maps `r2` into `r3` heads, and every head mixes body
 /// variables with Skolem terms over them. Shared argument variables make
-/// distinct firings re-invent the same null — exercising both the
-/// workers' read-only fast path and the merge's sequential first-invention
-/// pass over the partitioned interner.
+/// distinct firings re-invent the same null — exercising both the join's
+/// read-only fast path and the merge's first-invention pre-pass.
 fn random_skolem_program(rng: &mut StdRng, n_rules: usize) -> Vec<Rule> {
     let mut rules = Vec::new();
     for ri in 0..n_rules {
@@ -392,118 +365,6 @@ proptest! {
 
         prop_assert_eq!(engine_database(&inc), engine_database(&batch));
         prop_assert_eq!(resolved_lineages(&inc), resolved_lineages(&batch));
-    }
-
-    /// Thread-count parity: a random program evaluated over a random
-    /// base-fact interleaving (batched propagates, so rounds are big
-    /// enough to shard) replays **identically** at 1, 2, and 8 threads —
-    /// same provenance-graph edges in the same recording order, same
-    /// `NodeId` assignment, same `drain_changes` order, same stats.
-    /// The parallel dispatch threshold is forced to 0 so every round
-    /// actually takes the worker-pool path.
-    #[test]
-    fn thread_count_is_observationally_invisible(
-        seed in 0u64..1_000_000,
-        n_rules in 1usize..5,
-        n_facts in 0usize..30,
-        n_batches in 1usize..4,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let rules = random_program(&mut rng, n_rules);
-        let facts = random_facts(&mut rng, n_facts);
-        // Random deletion victims interleaved after the last batch.
-        let victims: Vec<(&'static str, Tuple)> = facts
-            .iter()
-            .filter(|_| rng.random_range(0..100u32) < 25)
-            .cloned()
-            .collect();
-
-        let run = |threads: usize| {
-            let opts = EvalOptions {
-                threads,
-                shards: 8,
-                parallel_threshold: 0,
-            };
-            let mut e = Engine::with_options(schema(), rules.clone(), true, opts).unwrap();
-            // Same interleaving for every thread count: insert in
-            // `n_batches` chunks with a propagate after each.
-            let chunk = facts.len().max(1).div_ceil(n_batches);
-            for batch in facts.chunks(chunk) {
-                for (rel, t) in batch {
-                    e.insert_base(rel, t.clone()).unwrap();
-                }
-                e.propagate().unwrap();
-            }
-            for (rel, t) in &victims {
-                e.remove_base(rel, t, DeletionAlgorithm::ProvenanceBased)
-                    .unwrap();
-            }
-            observables(&mut e)
-        };
-
-        let base = run(1);
-        for threads in [2usize, 8] {
-            let got = run(threads);
-            prop_assert_eq!(&got.0, &base.0, "change order @ {} threads", threads);
-            prop_assert_eq!(&got.1, &base.1, "derivations @ {} threads", threads);
-            prop_assert_eq!(&got.2, &base.2, "node ids @ {} threads", threads);
-            prop_assert_eq!(&got.3, &base.3, "stats @ {} threads", threads);
-            prop_assert_eq!(&got.4, &base.4, "fixpoint @ {} threads", threads);
-        }
-    }
-
-    /// Skolem-heavy thread-count parity over the partitioned provgraph:
-    /// labeled-null invention (first occurrence on the merge's sequential
-    /// pass, repeats on the workers' read-only fast path), the null-typed
-    /// node ids, the derivation lineages through null tuples, and a final
-    /// deletion wave all replay **byte-identically** at 1, 2, and 8
-    /// threads.
-    #[test]
-    fn skolem_heavy_replay_is_thread_invariant(
-        seed in 0u64..1_000_000,
-        n_rules in 1usize..6,
-        n_facts in 0usize..30,
-        n_batches in 1usize..4,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let rules = random_skolem_program(&mut rng, n_rules);
-        let facts = random_source_facts(&mut rng, n_facts);
-        let victims: Vec<(&'static str, Tuple)> = facts
-            .iter()
-            .filter(|_| rng.random_range(0..100u32) < 25)
-            .cloned()
-            .collect();
-
-        let run = |threads: usize| {
-            let opts = EvalOptions {
-                threads,
-                shards: 8,
-                parallel_threshold: 0,
-            };
-            let mut e = Engine::with_options(schema(), rules.clone(), true, opts).unwrap();
-            let chunk = facts.len().max(1).div_ceil(n_batches);
-            for batch in facts.chunks(chunk) {
-                for (rel, t) in batch {
-                    e.insert_base(rel, t.clone()).unwrap();
-                }
-                e.propagate().unwrap();
-            }
-            for (rel, t) in &victims {
-                e.remove_base(rel, t, DeletionAlgorithm::ProvenanceBased)
-                    .unwrap();
-            }
-            observables(&mut e)
-        };
-
-        let base = run(1);
-        for threads in [2usize, 8] {
-            let got = run(threads);
-            prop_assert_eq!(&got.0, &base.0, "change order @ {} threads", threads);
-            prop_assert_eq!(&got.1, &base.1, "derivations @ {} threads", threads);
-            prop_assert_eq!(&got.2, &base.2, "node ids @ {} threads", threads);
-            prop_assert_eq!(&got.3, &base.3, "stats @ {} threads", threads);
-            prop_assert_eq!(&got.4, &base.4, "fixpoint @ {} threads", threads);
-        }
     }
 
     /// Deletion agrees with full recomputation (the naive evaluator over
@@ -633,8 +494,8 @@ fn deletion_case(seed: u64, skolem: bool, n_rules: usize, n_facts: usize) -> Del
 }
 
 /// Build the case's engine to fixpoint and drain its change log.
-fn built_engine(case: &DeletionCase, opts: EvalOptions) -> Engine {
-    let mut e = Engine::with_options(schema(), case.rules.clone(), true, opts).unwrap();
+fn built_engine(case: &DeletionCase) -> Engine {
+    let mut e = Engine::new(schema(), case.rules.clone()).unwrap();
     for (rel, t) in &case.facts {
         e.insert_base(rel, t.clone()).unwrap();
     }
@@ -704,8 +565,8 @@ proptest! {
                 .collect(),
             victims: Vec::new(),
         };
-        let recomputed = engine_database(&built_engine(&survivors, EvalOptions::default()));
-        let mut one = built_engine(&case, EvalOptions::default());
+        let recomputed = engine_database(&built_engine(&survivors));
+        let mut one = built_engine(&case);
         let mut one_count = 0usize;
         for (rel, t) in &case.victims {
             let removed = one
@@ -713,7 +574,7 @@ proptest! {
                 .unwrap();
             one_count += usize::from(removed);
         }
-        let mut set = built_engine(&case, EvalOptions::default());
+        let mut set = built_engine(&case);
         let set_count = set.remove_bases(&victim_refs(&case)).unwrap();
 
         prop_assert_eq!(set_count, one_count, "base facts removed");
@@ -736,40 +597,49 @@ proptest! {
         );
     }
 
-    /// The set path replays byte-identically at 1, 2 and 8 threads:
-    /// change-log order, derivations, node ids, stats and fixpoint.
+    /// Batched propagates followed by one set deletion wave, over random
+    /// recursive and Skolem programs, leave exactly the naive fixpoint of
+    /// the surviving facts; re-inserting one victim then runs a round over
+    /// the graph the deletion left behind and lands on the naive fixpoint
+    /// again.
     #[test]
-    fn set_deletion_replays_identically_across_threads(
+    fn batched_replay_with_deletions_matches_naive_fixpoint(
         seed in 0u64..1_000_000,
         skolem in any::<bool>(),
         n_rules in 1usize..5,
-        n_facts in 1usize..24,
+        n_facts in 1usize..30,
+        n_batches in 1usize..4,
     ) {
         let case = deletion_case(seed, skolem, n_rules, n_facts);
-        let run = |threads: usize| {
-            let opts = EvalOptions {
-                threads,
-                shards: 8,
-                parallel_threshold: 0,
-            };
-            let mut e = built_engine(&case, opts);
-            e.remove_bases(&victim_refs(&case)).unwrap();
-            // Re-insert one victim so a round runs over the graph the
-            // set deletion left behind.
-            if let Some((rel, t)) = case.victims.first() {
+        let mut e = Engine::new(schema(), case.rules.clone()).unwrap();
+        let chunk = case.facts.len().div_ceil(n_batches);
+        for batch in case.facts.chunks(chunk) {
+            for (rel, t) in batch {
                 e.insert_base(rel, t.clone()).unwrap();
-                e.propagate().unwrap();
             }
-            observables(&mut e)
-        };
-        let base = run(1);
-        for threads in [2usize, 8] {
-            let got = run(threads);
-            prop_assert_eq!(&got.0, &base.0, "change order @ {} threads", threads);
-            prop_assert_eq!(&got.1, &base.1, "derivations @ {} threads", threads);
-            prop_assert_eq!(&got.2, &base.2, "node ids @ {} threads", threads);
-            prop_assert_eq!(&got.3, &base.3, "stats @ {} threads", threads);
-            prop_assert_eq!(&got.4, &base.4, "fixpoint @ {} threads", threads);
+            e.propagate().unwrap();
         }
+        e.remove_bases(&victim_refs(&case)).unwrap();
+        let mut survivors: Vec<(&'static str, Tuple)> = case
+            .facts
+            .iter()
+            .filter(|f| !case.victims.contains(f))
+            .cloned()
+            .collect();
+        prop_assert_eq!(
+            engine_database(&e),
+            naive_fixpoint(&case.rules, &survivors),
+            "after the deletion wave"
+        );
+        if let Some((rel, t)) = case.victims.first() {
+            e.insert_base(rel, t.clone()).unwrap();
+            e.propagate().unwrap();
+            survivors.push((rel, t.clone()));
+        }
+        prop_assert_eq!(
+            engine_database(&e),
+            naive_fixpoint(&case.rules, &survivors),
+            "after re-inserting a victim"
+        );
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! * A three-node line topology `A – B – C` (no direct A↔C link)
 //!   converges to identical archives from randomized publish
-//!   interleavings, at 1 and 4 evaluation threads — epidemic pull moves
+//!   interleavings — epidemic pull moves
 //!   history across hops neither endpoint shares.
 //! * Interest-based partial replication: nodes store and ship only the
 //!   backward mapping closure of their hosted peers' relations;
@@ -67,14 +67,13 @@ fn copy_r(src: &str, dst: &str) -> Tgd {
 
 /// Every mesh participant declares the same global picture: peers A, B,
 /// C and the chain of `R` mappings A→B→C. Each *node* then hosts one.
-fn line_cdss(threads: usize) -> Cdss {
+fn line_cdss() -> Cdss {
     Cdss::builder()
         .peer("A", schema(), TrustPolicy::open(1))
         .peer("B", schema(), TrustPolicy::open(1))
         .peer("C", schema(), TrustPolicy::open(1))
         .mapping(copy_r("A", "B"))
         .mapping(copy_r("B", "C"))
-        .eval_threads(threads)
         .build()
         .unwrap()
 }
@@ -103,10 +102,10 @@ fn mesh_opts(seed: u64, interest: InterestMode) -> MeshOptions {
 
 /// Start node `host` (hosting only that peer), wire the line topology
 /// later via `join`.
-fn node(host: &str, threads: usize, seed: u64, interest: InterestMode) -> MeshNode {
+fn node(host: &str, seed: u64, interest: InterestMode) -> MeshNode {
     MeshNode::start_hosting(
         host,
-        line_cdss(threads),
+        line_cdss(),
         vec![PeerId::new(host)],
         "127.0.0.1:0",
         mesh_opts(seed, interest),
@@ -125,8 +124,8 @@ fn archive_ids(store: &dyn UpdateStore) -> Vec<TxnId> {
 }
 
 /// The line topology converges to byte-identical archives on every node
-/// from randomized publish interleavings — property-tested over seeds,
-/// at one and at four evaluation threads. Each case spins up three real
+/// from randomized publish interleavings — property-tested over seeds.
+/// Each case spins up three real
 /// TCP-serving nodes, so the case count stays small.
 mod line_topology_properties {
     use super::*;
@@ -136,18 +135,16 @@ mod line_topology_properties {
         #![proptest_config(ProptestConfig::with_cases(4))]
         #[test]
         fn line_topology_converges_from_random_interleavings(seed in 0u64..1024) {
-            for threads in [1usize, 4] {
-                line_round_trip(threads, seed);
-            }
+            line_round_trip(seed);
         }
     }
 }
 
-fn line_round_trip(threads: usize, seed: u64) {
-    let mut rng = StdRng::seed_from_u64(seed * 7919 + threads as u64);
-    let mut a = node("A", threads, seed, InterestMode::Everything);
-    let mut b = node("B", threads, seed, InterestMode::Everything);
-    let mut c = node("C", threads, seed, InterestMode::Everything);
+fn line_round_trip(seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed * 7919);
+    let mut a = node("A", seed, InterestMode::Everything);
+    let mut b = node("B", seed, InterestMode::Everything);
+    let mut c = node("C", seed, InterestMode::Everything);
     // Line topology: A–B and B–C, never A–C.
     a.join(b.addr().to_string()).unwrap();
     b.join(a.addr().to_string()).unwrap();
@@ -203,7 +200,7 @@ fn line_round_trip(threads: usize, seed: u64) {
     }
     assert!(
         converged,
-        "threads={threads} seed={seed}: archives diverged: A={} B={} C={} want={published}",
+        "seed={seed}: archives diverged: A={} B={} C={} want={published}",
         a.cdss().store().len(),
         b.cdss().store().len(),
         c.cdss().store().len(),
@@ -233,7 +230,7 @@ fn line_round_trip(threads: usize, seed: u64) {
         .unwrap_or(0);
     assert!(
         c_r >= a_r,
-        "threads={threads} seed={seed}: C's R instance misses A's rows ({c_r} < {a_r})"
+        "seed={seed}: C's R instance misses A's rows ({c_r} < {a_r})"
     );
 }
 
@@ -243,9 +240,9 @@ fn line_round_trip(threads: usize, seed: u64) {
 /// full-replication node.
 #[test]
 fn interest_filtering_keeps_unmapped_history_off_the_node() {
-    let mut a = node("A", 1, 11, InterestMode::Everything);
-    let mut b = node("B", 1, 12, InterestMode::Derived);
-    let mut c = node("C", 1, 13, InterestMode::Derived);
+    let mut a = node("A", 11, InterestMode::Everything);
+    let mut b = node("B", 12, InterestMode::Derived);
+    let mut c = node("C", 13, InterestMode::Derived);
     a.join(b.addr().to_string()).unwrap();
     b.join(a.addr().to_string()).unwrap();
     b.join(c.addr().to_string()).unwrap();
@@ -330,9 +327,9 @@ fn clean_round(n: &mut MeshNode) -> RoundReport {
 /// pulls the backfill.
 #[test]
 fn backfill_behind_a_drained_scan_is_pulled_next_round() {
-    let mut a = node("A", 1, 41, InterestMode::Everything);
-    let mut b = node("B", 1, 42, InterestMode::Everything);
-    let mut c = node("C", 1, 43, InterestMode::Everything);
+    let mut a = node("A", 41, InterestMode::Everything);
+    let mut b = node("B", 42, InterestMode::Everything);
+    let mut c = node("C", 43, InterestMode::Everything);
     b.join(a.addr().to_string()).unwrap();
     c.join(b.addr().to_string()).unwrap();
     let (pa, pb) = (PeerId::new("A"), PeerId::new("B"));
@@ -384,11 +381,11 @@ fn backfill_behind_a_drained_scan_is_pulled_next_round() {
 /// it pulled instead of breaking on the skipped prefix.
 #[test]
 fn a_scan_starting_mid_archive_advances_the_floor() {
-    let mut a = node("A", 1, 61, InterestMode::Everything);
-    let mut y = node("B", 1, 62, InterestMode::Everything);
-    let mut z = node("C", 1, 63, InterestMode::Everything);
+    let mut a = node("A", 61, InterestMode::Everything);
+    let mut y = node("B", 62, InterestMode::Everything);
+    let mut z = node("C", 63, InterestMode::Everything);
     // Only A publishes; which peer the other nodes host does not matter.
-    let mut x = node("C", 1, 64, InterestMode::Everything);
+    let mut x = node("C", 64, InterestMode::Everything);
     y.join(a.addr().to_string()).unwrap();
     z.join(a.addr().to_string()).unwrap();
     x.join(y.addr().to_string()).unwrap();
@@ -428,9 +425,9 @@ fn a_scan_starting_mid_archive_advances_the_floor() {
 /// long the archive has grown.
 #[test]
 fn a_round_fetches_the_new_history_plus_a_constant() {
-    let mut a = node("A", 1, 51, InterestMode::Everything);
-    let mut b = node("B", 1, 52, InterestMode::Everything);
-    let mut c = node("C", 1, 53, InterestMode::Everything);
+    let mut a = node("A", 51, InterestMode::Everything);
+    let mut b = node("B", 52, InterestMode::Everything);
+    let mut c = node("C", 53, InterestMode::Everything);
     a.join(b.addr().to_string()).unwrap();
     b.join(a.addr().to_string()).unwrap();
     b.join(c.addr().to_string()).unwrap();
@@ -543,8 +540,8 @@ fn dead_neighbor_freezes_cursor_and_resumes_clean() {
         mesh_opts(2, InterestMode::Everything),
     )
     .unwrap();
-    let mut a = node("A", 1, 1, InterestMode::Everything);
-    let mut c = node("C", 1, 3, InterestMode::Everything);
+    let mut a = node("A", 1, InterestMode::Everything);
+    let mut c = node("C", 3, InterestMode::Everything);
     let (b_addr, c_addr) = (b.addr().to_string(), c.addr().to_string());
     a.join(b_addr.clone()).unwrap();
     a.join(c_addr.clone()).unwrap();
@@ -654,7 +651,7 @@ fn quarantined_positions_heal_from_a_neighbor_without_reapplying() {
         mesh_opts(11, InterestMode::Everything),
     )
     .unwrap();
-    let mut b = node("B", 1, 12, InterestMode::Everything);
+    let mut b = node("B", 12, InterestMode::Everything);
     a.join(b.addr().to_string()).unwrap();
     b.join(a.addr().to_string()).unwrap();
 
@@ -749,7 +746,7 @@ fn metrics_poll_and_one_trace_reconstruct_a_cross_peer_exchange() {
         .mapping(copy_r("B", "C"))
         .build_with_shared(durable)
         .unwrap();
-    let mut a = node("A", 1, 31, InterestMode::Everything);
+    let mut a = node("A", 31, InterestMode::Everything);
     let mut b = MeshNode::start_hosting(
         "B",
         b_cdss,
@@ -758,7 +755,7 @@ fn metrics_poll_and_one_trace_reconstruct_a_cross_peer_exchange() {
         mesh_opts(32, InterestMode::Everything),
     )
     .unwrap();
-    let mut c = node("C", 1, 33, InterestMode::Everything);
+    let mut c = node("C", 33, InterestMode::Everything);
     a.join(b.addr().to_string()).unwrap();
     b.join(a.addr().to_string()).unwrap();
     b.join(c.addr().to_string()).unwrap();

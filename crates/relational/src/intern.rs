@@ -215,11 +215,11 @@ impl ValueInterner {
     /// Look up the labeled null `function(args…)` **without** interning
     /// and without touching any counter: `Some` iff this exact null was
     /// invented before. This is the read-only arm of the skolem fast path
-    /// that parallel merge workers run against the round-start snapshot —
-    /// a hit is reported back and folded through
-    /// [`note_skolem_hits`](Self::note_skolem_hits) so the counters stay
-    /// byte-identical to the sequential path; a miss defers the firing to
-    /// the sequential pre-pass, the only place that mutates the interner.
+    /// that the engine's join phase runs against the round-start snapshot
+    /// — a hit is reported back and folded through
+    /// [`note_skolem_hits`](Self::note_skolem_hits) so the counters match
+    /// interning it; a miss defers the firing to the merge's pre-pass,
+    /// the only place that mutates the interner.
     #[inline]
     pub fn get_skolem(&self, function: &Arc<str>, args: &[Sym]) -> Option<Sym> {
         self.skolems

@@ -27,15 +27,12 @@
 //!   values, the representation the datalog engine's join pipeline runs on
 //!   (integer equality/hashing, fixed-width index keys).
 //! * [`ShardedRel`] — hash-partitioned, insertion-ordered relation shards
-//!   with per-shard `[Sym]` probe tables, the storage the shard-parallel
-//!   evaluation engine runs on.
+//!   with per-shard `[Sym]` probe tables, the storage the datalog engine
+//!   runs on.
 //! * [`FxHashMap`] / [`FxHashSet`] ([`fxhash`]) — maps hashed with a
 //!   seedless word hasher, for keys the engine assigns itself.
-//! * [`WorkerPool`] ([`exec`]) — the reusable `std::thread` pool that
-//!   executes shard tasks (crates.io is unreachable, so no rayon).
 
 pub mod error;
-pub mod exec;
 pub mod fxhash;
 pub mod instance;
 pub mod intern;
@@ -48,7 +45,6 @@ pub mod tuple;
 pub mod value;
 
 pub use error::RelationalError;
-pub use exec::{default_threads, host_parallelism, Job, WorkerPool};
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use instance::Instance;
 pub use intern::{InternerStats, Sym, SymTuple, ValueInterner};

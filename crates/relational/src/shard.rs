@@ -1,4 +1,4 @@
-//! Hash-partitioned relation storage for the parallel evaluation engine.
+//! Hash-partitioned relation storage for the datalog engine.
 //!
 //! A [`ShardedRel`] splits one relation's tuples into a **fixed** number
 //! of shards by a deterministic hash of the relation's *partition
@@ -10,8 +10,7 @@
 //!   the back; a removal swaps the last tuple into the hole), so two
 //!   instances fed the same mutations iterate identically — unlike
 //!   `HashMap` iteration with its per-instance seed — which is what
-//!   lets an N-thread evaluation replay byte-identically to a
-//!   single-threaded one;
+//!   lets two engines fed the same input replay byte-identically;
 //! * its own secondary **probe tables** (fixed-width `[Sym]` key →
 //!   posting list), maintained incrementally through inserts/removals
 //!   exactly like the pre-sharding engine index.
@@ -27,7 +26,7 @@
 //! the relation level only keeps the registry of which column sets are
 //! indexed. That split is what lets [`ShardedRel::shard_writers`] hand
 //! out one disjoint `&mut` view per shard, so the engine's merge phase
-//! can drain per-shard sinks concurrently without a lock.
+//! can drain one sink per shard.
 
 use crate::fxhash::FxHashMap;
 use crate::intern::{Sym, SymTuple};
@@ -332,8 +331,8 @@ impl<P: Copy> ShardedRel<P> {
     /// Iterate all live tuples in shard-major sequence order (**not**
     /// insertion order once anything was removed — removal swaps the
     /// last tuple into the hole). Given the same mutation sequence, two
-    /// instances iterate identically — the determinism the parallel
-    /// engine's replay parity rests on.
+    /// instances iterate identically — the determinism the engine's
+    /// replay rests on.
     pub fn iter(&self) -> impl Iterator<Item = (&SymTuple, &P)> {
         self.shards
             .iter()
