@@ -29,7 +29,6 @@ use std::collections::BTreeSet;
 /// Determinism-critical modules (workspace-relative path prefixes).
 const CRITICAL: &[&str] = &[
     "crates/datalog/src/engine.rs",
-    "crates/datalog/src/merge.rs",
     "crates/datalog/src/node.rs",
     "crates/datalog/src/provgraph.rs",
     "crates/provenance/src/",

@@ -180,14 +180,14 @@ fn determinism_positive_hash_iteration_in_merge() {
 }
 
 #[test]
-fn determinism_covers_partitioned_merge_module() {
-    // The per-shard merge layout (`crates/datalog/src/merge.rs`) is in
-    // the lint's critical set: a hash-order drain inside a sink is
-    // flagged, its order-insensitive twin and non-marker reads are not.
+fn determinism_covers_engine_merge_drain() {
+    // The merge drain lives in `crates/datalog/src/engine.rs`, which is
+    // in the lint's critical set: a hash-order drain there is flagged,
+    // its order-insensitive twin and non-marker reads are not.
     let w = ws(
         vec![entry(
-            "crates/datalog/src/merge.rs",
-            include_str!("fixtures/det_shard_merge.rs"),
+            "crates/datalog/src/engine.rs",
+            include_str!("fixtures/det_engine_merge.rs"),
         )],
         vec![],
     );
@@ -204,8 +204,9 @@ fn determinism_covers_partitioned_merge_module() {
 
 #[test]
 fn determinism_node_table_module_is_critical() {
-    // The packed-NodeId shard table also decides global order; the same
-    // bad pattern mounted at `crates/datalog/src/node.rs` must be caught.
+    // The node table assigns NodeIds, so it also decides global order;
+    // the same bad pattern mounted at `crates/datalog/src/node.rs` must
+    // be caught.
     let w = ws(
         vec![entry(
             "crates/datalog/src/node.rs",

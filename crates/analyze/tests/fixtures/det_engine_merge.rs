@@ -1,16 +1,16 @@
-//! Fixture: the partitioned-merge module layout. Mounted at
-//! `crates/datalog/src/merge.rs` by the harness — the per-shard sink's
-//! `drain_*` functions are determinism-critical (they decide change-log
-//! and provenance recording order), so a hash-order iteration inside one
-//! must be flagged, while the order-insensitive twin stays clean.
+//! Fixture: the engine's merge drain. Mounted at
+//! `crates/datalog/src/engine.rs` by the harness — `drain_*` functions
+//! there are determinism-critical (they decide change-log and provenance
+//! recording order), so a hash-order iteration inside one must be
+//! flagged, while the order-insensitive twin stays clean.
 
 use std::collections::HashMap;
 
-pub struct ShardSink {
+pub struct MergeQueue {
     pending: HashMap<u64, Vec<u64>>,
 }
 
-impl ShardSink {
+impl MergeQueue {
     /// BAD: emits in hash order — the change log would differ run to run.
     pub fn drain_pending(&mut self, out: &mut Vec<u64>) {
         for (_fp, nodes) in self.pending.drain() {

@@ -181,10 +181,7 @@ struct Oracle {
 
 impl Oracle {
     fn new(net: &Net) -> Oracle {
-        let opts = EvalOptions {
-            threads: 1,
-            ..EvalOptions::default()
-        };
+        let opts = EvalOptions { threads: 1 };
         Oracle {
             engine: Engine::with_options(net.combined(), net.rules(), true, opts).unwrap(),
             node_txn: HashMap::new(),

@@ -46,14 +46,10 @@
 //!   through [`ValueInterner::intern_skolem`], one hash probe over
 //!   `(function, arg syms)` once a null has been invented before.
 //!
-//! ## Sharded storage, one evaluation thread
+//! ## One store per relation, one evaluation thread
 //!
-//! Relations are stored as [`ShardedRel`]s: hash-partitioned into a fixed
-//! number of shards on the relation's **partition columns** (the probe
-//! column set the compiled plans use most — its dominant join/index key),
-//! with per-shard insertion-ordered tuple tables and per-shard `[Sym]`
-//! probe tables. A probe that covers the partition columns touches one
-//! shard; others fan out in shard order.
+//! Each relation is one [`SymRel`]: an insertion-ordered tuple table
+//! with a `[Sym]` probe index per probed column set.
 //!
 //! Each semi-naive round runs on the calling thread in three phases:
 //!
@@ -65,20 +61,15 @@
 //!    interner, node table, and provenance graph are untouched — and
 //!    stage their rule firings (with Skolem heads unresolved) plus
 //!    per-task counters in private buffers.
-//! 3. **Merge (partitioned).** Every staged firing is routed to its head
-//!    tuple's shard (the same content-based routing the relations use),
-//!    so the node table, provenance graph, and relation storage — all
-//!    partitioned by that routing — drain through one sink per shard the
-//!    round touches (see [`crate::merge`]). A short pre-pass folds
-//!    per-task counters and interns first-occurrence labeled nulls (the
-//!    only interner mutation); the sinks' counters, change-log entries,
-//!    and next-round deltas fold back in shard order, and one pass then
-//!    splices their staged cross-shard provenance edges. Every mutation
-//!    therefore happens in an order that is a pure function of the input
-//!    — task order within a shard, shard order across shards — which
-//!    fixes the provenance graph, `NodeId` assignment (shard in the id's
-//!    high bits, per-shard assignment order below), and
-//!    [`Engine::drain_changes`] order.
+//! 3. **Merge.** The staged firings drain in task order, then in
+//!    discovery order within a task: each interns its first-occurrence
+//!    labeled nulls (the only interner mutation) and its head node,
+//!    records its derivation, and inserts its head, staging the change-log
+//!    entry and next-round delta. Every mutation therefore happens in an
+//!    order that is a pure function of the input, which fixes the
+//!    provenance graph's recording order, `NodeId` assignment (the n-th
+//!    interned tuple is `NodeId(n)`), and [`Engine::drain_changes`]
+//!    order.
 //!
 //! Symbols are process-local (insertion-ordered); everything that leaves
 //! the engine — the change log, [`Engine::scan_resolved`], provenance
@@ -88,14 +79,12 @@
 
 use crate::ast::{Filter, Rule, RuleId, Term};
 use crate::error::DatalogError;
-use crate::merge::{self, Firing, TaskOut};
 use crate::node::{NodeId, NodeTable, RelId};
-use crate::provgraph::ProvGraph;
+use crate::provgraph::{Derivation, ProvGraph};
 use crate::Result;
 use orchestra_provenance::Polynomial;
 use orchestra_relational::{
-    CmpOp, DatabaseSchema, FxHashSet, ShardedRel, Sym, SymTuple, Tuple, Value, ValueInterner,
-    DEFAULT_SHARDS,
+    CmpOp, DatabaseSchema, FxHashSet, Sym, SymRel, SymTuple, Tuple, Value, ValueInterner,
 };
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -176,7 +165,7 @@ impl std::ops::AddAssign for EngineStats {
     }
 }
 
-/// Evaluation tunables: the thread count and the shard count.
+/// Evaluation tunables: the thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalOptions {
     /// Evaluation threads. The engine evaluates on the calling thread
@@ -186,17 +175,12 @@ pub struct EvalOptions {
     /// repo benchmark's replay module (`loopbench/src/replay.rs`) sets it,
     /// and goes with the next harness change to that module.
     pub threads: usize,
-    /// Fixed shard count for every relation's [`ShardedRel`].
-    pub shards: usize,
 }
 
 impl Default for EvalOptions {
-    /// One thread and [`DEFAULT_SHARDS`] shards.
+    /// One thread.
     fn default() -> Self {
-        EvalOptions {
-            threads: 1,
-            shards: DEFAULT_SHARDS,
-        }
+        EvalOptions { threads: 1 }
     }
 }
 
@@ -254,12 +238,6 @@ enum Source {
     Probe {
         cols: Box<[usize]>,
         key: Box<[KeySrc]>,
-        /// When the probe covers the relation's partition columns:
-        /// `part[i]` is the offset of the i-th partition column inside
-        /// `cols`/`key`, so the probe targets a single shard. `None` ⇒
-        /// fan out across shards. Filled in by
-        /// [`Engine::annotate_plans`] once partitions are chosen.
-        part: Option<Box<[usize]>>,
     },
 }
 
@@ -392,7 +370,6 @@ impl JoinPlan {
                 Source::Probe {
                     cols: probe_cols.into(),
                     key: key.into(),
-                    part: None,
                 }
             };
             let filters: Vec<usize> = rule
@@ -419,33 +396,60 @@ impl JoinPlan {
 
 // ---------------------------------------------------------- plan executor
 
+/// One staged rule firing, produced by the join phase and drained by the
+/// merge. Skolem head positions are left as [`Sym::NONE`] with their
+/// argument symbols staged alongside when the null was not in the round's
+/// snapshot interner, so the join phase never mutates the interner.
+struct Firing {
+    /// The head tuple; `Sym::NONE` at unresolved Skolem positions.
+    head: SymTuple,
+    /// `(head column, argument symbols)` for each Skolem head slot whose
+    /// null the join could not resolve read-only.
+    skolems: Vec<(u32, Vec<Sym>)>,
+    /// The head's node id as of the round snapshot (`None` when the head
+    /// was not alive then — an earlier firing of the round may still
+    /// intern it first).
+    head_node: Option<NodeId>,
+    /// Node ids of the matched body tuples, in rule-body order
+    /// (derivation identity depends on the order).
+    body_nodes: Vec<NodeId>,
+    /// Precomputed `(rule, body)` dedup fingerprint.
+    fp: u64,
+}
+
+/// Everything one join task hands back to the merge phase: its staged
+/// firings in discovery order, plus its private counters.
+#[derive(Default)]
+struct TaskOut {
+    firings: Vec<Firing>,
+    /// Index probes issued by the task.
+    probes: u64,
+    /// Labeled nulls the task resolved read-only against the snapshot
+    /// interner (folded into the fast-path counter by the merge).
+    skolem_hits: u64,
+}
+
 /// The plan interpreter. **Read-only** over the engine: it borrows the
-/// sharded data, the rule/plan storage, and the interner immutably; all
-/// effects are staged into the [`TaskOut`] buffers.
+/// data, the rule/plan storage, and the interner immutably; all effects
+/// are staged into the [`TaskOut`] buffers.
 ///
 /// Everything resolvable against the round's immutable snapshot is
 /// resolved **in the join**: body node ids (every body tuple is alive
 /// or a delta tuple, so it was interned when it first appeared), the
-/// derivation's dedup fingerprint, the head's snapshot node/liveness,
-/// already-interned Skolem nulls, and the head's **target shard** — so
-/// the merge phase drains per-shard sinks with only the first-occurrence
-/// nulls left for its pre-pass.
+/// derivation's dedup fingerprint, the head's snapshot node/liveness, and
+/// already-interned Skolem nulls — so the merge is left with only the
+/// first-occurrence nulls to intern.
 struct Exec<'a> {
     rule: &'a CompiledRule,
     plan: &'a JoinPlan,
-    data: &'a [ShardedRel<NodeId>],
+    data: &'a [SymRel<NodeId>],
     delta: &'a [SymTuple],
     interner: &'a ValueInterner,
-    /// Shard count shared by every partitioned structure (head routing).
-    shards: usize,
     bindings: Vec<Sym>,
     body_tuples: Vec<Option<&'a SymTuple>>,
     /// One reusable probe-key buffer per step: steady-state probing
     /// allocates nothing.
     key_bufs: Vec<Vec<Sym>>,
-    /// Reusable posting-list buffers for probes that fan out across
-    /// shards (non-covering column sets).
-    slice_bufs: Vec<Vec<&'a [SymTuple]>>,
     out: TaskOut,
 }
 
@@ -453,23 +457,20 @@ impl<'a> Exec<'a> {
     fn new(
         rule: &'a CompiledRule,
         plan: &'a JoinPlan,
-        data: &'a [ShardedRel<NodeId>],
+        data: &'a [SymRel<NodeId>],
         delta: &'a [SymTuple],
         interner: &'a ValueInterner,
-        shards: usize,
     ) -> Self {
         Exec {
             bindings: vec![Sym::NONE; rule.num_vars],
             body_tuples: vec![None; rule.body.len()],
             key_bufs: vec![Vec::new(); plan.steps.len()],
-            slice_bufs: vec![Vec::new(); plan.steps.len()],
             out: TaskOut::default(),
             rule,
             plan,
             data,
             delta,
             interner,
-            shards,
         }
     }
 
@@ -494,7 +495,7 @@ impl<'a> Exec<'a> {
                 let rd = &data[self.rule.body[sp.atom].rel.index()];
                 self.scan_candidates(si, sp, rd.iter_tuples());
             }
-            Source::Probe { cols, key, part } => {
+            Source::Probe { cols, key } => {
                 self.out.probes += 1;
                 let mut buf = std::mem::take(&mut self.key_bufs[si]);
                 buf.clear();
@@ -504,26 +505,9 @@ impl<'a> Exec<'a> {
                         KeySrc::Var(v) => self.bindings[*v],
                     });
                 }
-                let rd = &data[self.rule.body[sp.atom].rel.index()];
-                match part {
-                    Some(positions) => {
-                        // Covering probe: one shard owns every match.
-                        let shard = rd.shard_for_key(positions, &buf);
-                        let cands = rd.probe_shard(shard, cols, &buf);
-                        self.key_bufs[si] = buf;
-                        self.scan_candidates(si, sp, cands.iter());
-                    }
-                    None => {
-                        // Fan out: collect per-shard posting lists, then
-                        // iterate them in shard order (deterministic).
-                        let mut slices = std::mem::take(&mut self.slice_bufs[si]);
-                        slices.clear();
-                        rd.probe_slices_into(cols, &buf, &mut slices);
-                        self.key_bufs[si] = buf;
-                        self.scan_candidates(si, sp, slices.iter().flat_map(|s| s.iter()));
-                        self.slice_bufs[si] = slices;
-                    }
-                }
+                let cands = data[self.rule.body[sp.atom].rel.index()].probe(cols, &buf);
+                self.key_bufs[si] = buf;
+                self.scan_candidates(si, sp, cands.iter());
             }
         }
     }
@@ -619,9 +603,9 @@ impl<'a> Exec<'a> {
     }
 
     /// All atoms bound: stage the head, resolve the body node ids in
-    /// original rule-body order (derivation identity depends on it),
-    /// precompute the dedup fingerprint, and route the firing to its head
-    /// shard — all against the round's immutable snapshot.
+    /// original rule-body order (derivation identity depends on it), and
+    /// precompute the dedup fingerprint — all against the round's
+    /// immutable snapshot.
     ///
     /// Skolem head slots resolve read-only when every null already exists
     /// in the snapshot interner (the steady state once a null has been
@@ -689,33 +673,22 @@ impl<'a> Exec<'a> {
             })
             .collect();
         let fp = crate::provgraph::derivation_fingerprint(&rule.id, &body_nodes);
-        if skolems.is_empty() {
-            // One probe answers both "does the head already have a node"
-            // and "is it alive" as of the snapshot (dead-but-interned
-            // heads read as None — the sink intern then hits the shard's
-            // table, same result).
-            let rd = &self.data[rule.head.rel.index()];
-            let shard = rd.shard_of(&head);
-            let head_node = rd.get_in(shard, &head);
-            if self.out.routed.is_empty() {
-                self.out.routed.resize_with(self.shards, Vec::new);
-            }
-            self.out.routed[shard].push(Firing {
-                head,
-                skolems,
-                head_node,
-                body_nodes,
-                fp,
-            });
+        // One probe answers both "does the head already have a node" and
+        // "is it alive" as of the snapshot (dead-but-interned heads read
+        // as None — the merge's intern then hits the node table, same
+        // result). A head with a null not yet interned cannot be alive.
+        let head_node = if skolems.is_empty() {
+            self.data[rule.head.rel.index()].get(&head)
         } else {
-            self.out.unrouted.push(Firing {
-                head,
-                skolems,
-                head_node: None,
-                body_nodes,
-                fp,
-            });
-        }
+            None
+        };
+        self.out.firings.push(Firing {
+            head,
+            skolems,
+            head_node,
+            body_nodes,
+            fp,
+        });
     }
 }
 
@@ -724,27 +697,31 @@ impl<'a> Exec<'a> {
 fn run_task(
     rule: &CompiledRule,
     plan: &JoinPlan,
-    data: &[ShardedRel<NodeId>],
+    data: &[SymRel<NodeId>],
     interner: &ValueInterner,
-    shards: usize,
     delta: &[SymTuple],
 ) -> TaskOut {
     if plan.impossible {
         return TaskOut::default();
     }
-    let mut exec = Exec::new(rule, plan, data, delta, interner, shards);
+    let mut exec = Exec::new(rule, plan, data, delta, interner);
     exec.run();
     exec.out
 }
 
 /// Finalize a staged head: intern any deferred Skolem nulls (sequential —
 /// this is the merge phase's exclusive right to mutate the interner).
-fn resolve_head(interner: &mut ValueInterner, rule: &CompiledRule, firing: &Firing) -> SymTuple {
-    if firing.skolems.is_empty() {
-        return firing.head.clone();
+fn resolve_head(
+    interner: &mut ValueInterner,
+    rule: &CompiledRule,
+    head: SymTuple,
+    skolems: &[(u32, Vec<Sym>)],
+) -> SymTuple {
+    if skolems.is_empty() {
+        return head;
     }
-    let mut syms: Vec<Sym> = firing.head.syms().to_vec();
-    for (ci, args) in &firing.skolems {
+    let mut syms: Vec<Sym> = head.syms().to_vec();
+    for (ci, args) in skolems {
         let Slot::Skolem { function, .. } = &rule.head.slots[*ci as usize] else {
             // analyze: allow(panic) -- firing.skolems is built by iterating exactly the head's skolem slots
             unreachable!("staged skolem at a non-skolem head slot")
@@ -780,8 +757,8 @@ pub struct Engine {
     rel_ids: HashMap<Arc<str>, RelId>,
     nodes: NodeTable,
     graph: ProvGraph,
-    /// Indexed by RelId: hash-partitioned storage with per-shard indexes.
-    data: Vec<ShardedRel<NodeId>>,
+    /// Indexed by RelId: each relation's tuples and probe indexes.
+    data: Vec<SymRel<NodeId>>,
     /// Tuples inserted but not yet propagated.
     pending: Vec<(RelId, SymTuple)>,
     changes: Vec<Change>,
@@ -791,8 +768,6 @@ pub struct Engine {
     /// atomics per tuple), and [`obs_flush_stats`](Self::obs_flush_stats)
     /// publishes the diff once per `propagate` / `remove_bases` call.
     mirrored: EngineStats,
-    /// The per-relation shard count, fixed at construction.
-    shards: usize,
 }
 
 impl Engine {
@@ -801,8 +776,8 @@ impl Engine {
         Self::with_options(schema, rules, true, EvalOptions::default())
     }
 
-    /// Build an engine with explicit evaluation tunables (thread count,
-    /// shard count).
+    /// Build an engine with explicit evaluation tunables (the thread
+    /// count).
     ///
     /// The engine always records provenance: deletion and trust read the
     /// graph. `provenance` must be `true`; `false` is refused with
@@ -827,17 +802,12 @@ impl Engine {
                 requested: opts.threads,
             });
         }
-        // NodeIds pack the shard into their high bits, so the shard count
-        // is bounded by the id space.
-        let shards = opts.shards.clamp(1, NodeId::MAX_SHARDS);
         let mut rel_names: Vec<Arc<str>> = Vec::new();
         let mut rel_ids: HashMap<Arc<str>, RelId> = HashMap::new();
-        let mut arities: Vec<usize> = Vec::new();
         for r in schema.relations() {
             let id = RelId(rel_names.len() as u32);
             rel_names.push(r.name_arc());
             rel_ids.insert(r.name_arc(), id);
-            arities.push(r.arity());
         }
         let mut interner = ValueInterner::new();
         let mut compiled = Vec::with_capacity(rules.len());
@@ -855,20 +825,7 @@ impl Engine {
             );
             compiled.push(c);
         }
-        // Pick each relation's partition columns from the compiled plans
-        // (most-probed column set), then annotate every probe step with
-        // its single-shard target where the probe covers them.
-        let partitions = Self::choose_partitions(&arities, &compiled, &plans);
-        Self::annotate_plans(&compiled, &mut plans, &partitions);
-        let data = partitions
-            .iter()
-            .map(|cols| ShardedRel::new(shards, cols.clone()))
-            .collect();
-        // The node table and provenance graph partition by the same shard
-        // routing as the relations, so the merge phase's per-shard sinks
-        // line up across all three.
-        let mut graph = ProvGraph::new();
-        graph.ensure_shards(shards);
+        let data = rel_names.iter().map(|_| SymRel::new()).collect();
         Ok(Engine {
             schema,
             rules: compiled,
@@ -877,92 +834,14 @@ impl Engine {
             interner,
             rel_names,
             rel_ids,
-            nodes: NodeTable::with_shards(shards),
-            graph,
+            nodes: NodeTable::new(),
+            graph: ProvGraph::new(),
             data,
             pending: Vec::new(),
             changes: Vec::new(),
             stats: EngineStats::default(),
             mirrored: EngineStats::default(),
-            shards,
         })
-    }
-
-    /// Choose each relation's partition columns: the probe column set the
-    /// compiled plans use most often. A relation no plan probes — the lone
-    /// body atom of a copy or projection rule — partitions on the columns
-    /// its body atoms carry into the rule: those holding a constant or a
-    /// variable the head copies, counted the same way. Ties break on the
-    /// lexicographically smallest set — deterministic. A relation with
-    /// neither partitions on the whole tuple.
-    fn choose_partitions(
-        arities: &[usize],
-        rules: &[CompiledRule],
-        plans: &[Vec<JoinPlan>],
-    ) -> Vec<Vec<usize>> {
-        let mut probed: Vec<HashMap<Vec<usize>, usize>> = vec![HashMap::new(); arities.len()];
-        let mut carried: Vec<HashMap<Vec<usize>, usize>> = vec![HashMap::new(); arities.len()];
-        for (rule, rule_plans) in rules.iter().zip(plans) {
-            for sp in rule_plans.iter().flat_map(|plan| &plan.steps) {
-                if let Source::Probe { cols, .. } = &sp.source {
-                    let rel = rule.body[sp.atom].rel.index();
-                    *probed[rel].entry(cols.to_vec()).or_insert(0) += 1;
-                }
-            }
-            let head_vars: Vec<usize> = rule
-                .head
-                .slots
-                .iter()
-                .filter_map(|slot| match slot {
-                    Slot::Var(v) => Some(*v),
-                    _ => None,
-                })
-                .collect();
-            for atom in &rule.body {
-                let cols: Vec<usize> = (0..atom.slots.len())
-                    .filter(|&ci| match &atom.slots[ci] {
-                        Slot::Const(_) => true,
-                        Slot::Var(v) => head_vars.contains(v),
-                        Slot::Skolem { .. } => false,
-                    })
-                    .collect();
-                if !cols.is_empty() {
-                    *carried[atom.rel.index()].entry(cols).or_insert(0) += 1;
-                }
-            }
-        }
-        let pick = |m: &HashMap<Vec<usize>, usize>| -> Option<Vec<usize>> {
-            m.iter()
-                .min_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)))
-                .map(|(cols, _)| cols.clone())
-        };
-        (0..arities.len())
-            .map(|rel| {
-                pick(&probed[rel])
-                    .or_else(|| pick(&carried[rel]))
-                    .unwrap_or_else(|| (0..arities[rel]).collect())
-            })
-            .collect()
-    }
-
-    /// Mark every probe step whose column set covers the target
-    /// relation's partition columns with the key positions of those
-    /// columns, so execution routes it to a single shard.
-    fn annotate_plans(
-        rules: &[CompiledRule],
-        plans: &mut [Vec<JoinPlan>],
-        partitions: &[Vec<usize>],
-    ) {
-        for (rule, rule_plans) in rules.iter().zip(plans) {
-            for sp in rule_plans.iter_mut().flat_map(|plan| &mut plan.steps) {
-                if let Source::Probe { cols, part, .. } = &mut sp.source {
-                    *part = partitions[rule.body[sp.atom].rel.index()]
-                        .iter()
-                        .map(|pc| cols.iter().position(|c| c == pc))
-                        .collect();
-                }
-            }
-        }
     }
 
     fn compile_rule(
@@ -1135,11 +1014,6 @@ impl Engine {
         self.mirrored = d;
     }
 
-    /// The per-relation shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
     /// The dense id of a relation, if known.
     pub fn rel_id(&self, relation: &str) -> Option<RelId> {
         self.rel_ids.get(relation).copied()
@@ -1149,8 +1023,7 @@ impl Engine {
     pub fn node_id(&self, relation: &str, tuple: &Tuple) -> Option<NodeId> {
         let rel = self.rel_id(relation)?;
         let st = self.interner.get_tuple(tuple)?;
-        let shard = self.data[rel.index()].shard_of(&st);
-        self.nodes.get(shard, rel, &st)
+        self.nodes.get(rel, &st)
     }
 
     /// The `(relation name, tuple)` behind a node id.
@@ -1179,9 +1052,8 @@ impl Engine {
             .map_or(0, |r| self.data[r.index()].len())
     }
 
-    /// Borrowing per-shard scan of a relation's alive tuples: interned
-    /// tuples with their node ids, in the shards' deterministic sequence
-    /// order (a pure function of the engine's mutation history — not
+    /// Borrowing scan of a relation's alive tuples: interned tuples with
+    /// their node ids, in the relation's deterministic sequence order (a pure function of the engine's mutation history — not
     /// insertion order once deletions happened), with **no** per-call
     /// materialization. Unknown relations yield nothing.
     pub fn scan<'e>(&'e self, relation: &str) -> impl Iterator<Item = (&'e SymTuple, NodeId)> + 'e {
@@ -1200,7 +1072,7 @@ impl Engine {
 
     /// Total alive tuples across relations.
     pub fn total_tuples(&self) -> usize {
-        self.data.iter().map(ShardedRel::len).sum()
+        self.data.iter().map(SymRel::len).sum()
     }
 
     /// Drain the change log.
@@ -1219,8 +1091,7 @@ impl Engine {
         rel_schema.validate(&tuple)?;
         let rel = self.rel_ids[relation];
         let st = self.interner.intern_tuple(&tuple);
-        let shard = self.data[rel.index()].shard_of(&st);
-        let node = self.nodes.intern(shard, rel, &st);
+        let node = self.nodes.intern(rel, &st);
         if self.graph.is_base(node) {
             return Ok(node);
         }
@@ -1252,7 +1123,6 @@ impl Engine {
         delta.retain(|(rel, t)| self.data[rel.index()].contains(t));
         let mut new_tuples = 0usize;
         let n_rels = self.rel_names.len();
-        let shards = self.shards;
         while !delta.is_empty() {
             self.stats.rounds += 1;
             // One frontier per relation: the delta grouped by dense rel
@@ -1313,20 +1183,15 @@ impl Engine {
                             &plans[spec.ri as usize][spec.ai as usize],
                             data,
                             interner,
-                            shards,
                             &frontiers[spec.rel as usize],
                         )
                     })
                     .collect()
             });
-            // Merge phase, partitioned by the same routing as the data
-            // and sized to the round: only the shards some firing lands
-            // in get a sink. The join already routed each firing to its
-            // head's shard, so each sink writes its own shard only; every
-            // processing order is fixed (task order within a shard, shard
-            // order across shards) and routing is a pure function of
-            // tuple content, so NodeId assignment, provenance recording,
-            // inserts, the change log, and the stats are deterministic.
+            // Merge phase: drain every task's firings in task order, then
+            // in discovery order. Both orders are fixed, so NodeId
+            // assignment, provenance recording, inserts, the change log,
+            // and the stats are deterministic.
             delta = orchestra_obs::time_histogram!("engine.round.merge_micros", {
                 let Engine {
                     rules,
@@ -1339,67 +1204,47 @@ impl Engine {
                     rel_names,
                     ..
                 } = self;
-                // M0 — pre-pass, in task order: fold the join phase's
-                // private counters, intern first-occurrence labeled nulls
-                // (the merge's exclusive right to mutate the interner),
-                // and queue every task's non-empty shard buckets on their
-                // shard: `queues[s]` holds `(task, firings)` in task
-                // order, so an untouched shard's queue stays empty and
-                // unallocated.
-                let mut queues: Vec<Vec<(usize, Vec<Firing>)>> = Vec::new();
-                queues.resize_with(shards, Vec::new);
-                for (k, (spec, mut out)) in tasks.iter().zip(outs).enumerate() {
+                let mut next_delta: Vec<(RelId, SymTuple)> = Vec::new();
+                for (spec, out) in tasks.iter().zip(outs) {
                     stats.index_probes += out.probes;
                     interner.note_skolem_hits(out.skolem_hits);
-                    if !out.unrouted.is_empty() {
-                        if out.routed.is_empty() {
-                            out.routed.resize_with(shards, Vec::new);
+                    let rule = &rules[spec.ri as usize];
+                    let head_rel = rule.head.rel;
+                    for firing in out.firings {
+                        stats.firings += 1;
+                        // Intern first-occurrence labeled nulls: the
+                        // merge's exclusive right to mutate the interner.
+                        let head = resolve_head(interner, rule, firing.head, &firing.skolems);
+                        // A head alive at the round snapshot needs no
+                        // insert (propagation is insert-only) and no
+                        // interning — the join already resolved its node.
+                        let head_node = match firing.head_node {
+                            Some(n) => n,
+                            None => nodes.intern(head_rel, &head),
+                        };
+                        let derivation = Derivation {
+                            rule: Arc::clone(&rule.id),
+                            head: head_node,
+                            body: firing.body_nodes,
+                        };
+                        if graph.add_derivation_fp(derivation, firing.fp) {
+                            stats.derivations += 1;
                         }
-                        let rule = &rules[spec.ri as usize];
-                        let head_rel = rule.head.rel;
-                        for mut firing in out.unrouted.drain(..) {
-                            firing.head = resolve_head(interner, rule, &firing);
-                            firing.skolems.clear();
-                            let rd = &data[head_rel.index()];
-                            let shard = rd.shard_of(&firing.head);
-                            firing.head_node = rd.get_in(shard, &firing.head);
-                            out.routed[shard].push(firing);
-                        }
-                    }
-                    for (s, firings) in out.routed.into_iter().enumerate() {
-                        if !firings.is_empty() {
-                            queues[s].push((k, firings));
+                        if firing.head_node.is_none()
+                            && data[head_rel.index()].insert_if_absent(head.clone(), head_node)
+                        {
+                            stats.tuples_added += 1;
+                            new_tuples += 1;
+                            changes.push(Change {
+                                relation: Arc::clone(&rel_names[head_rel.index()]),
+                                tuple: interner.resolve_tuple(&head),
+                                kind: ChangeKind::Added,
+                                node: head_node,
+                            });
+                            next_delta.push((head_rel, head));
                         }
                     }
                 }
-                // M1 — one sink per touched shard drains its queue. Each
-                // sink owns shard `s` of the node table, the provenance
-                // graph, and every relation.
-                let touched: Vec<bool> = queues.iter().map(|q| !q.is_empty()).collect();
-                queues.retain(|q| !q.is_empty());
-                let mut sinks = merge::shard_sinks(nodes, graph, data, &touched);
-                for (sink, queue) in sinks.iter_mut().zip(queues) {
-                    for (k, firings) in queue {
-                        let rule = &rules[tasks[k].ri as usize];
-                        sink.drain_task(&rule.id, rule.head.rel, firings, interner, rel_names);
-                    }
-                }
-                // M2 — fold in shard order: counters, the change log, the
-                // next round's delta, and the staged cross-shard body
-                // edges, which one pass then splices in (source shard,
-                // recording) order.
-                let mut next_delta: Vec<(RelId, SymTuple)> = Vec::new();
-                let mut outboxes = Vec::with_capacity(sinks.len());
-                for sink in sinks {
-                    stats.firings += sink.firings;
-                    stats.derivations += sink.derivations;
-                    stats.tuples_added += sink.tuples_added;
-                    new_tuples += sink.tuples_added as usize;
-                    changes.extend(sink.changes);
-                    next_delta.extend(sink.next_delta);
-                    outboxes.push(sink.prov.into_outbox());
-                }
-                graph.splice_cross_edges(outboxes.into_iter().flatten());
                 next_delta
             });
         }
@@ -2075,10 +1920,7 @@ mod tests {
     #[test]
     fn more_than_one_thread_is_refused() {
         let db = schema(&[("edge", 2), ("path", 2)]);
-        let opts = |threads| EvalOptions {
-            threads,
-            ..EvalOptions::default()
-        };
+        let opts = |threads| EvalOptions { threads };
         assert_eq!(
             Engine::with_options(db.clone(), edge_path_rules(), true, opts(2)).err(),
             Some(DatalogError::SingleThreaded { requested: 2 })
@@ -2226,31 +2068,29 @@ mod tests {
     }
 
     #[test]
-    fn partition_columns_follow_the_probed_key() {
-        // path is probed on column 0 (by the recursive rule), edge on
-        // column 1 (delta at path): the chosen partitions must make those
-        // probes single-shard.
-        let e = edge_path_engine();
-        let path = e.rel_id("path").unwrap();
-        let edge = e.rel_id("edge").unwrap();
-        assert_eq!(e.data[path.index()].part_cols(), &[0]);
-        assert_eq!(e.data[edge.index()].part_cols(), &[1]);
-
-        // t(y) :- r(x, y): no plan probes r, so it partitions on the
-        // column the head copies, not on the whole tuple; t, in no body,
-        // does.
-        let db = schema(&[("r", 2), ("t", 1)]);
+    fn node_ids_follow_first_intern_order() {
+        // t(x,z) :- r(x,y), s(y,z), over tuples of three relations.
+        let db = schema(&[("r", 2), ("s", 2), ("t", 2)]);
         let rule = Rule::new(
-            "proj",
-            Atom::vars("t", &["y"]),
-            vec![Atom::vars("r", &["x", "y"])],
+            "j",
+            Atom::vars("t", &["x", "z"]),
+            vec![Atom::vars("r", &["x", "y"]), Atom::vars("s", &["y", "z"])],
             vec![],
         )
         .unwrap();
-        let e = Engine::new(db, vec![rule]).unwrap();
-        let r = e.rel_id("r").unwrap();
-        let t = e.rel_id("t").unwrap();
-        assert_eq!(e.data[r.index()].part_cols(), &[1]);
-        assert_eq!(e.data[t.index()].part_cols(), &[0]);
+        let mut e = Engine::new(db, vec![rule]).unwrap();
+        for i in 0..6 {
+            e.insert_base("r", tuple![format!("a{i}"), format!("b{i}")])
+                .unwrap();
+            e.insert_base("s", tuple![format!("b{i}"), format!("c{i}")])
+                .unwrap();
+        }
+        e.propagate().unwrap();
+        let changes = e.drain_changes();
+        assert_eq!(changes.len(), 18);
+        for (k, c) in changes.iter().enumerate() {
+            assert_eq!(c.node, NodeId(k as u32), "{c:?}");
+            assert_eq!(c.node.to_string(), format!("n{k}"));
+        }
     }
 }

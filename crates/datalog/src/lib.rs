@@ -29,14 +29,11 @@
 //! * [`engine`] — the semi-naive fixpoint engine with incremental insert
 //!   propagation and provenance-based deletion propagation, plus a change
 //!   log for update translation.
-//! * [`merge`] — the partitioned merge phase: per-shard sinks that drain
-//!   the join phase's routed firings.
 //! * [`query`] — conjunctive queries over peer-local instances.
 
 pub mod ast;
 pub mod engine;
 pub mod error;
-pub mod merge;
 pub mod node;
 pub mod provgraph;
 pub mod query;

@@ -1,31 +1,14 @@
 //! The provenance graph: derivation records, well-founded derivability,
-//! and polynomial extraction — partitioned by the engine's shard routing.
+//! and polynomial extraction.
 //!
 //! One [`Derivation`] is recorded per distinct rule firing. The graph is
 //! finite even for recursive mapping programs (at most one record per
 //! `(rule, body-binding)`), which is why Orchestra stores provenance this
 //! way rather than as unfolded polynomials.
 //!
-//! ## Partitioning
-//!
-//! Since the partitioned-merge refactor the graph is split into one
-//! [`ProvShard`] per engine shard, and a derivation lives in the shard of
-//! its **head** node ([`NodeId::shard`] — a pure function of tuple
-//! content). Each shard owns its derivation store, its head adjacency
-//! (which carries the dedup fingerprints) and its body adjacency, so the
-//! engine's merge phase hands one [`ProvShardWriter`] to each per-shard
-//! sink and records rule firings with **no** cross-shard coordination.
-//! The only cross-shard state a firing produces — "body node *b* (shard
-//! *t*) is used by derivation *d* (shard *s ≠ t*)" — is staged in the
-//! writer's outbox in recording order and spliced afterwards by one
-//! sequential pass over the writers in shard order
-//! ([`splice_cross_edges`](ProvGraph::splice_cross_edges)), so each
-//! target's `by_body` list grows in fixed `(source, recording)` order.
-//!
-//! **Recording order** is shard-major: [`derivations`](ProvGraph::derivations)
-//! yields shard 0's records in local recording order, then shard 1's, and
-//! so on. Each shard's local sequence is deterministic (sinks drain their
-//! routed firings in fixed task order), so the flattened sequence is
+//! Derivations are kept in **recording order**
+//! ([`derivations`](ProvGraph::derivations)); the engine records them in
+//! an order that is a pure function of its input, so the sequence is
 //! byte-comparable across engines fed the same input.
 
 use crate::ast::RuleId;
@@ -46,107 +29,18 @@ pub struct Derivation {
     pub body: Vec<NodeId>,
 }
 
-/// Reference to a derivation record: owning shard in the high bits, local
-/// index in the low bits — the same packing rule as [`NodeId`], so one
-/// `u32` per adjacency entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-struct DerivRef(u32);
-
-impl DerivRef {
-    #[inline]
-    fn new(shard: usize, local: usize) -> DerivRef {
-        // 2^24 derivations per shard is an accepted engine limit
-        // (mirrors the NodeId packing).
-        assert!(
-            local <= ((1usize << NodeId::LOCAL_BITS) - 1),
-            "derivation shard overflow"
-        );
-        DerivRef(((shard as u32) << NodeId::LOCAL_BITS) | local as u32)
-    }
-
-    #[inline]
-    fn shard(self) -> usize {
-        (self.0 >> NodeId::LOCAL_BITS) as usize
-    }
-
-    #[inline]
-    fn local(self) -> usize {
-        (self.0 & ((1 << NodeId::LOCAL_BITS) - 1)) as usize
-    }
-}
-
-/// A staged cross-shard body edge: "body node `body` (in a shard other
-/// than the derivation's) is used by derivation `dref`". Opaque to the
-/// engine — it only hands outboxes back to the graph.
-#[derive(Debug, Clone, Copy)]
-pub struct CrossEdge {
-    body: NodeId,
-    dref: DerivRef,
-}
-
-/// One shard of the provenance graph (see module docs). All indexes are
-/// keyed by **local** node index; `by_body` entries may reference
-/// derivations in other shards (a body node used by a foreign head).
-#[derive(Debug, Clone, Default)]
-pub struct ProvShard {
-    derivations: Vec<Derivation>,
-    /// local head node index → `(local index, fingerprint(rule, body))`
-    /// of each of its derivations. A derivation always lives in its
-    /// head's shard, so these entries are plain local indexes. The
-    /// fingerprints are the dedup filter: a head's list is short (one
-    /// entry per distinct rule body deriving it) and contiguous, so a
-    /// scan of it beats a probe into a graph-wide hash set.
-    by_head: Vec<Vec<(u32, u64)>>,
-    /// local body node index → derivations (any shard) using it.
-    by_body: Vec<Vec<DerivRef>>,
-}
-
-impl ProvShard {
-    /// Record a derivation owned by this shard (`d.head.shard()` is this
-    /// shard). Own-shard body edges are applied directly; cross-shard
-    /// edges are pushed onto `outbox` in body order. Returns `true` if new.
-    fn record(
-        &mut self,
-        shard: usize,
-        d: Derivation,
-        fp: u64,
-        outbox: &mut Vec<CrossEdge>,
-    ) -> bool {
-        debug_assert_eq!(d.head.shard(), shard, "derivation routed to wrong shard");
-        let local_head = d.head.local();
-        if let Some(recorded) = self.by_head.get(local_head) {
-            // A fingerprint match is confirmed structurally: collisions
-            // must not drop genuine derivations.
-            if recorded
-                .iter()
-                .any(|&(i, f)| f == fp && self.derivations[i as usize] == d)
-            {
-                return false;
-            }
-        }
-        let local = self.derivations.len();
-        let dref = DerivRef::new(shard, local);
-        push_adj(&mut self.by_head, local_head, (local as u32, fp));
-        for b in &d.body {
-            if b.shard() == shard {
-                push_adj(&mut self.by_body, b.local(), dref);
-            } else {
-                outbox.push(CrossEdge { body: *b, dref });
-            }
-        }
-        self.derivations.push(d);
-        true
-    }
-}
-
-/// The provenance graph over interned nodes, partitioned per shard (see
-/// module docs).
+/// The provenance graph over interned nodes (see module docs).
 #[derive(Debug, Clone, Default)]
 pub struct ProvGraph {
-    /// Grown lazily for the sequential API (hand-built graphs with flat
-    /// shard-0 ids never see a second shard); the engine pre-grows to its
-    /// configured shard count via [`ensure_shards`](Self::ensure_shards).
-    shards: Vec<ProvShard>,
+    derivations: Vec<Derivation>,
+    /// head node index → `(derivation index, fingerprint(rule, body))`
+    /// of each of its derivations. The fingerprints are the dedup
+    /// filter: a head's list is short (one entry per distinct rule body
+    /// deriving it) and contiguous, so a scan of it beats a probe into a
+    /// graph-wide hash set.
+    by_head: Vec<Vec<(u32, u64)>>,
+    /// body node index → indexes of the derivations using it.
+    by_body: Vec<Vec<u32>>,
     /// Nodes asserted as base facts (EDB / peer-published inserts).
     /// Probed on every deletion and lineage step; the readers that walk
     /// it sort it first, so node-id order is all they ever see.
@@ -181,80 +75,10 @@ fn push_adj<T>(adj: &mut Vec<Vec<T>>, i: usize, entry: T) {
     adj[i].push(entry);
 }
 
-/// A disjoint mutable view of one provenance shard, for the engine's
-/// partitioned merge: sink `s` records every firing whose head routes to
-/// shard `s` without touching any other shard. Cross-shard body edges
-/// accumulate in the writer's outbox in recording order; once the writers
-/// are done the engine hands every outbox back to
-/// [`ProvGraph::splice_cross_edges`].
-#[derive(Debug)]
-pub struct ProvShardWriter<'a> {
-    shard: usize,
-    inner: &'a mut ProvShard,
-    /// Staged cross-shard body edges, in recording order.
-    outbox: Vec<CrossEdge>,
-}
-
-impl ProvShardWriter<'_> {
-    /// Record a derivation routed to this shard, with its `(rule, body)`
-    /// fingerprint precomputed (see [`derivation_fingerprint`]). Returns
-    /// `true` if new.
-    pub fn add_derivation_fp(&mut self, d: Derivation, fp: u64) -> bool {
-        debug_assert_eq!(fp, fingerprint(&d), "mismatched precomputed fingerprint");
-        self.inner.record(self.shard, d, fp, &mut self.outbox)
-    }
-
-    /// The staged cross-shard edges, in recording order.
-    pub fn into_outbox(self) -> Vec<CrossEdge> {
-        self.outbox
-    }
-}
-
 impl ProvGraph {
     /// An empty graph.
     pub fn new() -> Self {
         ProvGraph::default()
-    }
-
-    /// Grow to at least `n` shards (never shrinks). The engine calls this
-    /// once with its configured shard count so [`shard_writers`](Self::shard_writers)
-    /// yields one writer per sink.
-    pub fn ensure_shards(&mut self, n: usize) {
-        if self.shards.len() < n {
-            self.shards.resize_with(n, ProvShard::default);
-        }
-    }
-
-    /// Number of shards materialized so far.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// One disjoint mutable writer per materialized shard, in shard
-    /// order. Writers are built lazily, so skipping one costs nothing.
-    pub fn shard_writers(&mut self) -> impl Iterator<Item = ProvShardWriter<'_>> {
-        self.shards
-            .iter_mut()
-            .enumerate()
-            .map(|(shard, inner)| ProvShardWriter {
-                shard,
-                inner,
-                outbox: Vec::new(),
-            })
-    }
-
-    /// Apply staged cross-shard body edges in one sequential pass, in the
-    /// order given. Passing the writers' outboxes in shard order makes
-    /// every target's `by_body` list grow in `(source shard, recording)`
-    /// order.
-    pub fn splice_cross_edges(&mut self, edges: impl IntoIterator<Item = CrossEdge>) {
-        for e in edges {
-            push_adj(
-                &mut self.shards[e.body.shard()].by_body,
-                e.body.local(),
-                e.dref,
-            );
-        }
     }
 
     /// Mark a node as a base fact.
@@ -287,65 +111,56 @@ impl ProvGraph {
 
     /// [`add_derivation`](Self::add_derivation) with the `(rule, body)`
     /// fingerprint precomputed (see [`derivation_fingerprint`]) — the
-    /// sequential recording path (deletion replay, hand-built graphs):
-    /// routes to the head's shard and applies cross-shard body edges
-    /// inline.
+    /// engine's merge path.
     pub fn add_derivation_fp(&mut self, d: Derivation, fp: u64) -> bool {
         debug_assert_eq!(fp, fingerprint(&d), "mismatched precomputed fingerprint");
-        let max_shard = d
-            .body
-            .iter()
-            .map(|b| b.shard())
-            .chain([d.head.shard()])
-            .max()
-            .unwrap_or(0);
-        self.ensure_shards(max_shard + 1);
-        let s = d.head.shard();
-        let mut outbox = Vec::new();
-        let added = self.shards[s].record(s, d, fp, &mut outbox);
-        self.splice_cross_edges(outbox);
-        added
-    }
-
-    #[inline]
-    fn deref_derivation(&self, r: DerivRef) -> &Derivation {
-        &self.shards[r.shard()].derivations[r.local()]
+        let head = d.head.index();
+        if let Some(recorded) = self.by_head.get(head) {
+            // A fingerprint match is confirmed structurally: collisions
+            // must not drop genuine derivations.
+            if recorded
+                .iter()
+                .any(|&(i, f)| f == fp && self.derivations[i as usize] == d)
+            {
+                return false;
+            }
+        }
+        // analyze: allow(panic) -- u32 indexes (4B derivations per engine) are an accepted engine limit
+        let i = u32::try_from(self.derivations.len()).expect("derivation overflow");
+        push_adj(&mut self.by_head, head, (i, fp));
+        for b in &d.body {
+            push_adj(&mut self.by_body, b.index(), i);
+        }
+        self.derivations.push(d);
+        true
     }
 
     /// All derivations of a node.
     pub fn derivations_of(&self, node: NodeId) -> impl Iterator<Item = &Derivation> {
-        let shard = self.shards.get(node.shard());
-        shard
-            .and_then(|s| s.by_head.get(node.local()))
+        self.by_head
+            .get(node.index())
             .into_iter()
             .flatten()
-            .map(move |&(i, _)| {
-                // analyze: allow(panic) -- `shard` is Some whenever the adjacency entry exists
-                &shard.unwrap().derivations[i as usize]
-            })
+            .map(|&(i, _)| &self.derivations[i as usize])
     }
 
     /// All derivations using a node in their body.
     pub fn uses_of(&self, node: NodeId) -> impl Iterator<Item = &Derivation> {
-        self.shards
-            .get(node.shard())
-            .and_then(|s| s.by_body.get(node.local()))
+        self.by_body
+            .get(node.index())
             .into_iter()
             .flatten()
-            .map(move |&r| self.deref_derivation(r))
+            .map(|&i| &self.derivations[i as usize])
     }
 
     /// Total number of derivation records.
     pub fn num_derivations(&self) -> usize {
-        self.shards.iter().map(|s| s.derivations.len()).sum()
+        self.derivations.len()
     }
 
-    /// All derivation records, in **shard-major recording order** (shard
-    /// 0's records in local order, then shard 1's, …). Each shard's local
-    /// sequence is deterministic under the engine's merge, so this
-    /// sequence is comparable across engines fed the same input.
+    /// All derivation records, in recording order (see module docs).
     pub fn derivations(&self) -> impl Iterator<Item = &Derivation> {
-        self.shards.iter().flat_map(|s| s.derivations.iter())
+        self.derivations.iter()
     }
 
     /// Well-founded derivability: the least set containing the (alive) base
@@ -354,13 +169,9 @@ impl ProvGraph {
     /// deletion-propagation test: cyclic derivations with no base support
     /// die, matching the least-fixpoint semantics of the mapping program.
     pub fn derivable_set(&self, dead: &BTreeSet<NodeId>) -> BTreeSet<NodeId> {
-        // Worklist over derivations with a per-shard satisfied-body
-        // counter, indexed [shard][local derivation].
-        let mut remaining: Vec<Vec<usize>> = self
-            .shards
-            .iter()
-            .map(|s| s.derivations.iter().map(|d| d.body.len()).collect())
-            .collect();
+        // Worklist over derivations with a satisfied-body counter per
+        // derivation.
+        let mut remaining: Vec<usize> = self.derivations.iter().map(|d| d.body.len()).collect();
         let mut derivable: BTreeSet<NodeId> = BTreeSet::new();
         let mut queue: VecDeque<NodeId> = VecDeque::new();
         for b in self.base_nodes() {
@@ -370,26 +181,20 @@ impl ProvGraph {
         }
         // Derivations with empty bodies cannot exist (rules are safe with
         // non-empty bodies), but guard anyway.
-        for s in &self.shards {
-            for d in &s.derivations {
-                if d.body.is_empty() && derivable.insert(d.head) {
-                    queue.push_back(d.head);
-                }
+        for d in &self.derivations {
+            if d.body.is_empty() && derivable.insert(d.head) {
+                queue.push_back(d.head);
             }
         }
         while let Some(n) = queue.pop_front() {
-            let Some(uses) = self
-                .shards
-                .get(n.shard())
-                .and_then(|s| s.by_body.get(n.local()))
-            else {
+            let Some(uses) = self.by_body.get(n.index()) else {
                 continue;
             };
-            for &r in uses {
-                let d = self.deref_derivation(r);
+            for &i in uses {
+                let d = &self.derivations[i as usize];
                 // A node occurring k times in one body decrements k times,
                 // matching body.len() counting.
-                let slot = &mut remaining[r.shard()][r.local()];
+                let slot = &mut remaining[i as usize];
                 *slot = slot.saturating_sub(d.body.iter().filter(|&&b| b == n).count());
                 if *slot == 0 {
                     let head = d.head;
@@ -763,45 +568,15 @@ mod tests {
     }
 
     #[test]
-    fn cross_shard_derivations_route_to_head_shard() {
-        // Heads in shards 1 and 2, bodies scattered across shards 0–2.
-        let mut g = ProvGraph::new();
-        let b0 = NodeId::new(0, 0);
-        let b1 = NodeId::new(1, 0);
-        let h1 = NodeId::new(1, 1);
-        let h2 = NodeId::new(2, 0);
-        g.add_base(b0);
-        g.add_base(b1);
-        g.add_derivation(sderiv("m1", h1, &[b0, b1]));
-        g.add_derivation(sderiv("m2", h2, &[h1, b0]));
-        assert_eq!(g.num_derivations(), 2);
-        // Adjacency works across the shard boundary in both directions.
-        assert_eq!(g.derivations_of(h1).count(), 1);
-        assert_eq!(g.uses_of(b0).count(), 2, "b0 used by m1 (s1) and m2 (s2)");
-        assert_eq!(g.uses_of(h1).count(), 1);
-        // Well-founded derivability sees through shards.
-        let full = g.derivable_set(&BTreeSet::new());
-        assert_eq!(full, BTreeSet::from([b0, b1, h1, h2]));
-        let dead = g.derivable_set(&BTreeSet::from([b1]));
-        assert_eq!(dead, BTreeSet::from([b0]), "h1 and h2 lose support");
-        assert_eq!(g.lineage(h2), BTreeSet::from([b0, b1]));
-        assert_eq!(g.first_proof_lineage(h2), BTreeSet::from([b0, b1]));
-        // Dedup is per (head shard, fingerprint).
-        assert!(!g.add_derivation(sderiv("m1", h1, &[b0, b1])));
-    }
-
-    #[test]
     fn hashed_base_set_reads_in_node_id_order() {
-        // 5 shards × 40 locals, marked in a scattered (multiplicative
-        // permutation) order, plus one derived head per shard.
-        let all: Vec<NodeId> = (0..5)
-            .flat_map(|s| (0..40).map(move |l| NodeId::new(s, l)))
-            .collect();
+        // 200 nodes, marked in a scattered (multiplicative permutation)
+        // order, plus five derived heads.
+        let all: Vec<NodeId> = (0..200).map(n).collect();
         let mut g = ProvGraph::new();
         for i in 0..all.len() {
             g.add_base(all[(i * 77) % all.len()]);
         }
-        let heads: Vec<NodeId> = (0..5).map(|s| NodeId::new(s, 100)).collect();
+        let heads: Vec<NodeId> = (0..5).map(|s| n(300 + s)).collect();
         for (s, &h) in heads.iter().enumerate().rev() {
             g.add_derivation(sderiv("m", h, &[all[(s * 41) % all.len()]]));
         }
@@ -829,63 +604,12 @@ mod tests {
     }
 
     #[test]
-    fn derivations_iterate_shard_major() {
+    fn derivations_iterate_in_recording_order() {
         let mut g = ProvGraph::new();
-        let h2 = NodeId::new(2, 0);
-        let h0 = NodeId::new(0, 0);
-        let b = NodeId::new(1, 0);
-        g.add_derivation(sderiv("late_shard", h2, &[b]));
-        g.add_derivation(sderiv("early_shard", h0, &[b]));
+        g.add_derivation(deriv("late_head", 2, &[1]));
+        g.add_derivation(deriv("early_head", 0, &[1]));
         let rules: Vec<&str> = g.derivations().map(|d| d.rule.as_ref()).collect();
-        // Shard-major: shard 0's record first even though it was added second.
-        assert_eq!(rules, ["early_shard", "late_shard"]);
-    }
-
-    #[test]
-    fn writer_pass_matches_sequential_recording() {
-        // The same derivations recorded (a) sequentially and (b) through
-        // per-shard writers + outbox splice must produce identical
-        // adjacency, dedup, and iteration order.
-        let b0 = NodeId::new(0, 0);
-        let b1 = NodeId::new(1, 0);
-        let h1 = NodeId::new(1, 1);
-        let h2 = NodeId::new(2, 0);
-        let ds = [
-            sderiv("m1", h1, &[b0, b1]),
-            sderiv("m2", h2, &[h1, b0]),
-            sderiv("m1", h1, &[b0, b1]), // duplicate
-        ];
-
-        let mut seq = ProvGraph::new();
-        seq.ensure_shards(3);
-        let added_seq: Vec<bool> = ds.iter().map(|d| seq.add_derivation(d.clone())).collect();
-
-        let mut par = ProvGraph::new();
-        par.ensure_shards(3);
-        let mut added_par = Vec::new();
-        let mut writers: Vec<_> = par.shard_writers().collect();
-        for d in &ds {
-            let fp = derivation_fingerprint(&d.rule, &d.body);
-            added_par.push(writers[d.head.shard()].add_derivation_fp(d.clone(), fp));
-        }
-        let outboxes: Vec<_> = writers
-            .into_iter()
-            .map(ProvShardWriter::into_outbox)
-            .collect();
-        par.splice_cross_edges(outboxes.into_iter().flatten());
-
-        assert_eq!(added_seq, added_par);
-        assert_eq!(added_seq, vec![true, true, false]);
-        let a: Vec<_> = seq.derivations().collect();
-        let b: Vec<_> = par.derivations().collect();
-        assert_eq!(a, b);
-        for node in [b0, b1, h1, h2] {
-            let ua: Vec<_> = seq.uses_of(node).collect();
-            let ub: Vec<_> = par.uses_of(node).collect();
-            assert_eq!(ua, ub, "uses_of({node})");
-            let da: Vec<_> = seq.derivations_of(node).collect();
-            let db: Vec<_> = par.derivations_of(node).collect();
-            assert_eq!(da, db, "derivations_of({node})");
-        }
+        // Recording order, not head order.
+        assert_eq!(rules, ["late_head", "early_head"]);
     }
 }

@@ -226,8 +226,8 @@ fn naive_join(
 }
 
 fn engine_database(e: &Engine) -> Database {
-    // The borrowing per-shard scan: the same read path the
-    // reconcile/bench layers use.
+    // The borrowing scan: the same read path the reconcile/bench layers
+    // use.
     RELS.iter()
         .map(|(r, _)| (*r, e.scan_resolved(r).collect()))
         .collect()

@@ -91,14 +91,11 @@ mod tests {
     use crate::intern::{Sym, SymTuple};
     use std::hash::BuildHasher;
 
-    /// A packed `(shard: 8 bits, local: 24 bits)` word hashed the way
-    /// `#[derive(Hash)]` hashes the engine's `NodeId(u32)`.
+    /// The engine's first 65 536 dense `NodeId(u32)`s, hashed the way
+    /// `#[derive(Hash)]` hashes them.
     fn node_id_hashes() -> Vec<u64> {
         let b = FxBuildHasher::default();
-        (0..16u32)
-            .flat_map(|shard| (0..4096u32).map(move |local| (shard << 24) | local))
-            .map(|w| b.hash_one(w))
-            .collect()
+        (0..65_536u32).map(|id| b.hash_one(id)).collect()
     }
 
     /// A 256 × 256 grid of two-symbol tuples.

@@ -26,9 +26,8 @@
 //! * [`ValueInterner`] / [`Sym`] / [`SymTuple`] — dense `u32` symbols for
 //!   values, the representation the datalog engine's join pipeline runs on
 //!   (integer equality/hashing, fixed-width index keys).
-//! * [`ShardedRel`] — hash-partitioned, insertion-ordered relation shards
-//!   with per-shard `[Sym]` probe tables, the storage the datalog engine
-//!   runs on.
+//! * [`SymRel`] — one relation's insertion-ordered tuple table with its
+//!   `[Sym]` probe indexes, the storage the datalog engine runs on.
 //! * [`FxHashMap`] / [`FxHashSet`] ([`fxhash`]) — maps hashed with a
 //!   seedless word hasher, for keys the engine assigns itself.
 
@@ -40,7 +39,7 @@ pub mod io;
 pub mod predicate;
 pub mod relation;
 pub mod schema;
-pub mod shard;
+pub mod symrel;
 pub mod tuple;
 pub mod value;
 
@@ -51,7 +50,7 @@ pub use intern::{InternerStats, Sym, SymTuple, ValueInterner};
 pub use predicate::{CmpOp, Predicate};
 pub use relation::Relation;
 pub use schema::{ColumnDef, DatabaseSchema, RelationSchema};
-pub use shard::{RelShardWriter, ShardedRel, DEFAULT_SHARDS};
+pub use symrel::SymRel;
 pub use tuple::Tuple;
 pub use value::{SkolemValue, Value, ValueType};
 
