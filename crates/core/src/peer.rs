@@ -2,13 +2,13 @@
 //! incremental view of its slice of the mapping program.
 
 use crate::Result;
-use orchestra_datalog::{Engine, NodeId, Query, RuleId};
+use orchestra_datalog::{ChangeKind, Engine, NodeId, Query, RuleId};
 use orchestra_obs::GaugeHandle;
 use orchestra_reconcile::{Decision, Reconciler, TrustPolicy};
 use orchestra_relational::{DatabaseSchema, FxHashMap, Instance, Tuple};
 use orchestra_store::FetchCursor;
 use orchestra_updates::{Epoch, PeerId, TxnId};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
 /// One CDSS participant.
@@ -66,11 +66,14 @@ pub struct Peer {
     /// transaction lineage). Keyed by engine-assigned ids, so it hashes
     /// with the word hasher.
     pub(crate) node_txn: FxHashMap<NodeId, TxnId>,
-    /// Qualified relation name (`"Peer.R"`) → local name (`"R"`), for this
-    /// peer's own namespace only. Precomputed so translating an engine
-    /// change into a local update is one hash lookup, not a per-change
-    /// prefix strip and string allocation.
-    pub(crate) local_names: HashMap<Arc<str>, Arc<str>>,
+    /// Engine relation (by `RelId` index) → local name (`"R"`) for the
+    /// relations of this peer's own namespace (`"Peer.R"`), `None` for
+    /// every other. Translating an engine change into a local update is
+    /// one index, not a name hash, prefix strip or string allocation.
+    pub(crate) local_by_rel: Vec<Option<Arc<str>>>,
+    /// The engine's change log, drained here once per ingest; kept so
+    /// draining allocates nothing once it has grown.
+    pub(crate) changes: Vec<(NodeId, ChangeKind)>,
     /// Transactions already ingested into this peer's engine. Only
     /// probed, never walked; the ids come from other peers, so std's
     /// keyed hasher.
@@ -122,15 +125,12 @@ impl Peer {
         relations_gauge.set(slice.relations.len() as i64);
         let rules_gauge = orchestra_obs::gauge("core.peer.slice_rules");
         rules_gauge.set(slice.rules.len() as i64);
-        let local_names: HashMap<Arc<str>, Arc<str>> = schema
-            .relations()
-            .map(|r| {
-                (
-                    Arc::from(crate::mapping::qualify(&id, r.name()).as_str()),
-                    r.name_arc(),
-                )
-            })
-            .collect();
+        let mut local_by_rel: Vec<Option<Arc<str>>> = vec![None; slice.relations.len()];
+        for r in schema.relations() {
+            if let Some(rel) = engine.rel_id(&crate::mapping::qualify(&id, r.name())) {
+                local_by_rel[rel.index()] = Some(r.name_arc());
+            }
+        }
         Peer {
             reconciler: Reconciler::new(schema.clone()),
             instance: Instance::new(schema.clone()),
@@ -140,7 +140,8 @@ impl Peer {
             engine,
             slice,
             _slice_gauges: [relations_gauge, rules_gauge],
-            local_names,
+            local_by_rel,
+            changes: Vec::new(),
             node_txn: FxHashMap::default(),
             ingested: HashSet::new(),
             next_seq: 0,

@@ -75,29 +75,36 @@ impl Peer {
         if !removals.is_empty() {
             self.engine.remove_bases(&removals)?;
         }
-        let changes = if !fed.is_empty() {
+        self.changes.clear();
+        if !fed.is_empty() {
             self.engine.propagate()?;
-            self.engine.drain_changes()
-        } else {
-            Vec::new()
-        };
+            self.engine.drain_change_log(&mut self.changes);
+        }
 
         if txn.id.peer == self.id {
             return Ok(None);
         }
 
-        // Restrict to this peer's namespace and strip the qualifier (one
-        // precomputed hash lookup per change; see `Peer::local_names`).
+        // Restrict to this peer's namespace and strip the qualifier: one
+        // `RelId`-indexed lookup per change (see `Peer::local_by_rel`),
+        // and only the changes kept are resolved back to values.
         let mut added: Vec<(Arc<str>, Tuple, NodeId)> = Vec::new();
         let mut removed: Vec<(Arc<str>, Tuple, NodeId)> = Vec::new();
-        for ch in changes {
-            let Some(local) = self.local_names.get(&ch.relation) else {
+        for &(node, kind) in &self.changes {
+            let Some((rel, st)) = self.engine.nodes().resolve(node) else {
                 continue;
             };
-            let local = Arc::clone(local);
-            match ch.kind {
-                ChangeKind::Added => added.push((local, ch.tuple, ch.node)),
-                ChangeKind::Removed => removed.push((local, ch.tuple, ch.node)),
+            let Some(Some(local)) = self.local_by_rel.get(rel.index()) else {
+                continue;
+            };
+            let entry = (
+                Arc::clone(local),
+                self.engine.interner().resolve_tuple(st),
+                node,
+            );
+            match kind {
+                ChangeKind::Added => added.push(entry),
+                ChangeKind::Removed => removed.push(entry),
             }
         }
 

@@ -17,8 +17,10 @@
 //!   base facts is the referee the parity suites hold it to.
 //!
 //! Every externally visible change to the materialized state is appended to
-//! a change log ([`Engine::drain_changes`]) — update translation packages
-//! those per-transaction (the `orchestra-core` crate).
+//! a change log of `(NodeId, ChangeKind)` entries
+//! ([`Engine::drain_change_log`]) — update translation resolves the
+//! entries it reads and packages them per transaction (the
+//! `orchestra-core` crate). Nothing is resolved to values while logging.
 //!
 //! ## The interned join pipeline
 //!
@@ -40,16 +42,31 @@
 //!   `CompiledRule` cloning per delta batch.
 //! * **Borrow-based candidate iteration.** Probe results are borrowed
 //!   slices into the index; scans iterate the live tuple table directly.
-//!   The only steady-state allocations are the derived head tuples
-//!   themselves.
+//!   Every candidate is a `(tuple, node)` entry, so a matched body tuple
+//!   brings its node id along.
+//! * **Round scratch on the engine.** Frontiers, the task list, the
+//!   join's bindings and probe keys, and the staged firings (flat head,
+//!   body and Skolem-argument arenas with per-task end offsets) are kept
+//!   across rounds, as is deletion's working state across calls. What a
+//!   firing still allocates is what it adds: a new head's [`SymTuple`]
+//!   (one allocation, built from the staged row), a new derivation's body
+//!   vector, and the first entry of a node's adjacency lists in the
+//!   provenance graph. A duplicate firing allocates nothing.
 //! * **Integer skolemization.** Labeled nulls invented by tgd heads go
 //!   through [`ValueInterner::intern_skolem`], one hash probe over
 //!   `(function, arg syms)` once a null has been invented before.
 //!
 //! ## One store per relation, one evaluation thread
 //!
-//! Each relation is one [`SymRel`]: an insertion-ordered tuple table
-//! with a `[Sym]` probe index per probed column set.
+//! Each relation is one [`SymRel`]: a sequence-ordered table of
+//! `(tuple, node)` entries with a `[Sym]` probe index per probed column
+//! set, addressed by position. Membership is the [`NodeTable`] plus a
+//! per-node position: the table maps every tuple ever seen to its node,
+//! and keeps each live node's slot in its relation (dead nodes carry a
+//! sentinel). So "is this tuple present, and what is its node?" is one
+//! node-table probe, "is this node alive?" is an index lookup, and a
+//! removal swaps the relation's last entry into the hole and updates that
+//! entry's node.
 //!
 //! Each semi-naive round runs on the calling thread in three phases:
 //!
@@ -59,17 +76,18 @@
 //!    plan interpreter over that relation's frontier against an immutable
 //!    snapshot of the round's database. Tasks are pure reads — the
 //!    interner, node table, and provenance graph are untouched — and
-//!    stage their rule firings (with Skolem heads unresolved) plus
-//!    per-task counters in private buffers.
+//!    stage their rule firings (with first-occurrence Skolem nulls
+//!    unresolved) plus counters in the round's firing buffer. Each firing
+//!    looks its head up in the node table once.
 //! 3. **Merge.** The staged firings drain in task order, then in
-//!    discovery order within a task: each interns its first-occurrence
-//!    labeled nulls (the only interner mutation) and its head node,
-//!    records its derivation, and inserts its head, staging the change-log
-//!    entry and next-round delta. Every mutation therefore happens in an
-//!    order that is a pure function of the input, which fixes the
-//!    provenance graph's recording order, `NodeId` assignment (the n-th
-//!    interned tuple is `NodeId(n)`), and [`Engine::drain_changes`]
-//!    order.
+//!    discovery order within a task: a head the snapshot never interned
+//!    gets its first-occurrence labeled nulls (the only interner
+//!    mutation) and its node; every firing records its derivation, and a
+//!    dead head is inserted, logging the change and joining the
+//!    next-round delta. Every mutation therefore happens in an order that
+//!    is a pure function of the input, which fixes the provenance graph's
+//!    recording order, `NodeId` assignment (the n-th interned tuple is
+//!    `NodeId(n)`), and the change log's order.
 //!
 //! Symbols are process-local (insertion-ordered); everything that leaves
 //! the engine — the change log, [`Engine::scan_resolved`], provenance
@@ -80,11 +98,11 @@
 use crate::ast::{Filter, Rule, RuleId, Term};
 use crate::error::DatalogError;
 use crate::node::{NodeId, NodeTable, RelId};
-use crate::provgraph::{Derivation, ProvGraph};
+use crate::provgraph::ProvGraph;
 use crate::Result;
 use orchestra_provenance::Polynomial;
 use orchestra_relational::{
-    CmpOp, DatabaseSchema, FxHashSet, Sym, SymRel, SymTuple, Tuple, Value, ValueInterner,
+    CmpOp, DatabaseSchema, FxHashMap, Sym, SymRel, SymTuple, Tuple, Value, ValueInterner,
 };
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -109,7 +127,11 @@ pub enum ChangeKind {
     Removed,
 }
 
-/// One externally visible change to the materialized state.
+/// One externally visible change to the materialized state, resolved to
+/// values: the element of [`Engine::drain_changes`], the resolving view
+/// of the node-id change log ([`Engine::drain_change_log`]). It stays for
+/// the repo benchmark's replay module (`loopbench/src/replay.rs`) and
+/// tests, and goes with that module's harness change (ROADMAP item 4).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Change {
     /// Relation the tuple belongs to.
@@ -396,129 +418,157 @@ impl JoinPlan {
 
 // ---------------------------------------------------------- plan executor
 
+/// A candidate for one body atom: a live tuple with its node id — the
+/// entry type of frontiers, relation tables and posting lists alike, so
+/// a matched body tuple's node rides along with it.
+type Entry = (SymTuple, NodeId);
+
+/// `Firing::skolems` when every Skolem head null resolved in the join.
+const NO_SKOLEMS: usize = usize::MAX;
+
 /// One staged rule firing, produced by the join phase and drained by the
-/// merge. Skolem head positions are left as [`Sym::NONE`] with their
-/// argument symbols staged alongside when the null was not in the round's
-/// snapshot interner, so the join phase never mutates the interner.
+/// merge. Its rows live in the round's [`Firings`] arenas. Skolem head
+/// positions are left as [`Sym::NONE`] with their argument symbols staged
+/// alongside when a null was not in the round's snapshot interner, so
+/// the join phase never mutates the interner.
+#[derive(Debug, Clone)]
 struct Firing {
-    /// The head tuple; `Sym::NONE` at unresolved Skolem positions.
-    head: SymTuple,
-    /// `(head column, argument symbols)` for each Skolem head slot whose
-    /// null the join could not resolve read-only.
-    skolems: Vec<(u32, Vec<Sym>)>,
-    /// The head's node id as of the round snapshot (`None` when the head
-    /// was not alive then — an earlier firing of the round may still
-    /// intern it first).
+    /// Start of the head row in [`Firings::heads`] (head-arity long);
+    /// `Sym::NONE` at unresolved Skolem positions.
+    head: usize,
+    /// Start in [`Firings::skolem_args`] of the arguments of every Skolem
+    /// head slot, in column order, when a null was missing from the
+    /// snapshot; [`NO_SKOLEMS`] when the join resolved them all.
+    skolems: usize,
+    /// The head's node as of the round snapshot (`None` when the head was
+    /// never interned — an earlier firing of the round may still intern
+    /// it first). Liveness is the merge's question.
     head_node: Option<NodeId>,
-    /// Node ids of the matched body tuples, in rule-body order
-    /// (derivation identity depends on the order).
-    body_nodes: Vec<NodeId>,
+    /// Start of the body node ids in [`Firings::bodies`], in rule-body
+    /// order (derivation identity depends on the order).
+    body: usize,
     /// Precomputed `(rule, body)` dedup fingerprint.
     fp: u64,
 }
 
-/// Everything one join task hands back to the merge phase: its staged
-/// firings in discovery order, plus its private counters.
-#[derive(Default)]
-struct TaskOut {
-    firings: Vec<Firing>,
-    /// Index probes issued by the task.
+/// A round's staged firings in task order, then discovery order, with
+/// their rows in flat arenas. Kept on the engine and cleared per round,
+/// so staging allocates only while the buffers grow.
+#[derive(Debug, Clone, Default)]
+struct Firings {
+    list: Vec<Firing>,
+    /// `list.len()` after each task: task `i` staged
+    /// `list[task_ends[i - 1]..task_ends[i]]`.
+    task_ends: Vec<usize>,
+    heads: Vec<Sym>,
+    bodies: Vec<NodeId>,
+    skolem_args: Vec<Sym>,
+    /// Index probes issued by the round's tasks.
     probes: u64,
-    /// Labeled nulls the task resolved read-only against the snapshot
+    /// Labeled nulls the tasks resolved read-only against the snapshot
     /// interner (folded into the fast-path counter by the merge).
     skolem_hits: u64,
 }
 
-/// The plan interpreter. **Read-only** over the engine: it borrows the
-/// data, the rule/plan storage, and the interner immutably; all effects
-/// are staged into the [`TaskOut`] buffers.
-///
-/// Everything resolvable against the round's immutable snapshot is
-/// resolved **in the join**: body node ids (every body tuple is alive
-/// or a delta tuple, so it was interned when it first appeared), the
-/// derivation's dedup fingerprint, the head's snapshot node/liveness, and
-/// already-interned Skolem nulls — so the merge is left with only the
-/// first-occurrence nulls to intern.
-struct Exec<'a> {
-    rule: &'a CompiledRule,
-    plan: &'a JoinPlan,
-    data: &'a [SymRel<NodeId>],
-    delta: &'a [SymTuple],
-    interner: &'a ValueInterner,
+impl Firings {
+    fn clear(&mut self) {
+        self.list.clear();
+        self.task_ends.clear();
+        self.heads.clear();
+        self.bodies.clear();
+        self.skolem_args.clear();
+        self.probes = 0;
+        self.skolem_hits = 0;
+    }
+}
+
+/// The join's per-task working state, reused by every task of every
+/// round.
+#[derive(Debug, Clone, Default)]
+struct JoinScratch {
     bindings: Vec<Sym>,
-    body_tuples: Vec<Option<&'a SymTuple>>,
+    /// Node id of the tuple matched at each body atom.
+    body_nodes: Vec<NodeId>,
     /// One reusable probe-key buffer per step: steady-state probing
     /// allocates nothing.
     key_bufs: Vec<Vec<Sym>>,
-    out: TaskOut,
+}
+
+/// One join task's inputs: which rule and plan, over which frontier.
+#[derive(Clone, Copy)]
+struct Task<'a> {
+    rule: &'a CompiledRule,
+    plan: &'a JoinPlan,
+    delta: &'a [Entry],
+}
+
+/// The plan interpreter. **Read-only** over the engine: it borrows the
+/// data, the node table and the interner immutably; all effects are
+/// staged into the round's [`Firings`]. One `Exec` serves every task of
+/// a round ([`run`](Exec::run) takes the task), on buffers kept on the
+/// engine.
+///
+/// Everything resolvable against the round's immutable snapshot is
+/// resolved **in the join**: body node ids (carried by every candidate
+/// entry), the derivation's dedup fingerprint, the head's snapshot node,
+/// and already-interned Skolem nulls — so the merge is left with only
+/// the first-occurrence nulls and never-interned heads to intern.
+struct Exec<'a> {
+    data: &'a [SymRel<NodeId>],
+    nodes: &'a NodeTable,
+    interner: &'a ValueInterner,
+    s: &'a mut JoinScratch,
+    out: &'a mut Firings,
 }
 
 impl<'a> Exec<'a> {
-    fn new(
-        rule: &'a CompiledRule,
-        plan: &'a JoinPlan,
-        data: &'a [SymRel<NodeId>],
-        delta: &'a [SymTuple],
-        interner: &'a ValueInterner,
-    ) -> Self {
-        Exec {
-            bindings: vec![Sym::NONE; rule.num_vars],
-            body_tuples: vec![None; rule.body.len()],
-            key_bufs: vec![Vec::new(); plan.steps.len()],
-            out: TaskOut::default(),
-            rule,
-            plan,
-            data,
-            delta,
-            interner,
+    /// Evaluate one task and close its firing range.
+    fn run(&mut self, task: Task<'a>) {
+        let Task { rule, plan, .. } = task;
+        if !plan.impossible {
+            let s = &mut *self.s;
+            s.bindings.clear();
+            s.bindings.resize(rule.num_vars, Sym::NONE);
+            s.body_nodes.clear();
+            s.body_nodes.resize(rule.body.len(), NodeId(0));
+            if s.key_bufs.len() < plan.steps.len() {
+                s.key_bufs.resize_with(plan.steps.len(), Vec::new);
+            }
+            self.step(task, 0);
         }
+        self.out.task_ends.push(self.out.list.len());
     }
 
-    fn run(&mut self) {
-        if self.plan.impossible {
-            return;
-        }
-        self.step(0);
-    }
-
-    fn step(&mut self, si: usize) {
-        let plan = self.plan;
+    fn step(&mut self, task: Task<'a>, si: usize) {
+        let plan = task.plan;
         if si == plan.steps.len() {
-            self.emit();
+            self.emit(task.rule);
             return;
         }
         let sp = &plan.steps[si];
         let data = self.data;
+        let rel = task.rule.body[sp.atom].rel.index();
         match &sp.source {
-            Source::Delta => self.scan_candidates(si, sp, self.delta.iter()),
-            Source::Scan => {
-                let rd = &data[self.rule.body[sp.atom].rel.index()];
-                self.scan_candidates(si, sp, rd.iter_tuples());
-            }
+            Source::Delta => self.scan_candidates(task, si, sp, task.delta),
+            Source::Scan => self.scan_candidates(task, si, sp, data[rel].entries()),
             Source::Probe { cols, key } => {
                 self.out.probes += 1;
-                let mut buf = std::mem::take(&mut self.key_bufs[si]);
+                let buf = &mut self.s.key_bufs[si];
                 buf.clear();
                 for src in key.iter() {
                     buf.push(match src {
                         KeySrc::Const(s) => *s,
-                        KeySrc::Var(v) => self.bindings[*v],
+                        KeySrc::Var(v) => self.s.bindings[*v],
                     });
                 }
-                let cands = data[self.rule.body[sp.atom].rel.index()].probe(cols, &buf);
-                self.key_bufs[si] = buf;
-                self.scan_candidates(si, sp, cands.iter());
+                let cands = data[rel].probe(cols, buf);
+                self.scan_candidates(task, si, sp, cands);
             }
         }
     }
 
-    fn scan_candidates(
-        &mut self,
-        si: usize,
-        sp: &'a StepPlan,
-        cands: impl Iterator<Item = &'a SymTuple>,
-    ) {
-        'next_tuple: for t in cands {
+    fn scan_candidates(&mut self, task: Task<'a>, si: usize, sp: &'a StepPlan, cands: &'a [Entry]) {
+        'next_tuple: for (t, node) in cands {
             // Delta tuples are caller-supplied; everything else comes from
             // schema-validated storage.
             if t.arity() != sp.actions.len() {
@@ -528,9 +578,9 @@ impl<'a> Exec<'a> {
                 let ok = match act {
                     ColAction::Ignore => true,
                     ColAction::CheckConst(s) => t[ci] == *s,
-                    ColAction::CheckVar(v) => t[ci] == self.bindings[*v],
+                    ColAction::CheckVar(v) => t[ci] == self.s.bindings[*v],
                     ColAction::Bind(v) => {
-                        self.bindings[*v] = t[ci];
+                        self.s.bindings[*v] = t[ci];
                         true
                     }
                 };
@@ -540,14 +590,13 @@ impl<'a> Exec<'a> {
                 }
             }
             for &fi in sp.filters.iter() {
-                if !self.filter_ok(fi) {
+                if !self.filter_ok(&task.rule.filters[fi]) {
                     self.reset_binds(sp);
                     continue 'next_tuple;
                 }
             }
-            self.body_tuples[sp.atom] = Some(t);
-            self.step(si + 1);
-            self.body_tuples[sp.atom] = None;
+            self.s.body_nodes[sp.atom] = *node;
+            self.step(task, si + 1);
             self.reset_binds(sp);
         }
     }
@@ -555,12 +604,11 @@ impl<'a> Exec<'a> {
     #[inline]
     fn reset_binds(&mut self, sp: &StepPlan) {
         for &v in sp.binds.iter() {
-            self.bindings[v] = Sym::NONE;
+            self.s.bindings[v] = Sym::NONE;
         }
     }
 
-    fn filter_ok(&self, fi: usize) -> bool {
-        let f = &self.rule.filters[fi];
+    fn filter_ok(&self, f: &CompiledFilter) -> bool {
         match (self.slot_sym(&f.left), self.slot_sym(&f.right)) {
             (Some(l), Some(r)) => match f.op {
                 // Interning is injective: symbol equality is value equality.
@@ -583,7 +631,7 @@ impl<'a> Exec<'a> {
     /// slots (their null may not have been interned yet).
     fn slot_sym(&self, slot: &Slot) -> Option<Sym> {
         match slot {
-            Slot::Var(v) => Some(self.bindings[*v]),
+            Slot::Var(v) => Some(self.s.bindings[*v]),
             Slot::Const(s) => Some(*s),
             Slot::Skolem { .. } => None,
         }
@@ -593,7 +641,7 @@ impl<'a> Exec<'a> {
     /// labeled nulls structurally (read-only fallback for filters).
     fn slot_value(&self, slot: &Slot) -> Value {
         match slot {
-            Slot::Var(v) => self.interner.resolve(self.bindings[*v]).clone(),
+            Slot::Var(v) => self.interner.resolve(self.s.bindings[*v]).clone(),
             Slot::Const(s) => self.interner.resolve(*s).clone(),
             Slot::Skolem { function, args } => Value::skolem(
                 Arc::clone(function),
@@ -602,137 +650,113 @@ impl<'a> Exec<'a> {
         }
     }
 
-    /// All atoms bound: stage the head, resolve the body node ids in
-    /// original rule-body order (derivation identity depends on it), and
-    /// precompute the dedup fingerprint — all against the round's
-    /// immutable snapshot.
+    /// All atoms bound: stage the head row, the body node ids in rule-body
+    /// order (derivation identity depends on it), the dedup fingerprint
+    /// and the head's snapshot node — all against the round's immutable
+    /// snapshot.
     ///
     /// Skolem head slots resolve read-only when every null already exists
     /// in the snapshot interner (the steady state once a null has been
     /// invented); a single missing null defers the whole head to the
     /// merge's sequential Skolem pass instead.
-    fn emit(&mut self) {
-        let rule = self.rule;
-        let mut skolems: Vec<(u32, Vec<Sym>)> = Vec::new();
-        let mut head_syms: Vec<Sym> = Vec::with_capacity(rule.head.slots.len());
-        for (ci, s) in rule.head.slots.iter().enumerate() {
-            head_syms.push(match s {
+    fn emit(&mut self, rule: &CompiledRule) {
+        let head = self.out.heads.len();
+        let skolems = self.out.skolem_args.len();
+        let mut all_known = true;
+        let mut n_skolems = 0u64;
+        for s in &rule.head.slots {
+            let sym = match s {
                 Slot::Var(v) => {
-                    let sym = self.bindings[*v];
+                    let sym = self.s.bindings[*v];
                     debug_assert!(!sym.is_none(), "unbound head slot");
                     sym
                 }
                 Slot::Const(c) => *c,
-                Slot::Skolem { args, .. } => {
-                    let arg_syms: Vec<Sym> = args
-                        .iter()
+                Slot::Skolem { function, args } => {
+                    n_skolems += 1;
+                    let first = self.out.skolem_args.len();
+                    for a in args {
                         // analyze: allow(panic) -- Tgd compilation rejects any skolem arg that is not a var or constant
-                        .map(|a| self.slot_sym(a).expect("skolem args are vars/constants"))
-                        .collect();
-                    skolems.push((ci as u32, arg_syms));
-                    Sym::NONE
-                }
-            });
-        }
-        if !skolems.is_empty() {
-            let mut resolved: Vec<Sym> = Vec::with_capacity(skolems.len());
-            let all_known = skolems.iter().all(|(ci, args)| {
-                let Slot::Skolem { function, .. } = &rule.head.slots[*ci as usize] else {
-                    // analyze: allow(panic) -- skolems is built by iterating exactly the head's skolem slots
-                    unreachable!("staged skolem at a non-skolem head slot")
-                };
-                match self.interner.get_skolem(function, args) {
-                    Some(sym) => {
-                        resolved.push(sym);
-                        true
+                        let sym = self.slot_sym(a).expect("skolem args are vars/constants");
+                        self.out.skolem_args.push(sym);
                     }
-                    None => false,
+                    let known = all_known
+                        .then(|| {
+                            self.interner
+                                .get_skolem(function, &self.out.skolem_args[first..])
+                        })
+                        .flatten();
+                    all_known = known.is_some();
+                    known.unwrap_or(Sym::NONE)
                 }
-            });
-            if all_known {
-                for ((ci, _), sym) in skolems.iter().zip(resolved) {
-                    head_syms[*ci as usize] = sym;
-                }
-                self.out.skolem_hits += skolems.len() as u64;
-                skolems.clear();
-            }
+            };
+            self.out.heads.push(sym);
         }
-        let head = SymTuple::new(head_syms);
-        let body_nodes: Vec<NodeId> = (0..rule.body.len())
-            .map(|i| {
-                // analyze: allow(panic) -- a firing is only staged after every body atom matched, binding all slots
-                let t = self.body_tuples[i].expect("bound");
-                let rel = rule.body[i].rel;
-                // Every candidate is alive — `propagate` drops delta
-                // tuples a deletion removed — so its node rides along as
-                // the relation payload.
-                self.data[rel.index()]
-                    .get(t)
-                    // analyze: allow(panic) -- see comment above: every candidate is alive in the round snapshot
-                    .expect("body tuple alive")
-            })
-            .collect();
-        let fp = crate::provgraph::derivation_fingerprint(&rule.id, &body_nodes);
-        // One probe answers both "does the head already have a node" and
-        // "is it alive" as of the snapshot (dead-but-interned heads read
-        // as None — the merge's intern then hits the node table, same
-        // result). A head with a null not yet interned cannot be alive.
-        let head_node = if skolems.is_empty() {
-            self.data[rule.head.rel.index()].get(&head)
+        let out = &mut *self.out;
+        let (skolems, head_node) = if all_known {
+            // Every null resolved (or there were none): the head row is
+            // final, so the snapshot node table can answer for it.
+            out.skolem_args.truncate(skolems);
+            out.skolem_hits += n_skolems;
+            (
+                NO_SKOLEMS,
+                self.nodes.get(rule.head.rel, &out.heads[head..]),
+            )
         } else {
-            None
+            // A head with a null not yet interned cannot have a node.
+            (skolems, None)
         };
-        self.out.firings.push(Firing {
+        let body = out.bodies.len();
+        out.bodies.extend_from_slice(&self.s.body_nodes);
+        let fp = crate::provgraph::derivation_fingerprint(&rule.id, &out.bodies[body..]);
+        out.list.push(Firing {
             head,
             skolems,
             head_node,
-            body_nodes,
+            body,
             fp,
         });
     }
 }
 
-/// Run one join task: evaluate `plan` for `rule` over `delta` against an
-/// immutable database snapshot. Pure: it reads and stages, nothing more.
-fn run_task(
-    rule: &CompiledRule,
-    plan: &JoinPlan,
-    data: &[SymRel<NodeId>],
-    interner: &ValueInterner,
-    delta: &[SymTuple],
-) -> TaskOut {
-    if plan.impossible {
-        return TaskOut::default();
-    }
-    let mut exec = Exec::new(rule, plan, data, delta, interner);
-    exec.run();
-    exec.out
-}
-
-/// Finalize a staged head: intern any deferred Skolem nulls (sequential —
-/// this is the merge phase's exclusive right to mutate the interner).
-fn resolve_head(
+/// Finalize a staged head row: intern its Skolem nulls from the staged
+/// arguments (sequential — this is the merge phase's exclusive right to
+/// mutate the interner).
+fn resolve_skolems(
     interner: &mut ValueInterner,
     rule: &CompiledRule,
-    head: SymTuple,
-    skolems: &[(u32, Vec<Sym>)],
-) -> SymTuple {
-    if skolems.is_empty() {
-        return head;
+    row: &mut [Sym],
+    mut args: &[Sym],
+) {
+    for (ci, slot) in rule.head.slots.iter().enumerate() {
+        if let Slot::Skolem { function, args: a } = slot {
+            let (these, rest) = args.split_at(a.len());
+            row[ci] = interner.intern_skolem(function, these);
+            args = rest;
+        }
     }
-    let mut syms: Vec<Sym> = head.syms().to_vec();
-    for (ci, args) in skolems {
-        let Slot::Skolem { function, .. } = &rule.head.slots[*ci as usize] else {
-            // analyze: allow(panic) -- firing.skolems is built by iterating exactly the head's skolem slots
-            unreachable!("staged skolem at a non-skolem head slot")
-        };
-        syms[*ci as usize] = interner.intern_skolem(function, args);
-    }
-    SymTuple::new(syms)
+}
+
+/// Deletion marks, per node, in [`DeleteScratch::marks`].
+const AFFECTED: u8 = 1;
+const DERIVABLE: u8 = 2;
+
+/// Deletion's working state, kept on the engine across `remove_bases`
+/// calls: per-node marks instead of hash sets, reset node by node after
+/// each call, so a call costs what its affected region costs.
+#[derive(Debug, Clone, Default)]
+struct DeleteScratch {
+    /// Node index → `AFFECTED` / `DERIVABLE` bits; zero outside a call.
+    marks: Vec<u8>,
+    /// The affected region in discovery order, seeds first.
+    affected: Vec<NodeId>,
+    queue: VecDeque<NodeId>,
+    dead: Vec<NodeId>,
 }
 
 /// One join task of a round: rule × delta position, over the frontier of
 /// the relation at that position.
+#[derive(Debug, Clone)]
 struct TaskSpec {
     ri: u32,
     ai: u32,
@@ -753,15 +777,31 @@ pub struct Engine {
     interner: ValueInterner,
     /// RelId → relation name.
     rel_names: Vec<Arc<str>>,
-    /// relation name → RelId.
-    rel_ids: HashMap<Arc<str>, RelId>,
+    /// relation name → RelId. The keys are the schema's relation names, a
+    /// fixed set, so the word hasher is safe here.
+    rel_ids: FxHashMap<Arc<str>, RelId>,
+    /// Every tuple ever seen → its node, and each live node's position in
+    /// its relation: the engine's one membership structure.
     nodes: NodeTable,
     graph: ProvGraph,
     /// Indexed by RelId: each relation's tuples and probe indexes.
     data: Vec<SymRel<NodeId>>,
-    /// Tuples inserted but not yet propagated.
-    pending: Vec<(RelId, SymTuple)>,
-    changes: Vec<Change>,
+    /// Tuples inserted but not yet propagated; during `propagate`, the
+    /// next round's delta.
+    pending: Vec<(RelId, SymTuple, NodeId)>,
+    /// The change log, in change order (see [`Engine::drain_change_log`]).
+    changes: Vec<(NodeId, ChangeKind)>,
+    /// Round scratch, kept so a round allocates only while it grows: the
+    /// delta grouped per relation, the task list and the join's buffers
+    /// and staged firings.
+    frontiers: Vec<Vec<Entry>>,
+    tasks: Vec<TaskSpec>,
+    join: JoinScratch,
+    firings: Firings,
+    /// Deletion scratch, kept across `remove_bases` calls.
+    del: DeleteScratch,
+    /// Reused symbol row for API-boundary lookups.
+    syms: Vec<Sym>,
     stats: EngineStats,
     /// The slice of `stats` already exported to the `orchestra-obs`
     /// registry: the hot loops keep their plain `&mut` increments (no
@@ -803,7 +843,7 @@ impl Engine {
             });
         }
         let mut rel_names: Vec<Arc<str>> = Vec::new();
-        let mut rel_ids: HashMap<Arc<str>, RelId> = HashMap::new();
+        let mut rel_ids: FxHashMap<Arc<str>, RelId> = FxHashMap::default();
         for r in schema.relations() {
             let id = RelId(rel_names.len() as u32);
             rel_names.push(r.name_arc());
@@ -826,6 +866,7 @@ impl Engine {
             compiled.push(c);
         }
         let data = rel_names.iter().map(|_| SymRel::new()).collect();
+        let frontiers = vec![Vec::new(); rel_names.len()];
         Ok(Engine {
             schema,
             rules: compiled,
@@ -839,6 +880,12 @@ impl Engine {
             data,
             pending: Vec::new(),
             changes: Vec::new(),
+            frontiers,
+            tasks: Vec::new(),
+            join: JoinScratch::default(),
+            firings: Firings::default(),
+            del: DeleteScratch::default(),
+            syms: Vec::new(),
             stats: EngineStats::default(),
             mirrored: EngineStats::default(),
         })
@@ -846,7 +893,7 @@ impl Engine {
 
     fn compile_rule(
         schema: &DatabaseSchema,
-        rel_ids: &HashMap<Arc<str>, RelId>,
+        rel_ids: &FxHashMap<Arc<str>, RelId>,
         interner: &mut ValueInterner,
         rule: Rule,
     ) -> Result<CompiledRule> {
@@ -1022,8 +1069,11 @@ impl Engine {
     /// The interned node of `(relation, tuple)`, if both are known.
     pub fn node_id(&self, relation: &str, tuple: &Tuple) -> Option<NodeId> {
         let rel = self.rel_id(relation)?;
-        let st = self.interner.get_tuple(tuple)?;
-        self.nodes.get(rel, &st)
+        let mut syms = Vec::with_capacity(tuple.values().len());
+        if !self.interner.get_syms(tuple, &mut syms) {
+            return None;
+        }
+        self.nodes.get(rel, &syms)
     }
 
     /// The `(relation name, tuple)` behind a node id.
@@ -1037,13 +1087,8 @@ impl Engine {
 
     /// True iff the relation currently contains the tuple.
     pub fn contains(&self, relation: &str, tuple: &Tuple) -> bool {
-        let Some(rel) = self.rel_id(relation) else {
-            return false;
-        };
-        let Some(st) = self.interner.get_tuple(tuple) else {
-            return false;
-        };
-        self.data[rel.index()].contains(&st)
+        self.node_id(relation, tuple)
+            .is_some_and(|n| self.nodes.is_alive(n))
     }
 
     /// Number of alive tuples in a relation.
@@ -1053,13 +1098,14 @@ impl Engine {
     }
 
     /// Borrowing scan of a relation's alive tuples: interned tuples with
-    /// their node ids, in the relation's deterministic sequence order (a pure function of the engine's mutation history — not
-    /// insertion order once deletions happened), with **no** per-call
+    /// their node ids, in the relation's deterministic sequence order (a
+    /// pure function of the engine's mutation history — not insertion
+    /// order once deletions happened), with **no** per-call
     /// materialization. Unknown relations yield nothing.
     pub fn scan<'e>(&'e self, relation: &str) -> impl Iterator<Item = (&'e SymTuple, NodeId)> + 'e {
         self.rel_id(relation)
             .into_iter()
-            .flat_map(move |r| self.data[r.index()].iter().map(|(t, n)| (t, *n)))
+            .flat_map(move |r| self.data[r.index()].entries().iter().map(|(t, n)| (t, *n)))
     }
 
     /// Like [`scan`](Engine::scan), resolving each tuple back to values
@@ -1075,14 +1121,41 @@ impl Engine {
         self.data.iter().map(SymRel::len).sum()
     }
 
-    /// Drain the change log.
+    /// Move the change log onto the end of `out`, in change order: each
+    /// entry is a node and whether its tuple became present or absent.
+    /// Nothing is resolved — [`resolve_node`](Self::resolve_node), or
+    /// [`nodes`](Self::nodes) and [`interner`](Self::interner), turn the
+    /// entries a caller reads back into values, and a removed node
+    /// resolves after its death like any other. A caller that keeps `out`
+    /// across calls drains without allocating.
+    pub fn drain_change_log(&mut self, out: &mut Vec<(NodeId, ChangeKind)>) {
+        out.append(&mut self.changes);
+    }
+
+    /// Drain the change log resolved to relation names and tuple values:
+    /// the entries of [`drain_change_log`](Self::drain_change_log), in
+    /// the same order. This resolving view stays for the repo
+    /// benchmark's replay module (`loopbench/src/replay.rs`) and tests,
+    /// and goes with that module's harness change (ROADMAP item 4).
     pub fn drain_changes(&mut self) -> Vec<Change> {
-        std::mem::take(&mut self.changes)
+        let log = std::mem::take(&mut self.changes);
+        log.into_iter()
+            .filter_map(|(node, kind)| {
+                let (relation, tuple) = self.resolve_node(node)?;
+                Some(Change {
+                    relation: Arc::clone(relation),
+                    tuple,
+                    kind,
+                    node,
+                })
+            })
+            .collect()
     }
 
     /// Insert a base (published) tuple. Idempotent: re-inserting an already
     /// base tuple is a no-op. If the tuple exists only as derived, it
-    /// additionally becomes base (gaining independent support).
+    /// additionally becomes base (gaining independent support). A tuple
+    /// seen before, base or derived, keeps its node id.
     pub fn insert_base(&mut self, relation: &str, tuple: Tuple) -> Result<NodeId> {
         let rel_schema = self
             .schema
@@ -1096,16 +1169,12 @@ impl Engine {
             return Ok(node);
         }
         self.graph.add_base(node);
-        let rd = &mut self.data[rel.index()];
-        if rd.insert_if_absent(st.clone(), node) {
+        if !self.nodes.is_alive(node) {
+            let pos = self.data[rel.index()].push(st.clone(), node);
+            self.nodes.set_position(node, Some(pos));
             self.stats.tuples_added += 1;
-            self.changes.push(Change {
-                relation: Arc::clone(&self.rel_names[rel.index()]),
-                tuple,
-                kind: ChangeKind::Added,
-                node,
-            });
-            self.pending.push((rel, st));
+            self.changes.push((node, ChangeKind::Added));
+            self.pending.push((rel, st, node));
         }
         Ok(node)
     }
@@ -1117,24 +1186,22 @@ impl Engine {
     /// round's database, then merges the staged firings in a fixed order
     /// (see the module docs).
     pub fn propagate(&mut self) -> Result<usize> {
-        let mut delta = std::mem::take(&mut self.pending);
         // A pending insert that a deletion removed before this call
         // derives nothing.
-        delta.retain(|(rel, t)| self.data[rel.index()].contains(t));
+        let nodes = &self.nodes;
+        self.pending.retain(|(_, _, n)| nodes.is_alive(*n));
         let mut new_tuples = 0usize;
-        let n_rels = self.rel_names.len();
-        while !delta.is_empty() {
+        while !self.pending.is_empty() {
             self.stats.rounds += 1;
             // One frontier per relation: the delta grouped by dense rel
-            // id, in arrival order.
-            let mut frontiers: Vec<Vec<SymTuple>> = vec![Vec::new(); n_rels];
-            for (r, t) in delta.drain(..) {
-                frontiers[r.index()].push(t);
+            // id, in arrival order. `pending` then collects the next
+            // round's delta.
+            for (r, t, n) in self.pending.drain(..) {
+                self.frontiers[r.index()].push((t, n));
             }
             // Plan: build any missing indexes so the join phase only
             // reads, and lay out the round's task list in its fixed
             // (relation, rule) merge order.
-            let mut tasks: Vec<TaskSpec> = Vec::new();
             orchestra_obs::time_histogram!("engine.round.plan_micros", {
                 let Engine {
                     rules,
@@ -1142,8 +1209,11 @@ impl Engine {
                     rules_by_body,
                     data,
                     stats,
+                    frontiers,
+                    tasks,
                     ..
                 } = self;
+                tasks.clear();
                 for (rel, fr) in frontiers.iter().enumerate() {
                     if fr.is_empty() {
                         continue;
@@ -1167,32 +1237,40 @@ impl Engine {
                 }
             });
             // Join phase: run every task against the round snapshot.
-            let outs: Vec<TaskOut> = orchestra_obs::time_histogram!("engine.round.join_micros", {
+            orchestra_obs::time_histogram!("engine.round.join_micros", {
                 let Engine {
                     rules,
                     plans,
                     data,
+                    nodes,
                     interner,
+                    frontiers,
+                    tasks,
+                    join,
+                    firings,
                     ..
-                } = &*self;
-                tasks
-                    .iter()
-                    .map(|spec| {
-                        run_task(
-                            &rules[spec.ri as usize],
-                            &plans[spec.ri as usize][spec.ai as usize],
-                            data,
-                            interner,
-                            &frontiers[spec.rel as usize],
-                        )
-                    })
-                    .collect()
+                } = &mut *self;
+                firings.clear();
+                let mut exec = Exec {
+                    data,
+                    nodes,
+                    interner,
+                    s: join,
+                    out: firings,
+                };
+                for spec in tasks.iter() {
+                    exec.run(Task {
+                        rule: &rules[spec.ri as usize],
+                        plan: &plans[spec.ri as usize][spec.ai as usize],
+                        delta: &frontiers[spec.rel as usize],
+                    });
+                }
             });
-            // Merge phase: drain every task's firings in task order, then
+            // Merge phase: drain the staged firings in task order, then
             // in discovery order. Both orders are fixed, so NodeId
             // assignment, provenance recording, inserts, the change log,
             // and the stats are deterministic.
-            delta = orchestra_obs::time_histogram!("engine.round.merge_micros", {
+            new_tuples += orchestra_obs::time_histogram!("engine.round.merge_micros", {
                 let Engine {
                     rules,
                     interner,
@@ -1201,52 +1279,69 @@ impl Engine {
                     data,
                     stats,
                     changes,
-                    rel_names,
+                    pending,
+                    tasks,
+                    firings,
                     ..
-                } = self;
-                let mut next_delta: Vec<(RelId, SymTuple)> = Vec::new();
-                for (spec, out) in tasks.iter().zip(outs) {
-                    stats.index_probes += out.probes;
-                    interner.note_skolem_hits(out.skolem_hits);
+                } = &mut *self;
+                stats.index_probes += firings.probes;
+                interner.note_skolem_hits(firings.skolem_hits);
+                let Firings {
+                    list,
+                    task_ends,
+                    heads,
+                    bodies,
+                    skolem_args,
+                    ..
+                } = firings;
+                let mut added = 0usize;
+                let mut start = 0;
+                for (spec, &end) in tasks.iter().zip(task_ends.iter()) {
                     let rule = &rules[spec.ri as usize];
                     let head_rel = rule.head.rel;
-                    for firing in out.firings {
+                    let arity = rule.head.slots.len();
+                    for f in &list[start..end] {
                         stats.firings += 1;
-                        // Intern first-occurrence labeled nulls: the
-                        // merge's exclusive right to mutate the interner.
-                        let head = resolve_head(interner, rule, firing.head, &firing.skolems);
-                        // A head alive at the round snapshot needs no
-                        // insert (propagation is insert-only) and no
-                        // interning — the join already resolved its node.
-                        let head_node = match firing.head_node {
+                        // Only a head the snapshot had never interned is
+                        // interned here, after its first-occurrence
+                        // labeled nulls: the merge's exclusive right to
+                        // mutate the interner and the node table.
+                        let node = match f.head_node {
                             Some(n) => n,
-                            None => nodes.intern(head_rel, &head),
+                            None => {
+                                let row = &mut heads[f.head..f.head + arity];
+                                if f.skolems != NO_SKOLEMS {
+                                    resolve_skolems(interner, rule, row, &skolem_args[f.skolems..]);
+                                }
+                                nodes.intern_syms(head_rel, row)
+                            }
                         };
-                        let derivation = Derivation {
-                            rule: Arc::clone(&rule.id),
-                            head: head_node,
-                            body: firing.body_nodes,
-                        };
-                        if graph.add_derivation_fp(derivation, firing.fp) {
+                        let body = &bodies[f.body..f.body + rule.body.len()];
+                        if graph.add_derivation_fp(&rule.id, node, body, f.fp) {
                             stats.derivations += 1;
                         }
-                        if firing.head_node.is_none()
-                            && data[head_rel.index()].insert_if_absent(head.clone(), head_node)
-                        {
+                        // Propagation is insert-only: a head alive now
+                        // stays; a dead one (new, or present once) enters.
+                        if nodes.is_alive(node) {
+                            continue;
+                        }
+                        if let Some((_, st)) = nodes.resolve(node) {
+                            let st = st.clone();
+                            let pos = data[head_rel.index()].push(st.clone(), node);
+                            nodes.set_position(node, Some(pos));
                             stats.tuples_added += 1;
-                            new_tuples += 1;
-                            changes.push(Change {
-                                relation: Arc::clone(&rel_names[head_rel.index()]),
-                                tuple: interner.resolve_tuple(&head),
-                                kind: ChangeKind::Added,
-                                node: head_node,
-                            });
-                            next_delta.push((head_rel, head));
+                            added += 1;
+                            changes.push((node, ChangeKind::Added));
+                            pending.push((head_rel, st, node));
                         }
                     }
+                    start = end;
                 }
-                next_delta
+                added
             });
+            for fr in &mut self.frontiers {
+                fr.clear();
+            }
         }
         self.obs_flush_stats();
         Ok(new_tuples)
@@ -1277,101 +1372,122 @@ impl Engine {
     /// unknown, derived-only or repeated — are skipped).
     pub fn remove_bases(&mut self, tuples: &[(&str, &Tuple)]) -> Result<usize> {
         orchestra_obs::time_histogram!("engine.delete_micros", {
-            let mut deleted: Vec<NodeId> = Vec::with_capacity(tuples.len());
+            let del = &mut self.del;
+            if del.marks.len() < self.nodes.len() {
+                del.marks.resize(self.nodes.len(), 0);
+            }
             for &(relation, tuple) in tuples {
-                if let Some(node) = self.node_id(relation, tuple) {
-                    if self.graph.remove_base(node) {
-                        deleted.push(node);
-                    }
+                let Some(&rel) = self.rel_ids.get(relation) else {
+                    continue;
+                };
+                if !self.interner.get_syms(tuple, &mut self.syms) {
+                    continue;
+                }
+                let Some(node) = self.nodes.get(rel, &self.syms) else {
+                    continue;
+                };
+                // A base mark clears once, so each seed enters once.
+                if self.graph.remove_base(node) {
+                    del.marks[node.index()] = AFFECTED;
+                    del.affected.push(node);
+                    del.queue.push_back(node);
                 }
             }
-            if !deleted.is_empty() {
-                self.delete_provenance_based(&deleted);
+            let deleted = self.del.affected.len();
+            if deleted > 0 {
+                self.delete_provenance_based();
                 self.obs_flush_stats();
             }
-            Ok(deleted.len())
+            Ok(deleted)
         })
     }
 
-    /// Provenance-based deletion: restrict attention to the subgraph
-    /// forward-reachable from the deleted nodes and recompute well-founded
+    /// Provenance-based deletion from the seeds `remove_bases` placed in
+    /// the deletion scratch: restrict attention to the subgraph
+    /// forward-reachable from them and recompute well-founded
     /// derivability there, treating unaffected alive nodes as given.
-    fn delete_provenance_based(&mut self, deleted: &[NodeId]) {
+    fn delete_provenance_based(&mut self) {
+        let Engine {
+            graph,
+            nodes,
+            data,
+            stats,
+            changes,
+            del,
+            ..
+        } = self;
+        let DeleteScratch {
+            marks,
+            affected,
+            queue,
+            dead,
+        } = del;
         // Affected = forward closure through derivation uses.
-        let mut affected: FxHashSet<NodeId> = deleted.iter().copied().collect();
-        let mut queue: VecDeque<NodeId> = deleted.iter().copied().collect();
         while let Some(nd) = queue.pop_front() {
-            for d in self.graph.uses_of(nd) {
-                if affected.insert(d.head) {
+            for d in graph.uses_of(nd) {
+                let m = &mut marks[d.head.index()];
+                if *m & AFFECTED == 0 {
+                    *m |= AFFECTED;
+                    affected.push(d.head);
                     queue.push_back(d.head);
                 }
             }
         }
         // Worklist: start from support outside the affected region and from
-        // base facts inside it.
-        let mut derivable: FxHashSet<NodeId> = FxHashSet::default();
-        let mut wl: VecDeque<NodeId> = VecDeque::new();
-        for &a in &affected {
-            if self.graph.is_base(a) && derivable.insert(a) {
-                wl.push_back(a);
-            }
-            for d in self.graph.derivations_of(a) {
-                let supported = d
-                    .body
-                    .iter()
-                    .all(|b| !affected.contains(b) && self.is_alive(*b));
-                if supported && derivable.insert(a) {
-                    wl.push_back(a);
-                }
+        // base facts inside it. Derivability is a least fixpoint, so the
+        // order nodes are visited in cannot change which ones it reaches.
+        for &a in affected.iter() {
+            let supported = graph.is_base(a)
+                || graph.derivations_of(a).any(|d| {
+                    d.body
+                        .iter()
+                        .all(|b| marks[b.index()] & AFFECTED == 0 && nodes.is_alive(*b))
+                });
+            if supported {
+                marks[a.index()] |= DERIVABLE;
+                queue.push_back(a);
             }
         }
-        while let Some(nd) = wl.pop_front() {
-            for d in self.graph.uses_of(nd) {
-                let fires = affected.contains(&d.head)
-                    && !derivable.contains(&d.head)
+        while let Some(nd) = queue.pop_front() {
+            for d in graph.uses_of(nd) {
+                let head = marks[d.head.index()];
+                let fires = head & AFFECTED != 0
+                    && head & DERIVABLE == 0
                     && d.body.iter().all(|b| {
-                        derivable.contains(b) || (!affected.contains(b) && self.is_alive(*b))
+                        let m = marks[b.index()];
+                        m & DERIVABLE != 0 || (m & AFFECTED == 0 && nodes.is_alive(*b))
                     });
                 if fires {
-                    derivable.insert(d.head);
-                    wl.push_back(d.head);
+                    marks[d.head.index()] |= DERIVABLE;
+                    queue.push_back(d.head);
                 }
             }
         }
         // Kill affected-but-underivable nodes, in node-id order: the
-        // affected set iterates in per-instance hash order, but the change
-        // log must replay identically across engines fed the same input.
-        let mut dead: Vec<NodeId> = affected
-            .iter()
-            .copied()
-            .filter(|a| !derivable.contains(a) && self.is_alive(*a))
-            .collect();
+        // change log must replay identically across engines fed the same
+        // input, whatever order the closure discovered them in.
+        dead.clear();
+        dead.extend(
+            affected
+                .iter()
+                .copied()
+                .filter(|a| marks[a.index()] & DERIVABLE == 0 && nodes.is_alive(*a)),
+        );
         dead.sort_unstable();
-        self.remove_nodes(&dead);
-    }
-
-    fn is_alive(&self, node: NodeId) -> bool {
-        let Some((rel, tuple)) = self.nodes.resolve(node) else {
-            return false;
-        };
-        self.data[rel.index()].get(tuple) == Some(node)
-    }
-
-    fn remove_nodes(&mut self, dead: &[NodeId]) {
-        for &nd in dead {
-            let Some((rel, tuple)) = self.nodes.resolve(nd) else {
+        for a in affected.drain(..) {
+            marks[a.index()] = 0;
+        }
+        for &nd in dead.iter() {
+            let (Some(pos), Some((rel, _))) = (nodes.position(nd), nodes.resolve(nd)) else {
                 continue;
             };
-            let tuple = tuple.clone();
-            if self.data[rel.index()].remove(&tuple).is_some() {
-                self.stats.tuples_removed += 1;
-                self.changes.push(Change {
-                    relation: Arc::clone(&self.rel_names[rel.index()]),
-                    tuple: self.interner.resolve_tuple(&tuple),
-                    kind: ChangeKind::Removed,
-                    node: nd,
-                });
+            // The relation's last tuple fills the hole: its node moves.
+            if let Some(moved) = data[rel.index()].swap_remove(pos) {
+                nodes.set_position(moved, Some(pos));
             }
+            nodes.set_position(nd, None);
+            stats.tuples_removed += 1;
+            changes.push((nd, ChangeKind::Removed));
         }
     }
 
@@ -2065,6 +2181,105 @@ mod tests {
             assert_eq!(e.node_id("edge", &t), Some(node));
         }
         assert_eq!(e.scan("nope").count(), 0);
+    }
+
+    /// r(x) and its copy s(x) :- r(x).
+    fn copy_engine() -> Engine {
+        let db = schema(&[("r", 1), ("s", 1)]);
+        let rule = Rule::new(
+            "copy",
+            Atom::vars("s", &["x"]),
+            vec![Atom::vars("r", &["x"])],
+            vec![],
+        )
+        .unwrap();
+        Engine::new(db, vec![rule]).unwrap()
+    }
+
+    /// A removal moves its relation's last tuple into the hole; the moved
+    /// tuple's node must follow it, or a later removal of that tuple
+    /// takes the wrong slot (or none).
+    #[test]
+    fn removal_keeps_moved_positions() {
+        let mut e = copy_engine();
+        let names = ["a0", "a1", "a2", "a3", "a4", "a5"];
+        let nodes: Vec<NodeId> = names
+            .iter()
+            .map(|n| e.insert_base("r", tuple![*n]).unwrap())
+            .collect();
+        e.propagate().unwrap();
+        // From the middle, then the tuple the first removal moved (a5
+        // fills a1's hole), then the one the second moved (a4 fills a3's,
+        // then a5's).
+        for victim in ["a1", "a3", "a5"] {
+            e.remove_base("r", &tuple![victim], DeletionAlgorithm::ProvenanceBased)
+                .unwrap();
+        }
+        assert_eq!(e.insert_base("r", tuple!["a1"]).unwrap(), nodes[1]);
+        e.propagate().unwrap();
+        // Swap-removal order: [a0 a5 a2 a3 a4] → [a0 a5 a2 a4] → [a0 a4 a2],
+        // then a1 appended.
+        let survivors = ["a0", "a4", "a2", "a1"];
+        let mut fresh = copy_engine();
+        for n in survivors {
+            fresh.insert_base("r", tuple![n]).unwrap();
+        }
+        fresh.propagate().unwrap();
+        for rel in ["r", "s"] {
+            assert_eq!(e.relation_len(rel), survivors.len(), "{rel}");
+            let scanned: Vec<Tuple> = e.scan_resolved(rel).collect();
+            let expected: Vec<Tuple> = fresh.scan_resolved(rel).collect();
+            assert_eq!(scanned, expected, "{rel} scan order");
+            for n in names {
+                let live = survivors.contains(&n);
+                assert_eq!(e.contains(rel, &tuple![n]), live, "{rel}({n})");
+            }
+        }
+        // Every live node's position still names its own tuple.
+        for (st, node) in e.scan("r").chain(e.scan("s")) {
+            assert_eq!(e.nodes().resolve(node).map(|(_, t)| t), Some(st));
+        }
+    }
+
+    /// The unresolved change log and the resolving view list the same
+    /// changes in the same order, removed nodes included.
+    #[test]
+    fn change_log_resolves_like_drain_changes() {
+        let run = |e: &mut Engine| {
+            for i in 0..5 {
+                e.insert_base("edge", tuple![format!("n{i}"), format!("n{}", i + 1)])
+                    .unwrap();
+            }
+            e.propagate().unwrap();
+            let (a, b) = (tuple!["n1", "n2"], tuple!["n3", "n4"]);
+            e.remove_bases(&[("edge", &a), ("edge", &b)]).unwrap();
+            e.insert_base("edge", tuple!["n1", "n2"]).unwrap();
+            e.propagate().unwrap();
+        };
+        let mut logged = edge_path_engine();
+        let mut resolved = edge_path_engine();
+        run(&mut logged);
+        run(&mut resolved);
+        let mut log = Vec::new();
+        logged.drain_change_log(&mut log);
+        let via_log: Vec<Change> = log
+            .iter()
+            .map(|&(node, kind)| {
+                let (relation, tuple) = logged.resolve_node(node).unwrap();
+                Change {
+                    relation: Arc::clone(relation),
+                    tuple,
+                    kind,
+                    node,
+                }
+            })
+            .collect();
+        let via_drain = resolved.drain_changes();
+        assert!(via_drain.iter().any(|c| c.kind == ChangeKind::Removed));
+        assert_eq!(via_log, via_drain);
+        logged.drain_change_log(&mut log);
+        assert_eq!(log.len(), via_drain.len(), "the log was drained");
+        assert!(resolved.drain_changes().is_empty());
     }
 
     #[test]

@@ -14,13 +14,23 @@
 //! The table keys on the engine's *symbol* representation: relations are
 //! dense [`RelId`]s and tuples are [`SymTuple`]s, so interning a node is
 //! one integer-keyed hash probe — no string hashing, no structural tuple
-//! walks. Translating back to names and
+//! walks — and a probe can borrow a `[Sym]` row from a reused buffer.
+//!
+//! The table is also the engine's **membership** structure: next to each
+//! node it keeps the node's position in its relation's
+//! [`SymRel`](orchestra_relational::SymRel), or a dead mark while the
+//! tuple is absent. "Is this tuple present, and what is its node?" is
+//! one probe here; "is this node alive?" is an index lookup. Translating
+//! back to names and
 //! [`Value`](orchestra_relational::Value)s is the engine's job (it owns
 //! the [`ValueInterner`](orchestra_relational::ValueInterner)).
 
-use orchestra_relational::{FxHashMap, SymTuple};
+use orchestra_relational::{FxHashMap, Sym, SymTuple};
 use std::collections::hash_map::Entry;
 use std::fmt;
+
+/// Position of a node whose tuple is absent from its relation.
+const DEAD: u32 = u32::MAX;
 
 /// Dense identifier of a relation within one engine (index into the
 /// engine's relation table).
@@ -62,11 +72,14 @@ impl fmt::Display for NodeId {
 }
 
 /// The interning table: `(RelId, SymTuple)` → [`NodeId`], assigned
-/// densely in first-intern order.
+/// densely in first-intern order, plus each node's position in its
+/// relation while the tuple is present (see module docs).
 #[derive(Debug, Clone, Default)]
 pub struct NodeTable {
     /// Node index → pair, in assignment order.
     by_id: Vec<(RelId, SymTuple)>,
+    /// Node index → position in its relation's table, `DEAD` while absent.
+    pos: Vec<u32>,
     /// Indexed by `RelId`; grown on demand.
     by_rel: Vec<FxHashMap<SymTuple, NodeId>>,
 }
@@ -77,7 +90,8 @@ impl NodeTable {
         NodeTable::default()
     }
 
-    /// Intern a pair, returning its id (existing or fresh).
+    /// Intern a pair, returning its id (existing or fresh). A fresh node
+    /// starts dead.
     pub fn intern(&mut self, rel: RelId, tuple: &SymTuple) -> NodeId {
         let ri = rel.index();
         if self.by_rel.len() <= ri {
@@ -89,15 +103,46 @@ impl NodeTable {
                 // analyze: allow(panic) -- u32 ids (4B nodes per engine) are an accepted engine limit
                 let id = NodeId(u32::try_from(self.by_id.len()).expect("node table overflow"));
                 self.by_id.push((rel, tuple.clone()));
+                self.pos.push(DEAD);
                 *e.insert(id)
             }
         }
     }
 
+    /// [`intern`](Self::intern) from a borrowed row: the [`SymTuple`] is
+    /// built (one allocation) only when the pair was never interned.
+    pub(crate) fn intern_syms(&mut self, rel: RelId, syms: &[Sym]) -> NodeId {
+        match self.get(rel, syms) {
+            Some(id) => id,
+            None => self.intern(rel, &SymTuple::from_slice(syms)),
+        }
+    }
+
     /// Look up an existing id without interning.
     #[inline]
-    pub fn get(&self, rel: RelId, tuple: &SymTuple) -> Option<NodeId> {
-        self.by_rel.get(rel.index())?.get(tuple).copied()
+    pub fn get(&self, rel: RelId, syms: &[Sym]) -> Option<NodeId> {
+        self.by_rel.get(rel.index())?.get(syms).copied()
+    }
+
+    /// The node's position in its relation's table, `None` while its
+    /// tuple is absent (or the id is unknown).
+    #[inline]
+    pub(crate) fn position(&self, id: NodeId) -> Option<u32> {
+        self.pos.get(id.index()).copied().filter(|&p| p != DEAD)
+    }
+
+    /// True iff the node's tuple is present in its relation.
+    #[inline]
+    pub(crate) fn is_alive(&self, id: NodeId) -> bool {
+        self.position(id).is_some()
+    }
+
+    /// Record where the node's tuple now sits (`Some`), or that it left
+    /// its relation (`None`). Unknown ids are ignored.
+    pub(crate) fn set_position(&mut self, id: NodeId, pos: Option<u32>) {
+        if let Some(slot) = self.pos.get_mut(id.index()) {
+            *slot = pos.unwrap_or(DEAD);
+        }
     }
 
     /// The `(relation, tuple)` behind an id.
@@ -163,11 +208,27 @@ mod tests {
         let mut i = ValueInterner::new();
         let mut t = NodeTable::new();
         let st = i.intern_tuple(&tuple![1]);
-        assert_eq!(t.get(RelId(0), &st), None);
+        assert_eq!(t.get(RelId(0), st.syms()), None);
         let id = t.intern(RelId(0), &st);
-        assert_eq!(t.get(RelId(0), &st), Some(id));
-        assert_eq!(t.get(RelId(7), &st), None, "unknown relation");
+        assert_eq!(t.get(RelId(0), st.syms()), Some(id));
+        assert_eq!(t.get(RelId(7), st.syms()), None, "unknown relation");
         assert_eq!(t.len(), 1, "get does not intern");
+        assert_eq!(t.intern_syms(RelId(0), st.syms()), id, "borrowed row hits");
+        assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn positions_start_dead_and_follow_the_relation() {
+        let mut i = ValueInterner::new();
+        let mut t = NodeTable::new();
+        let st = i.intern_tuple(&tuple![1]);
+        let id = t.intern_syms(RelId(0), st.syms());
+        assert!(!t.is_alive(id), "a fresh node is dead");
+        t.set_position(id, Some(4));
+        assert_eq!(t.position(id), Some(4));
+        t.set_position(id, None);
+        assert_eq!(t.position(id), None);
+        assert_eq!(t.position(NodeId(9)), None, "unknown id");
     }
 
     #[test]

@@ -106,32 +106,46 @@ impl ProvGraph {
     /// Record a derivation (deduplicated). Returns `true` if new.
     pub fn add_derivation(&mut self, d: Derivation) -> bool {
         let fp = fingerprint(&d);
-        self.add_derivation_fp(d, fp)
+        self.add_derivation_fp(&d.rule, d.head, &d.body, fp)
     }
 
-    /// [`add_derivation`](Self::add_derivation) with the `(rule, body)`
-    /// fingerprint precomputed (see [`derivation_fingerprint`]) — the
-    /// engine's merge path.
-    pub fn add_derivation_fp(&mut self, d: Derivation, fp: u64) -> bool {
-        debug_assert_eq!(fp, fingerprint(&d), "mismatched precomputed fingerprint");
-        let head = d.head.index();
-        if let Some(recorded) = self.by_head.get(head) {
+    /// [`add_derivation`](Self::add_derivation) from its parts, with the
+    /// `(rule, body)` fingerprint precomputed (see
+    /// [`derivation_fingerprint`]) — the engine's merge path. The body is
+    /// borrowed, so a duplicate firing allocates nothing.
+    pub fn add_derivation_fp(
+        &mut self,
+        rule: &RuleId,
+        head: NodeId,
+        body: &[NodeId],
+        fp: u64,
+    ) -> bool {
+        debug_assert_eq!(
+            fp,
+            derivation_fingerprint(rule, body),
+            "mismatched precomputed fingerprint"
+        );
+        if let Some(recorded) = self.by_head.get(head.index()) {
             // A fingerprint match is confirmed structurally: collisions
             // must not drop genuine derivations.
-            if recorded
-                .iter()
-                .any(|&(i, f)| f == fp && self.derivations[i as usize] == d)
-            {
+            if recorded.iter().any(|&(i, f)| {
+                let d = &self.derivations[i as usize];
+                f == fp && d.rule == *rule && d.body == body
+            }) {
                 return false;
             }
         }
         // analyze: allow(panic) -- u32 indexes (4B derivations per engine) are an accepted engine limit
         let i = u32::try_from(self.derivations.len()).expect("derivation overflow");
-        push_adj(&mut self.by_head, head, (i, fp));
-        for b in &d.body {
+        push_adj(&mut self.by_head, head.index(), (i, fp));
+        for b in body {
             push_adj(&mut self.by_body, b.index(), i);
         }
-        self.derivations.push(d);
+        self.derivations.push(Derivation {
+            rule: RuleId::clone(rule),
+            head,
+            body: body.to_vec(),
+        });
         true
     }
 

@@ -24,6 +24,7 @@
 use crate::fxhash::FxHashMap;
 use crate::tuple::Tuple;
 use crate::value::Value;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -69,6 +70,12 @@ impl SymTuple {
         SymTuple(syms.into())
     }
 
+    /// Build from a borrowed symbol slice: one allocation, so callers can
+    /// assemble a row in a reused buffer.
+    pub fn from_slice(syms: &[Sym]) -> Self {
+        SymTuple(Arc::from(syms))
+    }
+
     /// Number of columns.
     #[inline]
     pub fn arity(&self) -> usize {
@@ -97,6 +104,15 @@ impl std::ops::Index<usize> for SymTuple {
     #[inline]
     fn index(&self, i: usize) -> &Sym {
         &self.0[i]
+    }
+}
+
+/// Hash maps keyed by `SymTuple` answer probes with a borrowed `&[Sym]`:
+/// the derived `Hash` and `Eq` of `Arc<[Sym]>` are those of `[Sym]`.
+impl Borrow<[Sym]> for SymTuple {
+    #[inline]
+    fn borrow(&self) -> &[Sym] {
+        &self.0
     }
 }
 
@@ -198,13 +214,19 @@ impl ValueInterner {
         t.values().iter().map(|v| self.intern(v)).collect()
     }
 
-    /// Look up a tuple without interning: `None` if **any** column was
-    /// never interned (then no stored tuple can equal it).
-    pub fn get_tuple(&self, t: &Tuple) -> Option<SymTuple> {
-        t.values()
-            .iter()
-            .map(|v| self.get(v))
-            .collect::<Option<_>>()
+    /// Look up a tuple's symbols without interning, into `out` (cleared
+    /// first): `false` if **any** column was never interned (then no
+    /// stored tuple can equal it). The buffer is the caller's, so a
+    /// lookup allocates nothing once it has grown.
+    pub fn get_syms(&self, t: &Tuple, out: &mut Vec<Sym>) -> bool {
+        out.clear();
+        for v in t.values() {
+            match self.get(v) {
+                Some(s) => out.push(s),
+                None => return false,
+            }
+        }
+        true
     }
 
     /// Resolve a symbol tuple back to values.
@@ -296,10 +318,13 @@ mod tests {
     #[test]
     fn get_tuple_without_interning() {
         let mut i = ValueInterner::new();
-        assert_eq!(i.get_tuple(&tuple![1]), None);
+        let mut buf = Vec::new();
+        assert!(!i.get_syms(&tuple![1], &mut buf));
         let st = i.intern_tuple(&tuple![1, 2]);
-        assert_eq!(i.get_tuple(&tuple![1, 2]), Some(st));
-        assert_eq!(i.get_tuple(&tuple![1, 3]), None, "3 never interned");
+        assert!(i.get_syms(&tuple![1, 2], &mut buf));
+        assert_eq!(buf.as_slice(), st.syms());
+        assert_eq!(SymTuple::from_slice(&buf), st);
+        assert!(!i.get_syms(&tuple![1, 3], &mut buf), "3 never interned");
         assert_eq!(i.len(), 2, "get does not intern");
     }
 

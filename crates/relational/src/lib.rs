@@ -26,8 +26,10 @@
 //! * [`ValueInterner`] / [`Sym`] / [`SymTuple`] — dense `u32` symbols for
 //!   values, the representation the datalog engine's join pipeline runs on
 //!   (integer equality/hashing, fixed-width index keys).
-//! * [`SymRel`] — one relation's insertion-ordered tuple table with its
-//!   `[Sym]` probe indexes, the storage the datalog engine runs on.
+//! * [`SymRel`] — one relation's sequence-ordered, position-addressed
+//!   table of `(tuple, payload)` entries with its `[Sym]` probe indexes,
+//!   the storage the datalog engine runs on (membership lives in the
+//!   engine's node table, not here).
 //! * [`FxHashMap`] / [`FxHashSet`] ([`fxhash`]) — maps hashed with a
 //!   seedless word hasher, for keys the engine assigns itself.
 
