@@ -5,14 +5,13 @@
 //! |---|---|
 //! | e4 | incremental propagation vs full recomputation |
 //! | e8 | replicated-store availability under churn; durable sync/cache tiers |
-//! | e9 | provenance-polynomial (semiring) operations |
 //! | e12 | the gossiping mesh across OS processes |
 //! | e13 | the fault matrix: injected faults at every layer, healed |
 //!
 //! Usage:
 //! ```text
 //! cargo run --release -p orchestra-bench --bin experiments              # all
-//! cargo run --release -p orchestra-bench --bin experiments -- e4 e9    # some
+//! cargo run --release -p orchestra-bench --bin experiments -- e4 e8    # some
 //! cargo run --release -p orchestra-bench --bin experiments -- \
 //!     e4 e8 --json-dir . --variant paged                                # emit BENCH_*.json
 //! cargo run --release -p orchestra-bench --bin experiments -- \
@@ -31,7 +30,6 @@
 use orchestra_bench::json::{BenchReport, Json};
 use orchestra_bench::*;
 use orchestra_datalog::EngineStats;
-use orchestra_provenance::{Boolean, Counting, Semiring, Tropical};
 use orchestra_relational::tuple;
 use orchestra_store::{
     CacheMode, DurableOptions, DurableStore, FetchCursor, ReplicatedStore, SyncPolicy, UpdateStore,
@@ -40,7 +38,7 @@ use orchestra_updates::{Epoch, PeerId, Transaction, TxnId, Update};
 use std::path::PathBuf;
 
 /// The experiments this harness runs, in run order.
-const EXPERIMENTS: [&str; 5] = ["e4", "e8", "e9", "e12", "e13"];
+const EXPERIMENTS: [&str; 4] = ["e4", "e8", "e12", "e13"];
 
 /// Harness configuration parsed from the command line.
 pub struct Opts {
@@ -126,9 +124,6 @@ fn main() {
     }
     if opts.want("e8") {
         e8_store(&opts);
-    }
-    if opts.want("e9") {
-        e9_semiring();
     }
     if opts.want("e12") {
         let report = orchestra_bench::mesh_cluster::e12_mesh_cluster(opts.smoke, &opts.variant);
@@ -427,52 +422,6 @@ fn e8_durable(n_txns: u64) {
     println!();
 }
 
-/// E9 — semiring algebra microbenchmarks (companion \[6\]).
-fn e9_semiring() {
-    println!("── E9: provenance polynomial operations (companion [6]) ──");
-    println!(
-        "{:>8} {:>8} {:>12} {:>12} {:>14} {:>14}",
-        "terms", "vars", "plus ms", "times ms", "eval(B) ms", "eval(Trop) ms"
-    );
-    for &(terms, vars) in &[(16usize, 8u32), (64, 16), (256, 32)] {
-        let a = random_polynomial(terms, vars, 1);
-        let b = random_polynomial(terms, vars, 2);
-        let (_, t_plus) = timed(|| {
-            for _ in 0..100 {
-                let _ = a.plus(&b);
-            }
-        });
-        let (_, t_times) = timed(|| {
-            for _ in 0..10 {
-                let _ = a.times(&b);
-            }
-        });
-        let (_, t_bool) = timed(|| {
-            for _ in 0..100 {
-                let _ = a.eval(|v| Boolean(v % 3 != 0));
-            }
-        });
-        let (_, t_trop) = timed(|| {
-            for _ in 0..100 {
-                let _ = a.eval(|v| Tropical::cost((*v as u64) % 7));
-            }
-        });
-        // Sanity: counting evaluation with all-1 equals sum of coefficients.
-        let total: u64 = a.iter().map(|(_, c)| c).sum();
-        assert_eq!(a.eval(|_| Counting(1)), Counting(total));
-        println!(
-            "{:>8} {:>8} {:>12} {:>12} {:>14} {:>14}",
-            terms,
-            vars,
-            ms(t_plus),
-            ms(t_times),
-            ms(t_bool),
-            ms(t_trop)
-        );
-    }
-    println!();
-}
-
 #[cfg(test)]
 mod tests {
     use super::Opts;
@@ -486,10 +435,10 @@ mod tests {
         let opts = parse(&["e4", "E13", "--smoke", "--json-dir", "out", "e12"]).unwrap();
         assert_eq!(opts.names, ["e4", "E13", "e12"]);
         assert!(opts.smoke && opts.want("e13") && !opts.want("e8"));
-        for stale in ["e5", "e6", "e7", "e11", "e99"] {
+        for stale in ["e5", "e6", "e7", "e9", "e11", "e99"] {
             let err = parse(&["e4", stale]).err().expect("stale name rejected");
             assert!(err.contains(stale), "{err}");
-            assert!(err.contains("e4 e8 e9 e12 e13"), "{err}");
+            assert!(err.contains("e4 e8 e12 e13"), "{err}");
         }
         assert!(parse(&["--json-dir"]).is_err());
     }

@@ -1,12 +1,10 @@
-//! Deterministic workload generators for the engine-level experiments
-//! (E4, E9).
+//! Deterministic workload generators for the engine-level experiment
+//! (E4).
 
 use orchestra_core::demo;
 use orchestra_datalog::{Engine, Rule};
 use orchestra_relational::{tuple, DatabaseSchema, Tuple};
 use orchestra_updates::PeerId;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 
 /// The Figure 2 mapping program compiled against the combined qualified
 /// schema — for the engine-level experiment (E4) that bypasses the CDSS.
@@ -70,27 +68,4 @@ pub fn warm_engine(
     }
     e.propagate().unwrap();
     e
-}
-
-/// E9: a random provenance polynomial with `terms` monomials over
-/// `vars` variables with exponents ≤ 2.
-pub fn random_polynomial(
-    terms: usize,
-    vars: u32,
-    seed: u64,
-) -> orchestra_provenance::Polynomial<u32> {
-    use orchestra_provenance::{Monomial, Polynomial, Semiring};
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut p = Polynomial::zero();
-    for _ in 0..terms {
-        let n_factors = rng.random_range(1..4usize);
-        let pairs: Vec<(u32, u32)> = (0..n_factors)
-            .map(|_| (rng.random_range(0..vars), rng.random_range(1..3u32)))
-            .collect();
-        p.plus_assign(&Polynomial::term(
-            Monomial::from_pairs(pairs),
-            rng.random_range(1..3u64),
-        ));
-    }
-    p
 }

@@ -263,13 +263,6 @@ impl ProvGraph {
         acc
     }
 
-    /// Evaluate the node's provenance in any commutative semiring by
-    /// assigning values to base nodes (over simple proofs, like
-    /// [`polynomial`](Self::polynomial)).
-    pub fn eval<S: Semiring>(&self, node: NodeId, f: impl Fn(NodeId) -> S) -> S {
-        self.polynomial(node).eval(|v| f(*v))
-    }
-
     /// The base nodes of the node's **canonical proof**: follow each
     /// node's chronologically first derivation (or its own base fact).
     ///
@@ -502,7 +495,7 @@ mod tests {
             BTreeSet::from([n(0), n(1)]),
         ] {
             for node in [n(2), n(3)] {
-                let via_poly = g.eval(node, |b| Boolean(!dead.contains(&b)));
+                let via_poly = g.polynomial(node).eval(|b| Boolean(!dead.contains(b)));
                 assert_eq!(
                     via_poly.0,
                     g.is_derivable(node, &dead),

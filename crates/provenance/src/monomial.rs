@@ -7,6 +7,7 @@ use std::fmt;
 /// positive exponents, in canonical (sorted, deduplicated) form.
 ///
 /// The empty monomial is the multiplicative unit `1`.
+/// Exponent arithmetic saturates at `u32::MAX`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Monomial<V: Ord + Clone> {
     factors: BTreeMap<V, u32>,
@@ -14,17 +15,10 @@ pub struct Monomial<V: Ord + Clone> {
 
 impl<V: Ord + Clone> Monomial<V> {
     /// The unit monomial `1`.
-    pub fn unit() -> Self {
+    pub(crate) fn unit() -> Self {
         Monomial {
             factors: BTreeMap::new(),
         }
-    }
-
-    /// The monomial consisting of a single variable `v`.
-    pub fn var(v: V) -> Self {
-        let mut factors = BTreeMap::new();
-        factors.insert(v, 1);
-        Monomial { factors }
     }
 
     /// Build from `(variable, exponent)` pairs; zero exponents are dropped,
@@ -33,35 +27,16 @@ impl<V: Ord + Clone> Monomial<V> {
         let mut factors: BTreeMap<V, u32> = BTreeMap::new();
         for (v, e) in pairs {
             if e > 0 {
-                *factors.entry(v).or_insert(0) += e;
+                let slot = factors.entry(v).or_insert(0);
+                *slot = slot.saturating_add(e);
             }
         }
         Monomial { factors }
     }
 
     /// True iff this is the unit monomial.
-    pub fn is_unit(&self) -> bool {
+    pub(crate) fn is_unit(&self) -> bool {
         self.factors.is_empty()
-    }
-
-    /// Total degree (sum of exponents).
-    pub fn degree(&self) -> u64 {
-        self.factors.values().map(|&e| e as u64).sum()
-    }
-
-    /// Number of distinct variables.
-    pub fn num_vars(&self) -> usize {
-        self.factors.len()
-    }
-
-    /// Exponent of `v` (0 if absent).
-    pub fn exponent(&self, v: &V) -> u32 {
-        self.factors.get(v).copied().unwrap_or(0)
-    }
-
-    /// True iff `v` occurs.
-    pub fn contains(&self, v: &V) -> bool {
-        self.factors.contains_key(v)
     }
 
     /// Iterate `(variable, exponent)` in variable order.
@@ -70,7 +45,7 @@ impl<V: Ord + Clone> Monomial<V> {
     }
 
     /// Product of two monomials (exponents add).
-    pub fn times(&self, other: &Self) -> Self {
+    pub(crate) fn times(&self, other: &Self) -> Self {
         // Merge the smaller map into the larger to bound work.
         let (big, small) = if self.factors.len() >= other.factors.len() {
             (self, other)
@@ -79,22 +54,10 @@ impl<V: Ord + Clone> Monomial<V> {
         };
         let mut factors = big.factors.clone();
         for (v, &e) in &small.factors {
-            *factors.entry(v.clone()).or_insert(0) += e;
+            let slot = factors.entry(v.clone()).or_insert(0);
+            *slot = slot.saturating_add(e);
         }
         Monomial { factors }
-    }
-
-    /// The monomial with all exponents forced to 1 (the `Trio(X)` → `Why(X)`
-    /// style "drop exponents" projection).
-    pub fn support(&self) -> Monomial<V> {
-        Monomial {
-            factors: self.factors.keys().map(|v| (v.clone(), 1)).collect(),
-        }
-    }
-
-    /// The set of variables.
-    pub fn variables(&self) -> impl Iterator<Item = &V> {
-        self.factors.keys()
     }
 }
 
@@ -121,77 +84,74 @@ impl<V: Ord + Clone + fmt::Display> fmt::Display for Monomial<V> {
 mod tests {
     use super::*;
 
+    type M = Monomial<u32>;
+
+    fn pairs(m: &M) -> Vec<(u32, u32)> {
+        m.iter().map(|(v, e)| (*v, e)).collect()
+    }
+
     #[test]
     fn unit_properties() {
-        let u: Monomial<u32> = Monomial::unit();
+        let u = M::unit();
         assert!(u.is_unit());
-        assert_eq!(u.degree(), 0);
-        assert_eq!(u.num_vars(), 0);
+        assert_eq!(pairs(&u), []);
         assert_eq!(u.to_string(), "1");
     }
 
     #[test]
     fn var_and_times() {
-        let x = Monomial::var(1u32);
-        let y = Monomial::var(2u32);
+        let x = M::from_pairs([(1, 1)]);
+        let y = M::from_pairs([(2, 1)]);
         let xy = x.times(&y);
-        assert_eq!(xy.degree(), 2);
-        assert_eq!(xy.exponent(&1), 1);
-        assert_eq!(xy.exponent(&2), 1);
+        assert_eq!(pairs(&xy), [(1, 1), (2, 1)]);
         let x2y = xy.times(&x);
-        assert_eq!(x2y.exponent(&1), 2);
-        assert_eq!(x2y.degree(), 3);
+        assert_eq!(pairs(&x2y), [(1, 2), (2, 1)]);
+        // Exponents saturate instead of overflowing.
+        let huge = M::from_pairs([(1, u32::MAX)]);
+        assert_eq!(pairs(&huge.times(&x2y)), [(1, u32::MAX), (2, 1)]);
     }
 
     #[test]
     fn times_unit_is_identity() {
-        let x = Monomial::var(5u32);
-        assert_eq!(x.times(&Monomial::unit()), x);
-        assert_eq!(Monomial::unit().times(&x), x);
+        let x = M::from_pairs([(5, 1)]);
+        assert_eq!(x.times(&M::unit()), x);
+        assert_eq!(M::unit().times(&x), x);
     }
 
     #[test]
     fn times_is_commutative() {
-        let a = Monomial::from_pairs([(1u32, 2), (3, 1)]);
-        let b = Monomial::from_pairs([(2u32, 1), (3, 4)]);
+        let a = M::from_pairs([(1, 2), (3, 1)]);
+        let b = M::from_pairs([(2, 1), (3, 4)]);
         assert_eq!(a.times(&b), b.times(&a));
     }
 
     #[test]
     fn from_pairs_canonicalizes() {
-        let m = Monomial::from_pairs([(2u32, 1), (1, 0), (2, 2)]);
-        assert_eq!(m.exponent(&2), 3);
-        assert!(!m.contains(&1), "zero exponents dropped");
-        assert_eq!(m.num_vars(), 1);
-    }
-
-    #[test]
-    fn support_drops_exponents() {
-        let m = Monomial::from_pairs([(1u32, 3), (2, 1)]);
-        let s = m.support();
-        assert_eq!(s.exponent(&1), 1);
-        assert_eq!(s.exponent(&2), 1);
-        assert_eq!(s.degree(), 2);
+        // Zero exponents dropped, duplicates combined.
+        let m = M::from_pairs([(2, 1), (1, 0), (2, 2)]);
+        assert_eq!(pairs(&m), [(2, 3)]);
+        let m = M::from_pairs([(1, u32::MAX), (1, 1)]);
+        assert_eq!(pairs(&m), [(1, u32::MAX)], "saturates");
     }
 
     #[test]
     fn display_with_exponents() {
-        let m = Monomial::from_pairs([(1u32, 2), (7, 1)]);
+        let m = M::from_pairs([(1, 2), (7, 1)]);
         assert_eq!(m.to_string(), "1^2·7");
     }
 
     #[test]
     fn ordering_is_deterministic() {
-        let a = Monomial::var(1u32);
-        let b = Monomial::var(2u32);
+        let a = M::from_pairs([(1, 1)]);
+        let b = M::from_pairs([(2, 1)]);
         assert!(a < b);
-        assert!(Monomial::<u32>::unit() < a);
+        assert!(M::unit() < a);
     }
 
     #[test]
     fn variables_iteration() {
-        let m = Monomial::from_pairs([(3u32, 1), (1, 2)]);
-        let vars: Vec<u32> = m.variables().copied().collect();
+        let m = M::from_pairs([(3, 1), (1, 2)]);
+        let vars: Vec<u32> = m.iter().map(|(v, _)| *v).collect();
         assert_eq!(vars, vec![1, 3]);
     }
 }

@@ -2,7 +2,6 @@
 
 use crate::monomial::Monomial;
 use crate::semiring::Semiring;
-use crate::why::Why;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -10,15 +9,13 @@ use std::fmt;
 /// canonical form: a map from monomial to positive coefficient.
 ///
 /// This is the most informative provenance annotation of the PODS'07
-/// hierarchy; every coarser form is a projection:
-///
-/// * [`drop_coefficients`](Polynomial::drop_coefficients) → `B\[X\]`
-/// * [`drop_exponents`](Polynomial::drop_exponents) → `Trio(X)`
-/// * [`why`](Polynomial::why) → `Why(X)` witness sets
-/// * [`lineage`](Polynomial::lineage) → flat lineage
-///
-/// and every commutative-semiring evaluation factors through
+/// hierarchy: every commutative-semiring evaluation factors through
 /// [`eval`](Polynomial::eval) (the universal property).
+///
+/// Coefficient arithmetic saturates at `u64::MAX` and exponent arithmetic
+/// at `u32::MAX` (a graph with enough alternative derivations could
+/// otherwise overflow them), so the semiring laws hold exactly for
+/// polynomials whose coefficients and exponents stay below those bounds.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Polynomial<V: Ord + Clone> {
     terms: BTreeMap<Monomial<V>, u64>,
@@ -27,13 +24,11 @@ pub struct Polynomial<V: Ord + Clone> {
 impl<V: Ord + Clone + fmt::Debug> Polynomial<V> {
     /// The single-variable polynomial `v` — the annotation of a base tuple.
     pub fn var(v: V) -> Self {
-        let mut terms = BTreeMap::new();
-        terms.insert(Monomial::var(v), 1);
-        Polynomial { terms }
+        Self::term(Monomial::from_pairs([(v, 1)]), 1)
     }
 
     /// The polynomial for a single monomial with coefficient.
-    pub fn term(m: Monomial<V>, coefficient: u64) -> Self {
+    pub(crate) fn term(m: Monomial<V>, coefficient: u64) -> Self {
         let mut terms = BTreeMap::new();
         if coefficient > 0 {
             terms.insert(m, coefficient);
@@ -41,19 +36,9 @@ impl<V: Ord + Clone + fmt::Debug> Polynomial<V> {
         Polynomial { terms }
     }
 
-    /// A constant polynomial `n · 1`.
-    pub fn constant(n: u64) -> Self {
-        Self::term(Monomial::unit(), n)
-    }
-
     /// Number of monomials.
     pub fn num_terms(&self) -> usize {
         self.terms.len()
-    }
-
-    /// Maximum total degree over monomials (0 for constants and zero).
-    pub fn degree(&self) -> u64 {
-        self.terms.keys().map(Monomial::degree).max().unwrap_or(0)
     }
 
     /// Iterate `(monomial, coefficient)` in monomial order.
@@ -61,29 +46,25 @@ impl<V: Ord + Clone + fmt::Debug> Polynomial<V> {
         self.terms.iter().map(|(m, &c)| (m, c))
     }
 
-    /// The coefficient of a monomial (0 if absent).
-    pub fn coefficient(&self, m: &Monomial<V>) -> u64 {
-        self.terms.get(m).copied().unwrap_or(0)
-    }
-
     /// All distinct variables appearing in the polynomial.
     pub fn variables(&self) -> BTreeSet<V> {
         self.terms
             .keys()
-            .flat_map(|m| m.variables().cloned())
+            .flat_map(|m| m.iter().map(|(v, _)| v.clone()))
             .collect()
     }
 
     /// True iff variable `v` occurs anywhere.
     pub fn mentions(&self, v: &V) -> bool {
-        self.terms.keys().any(|m| m.contains(v))
+        self.terms.keys().any(|m| m.iter().any(|(w, _)| w == v))
     }
 
     /// In-place addition, avoiding an intermediate clone on the hot path of
     /// semi-naive evaluation.
     pub fn plus_assign(&mut self, other: &Self) {
         for (m, &c) in &other.terms {
-            *self.terms.entry(m.clone()).or_insert(0) += c;
+            let slot = self.terms.entry(m.clone()).or_insert(0);
+            *slot = slot.saturating_add(c);
         }
     }
 
@@ -91,7 +72,9 @@ impl<V: Ord + Clone + fmt::Debug> Polynomial<V> {
     /// through `f` (the universal property of N\[X\]).
     ///
     /// Coefficients become `n`-fold sums and exponents `e`-fold products, so
-    /// idempotent semirings collapse them as the theory prescribes.
+    /// idempotent semirings collapse them as the theory prescribes. Both
+    /// are computed by repeated doubling / squaring, in time logarithmic in
+    /// the coefficient and the exponent.
     pub fn eval<S: Semiring>(&self, mut f: impl FnMut(&V) -> S) -> S {
         let mut acc = S::zero();
         for (m, &coeff) in &self.terms {
@@ -102,95 +85,44 @@ impl<V: Ord + Clone + fmt::Debug> Polynomial<V> {
                     term = S::zero();
                     break;
                 }
-                for _ in 0..e {
-                    term = term.times(&val);
-                }
+                term = term.times(&power(val, e));
             }
             if term.is_zero() {
                 continue;
             }
-            // coeff-fold sum of `term`.
-            for _ in 0..coeff {
-                acc = acc.plus(&term);
-            }
+            acc = acc.plus(&multiple(term, coeff));
         }
         acc
     }
+}
 
-    /// `B\[X\]`: the same monomials with all coefficients forced to 1.
-    pub fn drop_coefficients(&self) -> Polynomial<V> {
-        Polynomial {
-            terms: self.terms.keys().map(|m| (m.clone(), 1)).collect(),
+/// `x^e` (`e ≥ 1`) by square-and-multiply.
+fn power<S: Semiring>(mut x: S, mut e: u32) -> S {
+    let mut acc = S::one();
+    loop {
+        if e & 1 == 1 {
+            acc = acc.times(&x);
         }
-    }
-
-    /// `Trio(X)`: keep coefficients, force exponents to 1 (combining
-    /// monomials that collapse together).
-    pub fn drop_exponents(&self) -> Polynomial<V> {
-        let mut terms: BTreeMap<Monomial<V>, u64> = BTreeMap::new();
-        for (m, &c) in &self.terms {
-            *terms.entry(m.support()).or_insert(0) += c;
+        e >>= 1;
+        if e == 0 {
+            return acc;
         }
-        Polynomial { terms }
+        x = x.times(&x);
     }
+}
 
-    /// `Why(X)`: the witness basis — each monomial's variable set, as a set.
-    pub fn why(&self) -> Why<V> {
-        Why::from_witnesses(
-            self.terms
-                .keys()
-                .map(|m| m.variables().cloned().collect::<BTreeSet<V>>()),
-        )
-    }
-
-    /// Flat lineage: the union of all variables.
-    pub fn lineage(&self) -> BTreeSet<V> {
-        self.variables()
-    }
-
-    /// Substitute polynomials for variables (e.g. unfolding one derivation
-    /// level, or restricting to a sub-database by substituting 0/1).
-    pub fn substitute(&self, mut f: impl FnMut(&V) -> Polynomial<V>) -> Polynomial<V> {
-        let mut acc = Polynomial::zero();
-        for (m, &coeff) in &self.terms {
-            let mut term = Polynomial::constant(coeff);
-            for (v, e) in m.iter() {
-                let sub = f(v);
-                for _ in 0..e {
-                    term = term.times(&sub);
-                    if term.is_zero() {
-                        break;
-                    }
-                }
-                if term.is_zero() {
-                    break;
-                }
-            }
-            acc.plus_assign(&term);
+/// `x + x + … + x` (`n ≥ 1` copies) by double-and-add.
+fn multiple<S: Semiring>(mut x: S, mut n: u64) -> S {
+    let mut acc = S::zero();
+    loop {
+        if n & 1 == 1 {
+            acc = acc.plus(&x);
         }
-        acc
-    }
-
-    /// Decide derivability if the tokens in `dead` are deleted: evaluate in
-    /// the Boolean semiring with dead tokens ↦ false. This is the
-    /// provenance-based deletion test of the update-exchange paper.
-    pub fn derivable_without(&self, dead: &BTreeSet<V>) -> bool {
-        self.terms
-            .keys()
-            .any(|m| m.variables().all(|v| !dead.contains(v)))
-    }
-
-    /// Remove every monomial mentioning a dead token, yielding the
-    /// polynomial over the surviving database.
-    pub fn restrict_without(&self, dead: &BTreeSet<V>) -> Polynomial<V> {
-        Polynomial {
-            terms: self
-                .terms
-                .iter()
-                .filter(|(m, _)| m.variables().all(|v| !dead.contains(v)))
-                .map(|(m, &c)| (m.clone(), c))
-                .collect(),
+        n >>= 1;
+        if n == 0 {
+            return acc;
         }
+        x = x.plus(&x);
     }
 }
 
@@ -205,7 +137,7 @@ where
     }
 
     fn one() -> Self {
-        Polynomial::constant(1)
+        Polynomial::term(Monomial::unit(), 1)
     }
 
     fn plus(&self, other: &Self) -> Self {
@@ -221,8 +153,8 @@ where
         let mut terms: BTreeMap<Monomial<V>, u64> = BTreeMap::new();
         for (m1, &c1) in &self.terms {
             for (m2, &c2) in &other.terms {
-                let m = m1.times(m2);
-                *terms.entry(m).or_insert(0) += c1 * c2;
+                let slot = terms.entry(m1.times(m2)).or_insert(0);
+                *slot = slot.saturating_add(c1.saturating_mul(c2));
             }
         }
         Polynomial { terms }
@@ -257,10 +189,11 @@ impl<V: Ord + Clone + fmt::Display> fmt::Display for Polynomial<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::semiring::{check_semiring_laws, Boolean, Counting, Tropical};
+    use crate::semiring::{check_semiring_laws, Boolean};
     use proptest::prelude::*;
 
     type P = Polynomial<u32>;
+    type M = Monomial<u32>;
 
     fn x() -> P {
         P::var(1)
@@ -271,11 +204,25 @@ mod tests {
     fn z() -> P {
         P::var(3)
     }
+    fn constant(n: u64) -> P {
+        P::term(M::unit(), n)
+    }
+    /// `(monomial as (var, exponent) pairs, coefficient)` in monomial order.
+    fn terms(p: &P) -> Vec<(Vec<(u32, u32)>, u64)> {
+        p.iter()
+            .map(|(m, c)| (m.iter().map(|(v, e)| (*v, e)).collect(), c))
+            .collect()
+    }
+    /// Boolean evaluation with the `dead` tokens mapped to `false`.
+    fn alive_without(p: &P, dead: &BTreeSet<u32>) -> bool {
+        p.eval(|v| Boolean(!dead.contains(v))).0
+    }
 
     #[test]
     fn zero_and_one() {
         assert!(P::zero().is_zero());
-        assert!(P::one().is_one());
+        assert!(!P::one().is_zero());
+        assert_eq!(P::one(), constant(1));
         assert_eq!(P::zero().num_terms(), 0);
         assert_eq!(P::one().to_string(), "1");
     }
@@ -285,26 +232,33 @@ mod tests {
         // (x + y)^2 = x^2 + 2xy + y^2 — the PODS'07 running example shape.
         let p = x().plus(&y());
         let sq = p.times(&p);
-        assert_eq!(sq.num_terms(), 3);
-        assert_eq!(sq.coefficient(&Monomial::from_pairs([(1, 2)])), 1);
-        assert_eq!(sq.coefficient(&Monomial::from_pairs([(1, 1), (2, 1)])), 2);
-        assert_eq!(sq.coefficient(&Monomial::from_pairs([(2, 2)])), 1);
-        assert_eq!(sq.degree(), 2);
+        assert_eq!(
+            terms(&sq),
+            [
+                (vec![(1, 1), (2, 1)], 2),
+                (vec![(1, 2)], 1),
+                (vec![(2, 2)], 1)
+            ]
+        );
     }
 
     #[test]
     fn display_canonical() {
         let p = x().plus(&y()).plus(&x());
         assert_eq!(p.to_string(), "2·1 + 2");
+        assert_eq!(constant(4).to_string(), "4");
     }
 
     #[test]
     fn eval_counting_counts_derivations() {
-        // 2xy + x^2 with x=2, y=3 → 2*2*3 + 4 = 16.
-        let p = P::term(Monomial::from_pairs([(1, 1), (2, 1)]), 2)
-            .plus(&P::term(Monomial::from_pairs([(1, 2)]), 1));
-        let n = p.eval(|v| Counting(if *v == 1 { 2 } else { 3 }));
-        assert_eq!(n, Counting(16));
+        // 2xy + x^2 with x=2, y=3 → 2*2*3 + 4 = 16, counted in N[X]'s
+        // constants.
+        let p =
+            P::term(M::from_pairs([(1, 1), (2, 1)]), 2).plus(&P::term(M::from_pairs([(1, 2)]), 1));
+        let n = p.eval(|v| constant(if *v == 1 { 2 } else { 3 }));
+        assert_eq!(n, constant(16));
+        // Every token present: one derivation per coefficient unit.
+        assert_eq!(p.eval(|_| constant(1)), constant(3));
     }
 
     #[test]
@@ -319,56 +273,49 @@ mod tests {
     }
 
     #[test]
-    fn eval_tropical_takes_cheapest_derivation() {
-        // x·y + z with costs x=1, y=2, z=5 → min(1+2, 5) = 3.
-        let p = x().times(&y()).plus(&z());
-        let t = p.eval(|v| {
-            Tropical::cost(match v {
-                1 => 1,
-                2 => 2,
-                _ => 5,
-            })
-        });
-        assert_eq!(t, Tropical::cost(3));
-    }
-
-    #[test]
     fn eval_zero_short_circuits() {
         let p = x().times(&y());
-        assert_eq!(p.eval(|_| Counting(0)), Counting(0));
-        assert_eq!(P::zero().eval(|_: &u32| Counting(7)), Counting(0));
+        assert_eq!(p.eval(|_| P::zero()), P::zero());
+        assert_eq!(P::zero().eval(|_: &u32| constant(7)), P::zero());
+        assert_eq!(p.eval(|_| Boolean(false)), Boolean(false));
+        assert_eq!(P::zero().eval(|_: &u32| Boolean(true)), Boolean(false));
     }
 
     #[test]
-    fn hierarchy_projections() {
-        // p = x^2·y + 3·x·y + y
-        let p = P::term(Monomial::from_pairs([(1, 2), (2, 1)]), 1)
-            .plus(&P::term(Monomial::from_pairs([(1, 1), (2, 1)]), 3))
-            .plus(&y());
+    fn eval_is_logarithmic_in_coefficients_and_exponents() {
+        // A naive n-fold sum would take 2^64 steps here.
+        let p = P::term(M::from_pairs([(1, 1)]), u64::MAX);
+        assert_eq!(p.eval(|_| Boolean(true)), Boolean(true));
+        let p = P::term(M::from_pairs([(1, u32::MAX)]), u64::MAX);
+        assert_eq!(p.eval(|_| Boolean(true)), Boolean(true));
+        assert_eq!(p.eval(|_| constant(1)), constant(u64::MAX));
+        // Square-and-multiply agrees with the repeated product.
+        let p = P::term(M::from_pairs([(1, 5), (2, 3)]), 6);
+        let sum = x().plus(&y());
+        let mut expected = constant(6);
+        for _ in 0..8 {
+            expected = expected.times(&sum);
+        }
+        assert_eq!(p.eval(|_| sum.clone()), expected);
+    }
 
-        let b = p.drop_coefficients();
-        assert!(b.iter().all(|(_, c)| c == 1));
-        assert_eq!(b.num_terms(), 3);
-
-        // Dropping exponents merges x^2·y into x·y: 1 + 3 = 4 copies.
-        let trio = p.drop_exponents();
-        assert_eq!(trio.coefficient(&Monomial::from_pairs([(1, 1), (2, 1)])), 4);
-        assert_eq!(trio.coefficient(&Monomial::from_pairs([(2, 1)])), 1);
-        assert_eq!(trio.num_terms(), 2);
-
-        let why = p.why();
-        assert_eq!(why.witnesses().count(), 2); // {x,y} (from x²y and xy) and {y}
-        assert_eq!(why.minimize().num_witnesses(), 1); // absorption leaves {y}
-
-        let lin = p.lineage();
-        assert_eq!(lin, BTreeSet::from([1, 2]));
+    #[test]
+    fn coefficients_saturate() {
+        let xy = M::from_pairs([(1, 1), (2, 1)]);
+        let p =
+            P::term(M::from_pairs([(1, 1)]), u64::MAX).times(&P::term(M::from_pairs([(2, 1)]), 2));
+        assert_eq!(p, P::term(xy.clone(), u64::MAX));
+        let mut q = P::term(xy.clone(), u64::MAX);
+        q.plus_assign(&P::term(xy.clone(), 1));
+        assert_eq!(q, P::term(xy, u64::MAX));
     }
 
     #[test]
     fn substitution_unfolds() {
-        // p = x·y; substitute x ↦ (a + b), y ↦ y.
+        // Evaluating into N[X] itself substitutes polynomials for
+        // variables: p = x·y with x ↦ (a + b), y ↦ y.
         let p = x().times(&y());
-        let out = p.substitute(|v| {
+        let out = p.eval(|v| {
             if *v == 1 {
                 P::var(10).plus(&P::var(11))
             } else {
@@ -376,10 +323,7 @@ mod tests {
             }
         });
         // = a·y + b·y
-        assert_eq!(out.num_terms(), 2);
-        assert!(out.mentions(&10));
-        assert!(out.mentions(&11));
-        assert!(out.mentions(&2));
+        assert_eq!(out, P::var(10).times(&y()).plus(&P::var(11).times(&y())));
         assert!(!out.mentions(&1));
     }
 
@@ -387,31 +331,37 @@ mod tests {
     fn derivability_without_dead_tokens() {
         let p = x().times(&y()).plus(&z());
         let dead_z = BTreeSet::from([3u32]);
-        assert!(p.derivable_without(&dead_z), "x·y survives");
+        assert!(alive_without(&p, &dead_z), "x·y survives");
         let dead_xz = BTreeSet::from([1u32, 3]);
-        assert!(!p.derivable_without(&dead_xz), "both derivations dead");
+        assert!(!alive_without(&p, &dead_xz), "both derivations dead");
         assert!(
-            P::one().derivable_without(&dead_xz),
+            alive_without(&P::one(), &dead_xz),
             "constants always derivable"
         );
-        assert!(!P::zero().derivable_without(&BTreeSet::new()));
+        assert!(!alive_without(&P::zero(), &BTreeSet::new()));
     }
 
     #[test]
     fn restrict_without_removes_dead_monomials() {
+        // Mapping dead tokens to 0 and the rest to themselves drops every
+        // monomial that mentions a dead token.
         let p = x().times(&y()).plus(&z());
-        let restricted = p.restrict_without(&BTreeSet::from([3u32]));
+        let dead = BTreeSet::from([3u32]);
+        let restricted = p.eval(|v| {
+            if dead.contains(v) {
+                P::zero()
+            } else {
+                P::var(*v)
+            }
+        });
         assert_eq!(restricted, x().times(&y()));
         // Restriction and Boolean evaluation agree.
-        assert_eq!(
-            !restricted.is_zero(),
-            p.derivable_without(&BTreeSet::from([3u32]))
-        );
+        assert_eq!(!restricted.is_zero(), alive_without(&p, &dead));
     }
 
     #[test]
     fn variables_and_mentions() {
-        let p = x().times(&y()).plus(&P::constant(4));
+        let p = x().times(&y()).plus(&constant(4));
         assert_eq!(p.variables(), BTreeSet::from([1, 2]));
         assert!(p.mentions(&1));
         assert!(!p.mentions(&9));
@@ -426,7 +376,7 @@ mod tests {
         .prop_map(|terms| {
             let mut p = P::zero();
             for (pairs, coeff) in terms {
-                p.plus_assign(&P::term(Monomial::from_pairs(pairs), coeff));
+                p.plus_assign(&P::term(M::from_pairs(pairs), coeff));
             }
             p
         })
@@ -438,20 +388,23 @@ mod tests {
             check_semiring_laws(&a, &b, &c);
         }
 
-        /// The universal property: evaluation is a homomorphism.
+        /// The universal property: evaluation is a homomorphism. The target
+        /// is N[X] itself under a renaming that merges variables, so wrong
+        /// coefficient or exponent handling shows.
         #[test]
         fn eval_commutes_with_plus_and_times(a in poly_strategy(), b in poly_strategy()) {
-            let f = |v: &u32| Counting((*v as u64 % 3) + 1);
+            let f = |v: &u32| P::var(v % 3);
             prop_assert_eq!(a.plus(&b).eval(f), a.eval(f).plus(&b.eval(f)));
             prop_assert_eq!(a.times(&b).eval(f), a.eval(f).times(&b.eval(f)));
         }
 
-        /// Boolean evaluation agrees with the restriction-based test.
+        /// Boolean evaluation is "some monomial mentions no dead token".
         #[test]
         fn boolean_eval_matches_restriction(a in poly_strategy(), dead in proptest::collection::btree_set(0u32..5, 0..4)) {
-            let alive = a.eval(|v| Boolean(!dead.contains(v)));
-            prop_assert_eq!(alive.0, a.derivable_without(&dead));
-            prop_assert_eq!(alive.0, !a.restrict_without(&dead).is_zero());
+            let some_monomial_alive = a
+                .iter()
+                .any(|(m, _)| m.iter().all(|(v, _)| !dead.contains(v)));
+            prop_assert_eq!(alive_without(&a, &dead), some_monomial_alive);
         }
 
         /// plus_assign agrees with plus.
@@ -462,10 +415,11 @@ mod tests {
             prop_assert_eq!(c, a.plus(&b));
         }
 
-        /// Substituting each variable by itself is the identity.
+        /// Evaluating into N[X] with every variable mapped to itself is the
+        /// identity.
         #[test]
         fn identity_substitution(a in poly_strategy()) {
-            prop_assert_eq!(a.substitute(|v| P::var(*v)), a);
+            prop_assert_eq!(a.eval(|v| P::var(*v)), a);
         }
     }
 }

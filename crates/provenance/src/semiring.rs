@@ -1,11 +1,11 @@
-//! The commutative semiring abstraction and the concrete semirings used by
-//! the CDSS.
+//! The commutative semiring abstraction and the one concrete semiring the
+//! CDSS evaluates provenance in.
 //!
 //! A commutative semiring `(K, +, ·, 0, 1)` has `(K, +, 0)` a commutative
 //! monoid, `(K, ·, 1)` a commutative monoid, `·` distributing over `+`, and
-//! `0` annihilating. [`check_semiring_laws`] verifies all of these for a
-//! triple of elements and is driven by `proptest` in each implementation's
-//! tests (and reused by downstream crates).
+//! `0` annihilating. The crate's tests check all of these laws with
+//! `proptest` for [`Boolean`] and for [`Polynomial`](crate::Polynomial)
+//! itself.
 
 use std::fmt;
 
@@ -24,49 +24,11 @@ pub trait Semiring: Clone + PartialEq + fmt::Debug {
     fn is_zero(&self) -> bool {
         *self == Self::zero()
     }
-
-    /// True iff `self == 1`.
-    fn is_one(&self) -> bool {
-        *self == Self::one()
-    }
-
-    /// Sum of an iterator (0 for empty).
-    fn sum<I: IntoIterator<Item = Self>>(iter: I) -> Self {
-        iter.into_iter().fold(Self::zero(), |acc, x| acc.plus(&x))
-    }
-
-    /// Product of an iterator (1 for empty).
-    fn product<I: IntoIterator<Item = Self>>(iter: I) -> Self {
-        iter.into_iter().fold(Self::one(), |acc, x| acc.times(&x))
-    }
 }
 
-/// Assert all commutative-semiring laws on a triple of elements. Panics with
-/// a named law on violation; intended for property tests.
-pub fn check_semiring_laws<S: Semiring>(a: &S, b: &S, c: &S) {
-    // Additive monoid.
-    assert_eq!(a.plus(&b.plus(c)), a.plus(b).plus(c), "plus associativity");
-    assert_eq!(a.plus(b), b.plus(a), "plus commutativity");
-    assert_eq!(a.plus(&S::zero()), *a, "plus identity");
-    // Multiplicative monoid.
-    assert_eq!(
-        a.times(&b.times(c)),
-        a.times(b).times(c),
-        "times associativity"
-    );
-    assert_eq!(a.times(b), b.times(a), "times commutativity");
-    assert_eq!(a.times(&S::one()), *a, "times identity");
-    // Distributivity and annihilation.
-    assert_eq!(
-        a.times(&b.plus(c)),
-        a.times(b).plus(&a.times(c)),
-        "distributivity"
-    );
-    assert_eq!(a.times(&S::zero()), S::zero(), "annihilation");
-}
-
-/// The Boolean semiring `({false,true}, ∨, ∧)` — set semantics, trust and
-/// derivability decisions.
+/// The Boolean semiring `({false,true}, ∨, ∧)` — set semantics: evaluating
+/// a polynomial with some tokens mapped to `false` decides whether the
+/// tuple is still derivable without them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Boolean(pub bool);
 
@@ -91,196 +53,29 @@ impl fmt::Display for Boolean {
     }
 }
 
-/// The counting semiring `(ℕ, +, ×)` — bag semantics / number of
-/// derivations. Saturating so pathological workloads cannot overflow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Counting(pub u64);
-
-impl Semiring for Counting {
-    fn zero() -> Self {
-        Counting(0)
-    }
-    fn one() -> Self {
-        Counting(1)
-    }
-    fn plus(&self, other: &Self) -> Self {
-        Counting(self.0.saturating_add(other.0))
-    }
-    fn times(&self, other: &Self) -> Self {
-        Counting(self.0.saturating_mul(other.0))
-    }
-}
-
-impl fmt::Display for Counting {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-/// The tropical semiring `(ℕ ∪ {∞}, min, +)` — cheapest derivation cost.
-///
-/// A CDSS peer can rank alternative derivations by mapping each base token
-/// to a cost (e.g. how much it trusts the origin peer) and taking the
-/// minimum over derivations; `Infinity` is "underivable".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Tropical {
-    /// A finite cost.
-    Finite(u64),
-    /// No derivation (additive identity).
-    Infinity,
-}
-
-impl Tropical {
-    /// Finite cost constructor.
-    pub fn cost(c: u64) -> Self {
-        Tropical::Finite(c)
-    }
-
-    /// The finite cost, if any.
-    pub fn finite(&self) -> Option<u64> {
-        match self {
-            Tropical::Finite(c) => Some(*c),
-            Tropical::Infinity => None,
-        }
-    }
-}
-
-impl Semiring for Tropical {
-    fn zero() -> Self {
-        Tropical::Infinity
-    }
-    fn one() -> Self {
-        Tropical::Finite(0)
-    }
-    fn plus(&self, other: &Self) -> Self {
-        match (self, other) {
-            (Tropical::Infinity, x) | (x, Tropical::Infinity) => *x,
-            (Tropical::Finite(a), Tropical::Finite(b)) => Tropical::Finite(*a.min(b)),
-        }
-    }
-    fn times(&self, other: &Self) -> Self {
-        match (self, other) {
-            (Tropical::Infinity, _) | (_, Tropical::Infinity) => Tropical::Infinity,
-            (Tropical::Finite(a), Tropical::Finite(b)) => Tropical::Finite(a.saturating_add(*b)),
-        }
-    }
-}
-
-impl fmt::Display for Tropical {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Tropical::Finite(c) => write!(f, "{c}"),
-            Tropical::Infinity => write!(f, "∞"),
-        }
-    }
-}
-
-/// The access-control (security) semiring of PODS'07 §4: clearance levels
-/// ordered `Public < Confidential < Secret < TopSecret < NeverAllowed`,
-/// with `plus = min` (most permissive alternative) and `times = max` (a
-/// joint derivation is as restricted as its most restricted input).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Security {
-    /// Readable by anyone (multiplicative identity).
-    Public,
-    /// Confidential.
-    Confidential,
-    /// Secret.
-    Secret,
-    /// Top secret.
-    TopSecret,
-    /// Readable by no one (additive identity).
-    NeverAllowed,
-}
-
-impl Semiring for Security {
-    fn zero() -> Self {
-        Security::NeverAllowed
-    }
-    fn one() -> Self {
-        Security::Public
-    }
-    fn plus(&self, other: &Self) -> Self {
-        *self.min(other)
-    }
-    fn times(&self, other: &Self) -> Self {
-        *self.max(other)
-    }
-}
-
-impl fmt::Display for Security {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Security::Public => "P",
-            Security::Confidential => "C",
-            Security::Secret => "S",
-            Security::TopSecret => "T",
-            Security::NeverAllowed => "0",
-        };
-        write!(f, "{s}")
-    }
-}
-
-/// The fuzzy (confidence) semiring `([0,1], max, min)` — a derivation is
-/// as credible as its least credible input; alternatives take the best.
-///
-/// A CDSS peer can rank candidate updates by assigning per-origin
-/// confidence scores and evaluating provenance under this semiring (the
-/// confidence-ranking reading of trust the paper sketches). Being a
-/// distributive lattice it is exact under floating point: `max`/`min`
-/// never round.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Fuzzy(f64);
-
-impl Fuzzy {
-    /// Build a confidence value, clamped to `[0, 1]`; NaN becomes 0.
-    pub fn new(v: f64) -> Self {
-        if v.is_nan() {
-            Fuzzy(0.0)
-        } else {
-            Fuzzy(v.clamp(0.0, 1.0))
-        }
-    }
-
-    /// The confidence as `f64`.
-    pub fn value(&self) -> f64 {
-        self.0
-    }
-}
-
-impl Eq for Fuzzy {}
-
-impl PartialOrd for Fuzzy {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Fuzzy {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-impl Semiring for Fuzzy {
-    fn zero() -> Self {
-        Fuzzy(0.0)
-    }
-    fn one() -> Self {
-        Fuzzy(1.0)
-    }
-    fn plus(&self, other: &Self) -> Self {
-        *self.max(other)
-    }
-    fn times(&self, other: &Self) -> Self {
-        *self.min(other)
-    }
-}
-
-impl fmt::Display for Fuzzy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.3}", self.0)
-    }
+/// Assert all commutative-semiring laws on a triple of elements. Panics with
+/// a named law on violation.
+#[cfg(test)]
+pub(crate) fn check_semiring_laws<S: Semiring>(a: &S, b: &S, c: &S) {
+    // Additive monoid.
+    assert_eq!(a.plus(&b.plus(c)), a.plus(b).plus(c), "plus associativity");
+    assert_eq!(a.plus(b), b.plus(a), "plus commutativity");
+    assert_eq!(a.plus(&S::zero()), *a, "plus identity");
+    // Multiplicative monoid.
+    assert_eq!(
+        a.times(&b.times(c)),
+        a.times(b).times(c),
+        "times associativity"
+    );
+    assert_eq!(a.times(b), b.times(a), "times commutativity");
+    assert_eq!(a.times(&S::one()), *a, "times identity");
+    // Distributivity and annihilation.
+    assert_eq!(
+        a.times(&b.plus(c)),
+        a.times(b).plus(&a.times(c)),
+        "distributivity"
+    );
+    assert_eq!(a.times(&S::zero()), S::zero(), "annihilation");
 }
 
 #[cfg(test)]
@@ -299,104 +94,13 @@ mod tests {
         assert_eq!(t.times(&f), f);
         assert_eq!(t.times(&t), t);
         assert!(f.is_zero());
-        assert!(t.is_one());
-    }
-
-    #[test]
-    fn counting_saturates() {
-        let max = Counting(u64::MAX);
-        assert_eq!(max.plus(&Counting(1)), max);
-        assert_eq!(max.times(&Counting(2)), max);
-    }
-
-    #[test]
-    fn tropical_min_plus() {
-        let a = Tropical::cost(3);
-        let b = Tropical::cost(5);
-        assert_eq!(a.plus(&b), Tropical::cost(3));
-        assert_eq!(a.times(&b), Tropical::cost(8));
-        assert_eq!(a.plus(&Tropical::Infinity), a);
-        assert_eq!(a.times(&Tropical::Infinity), Tropical::Infinity);
-        assert_eq!(Tropical::one(), Tropical::cost(0));
-        assert_eq!(Tropical::cost(4).finite(), Some(4));
-        assert_eq!(Tropical::Infinity.finite(), None);
-    }
-
-    #[test]
-    fn security_min_max() {
-        use Security::*;
-        assert_eq!(Secret.plus(&Confidential), Confidential);
-        assert_eq!(Secret.times(&Confidential), Secret);
-        assert_eq!(Public.times(&TopSecret), TopSecret);
-        assert_eq!(NeverAllowed.plus(&TopSecret), TopSecret);
-        assert_eq!(Security::zero(), NeverAllowed);
-        assert_eq!(Security::one(), Public);
-    }
-
-    #[test]
-    fn sum_and_product_helpers() {
-        let xs = vec![Counting(1), Counting(2), Counting(3)];
-        assert_eq!(Counting::sum(xs.clone()), Counting(6));
-        assert_eq!(Counting::product(xs), Counting(6));
-        assert_eq!(Counting::sum(Vec::new()), Counting::zero());
-        assert_eq!(Counting::product(Vec::new()), Counting::one());
-    }
-
-    fn tropical_strategy() -> impl Strategy<Value = Tropical> {
-        prop_oneof![
-            (0u64..1000).prop_map(Tropical::Finite),
-            Just(Tropical::Infinity),
-        ]
-    }
-
-    fn security_strategy() -> impl Strategy<Value = Security> {
-        prop_oneof![
-            Just(Security::Public),
-            Just(Security::Confidential),
-            Just(Security::Secret),
-            Just(Security::TopSecret),
-            Just(Security::NeverAllowed),
-        ]
-    }
-
-    #[test]
-    fn fuzzy_lattice_ops() {
-        let a = Fuzzy::new(0.3);
-        let b = Fuzzy::new(0.8);
-        assert_eq!(a.plus(&b), b);
-        assert_eq!(a.times(&b), a);
-        assert_eq!(Fuzzy::zero().value(), 0.0);
-        assert_eq!(Fuzzy::one().value(), 1.0);
-        assert_eq!(Fuzzy::new(2.0).value(), 1.0, "clamped");
-        assert_eq!(Fuzzy::new(-1.0).value(), 0.0, "clamped");
-        assert_eq!(Fuzzy::new(f64::NAN).value(), 0.0, "NaN sanitized");
-        assert_eq!(Fuzzy::new(0.5).to_string(), "0.500");
+        assert!(!t.is_zero());
     }
 
     proptest! {
         #[test]
         fn boolean_laws(a: bool, b: bool, c: bool) {
             check_semiring_laws(&Boolean(a), &Boolean(b), &Boolean(c));
-        }
-
-        #[test]
-        fn counting_laws(a in 0u64..10_000, b in 0u64..10_000, c in 0u64..10_000) {
-            check_semiring_laws(&Counting(a), &Counting(b), &Counting(c));
-        }
-
-        #[test]
-        fn tropical_laws(a in tropical_strategy(), b in tropical_strategy(), c in tropical_strategy()) {
-            check_semiring_laws(&a, &b, &c);
-        }
-
-        #[test]
-        fn security_laws(a in security_strategy(), b in security_strategy(), c in security_strategy()) {
-            check_semiring_laws(&a, &b, &c);
-        }
-
-        #[test]
-        fn fuzzy_laws(a in 0.0f64..=1.0, b in 0.0f64..=1.0, c in 0.0f64..=1.0) {
-            check_semiring_laws(&Fuzzy::new(a), &Fuzzy::new(b), &Fuzzy::new(c));
         }
     }
 }

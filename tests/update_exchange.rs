@@ -5,7 +5,7 @@
 use orchestra_core::demo;
 use orchestra_core::Cdss;
 use orchestra_datalog::{Atom, Tgd};
-use orchestra_provenance::Semiring as _;
+use orchestra_provenance::{Boolean, Semiring as _};
 use orchestra_reconcile::{TrustCondition, TrustPolicy};
 use orchestra_relational::{tuple, DatabaseSchema, RelationSchema, Value, ValueType};
 use orchestra_updates::{PeerId, Transaction, TxnId, Update};
@@ -176,6 +176,32 @@ fn alternative_derivations_survive_partial_deletion() {
         .unwrap()
         .contains(&tuple!["HIV", "gp120", "SAME"]));
 
+    // Boolean evaluation of the row's polynomial predicts what deleting a
+    // publisher's S row does: each S token is one derivation's only copy.
+    let row = tuple!["HIV", "gp120", "SAME"];
+    let dresden = cdss.peer(&p("Dresden")).unwrap();
+    let poly = dresden.provenance("OPS", &row).unwrap();
+    let s_token_of = |publisher: &str| {
+        let tokens: Vec<_> = poly
+            .variables()
+            .into_iter()
+            .filter(|&v| {
+                let (rel, _) = dresden.resolve_node(v).unwrap();
+                dresden.node_transaction(v).unwrap().peer == p(publisher) && rel.ends_with(".S")
+            })
+            .collect();
+        assert_eq!(
+            tokens.len(),
+            1,
+            "{publisher}'s S row is one token of {poly}"
+        );
+        tokens[0]
+    };
+    let (alaska_s, beijing_s) = (s_token_of("Alaska"), s_token_of("Beijing"));
+    let derivable_without = |dead: &[_]| poly.eval(|v| Boolean(!dead.contains(v))).0;
+    assert!(derivable_without(&[alaska_s]));
+    assert!(!derivable_without(&[alaska_s, beijing_s]));
+
     // Alaska retracts its copy; Beijing's derivation still supports OPS.
     cdss.publish_transaction(
         &p("Alaska"),
@@ -195,6 +221,20 @@ fn alternative_derivations_survive_partial_deletion() {
         .relation("OPS")
         .unwrap()
         .contains(&tuple!["HIV", "gp120", "SAME"]));
+
+    // Beijing retracts too: the engine is left with no derivation of the
+    // row, as Boolean evaluation predicted.
+    cdss.publish_transaction(
+        &p("Beijing"),
+        vec![Update::delete("S", tuple![7, 8, "SAME"])],
+    )
+    .unwrap();
+    cdss.reconcile(&p("Dresden")).unwrap();
+    let after = cdss.peer(&p("Dresden")).unwrap().provenance("OPS", &row);
+    assert!(
+        after.as_ref().is_none_or(|poly| poly.is_zero()),
+        "{after:?}"
+    );
     let _ = a_txn;
 }
 
