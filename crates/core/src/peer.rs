@@ -217,7 +217,8 @@ impl Peer {
     }
 
     /// The provenance polynomial of a tuple in this peer's translated view
-    /// (over the engine's interned node ids), if the tuple is known.
+    /// (over the engine's interned node ids), if the tuple is alive there.
+    /// A dead tuple — never derived, or removed — has no provenance.
     pub fn provenance(
         &self,
         relation: &str,

@@ -1491,10 +1491,13 @@ impl Engine {
         }
     }
 
-    /// The provenance polynomial of an alive tuple (over simple proofs).
+    /// The provenance polynomial of an alive tuple (over simple proofs);
+    /// `None` for a tuple that is not alive, even if it is still interned.
     pub fn provenance(&self, relation: &str, tuple: &Tuple) -> Option<Polynomial<NodeId>> {
         let node = self.node_id(relation, tuple)?;
-        Some(self.graph.polynomial(node))
+        self.nodes
+            .is_alive(node)
+            .then(|| self.graph.polynomial(node))
     }
 }
 
@@ -1728,6 +1731,28 @@ mod tests {
         e.propagate().unwrap();
         let p = e.provenance("t", &tuple!["a"]).unwrap();
         assert_eq!(p, Polynomial::var(nr).plus(&Polynomial::var(ns)));
+    }
+
+    #[test]
+    fn removed_tuple_has_no_provenance() {
+        let mut e = edge_path_engine();
+        let n = e.insert_base("edge", tuple!["a", "b"]).unwrap();
+        e.propagate().unwrap();
+        assert_eq!(
+            e.provenance("edge", &tuple!["a", "b"]),
+            Some(Polynomial::var(n))
+        );
+        e.remove_base(
+            "edge",
+            &tuple!["a", "b"],
+            DeletionAlgorithm::ProvenanceBased,
+        )
+        .unwrap();
+        // Still interned, no longer alive: no provenance, for the base
+        // tuple and for what it derived.
+        assert_eq!(e.node_id("edge", &tuple!["a", "b"]), Some(n));
+        assert_eq!(e.provenance("edge", &tuple!["a", "b"]), None);
+        assert_eq!(e.provenance("path", &tuple!["a", "b"]), None);
     }
 
     #[test]

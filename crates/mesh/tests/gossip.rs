@@ -22,7 +22,10 @@ use orchestra_mesh::{InterestMode, MeshNode, MeshOptions, RoundReport};
 use orchestra_net::RemoteOptions;
 use orchestra_reconcile::TrustPolicy;
 use orchestra_relational::{tuple, DatabaseSchema, RelationSchema, ValueType};
-use orchestra_store::{AbsorbReport, FetchCursor, FetchPage, StoreDigest, StoreStats, UpdateStore};
+use orchestra_store::{
+    pages, AbsorbReport, FetchCursor, FetchPage, StoreDigest, StoreStats, UpdateStore,
+    DEFAULT_PAGE_LIMIT,
+};
 use orchestra_updates::{Epoch, PeerId, Transaction, TxnId, Update};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -113,14 +116,25 @@ fn node(host: &str, seed: u64, interest: InterestMode) -> MeshNode {
     .unwrap()
 }
 
+/// Every transaction in an archive, in scan order; none may be
+/// unreachable.
+fn archive(store: &dyn UpdateStore) -> Vec<Transaction> {
+    let mut out = Vec::new();
+    for page in pages(
+        store,
+        FetchCursor::after_epoch(Epoch::zero()),
+        DEFAULT_PAGE_LIMIT,
+    ) {
+        let page = page.unwrap();
+        assert!(page.unavailable.is_empty(), "{:?}", page.unavailable);
+        out.extend(page.txns);
+    }
+    out
+}
+
 /// All ids in an archive, in scan order.
 fn archive_ids(store: &dyn UpdateStore) -> Vec<TxnId> {
-    store
-        .fetch_since(Epoch::zero())
-        .unwrap()
-        .into_iter()
-        .map(|t| t.id)
-        .collect()
+    archive(store).into_iter().map(|t| t.id).collect()
 }
 
 /// The line topology converges to byte-identical archives on every node
@@ -355,11 +369,7 @@ fn backfill_behind_a_drained_scan_is_pulled_next_round() {
             .unwrap();
     }
     assert_eq!(clean_round(&mut b).absorbed, 2);
-    let backfill: Vec<Transaction> = b
-        .cdss()
-        .store()
-        .fetch_since(Epoch::zero())
-        .unwrap()
+    let backfill: Vec<Transaction> = archive(b.cdss().store())
         .into_iter()
         .filter(|t| t.id.peer == pa && t.id.seq > 1)
         .collect();

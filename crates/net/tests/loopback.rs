@@ -5,7 +5,9 @@
 
 use orchestra_net::{PeerServer, RemoteOptions, RemoteStore, ServerOptions};
 use orchestra_relational::tuple;
-use orchestra_store::{FetchCursor, InMemoryStore, ReplicatedStore, StoreError, UpdateStore};
+use orchestra_store::{
+    pages, FetchCursor, InMemoryStore, ReplicatedStore, StoreError, UpdateStore, DEFAULT_PAGE_LIMIT,
+};
 use orchestra_updates::{Epoch, PeerId, Transaction, TxnId, Update};
 use std::sync::Arc;
 use std::time::Duration;
@@ -57,10 +59,19 @@ fn store_contract_over_loopback() {
     assert_eq!(p2.txns.len(), 1);
     assert!(p2.next_cursor.is_none());
 
-    // fetch_since drains through the trait's default impl.
-    let all = remote.fetch_since(Epoch::zero()).unwrap();
+    // A whole walk over the wire matches the backend's own walk.
+    let walk = |store: &dyn UpdateStore| -> Vec<Transaction> {
+        pages(
+            store,
+            FetchCursor::at_epoch(Epoch::zero()),
+            DEFAULT_PAGE_LIMIT,
+        )
+        .flat_map(|p| p.unwrap().txns)
+        .collect()
+    };
+    let all = walk(&remote);
     assert_eq!(all.len(), 3);
-    assert_eq!(all, backend.fetch_since(Epoch::zero()).unwrap());
+    assert_eq!(all, walk(&*backend));
 
     // Point fetch, hit and miss.
     let got = remote.fetch(&TxnId::new(PeerId::new("A"), 2)).unwrap();

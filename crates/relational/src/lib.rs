@@ -32,12 +32,15 @@
 //!   engine's node table, not here).
 //! * [`FxHashMap`] / [`FxHashSet`] ([`fxhash`]) — maps hashed with a
 //!   seedless word hasher, for keys the engine assigns itself.
+//!
+//! Instances have no file format of their own. What persists is the
+//! archive of published transactions, in `orchestra-store`'s binary
+//! codec; a peer's instance is rebuilt from it.
 
 pub mod error;
 pub mod fxhash;
 pub mod instance;
 pub mod intern;
-pub mod io;
 pub mod predicate;
 pub mod relation;
 pub mod schema;

@@ -4,9 +4,8 @@ use orchestra_updates::{Epoch, Transaction, TxnId};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Default page size for [`UpdateStore::fetch_page`] and the
-/// [`UpdateStore::fetch_since`] convenience wrapper: the most transactions
-/// a store materializes in memory per call.
+/// Default page size for [`UpdateStore::fetch_page`] and [`pages`]: the
+/// most transactions a store materializes in memory per call.
 pub const DEFAULT_PAGE_LIMIT: usize = 1024;
 
 /// Errors raised by update stores.
@@ -322,8 +321,8 @@ impl FetchCursor {
         }
     }
 
-    /// Everything published **after** `since` — the paged equivalent of
-    /// [`UpdateStore::fetch_since`]`(since)`.
+    /// Everything published **after** `since`: the cursor a peer resumes
+    /// from when it last reconciled at epoch `since`.
     pub fn after_epoch(since: Epoch) -> Self {
         FetchCursor::at_epoch(since.next())
     }
@@ -460,32 +459,6 @@ pub trait UpdateStore: Send + Sync {
     /// dead replica never blocks access to the rest of the history.
     fn fetch_page(&self, cursor: &FetchCursor, limit: usize) -> crate::Result<FetchPage>;
 
-    /// Every archived transaction with epoch **greater than** `since`, in
-    /// deterministic (epoch, txn id) order — a convenience wrapper that
-    /// drains [`fetch_page`](UpdateStore::fetch_page). Unlike the paged
-    /// API it fails on the first unreachable payload (reported in the
-    /// error); counters still reflect the pages actually scanned.
-    ///
-    /// Pages are fetched under separate lock acquisitions, so the result
-    /// is not a point-in-time snapshot: a concurrent publish appending
-    /// into the newest, partially-scanned epoch can be missed when its
-    /// ids sort below the in-flight cursor (see [`FetchCursor`]).
-    /// Publishers that use a fresh epoch per batch — as the CDSS logical
-    /// clock does — are immune.
-    fn fetch_since(&self, since: Epoch) -> crate::Result<Vec<Transaction>> {
-        let mut out = Vec::new();
-        for page in pages(self, FetchCursor::after_epoch(since), DEFAULT_PAGE_LIMIT) {
-            let page = page?;
-            if let Some((_, id)) = page.unavailable.first() {
-                return Err(StoreError::Unavailable {
-                    txn: id.to_string(),
-                });
-            }
-            out.extend(page.txns);
-        }
-        Ok(out)
-    }
-
     /// Fetch one transaction by id, if archived and reachable.
     fn fetch(&self, id: &TxnId) -> crate::Result<Option<Transaction>>;
 
@@ -548,7 +521,8 @@ pub trait UpdateStore: Send + Sync {
 /// [`UpdateStore::fetch_page`] would otherwise hand-roll. Yields each
 /// [`FetchPage`] until the archive is exhausted; a fetch error is yielded
 /// once and ends the iteration. Works on concrete stores and
-/// `dyn UpdateStore` alike.
+/// `dyn UpdateStore` alike. Each page is its own `fetch_page` call, so a
+/// walk is not a point-in-time snapshot (see [`FetchCursor`]).
 pub fn pages<S: UpdateStore + ?Sized>(
     store: &S,
     cursor: FetchCursor,

@@ -13,17 +13,20 @@
 //! * a restarted peer process reopens the archive and finds exactly the
 //!   batches that were durable at the crash (the torn tail of a
 //!   mid-append crash is truncated away, never half-applied);
-//! * archives larger than RAM remain fetchable ([`CacheMode::DiskOnly`]
-//!   keeps only a location index in memory);
+//! * reads never touch the disk: open decodes every durable batch once,
+//!   and pages and point fetches are served from those payloads;
 //! * recovery cost is bounded by the live WAL suffix: [`compact`] folds
 //!   sealed segments into a snapshot file and deletes them.
 //!
 //! ```no_run
-//! use orchestra_store::{DurableStore, UpdateStore};
+//! use orchestra_store::{pages, DurableStore, FetchCursor, DEFAULT_PAGE_LIMIT};
 //! use orchestra_updates::Epoch;
 //!
 //! let store = DurableStore::open("/var/lib/orchestra/archive").unwrap();
-//! let all = store.fetch_since(Epoch::zero()).unwrap(); // survives restarts
+//! // Survives restarts: everything archived, one page at a time.
+//! for page in pages(&store, FetchCursor::at_epoch(Epoch::zero()), DEFAULT_PAGE_LIMIT) {
+//!     let page = page.unwrap();
+//! }
 //! ```
 //!
 //! [`compact`]: DurableStore::compact
@@ -40,7 +43,6 @@ use crate::api::{
 };
 use crate::api::{
     AbsorbReport, FetchCursor, FetchPage, StoreDigest, StoreError, StoreStats, UpdateStore,
-    DEFAULT_PAGE_LIMIT,
 };
 use orchestra_updates::{Epoch, Transaction, TxnId};
 use parking_lot::RwLock;
@@ -48,32 +50,16 @@ use snapshot::{list_snapshots, snapshot_file_name};
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::path::{Path, PathBuf};
-use wal::{read_batch_from, Wal};
+use wal::Wal;
 
-/// Whether fetched transactions are served from RAM or re-read from disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CacheMode {
-    /// Tiered mode: decoded transactions stay cached in memory, so the
-    /// hot fetch path never touches disk. The default.
-    #[default]
-    Cached,
-    /// Keep only the location index in memory and decode from disk per
-    /// fetch: supports archives larger than RAM.
-    DiskOnly,
-}
-
-/// Tunables for [`DurableStore::open_with`].
+/// Tunables for [`DurableStore::open_with`]. Compaction is manual
+/// ([`DurableStore::compact`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DurableOptions {
     /// Rotate the active segment once it reaches this many bytes.
     pub segment_max_bytes: u64,
     /// When appends reach stable storage.
     pub sync_policy: SyncPolicy,
-    /// Read-path tiering.
-    pub cache: CacheMode,
-    /// Automatically [`compact`](DurableStore::compact) after this many
-    /// publishes (`None` = manual compaction only).
-    pub compact_every_batches: Option<u64>,
 }
 
 impl Default for DurableOptions {
@@ -81,8 +67,6 @@ impl Default for DurableOptions {
         DurableOptions {
             segment_max_bytes: 8 * 1024 * 1024,
             sync_policy: SyncPolicy::Always,
-            cache: CacheMode::Cached,
-            compact_every_batches: None,
         }
     }
 }
@@ -102,9 +86,6 @@ pub struct DurableStats {
     pub torn_bytes_truncated: u64,
     /// Compactions performed since open.
     pub compactions: u64,
-    /// Auto-compactions that failed (the triggering publishes still
-    /// succeeded; see [`DurableStore::last_compaction_error`]).
-    pub failed_compactions: u64,
     /// Corrupt frames skipped — at open (their ids are unknown and simply
     /// absent) or during compaction streaming.
     pub corrupt_frames_skipped: u64,
@@ -127,41 +108,45 @@ pub struct ScrubReport {
     pub quarantined: usize,
 }
 
-/// Where one transaction's batch frame lives on disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The archive file a batch frame lives in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FileRef {
     Segment(u64),
     Snapshot(u64),
 }
 
+/// Where one transaction's batch frame lives on disk.
 #[derive(Debug, Clone, Copy)]
 struct Location {
     file: FileRef,
     offset: u64,
-    /// Position of the transaction within its batch.
-    index: u32,
+}
+
+/// One archived transaction: its decoded payload, which every read is
+/// served from, and where its batch frame lives, which scrub checks.
+#[derive(Debug)]
+struct Archived {
+    at: Location,
+    txn: Transaction,
 }
 
 #[derive(Debug)]
 struct Inner {
     wal: Wal,
-    /// TxnId → on-disk location (always resident: the metadata tier).
-    index: HashMap<TxnId, Location>,
-    /// Epoch → txn ids, for `fetch_since` range scans.
+    /// Every archived transaction with a healthy payload, by id.
+    txns: HashMap<TxnId, Archived>,
+    /// Epoch → txn ids, for paged range scans.
     by_epoch: BTreeMap<Epoch, Vec<TxnId>>,
-    /// Decoded-transaction tier (populated only in [`CacheMode::Cached`]).
-    cache: HashMap<TxnId, Transaction>,
     /// Archived positions whose on-disk frame failed its checksum: the id
     /// stays listed in `by_epoch` (pages report it unavailable) but has
-    /// no `index` location and no cache entry until `absorb` re-delivers
-    /// a healthy copy from a neighbor.
+    /// no `txns` entry until `absorb` re-delivers a healthy copy from a
+    /// neighbor.
     quarantined: HashMap<TxnId, Epoch>,
     /// The maintained digest: built by the first `digest()` call, folded
     /// forward by `publish`, `absorb` and heals, dropped by a scrub that
     /// quarantines (the next call rebuilds it). Never built at open.
     digest: Option<StoreDigest>,
     snapshot_watermark: Option<u64>,
-    batches_since_compact: u64,
     last_compact_error: Option<StoreError>,
     dstats: DurableStats,
 }
@@ -200,9 +185,8 @@ impl DurableStore {
         // recovery by construction; sweep them so they don't accumulate.
         remove_stale_tmp_files(&dir)?;
 
-        let mut index = HashMap::new();
+        let mut txns = HashMap::new();
         let mut by_epoch: BTreeMap<Epoch, Vec<TxnId>> = BTreeMap::new();
-        let mut cache = HashMap::new();
 
         let snaps = list_snapshots(&dir)?;
         let watermark = snaps.last().copied();
@@ -211,16 +195,11 @@ impl DurableStore {
             // older one: until this load succeeds, an older snapshot may
             // be the only surviving copy of compacted data.
             snapshot::stream_snapshot(&dir, w, |batch| {
-                index_batch(
-                    &mut index,
-                    &mut by_epoch,
-                    &mut cache,
-                    opts.cache,
-                    FileRef::Snapshot(w),
-                    batch.offset,
-                    batch.epoch,
-                    batch.txns,
-                );
+                let at = Location {
+                    file: FileRef::Snapshot(w),
+                    offset: batch.offset,
+                };
+                archive_batch(&mut txns, &mut by_epoch, at, batch.epoch, batch.txns);
                 Ok(())
             })?;
             // Stale lower snapshots: compaction deletes them after the
@@ -233,18 +212,13 @@ impl DurableStore {
 
         let (wal, recovery) = Wal::open(&dir, watermark, opts.segment_max_bytes, opts.sync_policy)?;
         for batch in recovery.batches {
-            index_batch(
-                &mut index,
-                &mut by_epoch,
-                &mut cache,
-                opts.cache,
-                FileRef::Segment(batch.segment),
-                batch.offset,
-                batch.epoch,
-                batch.txns,
-            );
+            let at = Location {
+                file: FileRef::Segment(batch.segment),
+                offset: batch.offset,
+            };
+            archive_batch(&mut txns, &mut by_epoch, at, batch.epoch, batch.txns);
         }
-        let recovered_txns = index.len() as u64;
+        let recovered_txns = txns.len() as u64;
 
         let dstats = DurableStats {
             segments: wal.segment_count(),
@@ -260,13 +234,11 @@ impl DurableStore {
             opts,
             inner: RwLock::new(Inner {
                 wal,
-                index,
+                txns,
                 by_epoch,
-                cache,
                 quarantined: HashMap::new(),
                 digest: None,
                 snapshot_watermark: watermark,
-                batches_since_compact: 0,
                 last_compact_error: None,
                 dstats,
             }),
@@ -300,8 +272,8 @@ impl DurableStore {
     /// Verify every frame in every live archive file (sealed segments,
     /// the active segment, and the current snapshot) against its
     /// checksum, and **quarantine** the transactions of any frame that
-    /// fails: their locations leave the index (and cache — a healthy RAM
-    /// copy must not mask rotten durable bytes), but the positions stay
+    /// fails: their payloads leave the archive (a healthy RAM copy must
+    /// not mask rotten durable bytes), but the positions stay
     /// listed so paged scans report them [`FetchPage::unavailable`]
     /// rather than silently shrinking history. A mesh node treats those
     /// positions as gossip gaps and re-pulls them from neighbors, healing
@@ -311,7 +283,7 @@ impl DurableStore {
         let mut inner = self.inner.write();
         let mut report = ScrubReport::default();
 
-        // Every file the index can point into, with its FileRef.
+        // Every file an archived transaction's frame can live in.
         let mut files: Vec<FileRef> = Vec::new();
         if let Some(w) = inner.snapshot_watermark {
             files.push(FileRef::Snapshot(w));
@@ -346,7 +318,7 @@ impl DurableStore {
             return Ok(report);
         }
 
-        // Quarantine every indexed transaction whose frame lies in a
+        // Quarantine every archived transaction whose frame lies in a
         // corrupt region (open-ended regions swallow the whole suffix).
         let hit = |loc: &Location| {
             regions.iter().any(|(file, r)| {
@@ -357,31 +329,19 @@ impl DurableStore {
                     }
             })
         };
-        let ids: Vec<TxnId> = inner
-            .index
-            .iter()
-            .filter(|(_, loc)| hit(loc))
-            .map(|(id, _)| id.clone())
-            .collect();
-        let id_set: std::collections::HashSet<&TxnId> = ids.iter().collect();
-        let mut epochs: HashMap<TxnId, Epoch> = HashMap::new();
-        for (&epoch, list) in &inner.by_epoch {
-            for id in list {
-                if id_set.contains(id) {
-                    epochs.insert(id.clone(), epoch);
-                }
+        let Inner {
+            txns, quarantined, ..
+        } = &mut *inner;
+        txns.retain(|id, a| {
+            if !hit(&a.at) {
+                return true;
             }
-        }
-        for id in ids {
-            let epoch = epochs
-                .get(&id)
-                .copied()
-                .expect("indexed ids are listed in by_epoch"); // analyze: allow(panic) -- index and by_epoch are updated in lockstep
-            inner.index.remove(&id);
-            inner.cache.remove(&id);
-            inner.quarantined.insert(id, epoch);
+            // Every writer stamps a transaction with the epoch of the
+            // batch it is listed under.
+            quarantined.insert(id.clone(), a.txn.epoch);
             report.quarantined += 1;
-        }
+            false
+        });
         if report.quarantined > 0 {
             // Quarantined positions stop crediting their relations.
             inner.digest = None;
@@ -396,11 +356,9 @@ impl DurableStore {
         self.inner.write().wal.sync()
     }
 
-    /// The most recent compaction trouble, if any: an auto-compaction
-    /// failure (auto-compaction runs inside `publish` but never fails the
-    /// publish itself — the batch is already durable), or a post-success
-    /// cleanup failure (the compaction itself committed; stragglers are
-    /// swept by the next open). Cleared by the next clean compaction.
+    /// The most recent compaction trouble, if any: a post-success cleanup
+    /// failure (the compaction itself committed; stragglers are swept by
+    /// the next open). Cleared by the next clean compaction.
     pub fn last_compaction_error(&self) -> Option<StoreError> {
         self.inner.read().last_compact_error.clone()
     }
@@ -411,10 +369,6 @@ impl DurableStore {
     /// nothing to compact.
     pub fn compact(&self) -> crate::Result<Option<u64>> {
         let mut inner = self.inner.write();
-        self.compact_locked(&mut inner)
-    }
-
-    fn compact_locked(&self, inner: &mut Inner) -> crate::Result<Option<u64>> {
         let active_empty = inner.wal.active_len() == 0;
         if inner.wal.sealed_segments().is_empty() && active_empty {
             return Ok(None); // nothing new since the last snapshot
@@ -430,25 +384,23 @@ impl DurableStore {
 
         // Stream every durable batch in publish order — current snapshot
         // first, then each sealed segment — into the new snapshot file,
-        // one batch resident at a time (archives can exceed RAM). Reading
-        // from disk (not the cache) keeps compaction identical in both
-        // cache modes. Locations are collected and applied to the index
+        // one batch resident at a time, each frame copied as it was
+        // appended. Locations are collected and applied to the archive
         // only after the new snapshot is durably published.
         let mut writer = snapshot::SnapshotWriter::begin(&self.dir, covered)?;
-        let mut repoints: Vec<(TxnId, Location)> = Vec::with_capacity(inner.index.len());
+        let mut repoints: Vec<(TxnId, Location)> = Vec::with_capacity(inner.txns.len());
         let copy_batch = |writer: &mut snapshot::SnapshotWriter,
                           repoints: &mut Vec<(TxnId, Location)>,
                           epoch: Epoch,
                           txns: &[Transaction]|
          -> crate::Result<()> {
             let offset = writer.append_batch(epoch, txns)?;
-            for (i, t) in txns.iter().enumerate() {
+            for t in txns {
                 repoints.push((
                     t.id.clone(),
                     Location {
                         file: FileRef::Snapshot(covered),
                         offset,
-                        index: i as u32,
                     },
                 ));
             }
@@ -498,15 +450,16 @@ impl DurableStore {
         writer.finish()?;
 
         // The new snapshot is durable: commit the in-memory state FIRST
-        // (re-point the index, advance the watermark) so a failure in the
-        // cleanup below cannot leave the watermark behind the data — a
+        // (re-point the locations, advance the watermark) so a failure in
+        // the cleanup below cannot leave the watermark behind the data — a
         // later compaction starting from a stale watermark would write a
         // snapshot missing the batches only the new one holds.
         for (id, loc) in repoints {
-            inner.index.insert(id, loc);
+            if let Some(a) = inner.txns.get_mut(&id) {
+                a.at = loc;
+            }
         }
         let old_watermark = inner.snapshot_watermark.replace(covered);
-        inner.batches_since_compact = 0;
         inner.dstats.compactions += 1;
         inner.dstats.corrupt_frames_skipped += corrupt_skipped;
 
@@ -531,65 +484,6 @@ impl DurableStore {
         Ok(Some(covered))
     }
 
-    /// Resolve archived positions to their payloads in order — cache
-    /// first, then one decode per batch frame — calling `f` with `None`
-    /// for a quarantined position.
-    fn for_each_payload(
-        &self,
-        inner: &Inner,
-        positions: &[(Epoch, TxnId)],
-        mut f: impl FnMut(Epoch, &TxnId, Option<&Transaction>),
-    ) -> crate::Result<()> {
-        // Group disk reads per batch frame so a cold page decodes each
-        // frame once, not once per transaction.
-        let mut frame_cache: HashMap<(FileRef, u64), Vec<Transaction>> = HashMap::new();
-        for (epoch, id) in positions {
-            if let Some(t) = inner.cache.get(id) {
-                f(*epoch, id, Some(t));
-                continue;
-            }
-            if inner.quarantined.contains_key(id) {
-                f(*epoch, id, None);
-                continue;
-            }
-            // analyze: allow(panic) -- index and by_epoch are updated in lockstep
-            let loc = *inner.index.get(id).expect("by_epoch ids are indexed");
-            let key = (loc.file, loc.offset);
-            if let std::collections::hash_map::Entry::Vacant(e) = frame_cache.entry(key) {
-                let (_, batch) = read_batch_from(&self.file_path(loc.file), loc.offset)?;
-                e.insert(batch);
-            }
-            let batch = &frame_cache[&key]; // analyze: allow(panic) -- entry for key inserted just above when vacant
-            let t = batch
-                .get(loc.index as usize)
-                .ok_or_else(|| StoreError::Corrupt {
-                    path: self.file_path(loc.file).display().to_string(),
-                    offset: loc.offset,
-                    reason: format!("batch shorter than indexed position {}", loc.index),
-                })?;
-            f(*epoch, id, Some(t));
-        }
-        Ok(())
-    }
-
-    fn load_txn(&self, inner: &Inner, id: &TxnId) -> crate::Result<Option<Transaction>> {
-        if let Some(t) = inner.cache.get(id) {
-            return Ok(Some(t.clone()));
-        }
-        let Some(loc) = inner.index.get(id) else {
-            return Ok(None);
-        };
-        let (_, txns) = read_batch_from(&self.file_path(loc.file), loc.offset)?;
-        match txns.into_iter().nth(loc.index as usize) {
-            Some(t) => Ok(Some(t)),
-            None => Err(StoreError::Corrupt {
-                path: self.file_path(loc.file).display().to_string(),
-                offset: loc.offset,
-                reason: format!("batch shorter than indexed position {}", loc.index),
-            }),
-        }
-    }
-
     fn file_path(&self, file: FileRef) -> PathBuf {
         match file {
             FileRef::Segment(seq) => self.dir.join(segment::segment_file_name(seq)),
@@ -598,39 +492,23 @@ impl DurableStore {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn index_batch(
-    index: &mut HashMap<TxnId, Location>,
+/// Archive one durable batch frame's transactions and list their
+/// positions under `epoch`.
+fn archive_batch(
+    archived: &mut HashMap<TxnId, Archived>,
     by_epoch: &mut BTreeMap<Epoch, Vec<TxnId>>,
-    cache: &mut HashMap<TxnId, Transaction>,
-    mode: CacheMode,
-    file: FileRef,
-    offset: u64,
+    at: Location,
     epoch: Epoch,
     txns: Vec<Transaction>,
 ) {
-    if txns.is_empty() {
-        return;
-    }
     let mut ids = Vec::with_capacity(txns.len());
-    for (i, t) in txns.into_iter().enumerate() {
-        // First indexed location wins. A failed-fsync retry can land the
+    for txn in txns {
+        // First archived copy wins. A failed-fsync retry can land the
         // same batch in two on-disk frames; recovery must list the
         // position exactly once or paged scans would apply it twice.
-        if index.contains_key(&t.id) {
-            continue;
-        }
-        index.insert(
-            t.id.clone(),
-            Location {
-                file,
-                offset,
-                index: i as u32,
-            },
-        );
-        ids.push(t.id.clone());
-        if mode == CacheMode::Cached {
-            cache.insert(t.id.clone(), t);
+        if let std::collections::hash_map::Entry::Vacant(e) = archived.entry(txn.id.clone()) {
+            ids.push(txn.id.clone());
+            e.insert(Archived { at, txn });
         }
     }
     index_epoch_ids(by_epoch, epoch, ids);
@@ -647,7 +525,7 @@ impl UpdateStore for DurableStore {
         // re-publishing one must be rejected like any duplicate — only
         // `absorb` may re-deliver the payload (as a heal).
         check_batch_ids(&txns, |id| {
-            inner.index.contains_key(id) || inner.quarantined.contains_key(id)
+            inner.txns.contains_key(id) || inner.quarantined.contains_key(id)
         })?;
         check_epoch_monotone(epoch, inner.by_epoch.keys().next_back().copied())?;
         let mut stamped = txns;
@@ -660,9 +538,8 @@ impl UpdateStore for DurableStore {
         let (seg, offset) = inner.wal.append_batch(epoch, &stamped)?;
 
         let Inner {
-            index,
+            txns,
             by_epoch,
-            cache,
             digest,
             ..
         } = &mut *inner;
@@ -670,32 +547,12 @@ impl UpdateStore for DurableStore {
             stamped.iter().for_each(|t| d.observe(t));
         }
         let n = stamped.len() as u64;
-        index_batch(
-            index,
-            by_epoch,
-            cache,
-            self.opts.cache,
-            FileRef::Segment(seg),
+        let at = Location {
+            file: FileRef::Segment(seg),
             offset,
-            epoch,
-            stamped,
-        );
+        };
+        archive_batch(txns, by_epoch, at, epoch, stamped);
         self.stats.add_published(n);
-        inner.batches_since_compact += 1;
-
-        if let Some(every) = self.opts.compact_every_batches {
-            if inner.batches_since_compact >= every.max(1) {
-                // The batch is already durable and indexed, so an
-                // auto-compaction failure must not fail this publish — a
-                // caller retrying "failed" data would hit DuplicateTxn.
-                // Record the error (surfaced via `last_compaction_error`)
-                // and retry at the next threshold crossing.
-                if let Err(e) = self.compact_locked(&mut inner) {
-                    inner.dstats.failed_compactions += 1;
-                    inner.last_compact_error = Some(e);
-                }
-            }
-        }
         Ok(())
     }
 
@@ -708,13 +565,13 @@ impl UpdateStore for DurableStore {
         // compaction replay batches by their recorded epoch, so neither
         // cares that gossip merges arrive out of epoch order. Healing
         // re-deliveries for quarantined positions are kept apart: their
-        // ids already sit in `by_epoch`, so they must be re-indexed
+        // ids already sit in `by_epoch`, so they must be re-archived
         // without re-listing the position.
         let mut groups: BTreeMap<Epoch, Vec<Transaction>> = BTreeMap::new();
         let mut heals: BTreeMap<Epoch, Vec<Transaction>> = BTreeMap::new();
         let mut incoming: std::collections::BTreeSet<TxnId> = std::collections::BTreeSet::new();
         for t in txns {
-            if inner.index.contains_key(&t.id) || !incoming.insert(t.id.clone()) {
+            if inner.txns.contains_key(&t.id) || !incoming.insert(t.id.clone()) {
                 report.duplicates += 1;
                 continue;
             }
@@ -736,26 +593,19 @@ impl UpdateStore for DurableStore {
             // Durability first, exactly like `publish`.
             let (seg, offset) = inner.wal.append_batch(epoch, &batch)?;
             let Inner {
-                index,
+                txns,
                 by_epoch,
-                cache,
                 digest,
                 ..
             } = &mut *inner;
             if let Some(d) = digest {
                 batch.iter().for_each(|t| d.observe(t));
             }
-            index_batch(
-                index,
-                by_epoch,
-                cache,
-                self.opts.cache,
-                FileRef::Segment(seg),
+            let at = Location {
+                file: FileRef::Segment(seg),
                 offset,
-                epoch,
-                batch,
-            );
-            inner.batches_since_compact += 1;
+            };
+            archive_batch(txns, by_epoch, at, epoch, batch);
         }
         for (epoch, batch) in heals {
             // The healthy copy is appended like fresh history (the old
@@ -766,24 +616,17 @@ impl UpdateStore for DurableStore {
             // unavailable, and rewinding consumers skip already-applied
             // ids by id.
             let (seg, offset) = inner.wal.append_batch(epoch, &batch)?;
-            for (i, t) in batch.into_iter().enumerate() {
+            let at = Location {
+                file: FileRef::Segment(seg),
+                offset,
+            };
+            for txn in batch {
                 if let Some(d) = &mut inner.digest {
-                    d.observe_relations(&t);
+                    d.observe_relations(&txn);
                 }
-                inner.quarantined.remove(&t.id);
-                inner.index.insert(
-                    t.id.clone(),
-                    Location {
-                        file: FileRef::Segment(seg),
-                        offset,
-                        index: i as u32,
-                    },
-                );
-                if self.opts.cache == CacheMode::Cached {
-                    inner.cache.insert(t.id.clone(), t);
-                }
+                inner.quarantined.remove(&txn.id);
+                inner.txns.insert(txn.id.clone(), Archived { at, txn });
             }
-            inner.batches_since_compact += 1;
         }
         inner.dstats.healed += report.healed;
         self.stats.add_published(report.absorbed);
@@ -803,20 +646,21 @@ impl UpdateStore for DurableStore {
 
     fn fetch_page(&self, cursor: &FetchCursor, limit: usize) -> crate::Result<FetchPage> {
         // Read lock only: concurrent reconciles page the archive in
-        // parallel; the epoch index locates each batch frame without
-        // decoding anything outside this page.
+        // parallel, and nothing outside this page is cloned.
         let inner = self.inner.read();
         let (positions, next_cursor) = collect_page(&inner.by_epoch, cursor, limit);
         let mut txns = Vec::with_capacity(positions.len());
         let mut unavailable = Vec::new();
-        self.for_each_payload(&inner, &positions, |epoch, id, payload| match payload {
-            Some(t) => txns.push(t.clone()),
-            // The position is archived but its frame was scrubbed out as
-            // corrupt: report it like a dead replica so partial progress
-            // (frozen cursors) degrades gracefully instead of the page
-            // erroring.
-            None => unavailable.push((epoch, id.clone())),
-        })?;
+        for (epoch, id) in positions {
+            match inner.txns.get(&id) {
+                Some(a) => txns.push(a.txn.clone()),
+                // The position is archived but its frame was scrubbed out
+                // as corrupt: report it like a dead replica so partial
+                // progress (frozen cursors) degrades gracefully instead of
+                // the page erroring.
+                None => unavailable.push((epoch, id)),
+            }
+        }
         self.stats.add_fetched(txns.len() as u64);
         self.stats.add_unavailable(unavailable.len() as u64);
         self.stats.add_pages(1);
@@ -835,7 +679,7 @@ impl UpdateStore for DurableStore {
                 txn: id.to_string(),
             });
         }
-        let got = self.load_txn(&inner, id)?;
+        let got = inner.txns.get(id).map(|a| a.txn.clone());
         if got.is_some() {
             self.stats.add_fetched(1);
         }
@@ -846,7 +690,7 @@ impl UpdateStore for DurableStore {
         // Quarantined positions are still archived (their ids are
         // listed); only their payloads are awaiting repair.
         let inner = self.inner.read();
-        inner.index.len() + inner.quarantined.len()
+        inner.txns.len() + inner.quarantined.len()
     }
 
     fn latest_epoch(&self) -> Option<Epoch> {
@@ -865,17 +709,15 @@ impl UpdateStore for DurableStore {
         if let Some(d) = &inner.digest {
             return Ok(d.clone());
         }
-        // One walk of the epoch index, a page of positions at a time so a
-        // disk-only archive decodes a bounded set of frames.
+        // One walk of the epoch index, in page order.
         let mut d = StoreDigest::default();
-        let mut cursor = Some(FetchCursor::at_epoch(Epoch::zero()));
-        while let Some(at) = cursor {
-            let (positions, next) = collect_page(&inner.by_epoch, &at, DEFAULT_PAGE_LIMIT);
-            self.for_each_payload(&inner, &positions, |epoch, id, payload| match payload {
-                Some(t) => d.observe(t),
-                None => d.observe_position(epoch, id),
-            })?;
-            cursor = next;
+        for (&epoch, ids) in &inner.by_epoch {
+            for id in ids {
+                match inner.txns.get(id) {
+                    Some(a) => d.observe(&a.txn),
+                    None => d.observe_position(epoch, id),
+                }
+            }
         }
         inner.digest = Some(d.clone());
         Ok(d)

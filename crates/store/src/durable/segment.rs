@@ -83,27 +83,8 @@ pub struct SegmentScan {
     /// Bytes past `valid_len` that form a torn frame (zero on a clean
     /// scan).
     pub torn_bytes: u64,
-    /// Corrupt frames skipped over (lossy scans only; a strict scan
-    /// errors on the first one instead).
+    /// Corrupt frames skipped over, in file order.
     pub corrupt: Vec<CorruptRegion>,
-}
-
-/// Scan the segment at `path`.
-///
-/// `allow_torn_tail` is true only for the active (highest-numbered)
-/// segment: a trailing partial frame is then reported in `torn_bytes`
-/// instead of failing the scan. Checksum-invalid *complete* frames are
-/// always an error — sealed data does not bit-rot silently.
-pub fn scan_segment(path: &Path, allow_torn_tail: bool) -> crate::Result<SegmentScan> {
-    let scan = scan_segment_lossy(path, allow_torn_tail)?;
-    if let Some(region) = scan.corrupt.first() {
-        return Err(StoreError::Corrupt {
-            path: path.display().to_string(),
-            offset: region.offset,
-            reason: region.reason.clone(),
-        });
-    }
-    Ok(scan)
 }
 
 /// Scan the segment at `path`, **skipping over** corrupt frames instead
@@ -114,9 +95,10 @@ pub fn scan_segment(path: &Path, allow_torn_tail: bool) -> crate::Result<Segment
 /// past that point can be framed, so the remainder of the file becomes
 /// one open-ended corrupt region.
 ///
-/// `allow_torn_tail` retains its strict-scan meaning: a trailing partial
-/// frame on the active segment is crash residue (`torn_bytes`), not
-/// corruption.
+/// `allow_torn_tail` is true only for the active (highest-numbered)
+/// segment: a trailing partial frame there is crash residue
+/// (`torn_bytes`), not corruption. On a sealed segment it is an
+/// open-ended corrupt region.
 pub fn scan_segment_lossy(path: &Path, allow_torn_tail: bool) -> crate::Result<SegmentScan> {
     let file_len = fs::metadata(path)
         .map_err(|e| io_err("stat", path, &e))?
@@ -368,7 +350,8 @@ mod tests {
         assert_eq!(seg.append(&b).unwrap(), a.len() as u64);
         seg.sync().unwrap();
 
-        let scan = scan_segment(&dir.join(segment_file_name(1)), false).unwrap();
+        let scan = scan_segment_lossy(&dir.join(segment_file_name(1)), false).unwrap();
+        assert!(scan.corrupt.is_empty());
         assert_eq!(scan.frames.len(), 2);
         assert_eq!(scan.frames[0].payload, b"alpha");
         assert_eq!(scan.frames[1].payload, b"beta");
@@ -387,18 +370,24 @@ mod tests {
         bytes.extend_from_slice(torn);
         fs::write(&path, &bytes).unwrap();
 
-        let scan = scan_segment(&path, true).unwrap();
+        let scan = scan_segment_lossy(&path, true).unwrap();
+        assert!(scan.corrupt.is_empty());
         assert_eq!(scan.frames.len(), 1);
         assert_eq!(scan.valid_len, good.len() as u64);
         assert_eq!(scan.torn_bytes, torn.len() as u64);
 
-        assert!(matches!(
-            scan_segment(&path, false),
-            Err(StoreError::Corrupt { .. })
-        ));
+        // On a sealed segment the same tail is corruption: one open-ended
+        // region where the torn frame begins.
+        let sealed = scan_segment_lossy(&path, false).unwrap();
+        assert_eq!(sealed.frames.len(), 1);
+        assert_eq!(sealed.torn_bytes, 0);
+        assert_eq!(sealed.corrupt.len(), 1);
+        assert_eq!(sealed.corrupt[0].offset, good.len() as u64);
+        assert_eq!(sealed.corrupt[0].len, None);
 
         truncate_segment(&path, scan.valid_len).unwrap();
-        let rescanned = scan_segment(&path, false).unwrap();
+        let rescanned = scan_segment_lossy(&path, false).unwrap();
+        assert!(rescanned.corrupt.is_empty());
         assert_eq!(rescanned.frames.len(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }

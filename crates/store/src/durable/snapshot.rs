@@ -55,17 +55,8 @@ pub fn list_snapshots(dir: &Path) -> crate::Result<Vec<u64>> {
     Ok(seqs)
 }
 
-/// A decoded snapshot.
-#[derive(Debug)]
-pub struct Snapshot {
-    /// Segments `<= covered_seq` are folded into this snapshot.
-    pub covered_seq: u64,
-    /// The archived batches, in original publish order.
-    pub batches: Vec<SnapshotBatch>,
-}
-
-/// One batch inside a snapshot, with its frame offset so fetches can read
-/// it back without decoding the whole file.
+/// One batch inside a snapshot, with its frame offset (the location scrub
+/// checks).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotBatch {
     /// Byte offset of the batch's frame within the snapshot file.
@@ -191,22 +182,6 @@ impl SnapshotWriter {
     }
 }
 
-/// Write the snapshot covering segments `<= covered_seq` atomically into
-/// `dir`; returns the frame offset of each batch in publish order.
-pub fn write_snapshot(
-    dir: &Path,
-    covered_seq: u64,
-    batches: &[(Epoch, Vec<Transaction>)],
-) -> crate::Result<Vec<u64>> {
-    let mut writer = SnapshotWriter::begin(dir, covered_seq)?;
-    let mut offsets = Vec::with_capacity(batches.len());
-    for (epoch, txns) in batches {
-        offsets.push(writer.append_batch(*epoch, txns)?);
-    }
-    writer.finish()?;
-    Ok(offsets)
-}
-
 /// Stream the snapshot with the given watermark, invoking `visit` per
 /// batch in publish order — one batch resident at a time. Fully validates
 /// frames, header, and batch count; returns the batch count.
@@ -265,21 +240,6 @@ pub fn stream_snapshot(
     Ok(seen)
 }
 
-/// Load and fully validate the snapshot with the given watermark,
-/// materializing every batch (tests and small archives; large archives
-/// should use [`stream_snapshot`]).
-pub fn load_snapshot(dir: &Path, covered_seq: u64) -> crate::Result<Snapshot> {
-    let mut batches = Vec::new();
-    stream_snapshot(dir, covered_seq, |b| {
-        batches.push(b);
-        Ok(())
-    })?;
-    Ok(Snapshot {
-        covered_seq,
-        batches,
-    })
-}
-
 pub use super::segment::sync_dir;
 
 #[cfg(test)]
@@ -287,7 +247,6 @@ mod tests {
     use super::*;
     use orchestra_relational::tuple;
     use orchestra_updates::{PeerId, TxnId, Update};
-    use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -314,35 +273,61 @@ mod tests {
         assert_eq!(parse_snapshot_file_name("wal-0000000000000001.seg"), None);
     }
 
+    /// Write `batches` through a [`SnapshotWriter`]; returns each batch's
+    /// frame offset.
+    fn write(dir: &Path, covered_seq: u64, batches: &[(Epoch, Vec<Transaction>)]) -> Vec<u64> {
+        let mut writer = SnapshotWriter::begin(dir, covered_seq).unwrap();
+        let offsets = batches
+            .iter()
+            .map(|(epoch, txns)| writer.append_batch(*epoch, txns).unwrap())
+            .collect();
+        writer.finish().unwrap();
+        offsets
+    }
+
+    /// Every batch of the snapshot, or the error that stopped the stream.
+    fn load(dir: &Path, covered_seq: u64) -> crate::Result<Vec<SnapshotBatch>> {
+        let mut batches = Vec::new();
+        stream_snapshot(dir, covered_seq, |b| {
+            batches.push(b);
+            Ok(())
+        })?;
+        Ok(batches)
+    }
+
     #[test]
     fn write_load_roundtrip() {
         let dir = tmp_dir("roundtrip");
         let batches = vec![batch(1, "A", 1), batch(2, "B", 1), batch(2, "A", 2)];
-        let offsets = write_snapshot(&dir, 7, &batches).unwrap();
+        let offsets = write(&dir, 7, &batches);
         assert_eq!(offsets.len(), 3);
         assert_eq!(list_snapshots(&dir).unwrap(), vec![7]);
-        let snap = load_snapshot(&dir, 7).unwrap();
-        assert_eq!(snap.covered_seq, 7);
-        assert_eq!(snap.batches.len(), 3);
-        for ((batch, loaded), offset) in batches.iter().zip(&snap.batches).zip(&offsets) {
+        let loaded = load(&dir, 7).unwrap();
+        assert_eq!(loaded.len(), 3);
+        for ((batch, loaded), offset) in batches.iter().zip(&loaded).zip(&offsets) {
             assert_eq!(loaded.epoch, batch.0);
             assert_eq!(loaded.txns, batch.1);
             assert_eq!(loaded.offset, *offset);
         }
+        // The name carries the watermark; a file whose header disagrees
+        // is refused.
+        fs::rename(
+            dir.join(snapshot_file_name(7)),
+            dir.join(snapshot_file_name(8)),
+        )
+        .unwrap();
+        assert!(matches!(load(&dir, 8), Err(StoreError::Corrupt { .. })));
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn truncated_snapshot_is_corrupt() {
         let dir = tmp_dir("truncated");
-        write_snapshot(&dir, 3, &[batch(1, "A", 1), batch(2, "A", 2)]).unwrap();
+        write(&dir, 3, &[batch(1, "A", 1), batch(2, "A", 2)]);
         let path = dir.join(snapshot_file_name(3));
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-        assert!(matches!(
-            load_snapshot(&dir, 3),
-            Err(StoreError::Corrupt { .. })
-        ));
+        assert!(matches!(load(&dir, 3), Err(StoreError::Corrupt { .. })));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -355,10 +340,7 @@ mod tests {
         let (ep, txns) = batch(1, "A", 1);
         bytes.extend_from_slice(&frame(&encode_batch(ep, &txns)));
         fs::write(&path, bytes).unwrap();
-        assert!(matches!(
-            load_snapshot(&dir, 1),
-            Err(StoreError::Corrupt { .. })
-        ));
+        assert!(matches!(load(&dir, 1), Err(StoreError::Corrupt { .. })));
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -11,7 +11,7 @@ use super::segment::{
     list_segments, scan_segment_lossy, segment_file_name, truncate_segment, ActiveSegment,
 };
 use crate::api::StoreError;
-use crate::frame::{frame, FrameRead, FrameReader, MAX_FRAME_LEN};
+use crate::frame::{frame, MAX_FRAME_LEN};
 use orchestra_updates::{Epoch, Transaction};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -24,12 +24,10 @@ pub enum SyncPolicy {
     /// guarantee covers every acknowledged batch.
     #[default]
     Always,
-    /// fsync every `n`-th publish (and on rotation/shutdown): bounded
-    /// loss window, much higher throughput.
+    /// fsync every `n`-th publish (and on rotation and
+    /// [`DurableStore::sync`](crate::DurableStore::sync)): a loss window
+    /// of at most `n - 1` acknowledged batches, much higher throughput.
     EveryN(u32),
-    /// Never fsync explicitly; leave flushing to the OS. Benchmarks and
-    /// bulk loads only.
-    Never,
 }
 
 /// One batch replayed from the log during recovery.
@@ -198,7 +196,6 @@ impl Wal {
                         self.appends_since_sync = 0;
                     }
                 }
-                SyncPolicy::Never => {}
             }
             Ok((self.active.seq, offset))
         })
@@ -267,41 +264,6 @@ impl Wal {
         }
         self.sealed.retain(|&s| s > watermark);
         Ok(removed)
-    }
-
-    /// Read one batch frame back from disk (the no-cache fetch path).
-    pub fn read_batch_at(
-        &self,
-        segment: u64,
-        offset: u64,
-    ) -> crate::Result<(Epoch, Vec<Transaction>)> {
-        read_batch_from(&self.dir.join(segment_file_name(segment)), offset)
-    }
-}
-
-/// Read and decode the single batch frame at `offset` in any
-/// frame-formatted file (segment or snapshot), via a positioned read —
-/// never loading the whole file (snapshots can exceed RAM in
-/// `CacheMode::DiskOnly`).
-pub fn read_batch_from(path: &Path, offset: u64) -> crate::Result<(Epoch, Vec<Transaction>)> {
-    use std::io::{Seek, SeekFrom};
-    let mut file = fs::File::open(path).map_err(|e| super::segment::io_err("open", path, &e))?;
-    file.seek(SeekFrom::Start(offset))
-        .map_err(|e| super::segment::io_err("seek", path, &e))?;
-    let (_, outcome) = FrameReader::new(&mut file, offset)
-        .next_frame()
-        .map_err(|e| super::segment::io_err("read", path, &e))?;
-    match outcome {
-        FrameRead::Ok { payload, .. } => decode_batch(&payload).map_err(|e| StoreError::Corrupt {
-            path: path.display().to_string(),
-            offset,
-            reason: format!("undecodable batch record: {e}"),
-        }),
-        other => Err(StoreError::Corrupt {
-            path: path.display().to_string(),
-            offset,
-            reason: format!("expected a frame at this offset, found {other:?}"),
-        }),
     }
 }
 
@@ -381,17 +343,6 @@ mod tests {
         drop(wal);
         let (_, rec) = Wal::open(&dir, None, 1 << 20, SyncPolicy::Always).unwrap();
         assert_eq!(rec.batches.len(), 2);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn read_batch_at_location() {
-        let dir = tmp_dir("readat");
-        let (mut wal, _) = Wal::open(&dir, None, 1 << 20, SyncPolicy::Always).unwrap();
-        let (seg, off) = wal.append_batch(Epoch::new(4), &[txn(9)]).unwrap();
-        let (epoch, txns) = wal.read_batch_at(seg, off).unwrap();
-        assert_eq!(epoch, Epoch::new(4));
-        assert_eq!(txns[0].id, TxnId::new(PeerId::new("P"), 9));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -19,8 +19,8 @@
 //!    [`FetchCursor`], materializing at most one page at a time, and
 //!    reports unreachable payloads in [`FetchPage::unavailable`] instead
 //!    of failing the scan — one dead replica never blocks the rest of the
-//!    history. [`UpdateStore::fetch_since`] is a convenience wrapper that
-//!    drains the pages (and keeps the old fail-on-unavailable contract).
+//!    history. [`pages`] iterates those pages for callers that want the
+//!    whole range since a cursor; there is no one-shot fetch.
 //!
 //! Three implementations of the [`UpdateStore`] trait:
 //!
@@ -35,7 +35,8 @@
 //!   factor, probe counts) is preserved for experiment E8.
 //! * [`DurableStore`] — a **crash-recoverable archive on local disk**:
 //!   checksummed frames on a write-ahead log with segment rotation,
-//!   torn-tail recovery, and snapshot-based compaction. The backend that
+//!   torn-tail recovery, and snapshot-based compaction; reads are served
+//!   from the payloads decoded at open, never from disk. The backend that
 //!   lets peers restart without losing the archive (see [`durable`]).
 
 pub mod api;
@@ -48,7 +49,7 @@ pub use api::{
     pages, AbsorbReport, CursorBound, FetchCursor, FetchPage, Pages, RelationDigest, StoreDigest,
     StoreError, StoreStats, UpdateStore, DEFAULT_PAGE_LIMIT,
 };
-pub use durable::{CacheMode, DurableOptions, DurableStats, DurableStore, ScrubReport, SyncPolicy};
+pub use durable::{DurableOptions, DurableStats, DurableStore, ScrubReport, SyncPolicy};
 pub use memory::InMemoryStore;
 pub use replicated::ReplicatedStore;
 

@@ -158,17 +158,29 @@ mod tests {
         )
     }
 
+    /// Every transaction archived after `since`, through the paged read
+    /// path (an in-memory store reaches every payload).
+    fn since(s: &InMemoryStore, since: Epoch) -> Vec<Transaction> {
+        crate::api::pages(
+            s,
+            FetchCursor::after_epoch(since),
+            crate::DEFAULT_PAGE_LIMIT,
+        )
+        .flat_map(|p| p.unwrap().txns)
+        .collect()
+    }
+
     #[test]
-    fn publish_and_fetch_since() {
+    fn publish_and_fetch_after_epoch() {
         let s = InMemoryStore::new();
         s.publish(Epoch::new(1), vec![txn("A", 1), txn("B", 1)])
             .unwrap();
         s.publish(Epoch::new(2), vec![txn("A", 2)]).unwrap();
-        let all = s.fetch_since(Epoch::zero()).unwrap();
+        let all = since(&s, Epoch::zero());
         assert_eq!(all.len(), 3);
         // Epochs stamp onto transactions.
         assert!(all.iter().all(|t| t.epoch >= Epoch::new(1)));
-        let recent = s.fetch_since(Epoch::new(1)).unwrap();
+        let recent = since(&s, Epoch::new(1));
         assert_eq!(recent.len(), 1);
         assert_eq!(recent[0].id, TxnId::new(PeerId::new("A"), 2));
     }
@@ -178,7 +190,7 @@ mod tests {
         let s = InMemoryStore::new();
         s.publish(Epoch::new(1), vec![txn("B", 1), txn("A", 1)])
             .unwrap();
-        let all = s.fetch_since(Epoch::zero()).unwrap();
+        let all = since(&s, Epoch::zero());
         assert_eq!(all[0].id.peer.name(), "A");
         assert_eq!(all[1].id.peer.name(), "B");
     }
@@ -199,7 +211,7 @@ mod tests {
         let err = s.publish(Epoch::new(1), vec![txn("A", 1), txn("A", 1)]);
         assert!(matches!(err, Err(StoreError::DuplicateTxn(_))));
         assert_eq!(s.len(), 0, "nothing archived");
-        assert!(s.fetch_since(Epoch::zero()).unwrap().is_empty());
+        assert!(since(&s, Epoch::zero()).is_empty());
     }
 
     #[test]
@@ -227,7 +239,7 @@ mod tests {
         let s = InMemoryStore::new();
         s.publish(Epoch::new(1), vec![txn("A", 1), txn("A", 2)])
             .unwrap();
-        s.fetch_since(Epoch::zero()).unwrap();
+        since(&s, Epoch::zero());
         let st = s.stats();
         assert_eq!(st.published, 2);
         assert_eq!(st.fetched, 2);
@@ -237,7 +249,7 @@ mod tests {
     #[test]
     fn empty_fetch() {
         let s = InMemoryStore::new();
-        assert!(s.fetch_since(Epoch::zero()).unwrap().is_empty());
+        assert!(since(&s, Epoch::zero()).is_empty());
     }
 
     #[test]
@@ -279,7 +291,7 @@ mod tests {
         assert_eq!(r.duplicates, 2);
         assert_eq!(s.len(), 3);
         // The merged archive scans in global (epoch, id) order.
-        let all = s.fetch_since(Epoch::zero()).unwrap();
+        let all = since(&s, Epoch::zero());
         let order: Vec<u64> = all.iter().map(|t| t.epoch.value()).collect();
         assert_eq!(order, vec![2, 5, 7]);
         assert_eq!(all[0].id, old.id);

@@ -1,14 +1,14 @@
 //! The `UpdateStore` contract, run identically against every backend.
 //!
 //! Whatever holds for the reference [`InMemoryStore`] must hold for the
-//! simulated DHT (with every node up) and for the durable archive in both
-//! cache modes — publishing, epoch-filtered fetches, deterministic order,
-//! atomic duplicate rejection, and counters.
+//! simulated DHT (with every node up) and for the durable archive —
+//! publishing, epoch-filtered fetches, deterministic order, atomic
+//! duplicate rejection, and counters.
 
 use orchestra_relational::tuple;
 use orchestra_store::{
-    CacheMode, DurableOptions, DurableStore, FetchCursor, InMemoryStore, ReplicatedStore,
-    StoreError, UpdateStore,
+    DurableStore, FetchCursor, InMemoryStore, ReplicatedStore, StoreError, UpdateStore,
+    DEFAULT_PAGE_LIMIT,
 };
 use orchestra_updates::{Epoch, PeerId, Transaction, TxnId, Update};
 use std::path::PathBuf;
@@ -50,7 +50,6 @@ impl Drop for Backend {
 /// One fresh store per backend flavor.
 fn backends() -> Vec<Backend> {
     let durable_dir = fresh_dir();
-    let disk_only_dir = fresh_dir();
     vec![
         Backend {
             name: "memory",
@@ -63,42 +62,28 @@ fn backends() -> Vec<Backend> {
             dir: None,
         },
         Backend {
-            name: "durable-cached",
+            name: "durable",
             store: Box::new(DurableStore::open(&durable_dir).unwrap()),
             dir: Some(durable_dir),
-        },
-        Backend {
-            name: "durable-disk-only",
-            store: Box::new(
-                DurableStore::open_with(
-                    &disk_only_dir,
-                    DurableOptions {
-                        cache: CacheMode::DiskOnly,
-                        ..DurableOptions::default()
-                    },
-                )
-                .unwrap(),
-            ),
-            dir: Some(disk_only_dir),
         },
     ]
 }
 
 #[test]
-fn publish_and_fetch_since() {
+fn publish_and_fetch_after_epoch() {
     for b in backends() {
-        let s = &b.store;
+        let s = &*b.store;
         s.publish(Epoch::new(1), vec![txn("A", 1), txn("B", 1)])
             .unwrap();
         s.publish(Epoch::new(2), vec![txn("A", 2)]).unwrap();
-        let all = s.fetch_since(Epoch::zero()).unwrap();
+        let all = all_since(s, Epoch::zero());
         assert_eq!(all.len(), 3, "{}", b.name);
         assert!(
             all.iter().all(|t| t.epoch >= Epoch::new(1)),
             "{}: epochs stamp onto transactions",
             b.name
         );
-        let recent = s.fetch_since(Epoch::new(1)).unwrap();
+        let recent = all_since(s, Epoch::new(1));
         assert_eq!(recent.len(), 1, "{}", b.name);
         assert_eq!(recent[0].id, TxnId::new(PeerId::new("A"), 2), "{}", b.name);
     }
@@ -107,11 +92,11 @@ fn publish_and_fetch_since() {
 #[test]
 fn fetch_order_is_deterministic() {
     for b in backends() {
-        let s = &b.store;
+        let s = &*b.store;
         s.publish(Epoch::new(1), vec![txn("B", 1), txn("A", 1)])
             .unwrap();
         s.publish(Epoch::new(2), vec![txn("C", 1)]).unwrap();
-        let all = s.fetch_since(Epoch::zero()).unwrap();
+        let all = all_since(s, Epoch::zero());
         let names: Vec<&str> = all.iter().map(|t| t.id.peer.name()).collect();
         assert_eq!(names, ["A", "B", "C"], "{}: (epoch, id) order", b.name);
     }
@@ -120,7 +105,7 @@ fn fetch_order_is_deterministic() {
 #[test]
 fn duplicate_rejected_atomically() {
     for b in backends() {
-        let s = &b.store;
+        let s = &*b.store;
         s.publish(Epoch::new(1), vec![txn("A", 1)]).unwrap();
         let err = s.publish(Epoch::new(2), vec![txn("C", 1), txn("A", 1)]);
         assert!(
@@ -135,7 +120,7 @@ fn duplicate_rejected_atomically() {
 #[test]
 fn fetch_by_id() {
     for b in backends() {
-        let s = &b.store;
+        let s = &*b.store;
         s.publish(Epoch::new(1), vec![txn("A", 1)]).unwrap();
         let got = s.fetch(&TxnId::new(PeerId::new("A"), 1)).unwrap();
         assert!(got.is_some(), "{}", b.name);
@@ -150,7 +135,7 @@ fn fetch_by_id() {
 #[test]
 fn latest_epoch_and_len() {
     for b in backends() {
-        let s = &b.store;
+        let s = &*b.store;
         assert!(s.is_empty(), "{}", b.name);
         assert_eq!(s.latest_epoch(), None, "{}", b.name);
         s.publish(Epoch::new(3), vec![txn("A", 1)]).unwrap();
@@ -163,10 +148,10 @@ fn latest_epoch_and_len() {
 #[test]
 fn stats_count() {
     for b in backends() {
-        let s = &b.store;
+        let s = &*b.store;
         s.publish(Epoch::new(1), vec![txn("A", 1), txn("A", 2)])
             .unwrap();
-        s.fetch_since(Epoch::zero()).unwrap();
+        all_since(s, Epoch::zero());
         let st = s.stats();
         assert_eq!(st.published, 2, "{}", b.name);
         assert_eq!(st.fetched, 2, "{}", b.name);
@@ -176,11 +161,7 @@ fn stats_count() {
 #[test]
 fn empty_fetch() {
     for b in backends() {
-        assert!(
-            b.store.fetch_since(Epoch::zero()).unwrap().is_empty(),
-            "{}",
-            b.name
-        );
+        assert!(all_since(&*b.store, Epoch::zero()).is_empty(), "{}", b.name);
     }
 }
 
@@ -203,6 +184,11 @@ fn drain_pages(
     (out, pages)
 }
 
+/// Every transaction archived after `since`, in default-size pages.
+fn all_since(s: &dyn UpdateStore, since: Epoch) -> Vec<Transaction> {
+    drain_pages(s, since, DEFAULT_PAGE_LIMIT).0
+}
+
 /// Seed a store with an awkward shape: uneven epochs, interleaved peers,
 /// publish order different from id order.
 fn seed_pages(s: &dyn UpdateStore) {
@@ -220,7 +206,8 @@ fn paged_fetch_matches_one_shot_fetch_at_every_page_size() {
     for b in backends() {
         let s = &*b.store;
         seed_pages(s);
-        let one_shot = s.fetch_since(Epoch::zero()).unwrap();
+        // One default-size page holds the whole seed.
+        let one_shot = all_since(s, Epoch::zero());
         assert_eq!(one_shot.len(), 12, "{}", b.name);
         for limit in [1usize, 2, 3, 5, 7, 12, 100] {
             let (paged, pages) = drain_pages(s, Epoch::zero(), limit);
@@ -232,8 +219,8 @@ fn paged_fetch_matches_one_shot_fetch_at_every_page_size() {
                 b.name
             );
         }
-        // Epoch-filtered paging matches epoch-filtered one-shot fetch.
-        let late = s.fetch_since(Epoch::new(2)).unwrap();
+        // Epoch-filtered paging matches at any page size too.
+        let late = all_since(s, Epoch::new(2));
         let (paged_late, _) = drain_pages(s, Epoch::new(2), 4);
         assert_eq!(paged_late, late, "{}", b.name);
         assert!(s.stats().pages > 0, "{}: pages counted", b.name);
@@ -296,13 +283,13 @@ fn in_batch_duplicate_rejected_atomically() {
         );
         assert_eq!(s.len(), 0, "{}: nothing archived", b.name);
         assert!(
-            s.fetch_since(Epoch::zero()).unwrap().is_empty(),
+            all_since(s, Epoch::zero()).is_empty(),
             "{}: no double-indexed ghost entries",
             b.name
         );
         // The same id can then be published cleanly exactly once.
         s.publish(Epoch::new(1), vec![txn("A", 1)]).unwrap();
-        assert_eq!(s.fetch_since(Epoch::zero()).unwrap().len(), 1, "{}", b.name);
+        assert_eq!(all_since(s, Epoch::zero()).len(), 1, "{}", b.name);
     }
 }
 
@@ -329,7 +316,7 @@ fn stale_epoch_publish_rejected() {
         assert_eq!(s.len(), 1, "{}: stale batch not archived", b.name);
         s.publish(Epoch::new(5), vec![txn("B", 1)]).unwrap();
         s.publish(Epoch::new(6), vec![txn("C", 1)]).unwrap();
-        assert_eq!(s.fetch_since(Epoch::zero()).unwrap().len(), 3, "{}", b.name);
+        assert_eq!(all_since(s, Epoch::zero()).len(), 3, "{}", b.name);
         // An empty batch is a vacuous no-op at any epoch: nothing a
         // cursor could miss, so no staleness to enforce.
         s.publish(Epoch::new(1), vec![]).unwrap();
@@ -341,7 +328,7 @@ fn updates_and_antecedents_survive_the_store() {
     // Full payload fidelity: modify/delete updates and antecedent sets
     // come back exactly as published, from every backend.
     for b in backends() {
-        let s = &b.store;
+        let s = &*b.store;
         let rich = Transaction::new(
             TxnId::new(PeerId::new("A"), 1),
             Epoch::zero(),

@@ -17,8 +17,8 @@ use orchestra_net::{PeerServer, RemoteStore};
 use orchestra_relational::tuple;
 use orchestra_store::durable::segment::{list_segments, segment_file_name};
 use orchestra_store::{
-    pages, CacheMode, DurableOptions, DurableStore, FetchCursor, InMemoryStore, ReplicatedStore,
-    StoreDigest, StoreError, SyncPolicy, UpdateStore, DEFAULT_PAGE_LIMIT,
+    pages, DurableOptions, DurableStore, FetchCursor, InMemoryStore, ReplicatedStore, StoreDigest,
+    StoreError, SyncPolicy, UpdateStore, DEFAULT_PAGE_LIMIT,
 };
 use orchestra_updates::{Epoch, PeerId, Transaction, TxnId, Update};
 use proptest::prelude::*;
@@ -69,7 +69,7 @@ fn page_walk(store: &dyn UpdateStore) -> StoreDigest {
 #[derive(Debug, Clone, Copy)]
 enum Backend {
     Memory,
-    Durable(CacheMode),
+    Durable,
     Replicated,
 }
 
@@ -89,15 +89,13 @@ impl Store {
         match backend {
             Backend::Memory => Store::Memory(InMemoryStore::new()),
             Backend::Replicated => Store::Replicated(ReplicatedStore::new(5, 2).unwrap()),
-            Backend::Durable(cache) => {
+            Backend::Durable => {
                 let dir = fresh_dir("sched");
                 let opts = DurableOptions {
                     // Seal a segment every couple of batches, so bit rot
                     // has sealed frames to land in.
                     segment_max_bytes: 256,
                     sync_policy: SyncPolicy::Always,
-                    cache,
-                    compact_every_batches: None,
                 };
                 let store = Some(Box::new(DurableStore::open_with(&dir, opts).unwrap()));
                 Store::Durable { store, dir, opts }
@@ -351,13 +349,7 @@ proptest! {
     #[test]
     fn durable_cached_digest_matches_the_page_walk(seed in 0u64..u64::MAX) {
         let _serial = serial();
-        run_schedule(Backend::Durable(CacheMode::Cached), seed, 30)?;
-    }
-
-    #[test]
-    fn durable_disk_only_digest_matches_the_page_walk(seed in 0u64..u64::MAX) {
-        let _serial = serial();
-        run_schedule(Backend::Durable(CacheMode::DiskOnly), seed, 30)?;
+        run_schedule(Backend::Durable, seed, 30)?;
     }
 }
 
@@ -367,14 +359,7 @@ proptest! {
 fn digest_reads_no_pages() {
     let _serial = serial();
     let dir = fresh_dir("counters");
-    let durable = DurableStore::open_with(
-        &dir,
-        DurableOptions {
-            cache: CacheMode::DiskOnly,
-            ..DurableOptions::default()
-        },
-    )
-    .unwrap();
+    let durable = DurableStore::open(&dir).unwrap();
     let stores: Vec<Box<dyn UpdateStore>> = vec![
         Box::new(InMemoryStore::new()),
         Box::new(ReplicatedStore::new(4, 2).unwrap()),

@@ -4,12 +4,15 @@
 //!   with no checksum failures, across segment rotations and compactions;
 //! * torn-tail repair: truncating the WAL mid-frame loses exactly the torn
 //!   batch and nothing else;
-//! * sealed-file corruption is detected, never silently dropped.
+//! * sealed-file corruption is detected, never silently dropped;
+//! * reads are served from memory: an archive whose directory is gone
+//!   still pages and fetches every payload.
 
 use orchestra_relational::tuple;
 use orchestra_store::durable::segment::{list_segments, segment_file_name};
 use orchestra_store::{
-    CacheMode, DurableOptions, DurableStore, FetchCursor, StoreError, SyncPolicy, UpdateStore,
+    pages, DurableOptions, DurableStore, FetchCursor, StoreError, SyncPolicy, UpdateStore,
+    DEFAULT_PAGE_LIMIT,
 };
 use orchestra_updates::{Epoch, PeerId, Transaction, TxnId, Update};
 use std::fs;
@@ -46,9 +49,32 @@ fn tiny_segments() -> DurableOptions {
     DurableOptions {
         segment_max_bytes: 64, // force a rotation on nearly every publish
         sync_policy: SyncPolicy::Always,
-        cache: CacheMode::Cached,
-        compact_every_batches: None,
     }
+}
+
+/// `compact()`, retried past failures the fault registry injects (CI runs
+/// this suite with `store.snapshot.write` armed). A failed compaction
+/// publishes nothing and loses nothing, so retrying is what a caller does.
+fn compact(store: &DurableStore) -> Option<u64> {
+    for _ in 0..16 {
+        match store.compact() {
+            Err(StoreError::Io { message, .. }) if message == "injected failpoint" => {}
+            other => return other.unwrap(),
+        }
+    }
+    panic!("compaction kept failing on injected faults");
+}
+
+/// Every transaction archived after `since`, through the paged read path;
+/// none may be unavailable.
+fn all_since(store: &DurableStore, since: Epoch) -> Vec<Transaction> {
+    let mut out = Vec::new();
+    for page in pages(store, FetchCursor::after_epoch(since), DEFAULT_PAGE_LIMIT) {
+        let page = page.unwrap();
+        assert!(page.unavailable.is_empty(), "{:?}", page.unavailable);
+        out.extend(page.txns);
+    }
+    out
 }
 
 /// The core acceptance test: publish across several "process lifetimes"
@@ -56,56 +82,47 @@ fn tiny_segments() -> DurableOptions {
 /// published is refetchable with correct contents.
 #[test]
 fn kill_and_reopen_preserves_every_epoch() {
-    for cache in [CacheMode::Cached, CacheMode::DiskOnly] {
-        let dir = fresh_dir("kill-reopen");
-        let opts = DurableOptions {
-            cache,
-            ..tiny_segments()
-        };
-        let mut published: Vec<(u64, u64)> = Vec::new(); // (epoch, seq)
-        for generation in 0..5u64 {
-            let store = DurableStore::open_with(&dir, opts).unwrap();
-            // Everything from prior generations is already there.
-            let recovered = store.fetch_since(Epoch::zero()).unwrap();
-            assert_eq!(
-                recovered.len(),
-                published.len(),
-                "{cache:?} gen {generation}"
-            );
-            for ((epoch, seq), t) in published.iter().zip(&recovered) {
-                assert_eq!(t.epoch, Epoch::new(*epoch));
-                assert_eq!(t.id.seq, *seq);
-                assert_eq!(t.updates.len(), 2, "payloads intact");
-            }
-            // Publish a few more epochs, crossing segment boundaries.
-            for e in 0..3u64 {
-                let epoch = generation * 3 + e + 1;
-                let seq = epoch; // unique per publish
-                store
-                    .publish(Epoch::new(epoch), vec![txn("P", seq)])
-                    .unwrap();
-                published.push((epoch, seq));
-            }
-            // Mid-run compaction on generation 2 must not lose anything.
-            if generation == 2 {
-                store.compact().unwrap().expect("something to compact");
-            }
-            assert_eq!(store.latest_epoch(), Some(Epoch::new(generation * 3 + 3)));
-            drop(store); // "kill"
-        }
+    let dir = fresh_dir("kill-reopen");
+    let opts = tiny_segments();
+    let mut published: Vec<(u64, u64)> = Vec::new(); // (epoch, seq)
+    for generation in 0..5u64 {
         let store = DurableStore::open_with(&dir, opts).unwrap();
-        assert_eq!(store.len(), published.len());
-        let all = store.fetch_since(Epoch::zero()).unwrap();
-        assert_eq!(all.len(), published.len());
-        // Epoch-filtered fetch still honors the boundary after recovery.
-        let late = store.fetch_since(Epoch::new(10)).unwrap();
-        assert_eq!(
-            late.len(),
-            published.iter().filter(|(e, _)| *e > 10).count()
-        );
-        assert!(store.durable_stats().recovered_txns == published.len() as u64);
-        fs::remove_dir_all(&dir).unwrap();
+        // Everything from prior generations is already there.
+        let recovered = all_since(&store, Epoch::zero());
+        assert_eq!(recovered.len(), published.len(), "gen {generation}");
+        for ((epoch, seq), t) in published.iter().zip(&recovered) {
+            assert_eq!(t.epoch, Epoch::new(*epoch));
+            assert_eq!(t.id.seq, *seq);
+            assert_eq!(t.updates.len(), 2, "payloads intact");
+        }
+        // Publish a few more epochs, crossing segment boundaries.
+        for e in 0..3u64 {
+            let epoch = generation * 3 + e + 1;
+            let seq = epoch; // unique per publish
+            store
+                .publish(Epoch::new(epoch), vec![txn("P", seq)])
+                .unwrap();
+            published.push((epoch, seq));
+        }
+        // Mid-run compaction on generation 2 must not lose anything.
+        if generation == 2 {
+            compact(&store).expect("something to compact");
+        }
+        assert_eq!(store.latest_epoch(), Some(Epoch::new(generation * 3 + 3)));
+        drop(store); // "kill"
     }
+    let store = DurableStore::open_with(&dir, opts).unwrap();
+    assert_eq!(store.len(), published.len());
+    let all = all_since(&store, Epoch::zero());
+    assert_eq!(all.len(), published.len());
+    // Epoch-filtered fetch still honors the boundary after recovery.
+    let late = all_since(&store, Epoch::new(10));
+    assert_eq!(
+        late.len(),
+        published.iter().filter(|(e, _)| *e > 10).count()
+    );
+    assert!(store.durable_stats().recovered_txns == published.len() as u64);
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Chop the active segment mid-frame (a crash during append): reopening
@@ -131,7 +148,7 @@ fn torn_wal_tail_recovers_durable_prefix() {
     let store = DurableStore::open_with(&dir, opts).unwrap();
     let stats = store.durable_stats();
     assert!(stats.torn_bytes_truncated > 0, "tail was repaired");
-    let all = store.fetch_since(Epoch::zero()).unwrap();
+    let all = all_since(&store, Epoch::zero());
     assert_eq!(all.len(), 3, "exactly the durable prefix survives");
     assert_eq!(store.latest_epoch(), Some(Epoch::new(3)));
 
@@ -139,7 +156,7 @@ fn torn_wal_tail_recovers_durable_prefix() {
     store.publish(Epoch::new(9), vec![txn("P", 9)]).unwrap();
     drop(store);
     let store = DurableStore::open_with(&dir, opts).unwrap();
-    assert_eq!(store.fetch_since(Epoch::zero()).unwrap().len(), 4);
+    assert_eq!(all_since(&store, Epoch::zero()).len(), 4);
     assert_eq!(store.latest_epoch(), Some(Epoch::new(9)));
     fs::remove_dir_all(&dir).unwrap();
 }
@@ -162,7 +179,7 @@ fn torn_tail_at_header_boundary() {
     fs::write(&seg, &bytes).unwrap();
 
     let store = DurableStore::open_with(&dir, opts).unwrap();
-    assert_eq!(store.fetch_since(Epoch::zero()).unwrap().len(), 1);
+    assert_eq!(all_since(&store, Epoch::zero()).len(), 1);
     assert_eq!(fs::metadata(&seg).unwrap().len(), valid as u64, "tail gone");
     fs::remove_dir_all(&dir).unwrap();
 }
@@ -196,7 +213,7 @@ fn corrupt_sealed_frame_quarantined_on_open() {
         stats.corrupt_frames_skipped > 0,
         "the flip was noticed: {stats:?}"
     );
-    let survivors = store.fetch_since(Epoch::zero()).unwrap();
+    let survivors = all_since(&store, Epoch::zero());
     assert!(
         !survivors.is_empty() && survivors.len() < 6,
         "unaffected frames load, the rotten one is absent: {}",
@@ -213,7 +230,6 @@ fn corrupt_sealed_frame_quarantined_on_open() {
 /// exactly once throughout (zero duplicate applies).
 #[test]
 fn scrub_quarantines_and_absorb_heals() {
-    use orchestra_store::pages;
     let dir = fresh_dir("scrub-heal");
     let opts = tiny_segments();
     let store = DurableStore::open_with(&dir, opts).unwrap();
@@ -280,7 +296,7 @@ fn scrub_quarantines_and_absorb_heals() {
     assert_eq!(r.duplicates, 0);
     assert!(store.quarantined().is_empty());
     assert_eq!(store.durable_stats().quarantined, 0);
-    let all = store.fetch_since(Epoch::zero()).unwrap();
+    let all = all_since(&store, Epoch::zero());
     assert_eq!(all.len(), 6, "healed archive is whole again");
     assert_eq!(store.fetch(gap_id).unwrap().unwrap().id, *gap_id);
 
@@ -289,10 +305,10 @@ fn scrub_quarantines_and_absorb_heals() {
     // compaction drops the rot for good.
     let again = store.scrub().unwrap();
     assert_eq!(again.quarantined, 0, "{again:?}");
-    store.compact().unwrap().expect("compacted");
+    compact(&store).expect("compacted");
     let clean = store.scrub().unwrap();
     assert_eq!(clean.corrupt_frames, 0, "compaction dropped the rot");
-    assert_eq!(store.fetch_since(Epoch::zero()).unwrap().len(), 6);
+    assert_eq!(all_since(&store, Epoch::zero()).len(), 6);
     fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -339,7 +355,7 @@ fn torn_tail_torture_sweep() {
         fs::write(&last_seg, &tail[..cut]).unwrap();
         let store = DurableStore::open_with(&dir, opts)
             .unwrap_or_else(|e| panic!("truncation at byte {cut} failed the open: {e}"));
-        let survivors = store.fetch_since(Epoch::zero()).unwrap();
+        let survivors = all_since(&store, Epoch::zero());
         assert!(
             survivors.len() >= 2,
             "truncation at {cut} lost a committed prior frame: {} survivors",
@@ -358,7 +374,7 @@ fn torn_tail_torture_sweep() {
         fs::write(&last_seg, &mutated).unwrap();
         let store = DurableStore::open_with(&dir, opts)
             .unwrap_or_else(|e| panic!("bit-flip at byte {flip} failed the open: {e}"));
-        let survivors = store.fetch_since(Epoch::zero()).unwrap();
+        let survivors = all_since(&store, Epoch::zero());
         assert!(
             survivors.iter().any(|t| t.id == txn("P", 1).id)
                 && survivors.iter().any(|t| t.id == txn("P", 2).id),
@@ -384,18 +400,18 @@ fn compaction_bounds_recovery_without_losing_data() {
         let before = store.durable_stats();
         assert!(before.segments > 2);
 
-        let watermark = store.compact().unwrap().expect("compacted");
+        let watermark = compact(&store).expect("compacted");
         let after = store.durable_stats();
         assert_eq!(after.snapshot_watermark, Some(watermark));
         assert_eq!(after.segments, 1, "only the fresh active segment remains");
         assert!(list_segments(&dir).unwrap().iter().all(|&s| s > watermark));
 
         // Contents identical through the compaction.
-        let all = store.fetch_since(Epoch::zero()).unwrap();
+        let all = all_since(&store, Epoch::zero());
         assert_eq!(all.len(), 10);
 
         // A second compact with nothing new is a no-op.
-        assert_eq!(store.compact().unwrap(), None);
+        assert_eq!(compact(&store), None);
 
         // Publishing continues after compaction.
         for seq in 11..=13u64 {
@@ -403,7 +419,7 @@ fn compaction_bounds_recovery_without_losing_data() {
         }
     }
     let store = DurableStore::open_with(&dir, opts).unwrap();
-    let all = store.fetch_since(Epoch::zero()).unwrap();
+    let all = all_since(&store, Epoch::zero());
     assert_eq!(all.len(), 13);
     for (i, t) in all.iter().enumerate() {
         assert_eq!(t.epoch, Epoch::new(i as u64 + 1));
@@ -420,24 +436,33 @@ fn compaction_bounds_recovery_without_losing_data() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Auto-compaction via `compact_every_batches` keeps working transparently.
+/// Reads never touch the disk: with the archive spread over a snapshot
+/// and several live segments, and its directory renamed away, every
+/// payload still pages and fetches.
 #[test]
-fn auto_compaction_is_transparent() {
-    let dir = fresh_dir("auto-compact");
-    let opts = DurableOptions {
-        compact_every_batches: Some(4),
-        ..tiny_segments()
-    };
-    let store = DurableStore::open_with(&dir, opts).unwrap();
-    for seq in 1..=20u64 {
+fn reads_never_touch_the_disk() {
+    let dir = fresh_dir("no-disk-reads");
+    let store = DurableStore::open_with(&dir, tiny_segments()).unwrap();
+    for seq in 1..=9u64 {
         store.publish(Epoch::new(seq), vec![txn("P", seq)]).unwrap();
+        if seq == 6 {
+            compact(&store).expect("compacted");
+        }
     }
-    let stats = store.durable_stats();
-    assert!(stats.compactions >= 4, "{stats:?}");
-    assert_eq!(store.fetch_since(Epoch::zero()).unwrap().len(), 20);
+    assert!(store.durable_stats().segments > 1, "live segments too");
+
+    let moved = dir.with_extension("moved");
+    fs::rename(&dir, &moved).unwrap();
+    let all = all_since(&store, Epoch::zero());
+    let seqs: Vec<u64> = all.iter().map(|t| t.id.seq).collect();
+    assert_eq!(seqs, (1..=9).collect::<Vec<_>>());
+    for seq in 1..=9u64 {
+        let want = txn("P", seq);
+        let got = store.fetch(&want.id).unwrap().expect("archived");
+        assert_eq!(got.updates, want.updates);
+    }
+    fs::rename(&moved, &dir).unwrap();
     drop(store);
-    let store = DurableStore::open_with(&dir, opts).unwrap();
-    assert_eq!(store.fetch_since(Epoch::zero()).unwrap().len(), 20);
     fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -456,31 +481,25 @@ fn duplicates_rejected_across_restarts() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Relaxed sync policies trade the crash guarantee for throughput but
-/// still recover cleanly from an orderly shutdown.
+/// The relaxed sync policy trades the crash guarantee for throughput but
+/// still recovers cleanly from an orderly shutdown.
 #[test]
 fn relaxed_sync_policies_roundtrip() {
-    for policy in [SyncPolicy::EveryN(3), SyncPolicy::Never] {
-        let dir = fresh_dir("sync-policy");
-        let opts = DurableOptions {
-            sync_policy: policy,
-            ..DurableOptions::default()
-        };
-        {
-            let store = DurableStore::open_with(&dir, opts).unwrap();
-            for seq in 1..=7u64 {
-                store.publish(Epoch::new(seq), vec![txn("P", seq)]).unwrap();
-            }
-            store.sync().unwrap();
-        }
+    let dir = fresh_dir("sync-policy");
+    let opts = DurableOptions {
+        sync_policy: SyncPolicy::EveryN(3),
+        ..DurableOptions::default()
+    };
+    {
         let store = DurableStore::open_with(&dir, opts).unwrap();
-        assert_eq!(
-            store.fetch_since(Epoch::zero()).unwrap().len(),
-            7,
-            "{policy:?}"
-        );
-        fs::remove_dir_all(&dir).unwrap();
+        for seq in 1..=7u64 {
+            store.publish(Epoch::new(seq), vec![txn("P", seq)]).unwrap();
+        }
+        store.sync().unwrap();
     }
+    let store = DurableStore::open_with(&dir, opts).unwrap();
+    assert_eq!(all_since(&store, Epoch::zero()).len(), 7);
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Two concurrent stores on one directory would corrupt each other's
@@ -524,48 +543,42 @@ fn empty_and_reopen_idempotent() {
 /// reads agree even when a restart (or both) interrupts the walk.
 #[test]
 fn fetch_page_cursor_resumes_across_restart() {
-    use orchestra_store::FetchCursor;
-    for cache in [CacheMode::Cached, CacheMode::DiskOnly] {
-        let dir = fresh_dir("cursor-resume");
-        let opts = DurableOptions {
-            cache,
-            ..tiny_segments()
-        };
-        {
-            let store = DurableStore::open_with(&dir, opts).unwrap();
-            for ep in 1..=6u64 {
-                let batch = (0..4).map(|i| txn("P", ep * 10 + i)).collect();
-                store.publish(Epoch::new(ep), batch).unwrap();
-            }
-        }
-
-        // First lifetime: read the full history one-shot, then walk the
-        // first two pages and remember where we stopped.
-        let (one_shot, mid_cursor) = {
-            let store = DurableStore::open_with(&dir, opts).unwrap();
-            let one_shot = store.fetch_since(Epoch::zero()).unwrap();
-            assert_eq!(one_shot.len(), 24);
-            let p1 = store
-                .fetch_page(&FetchCursor::after_epoch(Epoch::zero()), 5)
-                .unwrap();
-            let p2 = store.fetch_page(&p1.next_cursor.unwrap(), 5).unwrap();
-            assert_eq!(
-                one_shot[..10],
-                p1.txns.iter().chain(&p2.txns).cloned().collect::<Vec<_>>()[..],
-            );
-            (one_shot, p2.next_cursor.unwrap())
-        };
-
-        // Second lifetime: compact (rewrites every file), then resume the
-        // walk from the saved cursor — the tail matches exactly.
+    let dir = fresh_dir("cursor-resume");
+    let opts = tiny_segments();
+    {
         let store = DurableStore::open_with(&dir, opts).unwrap();
-        store.compact().unwrap();
-        let tail: Vec<_> = orchestra_store::pages(&store, mid_cursor, 5)
-            .flat_map(|p| p.unwrap().txns)
-            .collect();
-        assert_eq!(tail, one_shot[10..], "cache mode {cache:?}");
-        fs::remove_dir_all(&dir).unwrap();
+        for ep in 1..=6u64 {
+            let batch = (0..4).map(|i| txn("P", ep * 10 + i)).collect();
+            store.publish(Epoch::new(ep), batch).unwrap();
+        }
     }
+
+    // First lifetime: read the full history one-shot, then walk the
+    // first two pages and remember where we stopped.
+    let (one_shot, mid_cursor) = {
+        let store = DurableStore::open_with(&dir, opts).unwrap();
+        let one_shot = all_since(&store, Epoch::zero());
+        assert_eq!(one_shot.len(), 24);
+        let p1 = store
+            .fetch_page(&FetchCursor::after_epoch(Epoch::zero()), 5)
+            .unwrap();
+        let p2 = store.fetch_page(&p1.next_cursor.unwrap(), 5).unwrap();
+        assert_eq!(
+            one_shot[..10],
+            p1.txns.iter().chain(&p2.txns).cloned().collect::<Vec<_>>()[..],
+        );
+        (one_shot, p2.next_cursor.unwrap())
+    };
+
+    // Second lifetime: compact (rewrites every file), then resume the
+    // walk from the saved cursor — the tail matches exactly.
+    let store = DurableStore::open_with(&dir, opts).unwrap();
+    compact(&store);
+    let tail: Vec<_> = pages(&store, mid_cursor, 5)
+        .flat_map(|p| p.unwrap().txns)
+        .collect();
+    assert_eq!(tail, one_shot[10..]);
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Anti-entropy absorb writes WAL batches with the epochs their
@@ -576,9 +589,7 @@ fn fetch_page_cursor_resumes_across_restart() {
 fn absorbed_out_of_order_epochs_survive_reopen_and_compaction() {
     let dir = fresh_dir("absorb");
     let scan_epochs = |store: &DurableStore| -> Vec<u64> {
-        store
-            .fetch_since(Epoch::zero())
-            .unwrap()
+        all_since(store, Epoch::zero())
             .iter()
             .map(|t| t.epoch.value())
             .collect()
@@ -603,7 +614,7 @@ fn absorbed_out_of_order_epochs_survive_reopen_and_compaction() {
         again.epoch = Epoch::new(2);
         let r = store.absorb(vec![again]).unwrap();
         assert_eq!((r.absorbed, r.duplicates), (0, 1));
-        store.compact().unwrap();
+        compact(&store);
         assert_eq!(scan_epochs(&store), vec![2, 6, 9]);
     }
     // And once more after the compaction rewrote every file.

@@ -211,30 +211,3 @@ fn store_rejects_duplicate_ids() {
         Err(StoreError::DuplicateTxn(_))
     ));
 }
-
-/// A peer's instance snapshot exports and re-imports losslessly —
-/// including labeled nulls invented by the split mapping.
-#[test]
-fn peer_instance_io_roundtrip() {
-    use orchestra_relational::io::{export_instance, import_instance};
-    let mut cdss = demo::figure2().unwrap();
-    let alaska = PeerId::new("Alaska");
-    let dresden = PeerId::new("Dresden");
-    cdss.publish_transaction(
-        &dresden,
-        vec![Update::insert("OPS", tuple!["Rat", "p53", "MEEP"])],
-    )
-    .unwrap();
-    cdss.reconcile(&alaska).unwrap();
-
-    let original = cdss.peer(&alaska).unwrap().instance().clone();
-    assert!(original
-        .relation("O")
-        .unwrap()
-        .iter()
-        .any(|t| t.has_labeled_null()));
-    let text = export_instance(&original);
-    let mut restored = orchestra_relational::Instance::new(original.schema().clone());
-    import_instance(&mut restored, &text).unwrap();
-    assert_eq!(restored, original);
-}

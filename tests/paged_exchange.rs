@@ -67,8 +67,8 @@ fn kv_cdss(store: Box<dyn UpdateStore>) -> Cdss {
         .unwrap()
 }
 
-/// The churn scenario the old `fetch_since` contract could not survive:
-/// one dead payload in the middle of the history. The peer now makes
+/// The churn scenario a fail-on-first-gap read could not survive: one
+/// dead payload in the middle of the history. The peer now makes
 /// partial progress past the reachable prefix *and* reachable later
 /// epochs, holds back only the gap's causal dependents, and resumes
 /// cleanly from the frozen cursor once the holder returns.

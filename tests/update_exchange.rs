@@ -231,10 +231,7 @@ fn alternative_derivations_survive_partial_deletion() {
     .unwrap();
     cdss.reconcile(&p("Dresden")).unwrap();
     let after = cdss.peer(&p("Dresden")).unwrap().provenance("OPS", &row);
-    assert!(
-        after.as_ref().is_none_or(|poly| poly.is_zero()),
-        "{after:?}"
-    );
+    assert!(after.is_none(), "{after:?}");
     let _ = a_txn;
 }
 
