@@ -469,7 +469,7 @@ impl Cdss {
             peer.ingest_and_translate(&txn)?;
             // The peer's own transaction counts as accepted history so
             // foreign dependents can resolve their antecedents against it.
-            peer.reconciler.note_local(&txn)?;
+            peer.note_local(&txn)?;
             ids.push(txn.id.clone());
             built.push(txn);
         }
@@ -828,7 +828,7 @@ impl Cdss {
             .peers
             .get_mut(peer_id)
             .ok_or_else(|| CoreError::UnknownPeer(peer_id.to_string()))?;
-        let outcome = peer.reconciler.resolve(winner)?;
+        let outcome = peer.resolve(winner)?;
         let mut applied = 0usize;
         for txn in &outcome.accepted {
             for u in &txn.updates {
@@ -935,7 +935,7 @@ fn process_page(
             let forward_ref = txn
                 .antecedents
                 .iter()
-                .any(|a| !peer.ingested.contains(a) && peer.reconciler.decision(a).is_none());
+                .any(|a| !peer.ingested.contains(a) && peer.decision(a).is_none());
             if forward_ref {
                 p.push(txn);
                 continue;
@@ -955,7 +955,7 @@ fn process_page(
             // publish doesn't reuse an archived transaction id). The
             // local effects are applied below, interleaved with
             // accepted foreign transactions in causal order.
-            peer.reconciler.note_local(&txn)?;
+            peer.note_local(&txn)?;
             peer.next_seq = peer.next_seq.max(txn.id.seq);
             restored_own.insert(txn.id.clone());
         }
@@ -964,13 +964,7 @@ fn process_page(
     let n_candidates = candidates.len();
     let processed = kept.len();
 
-    // Split borrows: reconciler and policy are disjoint fields.
-    let outcome = {
-        let Peer {
-            reconciler, policy, ..
-        } = &mut *peer;
-        reconciler.reconcile(candidates, policy)?
-    };
+    let outcome = peer.reconcile(candidates)?;
 
     let mut applied = 0usize;
     let mut apply = |peer: &mut Peer, txn: &Transaction| -> Result<()> {

@@ -4,10 +4,12 @@
 use crate::Result;
 use orchestra_datalog::{ChangeKind, Engine, NodeId, Query, RuleId};
 use orchestra_obs::GaugeHandle;
-use orchestra_reconcile::{Decision, Reconciler, TrustPolicy};
+use orchestra_reconcile::{
+    Candidate, Decision, ReconcileOutcome, Reconciler, ResolveOutcome, TrustPolicy,
+};
 use orchestra_relational::{DatabaseSchema, FxHashMap, Instance, Tuple};
 use orchestra_store::FetchCursor;
-use orchestra_updates::{Epoch, PeerId, TxnId};
+use orchestra_updates::{Epoch, PeerId, Transaction, TxnId};
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
@@ -55,7 +57,12 @@ pub struct Peer {
     pub(crate) schema: DatabaseSchema,
     pub(crate) instance: Instance,
     pub(crate) policy: TrustPolicy,
-    pub(crate) reconciler: Reconciler,
+    /// Changed only through [`Peer::note_local`], [`Peer::reconcile`] and
+    /// [`Peer::resolve`], which keep `reconcile_gauges` current.
+    reconciler: Reconciler,
+    /// `reconcile.open_candidates` / `reconcile.known_txns`: this peer's
+    /// share of the two gauges, set after every reconciler call.
+    reconcile_gauges: [GaugeHandle; 2],
     pub(crate) engine: Engine,
     /// What `engine` was compiled from.
     slice: ProgramSlice,
@@ -133,6 +140,10 @@ impl Peer {
         }
         Peer {
             reconciler: Reconciler::new(schema.clone()),
+            reconcile_gauges: [
+                orchestra_obs::gauge("reconcile.open_candidates"),
+                orchestra_obs::gauge("reconcile.known_txns"),
+            ],
             instance: Instance::new(schema.clone()),
             id,
             schema,
@@ -182,6 +193,35 @@ impl Peer {
     /// Replace the trust policy (applies to future reconciliations).
     pub fn set_policy(&mut self, policy: TrustPolicy) {
         self.policy = policy;
+    }
+
+    /// Register one of this peer's own transactions with the reconciler
+    /// (see [`Reconciler::note_local`]).
+    pub(crate) fn note_local(&mut self, txn: &Transaction) -> Result<()> {
+        let noted = self.reconciler.note_local(txn);
+        self.set_reconcile_gauges();
+        Ok(noted?)
+    }
+
+    /// One reconciliation pass over translated candidates under this
+    /// peer's trust policy.
+    pub(crate) fn reconcile(&mut self, candidates: Vec<Candidate>) -> Result<ReconcileOutcome> {
+        let outcome = self.reconciler.reconcile(candidates, &self.policy);
+        self.set_reconcile_gauges();
+        Ok(outcome?)
+    }
+
+    /// Resolve deferred conflicts in favor of `winner`.
+    pub(crate) fn resolve(&mut self, winner: &TxnId) -> Result<ResolveOutcome> {
+        let outcome = self.reconciler.resolve(winner);
+        self.set_reconcile_gauges();
+        Ok(outcome?)
+    }
+
+    fn set_reconcile_gauges(&self) {
+        let [open, known] = &self.reconcile_gauges;
+        open.set(self.reconciler.open_candidates() as i64);
+        known.set(self.reconciler.known_txns() as i64);
     }
 
     /// The decision recorded for a transaction, if any.

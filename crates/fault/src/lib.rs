@@ -373,6 +373,16 @@ pub fn scoped(spec: &str, seed: u64) -> ScopeGuard {
     }
 }
 
+/// Run `op` with every failpoint disarmed, whatever the environment
+/// configured: for an operation a test asserts succeeds, while a fault
+/// cell (`ORCHESTRA_FAILPOINTS`) arms the same sites for the rest of the
+/// suite. Like [`scoped`], blocks while another scope is armed, so it
+/// must not run inside one on the same thread.
+pub fn disarmed<T>(op: impl FnOnce() -> T) -> T {
+    let _clean = scoped("", 0);
+    op()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

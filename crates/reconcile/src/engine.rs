@@ -1,17 +1,25 @@
 //! The greedy reconciliation algorithm with deferral and manual resolution.
+//!
+//! Every transaction the reconciler has seen has a dense id in its
+//! `DepGraph`; decisions, the settled mark and the open-candidate slot
+//! are a `Vec` indexed by it. The payload — the transaction and its write
+//! set — is held only while the candidate is open work: undecided
+//! (distrusted ones included) or deferred. An acceptance moves the
+//! transaction into the outcome and its writes into the accepted history;
+//! a rejection drops it. What stays per settled transaction is its id,
+//! its antecedent edges and a few bytes of state.
 
 use crate::candidate::Candidate;
+use crate::depgraph::DepGraph;
 use crate::error::ReconcileError;
 use crate::state::Decision;
 use crate::trust::TrustPolicy;
 use crate::{Priority, Result, DISTRUSTED};
-use orchestra_relational::{DatabaseSchema, Tuple};
-use orchestra_updates::{DepGraph, Transaction, TxnId, WriteOutcome};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
-use std::sync::Arc;
-
-/// One transaction's write set: (relation, key) → final outcome.
-type WriteSet = BTreeMap<(Arc<str>, Tuple), WriteOutcome>;
+use orchestra_relational::{DatabaseSchema, FxHasher};
+use orchestra_updates::{Transaction, TxnId, WriteKey, WriteOutcome};
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
+use std::ops::Range;
 
 /// What one reconciliation pass decided.
 #[derive(Debug, Clone, Default)]
@@ -35,31 +43,71 @@ pub struct ResolveOutcome {
     pub rejected: Vec<TxnId>,
 }
 
+/// An open candidate's payload.
+#[derive(Debug, Clone)]
+struct Open {
+    txn: Transaction,
+    /// Computed once, at registration.
+    writes: Vec<(WriteKey, WriteOutcome)>,
+}
+
+/// What the reconciler knows about one transaction.
+#[derive(Debug, Clone, Default)]
+struct TxnState {
+    /// Distrusted candidates and forward references stay undecided.
+    decision: Option<Decision>,
+    /// Nonzero once the transaction is *settled*: accepted, with every
+    /// antecedent settled when it was — so its whole antecedent closure
+    /// is accepted, and since acceptance is final it stays so. The value
+    /// counts settlements, so everything behind a settled transaction
+    /// settled before it. Antecedent walks stop here, which bounds them by
+    /// open work instead of by history. Plain "accepted" would not do: a
+    /// local transaction may cite a deferred one
+    /// ([`Reconciler::note_local`]).
+    settled_at: u32,
+    /// The payload, while the transaction is an undecided or deferred
+    /// candidate.
+    open: Option<Box<Open>>,
+}
+
+impl TxnState {
+    fn settled(&self) -> bool {
+        self.settled_at != 0
+    }
+}
+
 /// Per-peer reconciliation engine. Owns the peer's persistent decision
-/// state across epochs: decisions, the transaction dependency graph, the
-/// pool of seen candidates, accepted write history, and open conflicts.
+/// state across epochs: decisions and the transaction dependency graph
+/// over every transaction seen, the payloads of open candidates, accepted
+/// write history, and open conflicts.
 #[derive(Debug, Clone)]
 pub struct Reconciler {
     schema: DatabaseSchema,
-    decisions: BTreeMap<TxnId, Decision>,
     graph: DepGraph,
-    pool: BTreeMap<TxnId, Candidate>,
+    /// Indexed by dense id; as long as the graph.
+    state: Vec<TxnState>,
+    /// How many `state` entries hold a payload.
+    open: usize,
+    /// How many transactions have settled.
+    settlements: u32,
     /// (relation, key) → (last accepted writer, outcome). Only probed,
     /// never walked; the keys are peer data, so std's keyed hasher.
-    accepted_writes: HashMap<(Arc<str>, Tuple), (TxnId, WriteOutcome)>,
+    accepted_writes: HashMap<WriteKey, (u32, WriteOutcome)>,
     /// Open same-priority conflicts awaiting the administrator.
     conflicts: Vec<(TxnId, TxnId)>,
-    /// Memoized per-transaction write sets (immutable once computed: the
-    /// transaction and schema never change). Saves recomputing key
-    /// projections in every phase that looks at the same candidate.
-    write_sets: HashMap<TxnId, Arc<WriteSet>>,
-    /// *Settled* transactions: accepted, with every antecedent settled
-    /// when they were — so their whole antecedent closure is accepted,
-    /// and since acceptance is final it stays so. Antecedent walks stop
-    /// here, which bounds them by open work instead of by history. Plain
-    /// "accepted" would not do: a local transaction may cite a deferred
-    /// one ([`Reconciler::note_local`]).
-    settled: HashSet<TxnId>,
+    /// The same pairs as dense ids, in lockstep with `conflicts`.
+    conflict_nodes: Vec<(u32, u32)>,
+    /// Rejected during the current pass. Their payloads are dropped when
+    /// the pass ends: a group formed earlier in the same priority level
+    /// may still accept one of them.
+    rejected_now: Vec<u32>,
+    /// Settled during the current pass. Their dependent edges are dropped
+    /// when the pass ends (no dependent walk reaches a settled
+    /// transaction, and no later pass orders one; within the pass,
+    /// `resolve` still walks its winner's dependents).
+    settled_now: Vec<u32>,
+    /// Walk output scratch.
+    closure: Vec<u32>,
 }
 
 impl Reconciler {
@@ -67,49 +115,52 @@ impl Reconciler {
     pub fn new(schema: DatabaseSchema) -> Self {
         Reconciler {
             schema,
-            decisions: BTreeMap::new(),
-            graph: DepGraph::new(),
-            pool: BTreeMap::new(),
+            graph: DepGraph::default(),
+            state: Vec::new(),
+            open: 0,
+            settlements: 0,
             accepted_writes: HashMap::new(),
             conflicts: Vec::new(),
-            write_sets: HashMap::new(),
-            settled: HashSet::new(),
+            conflict_nodes: Vec::new(),
+            rejected_now: Vec::new(),
+            settled_now: Vec::new(),
+            closure: Vec::new(),
         }
-    }
-
-    /// The memoized write set of a pooled candidate.
-    fn write_set_of(&mut self, id: &TxnId) -> Result<Arc<WriteSet>> {
-        if let Some(ws) = self.write_sets.get(id) {
-            return Ok(Arc::clone(ws));
-        }
-        let ws = Arc::new(
-            self.pool[id]
-                .txn
-                .write_set(&self.schema)
-                .map_err(ReconcileError::from)?,
-        );
-        self.write_sets.insert(id.clone(), Arc::clone(&ws));
-        Ok(ws)
     }
 
     /// The recorded decision for a transaction, if any. Distrusted
     /// candidates stay undecided.
     pub fn decision(&self, id: &TxnId) -> Option<Decision> {
-        self.decisions.get(id).copied()
+        self.graph
+            .get(id)
+            .and_then(|n| self.state[n as usize].decision)
     }
 
     /// Currently deferred transactions, in id order.
     pub fn deferred(&self) -> Vec<TxnId> {
-        self.decisions
-            .iter()
-            .filter(|(_, d)| **d == Decision::Deferred)
-            .map(|(id, _)| id.clone())
-            .collect()
+        let mut out: Vec<TxnId> = (0..self.state.len() as u32)
+            .filter(|&n| self.decided(n) == Some(Decision::Deferred))
+            .map(|n| self.graph.id(n).clone())
+            .collect();
+        out.sort_unstable();
+        out
     }
 
     /// Open conflict pairs awaiting resolution.
     pub fn open_conflicts(&self) -> &[(TxnId, TxnId)] {
         &self.conflicts
+    }
+
+    /// Candidates whose transaction the reconciler holds: undecided ones
+    /// (distrusted ones included) and deferred ones.
+    pub fn open_candidates(&self) -> usize {
+        self.open
+    }
+
+    /// Transactions the reconciler has seen: candidates, local ones, and
+    /// antecedents cited before they arrived.
+    pub fn known_txns(&self) -> usize {
+        self.graph.len()
     }
 
     /// Register one of the peer's **own** published transactions: it is
@@ -122,17 +173,13 @@ impl Reconciler {
     /// itself published would classify its antecedent as *missing* and be
     /// deferred forever.
     pub fn note_local(&mut self, txn: &Transaction) -> Result<()> {
-        if self.decisions.contains_key(&txn.id) {
-            return Err(ReconcileError::DuplicateCandidate(txn.id.to_string()));
+        let writes = txn.write_set(&self.schema)?;
+        let n = self.insert(txn)?;
+        self.record_accepted(n);
+        for (key, outcome) in writes {
+            self.accepted_writes.insert(key, (n, outcome));
         }
-        self.graph
-            .insert(txn.id.clone(), txn.antecedents.clone())
-            .map_err(ReconcileError::from)?;
-        self.record_accepted(txn.id.clone())?;
-        let ws = txn.write_set(&self.schema).map_err(ReconcileError::from)?;
-        for (key, outcome) in ws {
-            self.accepted_writes.insert(key, (txn.id.clone(), outcome));
-        }
+        self.end_pass();
         Ok(())
     }
 
@@ -143,288 +190,294 @@ impl Reconciler {
         candidates: Vec<Candidate>,
         policy: &TrustPolicy,
     ) -> Result<ReconcileOutcome> {
-        // Register candidates: pool + dependency graph.
-        let mut level_map: BTreeMap<Priority, Vec<TxnId>> = BTreeMap::new();
+        // Register candidates: dependency graph + open payload.
+        let mut level_map: BTreeMap<Priority, Vec<u32>> = BTreeMap::new();
         for c in candidates {
-            let id = c.id().clone();
-            if self.pool.contains_key(&id) {
-                return Err(ReconcileError::DuplicateCandidate(id.to_string()));
-            }
-            self.graph
-                .insert(id.clone(), c.txn.antecedents.clone())
-                .map_err(ReconcileError::from)?;
             let priority = policy.txn_priority(&c);
-            self.pool.insert(id.clone(), c);
+            let writes = c.txn.write_set(&self.schema)?;
+            let n = self.insert(&c.txn)?;
+            self.state[n as usize].open = Some(Box::new(Open { txn: c.txn, writes }));
+            self.open += 1;
             if priority > DISTRUSTED {
-                level_map.entry(priority).or_default().push(id);
+                level_map.entry(priority).or_default().push(n);
             }
         }
 
         let mut outcome = ReconcileOutcome::default();
         // Process levels from highest to lowest priority.
-        for (_priority, ids) in level_map.into_iter().rev() {
-            self.process_level(&ids, &mut outcome)?;
+        for (_priority, ns) in level_map.into_iter().rev() {
+            self.process_level(&ns, &mut outcome)?;
         }
+        self.end_pass();
         Ok(outcome)
     }
 
-    fn process_level(&mut self, ids: &[TxnId], outcome: &mut ReconcileOutcome) -> Result<()> {
+    /// Insert a transaction into the graph, growing the state alongside
+    /// (its forward references included).
+    fn insert(&mut self, txn: &Transaction) -> Result<u32> {
+        let n = self.graph.insert(&txn.id, &txn.antecedents)?;
+        self.state.resize_with(self.graph.len(), TxnState::default);
+        Ok(n)
+    }
+
+    fn process_level(&mut self, ns: &[u32], outcome: &mut ReconcileOutcome) -> Result<()> {
         // Phase a: classify candidates by antecedent state; build groups
-        // (with their net write maps, computed once) for the eligible ones.
-        let mut eligible: Vec<(TxnId, BTreeSet<TxnId>, GroupWrites)> = Vec::new();
-        for id in ids {
-            if self.decisions.contains_key(id) {
+        // (with their net writes, computed once) for the eligible ones.
+        // Group members live in one buffer, each group a range of it.
+        let mut members: Vec<u32> = Vec::new();
+        let mut eligible: Vec<(u32, Range<usize>, GroupWrites)> = Vec::new();
+        for &n in ns {
+            if self.decided(n).is_some() {
                 continue; // Pulled in (or cascaded) earlier this pass.
             }
-            match self.classify_antecedents(id)? {
+            let start = members.len();
+            match self.classify_antecedents(n, &mut members) {
                 AntecedentState::Rejected => {
-                    self.record(id.clone(), Decision::Rejected);
-                    outcome.rejected.push(id.clone());
+                    self.reject(n);
+                    outcome.rejected.push(self.graph.id(n).clone());
                 }
                 AntecedentState::Deferred | AntecedentState::Missing => {
-                    self.record(id.clone(), Decision::Deferred);
-                    outcome.deferred.push(id.clone());
+                    self.set(n, Decision::Deferred);
+                    outcome.deferred.push(self.graph.id(n).clone());
                 }
-                AntecedentState::Ready(group) => {
-                    let writes = self.group_writes(&group)?;
-                    eligible.push((id.clone(), group, writes));
+                AntecedentState::Ready => {
+                    let writes = self.group_writes(&members[start..])?;
+                    eligible.push((n, start..members.len(), writes));
                 }
             }
         }
 
         // Phase b: conflicts among same-level groups → defer both (the
         // administrator must pick — paper §3). Rather than all-pairs
-        // write-set comparison, index writers by key: only groups writing
-        // a common key can conflict.
-        let mut deferred_now: BTreeSet<TxnId> = BTreeSet::new();
+        // write-set comparison, sort every group's writes by key (by a
+        // word hash first, which is cheaper to compare): only groups
+        // writing a common key can conflict.
+        let mut conflicting_pairs: Vec<(usize, usize)> = Vec::new();
         {
-            // key → [(eligible index, writer, outcome)].
-            type WritersByKey<'a> =
-                BTreeMap<&'a (Arc<str>, Tuple), Vec<(usize, &'a TxnId, &'a WriteOutcome)>>;
-            let mut by_key: WritersByKey<'_> = BTreeMap::new();
-            for (idx, (_, _, writes)) in eligible.iter().enumerate() {
-                for (key, (writer, w_outcome)) in writes {
-                    by_key
-                        .entry(key)
-                        .or_default()
-                        .push((idx, writer, w_outcome));
+            let Reconciler { graph, state, .. } = &mut *self;
+            // (key hash, key, eligible index, writer, outcome).
+            let mut writes: Vec<(u64, &WriteKey, usize, u32, &WriteOutcome)> = Vec::new();
+            for (idx, (_, _, group_writes)) in eligible.iter().enumerate() {
+                for (writer, key, w_outcome) in group_writes.iter(state) {
+                    let mut h = FxHasher::default();
+                    key.hash(&mut h);
+                    writes.push((h.finish(), key, idx, writer, w_outcome));
                 }
             }
+            writes.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(b.1)));
             // Hot keys make this loop quadratic in their writer count:
-            // collect conflicting index pairs into a Vec and sort+dedup at
-            // the end (same set and order a BTreeSet would have produced).
+            // collect conflicting index pairs and sort+dedup at the end.
             // Every writer is an undecided candidate, so each relatedness
             // walk skips settled history.
-            let mut conflicting_pairs: Vec<(usize, usize)> = Vec::new();
-            for writers in by_key.values() {
-                if writers.len() < 2 {
-                    continue;
-                }
+            for writers in writes.chunk_by(|a, b| a.1 == b.1) {
                 for a in 0..writers.len() {
                     for b in (a + 1)..writers.len() {
-                        let (ia, wa, oa) = writers[a];
-                        let (ib, wb, ob) = writers[b];
+                        let (_, _, ia, wa, oa) = writers[a];
+                        let (_, _, ib, wb, ob) = writers[b];
                         if ia == ib || oa == ob {
                             continue;
                         }
-                        if !self.causally_related(wa, wb)? {
+                        if !causally_related(graph, state, wa, wb) {
                             conflicting_pairs.push((ia.min(ib), ia.max(ib)));
                         }
                     }
                 }
             }
-            conflicting_pairs.sort_unstable();
-            conflicting_pairs.dedup();
-            for (ia, ib) in conflicting_pairs {
-                let id_a = eligible[ia].0.clone();
-                let id_b = eligible[ib].0.clone();
-                self.conflicts.push((id_a.clone(), id_b.clone()));
-                deferred_now.insert(id_a);
-                deferred_now.insert(id_b);
-            }
         }
-        for id in &deferred_now {
-            self.record(id.clone(), Decision::Deferred);
-            outcome.deferred.push(id.clone());
+        conflicting_pairs.sort_unstable();
+        conflicting_pairs.dedup();
+        let mut deferred_now: Vec<u32> = Vec::with_capacity(2 * conflicting_pairs.len());
+        for (ia, ib) in conflicting_pairs {
+            let (a, b) = (eligible[ia].0, eligible[ib].0);
+            self.conflicts
+                .push((self.graph.id(a).clone(), self.graph.id(b).clone()));
+            self.conflict_nodes.push((a, b));
+            deferred_now.extend([a, b]);
+        }
+        deferred_now.sort_unstable_by(|&a, &b| self.graph.cmp_ids(a, b));
+        deferred_now.dedup();
+        for n in deferred_now {
+            self.set(n, Decision::Deferred);
+            outcome.deferred.push(self.graph.id(n).clone());
         }
 
-        // Phase c: accept survivors greedily (deterministic id order from
+        // Phase c: accept survivors greedily (in candidate order from
         // phase a), rejecting those that conflict with accepted history.
-        for (id, group, writes) in eligible {
-            if deferred_now.contains(&id) {
+        for (n, group, writes) in &eligible {
+            if self.decided(*n).is_some() {
+                continue; // Deferred above, or accepted in an earlier group.
+            }
+            if self.writes_conflict_with_history(writes) {
+                self.reject(*n);
+                outcome.rejected.push(self.graph.id(*n).clone());
                 continue;
             }
-            if self.decisions.contains_key(&id) {
-                continue; // Became accepted as part of an earlier group.
-            }
-            if self.writes_conflict_with_history(&writes)? {
-                self.record(id.clone(), Decision::Rejected);
-                outcome.rejected.push(id);
-                continue;
-            }
-            self.accept_group(&group, outcome)?;
+            self.accept_group(&members[group.clone()], &mut outcome.accepted)?;
         }
         Ok(())
     }
 
-    /// Classify a candidate by the decisions on its antecedent closure.
+    /// Classify a candidate by the decisions on its antecedent closure;
+    /// when it is applicable, append its group (the candidate plus its
+    /// undecided antecedents) to `group`.
     ///
     /// Walks only the *open* part of the closure: settled transactions
     /// are not expanded, because everything behind them is accepted —
     /// it can neither block the candidate nor join its group. The first
     /// blocker in id order decides, exactly as over the whole closure.
-    fn classify_antecedents(&self, id: &TxnId) -> Result<AntecedentState> {
-        let closure = self.open_antecedents(id)?;
-        let mut group: BTreeSet<TxnId> = BTreeSet::from([id.clone()]);
-        for ant in closure {
-            match self.decisions.get(&ant) {
-                Some(Decision::Rejected) => return Ok(AntecedentState::Rejected),
-                Some(Decision::Deferred) => return Ok(AntecedentState::Deferred),
-                Some(Decision::Accepted) => {} // Already applied; not in group.
-                None => {
-                    if self.pool.contains_key(&ant) {
-                        group.insert(ant); // Undecided candidate: pull in.
-                    } else {
-                        // Forward reference to a transaction never seen.
-                        return Ok(AntecedentState::Missing);
-                    }
-                }
+    fn classify_antecedents(&mut self, n: u32, group: &mut Vec<u32>) -> AntecedentState {
+        let Reconciler {
+            graph,
+            state,
+            closure,
+            ..
+        } = self;
+        graph.antecedent_closure(n, |a| state[a as usize].settled(), closure);
+        let mut blocker: Option<(u32, AntecedentState)> = None;
+        for &a in closure.iter() {
+            let s = &state[a as usize];
+            let blocks = match s.decision {
+                Some(Decision::Rejected) => AntecedentState::Rejected,
+                Some(Decision::Deferred) => AntecedentState::Deferred,
+                Some(Decision::Accepted) => continue, // Already applied; not in group.
+                None if s.open.is_some() => continue, // Undecided candidate: pull in.
+                None => AntecedentState::Missing, // Forward reference to a transaction never seen.
+            };
+            if blocker
+                .as_ref()
+                .is_none_or(|&(b, _)| graph.cmp_ids(a, b).is_lt())
+            {
+                blocker = Some((a, blocks));
             }
         }
-        Ok(AntecedentState::Ready(group))
+        if let Some((_, blocks)) = blocker {
+            return blocks;
+        }
+        group.push(n);
+        group.extend(
+            closure
+                .iter()
+                .filter(|&&a| state[a as usize].decision.is_none()),
+        );
+        AntecedentState::Ready
     }
 
     /// The net writes of a group: apply members in dependency order,
-    /// last-writer-wins per key. Returns (key → (writer, outcome)).
-    fn group_writes(&mut self, group: &BTreeSet<TxnId>) -> Result<GroupWrites> {
-        let mut out: GroupWrites = BTreeMap::new();
-        // Fast path: singleton groups (the common case) need no
-        // ordering. An empty group falls through to the general path,
-        // which yields an empty write set.
-        if group.len() == 1 {
-            if let Some(id) = group.iter().next().cloned() {
-                for (key, outcome) in self.write_set_of(&id)?.iter() {
-                    out.insert(key.clone(), (id.clone(), outcome.clone()));
-                }
-                return Ok(out);
-            }
+    /// last-writer-wins per key.
+    fn group_writes(&mut self, group: &[u32]) -> Result<GroupWrites> {
+        // Fast path: a singleton group (the common case) needs no
+        // ordering and writes exactly its member's write set.
+        if let [n] = group {
+            return Ok(GroupWrites::Single(*n));
         }
-        let order = subgraph_topo_order(&self.graph, group)?;
-        for id in order {
-            let ws = self.write_set_of(&id)?;
-            for (key, outcome) in ws.iter() {
-                out.insert(key.clone(), (id.clone(), outcome.clone()));
-            }
-        }
-        Ok(out)
-    }
-
-    /// `id`'s antecedent closure (excluding `id`) minus everything behind
-    /// a settled transaction, settled ones included.
-    fn open_antecedents(&self, id: &TxnId) -> Result<BTreeSet<TxnId>> {
-        let mut seen: BTreeSet<TxnId> = BTreeSet::new();
-        let mut queue: VecDeque<&TxnId> = VecDeque::from([id]);
-        while let Some(cur) = queue.pop_front() {
-            for a in self
-                .graph
-                .antecedents_of(cur)
-                .map_err(ReconcileError::from)?
-            {
-                if !self.settled.contains(a) && seen.insert(a.clone()) {
-                    queue.push_back(a);
-                }
-            }
-        }
-        seen.remove(id);
-        Ok(seen)
-    }
-
-    /// Is `target` in `from`'s antecedent closure? A depth-first walk
-    /// that stops at the first sighting. An unsettled target cannot lie
-    /// behind settled history, so then settled transactions are not
-    /// expanded either.
-    fn reaches(&self, from: &TxnId, target: &TxnId) -> Result<bool> {
-        let prune = !self.settled.contains(target);
-        let mut seen: HashSet<&TxnId> = HashSet::new();
-        let mut stack: Vec<&TxnId> = vec![from];
-        while let Some(cur) = stack.pop() {
-            for a in self
-                .graph
-                .antecedents_of(cur)
-                .map_err(ReconcileError::from)?
-            {
-                if a == target {
-                    return Ok(true);
-                }
-                if !(prune && self.settled.contains(a)) && seen.insert(a) {
-                    stack.push(a);
-                }
-            }
-        }
-        Ok(false)
-    }
-
-    fn causally_related(&self, a: &TxnId, b: &TxnId) -> Result<bool> {
-        Ok(a == b || self.reaches(a, b)? || self.reaches(b, a)?)
+        let mut order = Vec::with_capacity(group.len());
+        self.graph.topo_order(group, &mut order)?;
+        let mut all: Vec<(&WriteKey, u32, &WriteOutcome)> = order
+            .iter()
+            .flat_map(|&m| {
+                writes_of(&self.state, m)
+                    .iter()
+                    .map(move |(key, outcome)| (key, m, outcome))
+            })
+            .collect();
+        // Stable: a key's writers stay in dependency order, last one wins.
+        all.sort_by(|a, b| a.0.cmp(b.0));
+        let net = all
+            .chunk_by(|a, b| a.0 == b.0)
+            .filter_map(|writers| writers.last())
+            .map(|&(key, writer, outcome)| (key.clone(), writer, outcome.clone()))
+            .collect();
+        Ok(GroupWrites::Merged(net))
     }
 
     /// Does the group clash with the already-accepted write history?
     /// A dependent overwriting its accepted antecedent's data is fine.
-    fn group_conflicts_with_history(&mut self, group: &BTreeSet<TxnId>) -> Result<bool> {
-        let writes = self.group_writes(group)?;
-        self.writes_conflict_with_history(&writes)
-    }
-
-    fn writes_conflict_with_history(&self, writes: &GroupWrites) -> Result<bool> {
-        for (key, (writer, outcome)) in writes {
-            if let Some((accepted_writer, accepted_outcome)) = self.accepted_writes.get(key) {
-                if outcome != accepted_outcome && !self.causally_related(writer, accepted_writer)? {
-                    return Ok(true);
+    fn writes_conflict_with_history(&mut self, writes: &GroupWrites) -> bool {
+        let Reconciler {
+            graph,
+            state,
+            accepted_writes,
+            ..
+        } = self;
+        for (writer, key, outcome) in writes.iter(state) {
+            if let Some((accepted_writer, accepted_outcome)) = accepted_writes.get(key) {
+                if outcome != accepted_outcome
+                    && !causally_related(graph, state, writer, *accepted_writer)
+                {
+                    return true;
                 }
             }
         }
-        Ok(false)
+        false
     }
 
-    /// Accept every member of a group, in dependency order.
-    fn accept_group(
-        &mut self,
-        group: &BTreeSet<TxnId>,
-        outcome: &mut ReconcileOutcome,
-    ) -> Result<()> {
-        let order = subgraph_topo_order(&self.graph, group)?;
-        for id in order {
-            if self.decisions.get(&id) == Some(&Decision::Accepted) {
+    /// Accept every member of a group, in dependency order, moving each
+    /// newly accepted transaction into `accepted` and its writes into the
+    /// accepted history.
+    fn accept_group(&mut self, group: &[u32], accepted: &mut Vec<Transaction>) -> Result<()> {
+        let mut order = Vec::with_capacity(group.len());
+        self.graph.topo_order(group, &mut order)?;
+        for m in order {
+            if self.decided(m) == Some(Decision::Accepted) {
                 continue;
             }
-            self.record_accepted(id.clone())?;
-            let ws = self.write_set_of(&id)?;
-            for (key, w_outcome) in ws.iter() {
-                self.accepted_writes
-                    .insert(key.clone(), (id.clone(), w_outcome.clone()));
+            self.record_accepted(m);
+            if let Some(open) = self.state[m as usize].open.take() {
+                self.open -= 1;
+                let Open { txn, writes } = *open;
+                for (key, outcome) in writes {
+                    self.accepted_writes.insert(key, (m, outcome));
+                }
+                accepted.push(txn);
             }
-            outcome.accepted.push(self.pool[&id].txn.clone());
         }
         Ok(())
     }
 
-    fn record(&mut self, id: TxnId, d: Decision) {
-        self.decisions.insert(id, d);
+    fn decided(&self, n: u32) -> Option<Decision> {
+        self.state[n as usize].decision
+    }
+
+    fn set(&mut self, n: u32, d: Decision) {
+        self.state[n as usize].decision = Some(d);
+    }
+
+    fn reject(&mut self, n: u32) {
+        self.set(n, Decision::Rejected);
+        self.rejected_now.push(n);
+    }
+
+    /// Drop the payloads of this pass's rejections (unless a later group
+    /// of the same level accepted one after all) and the dependent edges
+    /// of the transactions it settled.
+    fn end_pass(&mut self) {
+        for n in self.rejected_now.drain(..) {
+            let s = &mut self.state[n as usize];
+            if s.decision == Some(Decision::Rejected) && s.open.take().is_some() {
+                self.open -= 1;
+            }
+        }
+        for n in self.settled_now.drain(..) {
+            self.graph.seal(n);
+        }
     }
 
     /// Record an acceptance, settling the transaction when all its
     /// antecedents are settled (members of a group are accepted in
     /// dependency order, so in-group antecedents come first).
-    fn record_accepted(&mut self, id: TxnId) -> Result<()> {
-        let ants = self
+    fn record_accepted(&mut self, n: u32) {
+        let settled = self
             .graph
-            .antecedents_of(&id)
-            .map_err(ReconcileError::from)?;
-        if ants.iter().all(|a| self.settled.contains(a)) {
-            self.settled.insert(id.clone());
+            .antecedents(n)
+            .iter()
+            .all(|&a| self.state[a as usize].settled());
+        let s = &mut self.state[n as usize];
+        s.decision = Some(Decision::Accepted);
+        if settled && !s.settled() {
+            self.settlements += 1;
+            s.settled_at = self.settlements;
+            self.settled_now.push(n);
         }
-        self.record(id, Decision::Accepted);
-        Ok(())
     }
 
     /// Manually resolve deferred conflicts in favor of `winner`.
@@ -434,99 +487,105 @@ impl Reconciler {
     /// (deferred transactions in open conflict with the winner) and all
     /// their dependents are rejected.
     pub fn resolve(&mut self, winner: &TxnId) -> Result<ResolveOutcome> {
-        if self.decisions.get(winner) != Some(&Decision::Deferred) {
-            return Err(ReconcileError::NotDeferred(winner.to_string()));
-        }
+        let deferred = Some(Decision::Deferred);
+        let w = match self.graph.get(winner) {
+            Some(w) if self.decided(w) == deferred => w,
+            _ => return Err(ReconcileError::NotDeferred(winner.to_string())),
+        };
         let mut out = ResolveOutcome::default();
 
         // Losers: deferred counterparts in open conflicts with the winner.
-        let mut losers: BTreeSet<TxnId> = BTreeSet::new();
-        for (a, b) in &self.conflicts {
-            if a == winner && self.decisions.get(b) == Some(&Decision::Deferred) {
-                losers.insert(b.clone());
-            } else if b == winner && self.decisions.get(a) == Some(&Decision::Deferred) {
-                losers.insert(a.clone());
+        let mut losers: Vec<u32> = Vec::new();
+        for &(a, b) in &self.conflict_nodes {
+            if a == w && self.decided(b) == deferred {
+                losers.push(b);
+            } else if b == w && self.decided(a) == deferred {
+                losers.push(a);
             }
         }
+        losers.sort_unstable_by(|&a, &b| self.graph.cmp_ids(a, b));
+        losers.dedup();
 
         // Reject losers and their dependents (deferred or undecided).
-        for loser in &losers {
-            self.record(loser.clone(), Decision::Rejected);
-            out.rejected.push(loser.clone());
-            let deps = self
-                .graph
-                .dependent_closure(loser)
-                .map_err(ReconcileError::from)?;
-            for d in deps {
-                match self.decisions.get(&d) {
-                    Some(Decision::Deferred) | None
-                        if (self.pool.contains_key(&d) || self.decisions.contains_key(&d)) =>
-                    {
-                        self.record(d.clone(), Decision::Rejected);
-                        out.rejected.push(d);
-                    }
-                    _ => {}
+        let mut deps = Vec::new();
+        for loser in losers {
+            self.reject(loser);
+            out.rejected.push(self.graph.id(loser).clone());
+            self.graph.dependent_closure(loser, &mut deps);
+            deps.sort_unstable_by(|&a, &b| self.graph.cmp_ids(a, b));
+            for &d in &deps {
+                let s = &self.state[d as usize];
+                let open_work = match s.decision {
+                    Some(Decision::Deferred) => true,
+                    None => s.open.is_some(),
+                    _ => false,
+                };
+                if open_work {
+                    self.reject(d);
+                    out.rejected.push(self.graph.id(d).clone());
                 }
             }
         }
         // Drop resolved conflict pairs.
-        self.conflicts.retain(|(a, b)| {
-            self.decisions.get(a) == Some(&Decision::Deferred)
-                && self.decisions.get(b) == Some(&Decision::Deferred)
-        });
+        let state = &self.state;
+        let keep: Vec<bool> = self
+            .conflict_nodes
+            .iter()
+            .map(|&(a, b)| {
+                state[a as usize].decision == deferred && state[b as usize].decision == deferred
+            })
+            .collect();
+        let mut kept = keep.iter();
+        self.conflicts.retain(|_| kept.next() == Some(&true));
+        let mut kept = keep.iter();
+        self.conflict_nodes.retain(|_| kept.next() == Some(&true));
 
         // Accept the winner (group semantics: pull undecided antecedents).
-        self.decisions.remove(winner); // Allow classify/accept to re-run.
-        match self.classify_antecedents(winner)? {
-            AntecedentState::Ready(group) => {
-                let mut tmp = ReconcileOutcome::default();
-                self.accept_group(&group, &mut tmp)?;
-                out.accepted.extend(tmp.accepted);
-            }
+        self.state[w as usize].decision = None; // Allow classify/accept to re-run.
+        let mut group = Vec::new();
+        match self.classify_antecedents(w, &mut group) {
+            AntecedentState::Ready => self.accept_group(&group, &mut out.accepted)?,
             _ => {
                 // Antecedents rejected/missing even after resolution: the
                 // administrator's choice cannot be applied.
-                self.record(winner.clone(), Decision::Rejected);
+                self.reject(w);
                 out.rejected.push(winner.clone());
+                self.end_pass();
                 return Ok(out);
             }
         }
 
         // Cascade: deferred dependents of the winner, in dependency order.
-        let deps = self
-            .graph
-            .dependent_closure(winner)
-            .map_err(ReconcileError::from)?;
-        let deferred_deps: BTreeSet<TxnId> = deps
-            .into_iter()
-            .filter(|d| self.decisions.get(d) == Some(&Decision::Deferred))
-            .collect();
-        let order = subgraph_topo_order(&self.graph, &deferred_deps)?;
+        self.graph.dependent_closure(w, &mut deps);
+        deps.retain(|&d| self.decided(d) == deferred);
+        let mut order = Vec::with_capacity(deps.len());
+        self.graph.topo_order(&deps, &mut order)?;
         for dep in order {
-            if self.decisions.get(&dep) != Some(&Decision::Deferred) {
+            if self.decided(dep) != deferred {
                 continue;
             }
-            self.decisions.remove(&dep);
-            match self.classify_antecedents(&dep)? {
-                AntecedentState::Ready(group) => {
-                    if self.group_conflicts_with_history(&group)? {
-                        self.record(dep.clone(), Decision::Rejected);
-                        out.rejected.push(dep);
+            self.state[dep as usize].decision = None;
+            group.clear();
+            match self.classify_antecedents(dep, &mut group) {
+                AntecedentState::Ready => {
+                    let writes = self.group_writes(&group)?;
+                    if self.writes_conflict_with_history(&writes) {
+                        self.reject(dep);
+                        out.rejected.push(self.graph.id(dep).clone());
                     } else {
-                        let mut tmp = ReconcileOutcome::default();
-                        self.accept_group(&group, &mut tmp)?;
-                        out.accepted.extend(tmp.accepted);
+                        self.accept_group(&group, &mut out.accepted)?;
                     }
                 }
                 AntecedentState::Rejected => {
-                    self.record(dep.clone(), Decision::Rejected);
-                    out.rejected.push(dep);
+                    self.reject(dep);
+                    out.rejected.push(self.graph.id(dep).clone());
                 }
                 AntecedentState::Deferred | AntecedentState::Missing => {
-                    self.record(dep.clone(), Decision::Deferred);
+                    self.set(dep, Decision::Deferred);
                 }
             }
         }
+        self.end_pass();
         Ok(out)
     }
 }
@@ -539,46 +598,63 @@ enum AntecedentState {
     /// Some antecedent was never seen → cannot apply yet.
     Missing,
     /// Applicable: the group of the candidate plus undecided antecedents.
-    Ready(BTreeSet<TxnId>),
+    Ready,
 }
 
-/// A group's net writes: key → (last writer within the group, outcome).
-type GroupWrites = BTreeMap<(Arc<str>, Tuple), (TxnId, WriteOutcome)>;
+/// A group's net writes.
+enum GroupWrites {
+    /// A one-member group writes its member's write set, read in place.
+    Single(u32),
+    /// A larger group's net writes in key order: (key, last writer within
+    /// the group, outcome).
+    Merged(Vec<(WriteKey, u32, WriteOutcome)>),
+}
 
-/// Topological order of `subset` using only dependency edges *within* the
-/// subset — O(|subset| + edges) instead of ordering the whole graph.
-fn subgraph_topo_order(
-    graph: &orchestra_updates::DepGraph,
-    subset: &BTreeSet<TxnId>,
-) -> Result<Vec<TxnId>> {
-    let mut in_deg: BTreeMap<&TxnId, usize> = BTreeMap::new();
-    for id in subset {
-        let ants = graph.antecedents_of(id).map_err(ReconcileError::from)?;
-        in_deg.insert(id, ants.iter().filter(|a| subset.contains(*a)).count());
+impl GroupWrites {
+    /// Every (writer, key, outcome).
+    fn iter<'a>(
+        &'a self,
+        state: &'a [TxnState],
+    ) -> impl Iterator<Item = (u32, &'a WriteKey, &'a WriteOutcome)> + 'a {
+        let (single, merged) = match self {
+            GroupWrites::Single(n) => (Some(*n), &[][..]),
+            GroupWrites::Merged(net) => (None, &net[..]),
+        };
+        let own = single.into_iter().flat_map(move |n| {
+            writes_of(state, n)
+                .iter()
+                .map(move |(key, outcome)| (n, key, outcome))
+        });
+        own.chain(
+            merged
+                .iter()
+                .map(|(key, writer, outcome)| (*writer, key, outcome)),
+        )
     }
-    let mut ready: std::collections::VecDeque<&TxnId> = in_deg
-        .iter()
-        .filter(|(_, &d)| d == 0)
-        .map(|(id, _)| *id)
-        .collect();
-    let mut out: Vec<TxnId> = Vec::with_capacity(subset.len());
-    while let Some(id) = ready.pop_front() {
-        out.push(id.clone());
-        for dep in graph.dependents_of(id).map_err(ReconcileError::from)? {
-            if let Some(d) = in_deg.get_mut(dep) {
-                *d = d.saturating_sub(1);
-                if *d == 0 {
-                    ready.push_back(dep);
-                }
-            }
-        }
-    }
-    if out.len() != subset.len() {
-        return Err(ReconcileError::Updates(
-            "dependency cycle among transactions".into(),
-        ));
-    }
-    Ok(out)
+}
+
+/// An open candidate's write set (empty once it is decided).
+fn writes_of(state: &[TxnState], n: u32) -> &[(WriteKey, WriteOutcome)] {
+    state[n as usize]
+        .open
+        .as_deref()
+        .map_or(&[], |open| &open.writes[..])
+}
+
+/// Is either transaction in the other's antecedent closure? Everything
+/// behind a settled transaction settled before it, so a walk for `target`
+/// neither starts from nor expands a transaction that settled before
+/// `target` did — nor any settled one, when `target` is unsettled.
+fn causally_related(graph: &mut DepGraph, state: &[TxnState], a: u32, b: u32) -> bool {
+    let mut reaches = |from: u32, target: u32| {
+        let target_at = state[target as usize].settled_at;
+        let cannot_reach = |x: u32| {
+            let at = state[x as usize].settled_at;
+            at != 0 && (target_at == 0 || at < target_at)
+        };
+        !cannot_reach(from) && graph.reaches(from, target, cannot_reach)
+    };
+    a == b || reaches(a, b) || reaches(b, a)
 }
 
 #[cfg(test)]

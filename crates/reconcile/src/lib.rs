@@ -24,9 +24,22 @@
 //! The engine is deliberately independent of the mapping layer: it
 //! consumes [`Candidate`]s (translated transactions plus per-update origin
 //! provenance) and produces apply-ready decisions, so it can be tested and
-//! benchmarked in isolation (experiment E7).
+//! measured in isolation (`tests/bounded_walks.rs` checks it against a
+//! whole-closure reference, `tests/reconcile_cost.rs` prints its cost).
+//!
+//! **What a [`Reconciler`] keeps.** Every transaction it sees gets a dense
+//! id; per transaction it then keeps the id, its dependency edges and a
+//! few bytes of decision state (decision, *settled* mark), for as long as
+//! it lives — antecedent checks and `decision` ask about any transaction
+//! ever seen, and the history check walks settled antecedent edges. A
+//! candidate's transaction and write set are kept only while it is open
+//! work: undecided (distrusted ones included) or deferred. Accepting it
+//! moves the transaction into the [`ReconcileOutcome`] and its writes into
+//! the accepted-write history, which holds one entry per written key;
+//! rejecting it drops both.
 
 pub mod candidate;
+mod depgraph;
 pub mod engine;
 pub mod error;
 pub mod state;

@@ -42,7 +42,8 @@ impl Tuple {
     /// Project onto the given column indexes (panics if any is out of range;
     /// schema validation guarantees ranges before this is reached).
     pub fn project(&self, cols: &[usize]) -> Tuple {
-        Tuple::new(cols.iter().map(|&c| self.0[c].clone()).collect())
+        // Collected straight into the `Arc`: one allocation.
+        Tuple(cols.iter().map(|&c| self.0[c].clone()).collect())
     }
 
     /// Project onto the given columns, returning owned values in a plain

@@ -73,9 +73,9 @@ fn backends() -> Vec<Backend> {
 fn publish_and_fetch_after_epoch() {
     for b in backends() {
         let s = &*b.store;
-        s.publish(Epoch::new(1), vec![txn("A", 1), txn("B", 1)])
+        orchestra_fault::disarmed(|| s.publish(Epoch::new(1), vec![txn("A", 1), txn("B", 1)]))
             .unwrap();
-        s.publish(Epoch::new(2), vec![txn("A", 2)]).unwrap();
+        orchestra_fault::disarmed(|| s.publish(Epoch::new(2), vec![txn("A", 2)])).unwrap();
         let all = all_since(s, Epoch::zero());
         assert_eq!(all.len(), 3, "{}", b.name);
         assert!(
@@ -93,9 +93,9 @@ fn publish_and_fetch_after_epoch() {
 fn fetch_order_is_deterministic() {
     for b in backends() {
         let s = &*b.store;
-        s.publish(Epoch::new(1), vec![txn("B", 1), txn("A", 1)])
+        orchestra_fault::disarmed(|| s.publish(Epoch::new(1), vec![txn("B", 1), txn("A", 1)]))
             .unwrap();
-        s.publish(Epoch::new(2), vec![txn("C", 1)]).unwrap();
+        orchestra_fault::disarmed(|| s.publish(Epoch::new(2), vec![txn("C", 1)])).unwrap();
         let all = all_since(s, Epoch::zero());
         let names: Vec<&str> = all.iter().map(|t| t.id.peer.name()).collect();
         assert_eq!(names, ["A", "B", "C"], "{}: (epoch, id) order", b.name);
@@ -106,7 +106,7 @@ fn fetch_order_is_deterministic() {
 fn duplicate_rejected_atomically() {
     for b in backends() {
         let s = &*b.store;
-        s.publish(Epoch::new(1), vec![txn("A", 1)]).unwrap();
+        orchestra_fault::disarmed(|| s.publish(Epoch::new(1), vec![txn("A", 1)])).unwrap();
         let err = s.publish(Epoch::new(2), vec![txn("C", 1), txn("A", 1)]);
         assert!(
             matches!(err, Err(StoreError::DuplicateTxn(_))),
@@ -121,7 +121,7 @@ fn duplicate_rejected_atomically() {
 fn fetch_by_id() {
     for b in backends() {
         let s = &*b.store;
-        s.publish(Epoch::new(1), vec![txn("A", 1)]).unwrap();
+        orchestra_fault::disarmed(|| s.publish(Epoch::new(1), vec![txn("A", 1)])).unwrap();
         let got = s.fetch(&TxnId::new(PeerId::new("A"), 1)).unwrap();
         assert!(got.is_some(), "{}", b.name);
         assert!(
@@ -138,8 +138,8 @@ fn latest_epoch_and_len() {
         let s = &*b.store;
         assert!(s.is_empty(), "{}", b.name);
         assert_eq!(s.latest_epoch(), None, "{}", b.name);
-        s.publish(Epoch::new(3), vec![txn("A", 1)]).unwrap();
-        s.publish(Epoch::new(5), vec![txn("A", 2)]).unwrap();
+        orchestra_fault::disarmed(|| s.publish(Epoch::new(3), vec![txn("A", 1)])).unwrap();
+        orchestra_fault::disarmed(|| s.publish(Epoch::new(5), vec![txn("A", 2)])).unwrap();
         assert_eq!(s.latest_epoch(), Some(Epoch::new(5)), "{}", b.name);
         assert_eq!(s.len(), 2, "{}", b.name);
     }
@@ -149,7 +149,7 @@ fn latest_epoch_and_len() {
 fn stats_count() {
     for b in backends() {
         let s = &*b.store;
-        s.publish(Epoch::new(1), vec![txn("A", 1), txn("A", 2)])
+        orchestra_fault::disarmed(|| s.publish(Epoch::new(1), vec![txn("A", 1), txn("A", 2)]))
             .unwrap();
         all_since(s, Epoch::zero());
         let st = s.stats();
@@ -192,13 +192,14 @@ fn all_since(s: &dyn UpdateStore, since: Epoch) -> Vec<Transaction> {
 /// Seed a store with an awkward shape: uneven epochs, interleaved peers,
 /// publish order different from id order.
 fn seed_pages(s: &dyn UpdateStore) {
-    s.publish(Epoch::new(1), vec![txn("B", 1), txn("A", 1), txn("C", 1)])
+    orchestra_fault::disarmed(|| {
+        s.publish(Epoch::new(1), vec![txn("B", 1), txn("A", 1), txn("C", 1)])
+    })
+    .unwrap();
+    orchestra_fault::disarmed(|| s.publish(Epoch::new(2), vec![txn("A", 2)])).unwrap();
+    orchestra_fault::disarmed(|| s.publish(Epoch::new(4), (3..9).map(|i| txn("A", i)).collect()))
         .unwrap();
-    s.publish(Epoch::new(2), vec![txn("A", 2)]).unwrap();
-    s.publish(Epoch::new(4), (3..9).map(|i| txn("A", i)).collect())
-        .unwrap();
-    s.publish(Epoch::new(7), vec![txn("C", 2), txn("B", 2)])
-        .unwrap();
+    orchestra_fault::disarmed(|| s.publish(Epoch::new(7), vec![txn("C", 2), txn("B", 2)])).unwrap();
 }
 
 #[test]
@@ -256,13 +257,13 @@ fn pages_are_stable_across_interleaved_publishes() {
     // next page is fetched: positions already scanned never change.
     for b in backends() {
         let s = &*b.store;
-        s.publish(Epoch::new(1), vec![txn("A", 1), txn("A", 2)])
+        orchestra_fault::disarmed(|| s.publish(Epoch::new(1), vec![txn("A", 1), txn("A", 2)]))
             .unwrap();
         let p1 = s
             .fetch_page(&FetchCursor::after_epoch(Epoch::zero()), 1)
             .unwrap();
         assert_eq!(p1.txns.len(), 1, "{}", b.name);
-        s.publish(Epoch::new(2), vec![txn("B", 1)]).unwrap();
+        orchestra_fault::disarmed(|| s.publish(Epoch::new(2), vec![txn("B", 1)])).unwrap();
         let rest: Vec<_> = orchestra_store::pages(s, p1.next_cursor.unwrap(), 10)
             .flat_map(|p| p.unwrap().txns)
             .collect();
@@ -288,7 +289,7 @@ fn in_batch_duplicate_rejected_atomically() {
             b.name
         );
         // The same id can then be published cleanly exactly once.
-        s.publish(Epoch::new(1), vec![txn("A", 1)]).unwrap();
+        orchestra_fault::disarmed(|| s.publish(Epoch::new(1), vec![txn("A", 1)])).unwrap();
         assert_eq!(all_since(s, Epoch::zero()).len(), 1, "{}", b.name);
     }
 }
@@ -300,7 +301,7 @@ fn stale_epoch_publish_rejected() {
     // into the newest epoch stays allowed.
     for b in backends() {
         let s = &*b.store;
-        s.publish(Epoch::new(5), vec![txn("A", 1)]).unwrap();
+        orchestra_fault::disarmed(|| s.publish(Epoch::new(5), vec![txn("A", 1)])).unwrap();
         let err = s.publish(Epoch::new(3), vec![txn("B", 1)]);
         assert!(
             matches!(
@@ -314,12 +315,12 @@ fn stale_epoch_publish_rejected() {
             b.name
         );
         assert_eq!(s.len(), 1, "{}: stale batch not archived", b.name);
-        s.publish(Epoch::new(5), vec![txn("B", 1)]).unwrap();
-        s.publish(Epoch::new(6), vec![txn("C", 1)]).unwrap();
+        orchestra_fault::disarmed(|| s.publish(Epoch::new(5), vec![txn("B", 1)])).unwrap();
+        orchestra_fault::disarmed(|| s.publish(Epoch::new(6), vec![txn("C", 1)])).unwrap();
         assert_eq!(all_since(s, Epoch::zero()).len(), 3, "{}", b.name);
         // An empty batch is a vacuous no-op at any epoch: nothing a
         // cursor could miss, so no staleness to enforce.
-        s.publish(Epoch::new(1), vec![]).unwrap();
+        orchestra_fault::disarmed(|| s.publish(Epoch::new(1), vec![])).unwrap();
     }
 }
 
@@ -339,7 +340,7 @@ fn updates_and_antecedents_survive_the_store() {
             ],
         )
         .with_antecedents([TxnId::new(PeerId::new("B"), 3)]);
-        s.publish(Epoch::new(1), vec![rich.clone()]).unwrap();
+        orchestra_fault::disarmed(|| s.publish(Epoch::new(1), vec![rich.clone()])).unwrap();
         let got = s.fetch(&rich.id).unwrap().unwrap();
         assert_eq!(got.updates, rich.updates, "{}", b.name);
         assert_eq!(got.antecedents, rich.antecedents, "{}", b.name);

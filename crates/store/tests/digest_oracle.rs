@@ -372,7 +372,7 @@ fn digest_reads_no_pages() {
                 Epoch::zero(),
                 vec![Update::insert("R", tuple![e as i64, 0i64])],
             );
-            store.publish(Epoch::new(e), vec![t]).unwrap();
+            orchestra_fault::disarmed(|| store.publish(Epoch::new(e), vec![t])).unwrap();
         }
         let before = store.stats();
         let d = store.digest().unwrap();
@@ -404,10 +404,10 @@ fn remote_digest_over_loopback_matches_the_served_store() {
         };
         for e in 1..=6u64 {
             let batch = sched.batch(e);
-            remote.publish(Epoch::new(e), batch).unwrap();
+            orchestra_fault::disarmed(|| remote.publish(Epoch::new(e), batch)).unwrap();
             assert_eq!(remote.digest().unwrap(), store.digest().unwrap());
         }
-        store.absorb(vec![sched.txn(2)]).unwrap();
+        orchestra_fault::disarmed(|| store.absorb(vec![sched.txn(2)])).unwrap();
         assert_eq!(remote.digest().unwrap(), store.digest().unwrap());
         assert_eq!(remote.digest().unwrap(), page_walk(&*store));
         server.shutdown();
@@ -431,7 +431,7 @@ fn replicated_digest_credits_relations_of_unreachable_payloads() {
             )
         })
         .collect();
-    s.publish(Epoch::new(1), txns).unwrap();
+    orchestra_fault::disarmed(|| s.publish(Epoch::new(1), txns)).unwrap();
     let alive = s.digest().unwrap();
     s.take_node_down(0);
     assert!(s.availability() < 1.0, "some payloads now unreachable");

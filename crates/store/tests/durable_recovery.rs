@@ -99,8 +99,7 @@ fn kill_and_reopen_preserves_every_epoch() {
         for e in 0..3u64 {
             let epoch = generation * 3 + e + 1;
             let seq = epoch; // unique per publish
-            store
-                .publish(Epoch::new(epoch), vec![txn("P", seq)])
+            orchestra_fault::disarmed(|| store.publish(Epoch::new(epoch), vec![txn("P", seq)]))
                 .unwrap();
             published.push((epoch, seq));
         }
@@ -137,7 +136,8 @@ fn torn_wal_tail_recovers_durable_prefix() {
     {
         let store = DurableStore::open_with(&dir, opts).unwrap();
         for seq in 1..=4u64 {
-            store.publish(Epoch::new(seq), vec![txn("P", seq)]).unwrap();
+            orchestra_fault::disarmed(|| store.publish(Epoch::new(seq), vec![txn("P", seq)]))
+                .unwrap();
         }
     }
     let seg = dir.join(segment_file_name(1));
@@ -153,7 +153,7 @@ fn torn_wal_tail_recovers_durable_prefix() {
     assert_eq!(store.latest_epoch(), Some(Epoch::new(3)));
 
     // The repaired log accepts appends and round-trips once more.
-    store.publish(Epoch::new(9), vec![txn("P", 9)]).unwrap();
+    orchestra_fault::disarmed(|| store.publish(Epoch::new(9), vec![txn("P", 9)])).unwrap();
     drop(store);
     let store = DurableStore::open_with(&dir, opts).unwrap();
     assert_eq!(all_since(&store, Epoch::zero()).len(), 4);
@@ -168,7 +168,7 @@ fn torn_tail_at_header_boundary() {
     let opts = tiny_segments();
     {
         let store = DurableStore::open_with(&dir, opts).unwrap();
-        store.publish(Epoch::new(1), vec![txn("P", 1)]).unwrap();
+        orchestra_fault::disarmed(|| store.publish(Epoch::new(1), vec![txn("P", 1)])).unwrap();
     }
     let segs = list_segments(&dir).unwrap();
     let seg = dir.join(segment_file_name(*segs.last().unwrap()));
@@ -195,7 +195,8 @@ fn corrupt_sealed_frame_quarantined_on_open() {
     {
         let store = DurableStore::open_with(&dir, opts).unwrap();
         for seq in 1..=6u64 {
-            store.publish(Epoch::new(seq), vec![txn("P", seq)]).unwrap();
+            orchestra_fault::disarmed(|| store.publish(Epoch::new(seq), vec![txn("P", seq)]))
+                .unwrap();
         }
         assert!(store.durable_stats().segments > 1, "rotation happened");
     }
@@ -220,7 +221,7 @@ fn corrupt_sealed_frame_quarantined_on_open() {
         survivors.len()
     );
     // The archive stays writable past the damage.
-    store.publish(Epoch::new(7), vec![txn("P", 7)]).unwrap();
+    orchestra_fault::disarmed(|| store.publish(Epoch::new(7), vec![txn("P", 7)])).unwrap();
     fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -236,7 +237,7 @@ fn scrub_quarantines_and_absorb_heals() {
     let mut originals = Vec::new();
     for seq in 1..=6u64 {
         let mut t = txn("P", seq);
-        store.publish(Epoch::new(seq), vec![t.clone()]).unwrap();
+        orchestra_fault::disarmed(|| store.publish(Epoch::new(seq), vec![t.clone()])).unwrap();
         // Keep the copy a neighbor would hold: stamped with the publish
         // epoch (publish re-stamps in the archive).
         t.epoch = Epoch::new(seq);
@@ -290,7 +291,7 @@ fn scrub_quarantines_and_absorb_heals() {
         .iter()
         .map(|(_, id)| originals.iter().find(|t| &t.id == id).unwrap().clone())
         .collect();
-    let r = store.absorb(healthy).unwrap();
+    let r = orchestra_fault::disarmed(|| store.absorb(healthy)).unwrap();
     assert_eq!(r.healed as usize, gaps.len());
     assert_eq!(r.absorbed, 0);
     assert_eq!(r.duplicates, 0);
@@ -323,7 +324,8 @@ fn torn_tail_torture_sweep() {
     {
         let store = DurableStore::open_with(&dir, opts).unwrap();
         for seq in 1..=3u64 {
-            store.publish(Epoch::new(seq), vec![txn("P", seq)]).unwrap();
+            orchestra_fault::disarmed(|| store.publish(Epoch::new(seq), vec![txn("P", seq)]))
+                .unwrap();
         }
     }
     let segs = list_segments(&dir).unwrap();
@@ -395,7 +397,8 @@ fn compaction_bounds_recovery_without_losing_data() {
     {
         let store = DurableStore::open_with(&dir, opts).unwrap();
         for seq in 1..=10u64 {
-            store.publish(Epoch::new(seq), vec![txn("P", seq)]).unwrap();
+            orchestra_fault::disarmed(|| store.publish(Epoch::new(seq), vec![txn("P", seq)]))
+                .unwrap();
         }
         let before = store.durable_stats();
         assert!(before.segments > 2);
@@ -415,7 +418,8 @@ fn compaction_bounds_recovery_without_losing_data() {
 
         // Publishing continues after compaction.
         for seq in 11..=13u64 {
-            store.publish(Epoch::new(seq), vec![txn("P", seq)]).unwrap();
+            orchestra_fault::disarmed(|| store.publish(Epoch::new(seq), vec![txn("P", seq)]))
+                .unwrap();
         }
     }
     let store = DurableStore::open_with(&dir, opts).unwrap();
@@ -444,7 +448,7 @@ fn reads_never_touch_the_disk() {
     let dir = fresh_dir("no-disk-reads");
     let store = DurableStore::open_with(&dir, tiny_segments()).unwrap();
     for seq in 1..=9u64 {
-        store.publish(Epoch::new(seq), vec![txn("P", seq)]).unwrap();
+        orchestra_fault::disarmed(|| store.publish(Epoch::new(seq), vec![txn("P", seq)])).unwrap();
         if seq == 6 {
             compact(&store).expect("compacted");
         }
@@ -473,7 +477,7 @@ fn duplicates_rejected_across_restarts() {
     let dir = fresh_dir("dup");
     {
         let store = DurableStore::open(&dir).unwrap();
-        store.publish(Epoch::new(1), vec![txn("P", 1)]).unwrap();
+        orchestra_fault::disarmed(|| store.publish(Epoch::new(1), vec![txn("P", 1)])).unwrap();
     }
     let store = DurableStore::open(&dir).unwrap();
     let err = store.publish(Epoch::new(2), vec![txn("P", 1)]);
@@ -493,9 +497,10 @@ fn relaxed_sync_policies_roundtrip() {
     {
         let store = DurableStore::open_with(&dir, opts).unwrap();
         for seq in 1..=7u64 {
-            store.publish(Epoch::new(seq), vec![txn("P", seq)]).unwrap();
+            orchestra_fault::disarmed(|| store.publish(Epoch::new(seq), vec![txn("P", seq)]))
+                .unwrap();
         }
-        store.sync().unwrap();
+        orchestra_fault::disarmed(|| store.sync()).unwrap();
     }
     let store = DurableStore::open_with(&dir, opts).unwrap();
     assert_eq!(all_since(&store, Epoch::zero()).len(), 7);
@@ -549,7 +554,7 @@ fn fetch_page_cursor_resumes_across_restart() {
         let store = DurableStore::open_with(&dir, opts).unwrap();
         for ep in 1..=6u64 {
             let batch = (0..4).map(|i| txn("P", ep * 10 + i)).collect();
-            store.publish(Epoch::new(ep), batch).unwrap();
+            orchestra_fault::disarmed(|| store.publish(Epoch::new(ep), batch)).unwrap();
         }
     }
 
@@ -596,13 +601,13 @@ fn absorbed_out_of_order_epochs_survive_reopen_and_compaction() {
     };
     {
         let store = DurableStore::open_with(&dir, tiny_segments()).unwrap();
-        store.publish(Epoch::new(6), vec![txn("A", 1)]).unwrap();
+        orchestra_fault::disarmed(|| store.publish(Epoch::new(6), vec![txn("A", 1)])).unwrap();
         // Gossip backfill: older epochs land behind the local frontier.
         let mut b1 = txn("B", 1);
         b1.epoch = Epoch::new(2);
         let mut b2 = txn("B", 2);
         b2.epoch = Epoch::new(9);
-        let r = store.absorb(vec![b1, b2, txn("A", 1)]).unwrap();
+        let r = orchestra_fault::disarmed(|| store.absorb(vec![b1, b2, txn("A", 1)])).unwrap();
         assert_eq!((r.absorbed, r.duplicates), (2, 1));
         assert_eq!(scan_epochs(&store), vec![2, 6, 9]);
     }
@@ -612,7 +617,7 @@ fn absorbed_out_of_order_epochs_survive_reopen_and_compaction() {
         assert_eq!(scan_epochs(&store), vec![2, 6, 9]);
         let mut again = txn("B", 1);
         again.epoch = Epoch::new(2);
-        let r = store.absorb(vec![again]).unwrap();
+        let r = orchestra_fault::disarmed(|| store.absorb(vec![again])).unwrap();
         assert_eq!((r.absorbed, r.duplicates), (0, 1));
         compact(&store);
         assert_eq!(scan_epochs(&store), vec![2, 6, 9]);

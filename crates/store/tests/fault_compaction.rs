@@ -74,7 +74,7 @@ fn rotate_failure_keeps_active_segment_appendable() {
     let dir = fresh_dir("rotate");
     let store = DurableStore::open_with(&dir, opts()).unwrap();
     for seq in 1..=3u64 {
-        store.publish(Epoch::new(seq), vec![txn(seq)]).unwrap();
+        orchestra_fault::disarmed(|| store.publish(Epoch::new(seq), vec![txn(seq)])).unwrap();
     }
 
     {
@@ -84,11 +84,11 @@ fn rotate_failure_keeps_active_segment_appendable() {
 
     // The failed rotation sealed nothing: the store keeps accepting
     // publishes and the whole history stays readable.
-    store.publish(Epoch::new(4), vec![txn(4)]).unwrap();
+    orchestra_fault::disarmed(|| store.publish(Epoch::new(4), vec![txn(4)])).unwrap();
     assert_eq!(readable(&store), 4);
 
     // With the schedule drained, the retry compacts for real.
-    let covered = store.compact().unwrap();
+    let covered = orchestra_fault::disarmed(|| store.compact()).unwrap();
     assert!(covered.is_some(), "retry must compact");
     drop(store);
 
@@ -103,7 +103,7 @@ fn snapshot_finish_failure_never_publishes_a_partial_snapshot() {
     let dir = fresh_dir("finish");
     let store = DurableStore::open_with(&dir, opts()).unwrap();
     for seq in 1..=3u64 {
-        store.publish(Epoch::new(seq), vec![txn(seq)]).unwrap();
+        orchestra_fault::disarmed(|| store.publish(Epoch::new(seq), vec![txn(seq)])).unwrap();
     }
 
     {
@@ -122,8 +122,10 @@ fn snapshot_finish_failure_never_publishes_a_partial_snapshot() {
     // publishes the snapshot it could not before.
     let store = DurableStore::open_with(&dir, opts()).unwrap();
     assert_eq!(readable(&store), 3);
-    store.publish(Epoch::new(4), vec![txn(4)]).unwrap();
-    assert!(store.compact().unwrap().is_some());
+    orchestra_fault::disarmed(|| store.publish(Epoch::new(4), vec![txn(4)])).unwrap();
+    assert!(orchestra_fault::disarmed(|| store.compact())
+        .unwrap()
+        .is_some());
     assert_eq!(readable(&store), 4);
     let leftovers: Vec<String> = fs::read_dir(&dir)
         .unwrap()

@@ -14,8 +14,6 @@ pub enum UpdateError {
     Storage(String),
     /// A transaction was declared with a duplicate id.
     DuplicateTxn(String),
-    /// A dependency edge refers to a transaction that was never recorded.
-    UnknownTxn(String),
 }
 
 impl fmt::Display for UpdateError {
@@ -28,7 +26,6 @@ impl fmt::Display for UpdateError {
             UpdateError::UnknownRelation(r) => write!(f, "unknown relation `{r}`"),
             UpdateError::Storage(msg) => write!(f, "storage error: {msg}"),
             UpdateError::DuplicateTxn(id) => write!(f, "duplicate transaction `{id}`"),
-            UpdateError::UnknownTxn(id) => write!(f, "unknown transaction `{id}`"),
         }
     }
 }

@@ -13,28 +13,28 @@
 //!    that reconciliation must respect: a transaction that modifies a tuple
 //!    inserted by an *antecedent* transaction can only be accepted if the
 //!    antecedent is, and must be rejected/deferred if the antecedent is.
+//!    Transactions carry their antecedent sets; the graph itself lives in
+//!    the reconciler (`orchestra-reconcile`), the one component that walks
+//!    it.
 //!
 //! This crate provides:
 //!
 //! * [`Update`] — tuple-level insert / delete / modify, keyed by the
 //!   relation's declared key,
 //! * [`Transaction`] / [`TxnId`] — grouped updates with explicit antecedent
-//!   sets and origin peer,
-//! * [`DepGraph`] — the transaction dependency graph with transitive
-//!   dependent/antecedent closure used for cascading accept/reject/defer,
+//!   sets and origin peer, and a transaction's write set
+//!   ([`Transaction::write_set`]) for conflict detection,
 //! * [`Epoch`] / [`LogicalClock`] — the logical clock advanced by each
 //!   update exchange.
 
 pub mod clock;
-pub mod depgraph;
 pub mod error;
 pub mod txn;
 pub mod update;
 
 pub use clock::{Epoch, LogicalClock};
-pub use depgraph::DepGraph;
 pub use error::UpdateError;
-pub use txn::{PeerId, Transaction, TxnId};
+pub use txn::{PeerId, Transaction, TxnId, WriteKey};
 pub use update::{Update, WriteOutcome};
 
 /// Crate-wide result alias.

@@ -4,9 +4,12 @@ use crate::clock::Epoch;
 use crate::update::{Update, WriteOutcome};
 use crate::Result;
 use orchestra_relational::{DatabaseSchema, Tuple};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
+
+/// One key a transaction writes: (relation, key columns of the tuple).
+pub type WriteKey = (Arc<str>, Tuple);
 
 /// A peer identifier (the participant's name, e.g. `"Alaska"`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -108,43 +111,25 @@ impl Transaction {
     }
 
     /// The transaction's *write set*: for each (relation, key) written, the
-    /// final outcome after applying the updates in order.
-    pub fn write_set(
-        &self,
-        schema: &DatabaseSchema,
-    ) -> Result<BTreeMap<(Arc<str>, Tuple), WriteOutcome>> {
-        let mut out: BTreeMap<(Arc<str>, Tuple), WriteOutcome> = BTreeMap::new();
+    /// final outcome after applying the updates in order, in key order.
+    pub fn write_set(&self, schema: &DatabaseSchema) -> Result<Vec<(WriteKey, WriteOutcome)>> {
+        let mut out: Vec<(WriteKey, WriteOutcome)> = Vec::with_capacity(self.updates.len());
         for u in &self.updates {
             let rel = schema
                 .relation(u.relation())
                 .map_err(crate::error::UpdateError::from)?;
-            let key = u.key(rel);
-            out.insert((Arc::clone(u.relation()), key), u.outcome());
+            out.push(((Arc::clone(u.relation()), u.key(rel)), u.outcome()));
         }
-        Ok(out)
-    }
-
-    /// True iff the two transactions conflict: some (relation, key) is
-    /// written by both with *different* final outcomes. Identical writes
-    /// (both ending at the same version, or both deleting) are compatible —
-    /// this is the paper's "selective disagreement" conflict notion.
-    pub fn conflicts_with(&self, other: &Transaction, schema: &DatabaseSchema) -> Result<bool> {
-        let a = self.write_set(schema)?;
-        let b = other.write_set(schema)?;
-        // Iterate the smaller write set.
-        let (small, large) = if a.len() <= b.len() {
-            (&a, &b)
-        } else {
-            (&b, &a)
-        };
-        for (k, outcome) in small {
-            if let Some(other_outcome) = large.get(k) {
-                if outcome != other_outcome {
-                    return Ok(true);
-                }
+        // Stable, so a key's updates stay in order: keep the last outcome.
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                std::mem::swap(&mut later.1, &mut kept.1);
             }
-        }
-        Ok(false)
+            same
+        });
+        Ok(out)
     }
 
     /// Number of updates.
@@ -223,51 +208,23 @@ mod tests {
                 Update::insert("S", tuple![1, "a"]),
                 Update::modify("S", tuple![1, "a"], tuple![1, "b"]),
                 Update::insert("S", tuple![2, "x"]),
+                Update::modify("S", tuple![1, "b"], tuple![1, "c"]),
             ],
         );
         let ws = t.write_set(&schema()).unwrap();
-        assert_eq!(ws.len(), 2);
         assert_eq!(
-            ws[&(Arc::from("S"), tuple![1])],
-            WriteOutcome::Present(tuple![1, "b"])
+            ws,
+            vec![
+                (
+                    (Arc::from("S"), tuple![1]),
+                    WriteOutcome::Present(tuple![1, "c"])
+                ),
+                (
+                    (Arc::from("S"), tuple![2]),
+                    WriteOutcome::Present(tuple![2, "x"])
+                ),
+            ]
         );
-    }
-
-    #[test]
-    fn conflicting_writes_detected() {
-        let s = schema();
-        let t1 = txn("A", 1, vec![Update::insert("S", tuple![1, "a"])]);
-        let t2 = txn("B", 1, vec![Update::insert("S", tuple![1, "b"])]);
-        assert!(t1.conflicts_with(&t2, &s).unwrap());
-        assert!(t2.conflicts_with(&t1, &s).unwrap());
-    }
-
-    #[test]
-    fn identical_writes_do_not_conflict() {
-        let s = schema();
-        let t1 = txn("A", 1, vec![Update::insert("S", tuple![1, "a"])]);
-        let t2 = txn("B", 1, vec![Update::insert("S", tuple![1, "a"])]);
-        assert!(!t1.conflicts_with(&t2, &s).unwrap());
-    }
-
-    #[test]
-    fn disjoint_keys_do_not_conflict() {
-        let s = schema();
-        let t1 = txn("A", 1, vec![Update::insert("S", tuple![1, "a"])]);
-        let t2 = txn("B", 1, vec![Update::insert("S", tuple![2, "a"])]);
-        assert!(!t1.conflicts_with(&t2, &s).unwrap());
-    }
-
-    #[test]
-    fn delete_vs_modify_conflict() {
-        let s = schema();
-        let t1 = txn("A", 2, vec![Update::delete("S", tuple![1, "a"])]);
-        let t2 = txn(
-            "B",
-            2,
-            vec![Update::modify("S", tuple![1, "a"], tuple![1, "b"])],
-        );
-        assert!(t1.conflicts_with(&t2, &s).unwrap());
     }
 
     #[test]
