@@ -4,7 +4,7 @@
 //! | name | what it times |
 //! |---|---|
 //! | e4 | incremental propagation vs full recomputation |
-//! | e8 | replicated-store availability under churn; durable sync policies and compaction |
+//! | e8 | replicated-store availability under churn; durable sync policies |
 //! | e12 | the gossiping mesh across OS processes |
 //! | e13 | the fault matrix: injected faults at every layer, healed |
 //!
@@ -337,10 +337,10 @@ fn page_walk_len(store: &DurableStore) -> usize {
         .sum()
 }
 
-/// E8b — the durable archive: publish cost per sync policy, and fetch and
-/// crash-recovery (reopen) cost from the raw WAL vs after compaction.
+/// E8b — the durable archive: publish, fetch and crash-recovery (reopen)
+/// cost per sync policy.
 fn e8_durable(n_txns: u64) {
-    println!("── E8b: durable archive (WAL + snapshots) ──");
+    println!("── E8b: durable archive (WAL) ──");
     println!(
         "{:>16} {:>12} {:>12} {:>12} {:>12}",
         "sync policy", "publish ms", "fetch ms", "reopen ms", "txns"
@@ -393,35 +393,6 @@ fn e8_durable(n_txns: u64) {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    println!(
-        "\n{:>16} {:>14} {:>14}",
-        "archive on disk", "fetch ms", "reopen ms"
-    );
-    for (label, compact) in [("wal", false), ("compacted", true)] {
-        let dir =
-            std::env::temp_dir().join(format!("orchestra-e8-disk-{label}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let opts = DurableOptions {
-            segment_max_bytes: 64 * 1024,
-            ..DurableOptions::default()
-        };
-        let store = DurableStore::open_with(&dir, opts).unwrap();
-        for (i, batch) in make_txns().chunks(100).enumerate() {
-            store
-                .publish(Epoch::new(i as u64 + 1), batch.to_vec())
-                .unwrap();
-        }
-        if compact {
-            store.compact().unwrap();
-        }
-        let (n, t_fetch) = timed(|| page_walk_len(&store));
-        assert_eq!(n as u64, n_txns);
-        drop(store);
-        let (reopened, t_reopen) = timed(|| DurableStore::open_with(&dir, opts).unwrap());
-        assert_eq!(reopened.len() as u64, n_txns);
-        println!("{:>16} {:>14} {:>14}", label, ms(t_fetch), ms(t_reopen));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
     println!();
 }
 

@@ -434,11 +434,9 @@ impl BenchReport {
     }
 }
 
-/// The `obs` summary block for experiments that report instrumentation
-/// overhead (E12): whether the metrics layer is compiled in, the
-/// registry's entry counts, and per-subsystem event totals. An A/B pair
-/// of runs (default build vs `--features orchestra-obs/off`) is compared
-/// by diffing this block next to `tuples_per_sec`.
+/// The `obs` summary block for experiments that report their
+/// instrumentation (E12): the registry's entry counts and per-subsystem
+/// event totals.
 pub fn obs_block() -> Json {
     let snap = orchestra_obs::snapshot();
     let sum = |prefix: &str| -> u64 {
@@ -449,7 +447,6 @@ pub fn obs_block() -> Json {
             .sum()
     };
     Json::obj([
-        ("enabled", Json::from(orchestra_obs::ENABLED)),
         ("counters", Json::from(snap.counters.len())),
         ("gauges", Json::from(snap.gauges.len())),
         ("histograms", Json::from(snap.histograms.len())),
@@ -502,11 +499,8 @@ pub fn validate_report_shape(doc: &Json) -> Vec<String> {
         _ => errs.push("missing object field `summary`".into()),
     }
     // The `obs` block is optional (only E12 emits it), but when
-    // present it must carry the A/B-comparison fields.
+    // present it must carry the registry's entry counts.
     if let Some(obs) = doc.get("summary").and_then(|s| s.get("obs")) {
-        if !matches!(obs.get("enabled"), Some(Json::Bool(_))) {
-            errs.push("summary.obs missing bool `enabled`".into());
-        }
         for key in ["counters", "gauges", "histograms", "spans"] {
             if obs.get(key).and_then(Json::as_f64).is_none() {
                 errs.push(format!("summary.obs missing numeric `{key}`"));

@@ -10,12 +10,10 @@
 //! 1. **publish + converge** — every peer publishes, gossip rounds run
 //!    until every node's digest matches the expected per-relation counts
 //!    (restricted to its interest set),
-//! 2. **compaction** — each process's durable archival node folds its
-//!    WAL into a snapshot mid-run,
-//! 3. **churn** — one child process is killed outright; survivors keep
+//! 2. **churn** — one child process is killed outright; survivors keep
 //!    publishing and converging around the hole (dead-neighbor failures
 //!    are counted, frozen cursors and all),
-//! 4. **rejoin** — a fresh process takes the dead one's place on new
+//! 3. **rejoin** — a fresh process takes the dead one's place on new
 //!    ports; everyone re-wires membership and the cold rejoiner pulls
 //!    its own lost history back out of the mesh.
 //!
@@ -167,9 +165,8 @@ fn cluster_remote_opts() -> RemoteOptions {
 struct ChildNode {
     node: MeshNode,
     peer: PeerId,
-    /// `Some` for the archival node: its durable store handle, kept for
-    /// the mid-run compaction step.
-    durable: Option<Arc<DurableStore>>,
+    /// `Some` for the archival node: its durable archive's directory,
+    /// removed at `STOP`.
     durable_dir: Option<std::path::PathBuf>,
     /// Monotone publish counter → unique row keys per peer.
     pub_seq: u64,
@@ -220,21 +217,20 @@ pub fn e12_child_main(args: &[String]) {
             ..MeshOptions::default()
         };
         let builder = cluster_builder(&cfg);
-        let (cdss, durable, durable_dir) = if archival {
+        let (cdss, durable_dir) = if archival {
             let dir = std::env::temp_dir().join(format!(
                 "orchestra-e12-{}-{child_idx}-{k}",
                 std::process::id()
             ));
             let _ = std::fs::remove_dir_all(&dir);
-            let store = Arc::new(DurableStore::open(&dir).expect("open durable archive"));
-            let shared: Arc<dyn UpdateStore> = Arc::clone(&store) as Arc<dyn UpdateStore>;
+            let store: Arc<dyn UpdateStore> =
+                Arc::new(DurableStore::open(&dir).expect("open durable archive"));
             (
-                builder.build_with_shared(shared).expect("build cdss"),
-                Some(store),
+                builder.build_with_shared(store).expect("build cdss"),
                 Some(dir),
             )
         } else {
-            (builder.build().expect("build cdss"), None, None)
+            (builder.build().expect("build cdss"), None)
         };
         let node = MeshNode::start_hosting(
             name.clone(),
@@ -247,7 +243,6 @@ pub fn e12_child_main(args: &[String]) {
         nodes.push(ChildNode {
             node,
             peer: PeerId::new(name),
-            durable,
             durable_dir,
             pub_seq: 0,
         });
@@ -362,16 +357,6 @@ pub fn e12_child_main(args: &[String]) {
                 }
                 reply(format!("CONV {converged}/{}", nodes.len()));
             }
-            Some("COMPACT") => {
-                let mut compacted = 0u64;
-                for cn in &nodes {
-                    if let Some(d) = &cn.durable {
-                        d.compact().expect("compact archival node");
-                        compacted += 1;
-                    }
-                }
-                reply(format!("COMPACTED {compacted}"));
-            }
             Some("STATS") => {
                 for cn in &nodes {
                     let s = cn.node.stats();
@@ -380,7 +365,7 @@ pub fn e12_child_main(args: &[String]) {
                     reply(format!(
                         "STAT name={} mode={} len={} sent={sent} recv={recv} pulls={} \
                          absorbed={} dups={} skipped={} failures={} rounds={} interest={} \
-                         served_digests={} served_pulls={} served_subs={}",
+                         served_digests={} served_pulls={}",
                         cn.node.name(),
                         cn.mode(),
                         cn.node.archive().len(),
@@ -393,19 +378,15 @@ pub fn e12_child_main(args: &[String]) {
                         cn.node.interest().len(),
                         served.digests_served,
                         served.pull_pages,
-                        served.subscriptions,
                     ));
                 }
                 reply("END".to_string());
             }
             Some("STOP") => {
                 for cn in nodes.drain(..) {
+                    drop(cn.node.shutdown());
                     if let Some(dir) = &cn.durable_dir {
-                        drop(cn.node.shutdown());
-                        drop(cn.durable);
                         let _ = std::fs::remove_dir_all(dir);
-                    } else {
-                        drop(cn.node.shutdown());
                     }
                 }
                 reply("BYE".to_string());
@@ -608,18 +589,7 @@ pub fn e12_mesh_cluster(smoke: bool, variant: &str) -> BenchReport {
         initial.rounds, initial.millis, initial.failures
     );
 
-    // Phase 2: every process compacts its archival node mid-run.
-    let mut compactions = 0u64;
-    for reply in command_all(&mut children, "COMPACT") {
-        compactions += reply
-            .strip_prefix("COMPACTED ")
-            .expect("COMPACTED reply")
-            .parse::<u64>()
-            .unwrap();
-    }
-    println!("  compacted {compactions} archival stores");
-
-    // Phase 3: churn — kill the last child process outright; the
+    // Phase 2: churn — kill the last child process outright; the
     // survivors publish and converge around the hole.
     let dead = children.pop().unwrap();
     let dead_idx = dead.idx;
@@ -638,7 +608,7 @@ pub fn e12_mesh_cluster(smoke: bool, variant: &str) -> BenchReport {
         "killing a process produced no observed neighbor failures"
     );
 
-    // Phase 4: rejoin — a cold replacement process takes the dead one's
+    // Phase 3: rejoin — a cold replacement process takes the dead one's
     // slot on fresh ports; everyone re-wires, and the rejoiner pulls its
     // own lost history back out of the mesh.
     children.push(ChildProc::spawn(dead_idx, &cfg));
@@ -687,7 +657,6 @@ pub fn e12_mesh_cluster(smoke: bool, variant: &str) -> BenchReport {
                 ("interest_relations", Json::from(num("interest"))),
                 ("served_digests", Json::from(num("served_digests"))),
                 ("served_pulls", Json::from(num("served_pulls"))),
-                ("served_subscriptions", Json::from(num("served_subs"))),
                 (
                     "tuples_per_sec",
                     Json::from(num("absorbed") as f64 * ROWS_PER_TXN as f64 / total_secs),
@@ -780,7 +749,6 @@ pub fn e12_mesh_cluster(smoke: bool, variant: &str) -> BenchReport {
     report.summary_extra("converge_rounds_rejoin", rejoin.rounds);
     report.summary_extra("converge_ms_rejoin", rejoin.millis);
     report.summary_extra("churn_failures", churn.failures);
-    report.summary_extra("compactions", compactions);
     report.summary_extra("bytes_recv_full_avg", full_avg);
     report.summary_extra("bytes_recv_interest_avg", interest_avg);
     report.summary_extra("bytes_recv_full_min", full_min);

@@ -43,9 +43,6 @@ fn gauges() -> (i64, i64) {
 
 #[test]
 fn reconciler_gauges_track_open_and_known_transactions() {
-    if !orchestra_obs::ENABLED {
-        return; // Compiled out: snapshots are empty.
-    }
     // B and C feed A through copy mappings at equal trust.
     let mut b = Cdss::builder();
     for peer in ["A", "B", "C"] {

@@ -1031,9 +1031,6 @@ impl Engine {
     /// propagate/deletion entry point — the hot loops never touch an
     /// atomic.
     fn obs_flush_stats(&mut self) {
-        if !orchestra_obs::ENABLED {
-            return;
-        }
         let d = self.stats();
         let m = self.mirrored;
         orchestra_obs::counter!("engine.rounds", d.rounds.saturating_sub(m.rounds));

@@ -71,8 +71,6 @@ pub struct MeshStats {
     pub skipped_positions: u64,
     /// Exchanges abandoned on a neighbor failure (cursor frozen).
     pub neighbor_failures: u64,
-    /// Interest registrations sent.
-    pub subscriptions_sent: u64,
     /// Locally quarantined positions repaired with bytes pulled from a
     /// neighbor (re-indexed in place, not re-applied).
     pub healed: u64,
@@ -106,9 +104,6 @@ struct Scan {
 struct Neighbor {
     addr: String,
     remote: RemoteStore,
-    /// Interest registered on this neighbor (re-sent after a failure —
-    /// the registry does not survive a server restart).
-    subscribed: bool,
     /// `Some` while a scan is mid-drain; frozen in place on a failure so
     /// the next round resumes at the gap, exactly like a reconcile
     /// cursor. `None` means the next pull starts a fresh scan at the
@@ -291,7 +286,6 @@ impl MeshNode {
         self.neighbors.push(Neighbor {
             addr,
             remote,
-            subscribed: false,
             scan: None,
             floors: BTreeMap::new(),
             drained: None,
@@ -468,14 +462,6 @@ impl MeshNode {
             return Err(ExchangeFail::Neighbor(StoreError::Unavailable {
                 txn: format!("<{}: injected failpoint: exchange abandoned>", self.name),
             }));
-        }
-        if !self.neighbors[i].subscribed {
-            self.neighbors[i]
-                .remote
-                .subscribe(&self.name, self.interest.clone())
-                .map_err(ExchangeFail::Neighbor)?;
-            self.neighbors[i].subscribed = true;
-            self.stats.subscriptions_sent += 1;
         }
         let digest = {
             let _span = orchestra_obs::span!("mesh.digest", neighbor = i);

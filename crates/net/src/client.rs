@@ -540,21 +540,6 @@ impl RemoteStore {
         }
     }
 
-    /// Register `peer`'s interest set (owner-qualified `Peer.Relation`
-    /// names) with the server, so its operator can see who replicates
-    /// what. Re-subscribing replaces the previous set.
-    pub fn subscribe(&self, peer: &str, interest: Vec<String>) -> crate::Result<()> {
-        let request = Request::Subscribe {
-            peer: peer.to_string(),
-            interest,
-        };
-        match self.call(&request)? {
-            Response::SubscribeOk => Ok(()),
-            Response::Err(e) => Err(e),
-            other => Err(self.unexpected(&request, other)),
-        }
-    }
-
     /// One anti-entropy page: the server scans `limit` positions from
     /// `cursor` and ships only transactions matching `interest` (empty =
     /// everything) whose sequence exceeds the puller's `have` floor for

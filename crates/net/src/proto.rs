@@ -16,7 +16,6 @@
 //!           | FETCH       txn_id
 //!           | PROBE
 //!           | DIGEST
-//!           | SUBSCRIBE   peer:str n:uvarint str*
 //!           | PULL_PAGES  cursor limit:uvarint
 //!                         ni:uvarint str* nh:uvarint (peer:str hw:uvarint)*
 //!                         [trace:uvarint]
@@ -27,9 +26,8 @@
 //!                         has_next:u8 [cursor]
 //!           | TXN         present:u8 [txn]
 //!           | PROBE_OK    len:uvarint has_latest:u8 [epoch:uvarint]
-//!                         stats:7×uvarint server:5×uvarint
+//!                         stats:7×uvarint server:4×uvarint
 //!           | DIGEST_OK   digest
-//!           | SUBSCRIBE_OK
 //!           | PAGES       n:uvarint txn* k:uvarint txn_id*
 //!                         u:uvarint (epoch:uvarint txn_id)* has_next:u8 [cursor]
 //!           | METRICS_OK  obs-snapshot
@@ -55,7 +53,7 @@ use orchestra_updates::{Epoch, Transaction, TxnId};
 /// The one protocol version. Both ends of a connection must speak it: a
 /// server answers a `HELLO` carrying any other number with `ERR` and
 /// closes, and a client rejects any other number in `HELLO_OK`.
-pub const PROTOCOL_VERSION: u64 = 2;
+pub const PROTOCOL_VERSION: u64 = 3;
 
 /// Magic prefix of a HELLO payload: `"ORCN"` little-endian. A server
 /// reading anything else as its first frame is talking to something that
@@ -69,7 +67,6 @@ const OP_FETCH_PAGE: u8 = 0x03;
 const OP_FETCH: u8 = 0x04;
 const OP_PROBE: u8 = 0x05;
 const OP_DIGEST: u8 = 0x06;
-const OP_SUBSCRIBE: u8 = 0x07;
 const OP_PULL_PAGES: u8 = 0x08;
 const OP_METRICS: u8 = 0x09;
 // Response opcodes (high bit set).
@@ -79,7 +76,6 @@ const OP_PAGE: u8 = 0x83;
 const OP_TXN: u8 = 0x84;
 const OP_PROBE_OK: u8 = 0x85;
 const OP_DIGEST_OK: u8 = 0x86;
-const OP_SUBSCRIBE_OK: u8 = 0x87;
 const OP_PAGES: u8 = 0x88;
 const OP_METRICS_OK: u8 = 0x89;
 const OP_ERR: u8 = 0xee;
@@ -122,15 +118,6 @@ pub enum Request {
     /// The archive's [`StoreDigest`] — the anti-entropy advertisement
     /// (mirrors `UpdateStore::digest`).
     Digest,
-    /// Register this connection's peer as a mesh subscriber with its
-    /// interest set. Owner-qualified relation names; an empty
-    /// interest means full replication.
-    Subscribe {
-        /// The subscribing mesh peer's name.
-        peer: String,
-        /// Owner-qualified relations the peer maps from.
-        interest: Vec<String>,
-    },
     /// One *filtered* page of the archive: scan like `FETCH_PAGE`
     /// but ship only transactions matching `interest` whose sequence is
     /// beyond the puller's `have` floor — everything else comes back as
@@ -186,8 +173,6 @@ pub struct ServerCounters {
     pub digests_served: u64,
     /// `PULL_PAGES` requests served.
     pub pull_pages: u64,
-    /// `SUBSCRIBE` registrations accepted.
-    pub subscriptions: u64,
     /// Inbound frames dropped for a checksum mismatch or an oversized
     /// length prefix — bit rot on the wire, visible to the operator so a
     /// flaky link can be told apart from a slow one.
@@ -224,8 +209,6 @@ pub enum Response {
     },
     /// The archive's digest.
     DigestOk(StoreDigest),
-    /// Subscription registered.
-    SubscribeOk,
     /// One filtered anti-entropy page.
     Pages(PullPage),
     /// The server process's observability snapshot.
@@ -266,14 +249,6 @@ impl Request {
             }
             Request::Probe => out.push(OP_PROBE),
             Request::Digest => out.push(OP_DIGEST),
-            Request::Subscribe { peer, interest } => {
-                out.push(OP_SUBSCRIBE);
-                put_str(&mut out, peer);
-                put_uvarint(&mut out, interest.len() as u64);
-                for r in interest {
-                    put_str(&mut out, r);
-                }
-            }
             Request::PullPages {
                 cursor,
                 limit,
@@ -330,15 +305,6 @@ impl Request {
             },
             OP_PROBE => Request::Probe,
             OP_DIGEST => Request::Digest,
-            OP_SUBSCRIBE => {
-                let peer = c.str()?.to_owned();
-                let n = c.uvarint()? as usize;
-                let mut interest = Vec::with_capacity(n.min(65_536));
-                for _ in 0..n {
-                    interest.push(c.str()?.to_owned());
-                }
-                Request::Subscribe { peer, interest }
-            }
             OP_PULL_PAGES => {
                 let cursor = get_cursor(&mut c)?;
                 let limit = c.uvarint()?;
@@ -376,7 +342,6 @@ impl Request {
             Request::Fetch { .. } => "fetch",
             Request::Probe => "probe",
             Request::Digest => "digest",
-            Request::Subscribe { .. } => "subscribe",
             Request::PullPages { .. } => "pull_pages",
             Request::Metrics => "metrics",
         }
@@ -459,7 +424,6 @@ impl Response {
                 for n in [
                     server.digests_served,
                     server.pull_pages,
-                    server.subscriptions,
                     server.corrupt_frames,
                     server.timed_out_conns,
                 ] {
@@ -470,7 +434,6 @@ impl Response {
                 out.push(OP_DIGEST_OK);
                 put_digest(&mut out, d);
             }
-            Response::SubscribeOk => out.push(OP_SUBSCRIBE_OK),
             Response::Pages(page) => {
                 out.push(OP_PAGES);
                 put_uvarint(&mut out, page.txns.len() as u64);
@@ -562,7 +525,6 @@ impl Response {
                 let server = ServerCounters {
                     digests_served: c.uvarint()?,
                     pull_pages: c.uvarint()?,
-                    subscriptions: c.uvarint()?,
                     corrupt_frames: c.uvarint()?,
                     timed_out_conns: c.uvarint()?,
                 };
@@ -574,7 +536,6 @@ impl Response {
                 }
             }
             OP_DIGEST_OK => Response::DigestOk(get_digest(&mut c)?),
-            OP_SUBSCRIBE_OK => Response::SubscribeOk,
             OP_PAGES => {
                 let n = c.uvarint()? as usize;
                 let mut txns = Vec::with_capacity(n.min(65_536));
@@ -946,14 +907,6 @@ mod tests {
             },
             Request::Probe,
             Request::Digest,
-            Request::Subscribe {
-                peer: "Alaska".into(),
-                interest: vec!["Beijing.Entry".into(), "Paris.Entry".into()],
-            },
-            Request::Subscribe {
-                peer: "full".into(),
-                interest: vec![],
-            },
             Request::PullPages {
                 cursor: FetchCursor::after_txn(Epoch::new(4), TxnId::new(PeerId::new("B"), 2)),
                 limit: 256,
@@ -1009,7 +962,6 @@ mod tests {
                 server: ServerCounters {
                     digests_served: 11,
                     pull_pages: 22,
-                    subscriptions: 33,
                     corrupt_frames: 44,
                     timed_out_conns: 55,
                 },
@@ -1022,7 +974,6 @@ mod tests {
             },
             Response::DigestOk(sample_digest()),
             Response::DigestOk(StoreDigest::default()),
-            Response::SubscribeOk,
             Response::Pages(PullPage {
                 txns: vec![sample_txn(3)],
                 skipped: vec![

@@ -12,8 +12,6 @@
 use crate::proto::{PullPage, Request, Response, ServerCounters, PROTOCOL_VERSION};
 use orchestra_store::frame::{crc32, frame, FRAME_HEADER, MAX_FRAME_LEN};
 use orchestra_store::{StoreError, UpdateStore};
-use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -60,8 +58,6 @@ pub struct ServerStats {
     pub digests_served: u64,
     /// `PULL_PAGES` requests served.
     pub pull_pages: u64,
-    /// `SUBSCRIBE` registrations accepted.
-    pub subscriptions: u64,
     /// Inbound frames dropped for a checksum mismatch or an oversized
     /// length prefix — a flipped bit on the wire, not a stall. A subset
     /// of `protocol_errors`.
@@ -77,7 +73,6 @@ impl ServerStats {
         ServerCounters {
             digests_served: self.digests_served,
             pull_pages: self.pull_pages,
-            subscriptions: self.subscriptions,
             corrupt_frames: self.corrupt_frames,
             timed_out_conns: self.timed_out_conns,
         }
@@ -98,7 +93,6 @@ struct AtomicServerStats {
     protocol_errors: orchestra_obs::CounterHandle,
     digests_served: orchestra_obs::CounterHandle,
     pull_pages: orchestra_obs::CounterHandle,
-    subscriptions: orchestra_obs::CounterHandle,
     corrupt_frames: orchestra_obs::CounterHandle,
     timed_out_conns: orchestra_obs::CounterHandle,
 }
@@ -112,7 +106,6 @@ impl Default for AtomicServerStats {
             protocol_errors: orchestra_obs::counter("server.protocol_errors"),
             digests_served: orchestra_obs::counter("server.digests_served"),
             pull_pages: orchestra_obs::counter("server.pull_pages"),
-            subscriptions: orchestra_obs::counter("server.subscriptions"),
             corrupt_frames: orchestra_obs::counter("server.corrupt_frames"),
             timed_out_conns: orchestra_obs::counter("server.timed_out_conns"),
         }
@@ -128,7 +121,6 @@ impl AtomicServerStats {
             protocol_errors: self.protocol_errors.get(),
             digests_served: self.digests_served.get(),
             pull_pages: self.pull_pages.get(),
-            subscriptions: self.subscriptions.get(),
             corrupt_frames: self.corrupt_frames.get(),
             timed_out_conns: self.timed_out_conns.get(),
         }
@@ -141,7 +133,6 @@ struct Shared {
     opts: ServerOptions,
     shutdown: AtomicBool,
     stats: AtomicServerStats,
-    subscriptions: Mutex<BTreeMap<String, Vec<String>>>,
 }
 
 /// A connection being served: a second handle onto its socket, so
@@ -182,7 +173,6 @@ impl PeerServer {
             opts,
             shutdown: AtomicBool::new(false),
             stats: AtomicServerStats::default(),
-            subscriptions: Mutex::new(BTreeMap::new()),
         });
         let acceptor = {
             let shared = Arc::clone(&shared);
@@ -205,13 +195,6 @@ impl PeerServer {
     /// Counters snapshot.
     pub fn stats(&self) -> ServerStats {
         self.shared.stats.snapshot()
-    }
-
-    /// The mesh subscribers registered on this server (peer name →
-    /// interest set; an empty interest means full replication). Last
-    /// registration per peer wins.
-    pub fn subscribers(&self) -> BTreeMap<String, Vec<String>> {
-        self.shared.subscriptions.lock().clone()
     }
 
     /// Graceful shutdown: stop accepting, let in-flight requests finish,
@@ -377,7 +360,7 @@ fn serve(stream: &mut TcpStream, shared: &Shared) {
                     // work — spans recorded down in the store while it
                     // executes — into the caller's cross-peer trace.
                     let _trace = orchestra_obs::trace_adopt(req.trace());
-                    execute(&*shared.store, req, stats, &shared.subscriptions)
+                    execute(&*shared.store, req, stats)
                 }
                 Err(e) => Response::Err(StoreError::Corrupt {
                     path: "<wire>".into(),
@@ -471,12 +454,7 @@ fn read_by(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant) -> Result<
 }
 
 /// Run one request against the backing store.
-fn execute(
-    store: &dyn UpdateStore,
-    req: Request,
-    stats: &AtomicServerStats,
-    subscriptions: &Mutex<BTreeMap<String, Vec<String>>>,
-) -> Response {
+fn execute(store: &dyn UpdateStore, req: Request, stats: &AtomicServerStats) -> Response {
     match req {
         // A second hello on an established connection is harmless.
         Request::Hello { .. } => Response::HelloOk {
@@ -508,11 +486,6 @@ fn execute(
                 Ok(d) => Response::DigestOk(d),
                 Err(e) => Response::Err(e),
             }
-        }
-        Request::Subscribe { peer, interest } => {
-            stats.subscriptions.inc();
-            subscriptions.lock().insert(peer, interest);
-            Response::SubscribeOk
         }
         Request::PullPages {
             cursor,

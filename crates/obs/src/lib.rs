@@ -6,17 +6,8 @@
 //! `orchestra-fault` style — crates.io is unreachable from the build
 //! environment, and the hot-path cost budget is "one relaxed atomic".
 //!
-//! Two independent off switches:
-//!
-//! * **Compile time** — the `off` cargo feature sets [`ENABLED`] to
-//!   `false`. The macros below check that `const` first, so with `off`
-//!   every metric/span expansion folds to nothing (the A/B overhead
-//!   benches build this way). Handles returned by [`counter()`] etc.
-//!   still count into their private cell, so product stat structs that
-//!   migrated onto handles keep answering their getters.
-//! * **Run time** — `ORCHESTRA_OBS=off` (or `0`) disables span and
-//!   histogram *recording* via one relaxed atomic load. Counters and
-//!   gauges always count: product stats are views over them.
+//! The layer is always on: product stat structs are views over its
+//! counter and gauge handles, so there is no switch to turn it off.
 //!
 //! Scope: the registry is **process-global**. In-process multi-node
 //! tests share one registry (filter by name prefix or per-instance
@@ -37,55 +28,14 @@ pub use span::{
     TraceGuard, RING_CAP,
 };
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// `true` unless the crate is compiled with the `off` feature. The
-/// macros check this `const` so disabled expansions fold away at
-/// compile time — downstream crates cannot see our features from
-/// inside a macro expansion, but they can see this constant.
-pub const ENABLED: bool = cfg!(not(feature = "off"));
-
-/// 0 = uninitialised, 1 = off, 2 = on.
-static RUNTIME: AtomicU8 = AtomicU8::new(0);
-
-/// Runtime kill switch state: one relaxed load on the hot path, with
-/// a cold lazy read of `ORCHESTRA_OBS` on first use.
-#[inline]
-pub fn runtime_enabled() -> bool {
-    match RUNTIME.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => runtime_init(),
-    }
-}
-
-#[cold]
-fn runtime_init() -> bool {
-    let on = match std::env::var("ORCHESTRA_OBS") {
-        Ok(v) => !(v == "off" || v == "0"),
-        Err(_) => true,
-    };
-    RUNTIME.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
-}
-
-/// Override the runtime switch (benches, tests).
-pub fn set_runtime_enabled(on: bool) {
-    RUNTIME.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
-
 /// Bump a named counter through a lazily-registered static handle:
 /// `orchestra_obs::counter!("mesh.round.pages_pulled", n)`. Hot-path
-/// cost after the first call is one relaxed `fetch_add`; with the
-/// `off` feature the whole expansion is dead code.
+/// cost after the first call is one relaxed `fetch_add`.
 #[macro_export]
 macro_rules! counter {
     ($name:expr, $n:expr) => {{
-        if $crate::ENABLED {
-            static __OBS_C: ::std::sync::OnceLock<$crate::CounterHandle> =
-                ::std::sync::OnceLock::new();
-            __OBS_C.get_or_init(|| $crate::counter($name)).add($n);
-        }
+        static __OBS_C: ::std::sync::OnceLock<$crate::CounterHandle> = ::std::sync::OnceLock::new();
+        __OBS_C.get_or_init(|| $crate::counter($name)).add($n);
     }};
 }
 
@@ -94,11 +44,8 @@ macro_rules! counter {
 #[macro_export]
 macro_rules! gauge {
     ($name:expr, $n:expr) => {{
-        if $crate::ENABLED {
-            static __OBS_G: ::std::sync::OnceLock<$crate::GaugeHandle> =
-                ::std::sync::OnceLock::new();
-            __OBS_G.get_or_init(|| $crate::gauge($name)).add($n);
-        }
+        static __OBS_G: ::std::sync::OnceLock<$crate::GaugeHandle> = ::std::sync::OnceLock::new();
+        __OBS_G.get_or_init(|| $crate::gauge($name)).add($n);
     }};
 }
 
@@ -107,46 +54,34 @@ macro_rules! gauge {
 #[macro_export]
 macro_rules! histogram {
     ($name:expr, $v:expr) => {{
-        if $crate::ENABLED {
-            static __OBS_H: ::std::sync::OnceLock<$crate::HistogramHandle> =
-                ::std::sync::OnceLock::new();
-            __OBS_H.get_or_init(|| $crate::histogram($name)).record($v);
-        }
+        static __OBS_H: ::std::sync::OnceLock<$crate::HistogramHandle> =
+            ::std::sync::OnceLock::new();
+        __OBS_H.get_or_init(|| $crate::histogram($name)).record($v);
     }};
 }
 
 /// Evaluate an expression, recording its wall-clock duration into a
-/// named histogram. With the layer disabled (either switch) this is
-/// exactly the expression — no `Instant` is taken.
+/// named histogram.
 #[macro_export]
 macro_rules! time_histogram {
     ($name:expr, $body:expr) => {{
-        if $crate::ENABLED && $crate::runtime_enabled() {
-            let __obs_t = ::std::time::Instant::now();
-            let __obs_r = $body;
-            $crate::histogram!($name, __obs_t.elapsed().as_micros() as u64);
-            __obs_r
-        } else {
-            $body
-        }
+        let __obs_t = ::std::time::Instant::now();
+        let __obs_r = $body;
+        $crate::histogram!($name, __obs_t.elapsed().as_micros() as u64);
+        __obs_r
     }};
 }
 
 /// Open a span: `let _span = span!("reconcile.page", peer, epoch);`.
 /// Attributes are `ident` (captured via `Display`) or `ident = expr`.
-/// The span records on guard drop; when the layer is disabled the
-/// attribute expressions are never formatted.
+/// The span records on guard drop.
 #[macro_export]
 macro_rules! span {
     ($name:expr $(, $k:ident $(= $v:expr)?)* $(,)?) => {
-        if $crate::ENABLED && $crate::runtime_enabled() {
-            $crate::span_start(
-                $name,
-                vec![$((stringify!($k), $crate::__attr_value!($k $(= $v)?))),*],
-            )
-        } else {
-            $crate::SpanGuard::inert()
-        }
+        $crate::span_start(
+            $name,
+            vec![$((stringify!($k), $crate::__attr_value!($k $(= $v)?))),*],
+        )
     };
 }
 
@@ -161,22 +96,10 @@ macro_rules! __attr_value {
     };
 }
 
-/// Tests that depend on the runtime switch being on (span/histogram
-/// recording) serialise against the one test that turns it off — the
-/// switch is process-global and the harness runs tests in parallel.
 #[cfg(test)]
-pub(crate) fn test_runtime_guard() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    set_runtime_enabled(true);
-    g
-}
-
-#[cfg(all(test, not(feature = "off")))]
 mod tests {
     #[test]
     fn macros_compile_and_count() {
-        let _g = crate::test_runtime_guard();
         crate::counter!("test.macros.c", 2);
         crate::counter!("test.macros.c", 1);
         crate::gauge!("test.macros.g", 5);
@@ -210,55 +133,5 @@ mod tests {
                 ("epoch".to_string(), "9".to_string()),
             ]
         );
-    }
-
-    #[test]
-    fn runtime_switch_stops_spans_and_histograms() {
-        let _g = crate::test_runtime_guard();
-        crate::set_runtime_enabled(false);
-        {
-            let _s = crate::span!("test.rtswitch.span");
-        }
-        crate::histogram!("test.rtswitch.h", 5);
-        crate::counter!("test.rtswitch.c", 1);
-        crate::set_runtime_enabled(true);
-        let snap = crate::snapshot_filtered("test.rtswitch.");
-        assert!(snap.spans.is_empty(), "runtime-off must drop spans");
-        let h = snap.histograms.iter().find(|h| h.name == "test.rtswitch.h");
-        assert_eq!(h.map(|h| h.count), Some(0));
-        assert_eq!(snap.counters, vec![("test.rtswitch.c".to_string(), 1)]);
-        crate::set_runtime_enabled(true);
-    }
-}
-
-#[cfg(all(test, feature = "off"))]
-mod off_tests {
-    /// With the `off` feature the registry is inert but handles keep
-    /// their local cell, so migrated stat-struct getters still work.
-    #[test]
-    fn off_mode_keeps_local_cells_and_empty_snapshots() {
-        assert!(!crate::ENABLED);
-        let c = crate::counter("store.published");
-        c.add(3);
-        assert_eq!(c.get(), 3);
-        let g = crate::gauge("net.breaker.open");
-        g.add(2);
-        g.sub(1);
-        assert_eq!(g.get(), 1);
-        crate::histogram("x").record(5);
-        crate::counter!("x.c", 1);
-        crate::gauge!("x.g", 1);
-        crate::histogram!("x.h", 1);
-        assert_eq!(crate::time_histogram!("x.th", 21 * 2), 42);
-        {
-            let _span = crate::span!("x.span", attr = 1);
-        }
-        let t = crate::trace_mint();
-        assert_eq!(t.id, 0);
-        assert_eq!(crate::trace_current(), 0);
-        drop(t);
-        let snap = crate::snapshot();
-        assert_eq!(snap, crate::ObsSnapshot::default());
-        assert_eq!(crate::snapshot_filtered("x").counters.len(), 0);
     }
 }

@@ -66,16 +66,14 @@ impl CounterEntry {
 
 struct CounterShard {
     cell: AtomicU64,
-    /// `None` for unregistered handles (compiled-off mode).
-    entry: Option<Arc<CounterEntry>>,
+    entry: Arc<CounterEntry>,
 }
 
 impl Drop for CounterShard {
     fn drop(&mut self) {
-        if let Some(e) = &self.entry {
-            e.retired
-                .fetch_add(self.cell.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
+        self.entry
+            .retired
+            .fetch_add(self.cell.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 }
 
@@ -93,18 +91,6 @@ impl std::fmt::Debug for CounterHandle {
 }
 
 impl CounterHandle {
-    /// A handle with a local cell only — never registered. Used when
-    /// the crate is compiled with the `off` feature so migrated stat
-    /// structs keep working.
-    pub fn detached() -> Self {
-        CounterHandle {
-            shard: Arc::new(CounterShard {
-                cell: AtomicU64::new(0),
-                entry: None,
-            }),
-        }
-    }
-
     /// One relaxed `fetch_add` — the entire hot path.
     #[inline]
     pub fn add(&self, n: u64) {
@@ -162,9 +148,8 @@ struct GaugeShard {
 #[derive(Clone)]
 pub struct GaugeHandle {
     shard: Arc<GaugeShard>,
-    // Kept alive only so the registry can observe the shard; the
-    // detached constructor has no entry.
-    _entry: Option<Arc<GaugeEntry>>,
+    // Kept alive only so the registry can observe the shard.
+    _entry: Arc<GaugeEntry>,
 }
 
 impl std::fmt::Debug for GaugeHandle {
@@ -174,15 +159,6 @@ impl std::fmt::Debug for GaugeHandle {
 }
 
 impl GaugeHandle {
-    pub fn detached() -> Self {
-        GaugeHandle {
-            shard: Arc::new(GaugeShard {
-                cell: AtomicI64::new(0),
-            }),
-            _entry: None,
-        }
-    }
-
     #[inline]
     pub fn add(&self, n: i64) {
         self.shard.cell.fetch_add(n, Ordering::Relaxed);
@@ -265,7 +241,7 @@ impl HistogramEntry {
 /// A process-global histogram of microsecond latencies.
 #[derive(Clone)]
 pub struct HistogramHandle {
-    entry: Option<Arc<HistogramEntry>>,
+    entry: Arc<HistogramEntry>,
 }
 
 impl std::fmt::Debug for HistogramHandle {
@@ -275,21 +251,13 @@ impl std::fmt::Debug for HistogramHandle {
 }
 
 impl HistogramHandle {
-    pub fn detached() -> Self {
-        HistogramHandle { entry: None }
-    }
-
-    /// Record one observation (microseconds). Respects the runtime
-    /// kill switch so `ORCHESTRA_OBS=off` stops histogram work.
+    /// Record one observation (microseconds).
     #[inline]
     pub fn record(&self, v: u64) {
-        if let Some(e) = &self.entry {
-            if crate::runtime_enabled() {
-                e.counts[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-                e.sum.fetch_add(v, Ordering::Relaxed);
-                e.count.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let e = &self.entry;
+        e.counts[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        e.sum.fetch_add(v, Ordering::Relaxed);
+        e.count.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -319,9 +287,6 @@ pub(crate) fn with_registry<R>(f: impl FnOnce(&mut Registry) -> R) -> R {
 /// Register (or re-open) the counter `name` and return a fresh shard
 /// handle for it.
 pub fn counter(name: &str) -> CounterHandle {
-    if !crate::ENABLED {
-        return CounterHandle::detached();
-    }
     let entry = with_registry(|r| {
         r.counters
             .entry(name.to_string())
@@ -330,7 +295,7 @@ pub fn counter(name: &str) -> CounterHandle {
     });
     let shard = Arc::new(CounterShard {
         cell: AtomicU64::new(0),
-        entry: Some(entry.clone()),
+        entry: entry.clone(),
     });
     relock(&entry.shards).push(Arc::downgrade(&shard));
     CounterHandle { shard }
@@ -339,9 +304,6 @@ pub fn counter(name: &str) -> CounterHandle {
 /// Register (or re-open) the gauge `name` and return a fresh shard
 /// handle for it.
 pub fn gauge(name: &str) -> GaugeHandle {
-    if !crate::ENABLED {
-        return GaugeHandle::detached();
-    }
     let entry = with_registry(|r| {
         r.gauges
             .entry(name.to_string())
@@ -354,31 +316,25 @@ pub fn gauge(name: &str) -> GaugeHandle {
     relock(&entry.shards).push(Arc::downgrade(&shard));
     GaugeHandle {
         shard,
-        _entry: Some(entry),
+        _entry: entry,
     }
 }
 
 /// The process-global histogram `name`.
 pub fn histogram(name: &str) -> HistogramHandle {
-    if !crate::ENABLED {
-        return HistogramHandle::detached();
-    }
     let entry = with_registry(|r| {
         r.histograms
             .entry(name.to_string())
             .or_insert_with(|| Arc::new(HistogramEntry::new()))
             .clone()
     });
-    HistogramHandle { entry: Some(entry) }
+    HistogramHandle { entry }
 }
 
 /// Bump a counter by a name computed at runtime (cold paths only — a
 /// registry lock per call; hot paths use cached handles). Used for
 /// dynamic families like `fault.fired.<site>`.
 pub fn add_named(name: &str, n: u64) {
-    if !crate::ENABLED {
-        return;
-    }
     let entry = with_registry(|r| {
         r.counters
             .entry(name.to_string())
@@ -388,7 +344,7 @@ pub fn add_named(name: &str, n: u64) {
     entry.retired.fetch_add(n, Ordering::Relaxed);
 }
 
-#[cfg(all(test, not(feature = "off")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -458,7 +414,6 @@ mod tests {
 
     #[test]
     fn histogram_records_sum_and_count() {
-        let _g = crate::test_runtime_guard();
         let h = histogram("test.registry.hist");
         h.record(1);
         h.record(100);

@@ -44,7 +44,7 @@ pub struct ObsSnapshot {
     pub spans: Vec<SpanSnapshot>,
 }
 
-/// Snapshot the whole registry. Empty when compiled with `off`.
+/// Snapshot the whole registry.
 pub fn snapshot() -> ObsSnapshot {
     snapshot_filtered("")
 }
@@ -53,9 +53,6 @@ pub fn snapshot() -> ObsSnapshot {
 /// start with `prefix`. Tests use unique prefixes to stay isolated
 /// from the process-global registry shared with parallel test threads.
 pub fn snapshot_filtered(prefix: &str) -> ObsSnapshot {
-    if !crate::ENABLED {
-        return ObsSnapshot::default();
-    }
     let (counters, gauges, histograms) = with_registry(|r| {
         let counters: Vec<(String, u64)> = r
             .counters
@@ -266,13 +263,12 @@ fn json_str(s: &str) -> String {
     out
 }
 
-#[cfg(all(test, not(feature = "off")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn snapshots_are_deterministic_and_name_sorted() {
-        let _g = crate::test_runtime_guard();
         // Register deliberately out of name order.
         let b = crate::counter("test.detsnap.b");
         let a = crate::counter("test.detsnap.a");

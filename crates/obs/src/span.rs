@@ -100,12 +100,8 @@ pub(crate) fn collect_spans() -> Vec<SpanRecord> {
 }
 
 /// RAII guard returned by [`crate::span!`]; records the span when
-/// dropped. An inert guard (disabled layer) records nothing.
+/// dropped.
 pub struct SpanGuard {
-    inner: Option<ActiveSpan>,
-}
-
-struct ActiveSpan {
     name: &'static str,
     trace: u64,
     start: Instant,
@@ -113,42 +109,29 @@ struct ActiveSpan {
     attrs: Vec<(&'static str, String)>,
 }
 
-impl SpanGuard {
-    pub fn inert() -> Self {
-        SpanGuard { inner: None }
-    }
-}
-
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some(a) = self.inner.take() {
-            push_record(SpanRecord {
-                name: a.name,
-                trace: a.trace,
-                start_us: a.start_us,
-                dur_us: a.start.elapsed().as_micros() as u64,
-                thread: 0,
-                seq: 0,
-                attrs: a.attrs,
-            });
-        }
+        push_record(SpanRecord {
+            name: self.name,
+            trace: self.trace,
+            start_us: self.start_us,
+            dur_us: self.start.elapsed().as_micros() as u64,
+            thread: 0,
+            seq: 0,
+            attrs: std::mem::take(&mut self.attrs),
+        });
     }
 }
 
-/// Open a span. Prefer the [`crate::span!`] macro, which skips
-/// attribute formatting entirely when the layer is disabled.
+/// Open a span. Prefer the [`crate::span!`] macro, which formats the
+/// attributes for you.
 pub fn span_start(name: &'static str, attrs: Vec<(&'static str, String)>) -> SpanGuard {
-    if !crate::ENABLED || !crate::runtime_enabled() {
-        return SpanGuard::inert();
-    }
     SpanGuard {
-        inner: Some(ActiveSpan {
-            name,
-            trace: trace_current(),
-            start: Instant::now(),
-            start_us: now_micros(),
-            attrs,
-        }),
+        name,
+        trace: trace_current(),
+        start: Instant::now(),
+        start_us: now_micros(),
+        attrs,
     }
 }
 
@@ -160,7 +143,7 @@ pub fn span_start(name: &'static str, attrs: Vec<(&'static str, String)>) -> Spa
 pub struct TraceGuard {
     prev: u64,
     active: bool,
-    /// The id this guard installed (0 for an inert guard).
+    /// The id this guard installed (0 when adopting no trace).
     pub id: u64,
 }
 
@@ -207,13 +190,6 @@ fn splitmix64(mut x: u64) -> u64 {
 /// they are unique across the nodes of a multi-process cluster with
 /// overwhelming probability.
 pub fn trace_mint() -> TraceGuard {
-    if !crate::ENABLED {
-        return TraceGuard {
-            prev: 0,
-            active: false,
-            id: 0,
-        };
-    }
     static COUNTER: AtomicU64 = AtomicU64::new(1);
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
     let mut id = splitmix64(seed() ^ n);
@@ -226,7 +202,7 @@ pub fn trace_mint() -> TraceGuard {
 /// Adopt a trace id received over the wire (server side). Adopting 0
 /// is a no-op guard.
 pub fn trace_adopt(id: u64) -> TraceGuard {
-    if !crate::ENABLED || id == 0 {
+    if id == 0 {
         return TraceGuard {
             prev: 0,
             active: false,
@@ -238,13 +214,10 @@ pub fn trace_adopt(id: u64) -> TraceGuard {
 
 /// The trace id current on this thread (0 = none).
 pub fn trace_current() -> u64 {
-    if !crate::ENABLED {
-        return 0;
-    }
     CURRENT_TRACE.with(|c| c.get())
 }
 
-#[cfg(all(test, not(feature = "off")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -277,7 +250,6 @@ mod tests {
 
     #[test]
     fn spans_land_in_the_ring_with_trace_and_order() {
-        let _g = crate::test_runtime_guard();
         let t = trace_adopt(7001);
         {
             let _s = span_start("test.span.outer", vec![("k", "v".to_string())]);
@@ -302,7 +274,6 @@ mod tests {
 
     #[test]
     fn ring_is_bounded() {
-        let _g = crate::test_runtime_guard();
         for _ in 0..RING_CAP + 10 {
             let _s = span_start("test.span.flood", Vec::new());
         }

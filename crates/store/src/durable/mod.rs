@@ -1,6 +1,5 @@
 //! The durable update archive: a crash-recoverable [`UpdateStore`] backed
-//! by a write-ahead log of checksummed frames, sealed segments, and
-//! epoch-indexed compaction snapshots.
+//! by a write-ahead log of checksummed frames in size-rotated segments.
 //!
 //! The paper's CDSS assumes "published transactions are stored in a
 //! peer-to-peer distributed database" that peers fetch from after
@@ -15,8 +14,9 @@
 //!   mid-append crash is truncated away, never half-applied);
 //! * reads never touch the disk: open decodes every durable batch once,
 //!   and pages and point fetches are served from those payloads;
-//! * recovery cost is bounded by the live WAL suffix: [`compact`] folds
-//!   sealed segments into a snapshot file and deletes them.
+//! * the WAL is the only on-disk format: open replays every segment, so
+//!   its cost grows with the archive (a directory holding a `snap-*.snap`
+//!   compaction snapshot from an older build is refused, not ignored).
 //!
 //! ```no_run
 //! use orchestra_store::{pages, DurableStore, FetchCursor, DEFAULT_PAGE_LIMIT};
@@ -28,12 +28,9 @@
 //!     let page = page.unwrap();
 //! }
 //! ```
-//!
-//! [`compact`]: DurableStore::compact
 
 pub mod codec;
 pub mod segment;
-pub mod snapshot;
 pub mod wal;
 
 pub use wal::SyncPolicy;
@@ -46,14 +43,12 @@ use crate::api::{
 };
 use orchestra_updates::{Epoch, Transaction, TxnId};
 use parking_lot::RwLock;
-use snapshot::{list_snapshots, snapshot_file_name};
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::path::{Path, PathBuf};
 use wal::Wal;
 
-/// Tunables for [`DurableStore::open_with`]. Compaction is manual
-/// ([`DurableStore::compact`]).
+/// Tunables for [`DurableStore::open_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DurableOptions {
     /// Rotate the active segment once it reaches this many bytes.
@@ -71,23 +66,19 @@ impl Default for DurableOptions {
     }
 }
 
-/// Durability/compaction counters beyond the common [`StoreStats`].
+/// Durability counters beyond the common [`StoreStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DurableStats {
     /// Live WAL segments (sealed + active).
     pub segments: usize,
     /// Bytes in the active segment.
     pub active_segment_bytes: u64,
-    /// The current snapshot's covered-through segment, if any.
-    pub snapshot_watermark: Option<u64>,
     /// Transactions replayed from disk at open.
     pub recovered_txns: u64,
     /// Torn bytes truncated from the WAL tail at open.
     pub torn_bytes_truncated: u64,
-    /// Compactions performed since open.
-    pub compactions: u64,
-    /// Corrupt frames skipped — at open (their ids are unknown and simply
-    /// absent) or during compaction streaming.
+    /// Corrupt frames skipped at open (their ids are unknown and simply
+    /// absent).
     pub corrupt_frames_skipped: u64,
     /// Archived positions currently quarantined by [`DurableStore::scrub`]:
     /// the id is known but its payload was corrupt on disk, awaiting a
@@ -100,7 +91,7 @@ pub struct DurableStats {
 /// What one [`DurableStore::scrub`] pass found and did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScrubReport {
-    /// Files (segments + snapshot) whose frames were verified.
+    /// Segment files whose frames were verified.
     pub files_scanned: usize,
     /// Corrupt frames found in this pass.
     pub corrupt_frames: usize,
@@ -108,17 +99,10 @@ pub struct ScrubReport {
     pub quarantined: usize,
 }
 
-/// The archive file a batch frame lives in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FileRef {
-    Segment(u64),
-    Snapshot(u64),
-}
-
 /// Where one transaction's batch frame lives on disk.
 #[derive(Debug, Clone, Copy)]
 struct Location {
-    file: FileRef,
+    segment: u64,
     offset: u64,
 }
 
@@ -146,8 +130,6 @@ struct Inner {
     /// forward by `publish`, `absorb` and heals, dropped by a scrub that
     /// quarantines (the next call rebuilds it). Never built at open.
     digest: Option<StoreDigest>,
-    snapshot_watermark: Option<u64>,
-    last_compact_error: Option<StoreError>,
     dstats: DurableStats,
 }
 
@@ -160,7 +142,7 @@ pub struct DurableStore {
     stats: AtomicStats,
     /// Held for the store's lifetime: an exclusive advisory lock on the
     /// archive directory. Two stores appending to one WAL would corrupt
-    /// each other's offsets and compact files out from under each other.
+    /// each other's offsets.
     _lock: fs::File,
 }
 
@@ -172,48 +154,23 @@ impl DurableStore {
 
     /// Open (or create) the archive in `dir`.
     ///
-    /// Recovery: load the newest snapshot (older ones and segments it
-    /// covers are garbage from an interrupted compaction and are
-    /// deleted), replay every newer segment, and truncate a torn tail on
-    /// the active segment.
+    /// Recovery: replay every segment and truncate a torn tail on the
+    /// active one. A directory holding a compaction snapshot
+    /// (`snap-*.snap`, written by older builds) is refused with
+    /// [`StoreError::Corrupt`] naming it: the segments it covered are
+    /// gone, so opening without it would silently drop that history.
     pub fn open_with(dir: impl AsRef<Path>, opts: DurableOptions) -> crate::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir).map_err(|e| segment::io_err("create_dir_all", &dir, &e))?;
         let lock = lock_dir(&dir)?;
-
-        // Tmp files from a crashed snapshot write are invisible to
-        // recovery by construction; sweep them so they don't accumulate.
-        remove_stale_tmp_files(&dir)?;
+        refuse_snapshots(&dir)?;
 
         let mut txns = HashMap::new();
         let mut by_epoch: BTreeMap<Epoch, Vec<TxnId>> = BTreeMap::new();
-
-        let snaps = list_snapshots(&dir)?;
-        let watermark = snaps.last().copied();
-        if let Some(w) = watermark {
-            // Stream-validate the newest snapshot *before* deleting any
-            // older one: until this load succeeds, an older snapshot may
-            // be the only surviving copy of compacted data.
-            snapshot::stream_snapshot(&dir, w, |batch| {
-                let at = Location {
-                    file: FileRef::Snapshot(w),
-                    offset: batch.offset,
-                };
-                archive_batch(&mut txns, &mut by_epoch, at, batch.epoch, batch.txns);
-                Ok(())
-            })?;
-            // Stale lower snapshots: compaction deletes them after the
-            // rename; finish the job if a crash intervened.
-            for &old in snaps.iter().filter(|&&s| s != w) {
-                let path = dir.join(snapshot_file_name(old));
-                fs::remove_file(&path).map_err(|e| segment::io_err("remove", &path, &e))?;
-            }
-        }
-
-        let (wal, recovery) = Wal::open(&dir, watermark, opts.segment_max_bytes, opts.sync_policy)?;
+        let (wal, recovery) = Wal::open(&dir, opts.segment_max_bytes, opts.sync_policy)?;
         for batch in recovery.batches {
             let at = Location {
-                file: FileRef::Segment(batch.segment),
+                segment: batch.segment,
                 offset: batch.offset,
             };
             archive_batch(&mut txns, &mut by_epoch, at, batch.epoch, batch.txns);
@@ -223,7 +180,6 @@ impl DurableStore {
         let dstats = DurableStats {
             segments: wal.segment_count(),
             active_segment_bytes: wal.active_len(),
-            snapshot_watermark: watermark,
             recovered_txns,
             torn_bytes_truncated: recovery.torn_bytes_truncated,
             corrupt_frames_skipped: recovery.corrupt_frames_skipped,
@@ -238,8 +194,6 @@ impl DurableStore {
                 by_epoch,
                 quarantined: HashMap::new(),
                 digest: None,
-                snapshot_watermark: watermark,
-                last_compact_error: None,
                 dstats,
             }),
             stats: AtomicStats::default(),
@@ -263,15 +217,13 @@ impl DurableStore {
         DurableStats {
             segments: inner.wal.segment_count(),
             active_segment_bytes: inner.wal.active_len(),
-            snapshot_watermark: inner.snapshot_watermark,
             quarantined: inner.quarantined.len() as u64,
             ..inner.dstats
         }
     }
 
-    /// Verify every frame in every live archive file (sealed segments,
-    /// the active segment, and the current snapshot) against its
-    /// checksum, and **quarantine** the transactions of any frame that
+    /// Verify every frame in every segment (sealed and active) against
+    /// its checksum, and **quarantine** the transactions of any frame that
     /// fails: their payloads leave the archive (a healthy RAM copy must
     /// not mask rotten durable bytes), but the positions stay
     /// listed so paged scans report them [`FetchPage::unavailable`]
@@ -283,19 +235,9 @@ impl DurableStore {
         let mut inner = self.inner.write();
         let mut report = ScrubReport::default();
 
-        // Every file an archived transaction's frame can live in.
-        let mut files: Vec<FileRef> = Vec::new();
-        if let Some(w) = inner.snapshot_watermark {
-            files.push(FileRef::Snapshot(w));
-        }
-        files.extend(
-            inner
-                .wal
-                .sealed_segments()
-                .iter()
-                .map(|&s| FileRef::Segment(s)),
-        );
-        files.push(FileRef::Segment(inner.wal.active_seq()));
+        // Every segment an archived transaction's frame can live in.
+        let mut segments = inner.wal.sealed_segments().to_vec();
+        segments.push(inner.wal.active_seq());
 
         // Collect each file's corrupt byte regions. The active segment
         // may legitimately end mid-frame only under relaxed sync policies
@@ -303,16 +245,16 @@ impl DurableStore {
         // should be complete, so no torn-tail allowance anywhere — an
         // incomplete tail frame simply becomes a corrupt region and its
         // batch is quarantined.
-        let mut regions: Vec<(FileRef, segment::CorruptRegion)> = Vec::new();
-        for &file in &files {
-            let path = self.file_path(file);
+        let mut regions: Vec<(u64, segment::CorruptRegion)> = Vec::new();
+        for seq in segments {
+            let path = self.dir.join(segment::segment_file_name(seq));
             if !path.exists() {
                 continue; // an empty active segment may not exist yet
             }
             let scan = segment::scan_segment_lossy(&path, false)?;
             report.files_scanned += 1;
             report.corrupt_frames += scan.corrupt.len();
-            regions.extend(scan.corrupt.into_iter().map(|r| (file, r)));
+            regions.extend(scan.corrupt.into_iter().map(|r| (seq, r)));
         }
         if regions.is_empty() {
             return Ok(report);
@@ -321,8 +263,8 @@ impl DurableStore {
         // Quarantine every archived transaction whose frame lies in a
         // corrupt region (open-ended regions swallow the whole suffix).
         let hit = |loc: &Location| {
-            regions.iter().any(|(file, r)| {
-                loc.file == *file
+            regions.iter().any(|(seq, r)| {
+                loc.segment == *seq
                     && match r.len {
                         Some(len) => loc.offset >= r.offset && loc.offset < r.offset + len,
                         None => loc.offset >= r.offset,
@@ -354,141 +296,6 @@ impl DurableStore {
     /// [`SyncPolicy::Always`], which syncs in `publish`).
     pub fn sync(&self) -> crate::Result<()> {
         self.inner.write().wal.sync()
-    }
-
-    /// The most recent compaction trouble, if any: a post-success cleanup
-    /// failure (the compaction itself committed; stragglers are swept by
-    /// the next open). Cleared by the next clean compaction.
-    pub fn last_compaction_error(&self) -> Option<StoreError> {
-        self.inner.read().last_compact_error.clone()
-    }
-
-    /// Fold everything sealed so far into a snapshot and delete the
-    /// covered segments, bounding the next open's replay to the live
-    /// suffix. Returns the new watermark, or `None` when there was
-    /// nothing to compact.
-    pub fn compact(&self) -> crate::Result<Option<u64>> {
-        let mut inner = self.inner.write();
-        let active_empty = inner.wal.active_len() == 0;
-        if inner.wal.sealed_segments().is_empty() && active_empty {
-            return Ok(None); // nothing new since the last snapshot
-        }
-        // A fresh attempt supersedes any parked error from earlier
-        // attempts (it is re-set below if this one also has trouble).
-        inner.last_compact_error = None;
-        let covered = if active_empty {
-            inner.wal.active_seq() - 1
-        } else {
-            inner.wal.rotate()?
-        };
-
-        // Stream every durable batch in publish order — current snapshot
-        // first, then each sealed segment — into the new snapshot file,
-        // one batch resident at a time, each frame copied as it was
-        // appended. Locations are collected and applied to the archive
-        // only after the new snapshot is durably published.
-        let mut writer = snapshot::SnapshotWriter::begin(&self.dir, covered)?;
-        let mut repoints: Vec<(TxnId, Location)> = Vec::with_capacity(inner.txns.len());
-        let copy_batch = |writer: &mut snapshot::SnapshotWriter,
-                          repoints: &mut Vec<(TxnId, Location)>,
-                          epoch: Epoch,
-                          txns: &[Transaction]|
-         -> crate::Result<()> {
-            let offset = writer.append_batch(epoch, txns)?;
-            for t in txns {
-                repoints.push((
-                    t.id.clone(),
-                    Location {
-                        file: FileRef::Snapshot(covered),
-                        offset,
-                    },
-                ));
-            }
-            Ok(())
-        };
-        if let Some(w) = inner.snapshot_watermark {
-            snapshot::stream_snapshot(&self.dir, w, |b| {
-                copy_batch(&mut writer, &mut repoints, b.epoch, &b.txns)
-            })?;
-        }
-        let mut corrupt_skipped = 0u64;
-        for &seq in inner.wal.sealed_segments() {
-            let path = self.dir.join(segment::segment_file_name(seq));
-            let file = fs::File::open(&path).map_err(|e| segment::io_err("open", &path, &e))?;
-            let mut reader = crate::frame::FrameReader::new(std::io::BufReader::new(file), 0);
-            loop {
-                let (_, outcome) = reader
-                    .next_frame()
-                    .map_err(|e| segment::io_err("read", &path, &e))?;
-                let payload = match outcome {
-                    crate::frame::FrameRead::Ok { payload, .. } => payload,
-                    crate::frame::FrameRead::Eof => break,
-                    // A scrubbed-out (quarantined) or still-undetected
-                    // corrupt frame must not wedge compaction: skip it.
-                    // Its transactions either sit in quarantine (no
-                    // location — unaffected by the repoint) or are healed
-                    // copies living in *later* frames.
-                    crate::frame::FrameRead::Corrupt {
-                        resync: Some(_), ..
-                    } => {
-                        corrupt_skipped += 1;
-                        continue;
-                    }
-                    // Unframeable suffix: nothing further can be read.
-                    _ => {
-                        corrupt_skipped += 1;
-                        break;
-                    }
-                };
-                let Ok((epoch, txns)) = codec::decode_batch(&payload) else {
-                    corrupt_skipped += 1;
-                    continue;
-                };
-                copy_batch(&mut writer, &mut repoints, epoch, &txns)?;
-            }
-        }
-        writer.finish()?;
-
-        // The new snapshot is durable: commit the in-memory state FIRST
-        // (re-point the locations, advance the watermark) so a failure in
-        // the cleanup below cannot leave the watermark behind the data — a
-        // later compaction starting from a stale watermark would write a
-        // snapshot missing the batches only the new one holds.
-        for (id, loc) in repoints {
-            if let Some(a) = inner.txns.get_mut(&id) {
-                a.at = loc;
-            }
-        }
-        let old_watermark = inner.snapshot_watermark.replace(covered);
-        inner.dstats.compactions += 1;
-        inner.dstats.corrupt_frames_skipped += corrupt_skipped;
-
-        // Cleanup of now-covered files. The compaction has already
-        // succeeded, so a cleanup failure must not be reported as a
-        // failed compaction — the state is consistent, the stragglers
-        // only cost disk space, and the next open deletes them itself.
-        // Park any cleanup error where operators can see it.
-        let cleanup = (|| -> crate::Result<()> {
-            if let Some(old) = old_watermark {
-                if old != covered {
-                    let path = self.dir.join(snapshot_file_name(old));
-                    fs::remove_file(&path).map_err(|e| segment::io_err("remove", &path, &e))?;
-                }
-            }
-            inner.wal.remove_covered(covered)?;
-            segment::sync_dir(&self.dir)
-        })();
-        if let Err(e) = cleanup {
-            inner.last_compact_error = Some(e);
-        }
-        Ok(Some(covered))
-    }
-
-    fn file_path(&self, file: FileRef) -> PathBuf {
-        match file {
-            FileRef::Segment(seq) => self.dir.join(segment::segment_file_name(seq)),
-            FileRef::Snapshot(seq) => self.dir.join(snapshot_file_name(seq)),
-        }
     }
 }
 
@@ -548,7 +355,7 @@ impl UpdateStore for DurableStore {
         }
         let n = stamped.len() as u64;
         let at = Location {
-            file: FileRef::Segment(seg),
+            segment: seg,
             offset,
         };
         archive_batch(txns, by_epoch, at, epoch, stamped);
@@ -561,9 +368,9 @@ impl UpdateStore for DurableStore {
         let mut inner = self.inner.write();
         let mut report = AbsorbReport::default();
         // Group fresh transactions by the epoch their publisher stamped;
-        // each group becomes one WAL batch record — recovery and
-        // compaction replay batches by their recorded epoch, so neither
-        // cares that gossip merges arrive out of epoch order. Healing
+        // each group becomes one WAL batch record — recovery replays
+        // batches by their recorded epoch, so it does not care that
+        // gossip merges arrive out of epoch order. Healing
         // re-deliveries for quarantined positions are kept apart: their
         // ids already sit in `by_epoch`, so they must be re-archived
         // without re-listing the position.
@@ -602,22 +409,22 @@ impl UpdateStore for DurableStore {
                 batch.iter().for_each(|t| d.observe(t));
             }
             let at = Location {
-                file: FileRef::Segment(seg),
+                segment: seg,
                 offset,
             };
             archive_batch(txns, by_epoch, at, epoch, batch);
         }
         for (epoch, batch) in heals {
             // The healthy copy is appended like fresh history (the old
-            // corrupt frame stays where it is and is dropped by the next
-            // compaction), but the position is NOT re-listed in
+            // corrupt frame stays where it is, and open skips it), but
+            // the position is NOT re-listed in
             // `by_epoch` — it never left. Zero duplicate applies: a
             // cursor that already passed the position saw it as
             // unavailable, and rewinding consumers skip already-applied
             // ids by id.
             let (seg, offset) = inner.wal.append_batch(epoch, &batch)?;
             let at = Location {
-                file: FileRef::Segment(seg),
+                segment: seg,
                 offset,
             };
             for txn in batch {
@@ -762,15 +569,24 @@ fn lock_dir(dir: &Path) -> crate::Result<fs::File> {
     Ok(file)
 }
 
-fn remove_stale_tmp_files(dir: &Path) -> crate::Result<()> {
+/// Refuse an archive directory that holds a compaction snapshot
+/// (`snap-*.snap`): older builds folded sealed segments into one and
+/// deleted them, and this build reads the WAL alone.
+fn refuse_snapshots(dir: &Path) -> crate::Result<()> {
     let entries = fs::read_dir(dir).map_err(|e| segment::io_err("read_dir", dir, &e))?;
     for entry in entries {
         let entry = entry.map_err(|e| segment::io_err("read_dir", dir, &e))?;
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
-        if name.starts_with('.') && name.ends_with(".tmp") {
-            let path = entry.path();
-            fs::remove_file(&path).map_err(|e| segment::io_err("remove", &path, &e))?;
+        if name.starts_with("snap-") && name.ends_with(".snap") {
+            return Err(StoreError::Corrupt {
+                path: entry.path().display().to_string(),
+                offset: 0,
+                reason: "compaction snapshot from an older build: this build reads \
+                         only WAL segments, and opening without the history the \
+                         snapshot holds would drop it"
+                    .into(),
+            });
         }
     }
     Ok(())

@@ -71,10 +71,7 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Open the log in `dir`, replaying every segment with sequence number
-    /// greater than `watermark` (segments at or below it are covered by a
-    /// snapshot; stale ones left behind by a crash mid-compaction are
-    /// deleted here).
+    /// Open the log in `dir`, replaying every segment.
     ///
     /// The highest-numbered segment may end in a torn frame, which is
     /// truncated away. A checksum-invalid frame anywhere is **skipped**
@@ -86,25 +83,10 @@ impl Wal {
     /// land at a verified boundary.
     pub fn open(
         dir: &Path,
-        watermark: Option<u64>,
         segment_max_bytes: u64,
         sync_policy: SyncPolicy,
     ) -> crate::Result<(Wal, WalRecovery)> {
-        let all = list_segments(dir)?;
-        let mut stale = Vec::new();
-        let mut live = Vec::new();
-        for seq in all {
-            if watermark.is_some_and(|w| seq <= w) {
-                stale.push(seq);
-            } else {
-                live.push(seq);
-            }
-        }
-        for seq in stale {
-            let path = dir.join(segment_file_name(seq));
-            fs::remove_file(&path).map_err(|e| super::segment::io_err("remove", &path, &e))?;
-        }
-
+        let live = list_segments(dir)?;
         let mut recovery = WalRecovery::default();
         let mut active_len = 0u64;
         for (i, &seq) in live.iter().enumerate() {
@@ -120,7 +102,7 @@ impl Wal {
             // simply lost (already counted above).
             let unframeable_suffix = scan.corrupt.last().is_some_and(|r| r.len.is_none());
             if scan.torn_bytes > 0 || (is_last && unframeable_suffix) {
-                let file_len = std::fs::metadata(&path)
+                let file_len = fs::metadata(&path)
                     .map_err(|e| super::segment::io_err("stat", &path, &e))?
                     .len();
                 truncate_segment(&path, scan.valid_len)?;
@@ -148,9 +130,7 @@ impl Wal {
 
         let (active_seq, sealed) = match live.split_last() {
             Some((&last, rest)) => (last, rest.to_vec()),
-            // Fresh log (or everything compacted away): start one past the
-            // watermark so sequence numbers never repeat.
-            None => (watermark.unwrap_or(0) + 1, Vec::new()),
+            None => (1, Vec::new()), // a fresh log
         };
         let active = ActiveSegment::open(dir, active_seq, active_len)?;
         Ok((
@@ -209,7 +189,7 @@ impl Wal {
     }
 
     /// Seal the active segment and start a new one.
-    pub fn rotate(&mut self) -> crate::Result<u64> {
+    fn rotate(&mut self) -> crate::Result<()> {
         // Failpoint `store.wal.rotate`: fail before sealing — the active
         // segment stays active and appendable, so a caller retry simply
         // rotates later.
@@ -222,7 +202,7 @@ impl Wal {
         self.sealed.push(sealed_seq);
         self.active = ActiveSegment::open(&self.dir, sealed_seq + 1, 0)?;
         self.appends_since_sync = 0;
-        Ok(sealed_seq)
+        Ok(())
     }
 
     /// Force outstanding appends to stable storage.
@@ -249,21 +229,6 @@ impl Wal {
     /// Total live segment count (sealed + active).
     pub fn segment_count(&self) -> usize {
         self.sealed.len() + 1
-    }
-
-    /// Delete sealed segments `<= watermark` (they are now covered by a
-    /// snapshot).
-    pub fn remove_covered(&mut self, watermark: u64) -> crate::Result<usize> {
-        let mut removed = 0;
-        for &seq in &self.sealed {
-            if seq <= watermark {
-                let path = self.dir.join(segment_file_name(seq));
-                fs::remove_file(&path).map_err(|e| super::segment::io_err("remove", &path, &e))?;
-                removed += 1;
-            }
-        }
-        self.sealed.retain(|&s| s > watermark);
-        Ok(removed)
     }
 }
 
@@ -292,12 +257,12 @@ mod tests {
     fn append_recover_roundtrip() {
         let dir = tmp_dir("roundtrip");
         {
-            let (mut wal, rec) = Wal::open(&dir, None, 1 << 20, SyncPolicy::Always).unwrap();
+            let (mut wal, rec) = Wal::open(&dir, 1 << 20, SyncPolicy::Always).unwrap();
             assert!(rec.batches.is_empty());
             wal.append_batch(Epoch::new(1), &[txn(1), txn(2)]).unwrap();
             wal.append_batch(Epoch::new(2), &[txn(3)]).unwrap();
         }
-        let (_, rec) = Wal::open(&dir, None, 1 << 20, SyncPolicy::Always).unwrap();
+        let (_, rec) = Wal::open(&dir, 1 << 20, SyncPolicy::Always).unwrap();
         assert_eq!(rec.batches.len(), 2);
         assert_eq!(rec.batches[0].txns.len(), 2);
         assert_eq!(rec.batches[1].epoch, Epoch::new(2));
@@ -308,14 +273,14 @@ mod tests {
     #[test]
     fn rotation_at_threshold() {
         let dir = tmp_dir("rotate");
-        let (mut wal, _) = Wal::open(&dir, None, 64, SyncPolicy::Always).unwrap();
+        let (mut wal, _) = Wal::open(&dir, 64, SyncPolicy::Always).unwrap();
         for i in 0..10 {
             wal.append_batch(Epoch::new(1), &[txn(i)]).unwrap();
         }
         assert!(wal.segment_count() > 1, "tiny threshold forces rotation");
         // Reopen sees all batches across segments.
         drop(wal);
-        let (wal, rec) = Wal::open(&dir, None, 64, SyncPolicy::Always).unwrap();
+        let (wal, rec) = Wal::open(&dir, 64, SyncPolicy::Always).unwrap();
         assert_eq!(rec.batches.len(), 10);
         assert!(rec.segments_scanned > 1);
         assert_eq!(wal.segment_count(), rec.segments_scanned);
@@ -326,7 +291,7 @@ mod tests {
     fn torn_tail_truncated_on_open() {
         let dir = tmp_dir("torn");
         {
-            let (mut wal, _) = Wal::open(&dir, None, 1 << 20, SyncPolicy::Always).unwrap();
+            let (mut wal, _) = Wal::open(&dir, 1 << 20, SyncPolicy::Always).unwrap();
             wal.append_batch(Epoch::new(1), &[txn(1)]).unwrap();
             wal.append_batch(Epoch::new(2), &[txn(2)]).unwrap();
         }
@@ -335,34 +300,14 @@ mod tests {
         let bytes = fs::read(&seg).unwrap();
         fs::write(&seg, &bytes[..bytes.len() - 5]).unwrap();
 
-        let (mut wal, rec) = Wal::open(&dir, None, 1 << 20, SyncPolicy::Always).unwrap();
+        let (mut wal, rec) = Wal::open(&dir, 1 << 20, SyncPolicy::Always).unwrap();
         assert_eq!(rec.batches.len(), 1, "only the intact batch survives");
         assert!(rec.torn_bytes_truncated > 0);
         // The log is append-able again and the repaired tail is reused.
         wal.append_batch(Epoch::new(3), &[txn(3)]).unwrap();
         drop(wal);
-        let (_, rec) = Wal::open(&dir, None, 1 << 20, SyncPolicy::Always).unwrap();
+        let (_, rec) = Wal::open(&dir, 1 << 20, SyncPolicy::Always).unwrap();
         assert_eq!(rec.batches.len(), 2);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn watermark_skips_and_removes_covered_segments() {
-        let dir = tmp_dir("watermark");
-        let (mut wal, _) = Wal::open(&dir, None, 1, SyncPolicy::Always).unwrap();
-        for i in 0..4 {
-            wal.append_batch(Epoch::new(1), &[txn(i)]).unwrap();
-        }
-        let sealed_through = *wal.sealed_segments().last().unwrap();
-        drop(wal);
-        let (_, rec) = Wal::open(&dir, Some(sealed_through), 1, SyncPolicy::Always).unwrap();
-        // Only batches in segments beyond the watermark replay, and the
-        // covered files are gone from disk.
-        assert!(rec.batches.iter().all(|b| b.segment > sealed_through));
-        assert!(list_segments(&dir)
-            .unwrap()
-            .iter()
-            .all(|&s| s > sealed_through));
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -114,9 +114,9 @@ pub fn read_frame(buf: &[u8], offset: usize) -> FrameRead {
 }
 
 /// Streaming frame iteration over any [`Read`](std::io::Read) source,
-/// holding one frame in memory at a time. This is what keeps recovery and
-/// compaction memory bounded by the largest *frame*, not the file — and
-/// what lets the network peer read one message at a time off a socket.
+/// holding one frame in memory at a time. This is what lets a segment
+/// scan verify a file frame by frame, and the network peer read one
+/// message at a time off a socket.
 pub struct FrameReader<R> {
     inner: R,
     offset: u64,

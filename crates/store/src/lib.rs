@@ -34,9 +34,9 @@
 //!   behaviour (availability under churn as a function of replication
 //!   factor, probe counts) is preserved for experiment E8.
 //! * [`DurableStore`] — a **crash-recoverable archive on local disk**:
-//!   checksummed frames on a write-ahead log with segment rotation,
-//!   torn-tail recovery, and snapshot-based compaction; reads are served
-//!   from the payloads decoded at open, never from disk. The backend that
+//!   checksummed frames on a write-ahead log with size-based segment
+//!   rotation and torn-tail recovery; open decodes every batch, and reads
+//!   are served from those payloads, never from disk. The backend that
 //!   lets peers restart without losing the archive (see [`durable`]).
 
 pub mod api;

@@ -9,7 +9,7 @@
 //! payloads and counting unreachable positions. Random schedules of
 //! publishes, absorbs (out-of-order epochs, duplicates, in-batch
 //! repeats), rejected publishes, and — on the durable archive — fsync
-//! retries, bit rot with scrub and heal, compaction and reopen are run
+//! retries, bit rot with scrub and heal, and reopen are run
 //! against every backend, and after every step `digest()` must equal
 //! the page walk.
 
@@ -180,7 +180,7 @@ impl Schedule {
 
 fn step(store: &mut Store, sched: &mut Schedule, seed: u64) {
     let durable = matches!(store, Store::Durable { .. });
-    let kind = sched.pick(if durable { 9 } else { 4 });
+    let kind = sched.pick(if durable { 8 } else { 4 });
     match kind {
         // Publish into a fresh epoch, or append into the newest one.
         0 | 1 => {
@@ -237,7 +237,7 @@ fn durable_step(store: &mut Store, sched: &mut Schedule, kind: usize, seed: u64)
     let Store::Durable { store, dir, opts } = store else {
         unreachable!("durable steps run on the durable archive only");
     };
-    if kind == 8 {
+    if kind == 7 {
         // Close and reopen: the digest is rebuilt on the next call.
         drop(store.take());
         *store = Some(Box::new(DurableStore::open_with(&*dir, *opts).unwrap()));
@@ -278,7 +278,7 @@ fn durable_step(store: &mut Store, sched: &mut Schedule, kind: usize, seed: u64)
         }
         // Heal: healthy copies of quarantined positions (plus an
         // ordinary duplicate) arrive by absorb.
-        6 => {
+        _ => {
             let mut batch: Vec<Transaction> = Vec::new();
             for (_, id) in s.quarantined() {
                 if sched.pick(4) > 0 {
@@ -289,9 +289,6 @@ fn durable_step(store: &mut Store, sched: &mut Schedule, kind: usize, seed: u64)
                 batch.push(dup);
             }
             let _ = s.absorb(batch);
-        }
-        _ => {
-            let _ = s.compact();
         }
     }
 }

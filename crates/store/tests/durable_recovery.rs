@@ -1,15 +1,18 @@
 //! Crash-recovery guarantees of the durable archive:
 //!
 //! * kill-and-reopen: every published epoch is refetchable after restart,
-//!   with no checksum failures, across segment rotations and compactions;
+//!   with no checksum failures, across segment rotations;
 //! * torn-tail repair: truncating the WAL mid-frame loses exactly the torn
 //!   batch and nothing else;
 //! * sealed-file corruption is detected, never silently dropped;
 //! * reads are served from memory: an archive whose directory is gone
-//!   still pages and fetches every payload.
+//!   still pages and fetches every payload;
+//! * a directory holding a compaction snapshot from an older build is
+//!   refused, not opened without the history the snapshot holds.
 
 use orchestra_relational::tuple;
 use orchestra_store::durable::segment::{list_segments, segment_file_name};
+use orchestra_store::frame::frame;
 use orchestra_store::{
     pages, DurableOptions, DurableStore, FetchCursor, StoreError, SyncPolicy, UpdateStore,
     DEFAULT_PAGE_LIMIT,
@@ -52,19 +55,6 @@ fn tiny_segments() -> DurableOptions {
     }
 }
 
-/// `compact()`, retried past failures the fault registry injects (CI runs
-/// this suite with `store.snapshot.write` armed). A failed compaction
-/// publishes nothing and loses nothing, so retrying is what a caller does.
-fn compact(store: &DurableStore) -> Option<u64> {
-    for _ in 0..16 {
-        match store.compact() {
-            Err(StoreError::Io { message, .. }) if message == "injected failpoint" => {}
-            other => return other.unwrap(),
-        }
-    }
-    panic!("compaction kept failing on injected faults");
-}
-
 /// Every transaction archived after `since`, through the paged read path;
 /// none may be unavailable.
 fn all_since(store: &DurableStore, since: Epoch) -> Vec<Transaction> {
@@ -102,10 +92,6 @@ fn kill_and_reopen_preserves_every_epoch() {
             orchestra_fault::disarmed(|| store.publish(Epoch::new(epoch), vec![txn("P", seq)]))
                 .unwrap();
             published.push((epoch, seq));
-        }
-        // Mid-run compaction on generation 2 must not lose anything.
-        if generation == 2 {
-            compact(&store).expect("something to compact");
         }
         assert_eq!(store.latest_epoch(), Some(Epoch::new(generation * 3 + 3)));
         drop(store); // "kill"
@@ -302,14 +288,16 @@ fn scrub_quarantines_and_absorb_heals() {
     assert_eq!(store.fetch(gap_id).unwrap().unwrap().id, *gap_id);
 
     // A second scrub finds the old rotten frame still on disk but has
-    // nothing new to quarantine (the healed copies supersede it), and
-    // compaction drops the rot for good.
+    // nothing new to quarantine (the healed copies supersede it), and a
+    // reopen skips the rotten frame and loads the healed copies.
     let again = store.scrub().unwrap();
+    assert!(again.corrupt_frames > 0, "{again:?}");
     assert_eq!(again.quarantined, 0, "{again:?}");
-    compact(&store).expect("compacted");
-    let clean = store.scrub().unwrap();
-    assert_eq!(clean.corrupt_frames, 0, "compaction dropped the rot");
+    drop(store);
+    let store = DurableStore::open_with(&dir, opts).unwrap();
+    assert!(store.durable_stats().corrupt_frames_skipped > 0);
     assert_eq!(all_since(&store, Epoch::zero()).len(), 6);
+    assert_eq!(store.scrub().unwrap().quarantined, 0);
     fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -388,72 +376,17 @@ fn torn_tail_torture_sweep() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Compaction folds sealed segments into a snapshot, deletes them, and
-/// recovery afterwards sees identical contents (and a bounded replay).
-#[test]
-fn compaction_bounds_recovery_without_losing_data() {
-    let dir = fresh_dir("compact");
-    let opts = tiny_segments();
-    {
-        let store = DurableStore::open_with(&dir, opts).unwrap();
-        for seq in 1..=10u64 {
-            orchestra_fault::disarmed(|| store.publish(Epoch::new(seq), vec![txn("P", seq)]))
-                .unwrap();
-        }
-        let before = store.durable_stats();
-        assert!(before.segments > 2);
-
-        let watermark = compact(&store).expect("compacted");
-        let after = store.durable_stats();
-        assert_eq!(after.snapshot_watermark, Some(watermark));
-        assert_eq!(after.segments, 1, "only the fresh active segment remains");
-        assert!(list_segments(&dir).unwrap().iter().all(|&s| s > watermark));
-
-        // Contents identical through the compaction.
-        let all = all_since(&store, Epoch::zero());
-        assert_eq!(all.len(), 10);
-
-        // A second compact with nothing new is a no-op.
-        assert_eq!(compact(&store), None);
-
-        // Publishing continues after compaction.
-        for seq in 11..=13u64 {
-            orchestra_fault::disarmed(|| store.publish(Epoch::new(seq), vec![txn("P", seq)]))
-                .unwrap();
-        }
-    }
-    let store = DurableStore::open_with(&dir, opts).unwrap();
-    let all = all_since(&store, Epoch::zero());
-    assert_eq!(all.len(), 13);
-    for (i, t) in all.iter().enumerate() {
-        assert_eq!(t.epoch, Epoch::new(i as u64 + 1));
-    }
-    // Fetch-by-id reaches both tiers: snapshot and live WAL.
-    assert!(store
-        .fetch(&TxnId::new(PeerId::new("P"), 2))
-        .unwrap()
-        .is_some());
-    assert!(store
-        .fetch(&TxnId::new(PeerId::new("P"), 13))
-        .unwrap()
-        .is_some());
-    fs::remove_dir_all(&dir).unwrap();
-}
-
-/// Reads never touch the disk: with the archive spread over a snapshot
-/// and several live segments, and its directory renamed away, every
-/// payload still pages and fetches.
+/// Reads never touch the disk: with the archive spread over several
+/// segments, and its directory renamed away, every payload still pages
+/// and fetches.
 #[test]
 fn reads_never_touch_the_disk() {
     let dir = fresh_dir("no-disk-reads");
     let store = DurableStore::open_with(&dir, tiny_segments()).unwrap();
     for seq in 1..=9u64 {
         orchestra_fault::disarmed(|| store.publish(Epoch::new(seq), vec![txn("P", seq)])).unwrap();
-        if seq == 6 {
-            compact(&store).expect("compacted");
-        }
     }
-    assert!(store.durable_stats().segments > 1, "live segments too");
+    assert!(store.durable_stats().segments > 1, "several segments");
 
     let moved = dir.with_extension("moved");
     fs::rename(&dir, &moved).unwrap();
@@ -544,8 +477,8 @@ fn empty_and_reopen_idempotent() {
 
 /// A paging cursor taken in one process lifetime resumes in the next:
 /// the (epoch, id) order is rebuilt identically by recovery — including
-/// across segment rotations and a compaction — so paged and one-shot
-/// reads agree even when a restart (or both) interrupts the walk.
+/// across segment rotations — so paged and one-shot reads agree even
+/// when a restart interrupts the walk.
 #[test]
 fn fetch_page_cursor_resumes_across_restart() {
     let dir = fresh_dir("cursor-resume");
@@ -575,10 +508,9 @@ fn fetch_page_cursor_resumes_across_restart() {
         (one_shot, p2.next_cursor.unwrap())
     };
 
-    // Second lifetime: compact (rewrites every file), then resume the
-    // walk from the saved cursor — the tail matches exactly.
+    // Second lifetime: resume the walk from the saved cursor — the tail
+    // matches exactly.
     let store = DurableStore::open_with(&dir, opts).unwrap();
-    compact(&store);
     let tail: Vec<_> = pages(&store, mid_cursor, 5)
         .flat_map(|p| p.unwrap().txns)
         .collect();
@@ -588,10 +520,10 @@ fn fetch_page_cursor_resumes_across_restart() {
 
 /// Anti-entropy absorb writes WAL batches with the epochs their
 /// publishers stamped — possibly *behind* the newest local epoch. The
-/// merged order must survive a reopen and a compaction, and re-absorbing
-/// the same transactions must stay idempotent across restarts.
+/// merged order must survive a reopen, and re-absorbing the same
+/// transactions must stay idempotent across restarts.
 #[test]
-fn absorbed_out_of_order_epochs_survive_reopen_and_compaction() {
+fn absorbed_out_of_order_epochs_survive_reopen() {
     let dir = fresh_dir("absorb");
     let scan_epochs = |store: &DurableStore| -> Vec<u64> {
         all_since(store, Epoch::zero())
@@ -619,12 +551,73 @@ fn absorbed_out_of_order_epochs_survive_reopen_and_compaction() {
         again.epoch = Epoch::new(2);
         let r = orchestra_fault::disarmed(|| store.absorb(vec![again])).unwrap();
         assert_eq!((r.absorbed, r.duplicates), (0, 1));
-        compact(&store);
         assert_eq!(scan_epochs(&store), vec![2, 6, 9]);
     }
-    // And once more after the compaction rewrote every file.
+    // And once more after the refused re-absorb.
     let store = DurableStore::open_with(&dir, tiny_segments()).unwrap();
     assert_eq!(scan_epochs(&store), vec![2, 6, 9]);
     assert_eq!(store.len(), 3);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A failed rotation (failpoint `store.wal.rotate`) fails the publish
+/// that needed it before anything is sealed or appended: the active
+/// segment stays active and appendable, the history stays readable, and
+/// the retried publish rotates for real.
+#[test]
+fn rotate_failure_keeps_active_segment_appendable() {
+    let dir = fresh_dir("rotate");
+    let opts = DurableOptions {
+        segment_max_bytes: 1, // every publish into a non-empty segment rotates
+        ..tiny_segments()
+    };
+    let store = orchestra_fault::disarmed(|| DurableStore::open_with(&dir, opts)).unwrap();
+    for seq in 1..=3u64 {
+        orchestra_fault::disarmed(|| store.publish(Epoch::new(seq), vec![txn("P", seq)])).unwrap();
+    }
+    let segments = store.durable_stats().segments;
+
+    {
+        let _fp = orchestra_fault::scoped("store.wal.rotate=err@1x1", 11);
+        match store.publish(Epoch::new(4), vec![txn("P", 4)]) {
+            Err(StoreError::Io { message, .. }) => assert_eq!(message, "injected failpoint"),
+            other => panic!("expected the injected rotate failure, got {other:?}"),
+        }
+    }
+    assert_eq!(store.durable_stats().segments, segments, "nothing sealed");
+    assert_eq!(all_since(&store, Epoch::zero()).len(), 3);
+
+    orchestra_fault::disarmed(|| store.publish(Epoch::new(4), vec![txn("P", 4)])).unwrap();
+    assert_eq!(store.durable_stats().segments, segments + 1, "rotated");
+    assert_eq!(all_since(&store, Epoch::zero()).len(), 4);
+    drop(store);
+
+    let store = orchestra_fault::disarmed(|| DurableStore::open_with(&dir, opts)).unwrap();
+    assert_eq!(all_since(&store, Epoch::zero()).len(), 4);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A directory holding a compaction snapshot (`snap-*.snap`) from an
+/// older build is refused with an error naming the file: the segments
+/// it covered are gone, so opening the WAL alone would silently drop
+/// that history. The file is left where it was.
+#[test]
+fn snapshot_from_an_older_build_is_refused() {
+    let dir = fresh_dir("old-snapshot");
+    fs::create_dir_all(&dir).unwrap();
+    // A well-formed empty snapshot covering segment 1, as older builds
+    // wrote it: one header frame of magic, version 1, watermark and
+    // batch count.
+    let mut header = b"OSNP\x01".to_vec();
+    header.extend_from_slice(&1u64.to_le_bytes());
+    header.extend_from_slice(&0u64.to_le_bytes());
+    let snap = dir.join("snap-0000000000000001.snap");
+    fs::write(&snap, frame(&header)).unwrap();
+
+    match DurableStore::open(&dir) {
+        Err(StoreError::Corrupt { path, .. }) => assert_eq!(path, snap.display().to_string()),
+        other => panic!("expected the snapshot to be refused, got {other:?}"),
+    }
+    assert!(snap.exists());
     fs::remove_dir_all(&dir).unwrap();
 }

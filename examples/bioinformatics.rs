@@ -1,12 +1,12 @@
 //! The paper's Figure 2 bioinformatics CDSS, narrated end to end — the
 //! CLI stand-in for the demonstration's Java GUI (Figure 3): it prints
 //! the mappings, each peer's state, and the original vs. translated
-//! updates at every step.
+//! updates at every step, and asserts what each step claims.
 //!
 //! Run with `cargo run --example bioinformatics`.
 
 use orchestra_core::demo;
-use orchestra_relational::tuple;
+use orchestra_relational::{tuple, Value};
 use orchestra_updates::{PeerId, Update};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -46,6 +46,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("translated + accepted: {t}");
     }
     println!("{}", cdss.peer(&dresden)?.instance());
+    let ops = cdss.peer(&dresden)?.instance().relation("OPS")?;
+    assert_eq!(ops.len(), 2, "one OPS row per joined HIV sequence");
+    assert!(ops.contains(&tuple!["HIV-1", "gp120", "MRVKEKYQHLWRWGWRWGTM"]));
+    assert!(ops.contains(&tuple!["HIV-1", "gp41", "AVGIGALFLGFLGAAGSTMG"]));
 
     // ── Dresden contributes back: Σ2 → Σ1 split invents ids ──────────
     println!("═══ Dresden publishes a new organism (OPS row) ═══");
@@ -65,6 +69,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("note the invented labeled-null ids (Skolem terms over `org`/`prot`):");
     println!("{}", cdss.peer(&alaska)?.instance());
+    let alaska_db = cdss.peer(&alaska)?.instance();
+    let rat = Value::str("Rattus norvegicus");
+    let o = alaska_db.relation("O")?;
+    assert!(
+        o.contains(&tuple!["HIV-1", 1]),
+        "Alaska's own row is untouched"
+    );
+    let rat_org = o.iter().find(|t| t[0] == rat).expect("Rat organism row");
+    assert!(rat_org[1].is_labeled_null(), "invented organism id");
+    let p = alaska_db.relation("P")?;
+    let p53 = p
+        .iter()
+        .find(|t| t[0] == Value::str("p53"))
+        .expect("p53 row");
+    assert!(p53[1].is_labeled_null(), "invented protein id");
+    let s = alaska_db.relation("S")?;
+    assert_eq!(s.len(), 3);
+    let rat_seq = s
+        .iter()
+        .find(|t| t[2] == Value::str("MEEPQSDPSVEPPLSQETFS"))
+        .expect("Rat sequence row");
+    assert_eq!((&rat_seq[0], &rat_seq[1]), (&rat_org[1], &p53[1]));
 
     // ── Trust in action at Crete ──────────────────────────────────────
     println!("═══ Crete reconciles: trusts Beijing/Dresden, distrusts Alaska ═══");
@@ -77,6 +103,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("Dresden's Rat row arrived; Alaska's HIV rows did not:");
     println!("{}", cdss.peer(&crete)?.instance());
+    let ops = cdss.peer(&crete)?.instance().relation("OPS")?;
+    assert!(ops.contains(&tuple!["Rattus norvegicus", "p53", "MEEPQSDPSVEPPLSQETFS"]));
+    assert!(
+        ops.iter().all(|t| t[0] != Value::str("HIV-1")),
+        "Crete distrusts Alaska"
+    );
 
     // ── Beijing syncs everything ──────────────────────────────────────
     println!("═══ Beijing reconciles (identity from Alaska + split round trip) ═══");
