@@ -32,6 +32,7 @@ const CRITICAL: &[&str] = &[
     "crates/datalog/src/node.rs",
     "crates/datalog/src/provgraph.rs",
     "crates/provenance/src/",
+    "crates/store/src/archive.rs",
     "crates/store/src/durable/",
 ];
 

@@ -9,8 +9,9 @@
 //! * `.unwrap()` / `.expect(..)` method calls;
 //! * `panic!` / `unreachable!` / `todo!` / `unimplemented!` macros;
 //! * subscript indexing (`buf[i]`, `&buf[a..b]`) — but only inside the
-//!   **panic-critical modules** (the durable store, the shared frame
-//!   codec, and the network stack), where the input is untrusted bytes
+//!   **panic-critical modules** (the durable store and the archive
+//!   index it shares with the other backends, the shared frame codec,
+//!   and the network stack), where the input is untrusted bytes
 //!   or a torn file and a bounds panic is a crash where an error was
 //!   owed. Elsewhere indexing is pervasive and invariant-guarded
 //!   (dense `Sym`/`NodeId` tables), so it is not flagged.
@@ -24,6 +25,7 @@ use crate::lexer::TokenKind;
 /// Path prefixes where subscript indexing is also flagged: code that
 /// parses bytes from disk or the wire.
 const INDEX_CRITICAL: &[&str] = &[
+    "crates/store/src/archive.rs",
     "crates/store/src/durable/",
     "crates/store/src/frame.rs",
     "crates/net/src/",

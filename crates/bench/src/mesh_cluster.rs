@@ -140,6 +140,12 @@ fn cluster_builder(cfg: &ClusterConfig) -> orchestra_core::CdssBuilder {
     b
 }
 
+/// The durable archive directory of child `child_idx`'s archival node
+/// (its node 0) when the child runs as process `pid`.
+fn archive_dir(pid: u32, child_idx: usize) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("orchestra-e12-{pid}-{child_idx}-0"))
+}
+
 fn cluster_remote_opts() -> RemoteOptions {
     RemoteOptions {
         connect_timeout: Duration::from_millis(400),
@@ -218,10 +224,7 @@ pub fn e12_child_main(args: &[String]) {
         };
         let builder = cluster_builder(&cfg);
         let (cdss, durable_dir) = if archival {
-            let dir = std::env::temp_dir().join(format!(
-                "orchestra-e12-{}-{child_idx}-{k}",
-                std::process::id()
-            ));
+            let dir = archive_dir(std::process::id(), child_idx);
             let _ = std::fs::remove_dir_all(&dir);
             let store: Arc<dyn UpdateStore> =
                 Arc::new(DurableStore::open(&dir).expect("open durable archive"));
@@ -463,9 +466,12 @@ impl ChildProc {
         line.trim().to_string()
     }
 
+    /// SIGKILL the child. It never gets `STOP`, its own cleanup, so
+    /// its archive directory is removed here.
     fn kill(mut self) {
         let _ = self.child.kill();
         let _ = self.child.wait();
+        let _ = std::fs::remove_dir_all(archive_dir(self.child.id(), self.idx));
     }
 }
 

@@ -5,14 +5,28 @@
 //! per-node server counters, and the interest-vs-full shipped-bytes
 //! comparison), and the E13 fault-injection report (faults injected at
 //! every layer, quarantined == healed, zero duplicate applies, full
-//! convergence).
+//! convergence). No E12 archive directory outlives the run.
 
 use orchestra_bench::json::{validate_report_shape, Json};
 use std::process::Command;
 
+/// The E12 archive directories (`orchestra-e12-<pid>-<child>-0`)
+/// under the temp dir.
+fn e12_archive_dirs() -> std::collections::BTreeSet<String> {
+    std::fs::read_dir(std::env::temp_dir())
+        .map(|entries| {
+            entries
+                .filter_map(|e| e.ok()?.file_name().into_string().ok())
+                .filter(|name| name.starts_with("orchestra-e12-"))
+                .collect()
+        })
+        .unwrap_or_default()
+}
+
 #[test]
 fn smoke_run_emits_valid_bench_json() {
     let exe = env!("CARGO_BIN_EXE_experiments");
+    let e12_dirs_before = e12_archive_dirs();
     let dir = std::env::temp_dir().join(format!("orchestra-bench-json-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let out = Command::new(exe)
@@ -206,5 +220,14 @@ fn smoke_run_emits_valid_bench_json() {
             assert!(firings > 0.0, "{exp}: no rule firings recorded");
         }
     }
+    // Every E12 child's archive is removed, the killed child's too.
+    let leaked: Vec<String> = e12_archive_dirs()
+        .difference(&e12_dirs_before)
+        .cloned()
+        .collect();
+    assert!(
+        leaked.is_empty(),
+        "e12 left archive directories: {leaked:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -19,6 +19,7 @@ use orchestra_datalog::{Atom, Term, Tgd};
 use orchestra_reconcile::{TrustCondition, TrustPolicy};
 use orchestra_relational::{DatabaseSchema, RelationSchema, ValueType};
 use orchestra_updates::PeerId;
+use std::sync::Arc;
 
 /// Σ1 = {O(org, oid), P(prot, pid), S(oid, pid, seq)} — organisms and
 /// proteins carry unique IDs; `S` keys sequences by (oid, pid).
@@ -101,12 +102,12 @@ pub fn crete_policy() -> TrustPolicy {
 
 /// Build the complete Figure 2 CDSS with the default in-memory store.
 pub fn figure2() -> Result<Cdss> {
-    figure2_with_store(Box::new(orchestra_store::InMemoryStore::new()))
+    figure2_with_store(Arc::new(orchestra_store::InMemoryStore::new()))
 }
 
-/// Build the Figure 2 CDSS over a caller-provided store (e.g. the
-/// simulated DHT for experiment E8).
-pub fn figure2_with_store(store: Box<dyn orchestra_store::UpdateStore>) -> Result<Cdss> {
+/// Build the Figure 2 CDSS over a store the caller keeps a handle on
+/// (e.g. the simulated DHT, to take storage nodes down).
+pub fn figure2_with_store(store: Arc<dyn orchestra_store::UpdateStore>) -> Result<Cdss> {
     let s1 = sigma1()?;
     let s2 = sigma2()?;
     Cdss::builder()
@@ -118,7 +119,7 @@ pub fn figure2_with_store(store: Box<dyn orchestra_store::UpdateStore>) -> Resul
         .identity("Crete", "Dresden")?
         .mapping(ma_to_c()?)
         .mapping(mc_to_a()?)
-        .build_with_store(store)
+        .build_with_shared(store)
 }
 
 #[cfg(test)]

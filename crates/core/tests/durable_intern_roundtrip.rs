@@ -22,6 +22,7 @@ use orchestra_relational::{tuple, DatabaseSchema, RelationSchema, Tuple, Value, 
 use orchestra_store::{DurableOptions, DurableStore, SyncPolicy, UpdateStore};
 use orchestra_updates::{PeerId, Update};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 #[test]
 fn fixpoint_is_independent_of_interner_ordering() {
@@ -163,7 +164,7 @@ fn durable_store_roundtrips_interned_state_across_reopen() {
     // Run 1: publish + reconcile, snapshot the fixpoint, then "kill".
     let before = {
         let store = DurableStore::open_with(&dir, opts).unwrap();
-        let mut cdss = demo::figure2_with_store(Box::new(store)).unwrap();
+        let mut cdss = demo::figure2_with_store(Arc::new(store)).unwrap();
         seed_exchange(&mut cdss);
         all_instances(&cdss)
         // cdss (and its store handle) dropped here without further ado.
@@ -181,7 +182,7 @@ fn durable_store_roundtrips_interned_state_across_reopen() {
     // replay the same exchange from the archived transactions.
     let store = DurableStore::open_with(&dir, opts).unwrap();
     assert!(store.len() > 0, "archive survived the reopen");
-    let mut cdss = demo::figure2_with_store(Box::new(store)).unwrap();
+    let mut cdss = demo::figure2_with_store(Arc::new(store)).unwrap();
     for peer in ["Alaska", "Beijing", "Crete", "Dresden"] {
         cdss.reconcile(&PeerId::new(peer)).unwrap();
     }

@@ -114,13 +114,13 @@ pub struct StoreStats {
 /// aggregates every live store plus all dropped ones.
 #[derive(Debug)]
 pub(crate) struct AtomicStats {
-    published: orchestra_obs::CounterHandle,
-    fetched: orchestra_obs::CounterHandle,
-    probes: orchestra_obs::CounterHandle,
-    misses: orchestra_obs::CounterHandle,
-    pages: orchestra_obs::CounterHandle,
-    unavailable: orchestra_obs::CounterHandle,
-    degraded: orchestra_obs::CounterHandle,
+    pub published: orchestra_obs::CounterHandle,
+    pub fetched: orchestra_obs::CounterHandle,
+    pub probes: orchestra_obs::CounterHandle,
+    pub misses: orchestra_obs::CounterHandle,
+    pub pages: orchestra_obs::CounterHandle,
+    pub unavailable: orchestra_obs::CounterHandle,
+    pub degraded: orchestra_obs::CounterHandle,
 }
 
 impl Default for AtomicStats {
@@ -138,28 +138,6 @@ impl Default for AtomicStats {
 }
 
 impl AtomicStats {
-    pub fn add_published(&self, n: u64) {
-        self.published.add(n);
-    }
-    pub fn add_fetched(&self, n: u64) {
-        self.fetched.add(n);
-    }
-    pub fn add_probes(&self, n: u64) {
-        self.probes.add(n);
-    }
-    pub fn add_misses(&self, n: u64) {
-        self.misses.add(n);
-    }
-    pub fn add_pages(&self, n: u64) {
-        self.pages.add(n);
-    }
-    pub fn add_unavailable(&self, n: u64) {
-        self.unavailable.add(n);
-    }
-    pub fn add_degraded(&self, n: u64) {
-        self.degraded.add(n);
-    }
-
     pub fn snapshot(&self) -> StoreStats {
         StoreStats {
             published: self.published.get(),
@@ -398,48 +376,6 @@ impl FetchPage {
     }
 }
 
-/// Shared pagination over the `epoch → sorted txn ids` index every
-/// backend maintains: the positions for one page plus the follow-up
-/// cursor (`None` once the archive is exhausted). Callers only
-/// materialize up to `limit` ids — never whole-history vectors.
-pub(crate) fn collect_page(
-    by_epoch: &BTreeMap<Epoch, Vec<TxnId>>,
-    cursor: &FetchCursor,
-    limit: usize,
-) -> (Vec<(Epoch, TxnId)>, Option<FetchCursor>) {
-    let limit = limit.max(1);
-    let mut out: Vec<(Epoch, TxnId)> = Vec::new();
-    let mut more = false;
-    'scan: for (&ep, ids) in by_epoch.range(cursor.epoch..) {
-        // Per-epoch id lists are kept sorted by `publish`, so the cursor
-        // bound is a binary search, not a scan.
-        let skip = if ep == cursor.epoch {
-            match &cursor.bound {
-                CursorBound::Start => 0,
-                CursorBound::At(id) => ids.partition_point(|x| x < id),
-                CursorBound::After(id) => ids.partition_point(|x| x <= id),
-            }
-        } else {
-            0
-        };
-        for id in &ids[skip..] {
-            if out.len() == limit {
-                more = true;
-                break 'scan;
-            }
-            out.push((ep, id.clone()));
-        }
-    }
-    let next = if more {
-        // analyze: allow(panic) -- `more` is only true when at least one element was pushed
-        let (e, id) = out.last().expect("limit >= 1");
-        Some(FetchCursor::after_txn(*e, id.clone()))
-    } else {
-        None
-    };
-    (out, next)
-}
-
 /// The archive of published transactions shared by all CDSS peers.
 ///
 /// Implementations are internally synchronized (`&self` methods): many
@@ -558,83 +494,6 @@ impl<S: UpdateStore + ?Sized> Iterator for Pages<'_, S> {
     }
 }
 
-/// Reject a publish batch that repeats an id already archived (`known`)
-/// or repeats an id within the batch itself — the silent-overwrite
-/// double-index bug both cases used to cause.
-pub(crate) fn check_batch_ids<'a>(
-    txns: &'a [Transaction],
-    mut known: impl FnMut(&TxnId) -> bool,
-) -> Result<(), StoreError> {
-    let mut seen: std::collections::BTreeSet<&'a TxnId> = std::collections::BTreeSet::new();
-    for t in txns {
-        if known(&t.id) || !seen.insert(&t.id) {
-            return Err(StoreError::DuplicateTxn(t.id.to_string()));
-        }
-    }
-    Ok(())
-}
-
-/// Append a batch's ids to the `epoch → ids` index, maintaining the
-/// sorted per-epoch order that [`collect_page`]'s binary search depends
-/// on — the one place that owns this invariant.
-pub(crate) fn index_epoch_ids(
-    by_epoch: &mut BTreeMap<Epoch, Vec<TxnId>>,
-    epoch: Epoch,
-    ids: impl IntoIterator<Item = TxnId>,
-) {
-    // Nothing new (recovery replaying a batch a failed fsync left in two
-    // frames): no empty epoch entry, and no merge of an empty tail.
-    let mut ids = ids.into_iter().peekable();
-    if ids.peek().is_none() {
-        return;
-    }
-    let list = by_epoch.entry(epoch).or_default();
-    let mid = list.len();
-    list.extend(ids);
-    list[mid..].sort_unstable();
-    // Repeated appends into one epoch only sort the incoming batch; when
-    // the runs interleave, merge the two sorted halves linearly instead
-    // of re-sorting everything already in place.
-    if mid > 0 && list[mid - 1] > list[mid] {
-        let tail = list.split_off(mid);
-        let head = std::mem::take(list);
-        let mut a = head.into_iter().peekable();
-        let mut b = tail.into_iter().peekable();
-        let mut merged = Vec::with_capacity(mid + b.len());
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(x), Some(y)) => {
-                    if x <= y {
-                        merged.push(a.next().expect("peeked")); // analyze: allow(panic) -- next() after a successful peek() on the same iterator cannot be None
-                    } else {
-                        merged.push(b.next().expect("peeked")); // analyze: allow(panic) -- next() after a successful peek() on the same iterator cannot be None
-                    }
-                }
-                (Some(_), None) => merged.push(a.next().expect("peeked")), // analyze: allow(panic) -- next() after a successful peek() on the same iterator cannot be None
-                (None, Some(_)) => merged.push(b.next().expect("peeked")), // analyze: allow(panic) -- next() after a successful peek() on the same iterator cannot be None
-                (None, None) => break,
-            }
-        }
-        *list = merged;
-    }
-}
-
-/// Reject a publish into an epoch behind the newest archived one: cursors
-/// already past that position would never see it (appending *into* the
-/// newest epoch remains allowed — but a cursor mid-way through that epoch
-/// can likewise miss late arrivals sorting below it, so publishers wanting
-/// strict cursor completeness should use a fresh epoch per batch, as the
-/// CDSS logical clock does).
-pub(crate) fn check_epoch_monotone(epoch: Epoch, latest: Option<Epoch>) -> Result<(), StoreError> {
-    match latest {
-        Some(latest) if epoch < latest => Err(StoreError::StaleEpoch {
-            epoch: epoch.value(),
-            latest: latest.value(),
-        }),
-        _ => Ok(()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -670,109 +529,17 @@ mod tests {
     #[test]
     fn atomic_stats_snapshot() {
         let a = AtomicStats::default();
-        a.add_published(2);
-        a.add_fetched(3);
-        a.add_pages(1);
-        a.add_unavailable(4);
-        a.add_degraded(5);
+        a.published.add(2);
+        a.fetched.add(3);
+        a.pages.add(1);
+        a.unavailable.add(4);
+        a.degraded.add(5);
         let s = a.snapshot();
         assert_eq!(s.published, 2);
         assert_eq!(s.fetched, 3);
         assert_eq!(s.pages, 1);
         assert_eq!(s.unavailable, 4);
         assert_eq!(s.degraded, 5);
-    }
-
-    fn sample_index() -> BTreeMap<Epoch, Vec<TxnId>> {
-        let mut m = BTreeMap::new();
-        m.insert(Epoch::new(1), vec![id("A", 1), id("B", 1)]);
-        m.insert(Epoch::new(3), vec![id("A", 2), id("A", 3), id("C", 1)]);
-        m
-    }
-
-    #[test]
-    fn collect_page_walks_in_order() {
-        let m = sample_index();
-        let (p1, c1) = collect_page(&m, &FetchCursor::at_epoch(Epoch::zero()), 2);
-        assert_eq!(
-            p1,
-            vec![(Epoch::new(1), id("A", 1)), (Epoch::new(1), id("B", 1))]
-        );
-        let (p2, c2) = collect_page(&m, &c1.unwrap(), 2);
-        assert_eq!(
-            p2,
-            vec![(Epoch::new(3), id("A", 2)), (Epoch::new(3), id("A", 3))]
-        );
-        let (p3, c3) = collect_page(&m, &c2.unwrap(), 2);
-        assert_eq!(p3, vec![(Epoch::new(3), id("C", 1))]);
-        assert!(c3.is_none());
-    }
-
-    #[test]
-    fn collect_page_exact_boundary_peeks_ahead() {
-        let m = sample_index();
-        // Limit lands exactly on the final position: no follow-up cursor.
-        let (all, next) = collect_page(&m, &FetchCursor::at_epoch(Epoch::zero()), 5);
-        assert_eq!(all.len(), 5);
-        assert!(next.is_none());
-    }
-
-    #[test]
-    fn collect_page_cursor_bounds() {
-        let m = sample_index();
-        let (at, _) = collect_page(&m, &FetchCursor::at_txn(Epoch::new(3), id("A", 3)), 10);
-        assert_eq!(
-            at,
-            vec![(Epoch::new(3), id("A", 3)), (Epoch::new(3), id("C", 1))]
-        );
-        let (after, _) = collect_page(&m, &FetchCursor::after_txn(Epoch::new(3), id("A", 3)), 10);
-        assert_eq!(after, vec![(Epoch::new(3), id("C", 1))]);
-        let (since, _) = collect_page(&m, &FetchCursor::after_epoch(Epoch::new(1)), 10);
-        assert_eq!(since.len(), 3);
-        let (empty, next) = collect_page(&m, &FetchCursor::at_epoch(Epoch::new(9)), 10);
-        assert!(empty.is_empty());
-        assert!(next.is_none());
-    }
-
-    #[test]
-    fn collect_page_zero_limit_clamps_to_one() {
-        let m = sample_index();
-        let (p, next) = collect_page(&m, &FetchCursor::at_epoch(Epoch::zero()), 0);
-        assert_eq!(p.len(), 1);
-        assert!(next.is_some());
-    }
-
-    #[test]
-    fn index_epoch_ids_merges_interleaved_appends() {
-        let mut m: BTreeMap<Epoch, Vec<TxnId>> = BTreeMap::new();
-        let e = Epoch::new(1);
-        index_epoch_ids(&mut m, e, [id("M", 1), id("D", 1)]);
-        assert_eq!(m[&e], vec![id("D", 1), id("M", 1)]);
-        // Second append interleaves below and above the existing run.
-        index_epoch_ids(&mut m, e, [id("Z", 1), id("A", 1), id("G", 1)]);
-        assert_eq!(
-            m[&e],
-            vec![id("A", 1), id("D", 1), id("G", 1), id("M", 1), id("Z", 1)]
-        );
-        // Append entirely above the run: fast path, no merge needed.
-        index_epoch_ids(&mut m, e, [id("ZZ", 1)]);
-        assert_eq!(m[&e].len(), 6);
-        assert!(m[&e].windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn batch_id_check_catches_in_batch_duplicates() {
-        use orchestra_updates::Transaction;
-        let t = |seq| Transaction::new(id("A", seq), Epoch::zero(), vec![]);
-        assert!(check_batch_ids(&[t(1), t(2)], |_| false).is_ok());
-        assert!(matches!(
-            check_batch_ids(&[t(1), t(1)], |_| false),
-            Err(StoreError::DuplicateTxn(_))
-        ));
-        assert!(matches!(
-            check_batch_ids(&[t(1)], |_| true),
-            Err(StoreError::DuplicateTxn(_))
-        ));
     }
 
     #[test]
@@ -817,14 +584,6 @@ mod tests {
         assert_eq!(new, old);
         assert_eq!(new.relation_txns("A.R"), 3);
         assert_eq!(new.relation_txns("B.T"), 1);
-    }
-
-    #[test]
-    fn index_epoch_ids_ignores_an_empty_batch() {
-        let mut m = sample_index();
-        index_epoch_ids(&mut m, Epoch::new(3), []);
-        index_epoch_ids(&mut m, Epoch::new(9), []);
-        assert_eq!(m, sample_index(), "no merge, no empty epoch entry");
     }
 
     #[test]

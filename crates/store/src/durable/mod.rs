@@ -36,11 +36,10 @@ pub mod wal;
 pub use wal::SyncPolicy;
 
 use crate::api::{
-    check_batch_ids, check_epoch_monotone, collect_page, index_epoch_ids, AtomicStats,
+    AbsorbReport, AtomicStats, FetchCursor, FetchPage, StoreDigest, StoreError, StoreStats,
+    UpdateStore,
 };
-use crate::api::{
-    AbsorbReport, FetchCursor, FetchPage, StoreDigest, StoreError, StoreStats, UpdateStore,
-};
+use crate::archive::Archive;
 use orchestra_updates::{Epoch, Transaction, TxnId};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
@@ -99,37 +98,24 @@ pub struct ScrubReport {
     pub quarantined: usize,
 }
 
-/// Where one transaction's batch frame lives on disk.
-#[derive(Debug, Clone, Copy)]
+/// Where one transaction's batch frame lives on disk: each payload's
+/// metadata in the archive, which scrub checks.
+#[derive(Debug, Clone, Copy, Default)]
 struct Location {
     segment: u64,
     offset: u64,
 }
 
-/// One archived transaction: its decoded payload, which every read is
-/// served from, and where its batch frame lives, which scrub checks.
-#[derive(Debug)]
-struct Archived {
-    at: Location,
-    txn: Transaction,
-}
-
 #[derive(Debug)]
 struct Inner {
     wal: Wal,
-    /// Every archived transaction with a healthy payload, by id.
-    txns: HashMap<TxnId, Archived>,
-    /// Epoch → txn ids, for paged range scans.
-    by_epoch: BTreeMap<Epoch, Vec<TxnId>>,
-    /// Archived positions whose on-disk frame failed its checksum: the id
-    /// stays listed in `by_epoch` (pages report it unavailable) but has
-    /// no `txns` entry until `absorb` re-delivers a healthy copy from a
+    /// Served from the payloads decoded at open; reads never touch disk.
+    archive: Archive<Location>,
+    /// Archived positions whose on-disk frame failed its checksum: the
+    /// archive lists the position (pages report it unavailable) without
+    /// a payload until `absorb` re-delivers a healthy copy from a
     /// neighbor.
     quarantined: HashMap<TxnId, Epoch>,
-    /// The maintained digest: built by the first `digest()` call, folded
-    /// forward by `publish`, `absorb` and heals, dropped by a scrub that
-    /// quarantines (the next call rebuilds it). Never built at open.
-    digest: Option<StoreDigest>,
     dstats: DurableStats,
 }
 
@@ -165,17 +151,16 @@ impl DurableStore {
         let lock = lock_dir(&dir)?;
         refuse_snapshots(&dir)?;
 
-        let mut txns = HashMap::new();
-        let mut by_epoch: BTreeMap<Epoch, Vec<TxnId>> = BTreeMap::new();
+        let mut archive = Archive::default();
         let (wal, recovery) = Wal::open(&dir, opts.segment_max_bytes, opts.sync_policy)?;
         for batch in recovery.batches {
             let at = Location {
                 segment: batch.segment,
                 offset: batch.offset,
             };
-            archive_batch(&mut txns, &mut by_epoch, at, batch.epoch, batch.txns);
+            archive.append(batch.epoch, batch.txns.into_iter().map(|t| (t, at)));
         }
-        let recovered_txns = txns.len() as u64;
+        let recovered_txns = archive.len() as u64;
 
         let dstats = DurableStats {
             segments: wal.segment_count(),
@@ -190,10 +175,8 @@ impl DurableStore {
             opts,
             inner: RwLock::new(Inner {
                 wal,
-                txns,
-                by_epoch,
+                archive,
                 quarantined: HashMap::new(),
-                digest: None,
                 dstats,
             }),
             stats: AtomicStats::default(),
@@ -271,23 +254,11 @@ impl DurableStore {
                     }
             })
         };
-        let Inner {
-            txns, quarantined, ..
-        } = &mut *inner;
-        txns.retain(|id, a| {
-            if !hit(&a.at) {
-                return true;
-            }
-            // Every writer stamps a transaction with the epoch of the
-            // batch it is listed under.
-            quarantined.insert(id.clone(), a.txn.epoch);
-            report.quarantined += 1;
-            false
-        });
-        if report.quarantined > 0 {
-            // Quarantined positions stop crediting their relations.
-            inner.digest = None;
-        }
+        let evicted = inner.archive.evict(hit);
+        report.quarantined = evicted.len();
+        inner
+            .quarantined
+            .extend(evicted.into_iter().map(|(epoch, id)| (id, epoch)));
         orchestra_obs::counter!("store.scrub.quarantined", report.quarantined as u64);
         Ok(report)
     }
@@ -299,144 +270,80 @@ impl DurableStore {
     }
 }
 
-/// Archive one durable batch frame's transactions and list their
-/// positions under `epoch`.
-fn archive_batch(
-    archived: &mut HashMap<TxnId, Archived>,
-    by_epoch: &mut BTreeMap<Epoch, Vec<TxnId>>,
-    at: Location,
-    epoch: Epoch,
-    txns: Vec<Transaction>,
-) {
-    let mut ids = Vec::with_capacity(txns.len());
-    for txn in txns {
-        // First archived copy wins. A failed-fsync retry can land the
-        // same batch in two on-disk frames; recovery must list the
-        // position exactly once or paged scans would apply it twice.
-        if let std::collections::hash_map::Entry::Vacant(e) = archived.entry(txn.id.clone()) {
-            ids.push(txn.id.clone());
-            e.insert(Archived { at, txn });
-        }
-    }
-    index_epoch_ids(by_epoch, epoch, ids);
+/// Append one batch frame to the WAL (synced per policy): durability
+/// comes before any change to the archive.
+fn log(wal: &mut Wal, epoch: Epoch, batch: &[Transaction]) -> crate::Result<Location> {
+    let (segment, offset) = wal.append_batch(epoch, batch)?;
+    Ok(Location { segment, offset })
 }
 
 impl UpdateStore for DurableStore {
-    fn publish(&self, epoch: Epoch, txns: Vec<Transaction>) -> crate::Result<()> {
+    fn publish(&self, epoch: Epoch, mut txns: Vec<Transaction>) -> crate::Result<()> {
         if txns.is_empty() {
             return Ok(()); // Vacuous: nothing a cursor could miss.
         }
         let _span = orchestra_obs::span!("store.publish", txns = txns.len(), epoch = epoch);
-        let mut inner = self.inner.write();
+        let inner = &mut *self.inner.write();
         // Quarantined ids are still *archived* (their position exists);
         // re-publishing one must be rejected like any duplicate — only
         // `absorb` may re-deliver the payload (as a heal).
-        check_batch_ids(&txns, |id| {
-            inner.txns.contains_key(id) || inner.quarantined.contains_key(id)
-        })?;
-        check_epoch_monotone(epoch, inner.by_epoch.keys().next_back().copied())?;
-        let mut stamped = txns;
-        for t in &mut stamped {
-            t.epoch = epoch;
-        }
-
-        // Durability first: the batch is on the log (synced per policy)
-        // before any in-memory state changes.
-        let (seg, offset) = inner.wal.append_batch(epoch, &stamped)?;
-
-        let Inner {
-            txns,
-            by_epoch,
-            digest,
-            ..
-        } = &mut *inner;
-        if let Some(d) = digest {
-            stamped.iter().for_each(|t| d.observe(t));
-        }
-        let n = stamped.len() as u64;
-        let at = Location {
-            segment: seg,
-            offset,
-        };
-        archive_batch(txns, by_epoch, at, epoch, stamped);
-        self.stats.add_published(n);
+        let quarantined = &inner.quarantined;
+        inner
+            .archive
+            .check_publish(epoch, &mut txns, |id| quarantined.contains_key(id))?;
+        let at = log(&mut inner.wal, epoch, &txns)?;
+        let n = inner
+            .archive
+            .append(epoch, txns.into_iter().map(|t| (t, at)));
+        self.stats.published.add(n);
         Ok(())
     }
 
     fn absorb(&self, txns: Vec<Transaction>) -> crate::Result<AbsorbReport> {
         let _span = orchestra_obs::span!("store.absorb", txns = txns.len());
-        let mut inner = self.inner.write();
+        let Inner {
+            wal,
+            archive,
+            quarantined,
+            dstats,
+        } = &mut *self.inner.write();
         let mut report = AbsorbReport::default();
-        // Group fresh transactions by the epoch their publisher stamped;
-        // each group becomes one WAL batch record — recovery replays
+        // Each epoch group becomes one WAL batch record: recovery replays
         // batches by their recorded epoch, so it does not care that
-        // gossip merges arrive out of epoch order. Healing
-        // re-deliveries for quarantined positions are kept apart: their
-        // ids already sit in `by_epoch`, so they must be re-archived
-        // without re-listing the position.
-        let mut groups: BTreeMap<Epoch, Vec<Transaction>> = BTreeMap::new();
+        // gossip merges arrive out of epoch order. Re-deliveries for
+        // quarantined positions come back apart: their ids are already
+        // listed, so they are healed without re-listing the position.
+        let (groups, listed) =
+            archive.absorb_groups(txns, |id| quarantined.contains_key(id), &mut report);
         let mut heals: BTreeMap<Epoch, Vec<Transaction>> = BTreeMap::new();
-        let mut incoming: std::collections::BTreeSet<TxnId> = std::collections::BTreeSet::new();
-        for t in txns {
-            if inner.txns.contains_key(&t.id) || !incoming.insert(t.id.clone()) {
+        for t in listed {
+            if quarantined.get(&t.id) == Some(&t.epoch) {
+                report.healed += 1;
+                heals.entry(t.epoch).or_default().push(t);
+            } else {
+                // Same id, different epoch: not the transaction the
+                // archive listed. Refuse the splice.
                 report.duplicates += 1;
-                continue;
             }
-            if let Some(&epoch) = inner.quarantined.get(&t.id) {
-                if t.epoch == epoch {
-                    report.healed += 1;
-                    heals.entry(epoch).or_default().push(t);
-                } else {
-                    // Same id, different epoch: not the transaction the
-                    // archive listed. Refuse the splice.
-                    report.duplicates += 1;
-                }
-                continue;
-            }
-            report.absorbed += 1;
-            groups.entry(t.epoch).or_default().push(t);
         }
         for (epoch, batch) in groups {
-            // Durability first, exactly like `publish`.
-            let (seg, offset) = inner.wal.append_batch(epoch, &batch)?;
-            let Inner {
-                txns,
-                by_epoch,
-                digest,
-                ..
-            } = &mut *inner;
-            if let Some(d) = digest {
-                batch.iter().for_each(|t| d.observe(t));
-            }
-            let at = Location {
-                segment: seg,
-                offset,
-            };
-            archive_batch(txns, by_epoch, at, epoch, batch);
+            let at = log(wal, epoch, &batch)?;
+            archive.append(epoch, batch.into_iter().map(|t| (t, at)));
         }
         for (epoch, batch) in heals {
             // The healthy copy is appended like fresh history (the old
-            // corrupt frame stays where it is, and open skips it), but
-            // the position is NOT re-listed in
-            // `by_epoch` — it never left. Zero duplicate applies: a
-            // cursor that already passed the position saw it as
-            // unavailable, and rewinding consumers skip already-applied
-            // ids by id.
-            let (seg, offset) = inner.wal.append_batch(epoch, &batch)?;
-            let at = Location {
-                segment: seg,
-                offset,
-            };
+            // corrupt frame stays where it is, and open skips it). Zero
+            // duplicate applies: a cursor that already passed the
+            // position saw it as unavailable, and rewinding consumers
+            // skip already-applied ids by id.
+            let at = log(wal, epoch, &batch)?;
             for txn in batch {
-                if let Some(d) = &mut inner.digest {
-                    d.observe_relations(&txn);
-                }
-                inner.quarantined.remove(&txn.id);
-                inner.txns.insert(txn.id.clone(), Archived { at, txn });
+                quarantined.remove(&txn.id);
+                archive.heal(txn, at);
             }
         }
-        inner.dstats.healed += report.healed;
-        self.stats.add_published(report.absorbed);
+        dstats.healed += report.healed;
+        self.stats.published.add(report.absorbed);
         Ok(report)
     }
 
@@ -453,55 +360,37 @@ impl UpdateStore for DurableStore {
 
     fn fetch_page(&self, cursor: &FetchCursor, limit: usize) -> crate::Result<FetchPage> {
         // Read lock only: concurrent reconciles page the archive in
-        // parallel, and nothing outside this page is cloned.
-        let inner = self.inner.read();
-        let (positions, next_cursor) = collect_page(&inner.by_epoch, cursor, limit);
-        let mut txns = Vec::with_capacity(positions.len());
-        let mut unavailable = Vec::new();
-        for (epoch, id) in positions {
-            match inner.txns.get(&id) {
-                Some(a) => txns.push(a.txn.clone()),
-                // The position is archived but its frame was scrubbed out
-                // as corrupt: report it like a dead replica so partial
-                // progress (frozen cursors) degrades gracefully instead of
-                // the page erroring.
-                None => unavailable.push((epoch, id)),
-            }
-        }
-        self.stats.add_fetched(txns.len() as u64);
-        self.stats.add_unavailable(unavailable.len() as u64);
-        self.stats.add_pages(1);
-        Ok(FetchPage {
-            txns,
-            unavailable,
-            next_cursor,
-        })
+        // parallel. A quarantined position has no payload and is
+        // reported like a dead replica, so frozen cursors degrade
+        // gracefully instead of the page erroring.
+        let page = self.inner.read().archive.page(cursor, limit, |_| true);
+        self.stats.fetched.add(page.txns.len() as u64);
+        self.stats.unavailable.add(page.unavailable.len() as u64);
+        self.stats.pages.add(1);
+        Ok(page)
     }
 
     fn fetch(&self, id: &TxnId) -> crate::Result<Option<Transaction>> {
         let inner = self.inner.read();
         if inner.quarantined.contains_key(id) {
-            self.stats.add_misses(1);
+            self.stats.misses.add(1);
             return Err(StoreError::Unavailable {
                 txn: id.to_string(),
             });
         }
-        let got = inner.txns.get(id).map(|a| a.txn.clone());
+        let got = inner.archive.get(id).map(|e| e.txn.clone());
         if got.is_some() {
-            self.stats.add_fetched(1);
+            self.stats.fetched.add(1);
         }
         Ok(got)
     }
 
     fn len(&self) -> usize {
-        // Quarantined positions are still archived (their ids are
-        // listed); only their payloads are awaiting repair.
-        let inner = self.inner.read();
-        inner.txns.len() + inner.quarantined.len()
+        self.inner.read().archive.len()
     }
 
     fn latest_epoch(&self) -> Option<Epoch> {
-        self.inner.read().by_epoch.keys().next_back().copied()
+        self.inner.read().archive.latest_epoch()
     }
 
     fn stats(&self) -> StoreStats {
@@ -509,25 +398,10 @@ impl UpdateStore for DurableStore {
     }
 
     fn digest(&self) -> crate::Result<StoreDigest> {
-        if let Some(d) = &self.inner.read().digest {
+        if let Some(d) = self.inner.read().archive.cached_digest() {
             return Ok(d.clone());
         }
-        let mut inner = self.inner.write();
-        if let Some(d) = &inner.digest {
-            return Ok(d.clone());
-        }
-        // One walk of the epoch index, in page order.
-        let mut d = StoreDigest::default();
-        for (&epoch, ids) in &inner.by_epoch {
-            for id in ids {
-                match inner.txns.get(id) {
-                    Some(a) => d.observe(&a.txn),
-                    None => d.observe_position(epoch, id),
-                }
-            }
-        }
-        inner.digest = Some(d.clone());
-        Ok(d)
+        Ok(self.inner.write().archive.digest().clone())
     }
 }
 

@@ -22,7 +22,10 @@
 //!    history. [`pages`] iterates those pages for callers that want the
 //!    whole range since a cursor; there is no one-shot fetch.
 //!
-//! Three implementations of the [`UpdateStore`] trait:
+//! Three implementations of the [`UpdateStore`] trait. All three share
+//! one archive index — the `(epoch, txn id)` order, the payloads by id,
+//! the publish checks, the page walk and the digest — and differ only in
+//! where a payload lives:
 //!
 //! * [`InMemoryStore`] — a centralized archive (the "other methods" case);
 //!   also the reference implementation for tests.
@@ -40,6 +43,7 @@
 //!   lets peers restart without losing the archive (see [`durable`]).
 
 pub mod api;
+mod archive;
 pub mod durable;
 pub mod frame;
 pub mod memory;

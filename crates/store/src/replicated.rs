@@ -9,13 +9,11 @@
 //! *payload* availability, which is where replication factor and churn
 //! interact).
 
-use crate::api::{
-    check_batch_ids, check_epoch_monotone, collect_page, index_epoch_ids, AtomicStats,
-};
-use crate::api::{FetchCursor, FetchPage, StoreDigest, StoreError, StoreStats, UpdateStore};
+use crate::api::{AtomicStats, FetchCursor, FetchPage, StoreDigest, StoreError, StoreStats};
+use crate::archive::Archive;
+use crate::UpdateStore;
 use orchestra_updates::{Epoch, Transaction, TxnId};
 use parking_lot::RwLock;
-use std::collections::{BTreeMap, HashMap};
 
 /// FNV-1a over the id string — deterministic ring placement, no RNG.
 fn ring_hash(id: &TxnId) -> u64 {
@@ -28,23 +26,11 @@ fn ring_hash(id: &TxnId) -> u64 {
 }
 
 #[derive(Debug)]
-struct StoredTxn {
-    txn: Transaction,
-    /// Indexes of the storage nodes holding the payload.
-    holders: Vec<usize>,
-}
-
-#[derive(Debug)]
 struct Inner {
     nodes_alive: Vec<bool>,
-    /// Epoch → txn ids, each epoch's list kept sorted (the paged scan
-    /// order is `(epoch, id)`).
-    by_epoch: BTreeMap<Epoch, Vec<TxnId>>,
-    by_id: HashMap<TxnId, StoredTxn>,
-    /// The maintained digest: built by the first `digest()` call, then
-    /// folded forward by `publish`. It summarizes the metadata index, so
-    /// holder liveness never changes it.
-    digest: Option<StoreDigest>,
+    /// Each payload's metadata is the storage nodes holding it. The
+    /// digest summarizes the index, so holder liveness never changes it.
+    archive: Archive<Vec<usize>>,
 }
 
 /// The simulated DHT store.
@@ -75,9 +61,7 @@ impl ReplicatedStore {
             replication: replication.min(num_nodes),
             inner: RwLock::new(Inner {
                 nodes_alive: vec![true; num_nodes],
-                by_epoch: BTreeMap::new(),
-                by_id: HashMap::new(),
-                digest: None,
+                archive: Archive::default(),
             }),
             stats: AtomicStats::default(),
         })
@@ -116,22 +100,22 @@ impl ReplicatedStore {
     /// publish time, if archived. Introspection for tests, experiments,
     /// and operators staging targeted churn.
     pub fn holders(&self, id: &TxnId) -> Option<Vec<usize>> {
-        self.inner.read().by_id.get(id).map(|st| st.holders.clone())
+        self.inner.read().archive.get(id).map(|e| e.meta.clone())
     }
 
     /// Fraction of archived transactions whose payload is currently
     /// reachable (≥1 alive holder).
     pub fn availability(&self) -> f64 {
         let inner = self.inner.read();
-        if inner.by_id.is_empty() {
+        if inner.archive.len() == 0 {
             return 1.0;
         }
         let reachable = inner
-            .by_id
-            .values()
-            .filter(|st| st.holders.iter().any(|&h| inner.nodes_alive[h]))
+            .archive
+            .entries()
+            .filter(|e| e.meta.iter().any(|&h| inner.nodes_alive[h]))
             .count();
-        reachable as f64 / inner.by_id.len() as f64
+        reachable as f64 / inner.archive.len() as f64
     }
 
     /// The holders chosen for a given id: first `replication` alive nodes
@@ -151,28 +135,26 @@ impl ReplicatedStore {
         holders
     }
 
-    /// Probe a stored transaction's holders in order; `Some(probes)` when
-    /// an alive one was found, `None` (with every holder probed) when not.
-    fn probe(alive: &[bool], st: &StoredTxn) -> (bool, u64) {
-        let mut probes = 0u64;
-        for &h in &st.holders {
-            probes += 1;
+    /// Probe a payload's holders in order until an alive one answers,
+    /// counting each probe; false when every holder is down.
+    fn probe(alive: &[bool], holders: &[usize], probes: &mut u64) -> bool {
+        for &h in holders {
+            *probes += 1;
             if alive[h] {
-                return (true, probes);
+                return true;
             }
         }
-        (false, probes)
+        false
     }
 }
 
 impl UpdateStore for ReplicatedStore {
-    fn publish(&self, epoch: Epoch, txns: Vec<Transaction>) -> crate::Result<()> {
+    fn publish(&self, epoch: Epoch, mut txns: Vec<Transaction>) -> crate::Result<()> {
         if txns.is_empty() {
             return Ok(()); // Vacuous: nothing a cursor could miss.
         }
         let mut inner = self.inner.write();
-        check_batch_ids(&txns, |id| inner.by_id.contains_key(id))?;
-        check_epoch_monotone(epoch, inner.by_epoch.keys().next_back().copied())?;
+        inner.archive.check_publish(epoch, &mut txns, |_| false)?;
         // Choose every replica set up front so the batch is atomic: if any
         // transaction has no alive node to land on, nothing is archived —
         // a publish that "succeeds" with zero holders would archive a
@@ -191,69 +173,43 @@ impl UpdateStore for ReplicatedStore {
             }
             placements.push(holders);
         }
-        let n = txns.len() as u64;
-        let mut probes = 0u64;
-        let mut ids = Vec::with_capacity(txns.len());
-        for (mut t, holders) in txns.into_iter().zip(placements) {
-            t.epoch = epoch;
-            probes += holders.len() as u64;
-            if let Some(d) = &mut inner.digest {
-                d.observe(&t);
-            }
-            ids.push(t.id.clone());
-            inner
-                .by_id
-                .insert(t.id.clone(), StoredTxn { txn: t, holders });
-        }
-        index_epoch_ids(&mut inner.by_epoch, epoch, ids);
-        self.stats.add_probes(probes);
-        self.stats.add_published(n);
-        self.stats.add_degraded(degraded);
+        let probes = placements.iter().map(|h| h.len() as u64).sum();
+        let n = inner
+            .archive
+            .append(epoch, txns.into_iter().zip(placements));
+        self.stats.probes.add(probes);
+        self.stats.published.add(n);
+        self.stats.degraded.add(degraded);
         Ok(())
     }
 
     fn fetch_page(&self, cursor: &FetchCursor, limit: usize) -> crate::Result<FetchPage> {
         let inner = self.inner.read();
-        let (positions, next_cursor) = collect_page(&inner.by_epoch, cursor, limit);
-        let mut txns = Vec::new();
-        let mut unavailable = Vec::new();
         let mut probes = 0u64;
-        for (ep, id) in positions {
-            let st = &inner.by_id[&id];
-            // Probe holder liveness *before* touching the payload: a miss
-            // must not pay for a deep clone it will throw away.
-            let (found, p) = ReplicatedStore::probe(&inner.nodes_alive, st);
-            probes += p;
-            if found {
-                txns.push(st.txn.clone());
-            } else {
-                unavailable.push((ep, id));
-            }
-        }
-        self.stats.add_probes(probes);
-        self.stats.add_fetched(txns.len() as u64);
-        self.stats.add_misses(unavailable.len() as u64);
-        self.stats.add_unavailable(unavailable.len() as u64);
-        self.stats.add_pages(1);
-        Ok(FetchPage {
-            txns,
-            unavailable,
-            next_cursor,
-        })
+        let page = inner.archive.page(cursor, limit, |holders| {
+            ReplicatedStore::probe(&inner.nodes_alive, holders, &mut probes)
+        });
+        self.stats.probes.add(probes);
+        self.stats.fetched.add(page.txns.len() as u64);
+        self.stats.misses.add(page.unavailable.len() as u64);
+        self.stats.unavailable.add(page.unavailable.len() as u64);
+        self.stats.pages.add(1);
+        Ok(page)
     }
 
     fn fetch(&self, id: &TxnId) -> crate::Result<Option<Transaction>> {
         let inner = self.inner.read();
-        let Some(st) = inner.by_id.get(id) else {
+        let Some(e) = inner.archive.get(id) else {
             return Ok(None);
         };
-        let (found, probes) = ReplicatedStore::probe(&inner.nodes_alive, st);
-        self.stats.add_probes(probes);
+        let mut probes = 0u64;
+        let found = ReplicatedStore::probe(&inner.nodes_alive, &e.meta, &mut probes);
+        self.stats.probes.add(probes);
         if found {
-            self.stats.add_fetched(1);
-            Ok(Some(st.txn.clone()))
+            self.stats.fetched.add(1);
+            Ok(Some(e.txn.clone()))
         } else {
-            self.stats.add_misses(1);
+            self.stats.misses.add(1);
             Err(StoreError::Unavailable {
                 txn: id.to_string(),
             })
@@ -261,11 +217,11 @@ impl UpdateStore for ReplicatedStore {
     }
 
     fn len(&self) -> usize {
-        self.inner.read().by_id.len()
+        self.inner.read().archive.len()
     }
 
     fn latest_epoch(&self) -> Option<Epoch> {
-        self.inner.read().by_epoch.keys().next_back().copied()
+        self.inner.read().archive.latest_epoch()
     }
 
     fn stats(&self) -> StoreStats {
@@ -273,19 +229,10 @@ impl UpdateStore for ReplicatedStore {
     }
 
     fn digest(&self) -> crate::Result<StoreDigest> {
-        if let Some(d) = &self.inner.read().digest {
+        if let Some(d) = self.inner.read().archive.cached_digest() {
             return Ok(d.clone());
         }
-        let mut inner = self.inner.write();
-        let Inner { by_id, digest, .. } = &mut *inner;
-        let d = digest.get_or_insert_with(|| {
-            let mut d = StoreDigest::default();
-            for st in by_id.values() {
-                d.observe(&st.txn);
-            }
-            d
-        });
-        Ok(d.clone())
+        Ok(self.inner.write().archive.digest().clone())
     }
 }
 

@@ -12,49 +12,10 @@ use orchestra_store::{DurableStore, ReplicatedStore, UpdateStore};
 use orchestra_updates::{PeerId, Update};
 use std::sync::Arc;
 
-/// A thin forwarding wrapper so the example can keep a handle to the
-/// replicated store (for churn control) while the CDSS owns a boxed one.
-struct Shared(Arc<ReplicatedStore>);
-
-impl UpdateStore for Shared {
-    fn publish(
-        &self,
-        epoch: orchestra_updates::Epoch,
-        txns: Vec<orchestra_updates::Transaction>,
-    ) -> orchestra_store::Result<()> {
-        self.0.publish(epoch, txns)
-    }
-    fn fetch_page(
-        &self,
-        cursor: &orchestra_store::FetchCursor,
-        limit: usize,
-    ) -> orchestra_store::Result<orchestra_store::FetchPage> {
-        self.0.fetch_page(cursor, limit)
-    }
-    fn fetch(
-        &self,
-        id: &orchestra_updates::TxnId,
-    ) -> orchestra_store::Result<Option<orchestra_updates::Transaction>> {
-        self.0.fetch(id)
-    }
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn latest_epoch(&self) -> Option<orchestra_updates::Epoch> {
-        self.0.latest_epoch()
-    }
-    fn stats(&self) -> orchestra_store::StoreStats {
-        self.0.stats()
-    }
-    fn digest(&self) -> orchestra_store::Result<orchestra_store::StoreDigest> {
-        self.0.digest()
-    }
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 12-node simulated DHT with replication factor 3.
     let dht = Arc::new(ReplicatedStore::new(12, 3)?);
-    let mut cdss = demo::figure2_with_store(Box::new(Shared(Arc::clone(&dht))))?;
+    let mut cdss = demo::figure2_with_store(dht.clone())?;
     let alaska = PeerId::new("Alaska");
     let beijing = PeerId::new("Beijing");
 
@@ -147,7 +108,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // First "process lifetime": Beijing publishes to the WAL-backed
         // archive, then everything is dropped — the crash/restart.
         let store = DurableStore::open(&dir)?;
-        let mut cdss = demo::figure2_with_store(Box::new(store))?;
+        let mut cdss = demo::figure2_with_store(Arc::new(store))?;
         cdss.publish_transaction(
             &beijing,
             vec![
@@ -178,7 +139,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fetchable += page.txns.len();
     }
     assert_eq!(fetchable, published, "every archived txn fetchable");
-    let mut cdss = demo::figure2_with_store(Box::new(store))?;
+    let mut cdss = demo::figure2_with_store(Arc::new(store))?;
     let report = cdss.reconcile(&alaska)?;
     println!(
         "  Alaska reconciles against the recovered archive: fetched {}, applied {} updates",

@@ -6,6 +6,7 @@ use orchestra_reconcile::Decision;
 use orchestra_relational::{tuple, Value};
 use orchestra_store::ReplicatedStore;
 use orchestra_updates::{PeerId, TxnId, Update};
+use std::sync::Arc;
 
 fn peers() -> (PeerId, PeerId, PeerId, PeerId) {
     (
@@ -297,29 +298,38 @@ fn scenario5_offline_publisher_archived_updates() {
     // Use the simulated DHT so "the CDSS stores the updates" is literal:
     // the archive survives storage-node churn within the replication
     // factor, and the publisher plays no role in retrieval.
-    let store = ReplicatedStore::new(8, 3).unwrap();
-    let mut cdss = demo::figure2_with_store(Box::new(store)).unwrap();
+    let dht = Arc::new(ReplicatedStore::new(8, 3).unwrap());
+    let mut cdss = demo::figure2_with_store(dht.clone()).unwrap();
     let (alaska, beijing, _crete, _dresden) = peers();
 
-    cdss.publish_transactions(
-        &beijing,
-        vec![
+    let ids = cdss
+        .publish_transactions(
+            &beijing,
             vec![
-                Update::insert("O", tuple!["Mouse", 10]),
-                Update::insert("P", tuple!["Tp53", 20]),
+                vec![
+                    Update::insert("O", tuple!["Mouse", 10]),
+                    Update::insert("P", tuple!["Tp53", 20]),
+                ],
+                vec![Update::insert("S", tuple![10, 20, "MEEPQSD"])],
             ],
-            vec![Update::insert("S", tuple![10, 20, "MEEPQSD"])],
-        ],
-    )
-    .unwrap();
+        )
+        .unwrap();
 
-    // Beijing "goes offline": it takes no further part. Some storage
-    // churn happens (within the replication factor).
-    // (Peers are not storage nodes; this models infrastructure churn.)
-    // Note: figure2_with_store boxed the store, so churn is exercised in
-    // the store's own tests; here the essential claim is that retrieval
-    // needs nothing from Beijing.
+    // Beijing "goes offline": it takes no further part. Two of the eight
+    // storage nodes fail as well, both holding Beijing's first
+    // transaction: fewer than R = 3, so one replica of every payload
+    // survives. (Peers are not storage nodes; this is infrastructure
+    // churn.)
+    let holders = dht.holders(&ids[0]).unwrap();
+    dht.take_node_down(holders[0]);
+    dht.take_node_down(holders[1]);
+    assert_eq!(dht.alive_nodes(), 6);
+    assert_eq!(dht.availability(), 1.0);
     let report = cdss.reconcile(&alaska).unwrap();
+    assert_eq!(
+        report.blocked_on, None,
+        "a surviving replica serves each payload"
+    );
     assert_eq!(report.fetched, 2);
     assert_eq!(report.outcome.accepted.len(), 2);
     let peer = cdss.peer(&alaska).unwrap();

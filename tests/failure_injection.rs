@@ -8,44 +8,6 @@ use orchestra_store::{ReplicatedStore, StoreError, UpdateStore};
 use orchestra_updates::{Epoch, PeerId, Update};
 use std::sync::Arc;
 
-/// Forwarding wrapper (keeps a handle for churn control).
-struct Shared(Arc<ReplicatedStore>);
-
-impl UpdateStore for Shared {
-    fn publish(
-        &self,
-        epoch: Epoch,
-        txns: Vec<orchestra_updates::Transaction>,
-    ) -> orchestra_store::Result<()> {
-        self.0.publish(epoch, txns)
-    }
-    fn fetch_page(
-        &self,
-        cursor: &orchestra_store::FetchCursor,
-        limit: usize,
-    ) -> orchestra_store::Result<orchestra_store::FetchPage> {
-        self.0.fetch_page(cursor, limit)
-    }
-    fn fetch(
-        &self,
-        id: &orchestra_updates::TxnId,
-    ) -> orchestra_store::Result<Option<orchestra_updates::Transaction>> {
-        self.0.fetch(id)
-    }
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn latest_epoch(&self) -> Option<Epoch> {
-        self.0.latest_epoch()
-    }
-    fn stats(&self) -> orchestra_store::StoreStats {
-        self.0.stats()
-    }
-    fn digest(&self) -> orchestra_store::Result<orchestra_store::StoreDigest> {
-        self.0.digest()
-    }
-}
-
 /// When the archive loses all replicas of a payload, reconciliation no
 /// longer errors: it reports the blocking transaction, freezes the peer's
 /// resume cursor at the gap, and leaves the instance untouched; after the
@@ -54,7 +16,7 @@ impl UpdateStore for Shared {
 #[test]
 fn reconcile_survives_store_outage_and_recovers() {
     let dht = Arc::new(ReplicatedStore::new(4, 1).unwrap());
-    let mut cdss = demo::figure2_with_store(Box::new(Shared(Arc::clone(&dht)))).unwrap();
+    let mut cdss = demo::figure2_with_store(dht.clone()).unwrap();
     let alaska = PeerId::new("Alaska");
     let dresden = PeerId::new("Dresden");
 

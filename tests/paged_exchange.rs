@@ -10,44 +10,9 @@ use orchestra_store::{ReplicatedStore, UpdateStore};
 use orchestra_updates::{Epoch, PeerId, TxnId, Update};
 use std::sync::Arc;
 
-/// Forwarding wrapper (keeps a handle for churn control).
-struct Shared(Arc<ReplicatedStore>);
-
-impl UpdateStore for Shared {
-    fn publish(
-        &self,
-        epoch: Epoch,
-        txns: Vec<orchestra_updates::Transaction>,
-    ) -> orchestra_store::Result<()> {
-        self.0.publish(epoch, txns)
-    }
-    fn fetch_page(
-        &self,
-        cursor: &orchestra_store::FetchCursor,
-        limit: usize,
-    ) -> orchestra_store::Result<orchestra_store::FetchPage> {
-        self.0.fetch_page(cursor, limit)
-    }
-    fn fetch(&self, id: &TxnId) -> orchestra_store::Result<Option<orchestra_updates::Transaction>> {
-        self.0.fetch(id)
-    }
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn latest_epoch(&self) -> Option<Epoch> {
-        self.0.latest_epoch()
-    }
-    fn stats(&self) -> orchestra_store::StoreStats {
-        self.0.stats()
-    }
-    fn digest(&self) -> orchestra_store::Result<orchestra_store::StoreDigest> {
-        self.0.digest()
-    }
-}
-
 /// Two peers sharing a keyed schema through identity mappings: whatever A
 /// publishes should end up mirrored at B.
-fn kv_cdss(store: Box<dyn UpdateStore>) -> Cdss {
+fn kv_cdss(store: Arc<dyn UpdateStore>) -> Cdss {
     let schema = DatabaseSchema::new("kv")
         .with_relation(
             RelationSchema::from_parts_keyed(
@@ -63,7 +28,7 @@ fn kv_cdss(store: Box<dyn UpdateStore>) -> Cdss {
         .peer("B", schema, TrustPolicy::open(1))
         .identity("A", "B")
         .unwrap()
-        .build_with_store(store)
+        .build_with_shared(store)
         .unwrap()
 }
 
@@ -75,7 +40,7 @@ fn kv_cdss(store: Box<dyn UpdateStore>) -> Cdss {
 #[test]
 fn peer_makes_partial_progress_past_a_dead_payload_and_resumes() {
     let dht = Arc::new(ReplicatedStore::new(64, 1).unwrap());
-    let mut cdss = kv_cdss(Box::new(Shared(Arc::clone(&dht))));
+    let mut cdss = kv_cdss(dht.clone());
     let (a, b) = (PeerId::new("A"), PeerId::new("B"));
 
     let _t1 = cdss
@@ -192,7 +157,7 @@ fn peer_makes_partial_progress_past_a_dead_payload_and_resumes() {
 /// when an exchange does work.
 #[test]
 fn idle_reconcile_loops_do_not_inflate_epochs() {
-    let mut cdss = kv_cdss(Box::new(orchestra_store::InMemoryStore::new()));
+    let mut cdss = kv_cdss(Arc::new(orchestra_store::InMemoryStore::new()));
     let (a, b) = (PeerId::new("A"), PeerId::new("B"));
     cdss.publish_transaction(&a, vec![Update::insert("R", tuple![1, 10])])
         .unwrap();
@@ -287,7 +252,7 @@ fn conflict_window_is_the_page() {
 #[test]
 fn exchange_is_paged_and_page_size_invariant() {
     let make = || {
-        let mut cdss = kv_cdss(Box::new(orchestra_store::InMemoryStore::new()));
+        let mut cdss = kv_cdss(Arc::new(orchestra_store::InMemoryStore::new()));
         let a = PeerId::new("A");
         for i in 0..10i64 {
             cdss.publish_transaction(&a, vec![Update::insert("R", tuple![i, i * 10])])
@@ -329,13 +294,12 @@ fn exchange_is_paged_and_page_size_invariant() {
 #[test]
 fn rebuilt_peer_never_reuses_ids_archived_behind_a_gap() {
     let dht = Arc::new(ReplicatedStore::new(64, 1).unwrap());
-    let shared = |d: &Arc<ReplicatedStore>| Box::new(Shared(Arc::clone(d)));
 
     // First lifetime: A publishes t1..t3, where t3 modifies t2's row (so
     // t3 causally depends on t2).
     let a = PeerId::new("A");
     let (t2, t3) = {
-        let mut cdss = kv_cdss(shared(&dht));
+        let mut cdss = kv_cdss(dht.clone());
         cdss.publish_transaction(&a, vec![Update::insert("R", tuple![1, 10])])
             .unwrap();
         let t2 = cdss
@@ -354,7 +318,7 @@ fn rebuilt_peer_never_reuses_ids_archived_behind_a_gap() {
     dht.take_node_down(victim);
 
     // Second lifetime: A rebuilds from the archive while blocked.
-    let mut cdss = kv_cdss(shared(&dht));
+    let mut cdss = kv_cdss(dht.clone());
     let report = cdss.reconcile(&a).unwrap();
     assert_eq!(report.blocked_on, Some(t2.clone()));
     assert_eq!(report.held_back, 1, "own t3 held behind the gap");
