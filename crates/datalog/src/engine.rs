@@ -44,14 +44,13 @@
 //!   slices into the index; scans iterate the live tuple table directly.
 //!   Every candidate is a `(tuple, node)` entry, so a matched body tuple
 //!   brings its node id along.
-//! * **Round scratch on the engine.** Frontiers, the task list, the
-//!   join's bindings and probe keys, and the staged firings (flat head,
-//!   body and Skolem-argument arenas with per-task end offsets) are kept
-//!   across rounds, as is deletion's working state across calls. What a
-//!   firing still allocates is what it adds: a new head's [`SymTuple`]
-//!   (one allocation, built from the staged row), a new derivation's body
-//!   vector, and the first entry of a node's adjacency lists in the
-//!   provenance graph. A duplicate firing allocates nothing.
+//! * **Round scratch on the engine.** Frontiers, the join's bindings,
+//!   probe keys and head row, and the per-relation newborn counts are
+//!   kept across rounds, as is deletion's working state across calls.
+//!   What a firing still allocates is what it adds: a new head's
+//!   [`SymTuple`] (one allocation, built from the head row), a new
+//!   derivation's body vector, and the first entry of a node's adjacency
+//!   lists in the provenance graph. A duplicate firing allocates nothing.
 //! * **Integer skolemization.** Labeled nulls invented by tgd heads go
 //!   through [`ValueInterner::intern_skolem`], one hash probe over
 //!   `(function, arg syms)` once a null has been invented before.
@@ -68,26 +67,23 @@
 //! removal swaps the relation's last entry into the hole and updates that
 //! entry's node.
 //!
-//! Each semi-naive round runs on the calling thread in three phases:
+//! Each semi-naive round runs on the calling thread in two phases:
 //!
 //! 1. **Plan.** The pending delta is grouped into one frontier per
 //!    relation; any missing indexes are built.
 //! 2. **Join.** One task per `(relation, rule, delta position)` runs the
-//!    plan interpreter over that relation's frontier against an immutable
-//!    snapshot of the round's database. Tasks are pure reads — the
-//!    interner, node table, and provenance graph are untouched — and
-//!    stage their rule firings (with first-occurrence Skolem nulls
-//!    unresolved) plus counters in the round's firing buffer. Each firing
-//!    looks its head up in the node table once.
-//! 3. **Merge.** The staged firings drain in task order, then in
-//!    discovery order within a task: a head the snapshot never interned
-//!    gets its first-occurrence labeled nulls (the only interner
-//!    mutation) and its node; every firing records its derivation, and a
-//!    dead head is inserted, logging the change and joining the
-//!    next-round delta. Every mutation therefore happens in an order that
-//!    is a pure function of the input, which fixes the provenance graph's
-//!    recording order, `NodeId` assignment (the n-th interned tuple is
-//!    `NodeId(n)`), and the change log's order.
+//!    plan interpreter over that relation's frontier and records each
+//!    rule firing where it finds it: the head's labeled nulls and node
+//!    are interned, the derivation is recorded, and a head that is not
+//!    alive is given the next slot of its relation, logged as added and
+//!    queued as the next round's delta. The newborn tuples enter their
+//!    relations at those slots only when the round ends, so every join
+//!    of the round reads the relations as the round began. Tasks run in
+//!    a fixed order and each finds its firings in a fixed order, so every
+//!    mutation happens in an order that is a pure function of the input.
+//!    That fixes the provenance graph's recording order, `NodeId`
+//!    assignment (the n-th interned tuple is `NodeId(n)`), and the
+//!    change log's order.
 //!
 //! Symbols are process-local (insertion-ordered); everything that leaves
 //! the engine — the change log, [`Engine::scan_resolved`], provenance
@@ -100,6 +96,7 @@ use crate::error::DatalogError;
 use crate::node::{NodeId, NodeTable, RelId};
 use crate::provgraph::ProvGraph;
 use crate::Result;
+use orchestra_obs::GaugeHandle;
 use orchestra_provenance::Polynomial;
 use orchestra_relational::{
     CmpOp, DatabaseSchema, FxHashMap, Sym, SymRel, SymTuple, Tuple, Value, ValueInterner,
@@ -146,8 +143,9 @@ pub struct Change {
 
 /// Aggregate counters, for the experiment harness.
 ///
-/// Join tasks count into private per-task buffers that the merge phase
-/// folds in once per round, so the hot loops never touch `self.stats`.
+/// The hot loops bump these plain fields in place; the `orchestra-obs`
+/// registry gets the difference once per `propagate` / `remove_bases`
+/// call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
     /// Semi-naive rounds executed.
@@ -423,65 +421,6 @@ impl JoinPlan {
 /// a matched body tuple's node rides along with it.
 type Entry = (SymTuple, NodeId);
 
-/// `Firing::skolems` when every Skolem head null resolved in the join.
-const NO_SKOLEMS: usize = usize::MAX;
-
-/// One staged rule firing, produced by the join phase and drained by the
-/// merge. Its rows live in the round's [`Firings`] arenas. Skolem head
-/// positions are left as [`Sym::NONE`] with their argument symbols staged
-/// alongside when a null was not in the round's snapshot interner, so
-/// the join phase never mutates the interner.
-#[derive(Debug, Clone)]
-struct Firing {
-    /// Start of the head row in [`Firings::heads`] (head-arity long);
-    /// `Sym::NONE` at unresolved Skolem positions.
-    head: usize,
-    /// Start in [`Firings::skolem_args`] of the arguments of every Skolem
-    /// head slot, in column order, when a null was missing from the
-    /// snapshot; [`NO_SKOLEMS`] when the join resolved them all.
-    skolems: usize,
-    /// The head's node as of the round snapshot (`None` when the head was
-    /// never interned — an earlier firing of the round may still intern
-    /// it first). Liveness is the merge's question.
-    head_node: Option<NodeId>,
-    /// Start of the body node ids in [`Firings::bodies`], in rule-body
-    /// order (derivation identity depends on the order).
-    body: usize,
-    /// Precomputed `(rule, body)` dedup fingerprint.
-    fp: u64,
-}
-
-/// A round's staged firings in task order, then discovery order, with
-/// their rows in flat arenas. Kept on the engine and cleared per round,
-/// so staging allocates only while the buffers grow.
-#[derive(Debug, Clone, Default)]
-struct Firings {
-    list: Vec<Firing>,
-    /// `list.len()` after each task: task `i` staged
-    /// `list[task_ends[i - 1]..task_ends[i]]`.
-    task_ends: Vec<usize>,
-    heads: Vec<Sym>,
-    bodies: Vec<NodeId>,
-    skolem_args: Vec<Sym>,
-    /// Index probes issued by the round's tasks.
-    probes: u64,
-    /// Labeled nulls the tasks resolved read-only against the snapshot
-    /// interner (folded into the fast-path counter by the merge).
-    skolem_hits: u64,
-}
-
-impl Firings {
-    fn clear(&mut self) {
-        self.list.clear();
-        self.task_ends.clear();
-        self.heads.clear();
-        self.bodies.clear();
-        self.skolem_args.clear();
-        self.probes = 0;
-        self.skolem_hits = 0;
-    }
-}
-
 /// The join's per-task working state, reused by every task of every
 /// round.
 #[derive(Debug, Clone, Default)]
@@ -492,6 +431,10 @@ struct JoinScratch {
     /// One reusable probe-key buffer per step: steady-state probing
     /// allocates nothing.
     key_bufs: Vec<Vec<Sym>>,
+    /// The firing's head row, and one Skolem head slot's argument
+    /// symbols.
+    head: Vec<Sym>,
+    skolem_args: Vec<Sym>,
 }
 
 /// One join task's inputs: which rule and plan, over which frontier.
@@ -502,47 +445,47 @@ struct Task<'a> {
     delta: &'a [Entry],
 }
 
-/// The plan interpreter. **Read-only** over the engine: it borrows the
-/// data, the node table and the interner immutably; all effects are
-/// staged into the round's [`Firings`]. One `Exec` serves every task of
-/// a round ([`run`](Exec::run) takes the task), on buffers kept on the
-/// engine.
-///
-/// Everything resolvable against the round's immutable snapshot is
-/// resolved **in the join**: body node ids (carried by every candidate
-/// entry), the derivation's dedup fingerprint, the head's snapshot node,
-/// and already-interned Skolem nulls — so the merge is left with only
-/// the first-occurrence nulls and never-interned heads to intern.
+/// The plan interpreter, which records each firing where it finds it
+/// (see the module docs). It borrows the relations (`data`) immutably,
+/// so every join of a round reads them as the round began. One `Exec`
+/// serves every task of a round ([`run`](Exec::run) takes the task), on
+/// buffers kept on the engine.
 struct Exec<'a> {
     data: &'a [SymRel<NodeId>],
-    nodes: &'a NodeTable,
-    interner: &'a ValueInterner,
+    nodes: &'a mut NodeTable,
+    interner: &'a mut ValueInterner,
+    graph: &'a mut ProvGraph,
+    stats: &'a mut EngineStats,
+    changes: &'a mut Vec<(NodeId, ChangeKind)>,
+    pending: &'a mut Vec<(RelId, SymTuple, NodeId)>,
+    /// Per relation, the tuples born this round: the next newborn's slot
+    /// is the relation's length plus this count.
+    born: &'a mut [u32],
     s: &'a mut JoinScratch,
-    out: &'a mut Firings,
 }
 
 impl<'a> Exec<'a> {
-    /// Evaluate one task and close its firing range.
+    /// Evaluate one task.
     fn run(&mut self, task: Task<'a>) {
-        let Task { rule, plan, .. } = task;
-        if !plan.impossible {
-            let s = &mut *self.s;
-            s.bindings.clear();
-            s.bindings.resize(rule.num_vars, Sym::NONE);
-            s.body_nodes.clear();
-            s.body_nodes.resize(rule.body.len(), NodeId(0));
-            if s.key_bufs.len() < plan.steps.len() {
-                s.key_bufs.resize_with(plan.steps.len(), Vec::new);
-            }
-            self.step(task, 0);
+        let Task { rule, plan, delta } = task;
+        if plan.impossible || delta.is_empty() {
+            return;
         }
-        self.out.task_ends.push(self.out.list.len());
+        let s = &mut *self.s;
+        s.bindings.clear();
+        s.bindings.resize(rule.num_vars, Sym::NONE);
+        s.body_nodes.clear();
+        s.body_nodes.resize(rule.body.len(), NodeId(0));
+        if s.key_bufs.len() < plan.steps.len() {
+            s.key_bufs.resize_with(plan.steps.len(), Vec::new);
+        }
+        self.step(task, 0);
     }
 
     fn step(&mut self, task: Task<'a>, si: usize) {
         let plan = task.plan;
         if si == plan.steps.len() {
-            self.emit(task.rule);
+            self.fire(task.rule);
             return;
         }
         let sp = &plan.steps[si];
@@ -552,7 +495,7 @@ impl<'a> Exec<'a> {
             Source::Delta => self.scan_candidates(task, si, sp, task.delta),
             Source::Scan => self.scan_candidates(task, si, sp, data[rel].entries()),
             Source::Probe { cols, key } => {
-                self.out.probes += 1;
+                self.stats.index_probes += 1;
                 let buf = &mut self.s.key_bufs[si];
                 buf.clear();
                 for src in key.iter() {
@@ -650,89 +593,53 @@ impl<'a> Exec<'a> {
         }
     }
 
-    /// All atoms bound: stage the head row, the body node ids in rule-body
-    /// order (derivation identity depends on it), the dedup fingerprint
-    /// and the head's snapshot node — all against the round's immutable
-    /// snapshot.
-    ///
-    /// Skolem head slots resolve read-only when every null already exists
-    /// in the snapshot interner (the steady state once a null has been
-    /// invented); a single missing null defers the whole head to the
-    /// merge's sequential Skolem pass instead.
-    fn emit(&mut self, rule: &CompiledRule) {
-        let head = self.out.heads.len();
-        let skolems = self.out.skolem_args.len();
-        let mut all_known = true;
-        let mut n_skolems = 0u64;
-        for s in &rule.head.slots {
-            let sym = match s {
-                Slot::Var(v) => {
-                    let sym = self.s.bindings[*v];
-                    debug_assert!(!sym.is_none(), "unbound head slot");
-                    sym
-                }
+    /// All atoms bound: intern the head (its labeled nulls first, in
+    /// column order), record the derivation with its body node ids in
+    /// rule-body order (derivation identity depends on the order) and,
+    /// if the head is not alive, give it the next slot of its relation
+    /// and queue it for the next round. Propagation is insert-only: a
+    /// head alive now stays alive.
+    fn fire(&mut self, rule: &CompiledRule) {
+        self.stats.firings += 1;
+        self.s.head.clear();
+        for slot in &rule.head.slots {
+            let sym = match slot {
+                Slot::Var(v) => self.s.bindings[*v],
                 Slot::Const(c) => *c,
                 Slot::Skolem { function, args } => {
-                    n_skolems += 1;
-                    let first = self.out.skolem_args.len();
+                    self.s.skolem_args.clear();
                     for a in args {
                         // analyze: allow(panic) -- Tgd compilation rejects any skolem arg that is not a var or constant
                         let sym = self.slot_sym(a).expect("skolem args are vars/constants");
-                        self.out.skolem_args.push(sym);
+                        self.s.skolem_args.push(sym);
                     }
-                    let known = all_known
-                        .then(|| {
-                            self.interner
-                                .get_skolem(function, &self.out.skolem_args[first..])
-                        })
-                        .flatten();
-                    all_known = known.is_some();
-                    known.unwrap_or(Sym::NONE)
+                    self.interner.intern_skolem(function, &self.s.skolem_args)
                 }
             };
-            self.out.heads.push(sym);
+            debug_assert!(!sym.is_none(), "unbound head slot");
+            self.s.head.push(sym);
         }
-        let out = &mut *self.out;
-        let (skolems, head_node) = if all_known {
-            // Every null resolved (or there were none): the head row is
-            // final, so the snapshot node table can answer for it.
-            out.skolem_args.truncate(skolems);
-            out.skolem_hits += n_skolems;
-            (
-                NO_SKOLEMS,
-                self.nodes.get(rule.head.rel, &out.heads[head..]),
-            )
-        } else {
-            // A head with a null not yet interned cannot have a node.
-            (skolems, None)
-        };
-        let body = out.bodies.len();
-        out.bodies.extend_from_slice(&self.s.body_nodes);
-        let fp = crate::provgraph::derivation_fingerprint(&rule.id, &out.bodies[body..]);
-        out.list.push(Firing {
-            head,
-            skolems,
-            head_node,
-            body,
-            fp,
-        });
-    }
-}
-
-/// Finalize a staged head row: intern its Skolem nulls from the staged
-/// arguments (sequential — this is the merge phase's exclusive right to
-/// mutate the interner).
-fn resolve_skolems(
-    interner: &mut ValueInterner,
-    rule: &CompiledRule,
-    row: &mut [Sym],
-    mut args: &[Sym],
-) {
-    for (ci, slot) in rule.head.slots.iter().enumerate() {
-        if let Slot::Skolem { function, args: a } = slot {
-            let (these, rest) = args.split_at(a.len());
-            row[ci] = interner.intern_skolem(function, these);
-            args = rest;
+        let rel = rule.head.rel;
+        let node = self.nodes.intern_syms(rel, &self.s.head);
+        if self
+            .graph
+            .add_derivation(&rule.id, node, &self.s.body_nodes)
+        {
+            self.stats.derivations += 1;
+        }
+        if self.nodes.is_alive(node) {
+            return;
+        }
+        if let Some((_, st)) = self.nodes.resolve(node) {
+            let st = st.clone();
+            // Relation positions are `u32` (`SymRel::push`).
+            let born = &mut self.born[rel.index()];
+            let pos = self.data[rel.index()].len() as u32 + *born;
+            *born += 1;
+            self.nodes.set_position(node, Some(pos));
+            self.stats.tuples_added += 1;
+            self.changes.push((node, ChangeKind::Added));
+            self.pending.push((rel, st, node));
         }
     }
 }
@@ -754,13 +661,32 @@ struct DeleteScratch {
     dead: Vec<NodeId>,
 }
 
-/// One join task of a round: rule × delta position, over the frontier of
-/// the relation at that position.
-#[derive(Debug, Clone)]
-struct TaskSpec {
-    ri: u32,
-    ai: u32,
-    rel: u32,
+/// This engine's share of the `engine.*` size gauges: live nodes,
+/// interned nodes, derivation records and interner symbols. Dropping the
+/// engine drops its share from the registry's totals. A clone registers
+/// a share of its own, so two engines never write one share.
+#[derive(Debug)]
+struct SizeGauges([GaugeHandle; 4]);
+
+impl SizeGauges {
+    fn new() -> SizeGauges {
+        SizeGauges([
+            orchestra_obs::gauge("engine.live_nodes"),
+            orchestra_obs::gauge("engine.interned_nodes"),
+            orchestra_obs::gauge("engine.derivation_records"),
+            orchestra_obs::gauge("engine.interner_symbols"),
+        ])
+    }
+}
+
+impl Clone for SizeGauges {
+    fn clone(&self) -> SizeGauges {
+        let share = SizeGauges::new();
+        for (mine, theirs) in share.0.iter().zip(&self.0) {
+            mine.set(theirs.get());
+        }
+        share
+    }
 }
 
 // ----------------------------------------------------------------- engine
@@ -792,12 +718,11 @@ pub struct Engine {
     /// The change log, in change order (see [`Engine::drain_change_log`]).
     changes: Vec<(NodeId, ChangeKind)>,
     /// Round scratch, kept so a round allocates only while it grows: the
-    /// delta grouped per relation, the task list and the join's buffers
-    /// and staged firings.
+    /// delta grouped per relation, the join's buffers and the
+    /// per-relation count of tuples born in the round.
     frontiers: Vec<Vec<Entry>>,
-    tasks: Vec<TaskSpec>,
     join: JoinScratch,
-    firings: Firings,
+    born: Vec<u32>,
     /// Deletion scratch, kept across `remove_bases` calls.
     del: DeleteScratch,
     /// Reused symbol row for API-boundary lookups.
@@ -808,6 +733,9 @@ pub struct Engine {
     /// atomics per tuple), and [`obs_flush_stats`](Self::obs_flush_stats)
     /// publishes the diff once per `propagate` / `remove_bases` call.
     mirrored: EngineStats,
+    /// Set with each flush, so they read the sizes as of the last
+    /// `propagate` / `remove_bases` call.
+    size_gauges: SizeGauges,
 }
 
 impl Engine {
@@ -867,7 +795,8 @@ impl Engine {
         }
         let data = rel_names.iter().map(|_| SymRel::new()).collect();
         let frontiers = vec![Vec::new(); rel_names.len()];
-        Ok(Engine {
+        let born = vec![0; rel_names.len()];
+        let mut engine = Engine {
             schema,
             rules: compiled,
             plans,
@@ -881,14 +810,16 @@ impl Engine {
             pending: Vec::new(),
             changes: Vec::new(),
             frontiers,
-            tasks: Vec::new(),
             join: JoinScratch::default(),
-            firings: Firings::default(),
+            born,
             del: DeleteScratch::default(),
             syms: Vec::new(),
             stats: EngineStats::default(),
             mirrored: EngineStats::default(),
-        })
+            size_gauges: SizeGauges::new(),
+        };
+        engine.obs_flush_stats();
+        Ok(engine)
     }
 
     fn compile_rule(
@@ -1027,10 +958,20 @@ impl Engine {
     }
 
     /// Publish the counters accumulated since the last flush to the
-    /// `orchestra-obs` registry as `engine.*` deltas. Called once per
+    /// `orchestra-obs` registry as `engine.*` deltas, and set this
+    /// engine's share of the size gauges. Called at build and once per
     /// propagate/deletion entry point — the hot loops never touch an
     /// atomic.
     fn obs_flush_stats(&mut self) {
+        let sizes = [
+            self.total_tuples(),
+            self.nodes.len(),
+            self.graph.num_derivations(),
+            self.interner.len(),
+        ];
+        for (g, n) in self.size_gauges.0.iter().zip(sizes) {
+            g.set(n as i64);
+        }
         let d = self.stats();
         let m = self.mirrored;
         orchestra_obs::counter!("engine.rounds", d.rounds.saturating_sub(m.rounds));
@@ -1179,9 +1120,10 @@ impl Engine {
     /// Run semi-naive propagation from the pending delta to fixpoint.
     /// Returns the number of newly derived tuples.
     ///
-    /// Each round joins the delta against an immutable snapshot of the
-    /// round's database, then merges the staged firings in a fixed order
-    /// (see the module docs).
+    /// Each round plans, then joins the delta against the relations as
+    /// the round began, recording every firing as the join finds it; the
+    /// round's newborn tuples enter their relations when it ends (see
+    /// the module docs).
     pub fn propagate(&mut self) -> Result<usize> {
         // A pending insert that a deletion removed before this call
         // derives nothing.
@@ -1196,9 +1138,8 @@ impl Engine {
             for (r, t, n) in self.pending.drain(..) {
                 self.frontiers[r.index()].push((t, n));
             }
-            // Plan: build any missing indexes so the join phase only
-            // reads, and lay out the round's task list in its fixed
-            // (relation, rule) merge order.
+            // Plan: build any missing indexes, so the join only reads
+            // the relations.
             orchestra_obs::time_histogram!("engine.round.plan_micros", {
                 let Engine {
                     rules,
@@ -1207,17 +1148,14 @@ impl Engine {
                     data,
                     stats,
                     frontiers,
-                    tasks,
                     ..
                 } = self;
-                tasks.clear();
                 for (rel, fr) in frontiers.iter().enumerate() {
                     if fr.is_empty() {
                         continue;
                     }
                     for &(ri, ai) in &rules_by_body[rel] {
-                        let plan = &plans[ri as usize][ai as usize];
-                        for sp in &plan.steps {
+                        for sp in &plans[ri as usize][ai as usize].steps {
                             if let Source::Probe { cols, .. } = &sp.source {
                                 let target = rules[ri as usize].body[sp.atom].rel.index();
                                 if data[target].ensure_index(cols) {
@@ -1225,117 +1163,57 @@ impl Engine {
                                 }
                             }
                         }
-                        tasks.push(TaskSpec {
-                            ri,
-                            ai,
-                            rel: rel as u32,
-                        });
                     }
                 }
             });
-            // Join phase: run every task against the round snapshot.
+            // Join: one task per (relation, rule, delta position), in
+            // that fixed order, recording each firing as it is found.
             orchestra_obs::time_histogram!("engine.round.join_micros", {
                 let Engine {
                     rules,
                     plans,
-                    data,
-                    nodes,
-                    interner,
-                    frontiers,
-                    tasks,
-                    join,
-                    firings,
-                    ..
-                } = &mut *self;
-                firings.clear();
-                let mut exec = Exec {
-                    data,
-                    nodes,
-                    interner,
-                    s: join,
-                    out: firings,
-                };
-                for spec in tasks.iter() {
-                    exec.run(Task {
-                        rule: &rules[spec.ri as usize],
-                        plan: &plans[spec.ri as usize][spec.ai as usize],
-                        delta: &frontiers[spec.rel as usize],
-                    });
-                }
-            });
-            // Merge phase: drain the staged firings in task order, then
-            // in discovery order. Both orders are fixed, so NodeId
-            // assignment, provenance recording, inserts, the change log,
-            // and the stats are deterministic.
-            new_tuples += orchestra_obs::time_histogram!("engine.round.merge_micros", {
-                let Engine {
-                    rules,
+                    rules_by_body,
                     interner,
                     nodes,
                     graph,
                     data,
+                    pending,
+                    changes,
+                    frontiers,
+                    join,
+                    born,
+                    stats,
+                    ..
+                } = &mut *self;
+                let mut exec = Exec {
+                    data,
+                    nodes,
+                    interner,
+                    graph,
                     stats,
                     changes,
                     pending,
-                    tasks,
-                    firings,
-                    ..
-                } = &mut *self;
-                stats.index_probes += firings.probes;
-                interner.note_skolem_hits(firings.skolem_hits);
-                let Firings {
-                    list,
-                    task_ends,
-                    heads,
-                    bodies,
-                    skolem_args,
-                    ..
-                } = firings;
-                let mut added = 0usize;
-                let mut start = 0;
-                for (spec, &end) in tasks.iter().zip(task_ends.iter()) {
-                    let rule = &rules[spec.ri as usize];
-                    let head_rel = rule.head.rel;
-                    let arity = rule.head.slots.len();
-                    for f in &list[start..end] {
-                        stats.firings += 1;
-                        // Only a head the snapshot had never interned is
-                        // interned here, after its first-occurrence
-                        // labeled nulls: the merge's exclusive right to
-                        // mutate the interner and the node table.
-                        let node = match f.head_node {
-                            Some(n) => n,
-                            None => {
-                                let row = &mut heads[f.head..f.head + arity];
-                                if f.skolems != NO_SKOLEMS {
-                                    resolve_skolems(interner, rule, row, &skolem_args[f.skolems..]);
-                                }
-                                nodes.intern_syms(head_rel, row)
-                            }
-                        };
-                        let body = &bodies[f.body..f.body + rule.body.len()];
-                        if graph.add_derivation_fp(&rule.id, node, body, f.fp) {
-                            stats.derivations += 1;
-                        }
-                        // Propagation is insert-only: a head alive now
-                        // stays; a dead one (new, or present once) enters.
-                        if nodes.is_alive(node) {
-                            continue;
-                        }
-                        if let Some((_, st)) = nodes.resolve(node) {
-                            let st = st.clone();
-                            let pos = data[head_rel.index()].push(st.clone(), node);
-                            nodes.set_position(node, Some(pos));
-                            stats.tuples_added += 1;
-                            added += 1;
-                            changes.push((node, ChangeKind::Added));
-                            pending.push((head_rel, st, node));
-                        }
+                    born,
+                    s: join,
+                };
+                for (rel, fr) in frontiers.iter().enumerate() {
+                    for &(ri, ai) in &rules_by_body[rel] {
+                        exec.run(Task {
+                            rule: &rules[ri as usize],
+                            plan: &plans[ri as usize][ai as usize],
+                            delta: fr,
+                        });
                     }
-                    start = end;
                 }
-                added
             });
+            // The round's newborns enter their relations at the slots
+            // the join gave them, and form the next round's delta.
+            for (rel, st, node) in &self.pending {
+                let pos = self.data[rel.index()].push(st.clone(), *node);
+                debug_assert_eq!(self.nodes.position(*node), Some(pos));
+            }
+            new_tuples += self.pending.len();
+            self.born.fill(0);
             for fr in &mut self.frontiers {
                 fr.clear();
             }
@@ -2329,5 +2207,161 @@ mod tests {
             assert_eq!(c.node, NodeId(k as u32), "{c:?}");
             assert_eq!(c.node.to_string(), format!("n{k}"));
         }
+    }
+
+    /// One batched `propagate` over a Skolem tgd feeding a recursive
+    /// closure, after a prelude that leaves `edge(p1, p2)` and
+    /// `path(p1, p2)` interned but dead and makes `path(p2, p3)` a base
+    /// fact. Pins the exact change-log order, the derivations in
+    /// recording order and every counter: node ids follow first-intern
+    /// order, a dead node keeps its id when re-derived, a base head only
+    /// gains a derivation, and a null invented earlier in the round is a
+    /// fast-path hit for the later firings that need it.
+    #[test]
+    fn batched_skolem_and_recursive_propagate_in_exact_order() {
+        let db = schema(&[("OPS", 3), ("O", 2), ("S", 3), ("edge", 2), ("path", 2)]);
+        let split = Tgd::new(
+            "split",
+            vec![Atom::vars("OPS", &["org", "prot", "seq"])],
+            vec![
+                Atom::new(
+                    "O",
+                    vec![
+                        Term::var("org"),
+                        Term::skolem("oid", vec![Term::var("org")]),
+                    ],
+                ),
+                Atom::new(
+                    "S",
+                    vec![
+                        Term::skolem("oid", vec![Term::var("org")]),
+                        Term::var("prot"),
+                        Term::var("seq"),
+                    ],
+                ),
+            ],
+        )
+        .unwrap();
+        let mut rules = split.compile().unwrap();
+        rules.push(
+            Rule::new(
+                "link",
+                Atom::vars("edge", &["p", "q"]),
+                vec![Atom::vars("S", &["o", "p", "q"])],
+                vec![],
+            )
+            .unwrap(),
+        );
+        rules.extend(edge_path_rules());
+        let mut e = Engine::new(db, rules).unwrap();
+        // Prelude: edge(p1, p2) and path(p1, p2) live, then die.
+        e.insert_base("edge", tuple!["p1", "p2"]).unwrap();
+        e.propagate().unwrap();
+        e.remove_bases(&[("edge", &tuple!["p1", "p2"])]).unwrap();
+        e.insert_base("path", tuple!["p2", "p3"]).unwrap();
+        let mut log = Vec::new();
+        e.drain_change_log(&mut log);
+        // The batch: org0 twice (one null, invented once), org1 once, and
+        // a base edge, so the first round joins two relations' deltas.
+        for t in [
+            tuple!["org0", "p1", "p2"],
+            tuple!["org1", "p2", "p3"],
+            tuple!["org0", "p3", "p1"],
+        ] {
+            e.insert_base("OPS", t).unwrap();
+        }
+        e.insert_base("edge", tuple!["p3", "p4"]).unwrap();
+        assert_eq!(e.propagate().unwrap(), 19);
+        log.clear();
+        e.drain_change_log(&mut log);
+        let show = |n: NodeId| {
+            let (rel, t) = e.resolve_node(n).unwrap();
+            format!("{n} {rel}{t}")
+        };
+        let changes: Vec<String> = log
+            .iter()
+            .map(|&(n, kind)| format!("{kind:?} {}", show(n)))
+            .collect();
+        let derivations: Vec<String> = e
+            .graph()
+            .derivations()
+            .map(|d| {
+                let body: Vec<String> = d.body.iter().map(|&b| show(b)).collect();
+                format!("{}: {} <- {}", d.rule, show(d.head), body.join(", "))
+            })
+            .collect();
+        assert_eq!(
+            changes,
+            [
+                "Added n3 OPS('org0', 'p1', 'p2')",
+                "Added n4 OPS('org1', 'p2', 'p3')",
+                "Added n5 OPS('org0', 'p3', 'p1')",
+                "Added n6 edge('p3', 'p4')",
+                "Added n7 O('org0', oid('org0'))",
+                "Added n8 O('org1', oid('org1'))",
+                "Added n9 S(oid('org0'), 'p1', 'p2')",
+                "Added n10 S(oid('org1'), 'p2', 'p3')",
+                "Added n11 S(oid('org0'), 'p3', 'p1')",
+                "Added n12 path('p3', 'p4')",
+                "Added n0 edge('p1', 'p2')",
+                "Added n13 edge('p2', 'p3')",
+                "Added n14 edge('p3', 'p1')",
+                "Added n1 path('p1', 'p2')",
+                "Added n15 path('p3', 'p1')",
+                "Added n16 path('p1', 'p3')",
+                "Added n17 path('p2', 'p4')",
+                "Added n18 path('p3', 'p2')",
+                "Added n19 path('p2', 'p1')",
+                "Added n20 path('p3', 'p3')",
+                "Added n21 path('p1', 'p4')",
+                "Added n22 path('p2', 'p2')",
+                "Added n23 path('p1', 'p1')",
+            ]
+        );
+        assert_eq!(
+            derivations,
+            [
+                "base: n1 path('p1', 'p2') <- n0 edge('p1', 'p2')",
+                "split#1: n7 O('org0', oid('org0')) <- n3 OPS('org0', 'p1', 'p2')",
+                "split#1: n8 O('org1', oid('org1')) <- n4 OPS('org1', 'p2', 'p3')",
+                "split#1: n7 O('org0', oid('org0')) <- n5 OPS('org0', 'p3', 'p1')",
+                "split#2: n9 S(oid('org0'), 'p1', 'p2') <- n3 OPS('org0', 'p1', 'p2')",
+                "split#2: n10 S(oid('org1'), 'p2', 'p3') <- n4 OPS('org1', 'p2', 'p3')",
+                "split#2: n11 S(oid('org0'), 'p3', 'p1') <- n5 OPS('org0', 'p3', 'p1')",
+                "base: n12 path('p3', 'p4') <- n6 edge('p3', 'p4')",
+                "link: n0 edge('p1', 'p2') <- n9 S(oid('org0'), 'p1', 'p2')",
+                "link: n13 edge('p2', 'p3') <- n10 S(oid('org1'), 'p2', 'p3')",
+                "link: n14 edge('p3', 'p1') <- n11 S(oid('org0'), 'p3', 'p1')",
+                "base: n2 path('p2', 'p3') <- n13 edge('p2', 'p3')",
+                "base: n15 path('p3', 'p1') <- n14 edge('p3', 'p1')",
+                "step: n16 path('p1', 'p3') <- n0 edge('p1', 'p2'), n2 path('p2', 'p3')",
+                "step: n17 path('p2', 'p4') <- n13 edge('p2', 'p3'), n12 path('p3', 'p4')",
+                "step: n18 path('p3', 'p2') <- n14 edge('p3', 'p1'), n1 path('p1', 'p2')",
+                "step: n19 path('p2', 'p1') <- n13 edge('p2', 'p3'), n15 path('p3', 'p1')",
+                "step: n20 path('p3', 'p3') <- n14 edge('p3', 'p1'), n16 path('p1', 'p3')",
+                "step: n21 path('p1', 'p4') <- n0 edge('p1', 'p2'), n17 path('p2', 'p4')",
+                "step: n22 path('p2', 'p2') <- n13 edge('p2', 'p3'), n18 path('p3', 'p2')",
+                "step: n23 path('p1', 'p1') <- n0 edge('p1', 'p2'), n19 path('p2', 'p1')",
+                "step: n2 path('p2', 'p3') <- n13 edge('p2', 'p3'), n20 path('p3', 'p3')",
+                "step: n12 path('p3', 'p4') <- n14 edge('p3', 'p1'), n21 path('p1', 'p4')",
+                "step: n1 path('p1', 'p2') <- n0 edge('p1', 'p2'), n22 path('p2', 'p2')",
+                "step: n15 path('p3', 'p1') <- n14 edge('p3', 'p1'), n23 path('p1', 'p1')",
+            ]
+        );
+        assert_eq!(
+            e.stats(),
+            EngineStats {
+                rounds: 8,
+                firings: 26,
+                derivations: 25,
+                tuples_added: 26,
+                tuples_removed: 2,
+                index_builds: 2,
+                index_probes: 18,
+                interner_symbols: 8,
+                interner_hits: 9,
+                skolem_fast_path: 4,
+            }
+        );
     }
 }

@@ -47,25 +47,20 @@ pub struct ProvGraph {
     base: FxHashSet<NodeId>,
 }
 
-/// The dedup fingerprint of a derivation's `(rule, body)` — pure, so the
-/// engine's join phase can precompute it before the merge.
+/// The dedup fingerprint of a derivation's `(rule, body)`.
 ///
 /// Hashed with the seedless word hasher ([`FxHasher`]): the body is
 /// engine-assigned node ids and the rule id comes from the mapping
 /// program, and a fingerprint match is always confirmed by comparing the
 /// derivations themselves, so a collision costs one comparison and never
 /// drops a derivation.
-pub fn derivation_fingerprint(rule: &RuleId, body: &[NodeId]) -> u64 {
+fn derivation_fingerprint(rule: &RuleId, body: &[NodeId]) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut h = FxHasher::default();
     rule.hash(&mut h);
     // Matches `Vec<NodeId>`'s Hash (length prefix + elements).
     body.hash(&mut h);
     h.finish()
-}
-
-fn fingerprint(d: &Derivation) -> u64 {
-    derivation_fingerprint(&d.rule, &d.body)
 }
 
 fn push_adj<T>(adj: &mut Vec<Vec<T>>, i: usize, entry: T) {
@@ -103,28 +98,11 @@ impl ProvGraph {
         nodes
     }
 
-    /// Record a derivation (deduplicated). Returns `true` if new.
-    pub fn add_derivation(&mut self, d: Derivation) -> bool {
-        let fp = fingerprint(&d);
-        self.add_derivation_fp(&d.rule, d.head, &d.body, fp)
-    }
-
-    /// [`add_derivation`](Self::add_derivation) from its parts, with the
-    /// `(rule, body)` fingerprint precomputed (see
-    /// [`derivation_fingerprint`]) — the engine's merge path. The body is
+    /// Record that `rule` derived `head` from the `body` nodes, in
+    /// rule-body order (deduplicated). Returns `true` if new. The body is
     /// borrowed, so a duplicate firing allocates nothing.
-    pub fn add_derivation_fp(
-        &mut self,
-        rule: &RuleId,
-        head: NodeId,
-        body: &[NodeId],
-        fp: u64,
-    ) -> bool {
-        debug_assert_eq!(
-            fp,
-            derivation_fingerprint(rule, body),
-            "mismatched precomputed fingerprint"
-        );
+    pub fn add_derivation(&mut self, rule: &RuleId, head: NodeId, body: &[NodeId]) -> bool {
+        let fp = derivation_fingerprint(rule, body);
         if let Some(recorded) = self.by_head.get(head.index()) {
             // A fingerprint match is confirmed structurally: collisions
             // must not drop genuine derivations.
@@ -359,12 +337,10 @@ mod tests {
         }
     }
 
-    fn sderiv(rule: &str, head: NodeId, body: &[NodeId]) -> Derivation {
-        Derivation {
-            rule: rid(rule),
-            head,
-            body: body.to_vec(),
-        }
+    /// Record `head ⇐ rule(body)`.
+    fn add(g: &mut ProvGraph, rule: &str, head: u32, body: &[u32]) -> bool {
+        let d = deriv(rule, head, body);
+        g.add_derivation(&d.rule, d.head, &d.body)
     }
 
     /// base 0, 1; 2 ⇐ m1(0,1); 3 ⇐ m2(2); 3 ⇐ m3(1).
@@ -372,17 +348,17 @@ mod tests {
         let mut g = ProvGraph::new();
         g.add_base(n(0));
         g.add_base(n(1));
-        g.add_derivation(deriv("m1", 2, &[0, 1]));
-        g.add_derivation(deriv("m2", 3, &[2]));
-        g.add_derivation(deriv("m3", 3, &[1]));
+        add(&mut g, "m1", 2, &[0, 1]);
+        add(&mut g, "m2", 3, &[2]);
+        add(&mut g, "m3", 3, &[1]);
         g
     }
 
     #[test]
     fn dedup_derivations() {
         let mut g = ProvGraph::new();
-        assert!(g.add_derivation(deriv("m", 1, &[0])));
-        assert!(!g.add_derivation(deriv("m", 1, &[0])));
+        assert!(add(&mut g, "m", 1, &[0]));
+        assert!(!add(&mut g, "m", 1, &[0]));
         assert_eq!(g.num_derivations(), 1);
     }
 
@@ -420,8 +396,8 @@ mod tests {
     fn cyclic_support_is_not_well_founded() {
         // 1 ⇐ m(2), 2 ⇐ m'(1): a cycle with no base support must die.
         let mut g = ProvGraph::new();
-        g.add_derivation(deriv("m", 1, &[2]));
-        g.add_derivation(deriv("m'", 2, &[1]));
+        add(&mut g, "m", 1, &[2]);
+        add(&mut g, "m'", 2, &[1]);
         let d = g.derivable_set(&BTreeSet::new());
         assert!(d.is_empty());
         // Give 1 base support: both become derivable.
@@ -435,7 +411,7 @@ mod tests {
         // 2 ⇐ m(0,0): node 0 appears twice in the body.
         let mut g = ProvGraph::new();
         g.add_base(n(0));
-        g.add_derivation(deriv("m", 2, &[0, 0]));
+        add(&mut g, "m", 2, &[0, 0]);
         let d = g.derivable_set(&BTreeSet::new());
         assert!(d.contains(&n(2)));
     }
@@ -464,8 +440,8 @@ mod tests {
         // Identity loop: A(t) base; B(t) ⇐ id1(A(t)); A(t) ⇐ id2(B(t)).
         let mut g = ProvGraph::new();
         g.add_base(n(0)); // A(t)
-        g.add_derivation(deriv("id1", 1, &[0])); // B(t) from A(t)
-        g.add_derivation(deriv("id2", 0, &[1])); // A(t) from B(t)
+        add(&mut g, "id1", 1, &[0]); // B(t) from A(t)
+        add(&mut g, "id2", 0, &[1]); // A(t) from B(t)
         let pa = g.polynomial(n(0));
         // Simple proofs of A(t): base only (the round trip repeats A(t)).
         assert_eq!(pa, Polynomial::var(n(0)));
@@ -479,7 +455,7 @@ mod tests {
         let mut g = ProvGraph::new();
         g.add_base(n(0));
         g.add_base(n(1));
-        g.add_derivation(deriv("m", 1, &[0]));
+        add(&mut g, "m", 1, &[0]);
         let p = g.polynomial(n(1));
         // x1 + x0.
         assert_eq!(p, Polynomial::var(n(1)).plus(&Polynomial::var(n(0))));
@@ -532,8 +508,8 @@ mod tests {
         g.add_base(n(0));
         g.add_base(n(1));
         // Node 2 first derived from 0, later also from 1.
-        g.add_derivation(deriv("m1", 2, &[0]));
-        g.add_derivation(deriv("m2", 2, &[1]));
+        add(&mut g, "m1", 2, &[0]);
+        add(&mut g, "m2", 2, &[1]);
         assert_eq!(g.first_proof_lineage(n(2)), BTreeSet::from([n(0)]));
         // Full lineage sees both.
         assert_eq!(g.lineage(n(2)), BTreeSet::from([n(0), n(1)]));
@@ -545,7 +521,7 @@ mod tests {
         g.add_base(n(0));
         // Base nodes stop the walk even if they are also derived.
         g.add_base(n(1));
-        g.add_derivation(deriv("m", 1, &[0]));
+        add(&mut g, "m", 1, &[0]);
         assert_eq!(g.first_proof_lineage(n(1)), BTreeSet::from([n(1)]));
         assert_eq!(g.first_proof_lineage(n(0)), BTreeSet::from([n(0)]));
     }
@@ -560,9 +536,9 @@ mod tests {
         g.add_base(n(0));
         g.add_base(n(1));
         g.add_base(n(2));
-        g.add_derivation(deriv("join", 3, &[0, 1])); // first proof
-        g.add_derivation(deriv("echo", 4, &[2]));
-        g.add_derivation(deriv("rejoin", 3, &[4])); // later alternative
+        add(&mut g, "join", 3, &[0, 1]); // first proof
+        add(&mut g, "echo", 4, &[2]);
+        add(&mut g, "rejoin", 3, &[4]); // later alternative
         assert_eq!(g.first_proof_lineage(n(3)), BTreeSet::from([n(0), n(1)]));
         assert_eq!(g.lineage(n(3)), BTreeSet::from([n(0), n(1), n(2)]));
     }
@@ -570,7 +546,7 @@ mod tests {
     #[test]
     fn first_proof_lineage_of_unsupported_node_is_empty() {
         let mut g = ProvGraph::new();
-        g.add_derivation(deriv("m", 1, &[0])); // body 0 is not base
+        add(&mut g, "m", 1, &[0]); // body 0 is not base
         assert!(g.first_proof_lineage(n(1)).is_empty());
     }
 
@@ -585,7 +561,7 @@ mod tests {
         }
         let heads: Vec<NodeId> = (0..5).map(|s| n(300 + s)).collect();
         for (s, &h) in heads.iter().enumerate().rev() {
-            g.add_derivation(sderiv("m", h, &[all[(s * 41) % all.len()]]));
+            g.add_derivation(&rid("m"), h, &[all[(s * 41) % all.len()]]);
         }
         assert_eq!(g.base_nodes(), all, "base_nodes() is in node-id order");
 
@@ -613,8 +589,8 @@ mod tests {
     #[test]
     fn derivations_iterate_in_recording_order() {
         let mut g = ProvGraph::new();
-        g.add_derivation(deriv("late_head", 2, &[1]));
-        g.add_derivation(deriv("early_head", 0, &[1]));
+        add(&mut g, "late_head", 2, &[1]);
+        add(&mut g, "early_head", 0, &[1]);
         let rules: Vec<&str> = g.derivations().map(|d| d.rule.as_ref()).collect();
         // Recording order, not head order.
         assert_eq!(rules, ["late_head", "early_head"]);

@@ -9,10 +9,9 @@
 //! * itself under different insertion orders (incremental vs batch),
 //!   which also exercises plan-cache reuse across delta positions;
 //! * provenance-based deletion against full recomputation from the
-//!   surviving base facts — including Skolem-heavy programs (labeled-null
-//!   invention splits between the join's read-only fast path and the
-//!   merge's pre-pass) fed in batches, and a round run over the graph a
-//!   set deletion left behind.
+//!   surviving base facts — including Skolem-heavy programs (labeled
+//!   nulls both invented and re-invented within one round) fed in
+//!   batches, and a round run over the graph a set deletion left behind.
 
 use orchestra_datalog::{Atom, Term};
 use orchestra_datalog::{DeletionAlgorithm, Engine, Rule};
@@ -237,8 +236,8 @@ fn engine_database(e: &Engine) -> Database {
 /// labeled-null invention terminates: tier A maps `r0`/`r1` into `r2`
 /// heads, tier B maps `r2` into `r3` heads, and every head mixes body
 /// variables with Skolem terms over them. Shared argument variables make
-/// distinct firings re-invent the same null — exercising both the join's
-/// read-only fast path and the merge's first-invention pre-pass.
+/// distinct firings re-invent the same null — exercising both a null's
+/// first invention and the integer fast path that finds it again.
 fn random_skolem_program(rng: &mut StdRng, n_rules: usize) -> Vec<Rule> {
     let mut rules = Vec::new();
     for ri in 0..n_rules {

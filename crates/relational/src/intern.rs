@@ -234,30 +234,6 @@ impl ValueInterner {
         st.syms().iter().map(|&s| self.resolve(s).clone()).collect()
     }
 
-    /// Look up the labeled null `function(args…)` **without** interning
-    /// and without touching any counter: `Some` iff this exact null was
-    /// invented before. This is the read-only arm of the skolem fast path
-    /// that the engine's join phase runs against the round-start snapshot
-    /// — a hit is reported back and folded through
-    /// [`note_skolem_hits`](Self::note_skolem_hits) so the counters match
-    /// interning it; a miss defers the firing to the merge's pre-pass,
-    /// the only place that mutates the interner.
-    #[inline]
-    pub fn get_skolem(&self, function: &Arc<str>, args: &[Sym]) -> Option<Sym> {
-        self.skolems
-            .get(function.as_ref() as &str)
-            .and_then(|by_args| by_args.get(args))
-            .copied()
-    }
-
-    /// Fold `n` read-only skolem fast-path hits (observed by workers via
-    /// [`get_skolem`](Self::get_skolem)) into the counter, keeping
-    /// [`InternerStats`] identical to a run where every firing went
-    /// through [`intern_skolem`](Self::intern_skolem) sequentially.
-    pub fn note_skolem_hits(&mut self, n: u64) {
-        self.skolem_fast_path += n;
-    }
-
     /// Intern the labeled null `function(args…)` from already-interned
     /// argument symbols. After the first invention of a given null, this
     /// is a single hash probe over integers — the hot path of Skolem-head
@@ -347,20 +323,6 @@ mod tests {
         assert_eq!(i.stats().skolem_fast_path, 1);
         // Different args → different null.
         assert_ne!(i.intern_skolem(&f, &[a2, a1]), fast);
-    }
-
-    #[test]
-    fn get_skolem_is_read_only_and_counter_neutral() {
-        let mut i = ValueInterner::new();
-        let f: Arc<str> = Arc::from("f");
-        let a = i.intern(&Value::Int(1));
-        assert_eq!(i.get_skolem(&f, &[a]), None, "never invented");
-        let s = i.intern_skolem(&f, &[a]);
-        let before = i.stats();
-        assert_eq!(i.get_skolem(&f, &[a]), Some(s));
-        assert_eq!(i.stats(), before, "lookup bumps no counter");
-        i.note_skolem_hits(3);
-        assert_eq!(i.stats().skolem_fast_path, before.skolem_fast_path + 3);
     }
 
     #[test]

@@ -110,84 +110,11 @@ mod tests {
     }
 
     #[test]
-    fn publish_and_fetch_after_epoch() {
-        let s = InMemoryStore::new();
-        s.publish(Epoch::new(1), vec![txn("A", 1), txn("B", 1)])
-            .unwrap();
-        s.publish(Epoch::new(2), vec![txn("A", 2)]).unwrap();
-        let all = since(&s, Epoch::zero());
-        assert_eq!(all.len(), 3);
-        // Epochs stamp onto transactions.
-        assert!(all.iter().all(|t| t.epoch >= Epoch::new(1)));
-        let recent = since(&s, Epoch::new(1));
-        assert_eq!(recent.len(), 1);
-        assert_eq!(recent[0].id, TxnId::new(PeerId::new("A"), 2));
-    }
-
-    #[test]
-    fn fetch_order_is_deterministic() {
-        let s = InMemoryStore::new();
-        s.publish(Epoch::new(1), vec![txn("B", 1), txn("A", 1)])
-            .unwrap();
-        let all = since(&s, Epoch::zero());
-        assert_eq!(all[0].id.peer.name(), "A");
-        assert_eq!(all[1].id.peer.name(), "B");
-    }
-
-    #[test]
-    fn duplicate_rejected_atomically() {
-        let s = InMemoryStore::new();
-        s.publish(Epoch::new(1), vec![txn("A", 1)]).unwrap();
-        let err = s.publish(Epoch::new(2), vec![txn("C", 1), txn("A", 1)]);
-        assert!(matches!(err, Err(StoreError::DuplicateTxn(_))));
-        // The batch failed atomically: C#1 was not archived.
-        assert_eq!(s.len(), 1);
-    }
-
-    #[test]
     fn in_batch_duplicate_rejected() {
         let s = InMemoryStore::new();
         let err = s.publish(Epoch::new(1), vec![txn("A", 1), txn("A", 1)]);
         assert!(matches!(err, Err(StoreError::DuplicateTxn(_))));
         assert_eq!(s.len(), 0, "nothing archived");
-        assert!(since(&s, Epoch::zero()).is_empty());
-    }
-
-    #[test]
-    fn fetch_by_id() {
-        let s = InMemoryStore::new();
-        s.publish(Epoch::new(1), vec![txn("A", 1)]).unwrap();
-        let got = s.fetch(&TxnId::new(PeerId::new("A"), 1)).unwrap();
-        assert!(got.is_some());
-        assert!(s.fetch(&TxnId::new(PeerId::new("Z"), 9)).unwrap().is_none());
-    }
-
-    #[test]
-    fn latest_epoch_and_len() {
-        let s = InMemoryStore::new();
-        assert!(s.is_empty());
-        assert_eq!(s.latest_epoch(), None);
-        s.publish(Epoch::new(3), vec![txn("A", 1)]).unwrap();
-        s.publish(Epoch::new(5), vec![txn("A", 2)]).unwrap();
-        assert_eq!(s.latest_epoch(), Some(Epoch::new(5)));
-        assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn stats_count() {
-        let s = InMemoryStore::new();
-        s.publish(Epoch::new(1), vec![txn("A", 1), txn("A", 2)])
-            .unwrap();
-        since(&s, Epoch::zero());
-        let st = s.stats();
-        assert_eq!(st.published, 2);
-        assert_eq!(st.fetched, 2);
-        assert!(st.pages >= 1, "paged scan counted");
-    }
-
-    #[test]
-    fn empty_fetch() {
-        let s = InMemoryStore::new();
         assert!(since(&s, Epoch::zero()).is_empty());
     }
 

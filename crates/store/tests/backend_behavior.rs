@@ -155,6 +155,7 @@ fn stats_count() {
         let st = s.stats();
         assert_eq!(st.published, 2, "{}", b.name);
         assert_eq!(st.fetched, 2, "{}", b.name);
+        assert!(st.pages >= 1, "{}: paged scan counted", b.name);
     }
 }
 

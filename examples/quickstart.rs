@@ -1,7 +1,9 @@
 //! Quickstart: the smallest useful CDSS — two lab databases sharing one
 //! table through an identity mapping.
 //!
-//! Run with `cargo run --example quickstart`.
+//! Run with `cargo run --example quickstart`; it asserts that LabB
+//! applies LabA's two inserts, that LabB's edit cites LabA's transaction
+//! as its antecedent, and that LabA ends with LabB's reviewed row.
 
 use orchestra_core::Cdss;
 use orchestra_reconcile::TrustPolicy;
@@ -26,14 +28,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let lab_b = PeerId::new("LabB");
 
     // 3. LabA publishes a transaction.
-    let txn = cdss.publish_transaction(
+    let txn_a = cdss.publish_transaction(
         &lab_a,
         vec![
             Update::insert("gene", tuple!["TP53", "tumor protein p53"]),
             Update::insert("gene", tuple!["MDM2", "E3 ubiquitin ligase"]),
         ],
     )?;
-    println!("LabA published {txn} at epoch {}", cdss.current_epoch());
+    println!("LabA published {txn_a} at epoch {}", cdss.current_epoch());
 
     // 4. LabB reconciles: the CDSS fetches, translates and applies.
     let report = cdss.reconcile(&lab_b)?;
@@ -43,6 +45,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.outcome.accepted.len(),
         report.applied_updates
     );
+    assert_eq!(report.outcome.accepted, std::slice::from_ref(&txn_a));
+    assert_eq!(report.applied_updates, 2, "both of LabA's inserts applied");
 
     // 5. Local autonomy: LabB edits its own copy and shares back.
     {
@@ -63,9 +67,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(ToString::to_string)
             .collect::<Vec<_>>()
     );
+    assert_eq!(
+        stored.antecedents,
+        [txn_a].into(),
+        "LabB's edit depends on LabA's"
+    );
 
     cdss.reconcile(&lab_a)?;
     println!("\nLabA's instance after the round trip:");
     println!("{}", cdss.peer(&lab_a)?.instance());
+    assert!(cdss
+        .peer(&lab_a)?
+        .instance()
+        .relation("gene")?
+        .contains(&tuple!["TP53", "tumor suppressor p53 (reviewed)"]));
     Ok(())
 }
