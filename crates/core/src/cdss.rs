@@ -5,8 +5,8 @@ use crate::mapping::{backward_closure, qualified_schema, qualify, slice_program}
 use crate::peer::Peer;
 use crate::Result;
 use orchestra_datalog::{DatalogError, Engine, EvalOptions, Rule, Tgd};
-use orchestra_reconcile::{ReconcileOutcome, ResolveOutcome, TrustPolicy};
-use orchestra_relational::{DatabaseSchema, Tuple};
+use orchestra_reconcile::{ResolveOutcome, TrustPolicy};
+use orchestra_relational::{DatabaseSchema, Instance, Tuple};
 use orchestra_store::{
     CursorBound, FetchCursor, InMemoryStore, StoreError, StoreStats, UpdateStore,
     DEFAULT_PAGE_LIMIT,
@@ -425,7 +425,20 @@ impl Cdss {
                 u.apply(&mut peer.instance).map_err(CoreError::from)?;
             }
         }
-        self.publish_batch(peer_id, txns)
+        self.publish_checked(peer_id, txns)
+    }
+
+    /// Check every transaction of a batch against the publishing peer's
+    /// schema, then publish it ([`publish_checked`](Cdss::publish_checked)):
+    /// a malformed transaction anywhere fails the batch before anything
+    /// changes. The path [`publish`](Cdss::publish) takes.
+    fn publish_batch(
+        &mut self,
+        peer_id: &PeerId,
+        txn_updates: Vec<Vec<Update>>,
+    ) -> Result<Vec<TxnId>> {
+        validate_batch(&self.peer(peer_id)?.schema, &txn_updates)?;
+        self.publish_checked(peer_id, txn_updates)
     }
 
     /// Core publication path: stamp ids and provenance-derived
@@ -434,14 +447,14 @@ impl Cdss {
     /// peer's instance published. A store failure leaves every edit
     /// pending, so the next [`publish`](Cdss::publish) announces it.
     ///
-    /// Whether there is anything to publish, and whether all of it is
-    /// well-formed, is settled before anything changes: a batch of
-    /// nothing but empty transactions leaves the clock alone (like an
-    /// idle reconcile), and a malformed transaction anywhere in the batch
-    /// fails it before the engine, the sequence counter or the reconciler
-    /// have seen the transactions ahead of it — those would otherwise be
-    /// accepted history the archive never received.
-    fn publish_batch(
+    /// Every update must have been checked against the peer's schema
+    /// (`validate_batch`) before anything changed: a malformed
+    /// transaction found here would fail the batch after the engine, the
+    /// sequence counter and the reconciler had seen the transactions
+    /// ahead of it — accepted history the archive never received. A
+    /// batch of nothing but empty transactions leaves the clock alone
+    /// (like an idle reconcile).
+    fn publish_checked(
         &mut self,
         peer_id: &PeerId,
         mut txn_updates: Vec<Vec<Update>>,
@@ -454,7 +467,6 @@ impl Cdss {
         if txn_updates.is_empty() {
             return Ok(Vec::new());
         }
-        validate_batch(&peer.schema, &txn_updates)?;
         let epoch = self.clock.advance();
         let mut built: Vec<Transaction> = Vec::new();
         let mut ids: Vec<TxnId> = Vec::new();
@@ -526,49 +538,49 @@ impl Cdss {
         // One trace per exchange: page spans below (and, through a
         // RemoteStore backend, the serving peer's spans) share this id.
         let _trace = orchestra_obs::trace_mint();
+        let Cdss {
+            peers,
+            store,
+            clock,
+            ..
+        } = self;
+        let peer = peers
+            .get_mut(peer_id)
+            .ok_or_else(|| CoreError::UnknownPeer(peer_id.to_string()))?;
         let page_limit = opts.page_limit.max(1);
-        let (prev_last_epoch, prev_resume, mut cursor) = {
-            let peer = self.peer(peer_id)?;
-            let cursor = peer
-                .resume
-                .clone()
-                .unwrap_or_else(|| FetchCursor::after_epoch(peer.last_epoch));
-            (peer.last_epoch, peer.resume.clone(), cursor)
-        };
-
-        let mut outcome = ExchangeOutcome::default();
-        let mut fetched = 0usize;
-        let mut candidates = 0usize;
-        let mut applied = 0usize;
-        let mut pages = 0usize;
-        let mut skipped = 0usize;
-        let mut held_back = 0usize;
-        let mut processed = 0usize;
-        let mut blocked: Option<(Epoch, TxnId)> = None;
-        // Transactions this peer must not consume yet: skipped gaps plus
-        // (transitively) everything reachable that depends on one. Scan
-        // order is (epoch, id), which well-formed publication keeps
-        // causal, so a dependent is always examined after its antecedent
-        // has entered this set. Persisted on the peer while blocked.
-        let mut held: BTreeSet<TxnId> = BTreeSet::new();
-        // Reachable transactions whose antecedents may still be ahead in
-        // scan order (forward references): retried with each later page,
-        // flushed through the reconciler after the scan completes.
-        let mut parked: Vec<Transaction> = Vec::new();
-        let mut max_seen: Option<Epoch> = None;
-        let mut hw: Option<(Epoch, TxnId)> = None;
-        let observe = |max_seen: &mut Option<Epoch>, e: Epoch| {
-            *max_seen = Some(max_seen.map_or(e, |m| m.max(e)));
+        let (prev_last_epoch, prev_resume) = (peer.last_epoch, peer.resume.clone());
+        let prev_ingested = peer.ingested.len();
+        let mut cursor = prev_resume
+            .clone()
+            .unwrap_or_else(|| FetchCursor::after_epoch(peer.last_epoch));
+        let mut scan = Scan {
+            report: ReconcileReport {
+                epoch: clock.current(),
+                fetched: 0,
+                candidates: 0,
+                outcome: ExchangeOutcome::default(),
+                applied_updates: 0,
+                pages: 0,
+                skipped_unavailable: 0,
+                held_back: 0,
+                blocked_on: None,
+                unreachable: false,
+            },
+            blocked: None,
+            held: BTreeSet::new(),
+            parked: Vec::new(),
+            max_seen: None,
+            hw: None,
         };
 
         // Blocked from a previous exchange: cheaply probe the frozen gap
-        // first. If it is *still* unreachable, keep the persisted held
+        // first. If it is *still* unreachable, restore the persisted held
         // set and jump the scan to the high-water mark — only new history
         // gets fetched, instead of re-cloning the whole suffix past the
         // gap on every poll. If the gap healed, fall through to a full
         // rescan from the gap (the held set is rebuilt as it goes).
         if prev_resume.is_some() {
-            let probe = match self.store.fetch_page(&cursor, 1) {
+            let probe = match store.fetch_page(&cursor, 1) {
                 Ok(p) => p,
                 Err(StoreError::Unavailable { .. }) => {
                     // The archive itself is unreachable (dead or flaky
@@ -576,130 +588,67 @@ impl Cdss {
                     // leave every durable field frozen exactly as it was
                     // and report the outage. The frozen cursor still
                     // names the gap, so `blocked_on` is preserved.
-                    let blocked_on = match cursor.bound() {
-                        CursorBound::At(id) => Some(id.clone()),
-                        _ => None,
-                    };
-                    return Ok(ReconcileReport {
-                        epoch: self.clock.current(),
-                        fetched: 0,
-                        candidates: 0,
-                        outcome: ExchangeOutcome::default(),
-                        applied_updates: 0,
-                        pages: 0,
-                        skipped_unavailable: 0,
-                        held_back: 0,
-                        blocked_on,
-                        unreachable: true,
-                    });
+                    if let CursorBound::At(id) = cursor.bound() {
+                        scan.report.blocked_on = Some(id.clone());
+                    }
+                    scan.report.unreachable = true;
+                    return Ok(scan.report);
                 }
                 Err(e) => return Err(e.into()),
             };
-            pages += 1;
-            let peer = self
-                .peers
-                .get_mut(peer_id)
-                .ok_or_else(|| CoreError::UnknownPeer(peer_id.to_string()))?;
-            match probe.unavailable.first() {
-                Some((ep, id)) if !peer.ingested.contains(id) => {
-                    observe(&mut max_seen, *ep);
-                    blocked = Some((*ep, id.clone()));
-                    skipped += 1;
-                    if id.peer == *peer_id {
-                        // Archive rebuild with the peer's own txn as the
-                        // gap: its id is archived regardless, so the next
-                        // publish must not reuse it.
-                        peer.next_seq = peer.next_seq.max(id.seq);
+            scan.report.pages += 1;
+            if let Some((ep, id)) = probe.unavailable.first() {
+                if scan.gap(peer, *ep, id) {
+                    scan.held.extend(peer.held.iter().cloned());
+                    scan.hw = peer.scanned_hw.clone();
+                    // A blocked exchange always scanned at least the gap
+                    // itself, so the high-water mark is set; without one
+                    // the scan stays at the gap.
+                    if let Some((e, last)) = &peer.scanned_hw {
+                        cursor = FetchCursor::after_txn(*e, last.clone());
                     }
-                    held = peer.held.clone();
-                    hw = peer.scanned_hw.clone();
-                    cursor = match &peer.scanned_hw {
-                        Some((e, last)) => FetchCursor::after_txn(*e, last.clone()),
-                        // A blocked exchange always scanned at least the
-                        // gap itself, so this arm is unreachable in
-                        // practice; rescan from the gap to stay safe.
-                        None => cursor,
-                    };
                 }
-                _ => held.clear(), // Gap healed (or ingested): full rescan.
             }
         }
 
-        let mut unreachable = false;
         loop {
-            let _page_span = orchestra_obs::span!(
-                "reconcile.page",
-                peer = peer_id,
-                epoch = self.clock.current()
-            );
-            let page = match self.store.fetch_page(&cursor, page_limit) {
+            let _page_span =
+                orchestra_obs::span!("reconcile.page", peer = peer_id, epoch = clock.current());
+            let page = match store.fetch_page(&cursor, page_limit) {
                 Ok(p) => p,
                 Err(StoreError::Unavailable { .. }) => {
                     // Transport outage mid-exchange: keep the progress
                     // already applied and freeze the resume cursor at the
                     // first unfetched position (below), so the next
                     // exchange picks up exactly at the cut.
-                    unreachable = true;
+                    scan.report.unreachable = true;
                     break;
                 }
                 Err(e) => return Err(e.into()),
             };
-            let next = page.next_cursor;
-            pages += 1;
-            fetched += page.txns.len();
+            scan.report.pages += 1;
+            scan.report.fetched += page.txns.len();
             // Pages come in (epoch, id) order: the last reachable
             // transaction carries the page's highest reachable epoch, and
             // the later of the two trailing positions is the page's
             // high-water mark.
             if let Some(t) = page.txns.last() {
-                observe(&mut max_seen, t.epoch);
-                let pos = (t.epoch, t.id.clone());
-                hw = Some(hw.map_or(pos.clone(), |h| h.max(pos)));
+                scan.max_seen = scan.max_seen.max(Some(t.epoch));
+                scan.hw = scan.hw.take().max(Some((t.epoch, t.id.clone())));
             }
             if let Some(u) = page.unavailable.last() {
-                hw = Some(hw.map_or(u.clone(), |h| h.max(u.clone())));
+                scan.hw = scan.hw.take().max(Some(u.clone()));
             }
-            let peer = self
-                .peers
-                .get_mut(peer_id)
-                .ok_or_else(|| CoreError::UnknownPeer(peer_id.to_string()))?;
             for (ep, id) in &page.unavailable {
-                observe(&mut max_seen, *ep);
-                if peer.ingested.contains(id) {
-                    continue; // Already ingested earlier — not a gap.
-                }
-                if blocked.is_none() {
-                    blocked = Some((*ep, id.clone()));
-                }
-                if id.peer == *peer_id {
-                    // Archive rebuild with the peer's own txn unreachable:
-                    // the id is archived regardless, so the next publish
-                    // must not reuse it (the store would reject it as a
-                    // duplicate after the local instance was mutated).
-                    peer.next_seq = peer.next_seq.max(id.seq);
-                }
-                held.insert(id.clone());
-                skipped += 1;
+                scan.gap(peer, *ep, id);
             }
             // Previously parked forward references re-enter with this
             // page: if their antecedents are in it, causal_order slots
             // them right after.
             let mut batch = page.txns;
-            batch.append(&mut parked);
-            let r = process_page(peer, peer_id, batch, &mut held, Some(&mut parked))?;
-            candidates += r.candidates;
-            applied += r.applied;
-            held_back += r.held_back;
-            processed += r.processed;
-            // Keep ids, drop payloads: the page's accepted transactions
-            // are already applied, and retaining them across a long
-            // catch-up would grow with history instead of page size.
-            outcome
-                .accepted
-                .extend(r.outcome.accepted.into_iter().map(|t| t.id));
-            outcome.rejected.extend(r.outcome.rejected);
-            outcome.deferred.extend(r.outcome.deferred);
-            match next {
+            batch.append(&mut scan.parked);
+            scan.take_in(peer, batch, true)?;
+            match page.next_cursor {
                 Some(c) => cursor = c,
                 None => break,
             }
@@ -712,49 +661,24 @@ impl Cdss {
         // pages may hold exactly those antecedents, and deferrals are
         // sticky — so instead the resume position below rewinds to cover
         // the parked transactions and they are re-fetched after the cut.
-        if !parked.is_empty() && !unreachable {
-            let peer = self
-                .peers
-                .get_mut(peer_id)
-                .ok_or_else(|| CoreError::UnknownPeer(peer_id.to_string()))?;
-            let batch = std::mem::take(&mut parked);
-            let r = process_page(peer, peer_id, batch, &mut held, None)?;
-            candidates += r.candidates;
-            applied += r.applied;
-            held_back += r.held_back;
-            processed += r.processed;
-            outcome
-                .accepted
-                .extend(r.outcome.accepted.into_iter().map(|t| t.id));
-            outcome.rejected.extend(r.outcome.rejected);
-            outcome.deferred.extend(r.outcome.deferred);
+        if !scan.parked.is_empty() && !scan.report.unreachable {
+            let batch = std::mem::take(&mut scan.parked);
+            scan.take_in(peer, batch, false)?;
         }
 
-        let peer = self
-            .peers
-            .get_mut(peer_id)
-            .ok_or_else(|| CoreError::UnknownPeer(peer_id.to_string()))?;
         // Where the next exchange must resume: the first payload gap if
         // one was found — rewound further to cover any parked forward
         // reference whose final pass never ran because the archive went
         // unreachable — or, on a transport cut with no gap, the first
         // unfetched page of the interrupted scan.
-        let mut freeze = blocked
+        let gap = scan
+            .blocked
             .as_ref()
             .map(|(e, id)| FetchCursor::at_txn(*e, id.clone()));
-        if unreachable {
-            let parked_min = parked
-                .iter()
-                .map(|t| (t.epoch, t.id.clone()))
-                .min()
-                .map(|(e, id)| FetchCursor::at_txn(e, id));
-            for candidate in [parked_min, Some(cursor.clone())].into_iter().flatten() {
-                freeze = Some(match freeze.take() {
-                    Some(f) => min_cursor(f, candidate),
-                    None => candidate,
-                });
-            }
-        }
+        let parked = scan.parked.iter().map(|t| (t.epoch, &t.id)).min();
+        let parked = parked.map(|(e, id)| FetchCursor::at_txn(e, id.clone()));
+        let cut = scan.report.unreachable.then_some(cursor);
+        let freeze = [gap, parked, cut].into_iter().flatten().reduce(min_cursor);
         match &freeze {
             Some(at) => {
                 // Freeze durable progress at the blocking position: the
@@ -763,49 +687,40 @@ impl Cdss {
                 // the held set and high-water mark persist so the next
                 // poll only probes the gap and fetches history it has
                 // not seen.
-                peer.resume = Some(at.clone());
                 let caught_up = Epoch::new(at.epoch().value().saturating_sub(1));
                 peer.last_epoch = peer.last_epoch.max(caught_up);
-                peer.held = held;
-                peer.scanned_hw = hw.max(peer.scanned_hw.take());
+                peer.held = scan.held;
+                peer.scanned_hw = scan.hw.max(peer.scanned_hw.take());
             }
             None => {
-                peer.resume = None;
                 peer.held.clear();
                 peer.scanned_hw = None;
-                if let Some(m) = max_seen {
+                if let Some(m) = scan.max_seen {
                     peer.last_epoch = peer.last_epoch.max(m);
                 }
             }
         }
+        peer.resume = freeze;
         // §2: the clock advances per update exchange — but only exchanges
-        // that did something. A blocked retry that learns nothing new and
+        // that did something: ingested a transaction, or moved the peer's
+        // durable position. A blocked retry that learns nothing new and
         // an idle poll both leave the clock alone, so polling loops no
         // longer inflate epochs (and epoch-indexed snapshots) unboundedly.
-        let progress =
-            processed > 0 || peer.last_epoch != prev_last_epoch || peer.resume != prev_resume;
-        if let Some(m) = max_seen {
+        let progress = peer.ingested.len() != prev_ingested
+            || peer.last_epoch != prev_last_epoch
+            || peer.resume != prev_resume;
+        if let Some(m) = scan.max_seen {
             // Keep the system clock ahead of everything in the archive, so
             // a CDSS rebuilt from a durable store never restamps epochs.
-            self.clock.observe(m);
+            clock.observe(m);
         }
-        let epoch = if progress {
-            self.clock.advance()
+        scan.report.epoch = if progress {
+            clock.advance()
         } else {
-            self.clock.current()
+            clock.current()
         };
-        Ok(ReconcileReport {
-            epoch,
-            fetched,
-            candidates,
-            outcome,
-            applied_updates: applied,
-            pages,
-            skipped_unavailable: skipped,
-            held_back,
-            blocked_on: blocked.map(|(_, id)| id),
-            unreachable,
-        })
+        scan.report.blocked_on = scan.blocked.map(|(_, id)| id);
+        Ok(scan.report)
     }
 
     /// Reconcile every peer once, in name order. Convenience for tests,
@@ -824,22 +739,12 @@ impl Cdss {
     /// (§3: the winner's deferred dependents apply automatically; the
     /// losers' dependents are rejected).
     pub fn resolve(&mut self, peer_id: &PeerId, winner: &TxnId) -> Result<ResolveReport> {
-        let peer = self
-            .peers
-            .get_mut(peer_id)
-            .ok_or_else(|| CoreError::UnknownPeer(peer_id.to_string()))?;
+        let peer = self.peer_mut(peer_id)?;
         let outcome = peer.resolve(winner)?;
-        let mut applied = 0usize;
-        for txn in &outcome.accepted {
-            for u in &txn.updates {
-                u.apply_published(&mut peer.instance)
-                    .map_err(CoreError::from)?;
-                applied += 1;
-            }
-        }
+        let applied_updates = apply(&mut peer.instance, &outcome.accepted)?;
         Ok(ResolveReport {
             outcome,
-            applied_updates: applied,
+            applied_updates,
         })
     }
 
@@ -869,151 +774,191 @@ fn validate_batch(schema: &DatabaseSchema, txns: &[Vec<Update>]) -> Result<()> {
     Ok(())
 }
 
-/// What [`process_page`] did with one page of archive transactions.
-struct PageResult {
-    candidates: usize,
-    applied: usize,
-    held_back: usize,
-    /// Transactions actually worked on (not previously ingested, not
-    /// held back) — the exchange's "did anything happen" signal.
-    processed: usize,
-    outcome: ReconcileOutcome,
+/// One exchange in progress: the report it returns, which every page adds
+/// to, and the scan state behind it.
+struct Scan {
+    report: ReconcileReport,
+    /// The first unreachable position this peer still needs.
+    blocked: Option<(Epoch, TxnId)>,
+    /// Transactions this peer must not consume yet: skipped gaps plus
+    /// (transitively) everything reachable that depends on one. Scan
+    /// order is (epoch, id), which well-formed publication keeps causal,
+    /// so a dependent is always examined after its antecedent has entered
+    /// this set. Persisted on the peer while blocked.
+    held: BTreeSet<TxnId>,
+    /// Reachable transactions whose antecedents may still be ahead in scan
+    /// order (forward references): retried with each later page, flushed
+    /// through the reconciler after the scan completes.
+    parked: Vec<Transaction>,
+    /// The highest epoch scanned.
+    max_seen: Option<Epoch>,
+    /// The last archive position scanned (the high-water mark).
+    hw: Option<(Epoch, TxnId)>,
 }
 
-/// Run one fetched page through a peer's exchange pipeline: filter out
-/// transactions already ingested, hold back anything causally downstream
-/// of a skipped gap, park forward references for a later page, translate
-/// the rest, reconcile, and apply accepted work to the local instance.
-/// Page-sized batches keep the exchange's peak memory independent of how
-/// much history the peer missed; the reconciler's persistent decisions
-/// make per-page passes equivalent to the old whole-history pass.
-fn process_page(
-    peer: &mut Peer,
-    peer_id: &PeerId,
-    txns: Vec<Transaction>,
-    held: &mut BTreeSet<TxnId>,
-    mut park: Option<&mut Vec<Transaction>>,
-) -> Result<PageResult> {
-    // New transactions, in causal order (in-page antecedents first). The
-    // page is already an owned copy from the store — filter it in place
-    // instead of cloning every transaction a second time.
-    let fresh: Vec<Transaction> = txns
-        .into_iter()
-        .filter(|t| !peer.ingested.contains(&t.id))
-        .collect();
-    let ordered = causal_order(fresh);
-
-    let mut kept: Vec<Transaction> = Vec::with_capacity(ordered.len());
-    let mut held_back = 0usize;
-    let mut candidates = Vec::new();
-    let mut restored_own: BTreeSet<TxnId> = BTreeSet::new();
-    for txn in ordered {
-        if txn.antecedents.iter().any(|a| held.contains(a)) {
-            // Depends on an unavailable gap (directly or through another
-            // held transaction): not safe to consume yet. The frozen
-            // resume cursor guarantees it is re-fetched after the gap
-            // heals, in causal order.
-            if txn.id.peer == *peer_id {
-                // A held-back own transaction (archive rebuild): its id
-                // is archived regardless, so never reuse it.
-                peer.next_seq = peer.next_seq.max(txn.id.seq);
-            }
-            held.insert(txn.id.clone());
-            held_back += 1;
-            continue;
+impl Scan {
+    /// Record an unreachable position, whether the probe of a blocked peer
+    /// or a page found it. Returns `false` when it is no gap: the peer
+    /// ingested the transaction before its payload went missing.
+    fn gap(&mut self, peer: &mut Peer, epoch: Epoch, id: &TxnId) -> bool {
+        self.max_seen = self.max_seen.max(Some(epoch));
+        if peer.ingested.contains(id) {
+            return false;
         }
-        if let Some(p) = park.as_deref_mut() {
+        self.blocked.get_or_insert_with(|| (epoch, id.clone()));
+        burn_own_id(peer, id);
+        self.held.insert(id.clone());
+        self.report.skipped_unavailable += 1;
+        true
+    }
+
+    /// Run one batch of archive transactions through the peer's exchange
+    /// pipeline: filter out transactions already ingested, hold back
+    /// anything causally downstream of a gap, park forward references for
+    /// a later page (when `park`), translate the rest, reconcile, and
+    /// apply accepted work to the local instance. Page-sized batches keep
+    /// the exchange's peak memory independent of how much history the
+    /// peer missed; the reconciler's persistent decisions make per-page
+    /// passes equivalent to one whole-history pass.
+    ///
+    /// A transaction that fails to translate (malformed) stops the batch,
+    /// but not before what the batch ingested ahead of it is reconciled
+    /// and applied: the engine has taken those in, and a retry skips them
+    /// as ingested. The error is returned after that; the transactions
+    /// behind the bad one are untouched and come again with the retry.
+    fn take_in(&mut self, peer: &mut Peer, txns: Vec<Transaction>, park: bool) -> Result<()> {
+        // The page is already an owned copy from the store — filter it in
+        // place instead of cloning every transaction a second time.
+        let fresh: Vec<Transaction> = txns
+            .into_iter()
+            .filter(|t| !peer.ingested.contains(&t.id))
+            .collect();
+        let mut kept: Vec<Transaction> = Vec::new();
+        let mut candidates = Vec::new();
+        let mut failed = None;
+        for txn in causal_order(fresh) {
+            if txn.antecedents.iter().any(|a| self.held.contains(a)) {
+                // Depends on an unavailable gap (directly or through
+                // another held transaction): not safe to consume yet. The
+                // frozen resume cursor guarantees it is re-fetched after
+                // the gap heals, in causal order.
+                burn_own_id(peer, &txn.id);
+                self.held.insert(txn.id.clone());
+                self.report.held_back += 1;
+                continue;
+            }
             // An antecedent that is neither ingested nor decided can be a
             // forward reference: a transaction later in scan order (CDSS
             // publication keeps (epoch, id) order causal, but a direct
             // store publisher may interleave peers within one epoch).
             // Feeding it to the reconciler now would record a *sticky*
             // deferral, so park the transaction and retry it with the
-            // next page — the final pass (park = None) lets genuinely
+            // next page — the final pass (`park` false) lets genuinely
             // ghost antecedents reach the reconciler and defer, as the
             // one-shot exchange always did.
-            let forward_ref = txn
-                .antecedents
-                .iter()
-                .any(|a| !peer.ingested.contains(a) && peer.decision(a).is_none());
-            if forward_ref {
-                p.push(txn);
+            if park
+                && txn
+                    .antecedents
+                    .iter()
+                    .any(|a| !peer.ingested.contains(a) && peer.decision(a).is_none())
+            {
+                self.parked.push(txn);
                 continue;
             }
-        }
-        let own = txn.id.peer == *peer_id;
-        if let Some(c) = peer.ingest_and_translate(&txn)? {
-            candidates.push(c);
-        } else if own {
-            // One of this peer's own transactions arriving *from the
-            // archive* — possible only after the peer lost its local
-            // state and rebuilt from the shared store (normally its own
-            // transactions are ingested at publish time and filtered
-            // out above). Restore what publishing had established: the
-            // accepted decision (so foreign dependents can resolve
-            // their antecedents) and the sequence counter (so the next
-            // publish doesn't reuse an archived transaction id). The
-            // local effects are applied below, interleaved with
-            // accepted foreign transactions in causal order.
-            peer.note_local(&txn)?;
-            peer.next_seq = peer.next_seq.max(txn.id.seq);
-            restored_own.insert(txn.id.clone());
-        }
-        kept.push(txn);
-    }
-    let n_candidates = candidates.len();
-    let processed = kept.len();
-
-    let outcome = peer.reconcile(candidates)?;
-
-    let mut applied = 0usize;
-    let mut apply = |peer: &mut Peer, txn: &Transaction| -> Result<()> {
-        for u in &txn.updates {
-            u.apply_published(&mut peer.instance)
-                .map_err(CoreError::from)?;
-            applied += 1;
-        }
-        Ok(())
-    };
-    if restored_own.is_empty() {
-        // Normal path: accepted transactions in dependency order.
-        for txn in &outcome.accepted {
-            apply(&mut *peer, txn)?;
-        }
-    } else {
-        // Archive rebuild: the peer's own restored transactions and
-        // newly accepted foreign ones must be applied in one causal
-        // sequence — applying the own writes first would let a
-        // causally *earlier* foreign write to the same key clobber
-        // the peer's own later version. Accepted transactions from
-        // earlier epochs' pools (not in this page) are causally
-        // older still and go first.
-        // Accepted foreign transactions are applied in their
-        // *translated* form (the reconciler's copies); the peer's own
-        // restored ones are already in its schema.
-        let accepted_by_id: BTreeMap<&TxnId, &Transaction> =
-            outcome.accepted.iter().map(|t| (&t.id, t)).collect();
-        let page_ids: BTreeSet<&TxnId> = kept.iter().map(|t| &t.id).collect();
-        for txn in &outcome.accepted {
-            if !page_ids.contains(&txn.id) {
-                apply(&mut *peer, txn)?;
+            let admitted = match peer.ingest_and_translate(&txn) {
+                Ok(Some(c)) => {
+                    candidates.push(c);
+                    Ok(())
+                }
+                // One of this peer's own transactions arriving *from the
+                // archive* — possible only after the peer lost its local
+                // state and rebuilt from the shared store (normally its
+                // own transactions are ingested at publish time and
+                // filtered out above). Restore what publishing had
+                // established: the accepted decision (so foreign
+                // dependents can resolve their antecedents) and the
+                // sequence counter. The local effects are applied below,
+                // interleaved with accepted foreign transactions in
+                // causal order.
+                Ok(None) => peer.note_local(&txn).map(|()| burn_own_id(peer, &txn.id)),
+                Err(e) => Err(e),
+            };
+            if let Err(e) = admitted {
+                failed = Some(e);
+                break;
             }
+            kept.push(txn);
         }
-        for txn in &kept {
-            if restored_own.contains(&txn.id) {
-                apply(&mut *peer, txn)?;
-            } else if let Some(translated) = accepted_by_id.get(&txn.id) {
-                apply(&mut *peer, translated)?;
-            }
-        }
+        self.report.candidates += candidates.len();
+
+        let outcome = peer.reconcile(candidates)?;
+        let own = |t: &Transaction| t.id.peer == peer.id;
+        self.report.applied_updates += if !kept.iter().any(own) {
+            // Normal path: accepted transactions in dependency order.
+            apply(&mut peer.instance, &outcome.accepted)?
+        } else {
+            // Archive rebuild: the peer's own restored transactions and
+            // newly accepted foreign ones must be applied in one causal
+            // sequence — applying the own writes first would let a
+            // causally *earlier* foreign write to the same key clobber
+            // the peer's own later version. Accepted transactions from
+            // earlier epochs' pools (not in this batch) are causally
+            // older still and go first. Accepted foreign transactions
+            // are applied in their *translated* form (the reconciler's
+            // copies); the peer's own restored ones are already in its
+            // schema.
+            let in_batch: BTreeSet<&TxnId> = kept.iter().map(|t| &t.id).collect();
+            let translated: BTreeMap<&TxnId, &Transaction> =
+                outcome.accepted.iter().map(|t| (&t.id, t)).collect();
+            let older = outcome
+                .accepted
+                .iter()
+                .filter(|t| !in_batch.contains(&t.id));
+            let causal = kept.iter().filter_map(|t| {
+                if own(t) {
+                    Some(t)
+                } else {
+                    translated.get(&t.id).copied()
+                }
+            });
+            apply(&mut peer.instance, older.chain(causal))?
+        };
+        // Keep ids, drop payloads: the accepted transactions are already
+        // applied, and retaining them across a long catch-up would grow
+        // with history instead of page size.
+        let report = &mut self.report.outcome;
+        report
+            .accepted
+            .extend(outcome.accepted.into_iter().map(|t| t.id));
+        report.rejected.extend(outcome.rejected);
+        report.deferred.extend(outcome.deferred);
+        failed.map_or(Ok(()), Err)
     }
-    Ok(PageResult {
-        candidates: n_candidates,
-        applied,
-        held_back,
-        processed,
-        outcome,
-    })
+}
+
+/// Keep the peer from minting an id of its own that the archive already
+/// holds, whether the exchange restored, held back or skipped past that
+/// transaction: the store would reject the next publish as a duplicate
+/// after the local instance was mutated.
+fn burn_own_id(peer: &mut Peer, id: &TxnId) {
+    if id.peer == peer.id {
+        peer.next_seq = peer.next_seq.max(id.seq);
+    }
+}
+
+/// Apply accepted transactions to a peer's local instance, in the order
+/// given, as published history (see [`Peer`]); returns the number of
+/// tuple-level updates applied.
+fn apply<'a>(
+    instance: &mut Instance,
+    txns: impl IntoIterator<Item = &'a Transaction>,
+) -> Result<usize> {
+    let mut applied = 0;
+    for u in txns.into_iter().flat_map(|t| &t.updates) {
+        u.apply_published(instance).map_err(CoreError::from)?;
+        applied += 1;
+    }
+    Ok(applied)
 }
 
 /// The earlier of two cursors in archive position order: `Start` of an

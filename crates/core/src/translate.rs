@@ -26,7 +26,7 @@ use crate::Result;
 use orchestra_datalog::{ChangeKind, NodeId};
 use orchestra_reconcile::{Candidate, CandidateUpdate};
 use orchestra_relational::Tuple;
-use orchestra_updates::{PeerId, Transaction, Update};
+use orchestra_updates::{PeerId, Transaction, TxnId, Update};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -40,7 +40,10 @@ impl Peer {
     ///
     /// Every in-slice tuple is validated before the first engine call, so
     /// a malformed transaction errors without touching the engine (it is
-    /// still recorded as ingested: a retry could only fail again).
+    /// still recorded as ingested: a retry could only fail again). What
+    /// its page ingested ahead of it is still reconciled and applied
+    /// before the exchange returns the error; the transactions behind it
+    /// are left for the retry.
     pub(crate) fn ingest_and_translate(&mut self, txn: &Transaction) -> Result<Option<Candidate>> {
         self.ingested.insert(txn.id.clone());
         let mut fed: Vec<(String, &Update)> = Vec::new();
@@ -168,22 +171,24 @@ impl Peer {
     /// alternative origins can evaluate [`Peer::provenance`] directly.
     pub(crate) fn origins_of(&self, node: NodeId) -> BTreeSet<PeerId> {
         let mut out = BTreeSet::new();
-        for base in self.engine.graph().first_proof_lineage(node) {
-            if let Some(txn_id) = self.node_txn.get(&base) {
-                out.insert(txn_id.peer.clone());
-            }
-        }
+        out.extend(self.proof_txns(node).map(|t| t.peer.clone()));
         out
+    }
+
+    /// The transactions that published the base facts of a node's
+    /// canonical proof (see [`origins_of`](Peer::origins_of)).
+    fn proof_txns(&self, node: NodeId) -> impl Iterator<Item = &TxnId> {
+        let lineage = self.engine.graph().first_proof_lineage(node);
+        lineage
+            .into_iter()
+            .filter_map(|base| self.node_txn.get(&base))
     }
 
     /// Antecedents of a locally published update list, derived from the
     /// provenance of the tuple versions being read: the transactions whose
     /// base facts appear in their canonical proofs (see
     /// [`origins_of`](Peer::origins_of) for why not reachability).
-    pub(crate) fn derive_antecedents(
-        &self,
-        updates: &[Update],
-    ) -> Result<BTreeSet<orchestra_updates::TxnId>> {
+    pub(crate) fn derive_antecedents(&self, updates: &[Update]) -> Result<BTreeSet<TxnId>> {
         let mut out = BTreeSet::new();
         for u in updates {
             let Some(read) = u.read_version() else {
@@ -193,11 +198,7 @@ impl Peer {
             let Some(node) = self.engine.node_id(&qualified, read) else {
                 continue;
             };
-            for base in self.engine.graph().first_proof_lineage(node) {
-                if let Some(txn_id) = self.node_txn.get(&base) {
-                    out.insert(txn_id.clone());
-                }
-            }
+            out.extend(self.proof_txns(node).cloned());
         }
         Ok(out)
     }

@@ -275,6 +275,8 @@ fn server_killed_mid_exchange_restart_resumes_at_gap_without_duplicates() {
         .unwrap();
     assert!(down.unreachable);
     assert_eq!(down.fetched, 0);
+    assert_eq!(down.pages, 0, "the probe of the frozen cursor failed");
+    assert_eq!(down.epoch, first.epoch, "an outage poll burns no epoch");
     assert_eq!(down.outcome.accepted.len(), 0);
     assert_eq!(site_b.peer(&b).unwrap().resume_cursor().cloned(), frozen);
 

@@ -3,7 +3,7 @@
 //! dependents, cursor resume after a dead holder returns, and the
 //! no-work-no-epoch rule.
 
-use orchestra_core::{Cdss, ExchangeOptions};
+use orchestra_core::{Cdss, ExchangeOptions, ExchangeOutcome, ReconcileReport};
 use orchestra_reconcile::TrustPolicy;
 use orchestra_relational::{tuple, DatabaseSchema, RelationSchema, ValueType};
 use orchestra_store::{ReplicatedStore, UpdateStore};
@@ -30,6 +30,60 @@ fn kv_cdss(store: Arc<dyn UpdateStore>) -> Cdss {
         .unwrap()
         .build_with_shared(store)
         .unwrap()
+}
+
+/// Every field of a [`ReconcileReport`], so that one `assert_eq!` pins
+/// the whole report.
+#[derive(Debug, PartialEq)]
+struct Pinned {
+    epoch: u64,
+    fetched: usize,
+    candidates: usize,
+    accepted: Vec<TxnId>,
+    rejected: Vec<TxnId>,
+    deferred: Vec<TxnId>,
+    applied_updates: usize,
+    pages: usize,
+    skipped_unavailable: usize,
+    held_back: usize,
+    blocked_on: Option<TxnId>,
+    unreachable: bool,
+}
+
+fn pin(report: &ReconcileReport) -> Pinned {
+    // Destructured whole: a field added to the report fails to compile
+    // here instead of going unpinned.
+    let ReconcileReport {
+        epoch,
+        fetched,
+        candidates,
+        outcome:
+            ExchangeOutcome {
+                accepted,
+                rejected,
+                deferred,
+            },
+        applied_updates,
+        pages,
+        skipped_unavailable,
+        held_back,
+        blocked_on,
+        unreachable,
+    } = report.clone();
+    Pinned {
+        epoch: epoch.value(),
+        fetched,
+        candidates,
+        accepted,
+        rejected,
+        deferred,
+        applied_updates,
+        pages,
+        skipped_unavailable,
+        held_back,
+        blocked_on,
+        unreachable,
+    }
 }
 
 /// The churn scenario a fail-on-first-gap read could not survive: one
@@ -85,6 +139,23 @@ fn peer_makes_partial_progress_past_a_dead_payload_and_resumes() {
     assert_eq!(report.held_back, 1, "t4 held back behind the gap");
     assert_eq!(report.fetched, 4, "t1, t2, t4, t5 reachable");
     assert_eq!(report.outcome.accepted.len(), 3, "t1, t2, t5 applied");
+    assert_eq!(
+        pin(&report),
+        Pinned {
+            epoch: 6,
+            fetched: 4,
+            candidates: 3,
+            accepted: vec![_t1.clone(), _t2.clone(), _t5.clone()],
+            rejected: vec![],
+            deferred: vec![],
+            applied_updates: 3,
+            pages: 1,
+            skipped_unavailable: 1,
+            held_back: 1,
+            blocked_on: Some(t3.clone()),
+            unreachable: false,
+        }
+    );
     {
         let r = cdss.peer(&b).unwrap().instance().relation("R").unwrap();
         assert!(r.contains(&tuple![1, 10]));
@@ -109,6 +180,23 @@ fn peer_makes_partial_progress_past_a_dead_payload_and_resumes() {
         "blocked poll probes the gap + new history only — no suffix rescan"
     );
     assert_eq!(retry.outcome.accepted.len(), 0);
+    assert_eq!(
+        pin(&retry),
+        Pinned {
+            epoch: 6,
+            fetched: 0,
+            candidates: 0,
+            accepted: vec![],
+            rejected: vec![],
+            deferred: vec![],
+            applied_updates: 0,
+            pages: 2,
+            skipped_unavailable: 1,
+            held_back: 0,
+            blocked_on: Some(t3.clone()),
+            unreachable: false,
+        }
+    );
     assert_eq!(cdss.current_epoch(), epoch_before, "no epoch inflation");
     assert_eq!(
         cdss.peer(&b).unwrap().resume_cursor().cloned(),
@@ -129,6 +217,23 @@ fn peer_makes_partial_progress_past_a_dead_payload_and_resumes() {
     assert_eq!(blocked_flow.blocked_on, Some(t3.clone()));
     assert_eq!(blocked_flow.outcome.accepted.len(), 1, "t6 applies");
     assert_eq!(blocked_flow.held_back, 1, "t7 waits behind the gap");
+    assert_eq!(
+        pin(&blocked_flow),
+        Pinned {
+            epoch: 9,
+            fetched: 2,
+            candidates: 1,
+            accepted: vec![_t6.clone()],
+            rejected: vec![],
+            deferred: vec![],
+            applied_updates: 1,
+            pages: 2,
+            skipped_unavailable: 1,
+            held_back: 1,
+            blocked_on: Some(t3.clone()),
+            unreachable: false,
+        }
+    );
     assert!(cdss
         .peer(&b)
         .unwrap()
@@ -144,6 +249,23 @@ fn peer_makes_partial_progress_past_a_dead_payload_and_resumes() {
     assert_eq!(report.blocked_on, None);
     assert_eq!(report.skipped_unavailable, 0);
     assert_eq!(report.outcome.accepted.len(), 3, "t3, t4, t7 arrive");
+    assert_eq!(
+        pin(&report),
+        Pinned {
+            epoch: 10,
+            fetched: 5,
+            candidates: 3,
+            accepted: vec![t3.clone(), t4.clone(), _t7.clone()],
+            rejected: vec![],
+            deferred: vec![],
+            applied_updates: 3,
+            pages: 2,
+            skipped_unavailable: 0,
+            held_back: 0,
+            blocked_on: None,
+            unreachable: false,
+        }
+    );
     assert!(cdss.peer(&b).unwrap().resume_cursor().is_none());
     assert_eq!(
         cdss.peer(&b).unwrap().instance().relation("R").unwrap(),
@@ -406,6 +528,23 @@ fn forward_reference_across_page_boundary_is_not_lost() {
         report.outcome
     );
     assert_eq!(report.outcome.deferred, vec![tg.id.clone()], "ghost defers");
+    assert_eq!(
+        pin(&report),
+        Pinned {
+            epoch: 3,
+            fetched: 3,
+            candidates: 3,
+            accepted: vec![tc.id.clone(), ta.id.clone()],
+            rejected: vec![],
+            deferred: vec![tg.id.clone()],
+            applied_updates: 2,
+            pages: 3,
+            skipped_unavailable: 0,
+            held_back: 0,
+            blocked_on: None,
+            unreachable: false,
+        }
+    );
     let r = cdss.peer(&b).unwrap().instance().relation("R").unwrap();
     assert!(r.contains(&tuple![1, 10]) && r.contains(&tuple![2, 20]));
     assert!(!r.contains(&tuple![3, 30]), "ghost's dependent not applied");

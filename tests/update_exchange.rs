@@ -6,7 +6,7 @@ use orchestra_core::demo;
 use orchestra_core::Cdss;
 use orchestra_datalog::{Atom, Tgd};
 use orchestra_provenance::{Boolean, Semiring as _};
-use orchestra_reconcile::{TrustCondition, TrustPolicy};
+use orchestra_reconcile::{Decision, TrustCondition, TrustPolicy};
 use orchestra_relational::{tuple, DatabaseSchema, RelationSchema, Value, ValueType};
 use orchestra_updates::{PeerId, Transaction, TxnId, Update};
 use std::collections::BTreeSet;
@@ -543,6 +543,64 @@ fn malformed_transaction_leaves_no_trace_in_the_engine() {
     );
     assert_eq!(rows(&cdss, "B"), rows(&cdss, "A"));
     assert_eq!(rows(&cdss, "B").len(), 3);
+}
+
+/// A malformed transaction fails its exchange, but what the page took in
+/// ahead of it is not lost: a foreign transaction ingested before it is
+/// decided and applied, and so is a peer's own transaction restored from
+/// the archive. The retry then finds nothing left to do.
+#[test]
+fn transactions_ahead_of_a_malformed_one_in_its_page_are_applied() {
+    let mut cdss = kv_pair();
+    cdss.publish_transaction(&p("A"), vec![Update::insert("R", tuple![1, 10])])
+        .unwrap();
+    cdss.reconcile(&p("B")).unwrap();
+
+    // Written to the archive directly, in one epoch: a well-formed insert,
+    // then an insert of the wrong arity.
+    let epoch = cdss.current_epoch();
+    let good = Transaction::new(
+        TxnId::new(p("A"), 100),
+        epoch,
+        vec![Update::insert("R", tuple![5, 50])],
+    );
+    let bad = Transaction::new(
+        TxnId::new(p("A"), 101),
+        epoch,
+        vec![Update::insert("R", tuple![9, 9, 9])],
+    );
+    cdss.store()
+        .publish(epoch, vec![good.clone(), bad])
+        .unwrap();
+    assert!(
+        cdss.reconcile(&p("B")).is_err(),
+        "the malformed insert fails"
+    );
+    let b = cdss.peer(&p("B")).unwrap();
+    assert_eq!(b.decision(&good.id), Some(Decision::Accepted));
+    let both = BTreeSet::from([tuple![1, 10], tuple![5, 50]]);
+    assert_eq!(rows(&cdss, "B"), both);
+    let retry = cdss.reconcile(&p("B")).unwrap();
+    assert!(
+        retry.outcome.accepted.is_empty()
+            && retry.outcome.rejected.is_empty()
+            && retry.outcome.deferred.is_empty(),
+        "{:?}",
+        retry.outcome
+    );
+    assert_eq!(rows(&cdss, "B"), both);
+
+    // A rebuilt from the same archive restores A#1 and A#100 as its own
+    // transactions before A#101 fails.
+    let mut rebuilt = Cdss::builder()
+        .peer("A", kv(), TrustPolicy::open(1))
+        .peer("B", kv(), TrustPolicy::open(1))
+        .mapping(Tgd::identity("A->B", "A.R", "B.R", 2).unwrap())
+        .build_with_shared(cdss.shared_store())
+        .unwrap();
+    assert!(rebuilt.reconcile(&p("A")).is_err());
+    rebuilt.reconcile(&p("A")).unwrap();
+    assert_eq!(rows(&rebuilt, "A"), both);
 }
 
 /// Inserting and then deleting a tuple in one transaction leaves it
