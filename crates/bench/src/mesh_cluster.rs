@@ -151,16 +151,12 @@ fn cluster_remote_opts() -> RemoteOptions {
         connect_timeout: Duration::from_millis(400),
         read_timeout: Duration::from_secs(10),
         write_timeout: Duration::from_secs(10),
-        pool_capacity: 2,
+        // No retries: a gossip round that cannot reach a child counts a
+        // neighbor failure and the next round tries again. A killed
+        // child's port refuses the connect at once on loopback, so the
+        // short connect timeout is only paid against a host that drops
+        // packets.
         retries: 0,
-        // Hardened transport: short equal-jitter backoff between retries
-        // (inert while `retries: 0`) and a per-endpoint circuit breaker
-        // so a dead child fast-fails instead of eating a connect timeout
-        // on every gossip round.
-        backoff_base: Duration::from_millis(5),
-        backoff_max: Duration::from_millis(100),
-        breaker_threshold: 3,
-        breaker_cooldown: Duration::from_millis(200),
     }
 }
 
@@ -364,14 +360,16 @@ pub fn e12_child_main(args: &[String]) {
                 for cn in &nodes {
                     let s = cn.node.stats();
                     let served = cn.node.server_stats();
-                    let (sent, recv) = cn.node.net_bytes();
+                    let net = cn.node.net_stats();
                     reply(format!(
-                        "STAT name={} mode={} len={} sent={sent} recv={recv} pulls={} \
+                        "STAT name={} mode={} len={} sent={} recv={} pulls={} \
                          absorbed={} dups={} skipped={} failures={} rounds={} interest={} \
                          served_digests={} served_pulls={}",
                         cn.node.name(),
                         cn.mode(),
                         cn.node.archive().len(),
+                        net.bytes_sent,
+                        net.bytes_received,
                         s.pulls,
                         s.txns_absorbed,
                         s.duplicates,

@@ -247,9 +247,7 @@ impl MeshNode {
         self.stats
     }
 
-    /// Transport counters summed across all neighbor links — the
-    /// backoff/breaker fields are how harnesses prove the hardened
-    /// client actually engaged under injected faults.
+    /// Transport counters summed across all neighbor links.
     pub fn net_stats(&self) -> orchestra_net::NetStats {
         self.neighbors
             .iter()
@@ -261,19 +259,8 @@ impl MeshNode {
                 acc.unavailable_mapped += ns.unavailable_mapped;
                 acc.bytes_sent += ns.bytes_sent;
                 acc.bytes_received += ns.bytes_received;
-                acc.backoff_waits += ns.backoff_waits;
-                acc.breaker_opened += ns.breaker_opened;
-                acc.breaker_fast_fails += ns.breaker_fast_fails;
                 acc
             })
-    }
-
-    /// Total frame bytes (sent, received) across all neighbor links.
-    pub fn net_bytes(&self) -> (u64, u64) {
-        self.neighbors.iter().fold((0, 0), |(s, r), n| {
-            let ns = n.remote.net_stats();
-            (s + ns.bytes_sent, r + ns.bytes_received)
-        })
     }
 
     /// Add a neighbor by address (lazily dialed; duplicates ignored).

@@ -86,9 +86,7 @@ fn fast_remote() -> RemoteOptions {
         connect_timeout: Duration::from_millis(300),
         read_timeout: Duration::from_secs(5),
         write_timeout: Duration::from_secs(5),
-        pool_capacity: 2,
         retries: 0,
-        ..RemoteOptions::default()
     }
 }
 

@@ -2,11 +2,13 @@
 //!
 //! A drop-in backend: `Cdss::build_with_store(Box::new(RemoteStore::…))`
 //! gives a peer process the same archive a [`PeerServer`] exposes on
-//! another machine. Connections are pooled and re-dialed lazily; every
-//! transport-level failure — connect refused, timeout, connection cut,
-//! checksum mismatch — maps to [`StoreError::Unavailable`], the error
-//! the reconcile loop already absorbs with frozen resume cursors, so a
-//! dead or flaky peer degrades an exchange instead of failing it.
+//! another machine. Each store keeps one connection, dialed lazily and
+//! redialed after a failure; a request that fails at the transport level
+//! is retried on a fresh connection up to `retries` times, at once.
+//! Every transport-level failure — connect refused, timeout, connection
+//! cut, checksum mismatch — maps to [`StoreError::Unavailable`], the
+//! error the reconcile loop already absorbs with frozen resume cursors,
+//! so a dead or flaky peer degrades an exchange instead of failing it.
 //! Application-level errors (duplicate ids, stale epochs…) travel the
 //! wire intact and surface exactly as a local backend would raise them.
 //!
@@ -30,31 +32,9 @@ pub struct RemoteOptions {
     pub read_timeout: Duration,
     /// How long a request write may block.
     pub write_timeout: Duration,
-    /// Idle connections kept for reuse.
-    pub pool_capacity: usize,
     /// Extra attempts on a fresh connection after a transport failure
     /// (absorbs a flaky link or a server restart between requests).
     pub retries: usize,
-    /// First retry backoff; each further retry doubles it, capped at
-    /// [`backoff_max`](RemoteOptions::backoff_max), with deterministic
-    /// jitter derived from the dialed address (two clients hammering the
-    /// same dead peer desynchronize replayably). Zero disables backoff —
-    /// the default, so existing callers keep their immediate-retry
-    /// latency.
-    pub backoff_base: Duration,
-    /// Upper bound on one backoff wait.
-    pub backoff_max: Duration,
-    /// Consecutive exhausted operations (all retries failed at the
-    /// transport level) that trip the per-endpoint circuit breaker open.
-    /// While open, calls fast-fail as `Unavailable` without touching the
-    /// socket; after [`breaker_cooldown`](RemoteOptions::breaker_cooldown)
-    /// one half-open probe call is admitted — success closes the breaker,
-    /// failure re-arms the cooldown. Zero disables the breaker (the
-    /// default).
-    pub breaker_threshold: u32,
-    /// How long an open breaker rejects calls before admitting a
-    /// half-open probe.
-    pub breaker_cooldown: Duration,
 }
 
 impl Default for RemoteOptions {
@@ -63,12 +43,7 @@ impl Default for RemoteOptions {
             connect_timeout: Duration::from_secs(2),
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
-            pool_capacity: 4,
             retries: 1,
-            backoff_base: Duration::ZERO,
-            backoff_max: Duration::from_millis(500),
-            breaker_threshold: 0,
-            breaker_cooldown: Duration::from_millis(250),
         }
     }
 }
@@ -90,21 +65,12 @@ pub struct NetStats {
     pub bytes_sent: u64,
     /// Frame payload bytes received.
     pub bytes_received: u64,
-    /// Retry attempts that slept an exponential-backoff wait first.
-    pub backoff_waits: u64,
-    /// Times the circuit breaker tripped from closed to open.
-    pub breaker_opened: u64,
-    /// Calls rejected without touching the socket because the breaker
-    /// was open and cooling down.
-    pub breaker_fast_fails: u64,
 }
 
 /// Per-instance transport counters, each a handle onto the process-wide
 /// `orchestra-obs` registry entry of the same `net.*` name. The handle's
 /// own cell keeps [`NetStats`] per-store (the getter API is unchanged),
-/// while the registry aggregates across every instance's lifetime — so
-/// breaker open/close transitions survive a store being dropped and
-/// re-created, which a plain per-instance atomic silently forgot.
+/// while the registry aggregates across every instance's lifetime.
 #[derive(Debug)]
 struct AtomicNetStats {
     round_trips: orchestra_obs::CounterHandle,
@@ -113,9 +79,6 @@ struct AtomicNetStats {
     unavailable_mapped: orchestra_obs::CounterHandle,
     bytes_sent: orchestra_obs::CounterHandle,
     bytes_received: orchestra_obs::CounterHandle,
-    backoff_waits: orchestra_obs::CounterHandle,
-    breaker_opened: orchestra_obs::CounterHandle,
-    breaker_fast_fails: orchestra_obs::CounterHandle,
 }
 
 impl Default for AtomicNetStats {
@@ -127,9 +90,6 @@ impl Default for AtomicNetStats {
             unavailable_mapped: orchestra_obs::counter("net.unavailable_mapped"),
             bytes_sent: orchestra_obs::counter("net.bytes_sent"),
             bytes_received: orchestra_obs::counter("net.bytes_received"),
-            backoff_waits: orchestra_obs::counter("net.backoff_waits"),
-            breaker_opened: orchestra_obs::counter("net.breaker.opened"),
-            breaker_fast_fails: orchestra_obs::counter("net.breaker.fast_fails"),
         }
     }
 }
@@ -143,54 +103,30 @@ impl AtomicNetStats {
             unavailable_mapped: self.unavailable_mapped.get(),
             bytes_sent: self.bytes_sent.get(),
             bytes_received: self.bytes_received.get(),
-            backoff_waits: self.backoff_waits.get(),
-            breaker_opened: self.breaker_opened.get(),
-            breaker_fast_fails: self.breaker_fast_fails.get(),
         }
     }
 }
 
-/// Observable circuit-breaker state (see [`RemoteStore::breaker_state`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Calls flow normally.
-    Closed,
-    /// Calls fast-fail; a half-open probe is admitted after the cooldown.
-    Open,
-}
-
-#[derive(Debug, Default)]
-struct BreakerInner {
-    /// Consecutive exhausted operations since the last transport success.
-    consecutive: u32,
-    /// When the breaker tripped (or the last half-open probe was
-    /// admitted); `None` while closed.
-    opened_at: Option<std::time::Instant>,
-}
-
 /// An [`UpdateStore`] whose archive lives behind a [`PeerServer`] on the
-/// other end of TCP connections.
+/// other end of a TCP connection.
 ///
 /// [`PeerServer`]: crate::PeerServer
 pub struct RemoteStore {
     addrs: Vec<std::net::SocketAddr>,
     addr_label: String,
     opts: RemoteOptions,
-    pool: Mutex<Vec<TcpStream>>,
+    /// The one connection, after its first successful dial. A call
+    /// holds the lock for its whole exchange, so requests from several
+    /// threads take turns on it.
+    conn: Mutex<Option<TcpStream>>,
     net: AtomicNetStats,
-    breaker: Mutex<BreakerInner>,
-    /// `net.breaker.open` gauge: +1 on the closed→open transition only,
-    /// −1 on open→closed only — a half-open probe re-arming the cooldown
-    /// is *still open* and must not double-count. The handle lives on the
-    /// store, so a dropped store's contribution vanishes with it (its
-    /// breaker no longer exists, open or not).
-    breaker_open: orchestra_obs::GaugeHandle,
 }
 
 impl RemoteStore {
     /// Attach to a server, completing one eager version handshake (fails
-    /// fast on a wrong address or a peer that does not speak
-    /// [`PROTOCOL_VERSION`]).
+    /// on a wrong address or a peer that does not speak
+    /// [`PROTOCOL_VERSION`]). A transport failure during the handshake is
+    /// retried like any request.
     pub fn connect(addr: impl std::net::ToSocketAddrs + std::fmt::Display) -> crate::Result<Self> {
         RemoteStore::connect_with(addr, RemoteOptions::default())
     }
@@ -201,8 +137,7 @@ impl RemoteStore {
         opts: RemoteOptions,
     ) -> crate::Result<Self> {
         let store = RemoteStore::lazy_with(addr, opts)?;
-        let conn = store.checkout()?;
-        store.checkin(conn);
+        store.retrying(|_| Ok(()))?;
         Ok(store)
     }
 
@@ -232,10 +167,8 @@ impl RemoteStore {
             addrs,
             addr_label,
             opts,
-            pool: Mutex::new(Vec::new()),
+            conn: Mutex::new(None),
             net: AtomicNetStats::default(),
-            breaker: Mutex::new(BreakerInner::default()),
-            breaker_open: orchestra_obs::gauge("net.breaker.open"),
         })
     }
 
@@ -298,20 +231,6 @@ impl RemoteStore {
             }
         }
         Err(last.unwrap_or_else(|| self.transport_failure(format_args!("no reachable address"))))
-    }
-
-    fn checkout(&self) -> Result<TcpStream, StoreError> {
-        if let Some(conn) = self.pool.lock().pop() {
-            return Ok(conn);
-        }
-        self.dial()
-    }
-
-    fn checkin(&self, conn: TcpStream) {
-        let mut pool = self.pool.lock();
-        if pool.len() < self.opts.pool_capacity {
-            pool.push(conn);
-        }
     }
 
     /// Record a transport-level failure and build the `Unavailable` it
@@ -384,128 +303,46 @@ impl RemoteStore {
         Ok(response)
     }
 
-    /// Gate a call on the circuit breaker: fast-fail while it is open and
-    /// cooling down, admit one half-open probe once the cooldown passed.
-    fn breaker_admit(&self) -> Result<(), StoreError> {
-        if self.opts.breaker_threshold == 0 {
-            return Ok(());
-        }
-        let mut b = self.breaker.lock();
-        if let Some(opened) = b.opened_at {
-            if opened.elapsed() < self.opts.breaker_cooldown {
-                self.net.breaker_fast_fails.inc();
-                return Err(StoreError::Unavailable {
-                    txn: format!("<remote {}: circuit breaker open>", self.addr_label),
-                });
-            }
-            // Half-open: this call is the probe. Re-arm the clock so
-            // concurrent calls keep fast-failing while it is in flight;
-            // its success clears `opened_at`, its failure leaves the
-            // re-armed cooldown in force.
-            b.opened_at = Some(std::time::Instant::now());
-        }
-        Ok(())
-    }
-
-    /// A transport-level success: the endpoint is healthy, close the
-    /// breaker.
-    fn breaker_success(&self) {
-        if self.opts.breaker_threshold == 0 {
-            return;
-        }
-        let mut b = self.breaker.lock();
-        b.consecutive = 0;
-        if b.opened_at.take().is_some() {
-            self.breaker_open.sub(1);
-        }
-    }
-
-    /// An operation exhausted its retries at the transport level.
-    fn breaker_failure(&self) {
-        if self.opts.breaker_threshold == 0 {
-            return;
-        }
-        let mut b = self.breaker.lock();
-        b.consecutive += 1;
-        if b.consecutive >= self.opts.breaker_threshold && b.opened_at.is_none() {
-            b.opened_at = Some(std::time::Instant::now());
-            self.net.breaker_opened.inc();
-            self.breaker_open.add(1);
-        }
-    }
-
-    /// The breaker's current position (always [`BreakerState::Closed`]
-    /// when `breaker_threshold` is 0).
-    pub fn breaker_state(&self) -> BreakerState {
-        if self.breaker.lock().opened_at.is_some() {
-            BreakerState::Open
-        } else {
-            BreakerState::Closed
-        }
-    }
-
-    /// Sleep before retry `attempt` (1-based): exponential in the attempt
-    /// number, capped at `backoff_max`, with deterministic jitter keyed
-    /// off the dialed address and the process-lifetime wait count — two
-    /// clients hammering the same dead peer desynchronize replayably.
-    fn backoff_wait(&self, attempt: usize) {
-        if self.opts.backoff_base.is_zero() {
-            return;
-        }
-        // The pre-increment count seeds the jitter; reading then bumping
-        // is racy across threads, but jitter only has to desynchronize.
-        let n = self.net.backoff_waits.get();
-        self.net.backoff_waits.inc();
-        let exp = self
-            .opts
-            .backoff_base
-            .saturating_mul(1u32 << (attempt - 1).min(16) as u32);
-        let capped = exp.min(self.opts.backoff_max);
-        let half = capped.as_nanos() as u64 / 2;
-        let jitter = splitmix64(fnv1a(self.addr_label.as_bytes()) ^ n) % (half + 1);
-        std::thread::sleep(Duration::from_nanos(half + jitter));
-    }
-
-    /// Issue one request, transparently retrying transport failures on a
-    /// fresh connection. Application-level errors (carried in
+    /// Issue one request. Application-level errors (carried in
     /// [`Response::Err`]) are returned as-is by the callers and keep the
-    /// connection pooled — the server keeps it open too.
+    /// connection — the server keeps it open too.
     fn call(&self, request: &Request) -> Result<Response, StoreError> {
-        self.breaker_admit()?;
-        // A pooled connection may have been closed by the server's idle
+        self.retrying(|stream| self.roundtrip(stream, request))
+    }
+
+    /// Run `op` on the cached connection, then on up to `retries + 1`
+    /// freshly dialed ones until it succeeds; the connection it succeeds
+    /// on is cached.
+    fn retrying<T>(
+        &self,
+        op: impl Fn(&mut TcpStream) -> Result<T, StoreError>,
+    ) -> Result<T, StoreError> {
+        let mut conn = self.conn.lock();
+        // The cached connection may have been closed by the server's idle
         // reaper or a restart between requests; its failure is not
         // authoritative, so it costs none of the configured retries.
-        // (Popped as a statement: the pool guard must drop before
-        // `checkin` re-locks it.)
-        let pooled = self.pool.lock().pop();
-        if let Some(mut conn) = pooled {
-            if let Ok(resp) = self.roundtrip(&mut conn, request) {
-                self.checkin(conn);
-                self.breaker_success();
-                return Ok(resp);
+        if let Some(stream) = conn.as_mut() {
+            if let Ok(out) = op(stream) {
+                return Ok(out);
             }
-            // Stale pooled stream (dropped): fall through to fresh dials.
+            *conn = None;
         }
         let mut last: Option<StoreError> = None;
-        for attempt in 0..=self.opts.retries {
-            if attempt > 0 {
-                self.backoff_wait(attempt);
-            }
-            match self.dial() {
-                Ok(mut conn) => match self.roundtrip(&mut conn, request) {
-                    Ok(resp) => {
-                        self.checkin(conn);
-                        self.breaker_success();
-                        return Ok(resp);
-                    }
-                    Err(e) => last = Some(e),
-                },
+        for _ in 0..=self.opts.retries {
+            let attempt = self.dial().and_then(|mut stream| {
+                let out = op(&mut stream)?;
+                Ok((stream, out))
+            });
+            match attempt {
+                Ok((stream, out)) => {
+                    *conn = Some(stream);
+                    return Ok(out);
+                }
                 // A version mismatch is not transient: surface it.
                 Err(e @ StoreError::InvalidConfig(_)) => return Err(e),
                 Err(e) => last = Some(e),
             }
         }
-        self.breaker_failure();
         self.net.unavailable_mapped.inc();
         Err(last.unwrap_or_else(|| self.transport_failure(format_args!("no attempt made"))))
     }
@@ -622,15 +459,20 @@ impl UpdateStore for RemoteStore {
     }
 
     fn fetch_page(&self, cursor: &FetchCursor, limit: usize) -> orchestra_store::Result<FetchPage> {
-        let request = Request::FetchPage {
-            cursor: cursor.clone(),
-            limit: limit as u64,
-        };
-        match self.call(&request)? {
-            Response::Page(page) => Ok(page),
-            Response::Err(e) => Err(e),
-            other => Err(self.unexpected(&request, other)),
+        // With no interest and no have floor the server skips nothing, so
+        // the page is the archive's own.
+        let page = self.pull_pages(cursor, limit as u64, &[], &[])?;
+        if !page.skipped.is_empty() {
+            return Err(self.transport_failure(format_args!(
+                "unexpected response to an unfiltered pull_pages: {} positions skipped",
+                page.skipped.len()
+            )));
         }
+        Ok(FetchPage {
+            txns: page.txns,
+            unavailable: page.unavailable,
+            next_cursor: page.next_cursor,
+        })
     }
 
     fn fetch(&self, id: &TxnId) -> orchestra_store::Result<Option<Transaction>> {
@@ -661,29 +503,10 @@ impl UpdateStore for RemoteStore {
     }
 }
 
-/// FNV-1a over `bytes` — seeds the backoff jitter from the address.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// splitmix64: one cheap, well-mixed step from seed to draw.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 impl std::fmt::Debug for RemoteStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RemoteStore")
             .field("addr", &self.addr_label)
-            .field("pooled", &self.pool.lock().len())
-            .finish()
+            .finish_non_exhaustive()
     }
 }

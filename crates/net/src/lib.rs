@@ -3,8 +3,7 @@
 //! CDSS peers across process and machine boundaries: a versioned,
 //! checksummed binary wire protocol for the [`UpdateStore`] surface, a
 //! [`PeerServer`] that exposes any backend over `std::net` TCP, and a
-//! [`RemoteStore`] client that implements the trait over pooled
-//! connections.
+//! [`RemoteStore`] client that implements the trait over one connection.
 //!
 //! The paper's deployment puts published transactions "in a peer-to-peer
 //! distributed database"; until now every backend in this reproduction
@@ -12,7 +11,7 @@
 //!
 //! * **Wire protocol** ([`proto`]) — length-prefixed CRC32 frames (the
 //!   exact framing the durable WAL uses on disk, from
-//!   [`orchestra_store::frame`]) carrying `Hello`/`Publish`/`FetchPage`/
+//!   [`orchestra_store::frame`]) carrying `Hello`/`Publish`/`PullPages`/
 //!   `Fetch`/`Probe`, with transactions and cursors encoded by the same
 //!   codec that writes them to disk. See `docs/wire-protocol.md`.
 //! * **[`PeerServer`]** — a TCP listener serving a shared
@@ -46,7 +45,7 @@ pub mod client;
 pub mod proto;
 pub mod server;
 
-pub use client::{BreakerState, NetStats, RemoteOptions, RemoteStore};
+pub use client::{NetStats, RemoteOptions, RemoteStore};
 pub use proto::{PullPage, Request, Response, ServerCounters, MAGIC, PROTOCOL_VERSION};
 pub use server::{PeerServer, ServerOptions, ServerStats};
 

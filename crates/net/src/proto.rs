@@ -12,7 +12,6 @@
 //! ```text
 //! request  := HELLO       magic:u32le version:uvarint [trace:uvarint]
 //!           | PUBLISH     batch                  (the WAL batch record)
-//!           | FETCH_PAGE  cursor limit:uvarint
 //!           | FETCH       txn_id
 //!           | PROBE
 //!           | DIGEST
@@ -22,8 +21,6 @@
 //!           | METRICS
 //! response := HELLO_OK    version:uvarint
 //!           | PUBLISH_OK
-//!           | PAGE        n:uvarint txn* u:uvarint (epoch:uvarint txn_id)*
-//!                         has_next:u8 [cursor]
 //!           | TXN         present:u8 [txn]
 //!           | PROBE_OK    len:uvarint has_latest:u8 [epoch:uvarint]
 //!                         stats:7×uvarint server:4×uvarint
@@ -45,15 +42,13 @@ use orchestra_store::durable::codec::{
     decode_batch, encode_batch, get_cursor, get_transaction, get_txn_id, put_cursor, put_str,
     put_transaction, put_txn_id, put_uvarint, CodecError, Cursor,
 };
-use orchestra_store::{
-    FetchCursor, FetchPage, RelationDigest, StoreDigest, StoreError, StoreStats,
-};
+use orchestra_store::{FetchCursor, RelationDigest, StoreDigest, StoreError, StoreStats};
 use orchestra_updates::{Epoch, Transaction, TxnId};
 
 /// The one protocol version. Both ends of a connection must speak it: a
 /// server answers a `HELLO` carrying any other number with `ERR` and
 /// closes, and a client rejects any other number in `HELLO_OK`.
-pub const PROTOCOL_VERSION: u64 = 3;
+pub const PROTOCOL_VERSION: u64 = 4;
 
 /// Magic prefix of a HELLO payload: `"ORCN"` little-endian. A server
 /// reading anything else as its first frame is talking to something that
@@ -63,7 +58,6 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"ORCN");
 // Request opcodes.
 const OP_HELLO: u8 = 0x01;
 const OP_PUBLISH: u8 = 0x02;
-const OP_FETCH_PAGE: u8 = 0x03;
 const OP_FETCH: u8 = 0x04;
 const OP_PROBE: u8 = 0x05;
 const OP_DIGEST: u8 = 0x06;
@@ -72,7 +66,6 @@ const OP_METRICS: u8 = 0x09;
 // Response opcodes (high bit set).
 const OP_HELLO_OK: u8 = 0x81;
 const OP_PUBLISH_OK: u8 = 0x82;
-const OP_PAGE: u8 = 0x83;
 const OP_TXN: u8 = 0x84;
 const OP_PROBE_OK: u8 = 0x85;
 const OP_DIGEST_OK: u8 = 0x86;
@@ -100,13 +93,6 @@ pub enum Request {
         /// The batch.
         txns: Vec<Transaction>,
     },
-    /// One page of the archive (mirrors `UpdateStore::fetch_page`).
-    FetchPage {
-        /// Resume position.
-        cursor: FetchCursor,
-        /// Maximum positions to scan.
-        limit: u64,
-    },
     /// One transaction by id (mirrors `UpdateStore::fetch`).
     Fetch {
         /// The wanted transaction.
@@ -118,11 +104,13 @@ pub enum Request {
     /// The archive's [`StoreDigest`] — the anti-entropy advertisement
     /// (mirrors `UpdateStore::digest`).
     Digest,
-    /// One *filtered* page of the archive: scan like `FETCH_PAGE`
-    /// but ship only transactions matching `interest` whose sequence is
-    /// beyond the puller's `have` floor — everything else comes back as
-    /// skipped ids so the puller can advance its prefix bookkeeping
-    /// without paying for payloads it holds or never wants.
+    /// One page of the archive (serves `UpdateStore::fetch_page` and
+    /// mesh gossip): scan `limit` positions from `cursor` but ship only
+    /// transactions matching `interest` whose sequence is beyond the
+    /// puller's `have` floor — everything else comes back as skipped ids
+    /// so the puller can advance its prefix bookkeeping without paying
+    /// for payloads it holds or never wants. With both filters empty
+    /// nothing is skipped.
     PullPages {
         /// Resume position.
         cursor: FetchCursor,
@@ -143,7 +131,8 @@ pub enum Request {
     Metrics,
 }
 
-/// The body of a `PAGES` response: one interest/have-filtered page.
+/// The body of a `PAGES` response: one page, filtered by interest and
+/// have floors.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PullPage {
     /// Shipped transactions (matched interest, beyond the have floor).
@@ -192,8 +181,6 @@ pub enum Response {
     },
     /// Publish succeeded.
     PublishOk,
-    /// One archive page.
-    Page(FetchPage),
     /// A fetched transaction (or its absence).
     Txn(Option<Transaction>),
     /// Archive metadata.
@@ -237,11 +224,6 @@ impl Request {
                 // The body is byte-identical to the WAL's batch record:
                 // durable and net serialize a publish the same way.
                 out.extend_from_slice(&encode_batch(*epoch, txns));
-            }
-            Request::FetchPage { cursor, limit } => {
-                out.push(OP_FETCH_PAGE);
-                put_cursor(&mut out, cursor);
-                put_uvarint(&mut out, *limit);
             }
             Request::Fetch { id } => {
                 out.push(OP_FETCH);
@@ -296,10 +278,6 @@ impl Request {
                 let (epoch, txns) = decode_batch(rest(&mut c))?;
                 return Ok(Request::Publish { epoch, txns });
             }
-            OP_FETCH_PAGE => Request::FetchPage {
-                cursor: get_cursor(&mut c)?,
-                limit: c.uvarint()?,
-            },
             OP_FETCH => Request::Fetch {
                 id: get_txn_id(&mut c)?,
             },
@@ -338,7 +316,6 @@ impl Request {
         match self {
             Request::Hello { .. } => "hello",
             Request::Publish { .. } => "publish",
-            Request::FetchPage { .. } => "fetch_page",
             Request::Fetch { .. } => "fetch",
             Request::Probe => "probe",
             Request::Digest => "digest",
@@ -366,25 +343,6 @@ impl Response {
                 put_uvarint(&mut out, *version);
             }
             Response::PublishOk => out.push(OP_PUBLISH_OK),
-            Response::Page(page) => {
-                out.push(OP_PAGE);
-                put_uvarint(&mut out, page.txns.len() as u64);
-                for t in &page.txns {
-                    put_transaction(&mut out, t);
-                }
-                put_uvarint(&mut out, page.unavailable.len() as u64);
-                for (ep, id) in &page.unavailable {
-                    put_uvarint(&mut out, ep.value());
-                    put_txn_id(&mut out, id);
-                }
-                match &page.next_cursor {
-                    Some(cursor) => {
-                        out.push(1);
-                        put_cursor(&mut out, cursor);
-                    }
-                    None => out.push(0),
-                }
-            }
             Response::Txn(txn) => {
                 out.push(OP_TXN);
                 match txn {
@@ -478,29 +436,6 @@ impl Response {
                 version: c.uvarint()?,
             },
             OP_PUBLISH_OK => Response::PublishOk,
-            OP_PAGE => {
-                let n = c.uvarint()? as usize;
-                let mut txns = Vec::with_capacity(n.min(65_536));
-                for _ in 0..n {
-                    txns.push(get_transaction(&mut c)?);
-                }
-                let u = c.uvarint()? as usize;
-                let mut unavailable = Vec::with_capacity(u.min(65_536));
-                for _ in 0..u {
-                    let ep = Epoch::new(c.uvarint()?);
-                    unavailable.push((ep, get_txn_id(&mut c)?));
-                }
-                let next_cursor = match c.u8()? {
-                    0 => None,
-                    1 => Some(get_cursor(&mut c)?),
-                    other => return fail(&c, format!("bad next-cursor flag {other}")),
-                };
-                Response::Page(FetchPage {
-                    txns,
-                    unavailable,
-                    next_cursor,
-                })
-            }
             OP_TXN => match c.u8()? {
                 0 => Response::Txn(None),
                 1 => Response::Txn(Some(get_transaction(&mut c)?)),
@@ -898,9 +833,12 @@ mod tests {
                 epoch: Epoch::new(7),
                 txns: vec![sample_txn(1), sample_txn(2)],
             },
-            Request::FetchPage {
+            Request::PullPages {
                 cursor: FetchCursor::at_txn(Epoch::new(2), TxnId::new(PeerId::new("A"), 5)),
                 limit: 128,
+                interest: vec![],
+                have: vec![],
+                trace: 0,
             },
             Request::Fetch {
                 id: TxnId::new(PeerId::new("A"), 5),
@@ -936,15 +874,15 @@ mod tests {
                 version: PROTOCOL_VERSION,
             },
             Response::PublishOk,
-            Response::Page(FetchPage {
+            Response::Pages(PullPage {
                 txns: vec![sample_txn(1)],
+                skipped: vec![],
                 unavailable: vec![(Epoch::new(2), TxnId::new(PeerId::new("B"), 9))],
                 next_cursor: Some(FetchCursor::after_txn(
                     Epoch::new(2),
                     TxnId::new(PeerId::new("B"), 9),
                 )),
             }),
-            Response::Page(FetchPage::default()),
             Response::Txn(Some(sample_txn(4))),
             Response::Txn(None),
             Response::ProbeOk {
@@ -1002,7 +940,7 @@ mod tests {
                 ("mesh.round.pages_pulled".into(), 17),
                 ("store.published".into(), 3),
             ],
-            gauges: vec![("net.breaker.open".into(), -2), ("x.g".into(), i64::MAX)],
+            gauges: vec![("x.neg".into(), -2), ("x.g".into(), i64::MAX)],
             histograms: vec![orchestra_obs::HistogramSnapshot {
                 name: "store.wal.fsync_micros".into(),
                 count: 2,

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy)]
 pub struct ServerOptions {
     /// An idle connection (no request in progress) is closed after this
-    /// long; the client pool reconnects transparently.
+    /// long; the client redials transparently.
     pub idle_timeout: Duration,
     /// A frame that started arriving must complete within this long, or
     /// the connection is closed.
@@ -380,7 +380,7 @@ fn serve(stream: &mut TcpStream, shared: &Shared) {
 }
 
 /// Why a connection stopped yielding frames — the distinction feeds the
-/// breaker-visible counters on `PROBE_OK`.
+/// transport-health counters on `PROBE_OK`.
 enum Close {
     /// Nothing started arriving: the peer closed, the connection idled
     /// past `idle_timeout`, or shutdown closed it between frames.
@@ -464,12 +464,6 @@ fn execute(store: &dyn UpdateStore, req: Request, stats: &AtomicServerStats) -> 
             Ok(()) => Response::PublishOk,
             Err(e) => Response::Err(e),
         },
-        Request::FetchPage { cursor, limit } => {
-            match store.fetch_page(&cursor, limit.min(usize::MAX as u64) as usize) {
-                Ok(page) => Response::Page(page),
-                Err(e) => Response::Err(e),
-            }
-        }
         Request::Fetch { id } => match store.fetch(&id) {
             Ok(txn) => Response::Txn(txn),
             Err(e) => Response::Err(e),
@@ -497,7 +491,8 @@ fn execute(store: &dyn UpdateStore, req: Request, stats: &AtomicServerStats) -> 
             stats.pull_pages.inc();
             // Recorded under the caller's adopted trace id (if the
             // request carried one), so the serving side of a gossip
-            // pull shows up in the puller's cross-peer timeline.
+            // pull or an exchange's page shows up in the caller's
+            // cross-peer timeline.
             let _span = orchestra_obs::span!("server.pull_pages", limit = limit);
             match store.fetch_page(&cursor, limit.min(usize::MAX as u64) as usize) {
                 Ok(page) => Response::Pages(filter_pull_page(page, &interest, &have)),
@@ -520,11 +515,11 @@ fn filter_pull_page(
     interest: &[String],
     have: &[(String, u64)],
 ) -> PullPage {
-    let floor = |peer: &str| -> u64 {
+    // A source with no entry in `have` has no floor: nothing of it is
+    // held, sequence 0 included, so an unfiltered pull skips nothing.
+    let held = |t: &orchestra_updates::Transaction| {
         have.iter()
-            .find(|(p, _)| p == peer)
-            .map(|(_, hw)| *hw)
-            .unwrap_or(0)
+            .any(|(p, hw)| p == t.id.peer.name() && t.id.seq <= *hw)
     };
     let mut out = PullPage {
         next_cursor: page.next_cursor,
@@ -532,14 +527,13 @@ fn filter_pull_page(
         ..PullPage::default()
     };
     for t in page.txns {
-        let held = t.id.seq <= floor(t.id.peer.name());
         let wanted = interest.is_empty()
             || t.updates.iter().any(|u| {
                 interest
                     .iter()
                     .any(|r| qualified_matches(r, t.id.peer.name(), u.relation()))
             });
-        if held || !wanted {
+        if held(&t) || !wanted {
             out.skipped.push(t.id);
         } else {
             out.txns.push(t);

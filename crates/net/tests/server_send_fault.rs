@@ -32,7 +32,6 @@ fn server_send_cut_is_retried_through() {
         read_timeout: Duration::from_secs(5),
         write_timeout: Duration::from_secs(5),
         retries: 1,
-        ..RemoteOptions::default()
     };
     let remote = RemoteStore::connect_with(server.local_addr(), opts).unwrap();
 

@@ -40,7 +40,7 @@ macro_rules! counter {
 }
 
 /// Adjust a named gauge by a signed delta:
-/// `orchestra_obs::gauge!("net.breaker.open", -1)`.
+/// `orchestra_obs::gauge!("engine.live_nodes", -1)`.
 #[macro_export]
 macro_rules! gauge {
     ($name:expr, $n:expr) => {{

@@ -1,6 +1,6 @@
 //! The global metrics registry: counters, gauges, and fixed-bucket
 //! latency histograms, addressed by canonical dotted names
-//! (`store.wal.fsync_micros`, `net.breaker.open`, …).
+//! (`store.wal.fsync_micros`, `engine.live_nodes`, …).
 //!
 //! Counters and gauges are **sharded**: each [`CounterHandle`] owns a
 //! private atomic cell, so the hot path is a single relaxed
@@ -8,14 +8,13 @@
 //! still report its *own* count (the migrated per-instance stat
 //! structs depend on that). The registry view folds all live shards
 //! plus a `retired` total that absorbs dropped shards — so the global
-//! value is monotone across instance lifetimes. That property is the
-//! fix for the breaker-stats reset bug: a `RemoteStore` recreated
-//! after a half-open cycle starts a fresh shard, but the registry
+//! value is monotone across instance lifetimes: a `RemoteStore`
+//! recreated after a reconnect starts a fresh shard, but the registry
 //! total never goes backwards.
 //!
 //! Gauges deliberately do **not** fold on drop: a dropped shard's
 //! contribution vanishes, which is the right semantics for
-//! "currently open/held" values like `net.breaker.open`.
+//! "currently held" values like `engine.live_nodes`.
 //!
 //! Histograms are process-global per name (one set of bucket atomics;
 //! recording is a couple of relaxed `fetch_add`s, no allocation).

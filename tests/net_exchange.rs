@@ -29,9 +29,7 @@ fn fast_opts() -> RemoteOptions {
         connect_timeout: Duration::from_millis(500),
         read_timeout: Duration::from_secs(5),
         write_timeout: Duration::from_secs(5),
-        pool_capacity: 2,
         retries: 1,
-        ..RemoteOptions::default()
     }
 }
 
