@@ -1,9 +1,9 @@
 //! Workspace discovery: find every Rust source file (plus the docs and
 //! CI config the drift lints compare against) and classify it, because
-//! almost every lint scopes by file role — panic-freedom skips tests
-//! and benches, failpoint-conformance *reads* tests as coverage
-//! evidence, the shims are vendored stand-ins for external crates and
-//! are skipped entirely.
+//! almost every lint scopes by file role — only library code is
+//! linted, failpoint-conformance *reads* tests as coverage evidence,
+//! the shims are vendored stand-ins for external crates and are
+//! skipped entirely.
 
 use std::fs;
 use std::io;
@@ -23,8 +23,8 @@ pub enum FileKind {
     /// `examples/**` — demo code, not linted.
     Example,
     /// `crates/shims/**` — vendored stand-ins for crates.io
-    /// dependencies. They deliberately mirror external APIs (including
-    /// panicky ones) and are skipped entirely.
+    /// dependencies. They deliberately mirror external APIs and are
+    /// skipped entirely.
     Shim,
 }
 

@@ -12,8 +12,6 @@ pub enum LintId {
     LockOrder,
     Failpoint,
     DocDrift,
-    Panic,
-    Unsafe,
     Determinism,
     /// Meta-lint: torn/unknown/unused `analyze:` annotations. Not
     /// allowable (an annotation cannot vouch for itself).
@@ -21,12 +19,10 @@ pub enum LintId {
 }
 
 impl LintId {
-    pub const ALL: [LintId; 7] = [
+    pub const ALL: [LintId; 5] = [
         LintId::LockOrder,
         LintId::Failpoint,
         LintId::DocDrift,
-        LintId::Panic,
-        LintId::Unsafe,
         LintId::Determinism,
         LintId::BadAnnotation,
     ];
@@ -36,8 +32,6 @@ impl LintId {
             LintId::LockOrder => "lock-order",
             LintId::Failpoint => "failpoint",
             LintId::DocDrift => "doc-drift",
-            LintId::Panic => "panic",
-            LintId::Unsafe => "unsafe",
             LintId::Determinism => "determinism",
             LintId::BadAnnotation => "bad-annotation",
         }
@@ -187,7 +181,7 @@ fn parse_allow(rest: &str) -> Result<(LintId, String), String> {
     let id = inner[..close].trim();
     let Some(lint) = LintId::parse(id) else {
         return Err(format!(
-            "unknown lint `{id}` (known: lock-order, failpoint, doc-drift, panic, unsafe, determinism)"
+            "unknown lint `{id}` (known: lock-order, failpoint, doc-drift, determinism)"
         ));
     };
     if lint == LintId::BadAnnotation {
@@ -211,17 +205,18 @@ mod tests {
 
     #[test]
     fn trailing_allow_targets_its_own_line() {
-        let src = "let x = v.pop().unwrap(); // analyze: allow(panic) -- seeded nonempty\n";
+        let src =
+            "let n = m.keys().count(); // analyze: allow(determinism) -- a count has no order\n";
         let t = scan_allows(&lex(src));
         assert_eq!(t.allows.len(), 1);
-        assert_eq!(t.allows[0].lint, LintId::Panic);
+        assert_eq!(t.allows[0].lint, LintId::Determinism);
         assert_eq!(t.allows[0].target_line, 1);
-        assert_eq!(t.allows[0].reason, "seeded nonempty");
+        assert_eq!(t.allows[0].reason, "a count has no order");
     }
 
     #[test]
     fn own_line_allow_targets_next_code_line() {
-        let src = "\n// analyze: allow(unsafe) -- audited below\n\nunsafe { work() }\n";
+        let src = "\n// analyze: allow(lock-order) -- audited below\n\nlet g = a.lock();\n";
         let t = scan_allows(&lex(src));
         assert_eq!(t.allows.len(), 1);
         assert_eq!(t.allows[0].target_line, 4);
@@ -230,11 +225,12 @@ mod tests {
     #[test]
     fn torn_annotations_reported() {
         for bad in [
-            "// analyze: allow(panic)",                 // no reason
-            "// analyze: allow(panic) -- ",             // empty reason
-            "// analyze: allow(nonsense) -- whatever",  // unknown lint
-            "// analyze: allowing(panic) -- whatever",  // wrong verb
-            "// analyze: allow(panic -- missing close", // unclosed
+            "// analyze: allow(determinism)",                 // no reason
+            "// analyze: allow(determinism) -- ",             // empty reason
+            "// analyze: allow(nonsense) -- whatever",        // unknown lint
+            "// analyze: allow(panic) -- clippy's now",       // retired lint
+            "// analyze: allowing(determinism) -- whatever",  // wrong verb
+            "// analyze: allow(determinism -- missing close", // unclosed
         ] {
             let t = scan_allows(&lex(bad));
             assert_eq!(t.allows.len(), 0, "{bad}");
@@ -244,10 +240,10 @@ mod tests {
 
     #[test]
     fn consume_marks_used() {
-        let src = "x.unwrap(); // analyze: allow(panic) -- fine\n";
+        let src = "x.lock(); // analyze: allow(lock-order) -- fine\n";
         let t = scan_allows(&lex(src));
-        assert!(t.consume(LintId::Panic, 1).is_some());
+        assert!(t.consume(LintId::LockOrder, 1).is_some());
         assert!(t.allows[0].used.get());
-        assert!(t.consume(LintId::Unsafe, 1).is_none());
+        assert!(t.consume(LintId::Determinism, 1).is_none());
     }
 }

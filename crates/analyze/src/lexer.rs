@@ -423,7 +423,7 @@ mod tests {
 
     #[test]
     fn comments_side_table_with_lines() {
-        let src = "let a = 1;\n// analyze: allow(panic) -- test\nlet b = 2; // trailing\n/* block\nspans */ let c = 3;\n";
+        let src = "let a = 1;\n// analyze: allow(determinism) -- test\nlet b = 2; // trailing\n/* block\nspans */ let c = 3;\n";
         let l = lex(src);
         assert_eq!(l.comments.len(), 3);
         assert_eq!(l.comments[0].line, 2);

@@ -1,10 +1,10 @@
-//! `determinism` lint: byte-identical results at any thread count is a
-//! headline guarantee (engine merges, provenance recording order,
-//! durable bytes on disk). `HashMap`/`HashSet` iteration order is
-//! unspecified, so iterating one inside a merge/drain/serialize
-//! function of a determinism-critical module silently couples output
-//! to hasher state — unless the iteration feeds a sort or an
-//! order-insensitive sink.
+//! `determinism` lint: byte-identical results across engines fed the
+//! same input is a headline guarantee (engine merges, provenance
+//! recording order, durable bytes on disk). `HashMap`/`HashSet`
+//! iteration order is unspecified, so iterating one inside a
+//! merge/drain/serialize function of a determinism-critical module
+//! silently couples output to hasher state — unless the iteration feeds
+//! a sort or an order-insensitive sink.
 //!
 //! Heuristics, by construction of the token-level scanner:
 //!

@@ -5,8 +5,8 @@
 //!    `crates/net/src/proto.rs` has a row in the opcode table of
 //!    `docs/wire-protocol.md` with the same value and name, and every
 //!    table row corresponds to a real constant.
-//! 2. **PROBE_OK server counters** — every field of `ServerCounters`
-//!    is named in `docs/wire-protocol.md`, and the documented
+//! 2. **PROBE_OK store counters** — every field of `StoreStats` is
+//!    named in `docs/wire-protocol.md`, and the documented
 //!    `N×uvarint` arity matches the struct's field count.
 //! 3. **Failpoint sites** — every `orchestra_fault::check` site is
 //!    listed (backtick-quoted, exact) in the site table of
@@ -179,42 +179,39 @@ fn check_counters(ws: &Workspace, files: &[ParsedFile<'_>]) -> Vec<Finding> {
     let Some(doc) = ws.doc(WIRE_DOC) else {
         return out; // already reported by check_opcodes
     };
-    // Both PROBE_OK counter lists: the store's stats block and the v2
-    // server per-message-type counters.
-    for (path, strukt) in [(PROTO, "ServerCounters"), (STORE_API, "StoreStats")] {
-        let Some(pf) = files.iter().find(|p| p.entry.rel_path == path) else {
-            continue;
-        };
-        let fields = struct_fields(pf, strukt);
-        if fields.is_empty() {
-            continue;
-        }
-        for (field, line) in &fields {
-            if !doc.src.contains(field.as_str()) {
-                out.push(Finding::new(
-                    LintId::DocDrift,
-                    path,
-                    *line,
-                    format!(
-                        "PROBE_OK counter `{field}` ({strukt}) is not mentioned in \
-                         {WIRE_DOC} — the counter list drifted"
-                    ),
-                ));
-            }
-        }
-        let arity = format!("{}×uvarint", fields.len());
-        if !doc.src.contains(&arity) {
+    // PROBE_OK's counter list: the server store's stats block.
+    let Some(pf) = files.iter().find(|p| p.entry.rel_path == STORE_API) else {
+        return out;
+    };
+    let fields = struct_fields(pf, "StoreStats");
+    let Some(&(_, first_line)) = fields.first() else {
+        return out;
+    };
+    for (field, line) in &fields {
+        if !doc.src.contains(field.as_str()) {
             out.push(Finding::new(
                 LintId::DocDrift,
-                path,
-                fields[0].1,
+                STORE_API,
+                *line,
                 format!(
-                    "{strukt} has {} fields but {WIRE_DOC} never states the arity \
-                     `{arity}` — the PROBE_OK body description drifted",
-                    fields.len()
+                    "PROBE_OK counter `{field}` (StoreStats) is not mentioned in \
+                     {WIRE_DOC} — the counter list drifted"
                 ),
             ));
         }
+    }
+    let arity = format!("{}×uvarint", fields.len());
+    if !doc.src.contains(&arity) {
+        out.push(Finding::new(
+            LintId::DocDrift,
+            STORE_API,
+            first_line,
+            format!(
+                "StoreStats has {} fields but {WIRE_DOC} never states the arity \
+                 `{arity}` — the PROBE_OK body description drifted",
+                fields.len()
+            ),
+        ));
     }
     out
 }

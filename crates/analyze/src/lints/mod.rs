@@ -7,5 +7,3 @@ pub mod determinism;
 pub mod doc_drift;
 pub mod failpoints;
 pub mod lock_order;
-pub mod panic_free;
-pub mod unsafe_audit;

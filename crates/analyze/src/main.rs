@@ -3,12 +3,25 @@
 //! ```text
 //! cargo run -p orchestra-analyze -- --workspace            # gate mode
 //! cargo run -p orchestra-analyze -- --workspace --json     # machine output
-//! cargo run -p orchestra-analyze -- --workspace --lint panic --lint unsafe
+//! cargo run -p orchestra-analyze -- --workspace --lint lock-order --lint determinism
 //! cargo run -p orchestra-analyze -- --root /path/to/tree
 //! ```
 //!
 //! Exit codes: `0` clean (no unannotated findings), `1` unannotated
 //! findings, `2` usage or I/O error.
+
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::undocumented_unsafe_blocks,
+    )
+)]
 
 use orchestra_analyze::findings::LintId;
 use orchestra_analyze::Options;
@@ -45,7 +58,7 @@ fn main() -> ExitCode {
                 println!(
                     "orchestra-analyze: workspace invariant linter\n\n\
                      USAGE: orchestra-analyze --workspace [--root PATH] [--json] [--lint ID]...\n\n\
-                     Lints: lock-order, failpoint, doc-drift, panic, unsafe, determinism\n\
+                     Lints: lock-order, failpoint, doc-drift, determinism\n\
                      Annotate findings with `// analyze: allow(<lint>) -- <reason>`.\n\
                      Docs: docs/static-analysis.md"
                 );

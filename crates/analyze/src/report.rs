@@ -156,8 +156,8 @@ mod tests {
 
     fn sample() -> Report {
         let mut r = Report {
-            findings: vec![Finding::new(LintId::Panic, "b.rs", 3, "unwrap in lib"), {
-                let mut f = Finding::new(LintId::Unsafe, "a.rs", 9, "no SAFETY \"quoted\"");
+            findings: vec![Finding::new(LintId::LockOrder, "b.rs", 3, "lock cycle"), {
+                let mut f = Finding::new(LintId::Determinism, "a.rs", 9, "hash order \"quoted\"");
                 f.allowed = Some("checked by hand".into());
                 f
             }],
@@ -180,7 +180,7 @@ mod tests {
     #[test]
     fn json_escapes_and_counts() {
         let json = sample().render_json();
-        assert!(json.contains("\"no SAFETY \\\"quoted\\\"\""));
+        assert!(json.contains("\"hash order \\\"quoted\\\"\""));
         assert!(json.contains("\"unannotated\": 1,"));
         assert!(json.contains("\"allowed\": false"));
     }

@@ -91,76 +91,6 @@ fn lock_order_negative_consistent_order() {
     assert_eq!(of(&r, LintId::LockOrder).len(), 0, "{}", r.render_text());
 }
 
-// ---- panic --------------------------------------------------------------
-
-#[test]
-fn panic_positive_all_forms_found_allow_honored() {
-    let w = ws(
-        vec![entry(
-            "crates/store/src/durable/fixture.rs",
-            include_str!("fixtures/panic_bad.rs"),
-        )],
-        vec![],
-    );
-    let r = run(&w, &[LintId::Panic, LintId::BadAnnotation]);
-    let hits = of(&r, LintId::Panic);
-    // indexing + unwrap + expect + panic! unannotated; guarded unwrap allowed.
-    assert_eq!(hits.len(), 5, "{}", r.render_text());
-    assert_eq!(r.allowed(), 1, "{}", r.render_text());
-    assert_eq!(r.unannotated(), 4, "{}", r.render_text());
-    assert!(hits.iter().any(|f| f.message.contains("indexing")));
-    // The consumed allow is not stale: no annotation-hygiene findings.
-    assert_eq!(
-        of(&r, LintId::BadAnnotation).len(),
-        0,
-        "{}",
-        r.render_text()
-    );
-}
-
-#[test]
-fn panic_negative_propagating_twin_is_clean() {
-    let w = ws(
-        vec![entry(
-            "crates/store/src/durable/fixture.rs",
-            include_str!("fixtures/panic_ok.rs"),
-        )],
-        vec![],
-    );
-    let r = run(&w, &[LintId::Panic]);
-    assert_eq!(r.total(), 0, "{}", r.render_text());
-}
-
-// ---- unsafe -------------------------------------------------------------
-
-#[test]
-fn unsafe_positive_missing_safety_comment() {
-    let w = ws(
-        vec![entry(
-            "crates/store/src/fixture.rs",
-            include_str!("fixtures/unsafe_bad.rs"),
-        )],
-        vec![],
-    );
-    let r = run(&w, &[LintId::Unsafe]);
-    let hits = of(&r, LintId::Unsafe);
-    assert_eq!(hits.len(), 1, "{}", r.render_text());
-    assert!(hits[0].message.contains("SAFETY"));
-}
-
-#[test]
-fn unsafe_negative_justified_block_is_clean() {
-    let w = ws(
-        vec![entry(
-            "crates/store/src/fixture.rs",
-            include_str!("fixtures/unsafe_ok.rs"),
-        )],
-        vec![],
-    );
-    let r = run(&w, &[LintId::Unsafe]);
-    assert_eq!(r.total(), 0, "{}", r.render_text());
-}
-
 // ---- determinism --------------------------------------------------------
 
 #[test]
@@ -321,11 +251,16 @@ fn doc_drift_positive_opcodes_and_counters() {
 
 The PROBE_OK body reports `pings`.
 ";
+    // `StoreStats.pongs` and the `2×uvarint` arity are missing from the doc.
+    let stats = "pub struct StoreStats {\n    pub pings: u64,\n    pub pongs: u64,\n}\n";
     let w = ws(
-        vec![entry(
-            "crates/net/src/proto.rs",
-            include_str!("fixtures/proto_drift.rs"),
-        )],
+        vec![
+            entry(
+                "crates/net/src/proto.rs",
+                include_str!("fixtures/proto_drift.rs"),
+            ),
+            entry("crates/store/src/api.rs", stats),
+        ],
         vec![("docs/wire-protocol.md", wire)],
     );
     let r = run(&w, &[LintId::DocDrift]);
@@ -375,7 +310,8 @@ pub fn b() { orchestra_fault::check("store.docd.missing"); }
 
 #[test]
 fn doc_drift_negative_synced_docs_are_clean() {
-    let proto = "pub const OP_PING: u8 = 0x01;\npub struct ServerCounters { pub pings: u64 }\n";
+    let proto = "pub const OP_PING: u8 = 0x01;\n";
+    let stats = "pub struct StoreStats { pub pings: u64 }\n";
     let wire = "\
 | op | direction | message |
 |----|-----------|---------|
@@ -384,7 +320,10 @@ fn doc_drift_negative_synced_docs_are_clean() {
 PROBE_OK carries `pings` as 1×uvarint.
 ";
     let w = ws(
-        vec![entry("crates/net/src/proto.rs", proto)],
+        vec![
+            entry("crates/net/src/proto.rs", proto),
+            entry("crates/store/src/api.rs", stats),
+        ],
         vec![("docs/wire-protocol.md", wire)],
     );
     let r = run(&w, &[LintId::DocDrift]);
@@ -460,7 +399,7 @@ fn torn_and_stale_annotations_reported() {
         )],
         vec![],
     );
-    let r = run(&w, &[LintId::Panic, LintId::BadAnnotation]);
+    let r = run(&w, &[LintId::Determinism, LintId::BadAnnotation]);
     let hits = of(&r, LintId::BadAnnotation);
     assert_eq!(hits.len(), 2, "{}", r.render_text());
     assert!(hits.iter().any(|f| f.message.contains("torn")));
@@ -471,7 +410,7 @@ fn torn_and_stale_annotations_reported() {
 
 #[test]
 fn allow_for_a_lint_that_did_not_run_is_not_stale() {
-    // Under a `--lint` filter the panic lint never consumes its allows;
+    // Under a `--lint` filter the determinism lint never consumes its allows;
     // they must not be reported as unused (torn ones still are).
     let w = ws(
         vec![entry(

@@ -1,14 +1,7 @@
-//! Fixture: a miniature proto.rs whose opcode constants and counter
-//! struct deliberately drift from the paired wire doc: `OP_ORPHAN` has
-//! no table row, `0x04` is documented under the wrong name, the doc
-//! invents `0x03 GHOST`, and `ServerCounters.pongs` plus the
-//! `2×uvarint` arity are missing from the doc.
+//! Fixture: a miniature proto.rs whose opcode constants deliberately
+//! drift from the paired wire doc: `OP_ORPHAN` has no table row, `0x04`
+//! is documented under the wrong name, and the doc invents `0x03 GHOST`.
 
 pub const OP_PING: u8 = 0x01;
 pub const OP_ORPHAN: u8 = 0x02;
 pub const OP_RENAMED: u8 = 0x04;
-
-pub struct ServerCounters {
-    pub pings: u64,
-    pub pongs: u64,
-}

@@ -354,6 +354,9 @@ pub fn e13_fault_cluster(smoke: bool, variant: &str) -> BenchReport {
     let mut fire_failures = 0u64;
     let fire_injected;
     {
+        // Every firing lands in the registry as `fault.fired.<site>`.
+        let fired = || orchestra_obs::snapshot_filtered("fault.fired.").counters;
+        let before = fired();
         let _guard = orchestra_fault::scoped(FIRE_SPEC, cfg.seed);
         for _ in 0..cfg.fire_sweeps {
             let (_, failures, aborts) = sweep(&mut nodes);
@@ -361,11 +364,13 @@ pub fn e13_fault_cluster(smoke: bool, variant: &str) -> BenchReport {
             local_aborts += aborts;
         }
         fire_injected = orchestra_fault::injected_total();
-        for site in orchestra_fault::report() {
-            println!(
-                "  injected {:>3}× {} ({:?})",
-                site.fired, site.site, site.action
-            );
+        for (name, total) in fired() {
+            let prior = before
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map_or(0, |(_, v)| *v);
+            let site = name.trim_start_matches("fault.fired.");
+            println!("  injected {:>3}× {site}", total - prior);
         }
     }
     println!(

@@ -329,9 +329,12 @@ impl Cdss {
     /// engine is sliced by). A mesh node uses this as its interest set:
     /// updates to any other relation can never reach any local instance
     /// here, so there is no reason to store or ship them.
+    #[expect(
+        clippy::expect_used,
+        reason = "peer_ids() enumerates self.peers, so every id resolves"
+    )]
     pub fn interest_set(&self) -> Vec<String> {
         self.interest_set_for(&self.peer_ids())
-            // analyze: allow(panic) -- peer_ids() enumerates self.peers, so every id resolves
             .expect("own peer ids are known")
     }
 
@@ -404,9 +407,12 @@ impl Cdss {
     /// Apply updates to the peer's local instance and publish them as one
     /// transaction (explicit transaction boundary — the unit the CDSS
     /// propagates, translates, and reconciles atomically).
+    #[expect(
+        clippy::expect_used,
+        reason = "publish_transactions returns one id per input batch and exactly one batch is passed"
+    )]
     pub fn publish_transaction(&mut self, peer_id: &PeerId, updates: Vec<Update>) -> Result<TxnId> {
         let ids = self.publish_transactions(peer_id, vec![updates])?;
-        // analyze: allow(panic) -- publish_transactions returns one id per input batch and exactly one batch is passed
         Ok(ids.into_iter().next().expect("one txn"))
     }
 
@@ -443,9 +449,10 @@ impl Cdss {
 
     /// Core publication path: stamp ids and provenance-derived
     /// antecedents, ingest into the peer's own engine, archive in the
-    /// store and — only once the store accepted the batch — mark the
-    /// peer's instance published. A store failure leaves every edit
-    /// pending, so the next [`publish`](Cdss::publish) announces it.
+    /// store and — only once the store accepted the batch — mark the keys
+    /// the batch wrote published. Pending edits on other keys stay
+    /// pending, and a store failure leaves every edit pending, so the
+    /// next [`publish`](Cdss::publish) announces them.
     ///
     /// Every update must have been checked against the peer's schema
     /// (`validate_batch`) before anything changed: a malformed
@@ -470,7 +477,12 @@ impl Cdss {
         let epoch = self.clock.advance();
         let mut built: Vec<Transaction> = Vec::new();
         let mut ids: Vec<TxnId> = Vec::new();
+        let mut written: Vec<(Arc<str>, Tuple)> = Vec::new();
         for updates in txn_updates {
+            for u in &updates {
+                let schema = peer.instance.relation(u.relation())?.schema();
+                written.push((Arc::clone(u.relation()), u.key(schema)));
+            }
             // Antecedents from provenance of the versions being read;
             // sequential ingestion lets later transactions in the batch
             // depend on earlier ones.
@@ -487,7 +499,11 @@ impl Cdss {
         }
         self.store.publish(epoch, built)?;
         self.published_txns += ids.len() as u64;
-        peer.instance.mark_published();
+        for (relation, key) in &written {
+            peer.instance
+                .relation_mut(relation)?
+                .mark_key_published(key);
+        }
         Ok(ids)
     }
 
@@ -747,20 +763,6 @@ impl Cdss {
             applied_updates,
         })
     }
-
-    /// Sanity helper for tests and examples: the set of relations a tuple
-    /// appears in across all peers' *local* instances, qualified.
-    pub fn locate(&self, tuple: &Tuple) -> Vec<String> {
-        let mut out = Vec::new();
-        for (id, peer) in &self.peers {
-            for rel in peer.instance.relations() {
-                if rel.iter().any(|t| t == tuple) {
-                    out.push(format!("{}.{}", id.name(), rel.schema().name()));
-                }
-            }
-        }
-        out
-    }
 }
 
 /// Check every update of every transaction in a batch against the
@@ -1013,7 +1015,10 @@ fn causal_order(txns: Vec<Transaction>) -> Vec<Transaction> {
     while let Some(id) = ready.pop_front() {
         if let Some(deps) = dependents.get(&id) {
             for d in deps.clone() {
-                // analyze: allow(panic) -- dependents and in_deg are built over the same key set in the loop above
+                #[expect(
+                    clippy::expect_used,
+                    reason = "dependents and in_deg are built over the same key set in the loop above"
+                )]
                 let e = in_deg.get_mut(&d).expect("node");
                 *e -= 1;
                 if *e == 0 {

@@ -56,6 +56,19 @@
 //! assert!(ops.contains(&tuple!["HIV", "gp120", "MRVKEKYQ"]));
 //! ```
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::undocumented_unsafe_blocks,
+    )
+)]
+
 pub mod cdss;
 pub mod demo;
 pub mod error;

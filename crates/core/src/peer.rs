@@ -239,11 +239,6 @@ impl Peer {
         self.reconciler.open_conflicts()
     }
 
-    /// Epoch up to which this peer has reconciled.
-    pub fn last_reconciled_epoch(&self) -> Epoch {
-        self.last_epoch
-    }
-
     /// The archive position the next exchange resumes from, when the last
     /// one was blocked by an unreachable payload (`None` = caught up; see
     /// [`crate::ReconcileReport::blocked_on`]).

@@ -5,9 +5,10 @@
 //! against the other and pairing a deletion and an insertion of one key
 //! into a modify. That design survives here as the reference: the tests
 //! keep their own copy of the published state, move it the way the
-//! snapshot moved (replaced by the instance after each publish, updated
-//! by every transaction the peer accepted), and require `publish` to emit
-//! what the diff would have, update for update and in order.
+//! snapshot moved (replaced by the instance after each `publish`, updated
+//! by every transaction the peer accepted) — except that an explicit
+//! transaction publishes only the keys it wrote — and require `publish`
+//! to emit what the diff would have, update for update and in order.
 
 use orchestra_core::Cdss;
 use orchestra_datalog::Tgd;
@@ -277,7 +278,17 @@ impl Harness {
         self.cdss
             .publish_transactions(&self.a, vec![updates])
             .unwrap();
-        self.published = self.instance(&self.a).clone();
+        // Only the keys the transaction wrote are published now: an edit
+        // pending on any other key is still the next `publish`'s.
+        for rel in RELS {
+            let now = self.instance(&self.a).relation(rel).unwrap();
+            let now = now.get_by_key(&tuple![k]).cloned();
+            let published = self.published.relation_mut(rel).unwrap();
+            match now {
+                Some(t) => drop(published.upsert(t).unwrap()),
+                None => drop(published.delete_by_key(&tuple![k])),
+            }
+        }
     }
 
     fn remote(&mut self, c: bool, rel: usize, mut k: i64, delete: bool, aim: bool) {
@@ -385,6 +396,34 @@ fn nothing_pending_publishes_nothing_and_leaves_the_clock_alone() {
     assert_eq!(cdss.publish(&a).unwrap(), None);
     assert_eq!(cdss.current_epoch(), epoch);
     assert_eq!(cdss.stats().published_txns, 0);
+}
+
+/// An explicit transaction publishes only the keys it wrote: an
+/// `instance_mut()` edit pending on another key is still announced by
+/// the next `publish()` and reaches the peer downstream.
+#[test]
+fn an_explicit_transaction_leaves_edits_on_other_keys_pending() {
+    let mut builder = Cdss::builder();
+    for peer in ["A", "B"] {
+        builder = builder.peer(peer, schema(), TrustPolicy::open(1));
+    }
+    let tgd = Tgd::identity("A.R->B", "A.R", "B.R", 2).unwrap();
+    let store = Arc::new(InMemoryStore::new());
+    let mut cdss = builder.mapping(tgd).build_with_shared(store).unwrap();
+    let (a, b) = (PeerId::new("A"), PeerId::new("B"));
+    let inst = cdss.peer_mut(&a).unwrap().instance_mut();
+    inst.insert("R", tuple![1, 10]).unwrap();
+    cdss.publish_transaction(&a, vec![Update::insert("R", tuple![2, 20])])
+        .unwrap();
+    let id = cdss.publish(&a).unwrap().expect("R(1,10) is still pending");
+    assert_eq!(
+        updates_of(&cdss, &id),
+        vec![Update::insert("R", tuple![1, 10])]
+    );
+    assert_eq!(cdss.publish(&a).unwrap(), None);
+    cdss.reconcile(&b).unwrap();
+    let r = cdss.peer(&b).unwrap().instance().relation("R").unwrap();
+    assert_eq!(r.to_vec(), vec![tuple![1, 10], tuple![2, 20]]);
 }
 
 #[test]

@@ -609,7 +609,10 @@ impl<'a> Exec<'a> {
                 Slot::Skolem { function, args } => {
                     self.s.skolem_args.clear();
                     for a in args {
-                        // analyze: allow(panic) -- Tgd compilation rejects any skolem arg that is not a var or constant
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "Tgd compilation rejects any skolem arg that is not a var or constant"
+                        )]
                         let sym = self.slot_sym(a).expect("skolem args are vars/constants");
                         self.s.skolem_args.push(sym);
                     }
@@ -875,7 +878,10 @@ impl Engine {
                     args: args
                         .iter()
                         .map(|a| match a {
-                            // analyze: allow(panic) -- Tgd::new validates skolem args are flat before compilation
+                            #[expect(
+                                clippy::unreachable,
+                                reason = "Tgd::new validates skolem args are flat before compilation"
+                            )]
                             Term::Skolem { .. } => unreachable!("nested skolems rejected by Tgd"),
                             other => compile_term(other, var_ids, interner),
                         })

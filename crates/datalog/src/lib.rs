@@ -31,6 +31,19 @@
 //!   log for update translation.
 //! * [`query`] — conjunctive queries over peer-local instances.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::undocumented_unsafe_blocks,
+    )
+)]
+
 pub mod ast;
 pub mod engine;
 pub mod error;

@@ -100,7 +100,10 @@ impl NodeTable {
         match self.by_rel[ri].entry(tuple.clone()) {
             Entry::Occupied(e) => *e.get(),
             Entry::Vacant(e) => {
-                // analyze: allow(panic) -- u32 ids (4B nodes per engine) are an accepted engine limit
+                #[expect(
+                    clippy::expect_used,
+                    reason = "u32 ids (4B nodes per engine) are an accepted engine limit"
+                )]
                 let id = NodeId(u32::try_from(self.by_id.len()).expect("node table overflow"));
                 self.by_id.push((rel, tuple.clone()));
                 self.pos.push(DEAD);

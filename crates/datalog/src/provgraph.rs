@@ -13,7 +13,7 @@
 
 use crate::ast::RuleId;
 use crate::node::NodeId;
-use orchestra_provenance::{Monomial, Polynomial, Semiring};
+use orchestra_provenance::{Polynomial, Semiring};
 use orchestra_relational::{FxHashSet, FxHasher};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
@@ -113,7 +113,10 @@ impl ProvGraph {
                 return false;
             }
         }
-        // analyze: allow(panic) -- u32 indexes (4B derivations per engine) are an accepted engine limit
+        #[expect(
+            clippy::expect_used,
+            reason = "u32 indexes (4B derivations per engine) are an accepted engine limit"
+        )]
         let i = u32::try_from(self.derivations.len()).expect("derivation overflow");
         push_adj(&mut self.by_head, head.index(), (i, fp));
         for b in body {
@@ -294,11 +297,6 @@ impl ProvGraph {
             }
         }
         out
-    }
-
-    /// Monomial of one derivation's direct body (helper for displays).
-    pub fn derivation_monomial(d: &Derivation) -> Monomial<NodeId> {
-        Monomial::from_pairs(d.body.iter().map(|&b| (b, 1)))
     }
 }
 

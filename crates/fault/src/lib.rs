@@ -33,6 +33,19 @@
 //! [`scoped`], which holds a global guard (configs are process-wide) and
 //! restores the previous state on drop.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::undocumented_unsafe_blocks,
+    )
+)]
+
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -93,17 +106,6 @@ struct Rule {
 struct Config {
     seed: u64,
     rules: Vec<Rule>,
-}
-
-/// One rule's cumulative counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SiteReport {
-    /// The site the rule watches.
-    pub site: String,
-    /// The rule's action.
-    pub action: Action,
-    /// Times the rule fired.
-    pub fired: u64,
 }
 
 // 0 = uninitialized, 1 = initialized + disabled, 2 = initialized + enabled.
@@ -260,9 +262,9 @@ fn check_slow(site: &str) -> Option<Action> {
         }
     }
     rule.fired.fetch_add(1, Ordering::Relaxed);
-    // Mirror the firing into the observability registry so a cluster
-    // poll (METRICS) sees which failpoints actually fired, not just the
-    // in-process `report()`. Cold path: a firing already took a lock.
+    // Record the firing in the observability registry: the per-site
+    // view, in-process and through a cluster poll (METRICS). Cold path:
+    // a firing already took a lock.
     orchestra_obs::add_named(&format!("fault.fired.{}", rule.site), 1);
     Some(rule.action)
 }
@@ -294,24 +296,6 @@ pub fn injected_total() -> u64 {
             .iter()
             .map(|r| r.fired.load(Ordering::Relaxed))
             .sum()
-    })
-}
-
-/// Per-rule firing counters (empty while disabled).
-pub fn report() -> Vec<SiteReport> {
-    if !active() {
-        return Vec::new();
-    }
-    let guard = registry().lock().unwrap_or_else(|p| p.into_inner());
-    guard.as_ref().map_or_else(Vec::new, |cfg| {
-        cfg.rules
-            .iter()
-            .map(|r| SiteReport {
-                site: r.site.clone(),
-                action: r.action,
-                fired: r.fired.load(Ordering::Relaxed),
-            })
-            .collect()
     })
 }
 
@@ -355,7 +339,10 @@ impl Drop for ScopeGuard {
 /// entry point; a typo should fail loudly).
 pub fn scoped(spec: &str, seed: u64) -> ScopeGuard {
     let lock = scope_lock().lock().unwrap_or_else(|p| p.into_inner());
-    // analyze: allow(panic) -- documented contract: a malformed spec in a test harness must fail loudly
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract: a malformed spec in a test harness must fail loudly"
+    )]
     let cfg = parse(spec, seed).expect("valid failpoint spec");
     // Force env init first so `prev_state` reflects reality.
     let _ = active();
@@ -418,9 +405,6 @@ mod tests {
         assert_eq!(check("s"), None, "count cap exhausted");
         assert_eq!(check("other"), None, "unarmed site");
         assert_eq!(injected_total(), 2);
-        let r = report();
-        assert_eq!(r.len(), 1);
-        assert_eq!((r[0].site.as_str(), r[0].fired), ("s", 2));
     }
 
     #[test]
@@ -444,7 +428,7 @@ mod tests {
         assert_eq!(check("a"), None, "guard dropped, config restored");
     }
 
-    /// Every firing `report()` counts must also land in the
+    /// Every firing `injected_total()` counts must also land in the
     /// observability registry as `fault.fired.<site>` — that is what a
     /// remote `METRICS` poll sees, so the two views must not drift.
     #[test]
@@ -462,13 +446,11 @@ mod tests {
         for _ in 0..5 {
             let _ = check("test.obs.mirror");
         }
-        let r = report();
-        assert_eq!(r.len(), 1);
-        assert_eq!(r[0].fired, 3, "count cap honored");
+        assert_eq!(injected_total(), 3, "count cap honored");
         assert_eq!(
             counter("fault.fired.test.obs.mirror"),
-            before + 3,
-            "registry mirror drifted from report()"
+            before + injected_total(),
+            "registry mirror drifted from injected_total()"
         );
     }
 

@@ -71,6 +71,19 @@
 //! prefix it skipped — sound, because the node-wide floor already
 //! vouches for that prefix.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::undocumented_unsafe_blocks,
+    )
+)]
+
 pub mod node;
 
 pub use node::{InterestMode, MeshNode, MeshOptions, MeshStats, RoundReport};

@@ -14,7 +14,7 @@
 //!
 //! [`PeerServer`]: crate::PeerServer
 
-use crate::proto::{PullPage, Request, Response, ServerCounters, PROTOCOL_VERSION};
+use crate::proto::{PullPage, Request, Response, PROTOCOL_VERSION};
 use orchestra_store::frame::{frame, FrameRead, FrameReader, FRAME_HEADER};
 use orchestra_store::{FetchCursor, FetchPage, StoreDigest, StoreError, StoreStats, UpdateStore};
 use orchestra_updates::{Epoch, Transaction, TxnId};
@@ -248,6 +248,10 @@ impl RemoteStore {
     fn roundtrip(&self, stream: &mut TcpStream, request: &Request) -> Result<Response, StoreError> {
         let mut framed = frame(&request.encode());
         match orchestra_fault::check("net.client.send") {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "idx = FRAME_HEADER + (draw % payload_len) < framed.len() by construction"
+            )]
             Some(orchestra_fault::Action::Flip) => {
                 // Corrupt one payload byte after the checksum was
                 // computed: the server must drop the frame (and count it
@@ -255,14 +259,16 @@ impl RemoteStore {
                 let payload_len = framed.len() - FRAME_HEADER;
                 let idx =
                     FRAME_HEADER + orchestra_fault::draw("net.client.send") as usize % payload_len;
-                // analyze: allow(panic) -- idx = FRAME_HEADER + (draw % payload_len) < framed.len() by construction
                 framed[idx] ^= 0x01;
             }
             Some(orchestra_fault::Action::Cut) => {
                 // Ship half the frame, then fail: the server sees a
                 // connection cut mid-frame.
                 let cut = framed.len() / 2;
-                // analyze: allow(panic) -- cut = framed.len() / 2 is always in bounds
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "cut = framed.len() / 2 is always in bounds"
+                )]
                 let _ = stream.write_all(&framed[..cut]);
                 let _ = stream.flush();
                 return Err(self.transport_failure(format_args!("injected failpoint: send cut")));
@@ -347,19 +353,17 @@ impl RemoteStore {
         Err(last.unwrap_or_else(|| self.transport_failure(format_args!("no attempt made"))))
     }
 
-    /// Archive metadata in one round trip: `(len, latest_epoch, stats,
-    /// server)` — what [`UpdateStore::len`], [`UpdateStore::latest_epoch`],
-    /// and [`UpdateStore::stats`] each report, without paying three RPCs.
-    /// The last element carries the server's per-message-type counters.
-    pub fn probe(&self) -> crate::Result<(u64, Option<Epoch>, StoreStats, ServerCounters)> {
+    /// Archive metadata in one round trip: `(len, latest_epoch, stats)`
+    /// — what [`UpdateStore::len`], [`UpdateStore::latest_epoch`], and
+    /// [`UpdateStore::stats`] each report, without paying three RPCs.
+    pub fn probe(&self) -> crate::Result<(u64, Option<Epoch>, StoreStats)> {
         let request = Request::Probe;
         match self.call(&request)? {
             Response::ProbeOk {
                 len,
                 latest_epoch,
                 stats,
-                server,
-            } => Ok((len, latest_epoch, stats, server)),
+            } => Ok((len, latest_epoch, stats)),
             Response::Err(e) => Err(e),
             other => Err(self.unexpected(&request, other)),
         }
@@ -495,7 +499,7 @@ impl UpdateStore for RemoteStore {
 
     fn stats(&self) -> StoreStats {
         self.probe()
-            .map_or_else(|_| StoreStats::default(), |(_, _, stats, _)| stats)
+            .map_or_else(|_| StoreStats::default(), |(_, _, stats)| stats)
     }
 
     fn digest(&self) -> orchestra_store::Result<StoreDigest> {

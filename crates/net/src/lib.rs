@@ -41,12 +41,26 @@
 //!
 //! [`UpdateStore`]: orchestra_store::UpdateStore
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::undocumented_unsafe_blocks,
+        clippy::indexing_slicing,
+    )
+)]
+
 pub mod client;
 pub mod proto;
 pub mod server;
 
 pub use client::{NetStats, RemoteOptions, RemoteStore};
-pub use proto::{PullPage, Request, Response, ServerCounters, MAGIC, PROTOCOL_VERSION};
+pub use proto::{PullPage, Request, Response, MAGIC, PROTOCOL_VERSION};
 pub use server::{PeerServer, ServerOptions, ServerStats};
 
 /// Crate-wide result alias (network operations surface store errors).

@@ -23,7 +23,7 @@
 //!           | PUBLISH_OK
 //!           | TXN         present:u8 [txn]
 //!           | PROBE_OK    len:uvarint has_latest:u8 [epoch:uvarint]
-//!                         stats:7×uvarint server:4×uvarint
+//!                         stats:7×uvarint
 //!           | DIGEST_OK   digest
 //!           | PAGES       n:uvarint txn* k:uvarint txn_id*
 //!                         u:uvarint (epoch:uvarint txn_id)* has_next:u8 [cursor]
@@ -48,7 +48,7 @@ use orchestra_updates::{Epoch, Transaction, TxnId};
 /// The one protocol version. Both ends of a connection must speak it: a
 /// server answers a `HELLO` carrying any other number with `ERR` and
 /// closes, and a client rejects any other number in `HELLO_OK`.
-pub const PROTOCOL_VERSION: u64 = 4;
+pub const PROTOCOL_VERSION: u64 = 5;
 
 /// Magic prefix of a HELLO payload: `"ORCN"` little-endian. A server
 /// reading anything else as its first frame is talking to something that
@@ -155,22 +155,6 @@ impl PullPage {
     }
 }
 
-/// Per-message-type counters a server appends to `PROBE_OK`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServerCounters {
-    /// `DIGEST` requests served.
-    pub digests_served: u64,
-    /// `PULL_PAGES` requests served.
-    pub pull_pages: u64,
-    /// Inbound frames dropped for a checksum mismatch or an oversized
-    /// length prefix — bit rot on the wire, visible to the operator so a
-    /// flaky link can be told apart from a slow one.
-    pub corrupt_frames: u64,
-    /// Connections closed because a frame stalled mid-transfer past the
-    /// server's read timeout.
-    pub timed_out_conns: u64,
-}
-
 /// A server → client message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
@@ -191,8 +175,6 @@ pub enum Response {
         latest_epoch: Option<Epoch>,
         /// The remote store's counters.
         stats: StoreStats,
-        /// The server's per-message-type counters.
-        server: ServerCounters,
     },
     /// The archive's digest.
     DigestOk(StoreDigest),
@@ -357,7 +339,6 @@ impl Response {
                 len,
                 latest_epoch,
                 stats,
-                server,
             } => {
                 out.push(OP_PROBE_OK);
                 put_uvarint(&mut out, *len);
@@ -376,14 +357,6 @@ impl Response {
                     stats.pages,
                     stats.unavailable,
                     stats.degraded,
-                ] {
-                    put_uvarint(&mut out, n);
-                }
-                for n in [
-                    server.digests_served,
-                    server.pull_pages,
-                    server.corrupt_frames,
-                    server.timed_out_conns,
                 ] {
                     put_uvarint(&mut out, n);
                 }
@@ -457,17 +430,10 @@ impl Response {
                     unavailable: c.uvarint()?,
                     degraded: c.uvarint()?,
                 };
-                let server = ServerCounters {
-                    digests_served: c.uvarint()?,
-                    pull_pages: c.uvarint()?,
-                    corrupt_frames: c.uvarint()?,
-                    timed_out_conns: c.uvarint()?,
-                };
                 Response::ProbeOk {
                     len,
                     latest_epoch,
                     stats,
-                    server,
                 }
             }
             OP_DIGEST_OK => Response::DigestOk(get_digest(&mut c)?),
@@ -897,18 +863,11 @@ mod tests {
                     unavailable: 6,
                     degraded: 7,
                 },
-                server: ServerCounters {
-                    digests_served: 11,
-                    pull_pages: 22,
-                    corrupt_frames: 44,
-                    timed_out_conns: 55,
-                },
             },
             Response::ProbeOk {
                 len: 0,
                 latest_epoch: None,
                 stats: StoreStats::default(),
-                server: ServerCounters::default(),
             },
             Response::DigestOk(sample_digest()),
             Response::DigestOk(StoreDigest::default()),
@@ -1027,12 +986,11 @@ mod tests {
         .encode();
         hello[1] ^= 0xff;
         assert!(Request::decode(&hello).is_err());
-        // A PROBE_OK cut short of its server counters.
+        // A PROBE_OK cut short of its store counters.
         let mut probe_ok = Response::ProbeOk {
             len: 1,
             latest_epoch: None,
             stats: StoreStats::default(),
-            server: ServerCounters::default(),
         }
         .encode();
         probe_ok.truncate(probe_ok.len() - 2);

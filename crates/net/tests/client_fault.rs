@@ -55,8 +55,6 @@ fn injected_corrupt_frames_are_counted_and_retried_through() {
         assert_eq!(orchestra_fault::injected_total(), 2);
     }
 
-    let (_, _, _, c) = orchestra_fault::disarmed(|| remote.probe()).unwrap();
-    assert_eq!(c.corrupt_frames, 2, "{c:?}");
     let stats = server.stats();
     assert_eq!(stats.corrupt_frames, 2, "{stats:?}");
     assert!(stats.protocol_errors >= 2, "{stats:?}");

@@ -397,11 +397,11 @@ fn anti_entropy_exchange_over_loopback() {
         .unwrap();
     assert_eq!(empty, PullPage::default());
 
-    // The per-message-type counters ride back on the probe.
-    let (len, _, _, c) = remote.probe().unwrap();
-    assert_eq!(len, 3);
-    assert_eq!(c.digests_served, 1);
-    assert_eq!(c.pull_pages, 3);
+    // The server counts each message type it served.
+    assert_eq!(remote.probe().unwrap().0, 3);
+    let stats = server.stats();
+    assert_eq!(stats.digests_served, 1);
+    assert_eq!(stats.pull_pages, 3);
     server.shutdown();
 }
 
@@ -472,9 +472,9 @@ fn hello_with_another_version_gets_err_and_a_close() {
     use orchestra_store::frame::{frame, FrameRead, FrameReader};
     use std::io::{Read, Write};
 
-    assert_eq!(PROTOCOL_VERSION, 4);
+    assert_eq!(PROTOCOL_VERSION, 5);
     let server = PeerServer::bind("127.0.0.1:0", Arc::new(InMemoryStore::new())).unwrap();
-    for version in [0, 1, 2, 3, PROTOCOL_VERSION + 1] {
+    for version in [0, 1, 2, 3, 4, PROTOCOL_VERSION + 1] {
         let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
         raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let hello = Request::Hello { version, trace: 0 };
@@ -494,7 +494,7 @@ fn hello_with_another_version_gets_err_and_a_close() {
         let _ = raw.read_to_end(&mut rest);
         assert!(rest.is_empty(), "version {version} was served after ERR");
     }
-    assert_eq!(server.stats().protocol_errors, 5);
+    assert_eq!(server.stats().protocol_errors, 6);
     assert_eq!(server.stats().requests, 0);
     server.shutdown();
 }

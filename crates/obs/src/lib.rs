@@ -14,6 +14,19 @@
 //! handle); the real cluster harness (E12) runs one process per node
 //! and polls each over the `METRICS` wire opcode.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::undocumented_unsafe_blocks,
+    )
+)]
+
 mod registry;
 mod snapshot;
 mod span;

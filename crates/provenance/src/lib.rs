@@ -22,6 +22,19 @@
 //! question deletion does, which is how the tests check one against the
 //! other.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::undocumented_unsafe_blocks,
+    )
+)]
+
 mod monomial;
 mod polynomial;
 mod semiring;

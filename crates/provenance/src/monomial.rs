@@ -23,7 +23,7 @@ impl<V: Ord + Clone> Monomial<V> {
 
     /// Build from `(variable, exponent)` pairs; zero exponents are dropped,
     /// duplicates are combined.
-    pub fn from_pairs<I: IntoIterator<Item = (V, u32)>>(pairs: I) -> Self {
+    pub(crate) fn from_pairs<I: IntoIterator<Item = (V, u32)>>(pairs: I) -> Self {
         let mut factors: BTreeMap<V, u32> = BTreeMap::new();
         for (v, e) in pairs {
             if e > 0 {

@@ -77,7 +77,10 @@ impl DepGraph {
         if let Some(&n) = self.index.get(id) {
             return n;
         }
-        // analyze: allow(panic) -- u32 ids: a reconciler never sees 2^32 transactions
+        #[expect(
+            clippy::expect_used,
+            reason = "u32 ids: a reconciler never sees 2^32 transactions"
+        )]
         let n = u32::try_from(self.ids.len()).expect("fewer than 2^32 transactions");
         self.index.insert(id.clone(), n);
         self.ids.push(id.clone());

@@ -38,6 +38,19 @@
 //! the accepted-write history, which holds one entry per written key;
 //! rejecting it drops both.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::undocumented_unsafe_blocks,
+    )
+)]
+
 pub mod candidate;
 mod depgraph;
 pub mod engine;

@@ -107,12 +107,6 @@ impl TrustCondition {
         self
     }
 
-    /// Builder: additionally require a deep origin.
-    pub fn with_derived_from(mut self, peer: impl Into<PeerId>) -> Self {
-        self.derived_from = Some(peer.into());
-        self
-    }
-
     /// Does this condition match an update (by relation, publisher, deep
     /// origins, and content)? Predicate evaluation errors count as
     /// non-matching: a malformed trust condition must never block

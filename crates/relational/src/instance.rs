@@ -81,14 +81,6 @@ impl Instance {
             r.clear();
         }
     }
-
-    /// Declare every relation's current contents published
-    /// ([`Relation::mark_published`]).
-    pub fn mark_published(&mut self) {
-        for r in self.relations.values_mut() {
-            r.mark_published();
-        }
-    }
 }
 
 impl fmt::Display for Instance {
@@ -164,7 +156,14 @@ mod tests {
         let mut inst = Instance::new(schema());
         inst.insert("R", tuple![1, 1]).unwrap();
         inst.insert("S", tuple![1, "x"]).unwrap();
-        inst.mark_published();
+        inst.relation_mut("R")
+            .unwrap()
+            .mark_key_published(&tuple![1, 1]);
+        assert!(inst.relation("R").unwrap().pending().next().is_none());
+        assert!(inst.relation("S").unwrap().pending().next().is_some());
+        inst.relation_mut("S")
+            .unwrap()
+            .mark_key_published(&tuple![1]);
         assert!(inst.relations().all(|r| r.pending().next().is_none()));
         assert_eq!(inst.total_tuples(), 2);
     }

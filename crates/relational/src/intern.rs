@@ -190,7 +190,10 @@ impl ValueInterner {
     }
 
     fn insert_new(&mut self, v: Value) -> Sym {
-        // analyze: allow(panic) -- u32 symbol capacity (4B interned values) is an accepted engine limit
+        #[expect(
+            clippy::expect_used,
+            reason = "u32 symbol capacity (4B interned values) is an accepted engine limit"
+        )]
         let s = Sym(u32::try_from(self.by_id.len()).expect("interner overflow"));
         self.by_id.push(v.clone());
         self.by_value.insert(v, s);

@@ -37,6 +37,19 @@
 //! archive of published transactions, in `orchestra-store`'s binary
 //! codec; a peer's instance is rebuilt from it.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::undocumented_unsafe_blocks,
+    )
+)]
+
 pub mod error;
 pub mod fxhash;
 pub mod instance;

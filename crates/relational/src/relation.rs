@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 ///   deterministic iteration order everywhere (tests, examples, and
 ///   experiment output never depend on hash seeds).
 /// * Every edit is recorded in a **pending-edit log**: per key touched
-///   since the relation was last [marked published](Relation::mark_published),
+///   since it was last [marked published](Relation::mark_key_published),
 ///   the tuple that key held then (or `None`). A key whose current tuple is
 ///   back to that pre-image is dropped from the log, so the log is exactly
 ///   the set of keys on which the relation differs from its published
@@ -168,9 +168,11 @@ impl Relation {
             .map(|(key, pre)| (pre.as_ref(), self.tuples.get(key)))
     }
 
-    /// Declare the current contents published: the log empties.
-    pub fn mark_published(&mut self) {
-        self.pending.clear();
+    /// Declare the tuple the key projection `key` holds now published
+    /// (or its absence): the key leaves the log, and every other key's
+    /// entry stays.
+    pub fn mark_key_published(&mut self, key: &Tuple) {
+        self.pending.remove(key);
     }
 
     /// [`upsert`](Relation::upsert) into the current **and** the published
@@ -350,7 +352,9 @@ mod tests {
         let mut r = keyed();
         r.insert(tuple![1, 2, "A"]).unwrap();
         r.insert(tuple![3, 4, "B"]).unwrap();
-        r.mark_published();
+        r.mark_key_published(&tuple![1, 2]);
+        assert_eq!(log(&r), vec![(None, Some(tuple![3, 4, "B"]))]);
+        r.mark_key_published(&tuple![3, 4]);
         assert!(log(&r).is_empty());
 
         // Two edits of one key: the pre-image is the published tuple.
@@ -380,7 +384,7 @@ mod tests {
     fn clear_logs_every_published_tuple_as_deleted() {
         let mut r = keyed();
         r.insert(tuple![1, 2, "A"]).unwrap();
-        r.mark_published();
+        r.mark_key_published(&tuple![1, 2]);
         r.insert(tuple![3, 4, "B"]).unwrap();
         r.clear();
         assert_eq!(log(&r), vec![(Some(tuple![1, 2, "A"]), None)]);
@@ -400,14 +404,14 @@ mod tests {
         r.delete_published(&tuple![1, 2, "theirs"]);
         assert_eq!(log(&r), vec![(None, Some(tuple![1, 2, "edited"]))]);
         // ... and one naming the current version removes only that side.
-        r.mark_published();
+        r.mark_key_published(&tuple![1, 2]);
         r.upsert(tuple![1, 2, "again"]).unwrap();
         r.delete_published(&tuple![1, 2, "again"]);
         assert_eq!(log(&r), vec![(Some(tuple![1, 2, "edited"]), None)]);
         // Not pending: both sides go together.
-        r.mark_published();
+        r.mark_key_published(&tuple![1, 2]);
         r.insert(tuple![7, 8, "x"]).unwrap();
-        r.mark_published();
+        r.mark_key_published(&tuple![7, 8]);
         r.delete_published(&tuple![7, 8, "x"]);
         assert!(r.is_empty() && log(&r).is_empty());
         assert!(r.upsert_published(tuple![1, 2]).is_err(), "validates");
@@ -419,7 +423,7 @@ mod tests {
         let mut b = setsem();
         a.insert(tuple![1, 2]).unwrap();
         b.insert(tuple![1, 2]).unwrap();
-        a.mark_published();
+        a.mark_key_published(&tuple![1, 2]);
         assert_eq!(a, b);
     }
 }

@@ -87,7 +87,10 @@ impl<P: Copy + Eq> SymRel<P> {
                 }
             }
         }
-        // analyze: allow(panic) -- u32 capacity (4B tuples) per relation is an accepted engine limit
+        #[expect(
+            clippy::expect_used,
+            reason = "u32 capacity (4B tuples) per relation is an accepted engine limit"
+        )]
         let p = u32::try_from(self.order.len()).expect("relation overflow");
         self.order.push((t, payload));
         p

@@ -15,7 +15,7 @@ enum Op {
     DeleteByKey(i64),
     UpsertPublished(i64, i64),
     DeletePublished(i64, i64),
-    MarkPublished,
+    MarkPublished(i64),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -26,7 +26,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0i64..8).prop_map(Op::DeleteByKey),
         (0i64..8, 0i64..4).prop_map(|(k, v)| Op::UpsertPublished(k, v)),
         (0i64..8, 0i64..4).prop_map(|(k, v)| Op::DeletePublished(k, v)),
-        Just(Op::MarkPublished),
+        (0i64..8).prop_map(Op::MarkPublished),
     ]
 }
 
@@ -92,9 +92,12 @@ proptest! {
                         }
                     }
                 }
-                Op::MarkPublished => {
-                    rel.mark_published();
-                    published = model.clone();
+                Op::MarkPublished(k) => {
+                    rel.mark_key_published(&tuple![k]);
+                    match model.get(&k) {
+                        Some(&v) => published.insert(k, v),
+                        None => published.remove(&k),
+                    };
                 }
             }
             // Invariants after every step.

@@ -9,6 +9,8 @@
 //! evicts the payload of a corrupt frame and keeps its position); pages
 //! report such a position unavailable.
 
+#![cfg_attr(not(test), warn(clippy::indexing_slicing))]
+
 use crate::api::{AbsorbReport, CursorBound, FetchCursor, FetchPage, StoreDigest, StoreError};
 use orchestra_updates::{Epoch, Transaction, TxnId};
 use std::collections::{BTreeMap, HashMap, HashSet};

@@ -4,7 +4,7 @@
 //! serialize through these functions, so a transaction's bytes are
 //! identical whether they land in a WAL frame or a network frame. The
 //! checksummed length-prefixed framing itself lives in
-//! [`crate::frame`] (re-exported here for compatibility).
+//! [`crate::frame`].
 //!
 //! Wire formats are deliberately dependency-free and stable:
 //!
@@ -30,10 +30,6 @@ use orchestra_relational::{Tuple, Value};
 use orchestra_updates::{Epoch, PeerId, Transaction, TxnId, Update};
 use std::collections::BTreeSet;
 use std::fmt;
-
-pub use crate::frame::{
-    crc32, frame, read_frame, FrameRead, FrameReader, FRAME_HEADER, MAX_FRAME_LEN,
-};
 
 /// Record tag for a published transaction batch.
 pub const RECORD_BATCH: u8 = 0x01;
@@ -106,7 +102,10 @@ impl<'a> Cursor<'a> {
     /// tail is delegated to another decoder (e.g. a wire message wrapping
     /// a batch record).
     pub fn remaining(&mut self) -> &'a [u8] {
-        // analyze: allow(panic) -- pos never exceeds buf.len(): take() bounds-checks every advance
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "pos never exceeds buf.len(): take() bounds-checks every advance"
+        )]
         let rest = &self.buf[self.pos..];
         self.pos = self.buf.len();
         rest
@@ -126,13 +125,20 @@ impl<'a> Cursor<'a> {
                 self.buf.len() - self.pos
             ));
         }
-        // analyze: allow(panic) -- the length check directly above returns Err before this slice can overrun
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the length check directly above returns Err before this slice can overrun"
+        )]
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
 
     /// Read one byte.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "take(1) returns exactly one byte or an error"
+    )]
     pub fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
@@ -232,7 +238,10 @@ fn get_value_at(c: &mut Cursor<'_>, depth: u32) -> Result<Value> {
         },
         2 => Ok(Value::Int(c.ivarint()?)),
         3 => {
-            // analyze: allow(panic) -- take(8) returned exactly 8 bytes; try_into is infallible here
+            #[expect(
+                clippy::expect_used,
+                reason = "take(8) returned exactly 8 bytes; try_into is infallible here"
+            )]
             let bits = u64::from_le_bytes(c.take(8)?.try_into().expect("8 bytes"));
             Ok(Value::Double(f64::from_bits(bits)))
         }

@@ -29,6 +29,8 @@
 //! }
 //! ```
 
+#![cfg_attr(not(test), warn(clippy::indexing_slicing))]
+
 pub mod codec;
 pub mod segment;
 pub mod wal;

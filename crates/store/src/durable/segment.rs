@@ -250,7 +250,10 @@ impl ActiveSegment {
         match orchestra_fault::check("store.wal.append") {
             Some(orchestra_fault::Action::Torn) => {
                 let cut = framed.len() / 2;
-                // analyze: allow(panic) -- cut = framed.len() / 2 is in bounds
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "cut = framed.len() / 2 is in bounds"
+                )]
                 let _ = self.file.write_all(&framed[..cut]);
                 let err = injected_err("append", &self.path);
                 if self.file.set_len(offset).is_err() {

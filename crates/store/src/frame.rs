@@ -13,6 +13,8 @@
 //! frame := len:u32le crc:u32le payload[len]     (crc over payload)
 //! ```
 
+#![cfg_attr(not(test), warn(clippy::indexing_slicing))]
+
 /// Frame header size: u32 length + u32 checksum.
 pub const FRAME_HEADER: usize = 8;
 
@@ -22,6 +24,10 @@ pub const MAX_FRAME_LEN: u32 = 256 * 1024 * 1024;
 
 // ---------------------------------------------------------------- crc32
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "i < 256 by the enclosing loop guard"
+)]
 const fn crc32_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -36,7 +42,7 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = c; // analyze: allow(panic) -- i < 256 by the enclosing loop guard
+        table[i] = c;
         i += 1;
     }
     table
@@ -45,10 +51,13 @@ const fn crc32_table() -> [u32; 256] {
 const CRC32_TABLE: [u32; 256] = crc32_table();
 
 /// CRC32 (IEEE 802.3) of `data`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "index masked with & 0xff, always < 256"
+)]
 pub fn crc32(data: &[u8]) -> u32 {
     let mut c = !0u32;
     for &b in data {
-        // analyze: allow(panic) -- index masked with & 0xff, always < 256
         c = (c >> 8) ^ CRC32_TABLE[((c ^ u32::from(b)) & 0xff) as usize];
     }
     !c
@@ -103,7 +112,8 @@ pub enum FrameRead {
 /// [`FrameReader`] so there is exactly one frame parser (the streaming
 /// one every production path uses).
 pub fn read_frame(buf: &[u8], offset: usize) -> FrameRead {
-    let rest = &buf[offset.min(buf.len())..]; // analyze: allow(panic) -- offset clamped to buf.len()
+    #[expect(clippy::indexing_slicing, reason = "offset clamped to buf.len()")]
+    let rest = &buf[offset.min(buf.len())..];
     match FrameReader::new(rest, 0).next_frame() {
         Ok((_, outcome)) => outcome,
         Err(e) => FrameRead::Corrupt {
@@ -147,9 +157,15 @@ impl<R: std::io::Read> FrameReader<R> {
             n if n < FRAME_HEADER => return Ok((start, FrameRead::Torn)),
             _ => {}
         }
-        // analyze: allow(panic) -- 4-byte slices of the FRAME_HEADER buffer; try_into is infallible
+        #[expect(
+            clippy::expect_used,
+            reason = "4-byte slices of the FRAME_HEADER buffer; try_into is infallible"
+        )]
         let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-        // analyze: allow(panic) -- 4-byte slices of the FRAME_HEADER buffer; try_into is infallible
+        #[expect(
+            clippy::expect_used,
+            reason = "4-byte slices of the FRAME_HEADER buffer; try_into is infallible"
+        )]
         let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
         if len > MAX_FRAME_LEN {
             return Ok((
@@ -197,7 +213,10 @@ impl<R: std::io::Read> FrameReader<R> {
 fn read_exact_or_eof<R: std::io::Read>(r: &mut R, buf: &mut [u8]) -> std::io::Result<usize> {
     let mut filled = 0;
     while filled < buf.len() {
-        // analyze: allow(panic) -- filled < buf.len() by the loop guard
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "filled < buf.len() by the loop guard"
+        )]
         match r.read(&mut buf[filled..]) {
             Ok(0) => break,
             Ok(n) => filled += n,

@@ -42,6 +42,19 @@
 //!   are served from those payloads, never from disk. The backend that
 //!   lets peers restart without losing the archive (see [`durable`]).
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::undocumented_unsafe_blocks,
+    )
+)]
+
 pub mod api;
 mod archive;
 pub mod durable;

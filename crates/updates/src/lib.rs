@@ -27,6 +27,19 @@
 //! * [`Epoch`] / [`LogicalClock`] — the logical clock advanced by each
 //!   update exchange.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::undocumented_unsafe_blocks,
+    )
+)]
+
 pub mod clock;
 pub mod error;
 pub mod txn;

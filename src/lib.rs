@@ -16,6 +16,19 @@
 //! * [`orchestra_reconcile`] — trust + reconciliation
 //! * [`orchestra_core`] — the CDSS itself
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::undocumented_unsafe_blocks,
+    )
+)]
+
 pub use orchestra_core as core;
 pub use orchestra_datalog as datalog;
 pub use orchestra_mesh as mesh;
