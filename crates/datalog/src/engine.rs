@@ -48,9 +48,11 @@
 //!   probe keys and head row, and the per-relation newborn counts are
 //!   kept across rounds, as is deletion's working state across calls.
 //!   What a firing still allocates is what it adds: a new head's
-//!   [`SymTuple`] (one allocation, built from the head row), a new
-//!   derivation's body vector, and the first entry of a node's adjacency
-//!   lists in the provenance graph. A duplicate firing allocates nothing.
+//!   [`SymTuple`] (one allocation, built from the head row). Its node
+//!   goes into the node table's open-addressed row index, and its
+//!   derivation into the provenance graph's flat record, body and link
+//!   arrays, all of which only grow amortized. A duplicate firing
+//!   allocates nothing.
 //! * **Integer skolemization.** Labeled nulls invented by tgd heads go
 //!   through [`ValueInterner::intern_skolem`], one hash probe over
 //!   `(function, arg syms)` once a null has been invented before.
@@ -231,7 +233,6 @@ struct CompiledFilter {
 
 #[derive(Debug, Clone)]
 struct CompiledRule {
-    id: RuleId,
     head: CompiledAtom,
     body: Vec<CompiledAtom>,
     filters: Vec<CompiledFilter>,
@@ -437,9 +438,11 @@ struct JoinScratch {
     skolem_args: Vec<Sym>,
 }
 
-/// One join task's inputs: which rule and plan, over which frontier.
+/// One join task's inputs: which rule (and its index, the provenance
+/// graph's name for it) and plan, over which frontier.
 #[derive(Clone, Copy)]
 struct Task<'a> {
+    ri: u32,
     rule: &'a CompiledRule,
     plan: &'a JoinPlan,
     delta: &'a [Entry],
@@ -467,7 +470,9 @@ struct Exec<'a> {
 impl<'a> Exec<'a> {
     /// Evaluate one task.
     fn run(&mut self, task: Task<'a>) {
-        let Task { rule, plan, delta } = task;
+        let Task {
+            rule, plan, delta, ..
+        } = task;
         if plan.impossible || delta.is_empty() {
             return;
         }
@@ -485,7 +490,7 @@ impl<'a> Exec<'a> {
     fn step(&mut self, task: Task<'a>, si: usize) {
         let plan = task.plan;
         if si == plan.steps.len() {
-            self.fire(task.rule);
+            self.fire(task.ri, task.rule);
             return;
         }
         let sp = &plan.steps[si];
@@ -599,7 +604,7 @@ impl<'a> Exec<'a> {
     /// if the head is not alive, give it the next slot of its relation
     /// and queue it for the next round. Propagation is insert-only: a
     /// head alive now stays alive.
-    fn fire(&mut self, rule: &CompiledRule) {
+    fn fire(&mut self, ri: u32, rule: &CompiledRule) {
         self.stats.firings += 1;
         self.s.head.clear();
         for slot in &rule.head.slots {
@@ -624,10 +629,7 @@ impl<'a> Exec<'a> {
         }
         let rel = rule.head.rel;
         let node = self.nodes.intern_syms(rel, &self.s.head);
-        if self
-            .graph
-            .add_derivation(&rule.id, node, &self.s.body_nodes)
-        {
+        if self.graph.add_derivation(ri, node, &self.s.body_nodes) {
             self.stats.derivations += 1;
         }
         if self.nodes.is_alive(node) {
@@ -781,6 +783,7 @@ impl Engine {
             rel_ids.insert(r.name_arc(), id);
         }
         let mut interner = ValueInterner::new();
+        let rule_ids: Vec<RuleId> = rules.iter().map(|r| Arc::clone(&r.id)).collect();
         let mut compiled = Vec::with_capacity(rules.len());
         let mut plans = Vec::with_capacity(rules.len());
         let mut rules_by_body: Vec<Vec<(u32, u32)>> = vec![Vec::new(); rel_names.len()];
@@ -808,7 +811,7 @@ impl Engine {
             rel_names,
             rel_ids,
             nodes: NodeTable::new(),
-            graph: ProvGraph::new(),
+            graph: ProvGraph::new(rule_ids),
             data,
             pending: Vec::new(),
             changes: Vec::new(),
@@ -925,7 +928,6 @@ impl Engine {
             })
             .collect();
         Ok(CompiledRule {
-            id: rule.id,
             head,
             body,
             filters,
@@ -1205,6 +1207,7 @@ impl Engine {
                 for (rel, fr) in frontiers.iter().enumerate() {
                     for &(ri, ai) in &rules_by_body[rel] {
                         exec.run(Task {
+                            ri,
                             rule: &rules[ri as usize],
                             plan: &plans[ri as usize][ai as usize],
                             delta: fr,

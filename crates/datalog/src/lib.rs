@@ -24,8 +24,8 @@
 //! * [`tgd`] — tuple-generating dependencies and their compilation to
 //!   rules (skolemizing existential head variables).
 //! * [`node`] — interning of `(relation, tuple)` pairs into dense node ids.
-//! * [`provgraph`] — the derivation graph, well-founded derivability, and
-//!   polynomial extraction.
+//! * [`provgraph`] — the derivation graph in flat, index-addressed
+//!   arrays, polynomial extraction and lineage.
 //! * [`engine`] — the semi-naive fixpoint engine with incremental insert
 //!   propagation and provenance-based deletion propagation, plus a change
 //!   log for update translation.

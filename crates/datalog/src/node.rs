@@ -16,6 +16,14 @@
 //! one integer-keyed hash probe — no string hashing, no structural tuple
 //! walks — and a probe can borrow a `[Sym]` row from a reused buffer.
 //!
+//! Each relation's index is an open-addressed table of 8-byte buckets:
+//! the row's 32-bit hash and its node id + 1, with 0 marking an empty
+//! bucket. The rows themselves live once, in the id-ordered pair list,
+//! and a probe whose hash matches compares the row there. Interning
+//! probes once and, on a miss, fills the empty bucket that probe ended
+//! at; growing re-places the buckets from their stored hashes without
+//! reading a row.
+//!
 //! The table is also the engine's **membership** structure: next to each
 //! node it keeps the node's position in its relation's
 //! [`SymRel`](orchestra_relational::SymRel), or a dead mark while the
@@ -25,9 +33,9 @@
 //! [`Value`](orchestra_relational::Value)s is the engine's job (it owns
 //! the [`ValueInterner`](orchestra_relational::ValueInterner)).
 
-use orchestra_relational::{FxHashMap, Sym, SymTuple};
-use std::collections::hash_map::Entry;
+use orchestra_relational::{FxHasher, Sym, SymTuple};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Position of a node whose tuple is absent from its relation.
 const DEAD: u32 = u32::MAX;
@@ -71,6 +79,83 @@ impl fmt::Display for NodeId {
     }
 }
 
+/// One bucket of a [`RowIndex`]: a row's hash and its node id + 1, or
+/// all zero while empty.
+#[derive(Debug, Clone, Copy, Default)]
+struct Bucket {
+    hash: u32,
+    id1: u32,
+}
+
+/// One relation's `[Sym]` row → [`NodeId`] index (see module docs):
+/// open addressing with triangular probing over a power-of-two bucket
+/// array, at most three quarters full.
+#[derive(Debug, Clone, Default)]
+struct RowIndex {
+    buckets: Vec<Bucket>,
+    /// Occupied buckets.
+    len: usize,
+}
+
+/// The 32-bit hash a [`RowIndex`] files a row under. The low bits (the
+/// bucket index) are the FxHash product's well-mixed high bits.
+fn row_hash(syms: &[Sym]) -> u32 {
+    let mut h = FxHasher::default();
+    Sym::hash_slice(syms, &mut h);
+    h.finish() as u32
+}
+
+impl RowIndex {
+    /// The first bucket on `hash`'s probe sequence that is empty or holds
+    /// a node filed under `hash` that `is_row` accepts. The bucket array
+    /// must not be empty.
+    fn slot(&self, hash: u32, is_row: impl Fn(u32) -> bool) -> usize {
+        let mask = self.buckets.len() - 1;
+        let mut i = hash as usize & mask;
+        // Triangular steps visit every bucket of a power-of-two array,
+        // and one always stays empty, so the loop ends.
+        for step in 1.. {
+            let b = self.buckets[i];
+            if b.id1 == 0 || (b.hash == hash && is_row(b.id1 - 1)) {
+                break;
+            }
+            i = (i + step) & mask;
+        }
+        i
+    }
+
+    /// The node of the row `syms` filed under `hash`, reading rows from
+    /// `by_id`; or, if it is absent, `Err` with the empty bucket where it
+    /// goes.
+    fn find(&self, hash: u32, syms: &[Sym], by_id: &[(RelId, SymTuple)]) -> Result<NodeId, usize> {
+        if self.buckets.is_empty() {
+            return Err(0);
+        }
+        let i = self.slot(hash, |id| by_id[id as usize].1.syms() == syms);
+        match self.buckets[i].id1 {
+            0 => Err(i),
+            id1 => Ok(NodeId(id1 - 1)),
+        }
+    }
+
+    /// Fill the empty bucket `at` (found by [`find`](Self::find)) with the
+    /// node whose id + 1 is `id1`, first doubling the array if one more
+    /// entry would fill it past three quarters.
+    fn fill(&mut self, mut at: usize, hash: u32, id1: u32) {
+        if (self.len + 1) * 4 > self.buckets.len() * 3 {
+            let grown = vec![Bucket::default(); (self.buckets.len() * 2).max(16)];
+            let old = std::mem::replace(&mut self.buckets, grown);
+            for b in old.into_iter().filter(|b| b.id1 != 0) {
+                let i = self.slot(b.hash, |_| false);
+                self.buckets[i] = b;
+            }
+            at = self.slot(hash, |_| false);
+        }
+        self.buckets[at] = Bucket { hash, id1 };
+        self.len += 1;
+    }
+}
+
 /// The interning table: `(RelId, SymTuple)` → [`NodeId`], assigned
 /// densely in first-intern order, plus each node's position in its
 /// relation while the tuple is present (see module docs).
@@ -81,7 +166,7 @@ pub struct NodeTable {
     /// Node index → position in its relation's table, `DEAD` while absent.
     pos: Vec<u32>,
     /// Indexed by `RelId`; grown on demand.
-    by_rel: Vec<FxHashMap<SymTuple, NodeId>>,
+    by_rel: Vec<RowIndex>,
 }
 
 impl NodeTable {
@@ -93,38 +178,50 @@ impl NodeTable {
     /// Intern a pair, returning its id (existing or fresh). A fresh node
     /// starts dead.
     pub fn intern(&mut self, rel: RelId, tuple: &SymTuple) -> NodeId {
-        let ri = rel.index();
-        if self.by_rel.len() <= ri {
-            self.by_rel.resize_with(ri + 1, FxHashMap::default);
-        }
-        match self.by_rel[ri].entry(tuple.clone()) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "u32 ids (4B nodes per engine) are an accepted engine limit"
-                )]
-                let id = NodeId(u32::try_from(self.by_id.len()).expect("node table overflow"));
-                self.by_id.push((rel, tuple.clone()));
-                self.pos.push(DEAD);
-                *e.insert(id)
-            }
-        }
+        self.intern_with(rel, tuple.syms(), || tuple.clone())
     }
 
     /// [`intern`](Self::intern) from a borrowed row: the [`SymTuple`] is
     /// built (one allocation) only when the pair was never interned.
     pub(crate) fn intern_syms(&mut self, rel: RelId, syms: &[Sym]) -> NodeId {
-        match self.get(rel, syms) {
-            Some(id) => id,
-            None => self.intern(rel, &SymTuple::from_slice(syms)),
+        self.intern_with(rel, syms, || SymTuple::from_slice(syms))
+    }
+
+    /// One probe for `syms`; on a miss, the pair `(rel, tuple())` becomes
+    /// the next node.
+    fn intern_with(
+        &mut self,
+        rel: RelId,
+        syms: &[Sym],
+        tuple: impl FnOnce() -> SymTuple,
+    ) -> NodeId {
+        let ri = rel.index();
+        if self.by_rel.len() <= ri {
+            self.by_rel.resize_with(ri + 1, RowIndex::default);
         }
+        let index = &mut self.by_rel[ri];
+        let hash = row_hash(syms);
+        let at = match index.find(hash, syms, &self.by_id) {
+            Ok(id) => return id,
+            Err(at) => at,
+        };
+        // Bucket 0 means empty, so the stored id + 1 must fit too.
+        #[expect(
+            clippy::expect_used,
+            reason = "u32 ids (4B nodes per engine) are an accepted engine limit"
+        )]
+        let id1 = u32::try_from(self.by_id.len() + 1).expect("node table overflow");
+        index.fill(at, hash, id1);
+        self.by_id.push((rel, tuple()));
+        self.pos.push(DEAD);
+        NodeId(id1 - 1)
     }
 
     /// Look up an existing id without interning.
     #[inline]
     pub fn get(&self, rel: RelId, syms: &[Sym]) -> Option<NodeId> {
-        self.by_rel.get(rel.index())?.get(syms).copied()
+        let index = self.by_rel.get(rel.index())?;
+        index.find(row_hash(syms), syms, &self.by_id).ok()
     }
 
     /// The node's position in its relation's table, `None` while its
@@ -239,5 +336,55 @@ mod tests {
         assert_eq!(NodeId(4).to_string(), "n4");
         assert_eq!(RelId(2).to_string(), "r2");
         assert!(NodeTable::new().is_empty());
+    }
+
+    /// Random rows over several relations and arities, with repeats,
+    /// interned through several growth boundaries: ids follow a
+    /// first-seen reference, and `get` finds exactly the interned rows
+    /// without interning any.
+    #[test]
+    fn row_index_matches_first_seen_model() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        use std::collections::BTreeMap;
+        let arity = |rel: u32| 1 + rel as usize % 3;
+        for seed in 0..4u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut t = NodeTable::new();
+            let mut model: BTreeMap<(u32, Vec<Sym>), NodeId> = BTreeMap::new();
+            let row = |rng: &mut StdRng, rel: u32| -> Vec<Sym> {
+                (0..arity(rel))
+                    .map(|_| Sym(rng.random_range(0..40u32)))
+                    .collect()
+            };
+            // Past 3 000 nodes in the largest relation: several doublings.
+            for _ in 0..12_000 {
+                let rel = rng.random_range(0..5u32);
+                let syms = row(&mut rng, rel);
+                let next = NodeId(model.len() as u32);
+                let want = *model.entry((rel, syms.clone())).or_insert(next);
+                let got = if rng.random_bool(0.5) {
+                    t.intern_syms(RelId(rel), &syms)
+                } else {
+                    t.intern(RelId(rel), &SymTuple::from_slice(&syms))
+                };
+                assert_eq!(got, want, "seed {seed}");
+                assert_eq!(
+                    t.resolve(got).map(|(r, st)| (r, st.syms())),
+                    Some((RelId(rel), &syms[..]))
+                );
+            }
+            assert_eq!(t.len(), model.len());
+            for _ in 0..2_000 {
+                let rel = rng.random_range(0..7u32);
+                let syms = row(&mut rng, rel);
+                let want = model.get(&(rel, syms.clone())).copied();
+                assert_eq!(t.get(RelId(rel), &syms), want, "seed {seed}");
+            }
+            assert_eq!(t.len(), model.len(), "get does not intern");
+            for ((rel, syms), id) in &model {
+                assert_eq!(t.get(RelId(*rel), syms), Some(*id));
+            }
+        }
     }
 }

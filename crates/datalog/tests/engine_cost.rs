@@ -1,10 +1,16 @@
-//! The engine's per-tuple constant, as a diagnostic: time and heap
-//! allocations per removal, insert and propagate on a 4-relation copy
-//! chain, measured once at about 128 k nodes and again at about 3 M.
+//! The engine's per-tuple constant: time and heap allocations per
+//! removal, insert and propagate on a 4-relation copy chain.
 //!
-//! Ignored by default and asserting nothing — the numbers depend on the
-//! host. It takes about 10 s and peaks near 0.9 GB of resident memory at
-//! 3 M nodes. Run it with
+//! `propagate_allocation_budget` runs in every test pass: at about 128 k
+//! nodes, recording a modify's new facts may allocate at most
+//! [`PROPAGATE_ALLOCS`] times per modify — the new heads' tuples plus the
+//! amortized growth of the engine's flat arrays. Allocations are counted
+//! per thread, so tests running beside it do not count.
+//!
+//! `per_tuple_cost` is a diagnostic, ignored by default and asserting
+//! nothing — its times depend on the host. It measures once at about
+//! 128 k nodes and again at about 3 M, takes about 10 s and peaks near
+//! 0.9 GB of resident memory. Run it with
 //!
 //! ```text
 //! cargo test --release -p orchestra-datalog --test engine_cost -- --ignored --nocapture
@@ -19,19 +25,29 @@
 use orchestra_datalog::{Atom, Engine, Rule};
 use orchestra_relational::{DatabaseSchema, RelationSchema, Tuple, Value, ValueType};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::time::{Duration, Instant};
 
-/// Counts allocations (and reallocations) of this test binary.
+/// Counts allocations (and reallocations) per thread.
 struct Counting;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Const-initialized and without a destructor, so the allocator can
+    /// bump it on any thread at any time without allocating.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with` cannot fail for a const cell without a destructor; an
+    // uncounted allocation would only flatter the budget test.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: every call forwards to `System` with the caller's arguments
-// unchanged; counting touches only an atomic.
+// unchanged; counting touches only a thread-local cell.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -42,7 +58,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -56,9 +72,12 @@ const KEYS: i64 = 20_000;
 const MODIFIES: usize = 6;
 /// Transactions per measured window.
 const WINDOW: usize = 2_000;
+/// The most allocations per modify `propagate` may make at 128 k nodes.
+const PROPAGATE_ALLOCS: f64 = 4.0;
 
+/// Allocations made so far on the calling thread.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 fn chain_engine() -> Engine {
@@ -155,7 +174,9 @@ impl Chain {
         self.engine.drain_changes();
     }
 
-    fn report(&mut self) {
+    /// Run one window, print its cost per modify and return the
+    /// allocations per modify in `propagate`.
+    fn report(&mut self) -> f64 {
         let before = self.engine.stats();
         let nodes = self.engine.nodes().len();
         let mut cost = Cost::default();
@@ -174,6 +195,7 @@ impl Chain {
             (after.tuples_removed - before.tuples_removed) as f64 / n,
             (after.firings - before.firings) as f64 / n,
         );
+        pa
     }
 
     /// Run untimed transactions until the node table holds `nodes`.
@@ -183,6 +205,17 @@ impl Chain {
             self.txn(&mut sink);
         }
     }
+}
+
+#[test]
+fn propagate_allocation_budget() {
+    let mut chain = Chain::new();
+    chain.grow_to(128_000);
+    let per_modify = chain.report();
+    assert!(
+        per_modify <= PROPAGATE_ALLOCS,
+        "propagate made {per_modify:.2} allocations per modify, budget {PROPAGATE_ALLOCS}"
+    );
 }
 
 #[test]
