@@ -28,7 +28,10 @@ use std::collections::BTreeSet;
 
 /// Determinism-critical modules (workspace-relative path prefixes).
 const CRITICAL: &[&str] = &[
+    "crates/datalog/src/compile.rs",
+    "crates/datalog/src/delete.rs",
     "crates/datalog/src/engine.rs",
+    "crates/datalog/src/join.rs",
     "crates/datalog/src/node.rs",
     "crates/datalog/src/provgraph.rs",
     "crates/provenance/src/",

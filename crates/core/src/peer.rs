@@ -2,7 +2,7 @@
 //! incremental view of its slice of the mapping program.
 
 use crate::Result;
-use orchestra_datalog::{ChangeKind, Engine, NodeId, Query, RuleId};
+use orchestra_datalog::{ChangeKind, Engine, NodeId, RuleId};
 use orchestra_obs::GaugeHandle;
 use orchestra_reconcile::{
     Candidate, Decision, ReconcileOutcome, Reconciler, ResolveOutcome, TrustPolicy,
@@ -17,8 +17,8 @@ use std::sync::Arc;
 ///
 /// A peer owns three kinds of state, mirroring §2 of the paper:
 ///
-/// * the **local instance** — fully autonomous and editable; queries run
-///   here ([`Peer::query`]). It is the only copy of the peer's data. Its
+/// * the **local instance** — fully autonomous and editable
+///   ([`Peer::instance`]). It is the only copy of the peer's data. Its
 ///   relations keep a **pending-edit log**: a key is pending while its
 ///   tuple differs from the one the rest of the system last saw there,
 ///   and [`Cdss::publish`](crate::Cdss::publish) announces exactly the
@@ -244,11 +244,6 @@ impl Peer {
     /// [`crate::ReconcileReport::blocked_on`]).
     pub fn resume_cursor(&self) -> Option<&FetchCursor> {
         self.resume.as_ref()
-    }
-
-    /// Run a conjunctive query over the local instance.
-    pub fn query(&self, query: &Query) -> Result<Vec<Tuple>> {
-        Ok(query.eval(&self.instance)?)
     }
 
     /// The provenance polynomial of a tuple in this peer's translated view

@@ -238,15 +238,6 @@ impl Rule {
             filters,
         })
     }
-
-    /// All variables in the rule body.
-    pub fn body_variables(&self) -> BTreeSet<Arc<str>> {
-        let mut out = BTreeSet::new();
-        for atom in &self.body {
-            out.extend(atom.variables());
-        }
-        out
-    }
 }
 
 impl fmt::Display for Rule {
@@ -371,18 +362,5 @@ mod tests {
         let f = Filter::new(Term::var("a"), CmpOp::Lt, Term::var("b"));
         assert_eq!(f.variables().len(), 2);
         assert_eq!(f.to_string(), "a < b");
-    }
-
-    #[test]
-    fn body_variables() {
-        let r = Rule::new(
-            "m",
-            Atom::vars("T", &["x"]),
-            vec![Atom::vars("R", &["x", "y"]), Atom::vars("Q", &["y", "z"])],
-            vec![],
-        )
-        .unwrap();
-        let vars = r.body_variables();
-        assert_eq!(vars.len(), 3);
     }
 }

@@ -8,13 +8,12 @@
 //! Incremental behaviour — the point of the paper's provenance formulation:
 //!
 //! * **Insertions** enter a pending delta; [`Engine::propagate`] runs
-//!   semi-naive evaluation from the delta only, touching work proportional
-//!   to the new derivations rather than the whole database.
+//!   semi-naive rounds (module `join`) from the delta only, touching work
+//!   proportional to the new derivations rather than the whole database.
 //! * **Deletions** are decided by a well-founded derivability test over
 //!   the stored provenance graph, restricted to the subgraph the deleted
-//!   base tuples reach ([`Engine::remove_bases`]) — Orchestra's approach.
-//!   No rule is re-evaluated to delete; recomputation from the surviving
-//!   base facts is the referee the parity suites hold it to.
+//!   base tuples reach ([`Engine::remove_bases`], module `delete`) —
+//!   Orchestra's approach. No rule is re-evaluated to delete.
 //!
 //! Every externally visible change to the materialized state is appended to
 //! a change log of `(NodeId, ChangeKind)` entries
@@ -22,42 +21,18 @@
 //! entries it reads and packages them per transaction (the
 //! `orchestra-core` crate). Nothing is resolved to values while logging.
 //!
-//! ## The interned join pipeline
+//! The engine's state comes in three parts, one per module that works on
+//! it: the compiled program (module `compile`), which no round mutates;
+//! the relations and the facts that the join and deletion write; and
+//! each module's scratch, kept across calls.
+//!
+//! ## Values, symbols and membership
 //!
 //! Internally the engine never touches a
-//! [`Value`]: at the API boundary every tuple
-//! is interned through a [`ValueInterner`] into a [`SymTuple`] of dense
-//! `u32` [`Sym`]s, and the whole evaluation pipeline — storage, secondary
-//! indexes, join probes, provenance-node interning — runs on integers:
-//!
-//! * **Fixed-width index keys.** Secondary indexes map `[Sym]` slices to
-//!   tuple lists; probes hash a handful of words and borrow the posting
-//!   list in place (no per-probe `Vec` materialization, no `Value`
-//!   clones).
-//! * **Cached join plans.** The greedy join order (delta atom first, then
-//!   most-bound-first) depends only on `(rule, delta position)` — it is
-//!   compiled **once** per rule into a `JoinPlan` whose steps record
-//!   statically which columns to probe, which to bind, and which filters
-//!   become ready; execution is a plan interpreter with zero planning or
-//!   `CompiledRule` cloning per delta batch.
-//! * **Borrow-based candidate iteration.** Probe results are borrowed
-//!   slices into the index; scans iterate the live tuple table directly.
-//!   Every candidate is a `(tuple, node)` entry, so a matched body tuple
-//!   brings its node id along.
-//! * **Round scratch on the engine.** Frontiers, the join's bindings,
-//!   probe keys and head row, and the per-relation newborn counts are
-//!   kept across rounds, as is deletion's working state across calls.
-//!   What a firing still allocates is what it adds: a new head's
-//!   [`SymTuple`] (one allocation, built from the head row). Its node
-//!   goes into the node table's open-addressed row index, and its
-//!   derivation into the provenance graph's flat record, body and link
-//!   arrays, all of which only grow amortized. A duplicate firing
-//!   allocates nothing.
-//! * **Integer skolemization.** Labeled nulls invented by tgd heads go
-//!   through [`ValueInterner::intern_skolem`], one hash probe over
-//!   `(function, arg syms)` once a null has been invented before.
-//!
-//! ## One store per relation, one evaluation thread
+//! [`Value`](orchestra_relational::Value): at the API boundary
+//! every tuple is interned through a [`ValueInterner`] into a [`SymTuple`]
+//! of dense `u32` [`Sym`]s, and storage, indexes, joins and node interning
+//! all run on integers.
 //!
 //! Each relation is one [`SymRel`]: a sequence-ordered table of
 //! `(tuple, node)` entries with a `[Sym]` probe index per probed column
@@ -69,41 +44,25 @@
 //! removal swaps the relation's last entry into the hole and updates that
 //! entry's node.
 //!
-//! Each semi-naive round runs on the calling thread in two phases:
-//!
-//! 1. **Plan.** The pending delta is grouped into one frontier per
-//!    relation; any missing indexes are built.
-//! 2. **Join.** One task per `(relation, rule, delta position)` runs the
-//!    plan interpreter over that relation's frontier and records each
-//!    rule firing where it finds it: the head's labeled nulls and node
-//!    are interned, the derivation is recorded, and a head that is not
-//!    alive is given the next slot of its relation, logged as added and
-//!    queued as the next round's delta. The newborn tuples enter their
-//!    relations at those slots only when the round ends, so every join
-//!    of the round reads the relations as the round began. Tasks run in
-//!    a fixed order and each finds its firings in a fixed order, so every
-//!    mutation happens in an order that is a pure function of the input.
-//!    That fixes the provenance graph's recording order, `NodeId`
-//!    assignment (the n-th interned tuple is `NodeId(n)`), and the
-//!    change log's order.
-//!
 //! Symbols are process-local (insertion-ordered); everything that leaves
 //! the engine — the change log, [`Engine::scan_resolved`], provenance
 //! resolution — is translated back to `Value` tuples, and durable layers
 //! serialize those structurally, so persisted state never depends on
 //! interner ordering.
 
-use crate::ast::{Filter, Rule, RuleId, Term};
+use crate::ast::Rule;
+use crate::compile::Program;
+use crate::delete::{self, DeleteScratch};
 use crate::error::DatalogError;
+use crate::join::{self, RoundScratch};
 use crate::node::{NodeId, NodeTable, RelId};
 use crate::provgraph::ProvGraph;
 use crate::Result;
 use orchestra_obs::GaugeHandle;
 use orchestra_provenance::Polynomial;
 use orchestra_relational::{
-    CmpOp, DatabaseSchema, FxHashMap, Sym, SymRel, SymTuple, Tuple, Value, ValueInterner,
+    DatabaseSchema, FxHashMap, Sym, SymRel, SymTuple, Tuple, ValueInterner,
 };
-use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// The deletion-propagation algorithm: there is one. The type survives
@@ -206,466 +165,6 @@ impl Default for EvalOptions {
     }
 }
 
-/// A term compiled against a rule's dense variable numbering. Constants
-/// are pre-interned, so runtime comparisons are symbol comparisons.
-#[derive(Debug, Clone)]
-enum Slot {
-    Var(usize),
-    Const(Sym),
-    Skolem { function: Arc<str>, args: Vec<Slot> },
-}
-
-#[derive(Debug, Clone)]
-struct CompiledAtom {
-    rel: RelId,
-    slots: Vec<Slot>,
-}
-
-#[derive(Debug, Clone)]
-struct CompiledFilter {
-    op: CmpOp,
-    /// Dense ids of the variables the filter references; the plan applies
-    /// it at the earliest step after which all of them are bound.
-    vars: Vec<usize>,
-    left: Slot,
-    right: Slot,
-}
-
-#[derive(Debug, Clone)]
-struct CompiledRule {
-    head: CompiledAtom,
-    body: Vec<CompiledAtom>,
-    filters: Vec<CompiledFilter>,
-    num_vars: usize,
-}
-
-// ------------------------------------------------------------ join plans
-
-/// Where a probe-key symbol comes from.
-#[derive(Debug, Clone)]
-enum KeySrc {
-    Const(Sym),
-    Var(usize),
-}
-
-/// How a step obtains its candidate tuples.
-#[derive(Debug, Clone)]
-enum Source {
-    /// The round's delta slice (every plan's first step).
-    Delta,
-    /// Full iteration of the relation's live tuples (nothing bound).
-    Scan,
-    /// Index probe on the statically bound columns.
-    Probe {
-        cols: Box<[usize]>,
-        key: Box<[KeySrc]>,
-    },
-}
-
-/// Per-column action when matching one candidate tuple.
-#[derive(Debug, Clone)]
-enum ColAction {
-    /// Column is covered by the probe key — guaranteed to match.
-    Ignore,
-    /// Column must equal this constant (delta/scan steps only).
-    CheckConst(Sym),
-    /// First occurrence of an unbound variable: bind it.
-    Bind(usize),
-    /// Variable already bound (earlier step, or earlier column of this
-    /// atom): must match.
-    CheckVar(usize),
-}
-
-/// One step of a compiled join: which atom, how to get candidates, what to
-/// do per column, and which filters become ready afterwards.
-#[derive(Debug, Clone)]
-struct StepPlan {
-    atom: usize,
-    source: Source,
-    actions: Box<[ColAction]>,
-    /// Variables this step binds (reset on backtrack).
-    binds: Box<[usize]>,
-    /// Filters whose variables are all bound once this step matched.
-    filters: Box<[usize]>,
-}
-
-/// A join order plus per-step access paths, compiled once per
-/// `(rule, delta position)` — execution never re-plans and never clones
-/// the rule.
-#[derive(Debug, Clone)]
-struct JoinPlan {
-    steps: Vec<StepPlan>,
-    /// Body contains a Skolem slot: no tuple can ever match (mapping
-    /// compilation never produces these; hand-built rules could).
-    impossible: bool,
-}
-
-impl JoinPlan {
-    /// Greedy join order — the delta atom first, then repeatedly the atom
-    /// with the most statically bound positions (constants + bound
-    /// variables) — with every step's access path decided at compile
-    /// time.
-    fn build(rule: &CompiledRule, delta_pos: usize) -> JoinPlan {
-        let n = rule.body.len();
-        let mut bound = vec![false; rule.num_vars];
-        let mut used = vec![false; n];
-        let mut filter_done = vec![false; rule.filters.len()];
-        let mut steps = Vec::with_capacity(n);
-        let mut impossible = false;
-        for step_i in 0..n {
-            let ai = match step_i {
-                0 => delta_pos,
-                _ => {
-                    let mut best = usize::MAX;
-                    let mut best_score = -1i64;
-                    for (cand, &cand_used) in used.iter().enumerate() {
-                        if cand_used {
-                            continue;
-                        }
-                        let score = rule.body[cand]
-                            .slots
-                            .iter()
-                            .filter(|s| match s {
-                                Slot::Const(_) => true,
-                                Slot::Var(v) => bound[*v],
-                                Slot::Skolem { .. } => false,
-                            })
-                            .count() as i64;
-                        if score > best_score {
-                            best_score = score;
-                            best = cand;
-                        }
-                    }
-                    best
-                }
-            };
-            used[ai] = true;
-            let atom = &rule.body[ai];
-            let is_delta = step_i == 0;
-            let bound_before = bound.clone();
-            let mut probe_cols: Vec<usize> = Vec::new();
-            let mut key: Vec<KeySrc> = Vec::new();
-            let mut actions: Vec<ColAction> = Vec::with_capacity(atom.slots.len());
-            let mut binds: Vec<usize> = Vec::new();
-            for (ci, slot) in atom.slots.iter().enumerate() {
-                match slot {
-                    Slot::Const(s) => {
-                        if is_delta {
-                            actions.push(ColAction::CheckConst(*s));
-                        } else {
-                            probe_cols.push(ci);
-                            key.push(KeySrc::Const(*s));
-                            actions.push(ColAction::Ignore);
-                        }
-                    }
-                    Slot::Var(v) => {
-                        if bound_before[*v] {
-                            if is_delta {
-                                actions.push(ColAction::CheckVar(*v));
-                            } else {
-                                probe_cols.push(ci);
-                                key.push(KeySrc::Var(*v));
-                                actions.push(ColAction::Ignore);
-                            }
-                        } else if bound[*v] {
-                            // Repeated within this atom: first occurrence
-                            // binds, later ones compare.
-                            actions.push(ColAction::CheckVar(*v));
-                        } else {
-                            bound[*v] = true;
-                            binds.push(*v);
-                            actions.push(ColAction::Bind(*v));
-                        }
-                    }
-                    Slot::Skolem { .. } => {
-                        impossible = true;
-                        actions.push(ColAction::Ignore);
-                    }
-                }
-            }
-            let source = if is_delta {
-                Source::Delta
-            } else if probe_cols.is_empty() {
-                Source::Scan
-            } else {
-                Source::Probe {
-                    cols: probe_cols.into(),
-                    key: key.into(),
-                }
-            };
-            let filters: Vec<usize> = rule
-                .filters
-                .iter()
-                .enumerate()
-                .filter(|(fi, f)| !filter_done[*fi] && f.vars.iter().all(|&v| bound[v]))
-                .map(|(fi, _)| fi)
-                .collect();
-            for &fi in &filters {
-                filter_done[fi] = true;
-            }
-            steps.push(StepPlan {
-                atom: ai,
-                source,
-                actions: actions.into(),
-                binds: binds.into(),
-                filters: filters.into(),
-            });
-        }
-        JoinPlan { steps, impossible }
-    }
-}
-
-// ---------------------------------------------------------- plan executor
-
-/// A candidate for one body atom: a live tuple with its node id — the
-/// entry type of frontiers, relation tables and posting lists alike, so
-/// a matched body tuple's node rides along with it.
-type Entry = (SymTuple, NodeId);
-
-/// The join's per-task working state, reused by every task of every
-/// round.
-#[derive(Debug, Clone, Default)]
-struct JoinScratch {
-    bindings: Vec<Sym>,
-    /// Node id of the tuple matched at each body atom.
-    body_nodes: Vec<NodeId>,
-    /// One reusable probe-key buffer per step: steady-state probing
-    /// allocates nothing.
-    key_bufs: Vec<Vec<Sym>>,
-    /// The firing's head row, and one Skolem head slot's argument
-    /// symbols.
-    head: Vec<Sym>,
-    skolem_args: Vec<Sym>,
-}
-
-/// One join task's inputs: which rule (and its index, the provenance
-/// graph's name for it) and plan, over which frontier.
-#[derive(Clone, Copy)]
-struct Task<'a> {
-    ri: u32,
-    rule: &'a CompiledRule,
-    plan: &'a JoinPlan,
-    delta: &'a [Entry],
-}
-
-/// The plan interpreter, which records each firing where it finds it
-/// (see the module docs). It borrows the relations (`data`) immutably,
-/// so every join of a round reads them as the round began. One `Exec`
-/// serves every task of a round ([`run`](Exec::run) takes the task), on
-/// buffers kept on the engine.
-struct Exec<'a> {
-    data: &'a [SymRel<NodeId>],
-    nodes: &'a mut NodeTable,
-    interner: &'a mut ValueInterner,
-    graph: &'a mut ProvGraph,
-    stats: &'a mut EngineStats,
-    changes: &'a mut Vec<(NodeId, ChangeKind)>,
-    pending: &'a mut Vec<(RelId, SymTuple, NodeId)>,
-    /// Per relation, the tuples born this round: the next newborn's slot
-    /// is the relation's length plus this count.
-    born: &'a mut [u32],
-    s: &'a mut JoinScratch,
-}
-
-impl<'a> Exec<'a> {
-    /// Evaluate one task.
-    fn run(&mut self, task: Task<'a>) {
-        let Task {
-            rule, plan, delta, ..
-        } = task;
-        if plan.impossible || delta.is_empty() {
-            return;
-        }
-        let s = &mut *self.s;
-        s.bindings.clear();
-        s.bindings.resize(rule.num_vars, Sym::NONE);
-        s.body_nodes.clear();
-        s.body_nodes.resize(rule.body.len(), NodeId(0));
-        if s.key_bufs.len() < plan.steps.len() {
-            s.key_bufs.resize_with(plan.steps.len(), Vec::new);
-        }
-        self.step(task, 0);
-    }
-
-    fn step(&mut self, task: Task<'a>, si: usize) {
-        let plan = task.plan;
-        if si == plan.steps.len() {
-            self.fire(task.ri, task.rule);
-            return;
-        }
-        let sp = &plan.steps[si];
-        let data = self.data;
-        let rel = task.rule.body[sp.atom].rel.index();
-        match &sp.source {
-            Source::Delta => self.scan_candidates(task, si, sp, task.delta),
-            Source::Scan => self.scan_candidates(task, si, sp, data[rel].entries()),
-            Source::Probe { cols, key } => {
-                self.stats.index_probes += 1;
-                let buf = &mut self.s.key_bufs[si];
-                buf.clear();
-                for src in key.iter() {
-                    buf.push(match src {
-                        KeySrc::Const(s) => *s,
-                        KeySrc::Var(v) => self.s.bindings[*v],
-                    });
-                }
-                let cands = data[rel].probe(cols, buf);
-                self.scan_candidates(task, si, sp, cands);
-            }
-        }
-    }
-
-    fn scan_candidates(&mut self, task: Task<'a>, si: usize, sp: &'a StepPlan, cands: &'a [Entry]) {
-        'next_tuple: for (t, node) in cands {
-            // Delta tuples are caller-supplied; everything else comes from
-            // schema-validated storage.
-            if t.arity() != sp.actions.len() {
-                continue;
-            }
-            for (ci, act) in sp.actions.iter().enumerate() {
-                let ok = match act {
-                    ColAction::Ignore => true,
-                    ColAction::CheckConst(s) => t[ci] == *s,
-                    ColAction::CheckVar(v) => t[ci] == self.s.bindings[*v],
-                    ColAction::Bind(v) => {
-                        self.s.bindings[*v] = t[ci];
-                        true
-                    }
-                };
-                if !ok {
-                    self.reset_binds(sp);
-                    continue 'next_tuple;
-                }
-            }
-            for &fi in sp.filters.iter() {
-                if !self.filter_ok(&task.rule.filters[fi]) {
-                    self.reset_binds(sp);
-                    continue 'next_tuple;
-                }
-            }
-            self.s.body_nodes[sp.atom] = *node;
-            self.step(task, si + 1);
-            self.reset_binds(sp);
-        }
-    }
-
-    #[inline]
-    fn reset_binds(&mut self, sp: &StepPlan) {
-        for &v in sp.binds.iter() {
-            self.s.bindings[v] = Sym::NONE;
-        }
-    }
-
-    fn filter_ok(&self, f: &CompiledFilter) -> bool {
-        match (self.slot_sym(&f.left), self.slot_sym(&f.right)) {
-            (Some(l), Some(r)) => match f.op {
-                // Interning is injective: symbol equality is value equality.
-                CmpOp::Eq => l == r,
-                CmpOp::Ne => l != r,
-                op => op.apply(self.interner.resolve(l), self.interner.resolve(r)),
-            },
-            // A filter mentioning a Skolem term (hand-built rules only —
-            // tgd compilation never does this): compare structurally by
-            // value, which needs no interner mutation.
-            _ => {
-                let l = self.slot_value(&f.left);
-                let r = self.slot_value(&f.right);
-                f.op.apply(&l, &r)
-            }
-        }
-    }
-
-    /// The symbol of a slot under the current bindings; `None` for Skolem
-    /// slots (their null may not have been interned yet).
-    fn slot_sym(&self, slot: &Slot) -> Option<Sym> {
-        match slot {
-            Slot::Var(v) => Some(self.s.bindings[*v]),
-            Slot::Const(s) => Some(*s),
-            Slot::Skolem { .. } => None,
-        }
-    }
-
-    /// The value of a slot under the current bindings, constructing
-    /// labeled nulls structurally (read-only fallback for filters).
-    fn slot_value(&self, slot: &Slot) -> Value {
-        match slot {
-            Slot::Var(v) => self.interner.resolve(self.s.bindings[*v]).clone(),
-            Slot::Const(s) => self.interner.resolve(*s).clone(),
-            Slot::Skolem { function, args } => Value::skolem(
-                Arc::clone(function),
-                args.iter().map(|a| self.slot_value(a)).collect(),
-            ),
-        }
-    }
-
-    /// All atoms bound: intern the head (its labeled nulls first, in
-    /// column order), record the derivation with its body node ids in
-    /// rule-body order (derivation identity depends on the order) and,
-    /// if the head is not alive, give it the next slot of its relation
-    /// and queue it for the next round. Propagation is insert-only: a
-    /// head alive now stays alive.
-    fn fire(&mut self, ri: u32, rule: &CompiledRule) {
-        self.stats.firings += 1;
-        self.s.head.clear();
-        for slot in &rule.head.slots {
-            let sym = match slot {
-                Slot::Var(v) => self.s.bindings[*v],
-                Slot::Const(c) => *c,
-                Slot::Skolem { function, args } => {
-                    self.s.skolem_args.clear();
-                    for a in args {
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "Tgd compilation rejects any skolem arg that is not a var or constant"
-                        )]
-                        let sym = self.slot_sym(a).expect("skolem args are vars/constants");
-                        self.s.skolem_args.push(sym);
-                    }
-                    self.interner.intern_skolem(function, &self.s.skolem_args)
-                }
-            };
-            debug_assert!(!sym.is_none(), "unbound head slot");
-            self.s.head.push(sym);
-        }
-        let rel = rule.head.rel;
-        let node = self.nodes.intern_syms(rel, &self.s.head);
-        if self.graph.add_derivation(ri, node, &self.s.body_nodes) {
-            self.stats.derivations += 1;
-        }
-        if self.nodes.is_alive(node) {
-            return;
-        }
-        if let Some((_, st)) = self.nodes.resolve(node) {
-            let st = st.clone();
-            // Relation positions are `u32` (`SymRel::push`).
-            let born = &mut self.born[rel.index()];
-            let pos = self.data[rel.index()].len() as u32 + *born;
-            *born += 1;
-            self.nodes.set_position(node, Some(pos));
-            self.stats.tuples_added += 1;
-            self.changes.push((node, ChangeKind::Added));
-            self.pending.push((rel, st, node));
-        }
-    }
-}
-
-/// Deletion marks, per node, in [`DeleteScratch::marks`].
-const AFFECTED: u8 = 1;
-const DERIVABLE: u8 = 2;
-
-/// Deletion's working state, kept on the engine across `remove_bases`
-/// calls: per-node marks instead of hash sets, reset node by node after
-/// each call, so a call costs what its affected region costs.
-#[derive(Debug, Clone, Default)]
-struct DeleteScratch {
-    /// Node index → `AFFECTED` / `DERIVABLE` bits; zero outside a call.
-    marks: Vec<u8>,
-    /// The affected region in discovery order, seeds first.
-    affected: Vec<NodeId>,
-    queue: VecDeque<NodeId>,
-    dead: Vec<NodeId>,
-}
-
 /// This engine's share of the `engine.*` size gauges: live nodes,
 /// interned nodes, derivation records and interner symbols. Dropping the
 /// engine drops its share from the registry's totals. A clone registers
@@ -694,46 +193,55 @@ impl Clone for SizeGauges {
     }
 }
 
+/// What the join's firings and deletion record, beside the relations
+/// themselves.
+#[derive(Debug, Clone)]
+pub(crate) struct Facts {
+    pub(crate) interner: ValueInterner,
+    /// Every tuple ever seen → its node, and each live node's position in
+    /// its relation: the engine's one membership structure.
+    pub(crate) nodes: NodeTable,
+    pub(crate) graph: ProvGraph,
+    /// Tuples inserted but not yet propagated; during `propagate`, the
+    /// next round's delta.
+    pub(crate) pending: Vec<(RelId, SymTuple, NodeId)>,
+    /// The change log, in change order (see [`Engine::drain_change_log`]).
+    pub(crate) changes: Vec<(NodeId, ChangeKind)>,
+    pub(crate) stats: EngineStats,
+}
+
+impl Facts {
+    /// `node`'s tuple `st` became alive at slot `pos` of `rel`: log it and
+    /// queue it for the next round.
+    #[inline]
+    pub(crate) fn added(&mut self, rel: RelId, st: SymTuple, node: NodeId, pos: u32) {
+        self.nodes.set_position(node, Some(pos));
+        self.stats.tuples_added += 1;
+        self.changes.push((node, ChangeKind::Added));
+        self.pending.push((rel, st, node));
+    }
+}
+
 // ----------------------------------------------------------------- engine
 
 /// The provenance-annotated, incrementally maintained datalog engine.
 #[derive(Debug, Clone)]
 pub struct Engine {
     schema: DatabaseSchema,
-    rules: Vec<CompiledRule>,
-    /// One join plan per rule and delta position.
-    plans: Vec<Vec<JoinPlan>>,
-    /// body relation → (rule index, body atom position), indexed by RelId.
-    rules_by_body: Vec<Vec<(u32, u32)>>,
-    interner: ValueInterner,
     /// RelId → relation name.
     rel_names: Vec<Arc<str>>,
     /// relation name → RelId. The keys are the schema's relation names, a
     /// fixed set, so the word hasher is safe here.
     rel_ids: FxHashMap<Arc<str>, RelId>,
-    /// Every tuple ever seen → its node, and each live node's position in
-    /// its relation: the engine's one membership structure.
-    nodes: NodeTable,
-    graph: ProvGraph,
+    program: Program,
     /// Indexed by RelId: each relation's tuples and probe indexes.
     data: Vec<SymRel<NodeId>>,
-    /// Tuples inserted but not yet propagated; during `propagate`, the
-    /// next round's delta.
-    pending: Vec<(RelId, SymTuple, NodeId)>,
-    /// The change log, in change order (see [`Engine::drain_change_log`]).
-    changes: Vec<(NodeId, ChangeKind)>,
-    /// Round scratch, kept so a round allocates only while it grows: the
-    /// delta grouped per relation, the join's buffers and the
-    /// per-relation count of tuples born in the round.
-    frontiers: Vec<Vec<Entry>>,
-    join: JoinScratch,
-    born: Vec<u32>,
-    /// Deletion scratch, kept across `remove_bases` calls.
+    facts: Facts,
+    round: RoundScratch,
     del: DeleteScratch,
     /// Reused symbol row for API-boundary lookups.
     syms: Vec<Sym>,
-    stats: EngineStats,
-    /// The slice of `stats` already exported to the `orchestra-obs`
+    /// The slice of the stats already exported to the `orchestra-obs`
     /// registry: the hot loops keep their plain `&mut` increments (no
     /// atomics per tuple), and [`obs_flush_stats`](Self::obs_flush_stats)
     /// publishes the diff once per `propagate` / `remove_bases` call.
@@ -783,156 +291,30 @@ impl Engine {
             rel_ids.insert(r.name_arc(), id);
         }
         let mut interner = ValueInterner::new();
-        let rule_ids: Vec<RuleId> = rules.iter().map(|r| Arc::clone(&r.id)).collect();
-        let mut compiled = Vec::with_capacity(rules.len());
-        let mut plans = Vec::with_capacity(rules.len());
-        let mut rules_by_body: Vec<Vec<(u32, u32)>> = vec![Vec::new(); rel_names.len()];
-        for (ri, rule) in rules.into_iter().enumerate() {
-            let c = Self::compile_rule(&schema, &rel_ids, &mut interner, rule)?;
-            for (ai, atom) in c.body.iter().enumerate() {
-                rules_by_body[atom.rel.index()].push((ri as u32, ai as u32));
-            }
-            plans.push(
-                (0..c.body.len())
-                    .map(|ai| JoinPlan::build(&c, ai))
-                    .collect(),
-            );
-            compiled.push(c);
-        }
-        let data = rel_names.iter().map(|_| SymRel::new()).collect();
-        let frontiers = vec![Vec::new(); rel_names.len()];
-        let born = vec![0; rel_names.len()];
+        let program = Program::compile(&schema, &rel_ids, &mut interner, &rules)?;
+        let relations = rel_names.len();
         let mut engine = Engine {
             schema,
-            rules: compiled,
-            plans,
-            rules_by_body,
-            interner,
             rel_names,
             rel_ids,
-            nodes: NodeTable::new(),
-            graph: ProvGraph::new(rule_ids),
-            data,
-            pending: Vec::new(),
-            changes: Vec::new(),
-            frontiers,
-            join: JoinScratch::default(),
-            born,
+            program,
+            data: (0..relations).map(|_| SymRel::new()).collect(),
+            facts: Facts {
+                interner,
+                nodes: NodeTable::new(),
+                graph: ProvGraph::new(rules.into_iter().map(|r| r.id).collect()),
+                pending: Vec::new(),
+                changes: Vec::new(),
+                stats: EngineStats::default(),
+            },
+            round: RoundScratch::new(relations),
             del: DeleteScratch::default(),
             syms: Vec::new(),
-            stats: EngineStats::default(),
             mirrored: EngineStats::default(),
             size_gauges: SizeGauges::new(),
         };
         engine.obs_flush_stats();
         Ok(engine)
-    }
-
-    fn compile_rule(
-        schema: &DatabaseSchema,
-        rel_ids: &FxHashMap<Arc<str>, RelId>,
-        interner: &mut ValueInterner,
-        rule: Rule,
-    ) -> Result<CompiledRule> {
-        // Check relations and arities.
-        let head_schema = schema
-            .relation(&rule.head.relation)
-            .map_err(|_| DatalogError::UnknownRelation(rule.head.relation.to_string()))?;
-        if head_schema.arity() != rule.head.arity() {
-            return Err(DatalogError::ArityMismatch {
-                relation: rule.head.relation.to_string(),
-                expected: head_schema.arity(),
-                actual: rule.head.arity(),
-            });
-        }
-        for atom in &rule.body {
-            let rs = schema
-                .relation(&atom.relation)
-                .map_err(|_| DatalogError::UnknownRelation(atom.relation.to_string()))?;
-            if rs.arity() != atom.arity() {
-                return Err(DatalogError::ArityMismatch {
-                    relation: atom.relation.to_string(),
-                    expected: rs.arity(),
-                    actual: atom.arity(),
-                });
-            }
-        }
-
-        // Dense variable numbering in first-occurrence order.
-        let mut var_ids: HashMap<Arc<str>, usize> = HashMap::new();
-        for atom in &rule.body {
-            for t in &atom.terms {
-                if let Term::Var(v) = t {
-                    let next = var_ids.len();
-                    var_ids.entry(Arc::clone(v)).or_insert(next);
-                }
-            }
-        }
-        fn compile_term(
-            t: &Term,
-            var_ids: &HashMap<Arc<str>, usize>,
-            interner: &mut ValueInterner,
-        ) -> Slot {
-            match t {
-                Term::Var(v) => Slot::Var(var_ids[v]),
-                Term::Const(c) => Slot::Const(interner.intern(c)),
-                Term::Skolem { function, args } => Slot::Skolem {
-                    function: Arc::clone(function),
-                    args: args
-                        .iter()
-                        .map(|a| match a {
-                            #[expect(
-                                clippy::unreachable,
-                                reason = "Tgd::new validates skolem args are flat before compilation"
-                            )]
-                            Term::Skolem { .. } => unreachable!("nested skolems rejected by Tgd"),
-                            other => compile_term(other, var_ids, interner),
-                        })
-                        .collect(),
-                },
-            }
-        }
-
-        let body: Vec<CompiledAtom> = rule
-            .body
-            .iter()
-            .map(|a| CompiledAtom {
-                rel: rel_ids[&a.relation],
-                slots: a
-                    .terms
-                    .iter()
-                    .map(|t| compile_term(t, &var_ids, interner))
-                    .collect(),
-            })
-            .collect();
-        let head = CompiledAtom {
-            rel: rel_ids[&rule.head.relation],
-            slots: rule
-                .head
-                .terms
-                .iter()
-                .map(|t| compile_term(t, &var_ids, interner))
-                .collect(),
-        };
-        let filters: Vec<CompiledFilter> = rule
-            .filters
-            .iter()
-            .map(|f: &Filter| {
-                let vars = f.variables().iter().map(|v| var_ids[v]).collect();
-                CompiledFilter {
-                    vars,
-                    op: f.op,
-                    left: compile_term(&f.left, &var_ids, interner),
-                    right: compile_term(&f.right, &var_ids, interner),
-                }
-            })
-            .collect();
-        Ok(CompiledRule {
-            head,
-            body,
-            filters,
-            num_vars: var_ids.len(),
-        })
     }
 
     /// The engine's schema.
@@ -942,23 +324,23 @@ impl Engine {
 
     /// The provenance graph.
     pub fn graph(&self) -> &ProvGraph {
-        &self.graph
+        &self.facts.graph
     }
 
     /// The node table.
     pub fn nodes(&self) -> &NodeTable {
-        &self.nodes
+        &self.facts.nodes
     }
 
     /// The value interner (symbols are engine-local; see module docs).
     pub fn interner(&self) -> &ValueInterner {
-        &self.interner
+        &self.facts.interner
     }
 
     /// Aggregate counters, including the interner's.
     pub fn stats(&self) -> EngineStats {
-        let mut s = self.stats;
-        let i = self.interner.stats();
+        let mut s = self.facts.stats;
+        let i = self.facts.interner.stats();
         s.interner_symbols = i.symbols;
         s.interner_hits = i.hits;
         s.skolem_fast_path = i.skolem_fast_path;
@@ -973,9 +355,9 @@ impl Engine {
     fn obs_flush_stats(&mut self) {
         let sizes = [
             self.total_tuples(),
-            self.nodes.len(),
-            self.graph.num_derivations(),
-            self.interner.len(),
+            self.facts.nodes.len(),
+            self.facts.graph.num_derivations(),
+            self.facts.interner.len(),
         ];
         for (g, n) in self.size_gauges.0.iter().zip(sizes) {
             g.set(n as i64);
@@ -1016,25 +398,25 @@ impl Engine {
     pub fn node_id(&self, relation: &str, tuple: &Tuple) -> Option<NodeId> {
         let rel = self.rel_id(relation)?;
         let mut syms = Vec::with_capacity(tuple.values().len());
-        if !self.interner.get_syms(tuple, &mut syms) {
+        if !self.facts.interner.get_syms(tuple, &mut syms) {
             return None;
         }
-        self.nodes.get(rel, &syms)
+        self.facts.nodes.get(rel, &syms)
     }
 
     /// The `(relation name, tuple)` behind a node id.
     pub fn resolve_node(&self, node: NodeId) -> Option<(&Arc<str>, Tuple)> {
-        let (rel, st) = self.nodes.resolve(node)?;
+        let (rel, st) = self.facts.nodes.resolve(node)?;
         Some((
             &self.rel_names[rel.index()],
-            self.interner.resolve_tuple(st),
+            self.facts.interner.resolve_tuple(st),
         ))
     }
 
     /// True iff the relation currently contains the tuple.
     pub fn contains(&self, relation: &str, tuple: &Tuple) -> bool {
         self.node_id(relation, tuple)
-            .is_some_and(|n| self.nodes.is_alive(n))
+            .is_some_and(|n| self.facts.nodes.is_alive(n))
     }
 
     /// Number of alive tuples in a relation.
@@ -1059,7 +441,7 @@ impl Engine {
     /// use this instead of cloning whole relations).
     pub fn scan_resolved<'e>(&'e self, relation: &str) -> impl Iterator<Item = Tuple> + 'e {
         self.scan(relation)
-            .map(move |(st, _)| self.interner.resolve_tuple(st))
+            .map(move |(st, _)| self.facts.interner.resolve_tuple(st))
     }
 
     /// Total alive tuples across relations.
@@ -1075,7 +457,7 @@ impl Engine {
     /// resolves after its death like any other. A caller that keeps `out`
     /// across calls drains without allocating.
     pub fn drain_change_log(&mut self, out: &mut Vec<(NodeId, ChangeKind)>) {
-        out.append(&mut self.changes);
+        out.append(&mut self.facts.changes);
     }
 
     /// Drain the change log resolved to relation names and tuple values:
@@ -1084,7 +466,7 @@ impl Engine {
     /// benchmark's replay module (`loopbench/src/replay.rs`) and tests,
     /// and goes with that module's harness change (ROADMAP item 4).
     pub fn drain_changes(&mut self) -> Vec<Change> {
-        let log = std::mem::take(&mut self.changes);
+        let log = std::mem::take(&mut self.facts.changes);
         log.into_iter()
             .filter_map(|(node, kind)| {
                 let (relation, tuple) = self.resolve_node(node)?;
@@ -1109,123 +491,36 @@ impl Engine {
             .map_err(|_| DatalogError::UnknownRelation(relation.to_string()))?;
         rel_schema.validate(&tuple)?;
         let rel = self.rel_ids[relation];
-        let st = self.interner.intern_tuple(&tuple);
-        let node = self.nodes.intern(rel, &st);
-        if self.graph.is_base(node) {
+        let facts = &mut self.facts;
+        let st = facts.interner.intern_tuple(&tuple);
+        let node = facts.nodes.intern(rel, &st);
+        if facts.graph.is_base(node) {
             return Ok(node);
         }
-        self.graph.add_base(node);
-        if !self.nodes.is_alive(node) {
+        facts.graph.add_base(node);
+        if !facts.nodes.is_alive(node) {
             let pos = self.data[rel.index()].push(st.clone(), node);
-            self.nodes.set_position(node, Some(pos));
-            self.stats.tuples_added += 1;
-            self.changes.push((node, ChangeKind::Added));
-            self.pending.push((rel, st, node));
+            facts.added(rel, st, node, pos);
         }
         Ok(node)
     }
 
-    /// Run semi-naive propagation from the pending delta to fixpoint.
-    /// Returns the number of newly derived tuples.
-    ///
-    /// Each round plans, then joins the delta against the relations as
-    /// the round began, recording every firing as the join finds it; the
-    /// round's newborn tuples enter their relations when it ends (see
-    /// the module docs).
+    /// Run semi-naive propagation from the pending delta to fixpoint, one
+    /// round (module `join`) at a time. Returns the number of newly derived
+    /// tuples.
     pub fn propagate(&mut self) -> Result<usize> {
         // A pending insert that a deletion removed before this call
         // derives nothing.
-        let nodes = &self.nodes;
-        self.pending.retain(|(_, _, n)| nodes.is_alive(*n));
-        let mut new_tuples = 0usize;
-        while !self.pending.is_empty() {
-            self.stats.rounds += 1;
-            // One frontier per relation: the delta grouped by dense rel
-            // id, in arrival order. `pending` then collects the next
-            // round's delta.
-            for (r, t, n) in self.pending.drain(..) {
-                self.frontiers[r.index()].push((t, n));
-            }
-            // Plan: build any missing indexes, so the join only reads
-            // the relations.
-            orchestra_obs::time_histogram!("engine.round.plan_micros", {
-                let Engine {
-                    rules,
-                    plans,
-                    rules_by_body,
-                    data,
-                    stats,
-                    frontiers,
-                    ..
-                } = self;
-                for (rel, fr) in frontiers.iter().enumerate() {
-                    if fr.is_empty() {
-                        continue;
-                    }
-                    for &(ri, ai) in &rules_by_body[rel] {
-                        for sp in &plans[ri as usize][ai as usize].steps {
-                            if let Source::Probe { cols, .. } = &sp.source {
-                                let target = rules[ri as usize].body[sp.atom].rel.index();
-                                if data[target].ensure_index(cols) {
-                                    stats.index_builds += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-            });
-            // Join: one task per (relation, rule, delta position), in
-            // that fixed order, recording each firing as it is found.
-            orchestra_obs::time_histogram!("engine.round.join_micros", {
-                let Engine {
-                    rules,
-                    plans,
-                    rules_by_body,
-                    interner,
-                    nodes,
-                    graph,
-                    data,
-                    pending,
-                    changes,
-                    frontiers,
-                    join,
-                    born,
-                    stats,
-                    ..
-                } = &mut *self;
-                let mut exec = Exec {
-                    data,
-                    nodes,
-                    interner,
-                    graph,
-                    stats,
-                    changes,
-                    pending,
-                    born,
-                    s: join,
-                };
-                for (rel, fr) in frontiers.iter().enumerate() {
-                    for &(ri, ai) in &rules_by_body[rel] {
-                        exec.run(Task {
-                            ri,
-                            rule: &rules[ri as usize],
-                            plan: &plans[ri as usize][ai as usize],
-                            delta: fr,
-                        });
-                    }
-                }
-            });
-            // The round's newborns enter their relations at the slots
-            // the join gave them, and form the next round's delta.
-            for (rel, st, node) in &self.pending {
-                let pos = self.data[rel.index()].push(st.clone(), *node);
-                debug_assert_eq!(self.nodes.position(*node), Some(pos));
-            }
-            new_tuples += self.pending.len();
-            self.born.fill(0);
-            for fr in &mut self.frontiers {
-                fr.clear();
-            }
+        let nodes = &self.facts.nodes;
+        self.facts.pending.retain(|(_, _, n)| nodes.is_alive(*n));
+        let mut new_tuples = 0;
+        while !self.facts.pending.is_empty() {
+            new_tuples += join::round(
+                &self.program,
+                &mut self.data,
+                &mut self.facts,
+                &mut self.round,
+            );
         }
         self.obs_flush_stats();
         Ok(new_tuples)
@@ -1249,149 +544,54 @@ impl Engine {
 
     /// Remove a set of base tuples and propagate the deletion as one set:
     /// every base mark is cleared first, then one affected closure seeded
-    /// with all of them decides what dies. The database, the removed
-    /// tuples and the counters equal removing the tuples one at a time;
-    /// the change log lists the set's removals once, in one order.
-    /// Returns how many of the tuples were base facts (the rest —
-    /// unknown, derived-only or repeated — are skipped).
+    /// with all of them decides what dies (module `delete`). The
+    /// database, the removed tuples and the counters equal removing the
+    /// tuples one at a time; the change log lists the set's removals once,
+    /// in one order. Returns how many of the tuples were base facts (the
+    /// rest — unknown, derived-only or repeated — are skipped).
     pub fn remove_bases(&mut self, tuples: &[(&str, &Tuple)]) -> Result<usize> {
         orchestra_obs::time_histogram!("engine.delete_micros", {
-            let del = &mut self.del;
-            if del.marks.len() < self.nodes.len() {
-                del.marks.resize(self.nodes.len(), 0);
-            }
             for &(relation, tuple) in tuples {
                 let Some(&rel) = self.rel_ids.get(relation) else {
                     continue;
                 };
-                if !self.interner.get_syms(tuple, &mut self.syms) {
+                if !self.facts.interner.get_syms(tuple, &mut self.syms) {
                     continue;
                 }
-                let Some(node) = self.nodes.get(rel, &self.syms) else {
+                let Some(node) = self.facts.nodes.get(rel, &self.syms) else {
                     continue;
                 };
-                // A base mark clears once, so each seed enters once.
-                if self.graph.remove_base(node) {
-                    del.marks[node.index()] = AFFECTED;
-                    del.affected.push(node);
-                    del.queue.push_back(node);
+                if self.facts.graph.remove_base(node) {
+                    self.del.seed(node);
                 }
             }
-            let deleted = self.del.affected.len();
+            let deleted =
+                delete::delete_provenance_based(&mut self.data, &mut self.facts, &mut self.del);
             if deleted > 0 {
-                self.delete_provenance_based();
                 self.obs_flush_stats();
             }
             Ok(deleted)
         })
     }
 
-    /// Provenance-based deletion from the seeds `remove_bases` placed in
-    /// the deletion scratch: restrict attention to the subgraph
-    /// forward-reachable from them and recompute well-founded
-    /// derivability there, treating unaffected alive nodes as given.
-    fn delete_provenance_based(&mut self) {
-        let Engine {
-            graph,
-            nodes,
-            data,
-            stats,
-            changes,
-            del,
-            ..
-        } = self;
-        let DeleteScratch {
-            marks,
-            affected,
-            queue,
-            dead,
-        } = del;
-        // Affected = forward closure through derivation uses.
-        while let Some(nd) = queue.pop_front() {
-            for d in graph.uses_of(nd) {
-                let m = &mut marks[d.head.index()];
-                if *m & AFFECTED == 0 {
-                    *m |= AFFECTED;
-                    affected.push(d.head);
-                    queue.push_back(d.head);
-                }
-            }
-        }
-        // Worklist: start from support outside the affected region and from
-        // base facts inside it. Derivability is a least fixpoint, so the
-        // order nodes are visited in cannot change which ones it reaches.
-        for &a in affected.iter() {
-            let supported = graph.is_base(a)
-                || graph.derivations_of(a).any(|d| {
-                    d.body
-                        .iter()
-                        .all(|b| marks[b.index()] & AFFECTED == 0 && nodes.is_alive(*b))
-                });
-            if supported {
-                marks[a.index()] |= DERIVABLE;
-                queue.push_back(a);
-            }
-        }
-        while let Some(nd) = queue.pop_front() {
-            for d in graph.uses_of(nd) {
-                let head = marks[d.head.index()];
-                let fires = head & AFFECTED != 0
-                    && head & DERIVABLE == 0
-                    && d.body.iter().all(|b| {
-                        let m = marks[b.index()];
-                        m & DERIVABLE != 0 || (m & AFFECTED == 0 && nodes.is_alive(*b))
-                    });
-                if fires {
-                    marks[d.head.index()] |= DERIVABLE;
-                    queue.push_back(d.head);
-                }
-            }
-        }
-        // Kill affected-but-underivable nodes, in node-id order: the
-        // change log must replay identically across engines fed the same
-        // input, whatever order the closure discovered them in.
-        dead.clear();
-        dead.extend(
-            affected
-                .iter()
-                .copied()
-                .filter(|a| marks[a.index()] & DERIVABLE == 0 && nodes.is_alive(*a)),
-        );
-        dead.sort_unstable();
-        for a in affected.drain(..) {
-            marks[a.index()] = 0;
-        }
-        for &nd in dead.iter() {
-            let (Some(pos), Some((rel, _))) = (nodes.position(nd), nodes.resolve(nd)) else {
-                continue;
-            };
-            // The relation's last tuple fills the hole: its node moves.
-            if let Some(moved) = data[rel.index()].swap_remove(pos) {
-                nodes.set_position(moved, Some(pos));
-            }
-            nodes.set_position(nd, None);
-            stats.tuples_removed += 1;
-            changes.push((nd, ChangeKind::Removed));
-        }
-    }
-
     /// The provenance polynomial of an alive tuple (over simple proofs);
     /// `None` for a tuple that is not alive, even if it is still interned.
     pub fn provenance(&self, relation: &str, tuple: &Tuple) -> Option<Polynomial<NodeId>> {
         let node = self.node_id(relation, tuple)?;
-        self.nodes
+        self.facts
+            .nodes
             .is_alive(node)
-            .then(|| self.graph.polynomial(node))
+            .then(|| self.facts.graph.polynomial(node))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{Atom, Rule};
+    use crate::ast::{Atom, Filter, Rule, Term};
     use crate::tgd::Tgd;
     use orchestra_provenance::Semiring;
-    use orchestra_relational::{tuple, RelationSchema, ValueType};
+    use orchestra_relational::{tuple, CmpOp, RelationSchema, Value, ValueType};
     use std::collections::BTreeSet;
 
     fn schema(rels: &[(&str, usize)]) -> DatabaseSchema {
@@ -1798,6 +998,49 @@ mod tests {
         ));
         let mut ok = Engine::new(db, vec![]).unwrap();
         assert!(ok.insert_base("nope", tuple!["x"]).is_err());
+    }
+
+    fn skolem_of(function: &str, arg: Term) -> Term {
+        Term::skolem(function, vec![arg])
+    }
+
+    fn refuses_misplaced_skolem(rules: Vec<Rule>) {
+        let db = schema(&[("r", 1), ("t", 1)]);
+        assert!(matches!(
+            Engine::new(db, rules),
+            Err(DatalogError::MisplacedSkolem { .. })
+        ));
+    }
+
+    #[test]
+    fn a_tgd_with_a_skolem_in_its_body_is_refused() {
+        let body = Atom::new("r", vec![skolem_of("f", Term::var("x"))]);
+        let tgd = Tgd::new("m", vec![body], vec![Atom::vars("t", &["x"])]).unwrap();
+        refuses_misplaced_skolem(tgd.compile().unwrap());
+    }
+
+    #[test]
+    fn a_rule_with_a_skolem_in_a_body_atom_or_filter_is_refused() {
+        let body = Atom::new("r", vec![skolem_of("f", Term::var("x"))]);
+        let rule = Rule::new("m", Atom::vars("t", &["x"]), vec![body], vec![]).unwrap();
+        refuses_misplaced_skolem(vec![rule]);
+        let filter = Filter::new(skolem_of("f", Term::var("x")), CmpOp::Eq, Term::var("x"));
+        let rule = Rule::new(
+            "m",
+            Atom::vars("t", &["x"]),
+            vec![Atom::vars("r", &["x"])],
+            vec![filter],
+        )
+        .unwrap();
+        refuses_misplaced_skolem(vec![rule]);
+    }
+
+    #[test]
+    fn a_rule_with_a_nested_skolem_in_its_head_is_refused() {
+        let nested = skolem_of("f", skolem_of("g", Term::var("x")));
+        let head = Atom::new("t", vec![nested]);
+        let rule = Rule::new("m", head, vec![Atom::vars("r", &["x"])], vec![]).unwrap();
+        refuses_misplaced_skolem(vec![rule]);
     }
 
     #[test]

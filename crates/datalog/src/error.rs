@@ -18,6 +18,9 @@ pub enum DatalogError {
     UnknownRelation(String),
     /// A tgd is malformed (empty head/body, etc.).
     InvalidTgd(String),
+    /// A rule holds a Skolem term somewhere other than a head column, or
+    /// one with a Skolem argument.
+    MisplacedSkolem { rule: String, term: String },
     /// An error bubbled up from the relational layer.
     Relational(String),
     /// An engine was asked to run without provenance tracking, which it
@@ -47,6 +50,10 @@ impl fmt::Display for DatalogError {
             ),
             DatalogError::UnknownRelation(r) => write!(f, "unknown relation `{r}`"),
             DatalogError::InvalidTgd(msg) => write!(f, "invalid tgd: {msg}"),
+            DatalogError::MisplacedSkolem { rule, term } => write!(
+                f,
+                "rule `{rule}`: Skolem term `{term}` may only be a head column over variables and constants"
+            ),
             DatalogError::Relational(msg) => write!(f, "relational error: {msg}"),
             DatalogError::ProvenanceRequired => write!(
                 f,

@@ -26,10 +26,15 @@
 //! * [`node`] — interning of `(relation, tuple)` pairs into dense node ids.
 //! * [`provgraph`] — the derivation graph in flat, index-addressed
 //!   arrays, polynomial extraction and lineage.
-//! * [`engine`] — the semi-naive fixpoint engine with incremental insert
-//!   propagation and provenance-based deletion propagation, plus a change
-//!   log for update translation.
-//! * [`query`] — conjunctive queries over peer-local instances.
+//! * [`engine`] — the semi-naive fixpoint engine: its state, its API and
+//!   the round driver, with incremental insert propagation,
+//!   provenance-based deletion propagation and a change log for update
+//!   translation. Its parts:
+//!   * `compile` — rule compilation and join plans, fixed once the
+//!     engine is built;
+//!   * `join` — one semi-naive round: the plan interpreter that records
+//!     each rule firing where it finds it;
+//!   * `delete` — provenance-based deletion.
 
 #![cfg_attr(
     not(test),
@@ -45,11 +50,13 @@
 )]
 
 pub mod ast;
+mod compile;
+mod delete;
 pub mod engine;
 pub mod error;
+mod join;
 pub mod node;
 pub mod provgraph;
-pub mod query;
 pub mod tgd;
 
 pub use ast::{Atom, Filter, Rule, RuleId, Term};
@@ -57,7 +64,6 @@ pub use engine::{Change, ChangeKind, DeletionAlgorithm, Engine, EngineStats, Eva
 pub use error::DatalogError;
 pub use node::{NodeId, NodeTable, RelId};
 pub use provgraph::{Derivation, ProvGraph};
-pub use query::Query;
 pub use tgd::Tgd;
 
 /// Crate-wide result alias.
